@@ -247,7 +247,7 @@ func BenchmarkE11TwigJoin(b *testing.B) {
 	q := tw.ToCQ()
 	for _, items := range []int{200, 800} {
 		doc := workload.SiteDocument(workload.DocSpec{Items: items, Regions: 6, DescriptionDepth: 2, Seed: 7})
-		b.Run(fmt.Sprintf("pathstack/items=%d", items), func(b *testing.B) {
+		b.Run(fmt.Sprintf("twigjoin/items=%d", items), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := twigjoin.MatchTwig(doc, tw); err != nil {
 					b.Fatal(err)
@@ -261,6 +261,32 @@ func BenchmarkE11TwigJoin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkJoinKernel times the six join_mix queries on the interval-join
+// kernel at 150 and 1,500 items, warm (label masks and the rank view built):
+// the per-query view of what bench/run.sh --workload join_mix measures end to
+// end.  TestJoinScalingLinear enforces the 10x-items growth on counts.
+func BenchmarkJoinKernel(b *testing.B) {
+	ctx := context.Background()
+	for _, items := range []int{150, 1500} {
+		doc, ix := joinMixDocument(items)
+		for _, q := range joinMixQueries {
+			u := joinMixUnion(b, q.lang, q.text)
+			b.Run(fmt.Sprintf("items=%d/%s", items, q.name), func(b *testing.B) {
+				b.ReportAllocs()
+				if _, err := u.EvaluateCtx(ctx, doc, ix); err != nil { // warm the index
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := u.EvaluateCtx(ctx, doc, ix); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

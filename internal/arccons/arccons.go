@@ -14,10 +14,17 @@
 //   - SatisfiableX evaluates Boolean conjunctive queries over a tractable
 //     signature in O(||A||·|Q|) via Theorem 6.5 (arc-consistency plus the
 //     minimum valuation of Lemma 6.4).
-//   - EnumerateAcyclic enumerates all answers of an acyclic conjunctive
-//     query from its maximal arc-consistent pre-valuation without
-//     backtracking (Figure 6, Propositions 6.9 and 6.10) -- the
-//     generalization of holistic twig joins.
+//   - Compile and Compiled.EnumerateCtx (kernel.go) are the interval-join
+//     kernel every relational route of the engine executes on: the full
+//     reducer computes the maximal arc-consistent pre-valuation of an
+//     acyclic query as semi-joins on preorder-rank bitsets, and the answers
+//     are enumerated from it without backtracking (Figure 6, Propositions
+//     6.9 and 6.10) -- the generalization of holistic twig joins.
+//     EnumerateAcyclic is the compile-and-run-once wrapper.
+//
+// MaxPreValuation, SatisfiableX and CheckTuple stay on the Horn-SAT encoding:
+// they are the paper's Section-6 algorithms as stated, and the oracles the
+// kernel's differential tests compare against.
 package arccons
 
 import (
@@ -217,60 +224,7 @@ func MaxPreValuationPropagateCtx(ctx context.Context, q *cq.Query, t *tree.Tree)
 		}
 		pv[v] = dom
 	}
-	changed := true
-	for changed {
-		changed = false
-		for _, a := range q.Axes {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
-			inTo := toSet(pv[a.To])
-			var keepFrom []tree.NodeID
-			for _, v := range pv[a.From] {
-				supported := false
-				t.StepFunc(a.Axis, v, func(w tree.NodeID) bool {
-					if inTo[w] {
-						supported = true
-						return false
-					}
-					return true
-				})
-				if supported {
-					keepFrom = append(keepFrom, v)
-				}
-			}
-			if len(keepFrom) != len(pv[a.From]) {
-				pv[a.From] = keepFrom
-				changed = true
-			}
-			if len(keepFrom) == 0 {
-				return nil, false, nil
-			}
-			inFrom := toSet(pv[a.From])
-			var keepTo []tree.NodeID
-			for _, w := range pv[a.To] {
-				supported := false
-				t.StepFunc(a.Axis.Inverse(), w, func(v tree.NodeID) bool {
-					if inFrom[v] {
-						supported = true
-						return false
-					}
-					return true
-				})
-				if supported {
-					keepTo = append(keepTo, w)
-				}
-			}
-			if len(keepTo) != len(pv[a.To]) {
-				pv[a.To] = keepTo
-				changed = true
-			}
-			if len(keepTo) == 0 {
-				return nil, false, nil
-			}
-		}
-	}
-	return pv, true, nil
+	return repropagate(ctx, q, t, pv)
 }
 
 func toSet(ns []tree.NodeID) map[tree.NodeID]bool {

@@ -3,23 +3,25 @@ package arccons
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/cq"
 	"repro/internal/tree"
 )
 
-// ErrCyclic is returned by EnumerateAcyclic for cyclic queries.
+// ErrCyclic is returned by Compile and EnumerateAcyclic for cyclic queries.
 var ErrCyclic = errors.New("arccons: query is not acyclic")
 
+// enumCheckpointInterval is the number of candidate-node visits between
+// ctx.Err() checks inside the kernel's reduction and enumeration.
+const enumCheckpointInterval = 1024
+
 // EnumerateAcyclic evaluates an acyclic conjunctive query by the "holistic"
-// route of Section 6: it computes the maximal arc-consistent pre-valuation
-// (which, for acyclic queries, is exactly the output of Yannakakis' full
-// reducer and represents precisely the solutions, Proposition 6.9) and then
-// enumerates the answers with the recursive algorithm of Figure 6, checking
-// each child variable only against the atoms that connect it to its parent
-// in the query tree -- no backtracking is needed, so the enumeration is
-// output-sensitive (Proposition 6.10).
+// route of Section 6: the full reducer leaves the maximal arc-consistent
+// pre-valuation, which for acyclic queries represents precisely the solutions
+// (Proposition 6.9), and the answers are then enumerated without backtracking,
+// output-sensitively (Proposition 6.10).  It compiles q and runs the
+// interval-join kernel once (see Compile and Compiled.EnumerateCtx); callers
+// that execute a query repeatedly should hold the Compiled instead.
 //
 // The query may be disconnected; components are enumerated independently and
 // combined.  Queries with order atoms or with cyclic graphs are rejected.
@@ -27,266 +29,19 @@ func EnumerateAcyclic(q *cq.Query, t *tree.Tree) ([]cq.Answer, error) {
 	return EnumerateAcyclicIndexed(q, t, nil)
 }
 
-// EnumerateAcyclicIndexed is EnumerateAcyclic with label tests answered by a
-// shared index (may be nil, in which case labels are scanned per call).
+// EnumerateAcyclicIndexed is EnumerateAcyclic with label masks and the
+// preorder-rank view served by a shared index (may be nil, in which case the
+// tree is indexed for this call only).
 func EnumerateAcyclicIndexed(q *cq.Query, t *tree.Tree, ix LabelIndex) ([]cq.Answer, error) {
 	return EnumerateAcyclicIndexedCtx(context.Background(), q, t, ix)
 }
 
-// enumCheckpointInterval is the number of candidate-node visits between
-// ctx.Err() checks inside the enumeration recursion.
-const enumCheckpointInterval = 1024
-
-// EnumerateAcyclicIndexedCtx is EnumerateAcyclicIndexed under a context: the
-// arc-consistency solve checkpoints ctx (see MaxPreValuationIndexedCtx), and
-// the enumeration recursion re-checks it every enumCheckpointInterval
-// candidate visits, so even output-heavy enumerations cancel promptly.
+// EnumerateAcyclicIndexedCtx is EnumerateAcyclicIndexed under a context; see
+// Compiled.EnumerateCtx for the checkpoint cadence.
 func EnumerateAcyclicIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, ix LabelIndex) ([]cq.Answer, error) {
-	if len(q.Orders) > 0 {
-		return nil, ErrOrderAtoms
-	}
-	if !q.IsAcyclic() {
-		return nil, ErrCyclic
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	vars := q.Variables()
-	if len(vars) == 0 {
-		return []cq.Answer{{}}, nil
-	}
-
-	pv, ok, err := MaxPreValuationIndexedCtx(ctx, q, t, ix)
+	c, err := Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
-
-	// Partition variables into connected components of the query graph.
-	comps := components(q, vars)
-
-	// Enumerate each component independently; a component's result is the set
-	// of assignments to its variables (projected to the head variables it
-	// contains, or to a single witness when it contains none).
-	type compResult struct {
-		headVars []cq.Variable
-		rows     [][]tree.NodeID
-	}
-	// Self-loop atoms R(x, x) are not part of any query-tree edge; they are
-	// checked directly when x is assigned.
-	selfAtoms := map[cq.Variable][]cq.AxisAtom{}
-	for _, a := range q.Axes {
-		if a.From == a.To {
-			selfAtoms[a.From] = append(selfAtoms[a.From], a)
-		}
-	}
-
-	var compResults []compResult
-	visits := 0
-	var ctxErr error
-	for _, comp := range comps {
-		order, parentOf, edgeAtoms := queryTree(q, comp)
-		var rows [][]tree.NodeID
-		assign := map[cq.Variable]tree.NodeID{}
-		var headVars []cq.Variable
-		headSet := map[cq.Variable]bool{}
-		for _, h := range q.Head {
-			headSet[h] = true
-		}
-		for _, v := range comp {
-			if headSet[v] {
-				headVars = append(headVars, v)
-			}
-		}
-		seen := map[string]bool{}
-		var rec func(i int)
-		rec = func(i int) {
-			if i == len(order) {
-				row := make([]tree.NodeID, len(headVars))
-				for j, v := range headVars {
-					row[j] = assign[v]
-				}
-				k := fmt.Sprint(row)
-				if !seen[k] {
-					seen[k] = true
-					rows = append(rows, row)
-				}
-				return
-			}
-			xi := order[i]
-			for _, v := range pv[xi] {
-				visits++
-				if visits%enumCheckpointInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						ctxErr = err
-						return
-					}
-				}
-				if ctxErr != nil {
-					return
-				}
-				okNode := true
-				for _, a := range selfAtoms[xi] {
-					if !t.Holds(a.Axis, v, v) {
-						okNode = false
-						break
-					}
-				}
-				if p, has := parentOf[xi]; okNode && has {
-					for _, a := range edgeAtoms[edgeKey(p, xi)] {
-						var u, w tree.NodeID
-						if a.From == xi { // atom oriented child -> parent
-							u, w = v, assign[p]
-						} else { // atom oriented parent -> child
-							u, w = assign[p], v
-						}
-						if !t.Holds(a.Axis, u, w) {
-							okNode = false
-							break
-						}
-					}
-				}
-				if okNode {
-					assign[xi] = v
-					rec(i + 1)
-					delete(assign, xi)
-				}
-			}
-		}
-		rec(0)
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		if len(rows) == 0 {
-			// Should not happen after arc-consistency for acyclic connected
-			// queries (Prop. 6.9), but an empty component result means the whole
-			// query has no answers.
-			return nil, nil
-		}
-		compResults = append(compResults, compResult{headVars: headVars, rows: rows})
-	}
-
-	// Combine components by cross product over the head columns.
-	headPos := map[cq.Variable]int{}
-	for i, v := range q.Head {
-		headPos[v] = i
-	}
-	answers := []cq.Answer{make(cq.Answer, len(q.Head))}
-	for _, cr := range compResults {
-		if len(cr.headVars) == 0 {
-			continue // only gates satisfiability, already ensured nonempty
-		}
-		var next []cq.Answer
-		for _, partial := range answers {
-			for _, row := range cr.rows {
-				combined := make(cq.Answer, len(partial))
-				copy(combined, partial)
-				for j, v := range cr.headVars {
-					combined[headPos[v]] = row[j]
-				}
-				next = append(next, combined)
-			}
-		}
-		answers = next
-	}
-	// De-duplicate (projection within a component may repeat tuples) and sort.
-	seen := map[string]bool{}
-	var out []cq.Answer
-	for _, a := range answers {
-		k := fmt.Sprint(a)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	cq.SortAnswers(out)
-	return out, nil
-}
-
-// components returns the connected components of the query graph, each as a
-// slice of variables.
-func components(q *cq.Query, vars []cq.Variable) [][]cq.Variable {
-	adj := map[cq.Variable][]cq.Variable{}
-	for _, a := range q.Axes {
-		adj[a.From] = append(adj[a.From], a.To)
-		adj[a.To] = append(adj[a.To], a.From)
-	}
-	seen := map[cq.Variable]bool{}
-	var comps [][]cq.Variable
-	for _, v := range vars {
-		if seen[v] {
-			continue
-		}
-		var comp []cq.Variable
-		queue := []cq.Variable{v}
-		seen[v] = true
-		for len(queue) > 0 {
-			x := queue[0]
-			queue = queue[1:]
-			comp = append(comp, x)
-			for _, y := range adj[x] {
-				if !seen[y] {
-					seen[y] = true
-					queue = append(queue, y)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// queryTree builds the query tree of one connected component: a DFS preorder
-// of the variables starting from the component's first variable, the parent
-// of each non-root variable, and the atoms labeling each tree edge.  For
-// acyclic connected queries every binary atom of the component connects a
-// parent/child pair of this tree.
-func queryTree(q *cq.Query, comp []cq.Variable) (order []cq.Variable, parentOf map[cq.Variable]cq.Variable, edgeAtoms map[string][]cq.AxisAtom) {
-	inComp := map[cq.Variable]bool{}
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	adj := map[cq.Variable][]cq.Variable{}
-	edgeAtoms = map[string][]cq.AxisAtom{}
-	for _, a := range q.Axes {
-		if !inComp[a.From] {
-			continue
-		}
-		adj[a.From] = append(adj[a.From], a.To)
-		adj[a.To] = append(adj[a.To], a.From)
-		edgeAtoms[edgeKey(a.From, a.To)] = append(edgeAtoms[edgeKey(a.From, a.To)], a)
-	}
-	parentOf = map[cq.Variable]cq.Variable{}
-	seen := map[cq.Variable]bool{}
-	var dfs func(v cq.Variable)
-	dfs = func(v cq.Variable) {
-		seen[v] = true
-		order = append(order, v)
-		for _, w := range adj[v] {
-			if !seen[w] {
-				parentOf[w] = v
-				dfs(w)
-			}
-		}
-	}
-	dfs(comp[0])
-	// Variables of the component unreachable via edges (isolated, only label
-	// atoms) are appended at the end with no parent.
-	for _, v := range comp {
-		if !seen[v] {
-			seen[v] = true
-			order = append(order, v)
-		}
-	}
-	return order, parentOf, edgeAtoms
-}
-
-// edgeKey gives a canonical key for the unordered variable pair {a, b}.
-func edgeKey(a, b cq.Variable) string {
-	if b < a {
-		a, b = b, a
-	}
-	return string(a) + "\x00" + string(b)
+	return c.EnumerateCtx(ctx, t, ix)
 }

@@ -1,0 +1,467 @@
+package arccons
+
+import (
+	"context"
+	"math/bits"
+	"sync/atomic"
+
+	"repro/internal/bitset"
+	"repro/internal/cq"
+	"repro/internal/index"
+	"repro/internal/tree"
+)
+
+// Compiled is an acyclic conjunctive query compiled for the interval-join
+// kernel.  It is document-independent — variables are numbered, the query
+// graph is a forest rooted at head variables, and every binary atom sits on
+// one forest edge, oriented both ways — so one Compiled serves every
+// execution of a prepared query and survives a document swap.  Safe for
+// concurrent EnumerateCtx calls.
+type Compiled struct {
+	labels [][]string    // label atoms per variable
+	parent []int         // query-forest parent per variable, -1 for a root
+	down   [][]tree.Axis // the atoms on edge parent[v]–v as a(parent[v], v)
+	up     [][]tree.Axis // the same atoms as a(v, parent[v])
+	order  []int         // every variable, parents before children
+	walk   []int         // the head-spanning part of order: what enumeration assigns
+	head   []int         // the variable of each head position
+	dedup  bool          // a walked variable is projected away, so rows can repeat
+	unsat  bool          // some self-loop atom R(x, x) is irreflexive
+	visits atomic.Int64
+}
+
+// Compile checks that q is an acyclic, order-free, safe conjunctive query and
+// compiles it for EnumerateCtx.  Each component of the query forest is rooted
+// at a head variable when it has one, so the variables enumeration must
+// assign — those with a head variable at or below them — are closed upwards;
+// the rest only gate satisfiability, which the full reducer settles.
+func Compile(q *cq.Query) (*Compiled, error) {
+	if len(q.Orders) > 0 {
+		return nil, ErrOrderAtoms
+	}
+	if !q.IsAcyclic() {
+		return nil, ErrCyclic
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	vars := q.Variables()
+	n := len(vars)
+	id := make(map[cq.Variable]int, n)
+	c := &Compiled{
+		labels: make([][]string, n), parent: make([]int, n),
+		down: make([][]tree.Axis, n), up: make([][]tree.Axis, n),
+	}
+	for i, v := range vars {
+		id[v], c.labels[i], c.parent[i] = i, q.LabelsOf(v), -1
+	}
+	adj := make([][]int, n)
+	for _, a := range q.Axes {
+		f, t := id[a.From], id[a.To]
+		if f == t {
+			// R(x, x) holds at every node or at none.
+			c.unsat = c.unsat || !a.Axis.IsReflexive()
+			continue
+		}
+		adj[f], adj[t] = append(adj[f], t), append(adj[t], f)
+	}
+	isHead, seen := make([]bool, n), make([]bool, n)
+	var dfs func(v int)
+	dfs = func(v int) {
+		seen[v] = true
+		c.order = append(c.order, v)
+		for _, w := range adj[v] {
+			if !seen[w] {
+				c.parent[w] = v
+				dfs(w)
+			}
+		}
+	}
+	for _, h := range q.Head {
+		c.head = append(c.head, id[h])
+		isHead[id[h]] = true
+	}
+	for _, v := range c.head {
+		if !seen[v] {
+			dfs(v)
+		}
+	}
+	for v := range vars {
+		if !seen[v] {
+			dfs(v)
+		}
+	}
+	// The query graph is a forest, so every binary atom joins a variable to
+	// its forest parent, in one direction or the other.
+	for _, a := range q.Axes {
+		f, t := id[a.From], id[a.To]
+		switch {
+		case f == t:
+		case c.parent[t] == f:
+			c.down[t], c.up[t] = append(c.down[t], a.Axis), append(c.up[t], a.Axis.Inverse())
+		default:
+			c.down[f], c.up[f] = append(c.down[f], a.Axis.Inverse()), append(c.up[f], a.Axis)
+		}
+	}
+	needed := append([]bool(nil), isHead...)
+	for i := n - 1; i >= 0; i-- {
+		if v := c.order[i]; needed[v] && c.parent[v] >= 0 {
+			needed[c.parent[v]] = true
+		}
+	}
+	for _, v := range c.order {
+		if needed[v] {
+			c.walk = append(c.walk, v)
+			c.dedup = c.dedup || !isHead[v]
+		}
+	}
+	return c, nil
+}
+
+// Visits returns the number of candidate nodes the kernel has visited, in
+// reduction and enumeration, over all executions so far.  It is a
+// deterministic measure of work for scaling tests.
+func (c *Compiled) Visits() int64 { return c.visits.Load() }
+
+// viewIndex is what the kernel needs of a document index: label masks and the
+// preorder-rank view.  package index provides it; for any other LabelIndex
+// (nil included) the kernel indexes the tree itself, for this call only.
+type viewIndex interface {
+	LabelIndex
+	PreView() *index.PreView
+}
+
+// kernel is the state of one execution.  Everything lives in preorder-rank
+// space (rank r is the node with preorder index r+1): a candidate domain is a
+// bitset over ranks and a subtree is the rank interval [r, End[r]].
+type kernel struct {
+	c      *Compiled
+	t      *tree.Tree
+	pv     *index.PreView
+	node   []tree.NodeID // rank -> node
+	n      int
+	dom    []bitset.Bits // per variable
+	assign []int         // per variable: the rank enumeration currently binds it to
+	rows   []tree.NodeID // the answers so far, len(c.head) nodes each
+	visits int
+	err    error
+}
+
+// EnumerateCtx evaluates the compiled query on t.  It is Yannakakis'
+// algorithm on rank bitsets: the full reducer — one bottom-up and one
+// top-down pass of semi-joins over the query forest — leaves exactly the
+// maximal arc-consistent pre-valuation (Prop. 6.9), after which every
+// candidate extends to a solution, so the enumeration never backtracks and
+// its cost is bounded by input plus output (Prop. 6.10).  ctx is checked on
+// entry and every enumCheckpointInterval candidate visits of either phase.
+// Answers are sorted and duplicate-free.
+func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex) ([]cq.Answer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if c.unsat {
+		return nil, nil
+	}
+	if len(c.order) == 0 {
+		return []cq.Answer{{}}, nil
+	}
+	k := c.newKernel(t, ix)
+	defer k.release()
+	if !k.reduce(ctx) {
+		return nil, k.err
+	}
+	if len(c.head) == 0 {
+		return []cq.Answer{{}}, nil
+	}
+	k.enumerate(ctx, 0)
+	return k.answers(), k.err
+}
+
+// answers slices the row arena into sorted answers; duplicates are possible,
+// and looked for, only when enumeration bound a variable the head projects
+// away.
+func (k *kernel) answers() []cq.Answer {
+	if k.err != nil {
+		return nil
+	}
+	w := len(k.c.head)
+	out := make([]cq.Answer, len(k.rows)/w)
+	for i := range out {
+		out[i] = k.rows[i*w : (i+1)*w : (i+1)*w]
+	}
+	if k.c.dedup {
+		return cq.SortDedupAnswers(out)
+	}
+	cq.SortAnswers(out)
+	return out
+}
+
+// newKernel binds c to a document and fills the label domains.  The caller
+// must release the kernel.
+func (c *Compiled) newKernel(t *tree.Tree, ix LabelIndex) *kernel {
+	vix, ok := ix.(viewIndex)
+	if !ok {
+		vix = index.New(t)
+	}
+	k := &kernel{
+		c: c, t: t, pv: vix.PreView(), node: t.PreOrder(), n: t.Len(),
+		dom: make([]bitset.Bits, len(c.order)), assign: make([]int, len(c.order)),
+	}
+	for v := range k.dom {
+		k.dom[v] = k.domain(vix, c.labels[v])
+	}
+	return k
+}
+
+// release returns the domains to the pool and books the visits.
+func (k *kernel) release() {
+	for _, d := range k.dom {
+		bitset.Release(d)
+	}
+	k.c.visits.Add(int64(k.visits))
+}
+
+// domain returns the ranks of the nodes carrying every one of the labels (all
+// ranks when there is none).  Label masks are indexed by NodeID, which is the
+// rank only on trees built in document order; otherwise bits move through Pre.
+func (k *kernel) domain(ix LabelIndex, labels []string) bitset.Bits {
+	d := bitset.Acquire(k.n)
+	if len(labels) == 0 {
+		d.SetAll(k.n)
+		return d
+	}
+	d.CopyFrom(ix.LabelMask(labels[0]))
+	for _, l := range labels[1:] {
+		d.And(ix.LabelMask(l))
+	}
+	if k.pv.Identity {
+		return d
+	}
+	byRank := bitset.Acquire(k.n)
+	d.ForEach(func(id int) { byRank.Set(k.t.Pre(tree.NodeID(id)) - 1) })
+	bitset.Release(d)
+	return byRank
+}
+
+// tick counts one candidate visit and polls ctx every enumCheckpointInterval
+// of them; it reports false once the execution is cancelled.
+func (k *kernel) tick(ctx context.Context) bool {
+	if k.err != nil {
+		return false
+	}
+	k.visits++
+	if k.visits%enumCheckpointInterval == 0 {
+		k.err = ctx.Err()
+	}
+	return k.err == nil
+}
+
+// each visits the ranks of s in ascending order until cancelled.  f may clear
+// bits of s.
+func (k *kernel) each(ctx context.Context, s bitset.Bits, f func(r int)) {
+	for wi, w := range s {
+		for ; w != 0 && k.tick(ctx); w &= w - 1 {
+			f(wi<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// reduce is the full reducer.  It reports false when some domain empties (the
+// query has no answer) or ctx is cancelled (k.err is then set).
+func (k *kernel) reduce(ctx context.Context) bool {
+	c := k.c
+	for i := len(c.order) - 1; i >= 0; i-- {
+		if v := c.order[i]; c.parent[v] >= 0 && !k.semijoin(ctx, c.parent[v], v, c.down[v]) {
+			return false
+		}
+	}
+	for _, v := range c.order {
+		if p := c.parent[v]; p >= 0 && !k.semijoin(ctx, v, p, c.up[v]) {
+			return false
+		}
+		if !k.dom[v].Any() {
+			return false
+		}
+	}
+	return k.err == nil
+}
+
+// semijoin keeps in dom[x] the ranks with a partner in dom[y] under every
+// axis of axes (given as a(x, y)).  One axis is a set operation: intersect
+// with the image of dom[y] under the inverse axis.  Parallel atoms need one
+// partner satisfying all of them, so each candidate is probed on its own.
+func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool {
+	dx, dy := k.dom[x], k.dom[y]
+	if len(axes) == 1 {
+		img := bitset.Acquire(k.n)
+		k.image(ctx, axes[0].Inverse(), dy, img)
+		dx.And(img)
+		bitset.Release(img)
+	} else {
+		k.each(ctx, dx, func(r int) {
+			if k.partner(axes, r, -1, dy) < 0 {
+				dx.Clear(r)
+			}
+		})
+	}
+	return k.err == nil && dx.Any()
+}
+
+// hops describes a pointer-chasing axis in the view: its targets from rank r
+// are first[r] (r itself when first is nil), then col[·] of each target in
+// turn (nothing further when col is nil).  Self is (nil, nil).
+func (k *kernel) hops(a tree.Axis) (first, col []int32) {
+	pv := k.pv
+	switch a {
+	case tree.Parent:
+		return pv.Parent, nil
+	case tree.NextSiblingAxis:
+		return pv.NextSibling, nil
+	case tree.PrevSiblingAxis:
+		return pv.PrevSibling, nil
+	case tree.Child:
+		return pv.FirstChild, pv.NextSibling
+	case tree.Ancestor:
+		return pv.Parent, pv.Parent
+	case tree.AncestorOrSelf:
+		return nil, pv.Parent
+	case tree.FollowingSibling:
+		return pv.NextSibling, pv.NextSibling
+	case tree.FollowingSiblingOrSelf:
+		return nil, pv.NextSibling
+	case tree.PrecedingSibling:
+		return pv.PrevSibling, pv.PrevSibling
+	case tree.PrecedingSiblingOrSelf:
+		return nil, pv.PrevSibling
+	}
+	return nil, nil
+}
+
+// image sets in out (initially empty) every rank y with a(x, y) for some x in
+// s, in time linear in |s| plus the words or ranks it sets: the interval axes
+// fill rank ranges, and a pointer chase stops at the first rank already set,
+// since whoever set it went on to set everything beyond.
+func (k *kernel) image(ctx context.Context, a tree.Axis, s, out bitset.Bits) {
+	pv := k.pv
+	switch a {
+	case tree.Descendant, tree.DescendantOrSelf:
+		covered := -1 // subtrees nest or follow each other: skip what is filled
+		k.each(ctx, s, func(x int) {
+			lo := x + 1
+			if a == tree.DescendantOrSelf {
+				lo = x
+			}
+			out.SetRange(max(lo, covered+1), int(pv.End[x]))
+			covered = max(covered, int(pv.End[x]))
+		})
+	case tree.Following:
+		lo := k.n // everything after the subtree that closes first
+		k.each(ctx, s, func(x int) { lo = min(lo, int(pv.End[x])+1) })
+		out.SetRange(lo, k.n-1)
+	case tree.Preceding:
+		// Everything before the last rank of s, bar its ancestors.
+		if m := s.Last(); m > 0 {
+			out.SetRange(0, m-1)
+			for p := pv.Parent[m]; p >= 0; p = pv.Parent[p] {
+				out.Clear(int(p))
+			}
+		}
+	default:
+		first, col := k.hops(a)
+		k.each(ctx, s, func(x int) {
+			y := int32(x)
+			if first != nil {
+				y = first[x]
+			}
+			for y >= 0 && !out.Get(int(y)) {
+				out.Set(int(y))
+				if col == nil {
+					break
+				}
+				y = col[y]
+			}
+		})
+	}
+}
+
+// next returns the first rank y of dom with a(x, y) when after is -1, and the
+// one following after otherwise; -1 when there is no more.  Interval axes
+// range-scan dom, the rest follow their column: the cost is the partners
+// found plus what lies between them, never the whole of dom.
+func (k *kernel) next(a tree.Axis, x, after int, dom bitset.Bits) int {
+	pv := k.pv
+	switch a {
+	case tree.Descendant:
+		return dom.NextInRange(max(x, after)+1, int(pv.End[x]))
+	case tree.DescendantOrSelf:
+		return dom.NextInRange(max(x-1, after)+1, int(pv.End[x]))
+	case tree.Following:
+		return dom.NextInRange(max(int(pv.End[x]), after)+1, k.n-1)
+	case tree.Preceding:
+		for y := dom.NextInRange(after+1, x-1); y >= 0; y = dom.NextInRange(y+1, x-1) {
+			if int(pv.End[y]) < x {
+				return y
+			}
+		}
+		return -1
+	}
+	first, col := k.hops(a)
+	y := int32(x)
+	switch {
+	case after >= 0 && col == nil:
+		return -1
+	case after >= 0:
+		y = col[after]
+	case first != nil:
+		y = first[x]
+	}
+	for y >= 0 && !dom.Get(int(y)) {
+		if col == nil {
+			return -1
+		}
+		y = col[y]
+	}
+	return int(y)
+}
+
+// partner is next over an edge with parallel atoms: axes[0] drives the scan
+// and the remaining atoms filter it.
+func (k *kernel) partner(axes []tree.Axis, x, after int, dom bitset.Bits) int {
+	for y := k.next(axes[0], x, after, dom); y >= 0; y = k.next(axes[0], x, y, dom) {
+		ok := true
+		for _, a := range axes[1:] {
+			ok = ok && k.t.Holds(a, k.node[x], k.node[y])
+		}
+		if ok {
+			return y
+		}
+	}
+	return -1
+}
+
+// enumerate binds walk[i:] in every way consistent with the bindings of
+// walk[:i] and appends one row per solution.  A root ranges over its reduced
+// domain; any other variable over the partners of its parent's binding.
+func (k *kernel) enumerate(ctx context.Context, i int) {
+	c := k.c
+	if i == len(c.walk) {
+		for _, h := range c.head {
+			k.rows = append(k.rows, k.node[k.assign[h]])
+		}
+		return
+	}
+	v := c.walk[i]
+	for y := k.candidate(v, -1); y >= 0 && k.tick(ctx); y = k.candidate(v, y) {
+		k.assign[v] = y
+		k.enumerate(ctx, i+1)
+	}
+}
+
+// candidate is the iterator behind enumerate: the next rank for v after
+// `after` (-1 to start), given the binding of v's parent.
+func (k *kernel) candidate(v, after int) int {
+	if p := k.c.parent[v]; p >= 0 {
+		return k.partner(k.c.down[v], k.assign[p], after, k.dom[v])
+	}
+	return k.dom[v].NextInRange(after+1, k.n-1)
+}

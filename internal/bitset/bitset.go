@@ -177,3 +177,56 @@ func (b Bits) ToBools(n int) []bool {
 	})
 	return out
 }
+
+// SetRange sets every bit in the closed interval [lo, hi]; an empty interval
+// (lo > hi) is a no-op.  Whole words are filled at once, so marking a subtree
+// (a contiguous preorder interval) costs O(size/64).
+func (b Bits) SetRange(lo, hi int) {
+	if lo > hi {
+		return
+	}
+	first, last := lo>>6, hi>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-hi&63)
+	if first == last {
+		b[first] |= loMask & hiMask
+		return
+	}
+	b[first] |= loMask
+	for i := first + 1; i < last; i++ {
+		b[i] = ^uint64(0)
+	}
+	b[last] |= hiMask
+}
+
+// NextInRange returns the smallest set bit in the closed interval [lo, hi],
+// or -1 if there is none.  It scans word-at-a-time and never looks past hi,
+// so probing a subtree interval costs O(size/64) however sparse b is.
+func (b Bits) NextInRange(lo, hi int) int {
+	if lo > hi {
+		return -1
+	}
+	wi, last := lo>>6, hi>>6
+	w := b[wi] &^ (1<<uint(lo&63) - 1)
+	for w == 0 {
+		wi++
+		if wi > last {
+			return -1
+		}
+		w = b[wi]
+	}
+	if r := wi<<6 + bits.TrailingZeros64(w); r <= hi {
+		return r
+	}
+	return -1
+}
+
+// Last returns the largest set bit, or -1 for the empty vector.
+func (b Bits) Last() int {
+	for wi := len(b) - 1; wi >= 0; wi-- {
+		if b[wi] != 0 {
+			return wi<<6 + 63 - bits.LeadingZeros64(b[wi])
+		}
+	}
+	return -1
+}

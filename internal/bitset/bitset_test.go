@@ -179,3 +179,46 @@ func TestAcquireRelease(t *testing.T) {
 	}
 	Release(nil) // no-op
 }
+
+// SetRange, NextInRange and Last against a bool-slice model, over intervals
+// that start, end and sit inside word boundaries.
+func TestRangeOpsAgainstModel(t *testing.T) {
+	const n = 200
+	edges := []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 190, 199}
+	for _, lo := range edges {
+		for _, hi := range edges {
+			b := New(n)
+			b.SetRange(lo, hi)
+			for i := 0; i < n; i++ {
+				if want := lo <= i && i <= hi; b.Get(i) != want {
+					t.Fatalf("SetRange(%d,%d): bit %d = %v, want %v", lo, hi, i, b.Get(i), want)
+				}
+			}
+			wantLast := -1
+			if lo <= hi {
+				wantLast = hi
+			}
+			if got := b.Last(); got != wantLast {
+				t.Fatalf("SetRange(%d,%d).Last() = %d, want %d", lo, hi, got, wantLast)
+			}
+		}
+	}
+	b := New(n)
+	for _, i := range []int{5, 63, 64, 130} {
+		b.Set(i)
+	}
+	for _, lo := range edges {
+		for _, hi := range edges {
+			want := -1
+			for i := lo; i <= hi; i++ {
+				if b.Get(i) {
+					want = i
+					break
+				}
+			}
+			if got := b.NextInRange(lo, hi); got != want {
+				t.Fatalf("NextInRange(%d,%d) = %d, want %d", lo, hi, got, want)
+			}
+		}
+	}
+}

@@ -225,7 +225,7 @@ func (e *Engine) Prepare(lang, text string) (*PreparedQuery, error) {
 		var q *cq.Query
 		q, err = cq.Parse(text)
 		if err == nil {
-			pq, _, err = e.prepareCQText(q, text, time.Since(parseStart))
+			pq, _, err = e.prepareCQText(q, text, time.Since(parseStart), newCQForms(q))
 		}
 	case LangDatalog:
 		pq, _, err = e.prepareDatalog(text)
@@ -300,7 +300,22 @@ func (e *Engine) buildXPath(expr xpath.Expr, query string, parseDur time.Duratio
 }
 
 func (e *Engine) prepareCQ(q *cq.Query) (*PreparedQuery, *Plan, error) {
-	return e.prepareCQText(q, q.String(), 0)
+	return e.prepareCQText(q, q.String(), 0, newCQForms(q))
+}
+
+// cqForms are the document-independent executables of a conjunctive query for
+// the interval-join kernel, each built on first use by whichever route needs
+// it and then shared by every Reprepare of the query.
+type cqForms struct {
+	acyclic func() (*arccons.Compiled, error) // the query itself, when acyclic
+	union   func() (rewrite.Union, error)     // its rewriting into acyclic disjuncts
+}
+
+func newCQForms(q *cq.Query) *cqForms {
+	return &cqForms{
+		acyclic: sync.OnceValues(func() (*arccons.Compiled, error) { return arccons.Compile(q) }),
+		union:   sync.OnceValues(func() (rewrite.Union, error) { return rewrite.Compile(q) }),
+	}
 }
 
 // cqLabelSet collects the sorted distinct labels a conjunctive query tests
@@ -320,10 +335,10 @@ func cqLabelSet(q *cq.Query) []string {
 
 // prepareCQText keeps the caller's source text (when the query arrived as
 // text) so PreparedQuery.Text round-trips it exactly.  It doubles as the
-// Reprepare entry point: the parsed query is document-independent, so a
-// document swap re-enters here (parseDur 0) and redoes only classification
-// and planning.
-func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration) (*PreparedQuery, *Plan, error) {
+// Reprepare entry point: the parsed query and its compiled forms are
+// document-independent, so a document swap re-enters here (parseDur 0, same
+// forms) and redoes only classification and the closure binding.
+func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration, forms *cqForms) (*PreparedQuery, *Plan, error) {
 	start := time.Now()
 	plan := &Plan{Language: "cq"}
 	if parseDur > 0 {
@@ -332,7 +347,7 @@ func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration)
 	plan.note("query %s with %d atoms over axes %v", q, q.NumAtoms(), q.AxisSet())
 	pq := &PreparedQuery{eng: e, lang: LangCQ, text: text, labels: cqLabelSet(q)}
 	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
-		npq, _, err := ne.prepareCQText(q, text, 0)
+		npq, _, err := ne.prepareCQText(q, text, 0, forms)
 		return npq, err
 	}
 	// fin stamps the classification/planning phase and freezes the plan; every
@@ -378,19 +393,16 @@ func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration)
 		return fin()
 	case RewriteFirst:
 		plan.Technique = "rewrite to acyclic union + Yannakakis"
-		disjuncts, err := rewrite.ToAcyclicUnion(q)
+		union, err := forms.union()
 		if err != nil {
 			return nil, plan, fmt.Errorf("%w: %v", ErrNoStrategy, err)
 		}
-		plan.note("%d acyclic disjuncts (rewritten once at prepare time)", len(disjuncts))
-		pq.clauses = len(disjuncts)
+		plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
+		pq.clauses = len(union)
 		pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-			ans, err := rewrite.EvaluateDisjunctsCtx(ctx, disjuncts, e.doc, e.idx)
+			ans, err := union.EvaluateCtx(ctx, e.doc, e.idx)
 			if err != nil {
-				if ctx.Err() != nil {
-					return nil, err
-				}
-				return nil, fmt.Errorf("%w: %v", ErrNoStrategy, err)
+				return nil, err
 			}
 			return &Result{Answers: ans}, nil
 		}
@@ -414,11 +426,12 @@ func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration)
 		}
 		return &Result{Answers: ans}, nil
 	}
-	if len(q.Orders) == 0 && q.IsAcyclic() && q.Validate() == nil {
+	// Compile accepts exactly the acyclic, order-free, safe queries.
+	if compiled, err := forms.acyclic(); err == nil {
 		plan.note("query is acyclic: holistic evaluation is output-sensitive (Prop. 6.10)")
 		plan.Technique = "arc-consistency + backtrack-free enumeration"
 		pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-			ans, err := arccons.EnumerateAcyclicIndexedCtx(ctx, q, e.doc, e.idx)
+			ans, err := compiled.EnumerateCtx(ctx, e.doc, e.idx)
 			if err != nil {
 				return naive(ctx, p, "arc-consistency", err)
 			}
@@ -445,12 +458,12 @@ func (e *Engine) prepareCQText(q *cq.Query, text string, parseDur time.Duration)
 	}
 	if len(q.Orders) == 0 && len(q.Variables()) <= rewrite.MaxVariables {
 		plan.note("cyclic query with %d variables: rewriting into an acyclic union (Theorem 5.1)", len(q.Variables()))
-		if disjuncts, err := rewrite.ToAcyclicUnion(q); err == nil {
+		if union, err := forms.union(); err == nil {
 			plan.Technique = "rewrite to acyclic union + Yannakakis"
-			plan.note("%d acyclic disjuncts (rewritten once at prepare time)", len(disjuncts))
-			pq.clauses = len(disjuncts)
+			plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
+			pq.clauses = len(union)
 			pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-				ans, err := rewrite.EvaluateDisjunctsCtx(ctx, disjuncts, e.doc, e.idx)
+				ans, err := union.EvaluateCtx(ctx, e.doc, e.idx)
 				if err != nil {
 					return naive(ctx, p, "rewrite", err)
 				}
@@ -585,14 +598,20 @@ func (e *Engine) prepareTwig(query string) (*PreparedQuery, *Plan, error) {
 	if err != nil {
 		return nil, &Plan{Language: "xpath-twig"}, err
 	}
-	pq, plan := e.buildTwig(q, query, parseDur, time.Since(translateStart))
+	compiled, err := arccons.Compile(q)
+	if err != nil {
+		return nil, &Plan{Language: "xpath-twig"}, err
+	}
+	pq, plan := e.buildTwig(q, compiled, query, parseDur, time.Since(translateStart))
 	return pq, plan, nil
 }
 
-// buildTwig binds an already-translated twig CQ to this engine's document.
-// Reprepare re-enters here on the new engine, skipping parse and translation
+// buildTwig binds an already-translated and compiled twig CQ to this engine's
+// document: the twig is an acyclic conjunctive query, so it runs on the
+// interval-join kernel exactly as the Auto acyclic CQ route does.  Reprepare
+// re-enters here on the new engine, skipping parse, translation and compile
 // (both durations 0 mark the phases as not performed).
-func (e *Engine) buildTwig(q *cq.Query, query string, parseDur, translateDur time.Duration) (*PreparedQuery, *Plan) {
+func (e *Engine) buildTwig(q *cq.Query, compiled *arccons.Compiled, query string, parseDur, translateDur time.Duration) (*PreparedQuery, *Plan) {
 	start := time.Now()
 	plan := &Plan{Language: "xpath-twig", Technique: "translate to CQ + arc-consistency"}
 	if parseDur > 0 {
@@ -604,11 +623,11 @@ func (e *Engine) buildTwig(q *cq.Query, query string, parseDur, translateDur tim
 	plan.note("translated to %s", q)
 	pq := &PreparedQuery{eng: e, lang: LangTwig, text: query, labels: cqLabelSet(q)}
 	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
-		npq, _ := ne.buildTwig(q, query, 0, 0)
+		npq, _ := ne.buildTwig(q, compiled, query, 0, 0)
 		return npq, nil
 	}
 	pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-		ans, err := arccons.EnumerateAcyclicIndexedCtx(ctx, q, e.doc, e.idx)
+		ans, err := compiled.EnumerateCtx(ctx, e.doc, e.idx)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"repro/internal/index"
+	"repro/internal/tree"
+	"repro/internal/treediff"
 )
 
 // reprepareDocs builds two revisions of a small document: v1 has 2 keywords,
@@ -112,4 +117,74 @@ func TestReprepareHonorsTargetStrategy(t *testing.T) {
 	if err != nil || len(res.Nodes) != 4 {
 		t.Fatalf("naive re-prepared exec: %d nodes, %v; want 4", len(res.Nodes), err)
 	}
+}
+
+// TestRelationalRoutesAcrossPatchAndRelease: the kernel's rank view is
+// per-index state, so after a shifting patch (node ranks past the splice
+// move) and after a Release the three relational routes must answer exactly
+// like an engine built from scratch over the new document — with the plans
+// carried over by Reprepare, compiled forms included.
+func TestRelationalRoutesAcrossPatchAndRelease(t *testing.T) {
+	oldT := tree.MustParseSexpr("site(item(name mailbox keyword) item(name keyword(text) text) item(name keyword text))")
+	newT := tree.MustParseSexpr("site(item(name mailbox extra(keyword) keyword) item(name keyword(text) text) item(name keyword text))")
+	sc, ok := treediff.Diff(oldT, newT)
+	if !ok || sc.NewLen == sc.OldLen {
+		t.Fatalf("expected a shifting single-splice diff, got %+v ok=%v", sc, ok)
+	}
+	ctx := context.Background()
+	queries := []struct{ lang, text string }{
+		{LangCQ, "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."},
+		{LangCQ, "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k), Child+(i, t), Lab[text](t), Following(k, t)."},
+		{LangTwig, "//item[name]//keyword"},
+	}
+	oldEng := New(oldT)
+	var plans []*PreparedQuery
+	for _, q := range queries {
+		pq, err := oldEng.Prepare(q.lang, q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pq.Exec(ctx); err != nil { // builds the old view
+			t.Fatal(err)
+		}
+		plans = append(plans, pq)
+	}
+	patched := oldEng.Patched(newT, index.PatchSpec{
+		Start: sc.Start, OldLen: sc.OldLen, NewLen: sc.NewLen,
+		Touched: sc.Touched, ShapePreserving: sc.ShapePreserving,
+	})
+	oldEng.Release()
+	fresh := New(newT)
+	for i, q := range queries {
+		want, _, err := fresh.mustPrepare(t, q.lang, q.text).Exec(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		npq, err := plans[i].Reprepare(patched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stage := range []string{"patched", "released"} {
+			got, _, err := npq.Exec(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Answers) == 0 || !reflect.DeepEqual(got.Answers, want.Answers) {
+				t.Errorf("%s %q on the %s engine: %v, rebuilt engine: %v", q.lang, q.text, stage, got.Answers, want.Answers)
+			}
+			patched.Release()
+		}
+	}
+	if err := patched.Index().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (e *Engine) mustPrepare(t *testing.T, lang, text string) *PreparedQuery {
+	t.Helper()
+	pq, err := e.Prepare(lang, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pq
 }

@@ -2,7 +2,7 @@ package cq
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -236,15 +236,7 @@ func answerKey(a Answer) string {
 
 // sortAnswers sorts answers lexicographically.
 func sortAnswers(as []Answer) {
-	sort.Slice(as, func(i, j int) bool {
-		a, b := as[i], as[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(as, func(a, b Answer) int { return slices.Compare(a, b) })
 }
 
 // AnswersEqual reports whether two answer sets (assumed de-duplicated)
@@ -268,3 +260,18 @@ func AnswersEqual(a, b []Answer) bool {
 // SortAnswers sorts a slice of answers lexicographically in place (exported
 // for use by other evaluator packages and the benchmark harness).
 func SortAnswers(as []Answer) { sortAnswers(as) }
+
+// SortDedupAnswers sorts answers lexicographically and removes duplicates by
+// comparing neighbours, in place; it returns the shortened slice.  Evaluators
+// whose projections or unions can repeat a tuple use it in place of a
+// string-keyed seen-set.
+func SortDedupAnswers(as []Answer) []Answer {
+	sortAnswers(as)
+	out := as[:0]
+	for _, a := range as {
+		if len(out) == 0 || !slices.Equal(out[len(out)-1], a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}

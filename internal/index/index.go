@@ -145,6 +145,10 @@ type Index struct {
 	// label-keyed caches: built lazily, dropped by Release.
 	tedDoc   *ted.Doc
 	postings map[string][]int32
+	// preView is the preorder-rank navigation view behind the relational
+	// kernel (see PreView): built on the first relational exec, dropped by
+	// Release, never carried across a Patch.
+	preView *PreView
 
 	// Pair relations are the one unbounded-growth artifact (one entry per
 	// distinct (axis, fromLabel, toLabel) ever joined), so unlike the
@@ -252,9 +256,9 @@ func (ix *Index) Regions() []labeling.RegionLabel {
 }
 
 // Release drops every cached artifact — the XASR, region labels, label
-// lists and masks, and all structural-join pair relations — returning their
-// memory to the collector while the Index stays fully usable: a later request
-// simply rebuilds what it needs.
+// lists and masks, the preorder-rank view, and all structural-join pair
+// relations — returning their memory to the collector while the Index stays
+// fully usable: a later request simply rebuilds what it needs.
 //
 // Release exists for document swaps: when a corpus replaces a document, the
 // superseded engine may still be serving in-flight queries, so it cannot be
@@ -271,6 +275,7 @@ func (ix *Index) Release() {
 	ix.labelRows = map[string]*relstore.Relation{}
 	ix.tedDoc = nil
 	ix.postings = map[string][]int32{}
+	ix.preView = nil
 	ix.mu.Unlock()
 	// The pair cache is cleared in place, never re-pointed: StructuralPairs
 	// reads ix.pairs (and its immutable Cap) outside pairMu, which is only

@@ -54,6 +54,10 @@ func (ix *Index) Validate() error {
 		}
 	}
 
+	if err := ix.validatePreView(); err != nil {
+		return err
+	}
+
 	ix.mu.RLock()
 	labelNodes := make(map[string][]tree.NodeID, len(ix.labelNodes))
 	for l, ns := range ix.labelNodes {

@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
+	"repro/internal/arccons"
 	"repro/internal/cq"
 	"repro/internal/tree"
-	"repro/internal/yannakakis"
 )
 
 // ToAcyclicUnion rewrites a conjunctive query over trees into an equivalent
@@ -327,59 +328,80 @@ func canonicalKey(q *cq.Query) string {
 	for _, v := range q.Head {
 		head += string(v) + ","
 	}
-	return head + "|" + fmt.Sprint(parts)
+	return head + "|" + strings.Join(parts, ",")
 }
 
 // EvaluateViaRewrite rewrites q into a union of acyclic queries and
-// evaluates every disjunct with Yannakakis' algorithm, returning the union
-// of the answer sets (sorted, de-duplicated) together with the number of
-// disjuncts evaluated.
+// evaluates every disjunct (Corollary 5.2), returning the union of the answer
+// sets (sorted, de-duplicated) together with the number of disjuncts
+// evaluated.
 func EvaluateViaRewrite(q *cq.Query, t *tree.Tree) ([]cq.Answer, int, error) {
-	disjuncts, err := ToAcyclicUnion(q)
+	u, err := Compile(q)
 	if err != nil {
 		return nil, 0, err
 	}
-	answers, err := EvaluateDisjuncts(disjuncts, t, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return answers, len(disjuncts), nil
+	answers, err := u.EvaluateCtx(context.Background(), t, nil)
+	return answers, len(u), err
 }
 
-// EvaluateDisjuncts evaluates an already-rewritten union of acyclic
-// disjuncts (the output of ToAcyclicUnion) with Yannakakis' algorithm and
-// returns the union of the answer sets, sorted and de-duplicated.  The
-// prepare/execute pipeline rewrites once at prepare time and calls this on
-// every execution; ix may be nil.
-func EvaluateDisjuncts(disjuncts []*cq.Query, t *tree.Tree, ix yannakakis.Index) ([]cq.Answer, error) {
+// Union is a rewritten union of acyclic disjuncts (the output of
+// ToAcyclicUnion) compiled for the interval-join kernel of package arccons —
+// Yannakakis' full reducer and an output-sensitive enumeration on
+// preorder-rank bitsets.  Like the disjuncts it is document-independent: the
+// prepare/execute pipeline rewrites and compiles once and evaluates the Union
+// on every execution.
+type Union []*arccons.Compiled
+
+// Compile rewrites q (ToAcyclicUnion) and compiles the disjuncts.
+func Compile(q *cq.Query) (Union, error) {
+	disjuncts, err := ToAcyclicUnion(q)
+	if err != nil {
+		return nil, err
+	}
+	return CompileUnion(disjuncts)
+}
+
+// CompileUnion compiles every disjunct.  A disjunct the kernel rejects (a
+// cyclic one) would indicate a rewriting bug, so the error is propagated.
+func CompileUnion(disjuncts []*cq.Query) (Union, error) {
+	u := make(Union, len(disjuncts))
+	for i, d := range disjuncts {
+		c, err := arccons.Compile(d)
+		if err != nil {
+			return nil, fmt.Errorf("rewrite: compiling disjunct %v: %w", d, err)
+		}
+		u[i] = c
+	}
+	return u, nil
+}
+
+// EvaluateCtx returns the union of the disjuncts' answer sets on t, sorted
+// and de-duplicated.  The context reaches every kernel run, so cancellation
+// takes effect within one checkpoint interval of the disjunct in progress.
+// ix may be nil.
+func (u Union) EvaluateCtx(ctx context.Context, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
+	var answers []cq.Answer
+	for _, c := range u {
+		ans, err := c.EnumerateCtx(ctx, t, ix)
+		if err != nil {
+			return nil, err
+		}
+		answers = append(answers, ans...)
+	}
+	return cq.SortDedupAnswers(answers), nil
+}
+
+// EvaluateDisjuncts compiles and evaluates a rewritten union once; ix may be
+// nil.  Callers that execute repeatedly should hold the Union instead.
+func EvaluateDisjuncts(disjuncts []*cq.Query, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
 	return EvaluateDisjunctsCtx(context.Background(), disjuncts, t, ix)
 }
 
-// EvaluateDisjunctsCtx is EvaluateDisjuncts with cooperative cancellation:
-// the context is checked between disjuncts, so a union of many rewritten
-// queries honors per-request deadlines at disjunct granularity.
-func EvaluateDisjunctsCtx(ctx context.Context, disjuncts []*cq.Query, t *tree.Tree, ix yannakakis.Index) ([]cq.Answer, error) {
-	seen := map[string]bool{}
-	var answers []cq.Answer
-	for _, d := range disjuncts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Both R(x,y) and R+(x,y) may survive on the same pair, which is still
-		// acyclic; if a disjunct were cyclic Evaluate would reject it, and that
-		// would indicate a rewriting bug, so propagate the error.
-		ans, err := yannakakis.EvaluateIndexed(d, t, ix)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite: evaluating disjunct %v: %w", d, err)
-		}
-		for _, a := range ans {
-			k := fmt.Sprint(a)
-			if !seen[k] {
-				seen[k] = true
-				answers = append(answers, a)
-			}
-		}
+// EvaluateDisjunctsCtx is EvaluateDisjuncts under a context.
+func EvaluateDisjunctsCtx(ctx context.Context, disjuncts []*cq.Query, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
+	u, err := CompileUnion(disjuncts)
+	if err != nil {
+		return nil, err
 	}
-	cq.SortAnswers(answers)
-	return answers, nil
+	return u.EvaluateCtx(ctx, t, ix)
 }

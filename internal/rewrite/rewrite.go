@@ -16,7 +16,9 @@
 //   - MakeForward, the elimination of reverse axes from conjunctive queries
 //     (the CQ analogue of the "XPath: Looking Forward" rewriting), and
 //   - EvaluateViaRewrite, which rewrites and then evaluates every disjunct
-//     with Yannakakis' algorithm, unioning the answers.
+//     with Yannakakis' algorithm (the interval-join kernel of package
+//     arccons), unioning the answers; CompileUnion keeps the compiled
+//     disjuncts for repeated execution.
 package rewrite
 
 import (

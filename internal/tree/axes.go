@@ -178,6 +178,16 @@ func (a Axis) IsForward() bool {
 	return false
 }
 
+// IsReflexive reports whether a(x, x) holds at every node (it holds at none
+// for the other axes).
+func (a Axis) IsReflexive() bool {
+	switch a {
+	case Self, DescendantOrSelf, AncestorOrSelf, FollowingSiblingOrSelf, PrecedingSiblingOrSelf:
+		return true
+	}
+	return false
+}
+
 // IsTransitive reports whether the axis is a transitive (or
 // reflexive-transitive) closure axis.  The PTime-hardness of Core XPath
 // depends on the presence of such axes (Section 7).

@@ -9,8 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestMatchIndexedMatchesPlain checks that serving the label streams from a
-// shared index leaves the PathStack and twig-decomposition results unchanged.
+// TestMatchIndexedMatchesPlain checks that serving the label streams (paths)
+// and the label masks and rank view (twigs) from a shared index leaves the
+// PathStack and twig results unchanged.
 func TestMatchIndexedMatchesPlain(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 20, Regions: 3, DescriptionDepth: 2, Seed: 41})
 	ix := index.New(doc)
@@ -49,8 +50,11 @@ func TestMatchIndexedMatchesPlain(t *testing.T) {
 	if fmt.Sprint(wantTw) != fmt.Sprint(gotTw) {
 		t.Errorf("indexed twig matches diverge")
 	}
-	if s := ix.Snapshot(); s.LabelListHits == 0 {
-		t.Errorf("repeated matches should hit the label-list cache, got %+v", s)
+	if _, err := twigjoin.MatchTwigIndexed(doc, tw, ix); err != nil {
+		t.Fatal(err)
+	}
+	if s := ix.Snapshot(); s.LabelMaskHits == 0 {
+		t.Errorf("a repeated twig match should hit the label-mask cache, got %+v", s)
 	}
 }
 
@@ -99,8 +103,8 @@ func TestPathPairsFastPath(t *testing.T) {
 		t.Errorf("repeated path should hit the pair cache: %+v -> %+v", s, s2)
 	}
 
-	// A twig whose root-to-leaf decomposition yields two-node paths rides the
-	// same fast path through MatchTwigIndexed.
+	// A branching twig over the same labels goes through the kernel, not the
+	// pair cache, and agrees with the unindexed run.
 	tw := &twigjoin.Twig{
 		Labels: []string{"item", "name", "keyword"},
 		Parent: []int{-1, 0, 0},

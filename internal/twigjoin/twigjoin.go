@@ -10,13 +10,13 @@
 //   - PathStack, the stack-based algorithm for linear (path) patterns: all
 //     matches of a root-to-leaf path are encoded compactly on the stacks and
 //     enumerated output-sensitively,
-//   - MatchTwig, which matches a general twig by decomposing it into its
-//     root-to-leaf paths, running PathStack on each, and merge-joining the
-//     path solutions on the branching nodes (the decomposition approach that
-//     TwigStack improves on; the arc-consistency evaluator of package
-//     arccons is the paper's generalization of the holistic idea), and
-//   - ToCQ, the translation of twig patterns into conjunctive queries so the
-//     results can be cross-checked against the generic CQ machinery.
+//   - MatchTwig, which matches a general twig holistically through the
+//     paper's generalization of the idea: the twig is an acyclic conjunctive
+//     query, reduced and enumerated by the interval-join kernel of package
+//     arccons in input plus output time, and
+//   - ToCQ, the translation of twig patterns into conjunctive queries that
+//     MatchTwig runs and the tests cross-check against the generic CQ
+//     machinery.
 package twigjoin
 
 import (
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/arccons"
 	"repro/internal/cq"
 	"repro/internal/relstore"
 	"repro/internal/tree"
@@ -158,12 +159,10 @@ type NodeLister interface {
 
 // PairIndex optionally extends NodeLister with memoized label-restricted
 // structural-join pair relations (package index implements it).  When the
-// lister passed to MatchPathIndexed/MatchTwigIndexed also implements
-// PairIndex, two-node paths — including the root-to-leaf paths MatchTwig
-// decomposes a twig into — are answered directly from the cached
-// (from_pre, to_pre) relation instead of running the stack merge.  The
-// index's sides are label-complete, so this is sound on multi-labeled
-// (attribute-labeled) documents.
+// lister passed to MatchPathIndexed also implements PairIndex, two-node paths
+// are answered directly from the cached (from_pre, to_pre) relation instead
+// of running the stack merge.  The index's sides are label-complete, so this
+// is sound on multi-labeled (attribute-labeled) documents.
 type PairIndex interface {
 	NodeLister
 	// StructuralPairs returns the shared (from_pre, to_pre) relation of
@@ -338,123 +337,35 @@ func MatchPathIndexed(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, error) {
 	return results, nil
 }
 
-// MatchTwig matches a general twig pattern by decomposing it into its
-// root-to-leaf paths, matching each path with MatchPath, and merge-joining
-// the per-path matches on their shared (branching) pattern nodes.
+// MatchTwig matches a general twig pattern holistically: the pattern is a
+// tree-shaped conjunctive query whose every node is a head variable (ToCQ),
+// which the interval-join kernel of package arccons answers in input plus
+// output time — a full reducer over the pattern's edges, then a
+// backtrack-free enumeration that never produces a duplicate.  Matches are
+// returned sorted lexicographically.
 func MatchTwig(t *tree.Tree, tw *Twig) ([]Match, error) {
 	return MatchTwigIndexed(t, tw, nil)
 }
 
-// MatchTwigIndexed is MatchTwig with the label streams served by a shared
-// index (may be nil, in which case the tree is scanned per call).
-func MatchTwigIndexed(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, error) {
+// MatchTwigIndexed is MatchTwig with label masks and the preorder-rank view
+// served by a shared index (package index provides one; with nil the tree is
+// indexed for this call only).
+func MatchTwigIndexed(t *tree.Tree, tw *Twig, ix arccons.LabelIndex) ([]Match, error) {
 	if err := tw.Validate(); err != nil {
 		return nil, err
 	}
 	if tw.Edge[0] == ChildEdge {
 		return nil, errors.New("twigjoin: the pattern root must use a // edge")
 	}
-	k := len(tw.Labels)
-	children := make([][]int, k)
-	for i := 1; i < k; i++ {
-		children[tw.Parent[i]] = append(children[tw.Parent[i]], i)
+	answers, err := arccons.EnumerateAcyclicIndexed(tw.ToCQ(), t, ix)
+	if err != nil {
+		return nil, err
 	}
-	// Root-to-leaf paths as sequences of pattern node indices.
-	var paths [][]int
-	var walk func(i int, acc []int)
-	walk = func(i int, acc []int) {
-		acc = append(acc, i)
-		if len(children[i]) == 0 {
-			p := make([]int, len(acc))
-			copy(p, acc)
-			paths = append(paths, p)
-			return
-		}
-		for _, c := range children[i] {
-			walk(c, acc)
-		}
+	var matches []Match
+	for _, a := range answers {
+		matches = append(matches, Match(a))
 	}
-	walk(0, nil)
-
-	// Match each path.
-	type pathResult struct {
-		nodes   []int // pattern node indices along the path
-		matches []Match
-	}
-	var prs []pathResult
-	for _, pnodes := range paths {
-		labels := make([]string, len(pnodes))
-		edges := make([]EdgeKind, 0, len(pnodes)-1)
-		for i, pi := range pnodes {
-			labels[i] = tw.Labels[pi]
-			if i > 0 {
-				edges = append(edges, tw.Edge[pi])
-			}
-		}
-		lin, err := Path(labels, edges)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := MatchPathIndexed(t, lin, ix)
-		if err != nil {
-			return nil, err
-		}
-		prs = append(prs, pathResult{nodes: pnodes, matches: ms})
-	}
-
-	// Join the path results on shared pattern nodes.
-	partials := []Match{make(Match, k)}
-	assignedAll := make([]bool, k)
-	for _, pr := range prs {
-		var next []Match
-		for _, partial := range partials {
-			for _, m := range pr.matches {
-				ok := true
-				for i, pi := range pr.nodes {
-					if assignedAll[pi] && partial[pi] != m[i] {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				combined := make(Match, k)
-				copy(combined, partial)
-				for i, pi := range pr.nodes {
-					combined[pi] = m[i]
-				}
-				next = append(next, combined)
-			}
-		}
-		partials = next
-		for _, pi := range pr.nodes {
-			assignedAll[pi] = true
-		}
-		if len(partials) == 0 {
-			return nil, nil
-		}
-	}
-	partials = dedupMatches(partials)
-	sortMatches(t, partials)
-	return partials, nil
-}
-
-func dedupMatches(ms []Match) []Match {
-	seen := map[string]bool{}
-	var kb []byte
-	out := ms[:0]
-	for _, m := range ms {
-		kb = kb[:0]
-		for _, n := range m {
-			kb = append(kb, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-		}
-		if k := string(kb); !seen[k] {
-			seen[k] = true
-			out = append(out, m)
-		}
-	}
-	return out
+	return matches, nil
 }
 
 func sortMatches(t *tree.Tree, ms []Match) {

@@ -199,21 +199,16 @@ func evaluateWithStats(q *cq.Query, t *tree.Tree, ix Index) ([]cq.Answer, Stats,
 			return nil, stats, fmt.Errorf("yannakakis: internal error: head column %s missing from result", c)
 		}
 	}
-	seen := map[string]bool{}
-	var answers []cq.Answer
-	for _, tp := range result.Tuples() {
+	tuples := result.Tuples()
+	answers := make([]cq.Answer, len(tuples))
+	for j, tp := range tuples {
 		ans := make(cq.Answer, len(colIdx))
 		for i, ci := range colIdx {
 			ans[i] = tree.NodeID(tp[ci])
 		}
-		k := fmt.Sprint(ans)
-		if !seen[k] {
-			seen[k] = true
-			answers = append(answers, ans)
-		}
+		answers[j] = ans
 	}
-	cq.SortAnswers(answers)
-	return answers, stats, nil
+	return cq.SortDedupAnswers(answers), stats, nil
 }
 
 // materialize builds one relation per atom.  Binary atoms give two-column
