@@ -290,6 +290,48 @@ func BenchmarkJoinKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkScanRoutes times the linear-scan routes of scan_mix at 150 and
+// 1,500 items: a warm Exec of the streaming plan //item//keyword, a warm Exec
+// of the ancestor datalog plan (one Horn-SAT solve), and that plan's Prepare
+// (TMNF + grounding, what every write to the document pays again).
+// TestScanScalingLinear enforces the allocation counts.
+func BenchmarkScanRoutes(b *testing.B) {
+	ctx := context.Background()
+	stream, datalog := scanMixQueries[0], scanMixQueries[2]
+	for _, items := range []int{150, 1500} {
+		eng := scanMixEngine(items)
+		for _, r := range []struct{ route, lang, text string }{
+			{"stream", stream.lang, stream.text},
+			{"datalog", datalog.lang, datalog.text},
+		} {
+			b.Run(fmt.Sprintf("%s/items=%d", r.route, items), func(b *testing.B) {
+				b.ReportAllocs()
+				pq, err := eng.Prepare(r.lang, r.text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := pq.Exec(ctx); err != nil { // warm the scratch
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := pq.Exec(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("datalog-prepare/items=%d", items), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Prepare(datalog.lang, datalog.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- E13: Core XPath evaluation strategies (Figure 7, combined complexity) --
 
 func BenchmarkE13XPath(b *testing.B) {

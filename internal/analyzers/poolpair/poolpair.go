@@ -1,15 +1,15 @@
 // Package poolpair checks that every buffer taken from one of the engine's
 // allocation pools is returned on every path.
 //
-// The engine recycles its hot-path scratch through four pools —
-// bitset.Acquire/Release, stream.AcquireEvents/ReleaseEvents, relstore's
-// acquireSide/releaseSide, and ted's acquire/release DP scratch — and the
-// pairing discipline lives only in comments ("the caller owns the vector
-// until Release").  A missed release on an error branch silently degrades the
-// pool hit rate (the pairs-pointer race in PR 4 was first noticed that way);
-// a double release poisons the pool with an aliased buffer.  This analyzer
-// machine-checks the discipline for the common ownership shape: a pooled
-// value acquired into a local variable and consumed in the same function.
+// The engine recycles its hot-path scratch through three pools —
+// bitset.Acquire/Release, relstore's acquireSide/releaseSide, and ted's
+// acquire/release DP scratch — and the pairing discipline lives only in
+// comments ("the caller owns the vector until Release").  A missed release
+// on an error branch silently degrades the pool hit rate (the pairs-pointer
+// race in PR 4 was first noticed that way); a double release poisons the pool
+// with an aliased buffer.  This analyzer machine-checks the discipline for
+// the common ownership shape: a pooled value acquired into a local variable
+// and consumed in the same function.
 //
 // Ownership transfer is out of scope by design: a value that escapes — is
 // returned, stored into a struct, slice, map, or channel, captured by a
@@ -32,7 +32,7 @@ import (
 // Analyzer is the poolpair analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolpair",
-	Doc: "check that pooled buffers (bitset, stream, relstore, ted) are released on all paths\n\n" +
+	Doc: "check that pooled buffers (bitset, relstore, ted) are released on all paths\n\n" +
 		"Flags acquires whose buffer neither escapes nor is released on every exit path,\n" +
 		"and releases that run twice (directly or via a deferred release).",
 	Run: run,
@@ -49,7 +49,6 @@ type pair struct {
 
 var pairs = []pair{
 	{"repro/internal/bitset", "Acquire", "Release", "bitset.Acquire"},
-	{"repro/internal/stream", "AcquireEvents", "ReleaseEvents", "stream.AcquireEvents"},
 	{"repro/internal/relstore", "acquireSide", "releaseSide", "relstore.acquireSide"},
 	{"repro/internal/ted", "acquire", "release", "ted.acquire"},
 }

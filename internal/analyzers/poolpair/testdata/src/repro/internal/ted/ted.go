@@ -3,9 +3,9 @@
 // import path exercises the within-package pairing.
 package ted
 
-func acquire(n int) []int32 { return make([]int32, n) }
+func acquire(n int) *[]int32 { s := make([]int32, n); return &s }
 
-func release(s []int32) {}
+func release(s *[]int32) {}
 
 // Kernel has the real kernel's shape — two scratch tables — with an error
 // path that releases one and forgets the other.
@@ -16,7 +16,7 @@ func Kernel(n int, fail bool) int {
 		release(td)
 		return -1 // want `return without releasing "fd"`
 	}
-	out := int(td[0] + fd[0])
+	out := int((*td)[0] + (*fd)[0])
 	release(td)
 	release(fd)
 	return out

@@ -33,8 +33,8 @@ const (
 	// the twig route (translate to CQ + holistic evaluation).
 	LangTwig = "twig"
 	// LangStream prepares a forward downward path expression for the
-	// streaming transducer (stream.Compile); each execution replays the
-	// document's SAX events from the shared event-buffer pool.
+	// streaming transducer (stream.Compile); each execution walks the
+	// document in preorder, driving the matcher as its SAX events would.
 	LangStream = "stream"
 	// LangSimilar prepares a top-k subtree similarity query: a pattern tree
 	// in the ParseSexpr syntax with optional k=N / maxdist=N directives,
@@ -544,7 +544,7 @@ func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time
 	plan.note("TMNF-grounded over %d nodes at prepare time", e.doc.Len())
 	pq.clauses = g.Horn.NumClauses()
 	queryPred := tm.Query
-	bindRun := func(target *PreparedQuery, doc *tree.Tree) {
+	bindRun := func(target *PreparedQuery) {
 		target.run = func(ctx context.Context, pl *Plan) (*Result, error) {
 			// Solving the ground program is the whole execution cost; the
 			// solver checkpoints ctx every CheckpointInterval unit
@@ -553,10 +553,10 @@ func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time
 			if err != nil {
 				return nil, err
 			}
-			return &Result{Nodes: g.NodesOf(queryPred, doc, model)}, nil
+			return &Result{Nodes: g.NodesOf(queryPred, model)}, nil
 		}
 	}
-	bindRun(pq, e.doc)
+	bindRun(pq)
 	// Grounding reads the document only through its node count, the
 	// structural tau+ relations, and the extensions of the program's own
 	// Lab[...] labels — so when the caller guarantees a shape-preserving edit
@@ -574,7 +574,7 @@ func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time
 		npq.reprepare = pq.reprepare
 		// The transferred program stays reusable for the next qualifying edit.
 		npq.rebindShape = pq.rebindShape
-		bindRun(npq, ne.doc)
+		bindRun(npq)
 		return npq, nil
 	}
 	return e.finish(pq, plan, start), plan, nil
@@ -666,10 +666,9 @@ func (e *Engine) buildStream(m *stream.Matcher, query string, labels []string, p
 		plan.phase("compile", compileDur)
 	}
 	plan.note("compiled %q into a %d-step streaming matcher", query, m.Steps())
-	// The matcher is compiled once here; each execution re-serializes the
-	// document into a pooled event buffer (shared across all streaming runs
-	// in the process) rather than pinning a permanent event copy per engine,
-	// so a large corpus of prepared streaming queries stays memory-bounded.
+	// The matcher is compiled once here; each execution walks the document
+	// in preorder, driving the matcher as its SAX events would, so a plan
+	// holds no per-document state at all.
 	pq := &PreparedQuery{eng: e, lang: LangStream, text: query, labels: labels}
 	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
 		npq, _ := ne.buildStream(m, query, labels, 0, 0)

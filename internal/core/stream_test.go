@@ -67,8 +67,8 @@ func TestPreparedStreamRejectsUnstreamable(t *testing.T) {
 	}
 }
 
-// TestPreparedStreamConcurrentExec exercises the pooled event buffers from
-// many goroutines (meaningful under -race).
+// TestPreparedStreamConcurrentExec runs one compiled matcher from many
+// goroutines (meaningful under -race): a run keeps all its state to itself.
 func TestPreparedStreamConcurrentExec(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 30, Regions: 3, DescriptionDepth: 2, Seed: 33})
 	e := New(doc)

@@ -16,9 +16,11 @@ package hornsat
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Pred identifies a propositional predicate (atom).  Callers allocate
@@ -46,12 +48,32 @@ func (c Clause) String() string {
 }
 
 // Program is a set of definite Horn clauses over predicates 0..NumPreds()-1.
-// The zero value is an empty program ready to use.
+// The zero value is an empty program ready to use.  A Program must not be
+// copied after first use.
+//
+// Clauses are stored flat in three pointer-free arrays: clause i is
+// heads[i] <- bodies[bodyOff[i]:bodyOff[i+1]] (up to len(bodies) for the last
+// clause), so a ground program of millions of clauses is three allocations
+// the garbage collector never scans.
 type Program struct {
-	clauses  []Clause
+	heads    []Pred
+	bodyOff  []int32
+	bodies   []Pred
 	numPreds int
-	size     int // total number of literal occurrences, |P| in Theorem 3.2
 	names    map[Pred]string
+
+	// frozen is the occurrence index SolveCtx propagates over.  It depends
+	// only on the clauses, so it is built once (Freeze, or the first solve)
+	// and shared by every later solve; AddClause drops it.
+	frozen atomic.Pointer[occIndex]
+}
+
+// occIndex is the immutable part of Minoux' data structures: "rules[x]", the
+// clauses in whose body x occurs, as ruleIdx[occ[x]:occ[x+1]]; the initial
+// counter of every clause; and the heads of the facts, in clause order.
+type occIndex struct {
+	occ, ruleIdx, bodyLen []int32
+	facts                 []Pred
 }
 
 // NewProgram returns an empty program.
@@ -62,19 +84,44 @@ func NewProgram() *Program { return &Program{} }
 // grounding of monadic datalog does).
 func NewProgramWithPreds(n int) *Program { return &Program{numPreds: n} }
 
+// Reserve makes room for the given number of further clauses and of body
+// literals across them, so that a caller who knows a bound on what it is
+// about to add (the grounding of Theorem 3.2 does) pays three allocations
+// rather than repeated growth.
+func (p *Program) Reserve(clauses, literals int) {
+	p.heads = slices.Grow(p.heads, clauses)
+	p.bodyOff = slices.Grow(p.bodyOff, clauses)
+	p.bodies = slices.Grow(p.bodies, literals)
+}
+
 // NumPreds returns the number of predicates known to the program.
 func (p *Program) NumPreds() int { return p.numPreds }
 
 // NumClauses returns the number of clauses.
-func (p *Program) NumClauses() int { return len(p.clauses) }
+func (p *Program) NumClauses() int { return len(p.heads) }
 
 // Size returns the total number of literal occurrences in the program (the
 // measure |P| used in the O(|P|) bound of Minoux' algorithm).
-func (p *Program) Size() int { return p.size }
+func (p *Program) Size() int { return len(p.heads) + len(p.bodies) }
 
-// Clauses returns the clauses of the program.  The slice must not be
-// modified.
-func (p *Program) Clauses() []Clause { return p.clauses }
+// body returns the body of clause i, aliasing the program's storage.
+func (p *Program) body(i int) []Pred {
+	end := len(p.bodies)
+	if i+1 < len(p.bodyOff) {
+		end = int(p.bodyOff[i+1])
+	}
+	return p.bodies[p.bodyOff[i]:end:end]
+}
+
+// Clauses returns the clauses of the program, in the order they were added.
+// The bodies alias the program's storage and must not be modified.
+func (p *Program) Clauses() []Clause {
+	out := make([]Clause, len(p.heads))
+	for i, h := range p.heads {
+		out[i] = Clause{Head: h, Body: p.body(i)}
+	}
+	return out
+}
 
 // NewPred allocates a fresh predicate id, optionally with a readable name
 // used by String.
@@ -102,16 +149,63 @@ func (p *Program) PredName(x Pred) string {
 func (p *Program) AddFact(head Pred) { p.AddClause(head) }
 
 // AddClause adds the clause head <- body...; it grows the predicate universe
-// as needed so that callers may use arbitrary non-negative ids.
+// as needed so that callers may use arbitrary non-negative ids.  It must not
+// run concurrently with a solve; solves that start afterwards see the clause.
 func (p *Program) AddClause(head Pred, body ...Pred) {
 	p.track(head)
 	for _, b := range body {
 		p.track(b)
 	}
-	bodyCopy := make([]Pred, len(body))
-	copy(bodyCopy, body)
-	p.clauses = append(p.clauses, Clause{Head: head, Body: bodyCopy})
-	p.size += 1 + len(body)
+	p.heads = append(p.heads, head)
+	p.bodyOff = append(p.bodyOff, int32(len(p.bodies)))
+	p.bodies = append(p.bodies, body...)
+	if p.frozen.Load() != nil {
+		p.frozen.Store(nil)
+	}
+}
+
+// Freeze builds the occurrence index now instead of on the first solve, so
+// that a program built once and solved many times (a grounded datalog plan)
+// pays for it where it pays for the grounding.
+func (p *Program) Freeze() { p.index() }
+
+// index returns the occurrence index, building and publishing it in one
+// counting-sort pass over the bodies if the program has none.  Concurrent
+// first solves may each build one; they are identical, and whichever is
+// stored last serves the later solves.
+func (p *Program) index() *occIndex {
+	if ix := p.frozen.Load(); ix != nil {
+		return ix
+	}
+	n := p.numPreds
+	ix := &occIndex{
+		occ:     make([]int32, n+1),
+		ruleIdx: make([]int32, len(p.bodies)),
+		bodyLen: make([]int32, len(p.heads)),
+	}
+	occ := ix.occ
+	for _, b := range p.bodies {
+		occ[b+1]++
+	}
+	for i := 0; i < n; i++ {
+		occ[i+1] += occ[i]
+	}
+	for ci, h := range p.heads {
+		body := p.body(ci)
+		ix.bodyLen[ci] = int32(len(body))
+		if len(body) == 0 {
+			ix.facts = append(ix.facts, h)
+		}
+		for _, b := range body {
+			ix.ruleIdx[occ[b]] = int32(ci)
+			occ[b]++
+		}
+	}
+	// Filling advanced every occ[x] to the start of x+1's range.
+	copy(occ[1:], occ[:n])
+	occ[0] = 0
+	p.frozen.Store(ix)
+	return ix
 }
 
 func (p *Program) track(x Pred) {
@@ -127,7 +221,7 @@ func (p *Program) track(x Pred) {
 // predicate names where available.
 func (p *Program) String() string {
 	var sb strings.Builder
-	for _, c := range p.clauses {
+	for _, c := range p.Clauses() {
 		sb.WriteString(p.PredName(c.Head))
 		if len(c.Body) > 0 {
 			sb.WriteString(" <- ")
@@ -184,26 +278,14 @@ func (m *Model) Count() int {
 const CheckpointInterval = 1024
 
 // solveScratch pools the per-solve working arrays of Minoux' algorithm (the
-// occurrence prefix sums, the rule index, the clause counters, and the
-// derivation queue).  None of them escape a solve — only the model does — so
-// repeated solves over same-sized programs reuse one allocation set.
+// clause counters and the derivation queue).  Neither escapes a solve — only
+// the model does — so repeated solves reuse one allocation set.
 type solveScratch struct {
-	occ, ruleIdx, fill, size []int32
-	queue                    []Pred
+	size  []int32
+	queue []Pred
 }
 
 var scratchPool = sync.Pool{New: func() any { return &solveScratch{} }}
-
-func grow32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
 
 // Solve computes the minimal model of the program with Minoux' algorithm
 // (Figure 3 of the paper): every clause keeps a counter of unsatisfied body
@@ -219,51 +301,23 @@ func (p *Program) Solve() *Model {
 // ctx.Err() every CheckpointInterval queue pops (and once before starting),
 // returning (nil, ctx.Err()) on cancellation.  The background context makes
 // the checks branch-predictable no-ops, so Solve pays nothing for them.
+// Any number of solves of one program may run concurrently.
 func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	n := p.numPreds
-	m := &Model{true_: make([]bool, n)}
+	ix := p.index()
+	m := &Model{true_: make([]bool, p.numPreds)}
 
 	sc := scratchPool.Get().(*solveScratch)
 	defer scratchPool.Put(sc)
-
-	// rules[x] = indexes of clauses with x in the body.  Built as a single
-	// pass with prefix sums to avoid per-predicate slice growth.
-	sc.occ = grow32(sc.occ, n+1)
-	occ := sc.occ
-	for _, c := range p.clauses {
-		for _, b := range c.Body {
-			occ[b+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		occ[i+1] += occ[i]
-	}
-	sc.ruleIdx = grow32(sc.ruleIdx, int(occ[n]))
-	ruleIdx := sc.ruleIdx
-	sc.fill = grow32(sc.fill, n)
-	fill := sc.fill
-	copy(fill, occ[:n])
-	for ci, c := range p.clauses {
-		for _, b := range c.Body {
-			ruleIdx[fill[b]] = int32(ci)
-			fill[b]++
-		}
-	}
-
-	sc.size = grow32(sc.size, len(p.clauses))
-	size := sc.size
-	if cap(sc.queue) < n {
-		sc.queue = make([]Pred, 0, n)
-	}
+	sc.size = append(sc.size[:0], ix.bodyLen...)
+	size, occ, ruleIdx := sc.size, ix.occ, ix.ruleIdx
 	queue := sc.queue[:0]
-	for ci, c := range p.clauses {
-		size[ci] = int32(len(c.Body))
-		if size[ci] == 0 && !m.true_[c.Head] {
-			m.true_[c.Head] = true
-			queue = append(queue, c.Head)
+	for _, h := range ix.facts {
+		if !m.true_[h] {
+			m.true_[h] = true
+			queue = append(queue, h)
 		}
 	}
 
@@ -275,12 +329,11 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 			}
 		}
 		x := queue[qi]
-		m.Derived = append(m.Derived, x)
 		for k := occ[x]; k < occ[x+1]; k++ {
 			ci := ruleIdx[k]
 			size[ci]--
 			if size[ci] == 0 {
-				h := p.clauses[ci].Head
+				h := p.heads[ci]
 				if !m.true_[h] {
 					m.true_[h] = true
 					queue = append(queue, h)
@@ -289,6 +342,9 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 		}
 	}
 	sc.queue = queue
+	// The queue is the derivation order: every atom enters it once, when it
+	// is derived, and is popped in that order.
+	m.Derived = append([]Pred(nil), queue...)
 	return m, nil
 }
 
@@ -297,10 +353,11 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 // exists only as the ablation baseline for the benchmarks.
 func (p *Program) SolveNaive() *Model {
 	m := &Model{true_: make([]bool, p.numPreds)}
+	clauses := p.Clauses()
 	changed := true
 	for changed {
 		changed = false
-		for _, c := range p.clauses {
+		for _, c := range clauses {
 			if m.true_[c.Head] {
 				continue
 			}
@@ -356,12 +413,13 @@ type TraceState struct {
 // initialization (before the main loop), for didactic reproduction of
 // Example 3.3 / Figure 3.
 func (p *Program) InitTrace() *TraceState {
+	clauses := p.Clauses()
 	ts := &TraceState{
-		Size:  make([]int, len(p.clauses)),
-		Head:  make([]Pred, len(p.clauses)),
+		Size:  make([]int, len(clauses)),
+		Head:  make([]Pred, len(clauses)),
 		Rules: make([][]int, p.numPreds),
 	}
-	for ci, c := range p.clauses {
+	for ci, c := range clauses {
 		ts.Size[ci] = len(c.Body)
 		ts.Head[ci] = c.Head
 		for _, b := range c.Body {

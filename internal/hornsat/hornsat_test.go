@@ -2,6 +2,7 @@ package hornsat
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,7 +203,9 @@ func TestTrueSet(t *testing.T) {
 	}
 }
 
-// randomProgram builds a random definite Horn program.
+// randomProgram builds a random definite Horn program; now and then it adds
+// the same clause twice (duplicate facts among them) or a body that repeats
+// one atom.
 func randomProgram(rng *rand.Rand, nPreds, nClauses, maxBody int) *Program {
 	p := NewProgramWithPreds(nPreds)
 	for i := 0; i < nClauses; i++ {
@@ -212,17 +215,27 @@ func randomProgram(rng *rand.Rand, nPreds, nClauses, maxBody int) *Program {
 		for j := range body {
 			body[j] = Pred(rng.Intn(nPreds))
 		}
+		if k > 1 && rng.Intn(4) == 0 {
+			body[k-1] = body[0]
+		}
 		p.AddClause(head, body...)
+		if rng.Intn(4) == 0 {
+			p.AddClause(head, body...)
+		}
 	}
 	return p
 }
 
 // TestSolveMatchesNaive cross-checks Minoux' algorithm against the naive
-// fixpoint solver on random programs.
+// fixpoint solver on random programs, and a second solve — which runs on the
+// index the first one froze — against the first.
 func TestSolveMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		p := randomProgram(rng, 2+rng.Intn(30), rng.Intn(60), 3)
+		if i%2 == 0 {
+			p.Freeze()
+		}
 		fast := p.Solve()
 		slow := p.SolveNaive()
 		for x := 0; x < p.NumPreds(); x++ {
@@ -230,6 +243,12 @@ func TestSolveMatchesNaive(t *testing.T) {
 				t.Fatalf("program %d: predicate %d: Solve=%v SolveNaive=%v\n%s",
 					i, x, fast.True(Pred(x)), slow.True(Pred(x)), p)
 			}
+		}
+		if len(fast.Derived) != fast.Count() {
+			t.Fatalf("program %d: %d atoms derived, %d true\n%s", i, len(fast.Derived), fast.Count(), p)
+		}
+		if again := p.Solve(); !slices.Equal(again.Derived, fast.Derived) {
+			t.Fatalf("program %d: second solve derived %v, first %v\n%s", i, again.Derived, fast.Derived, p)
 		}
 	}
 }

@@ -27,11 +27,40 @@ func (g *GroundProgram) AtomID(pred string, node tree.NodeID) (hornsat.Pred, boo
 	return hornsat.Pred(i*g.n + int(node)), true
 }
 
+// unaryRef is a unary body predicate resolved once for a whole rule: an
+// intensional predicate, whose atom at node v is base+v, or (holds != nil) an
+// extensional one, tested on the tree while grounding.
+type unaryRef struct {
+	base  hornsat.Pred
+	holds func(tree.NodeID) bool
+}
+
+func (g *GroundProgram) resolveUnary(t *tree.Tree, pred string) unaryRef {
+	if i, ok := g.index[pred]; ok {
+		return unaryRef{base: hornsat.Pred(i * g.n)}
+	}
+	if l, ok := labelPred(pred); ok {
+		return unaryRef{holds: func(n tree.NodeID) bool { return t.HasLabel(n, l) }}
+	}
+	switch pred {
+	case PredRoot:
+		return unaryRef{holds: t.IsRoot}
+	case PredLeaf:
+		return unaryRef{holds: t.IsLeaf}
+	case PredFirstSibling:
+		return unaryRef{holds: t.IsFirstSibling}
+	case PredLastSibling:
+		return unaryRef{holds: t.IsLastSibling}
+	}
+	return unaryRef{holds: func(tree.NodeID) bool { return false }}
+}
+
 // Ground grounds the program (which must be in TMNF; call ToTMNF first) over
 // the tree.  The grounding has O(|P| * |Dom|) clauses and literals
 // (Theorem 3.2): every TMNF rule contributes at most one clause per node
 // (forms 1 and 3) or one clause per edge of a tau+ relation (form 2), and
-// the tau+ relations have O(|Dom|) edges in total.
+// the tau+ relations have O(|Dom|) edges in total.  The returned program is
+// frozen: solving it does no further setup.
 func (p *Program) Ground(t *tree.Tree) (*GroundProgram, error) {
 	if !p.IsTMNF() {
 		return nil, fmt.Errorf("mdatalog: Ground requires a TMNF program; call ToTMNF first")
@@ -45,77 +74,56 @@ func (p *Program) Ground(t *tree.Tree) (*GroundProgram, error) {
 	}
 	g.Horn = hornsat.NewProgramWithPreds(len(g.preds) * g.n)
 
-	// unaryAtomID resolves a unary body atom at a node: for intensional
-	// predicates it returns the propositional atom; for extensional ones it
-	// returns (0, holds, false) where holds says whether the atom is true.
-	unaryAtomID := func(pred string, node tree.NodeID) (id hornsat.Pred, holds, isIntensional bool) {
-		if i, ok := g.index[pred]; ok {
-			return hornsat.Pred(i*g.n + int(node)), false, true
-		}
-		return 0, holdsUnary(t, pred, node), false
+	// Every TMNF rule is p(v) :- p0(u)[, p1(u)] over the pairs (u, v) of its
+	// binary atom (form 2), or over u = v for every node (forms 1 and 3):
+	// resolve the predicates once per rule, then emit one clause per pair.
+	type groundRule struct {
+		head   hornsat.Pred
+		body   []unaryRef
+		binary string // "" when the rule has no binary atom
 	}
+	rules := make([]groundRule, len(p.Rules))
+	literals := 0
+	for i, r := range p.Rules {
+		gr := groundRule{head: hornsat.Pred(g.index[r.Head.Pred] * g.n)}
+		for _, a := range r.Body {
+			if len(a.Args) == 2 {
+				gr.binary = a.Pred
+				continue
+			}
+			ref := g.resolveUnary(t, a.Pred)
+			if ref.holds == nil {
+				literals += g.n
+			}
+			gr.body = append(gr.body, ref)
+		}
+		rules[i] = gr
+	}
+	g.Horn.Reserve(len(rules)*g.n, literals)
 
-	for _, r := range p.Rules {
-		x := r.Head.Args[0]
-		_ = x
-		switch {
-		case len(r.Body) == 0:
-			// Facts range over every node.
-			for _, node := range t.Nodes() {
-				id, _ := g.AtomID(r.Head.Pred, node)
-				g.Horn.AddFact(id)
-			}
-		case len(r.Body) == 1: // form (1): p(x) :- p0(x).
-			p0 := r.Body[0].Pred
-			for _, node := range t.Nodes() {
-				headID, _ := g.AtomID(r.Head.Pred, node)
-				id, holds, intensional := unaryAtomID(p0, node)
-				if intensional {
-					g.Horn.AddClause(headID, id)
-				} else if holds {
-					g.Horn.AddFact(headID)
+	for _, r := range rules {
+		emit := func(u, v tree.NodeID) {
+			var body [2]hornsat.Pred
+			k := 0
+			for _, a := range r.body {
+				if a.holds == nil {
+					body[k] = a.base + hornsat.Pred(u)
+					k++
+				} else if !a.holds(u) {
+					return
 				}
 			}
-		case len(r.Body) == 2 && len(r.Body[0].Args) == 1 && len(r.Body[1].Args) == 1:
-			// form (3): p(x) :- p0(x), p1(x).
-			p0, p1 := r.Body[0].Pred, r.Body[1].Pred
-			for _, node := range t.Nodes() {
-				headID, _ := g.AtomID(r.Head.Pred, node)
-				id0, holds0, int0 := unaryAtomID(p0, node)
-				id1, holds1, int1 := unaryAtomID(p1, node)
-				var body []hornsat.Pred
-				if int0 {
-					body = append(body, id0)
-				} else if !holds0 {
-					continue
-				}
-				if int1 {
-					body = append(body, id1)
-				} else if !holds1 {
-					continue
-				}
-				g.Horn.AddClause(headID, body...)
-			}
-		default:
-			// form (2): p(x) :- p0(x0), B(x0, x).
-			var unaryA, binA Atom
-			if len(r.Body[0].Args) == 1 {
-				unaryA, binA = r.Body[0], r.Body[1]
-			} else {
-				unaryA, binA = r.Body[1], r.Body[0]
-			}
-			binaryPairsFunc(t, binA.Pred, func(u, v tree.NodeID) {
-				// B(u, v) holds; the rule fires p(v) :- p0(u).
-				headID, _ := g.AtomID(r.Head.Pred, v)
-				id, holds, intensional := unaryAtomID(unaryA.Pred, u)
-				if intensional {
-					g.Horn.AddClause(headID, id)
-				} else if holds {
-					g.Horn.AddFact(headID)
-				}
-			})
+			g.Horn.AddClause(r.head+hornsat.Pred(v), body[:k]...)
+		}
+		if r.binary != "" {
+			binaryPairsFunc(t, r.binary, emit)
+			continue
+		}
+		for _, v := range t.PreOrder() {
+			emit(v, v)
 		}
 	}
+	g.Horn.Freeze()
 	return g, nil
 }
 
@@ -145,21 +153,26 @@ func Evaluate(p *Program, t *tree.Tree) ([]tree.NodeID, *Result, error) {
 	model := g.Horn.Solve()
 	res := &Result{byPred: map[string][]tree.NodeID{}}
 	for _, pred := range tm.IntensionalPredicates() {
-		res.byPred[pred] = g.NodesOf(pred, t, model)
+		res.byPred[pred] = g.NodesOf(pred, model)
 	}
 	return res.Nodes(p.Query), res, nil
 }
 
 // NodesOf decodes a solved model back to the nodes satisfying pred, in
-// ascending NodeID (document) order.
-func (g *GroundProgram) NodesOf(pred string, t *tree.Tree, model *hornsat.Model) []tree.NodeID {
+// ascending NodeID (document) order: the atoms of one predicate are numbered
+// by NodeID, so a scan over them is already sorted.
+func (g *GroundProgram) NodesOf(pred string, model *hornsat.Model) []tree.NodeID {
+	i, ok := g.index[pred]
+	if !ok {
+		return nil
+	}
+	base := hornsat.Pred(i * g.n)
 	var nodes []tree.NodeID
-	for _, node := range t.Nodes() {
-		if id, ok := g.AtomID(pred, node); ok && model.True(id) {
-			nodes = append(nodes, node)
+	for v := 0; v < g.n; v++ {
+		if model.True(base + hornsat.Pred(v)) {
+			nodes = append(nodes, tree.NodeID(v))
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	return nodes
 }
 

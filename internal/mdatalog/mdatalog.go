@@ -385,26 +385,23 @@ func binaryPairsFunc(t *tree.Tree, pred string, yield func(u, v tree.NodeID)) {
 	if !ok {
 		return
 	}
-	emit := func(u, v tree.NodeID) {
-		if inverse {
-			yield(v, u)
-		} else {
-			yield(u, v)
-		}
+	if inverse {
+		direct := yield
+		yield = func(u, v tree.NodeID) { direct(v, u) }
 	}
-	for _, u := range t.Nodes() {
+	for _, u := range t.PreOrder() {
 		switch base {
 		case PredFirstChild:
 			if c := t.FirstChild(u); c != tree.InvalidNode {
-				emit(u, c)
+				yield(u, c)
 			}
 		case PredNextSibling:
 			if s := t.NextSibling(u); s != tree.InvalidNode {
-				emit(u, s)
+				yield(u, s)
 			}
 		case PredChild:
-			for _, c := range t.Children(u) {
-				emit(u, c)
+			for c := t.FirstChild(u); c != tree.InvalidNode; c = t.NextSibling(c) {
+				yield(u, c)
 			}
 		}
 	}

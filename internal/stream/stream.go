@@ -17,31 +17,31 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/tree"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
-// stepKind is the normalized axis of one compiled step.
-type stepKind int
-
-const (
-	kindChild stepKind = iota
-	kindDescendant
-	kindDescendantOrSelf
-)
-
-type compiledStep struct {
-	kind stepKind
-	test string // "*" matches any label
-}
-
-// Matcher is a compiled streaming query.
+// Matcher is a compiled streaming query of |Q| = Steps() steps.  NFA state i
+// means "the first i steps have matched"; step i leads from state i to state
+// i+1.  Sets of states and sets of steps are bit vectors of w words (bit i =
+// state i, or step i), so w is 1 for every query of fewer than 64 steps.
 type Matcher struct {
-	steps []compiledStep
+	steps int
+	w     int
 	expr  string
+
+	child []uint64 // steps on the child axis
+	deep  []uint64 // descendant and descendant-or-self steps: may fire anywhere below
+	dos   []uint64 // descendant-or-self steps: may also fire on the very same node
+	star  []uint64 // steps whose test is "*": every element passes them
+	// tests holds the distinct label tests; byTest[j] is the set of steps an
+	// element named tests[j] passes (the steps testing for it, and star).
+	tests  []string
+	byTest [][]uint64
 }
 
 // ErrUnsupported is returned by Compile for expressions outside the
@@ -57,23 +57,44 @@ func Compile(e xpath.Expr) (*Matcher, error) {
 	if !ok || !path.Absolute || len(path.Steps) == 0 {
 		return nil, ErrUnsupported
 	}
-	m := &Matcher{expr: xpath.String(e)}
-	for _, s := range path.Steps {
+	k := len(path.Steps)
+	w := k/64 + 1 // states 0..k
+	m := &Matcher{
+		steps: k, w: w, expr: xpath.String(e),
+		child: make([]uint64, w), deep: make([]uint64, w), dos: make([]uint64, w), star: make([]uint64, w),
+	}
+	for i, s := range path.Steps {
 		if len(s.Quals) > 0 {
 			return nil, ErrUnsupported
 		}
-		var k stepKind
+		word, bit := i/64, uint64(1)<<(i%64)
 		switch s.Axis {
 		case tree.Child:
-			k = kindChild
+			m.child[word] |= bit
 		case tree.Descendant:
-			k = kindDescendant
+			m.deep[word] |= bit
 		case tree.DescendantOrSelf:
-			k = kindDescendantOrSelf
+			m.deep[word] |= bit
+			m.dos[word] |= bit
 		default:
 			return nil, ErrUnsupported
 		}
-		m.steps = append(m.steps, compiledStep{kind: k, test: s.Test})
+		if s.Test == "*" {
+			m.star[word] |= bit
+			continue
+		}
+		j := slices.Index(m.tests, s.Test)
+		if j < 0 {
+			j = len(m.tests)
+			m.tests = append(m.tests, s.Test)
+			m.byTest = append(m.byTest, make([]uint64, w))
+		}
+		m.byTest[j][word] |= bit
+	}
+	for _, mask := range m.byTest {
+		for i := range mask {
+			mask[i] |= m.star[i]
+		}
 	}
 	return m, nil
 }
@@ -91,7 +112,7 @@ func MustCompile(e xpath.Expr) *Matcher {
 func (m *Matcher) String() string { return m.expr }
 
 // Steps returns the number of compiled steps (the |Q| of the memory bound).
-func (m *Matcher) Steps() int { return len(m.steps) }
+func (m *Matcher) Steps() int { return m.steps }
 
 // Stats reports the resources used by one streaming run.
 type Stats struct {
@@ -106,141 +127,158 @@ type Stats struct {
 	Matches int
 }
 
+// run is the state of one pass.  Per open element (and for the document node)
+// the stack holds one frame of 2w words, two state sets:
+//
+//	states:  i means "the first i steps have matched with step i's node
+//	         being exactly this element" (0 on the document node).
+//	pending: i means "the first i steps have matched at some
+//	         ancestor-or-self of this element and step i+1 is a
+//	         descendant(-or-self) step, so it may fire anywhere below".
+//
+// Both sets have at most |Q|+1 members, so memory is O(depth * |Q|) bits.
+type run struct {
+	m     *Matcher
+	stack []uint64
+	depth int // open elements
+	cells int // states held across the whole stack
+	stats Stats
+}
+
+// start pushes the document-node frame: state 0, closed under leading
+// descendant-or-self::* steps (the document node has no label, so only "*"
+// tests match it).
+func (m *Matcher) start() run {
+	r := run{m: m, stack: make([]uint64, 2*m.w, 2*m.w*16)}
+	r.stack[0] = 1
+	r.settle(r.stack, m.star)
+	return r
+}
+
+// settle finishes the frame cur for a node passing the steps in pass: states
+// are closed under descendant-or-self steps (such a step can also match the
+// very node that completed the previous step), and the node's own deep
+// continuations join the pending set it inherited.
+func (r *run) settle(cur, pass []uint64) {
+	m, w := r.m, r.m.w
+	for grew := true; grew; {
+		grew = false
+		var carry uint64
+		for i := 0; i < w; i++ {
+			fire := cur[i] & m.dos[i] & pass[i]
+			next := fire<<1 | carry
+			carry = fire >> 63
+			if next&^cur[i] != 0 {
+				cur[i] |= next
+				grew = true
+			}
+		}
+	}
+	for i := 0; i < w; i++ {
+		cur[w+i] |= cur[i] & m.deep[i]
+		r.cells += bits.OnesCount64(cur[i]) + bits.OnesCount64(cur[w+i])
+	}
+	r.stats.MaxStateCells = max(r.stats.MaxStateCells, r.cells)
+}
+
+// open pushes the frame of an element named name whose parent owns the top
+// frame, and reports whether the query selects the element.
+func (r *run) open(name string) bool {
+	m, w := r.m, r.m.w
+	pass := m.star
+	if j := slices.Index(m.tests, name); j >= 0 {
+		pass = m.byTest[j]
+	}
+	top := len(r.stack)
+	r.stack = slices.Grow(r.stack, 2*w)[:top+2*w]
+	parent, cur := r.stack[top-2*w:top], r.stack[top:]
+	// Child steps fire from the parent's exact states, deep steps from the
+	// pending set of any ancestor-or-self of the parent.
+	var carry uint64
+	for i := 0; i < w; i++ {
+		fire := (parent[i]&m.child[i] | parent[w+i]) & pass[i]
+		cur[i] = fire<<1 | carry
+		carry = fire >> 63
+		cur[w+i] = parent[w+i]
+	}
+	r.settle(cur, pass)
+	r.depth++
+	r.stats.MaxDepth = max(r.stats.MaxDepth, r.depth)
+	if cur[m.steps/64]>>(m.steps%64)&1 == 0 {
+		return false
+	}
+	r.stats.Matches++
+	return true
+}
+
+// close pops the frame of the innermost open element.
+func (r *run) close() {
+	w := r.m.w
+	top := len(r.stack) - 2*w
+	for _, word := range r.stack[top:] {
+		r.cells -= bits.OnesCount64(word)
+	}
+	r.stack = r.stack[:top]
+	r.depth--
+}
+
 // Run processes the event stream and calls report (if non-nil) with the
 // 1-based preorder index of every element selected by the query, in document
 // order.  It returns the run statistics.  The input must be well-formed
 // (as produced by xmldoc.Tokenize or xmldoc.Events); Run returns an error on
 // events that close elements that were never opened.
 func (m *Matcher) Run(events []xmldoc.Event, report func(pre int)) (Stats, error) {
-	var stats Stats
-	k := len(m.steps)
-	// Per open element the evaluator keeps two small state sets:
-	//
-	//	states:  i means "the first i steps have matched with step i's node
-	//	         being exactly this element" (0 on the document node).
-	//	pending: i means "the first i steps have matched at some
-	//	         ancestor-or-self of this element and step i+1 is a
-	//	         descendant(-or-self) step, so it may fire anywhere below".
-	//
-	// Both sets have at most |Q|+1 members, so memory is O(depth * |Q|).
-	type frame struct {
-		states  []int
-		pending []int
-	}
-	matchLabel := func(test, label string) bool { return test == "*" || test == label }
-	isDeep := func(i int) bool {
-		return i < k && (m.steps[i].kind == kindDescendant || m.steps[i].kind == kindDescendantOrSelf)
-	}
-
-	// Document-node frame: state 0, closed under leading descendant-or-self::*
-	// steps (the document node has no label, so only "*" tests match it).
-	docStates := []int{0}
-	for i := 0; i < k && m.steps[i].kind == kindDescendantOrSelf && m.steps[i].test == "*"; i++ {
-		docStates = append(docStates, i+1)
-	}
-	var docPending []int
-	for _, i := range docStates {
-		if isDeep(i) {
-			docPending = append(docPending, i)
-		}
-	}
-	stack := []frame{{states: docStates, pending: docPending}}
-	cells := len(docStates) + len(docPending)
-	stats.MaxStateCells = cells
+	r := m.start()
 	pre := 0
-
 	for _, ev := range events {
-		stats.Events++
+		r.stats.Events++
 		switch ev.Kind {
 		case xmldoc.StartElement:
 			pre++
-			parent := stack[len(stack)-1]
-			inSet := make(map[int]bool, k+1)
-			var states []int
-			add := func(s int) {
-				if !inSet[s] {
-					inSet[s] = true
-					states = append(states, s)
-				}
-			}
-			// Child steps fire from the immediate parent's exact states.
-			for _, i := range parent.states {
-				if i < k && m.steps[i].kind == kindChild && matchLabel(m.steps[i].test, ev.Name) {
-					add(i + 1)
-				}
-			}
-			// Deep steps fire from any ancestor-or-self of the parent.
-			for _, i := range parent.pending {
-				if matchLabel(m.steps[i].test, ev.Name) {
-					add(i + 1)
-				}
-			}
-			// Closure: a descendant-or-self step can also match the very node
-			// that completed the previous step.
-			for idx := 0; idx < len(states); idx++ {
-				i := states[idx]
-				if i < k && m.steps[i].kind == kindDescendantOrSelf && matchLabel(m.steps[i].test, ev.Name) {
-					add(i + 1)
-				}
-			}
-			if inSet[k] {
-				stats.Matches++
-				if report != nil {
-					report(pre)
-				}
-			}
-			// Pending set: inherit the parent's and add this element's own deep
-			// continuations.
-			pendSet := make(map[int]bool, len(parent.pending))
-			pending := make([]int, 0, len(parent.pending)+len(states))
-			for _, i := range parent.pending {
-				if !pendSet[i] {
-					pendSet[i] = true
-					pending = append(pending, i)
-				}
-			}
-			for _, i := range states {
-				if isDeep(i) && !pendSet[i] {
-					pendSet[i] = true
-					pending = append(pending, i)
-				}
-			}
-			stack = append(stack, frame{states: states, pending: pending})
-			cells += len(states) + len(pending)
-			if len(stack)-1 > stats.MaxDepth {
-				stats.MaxDepth = len(stack) - 1
-			}
-			if cells > stats.MaxStateCells {
-				stats.MaxStateCells = cells
+			if r.open(ev.Name) && report != nil {
+				report(pre)
 			}
 		case xmldoc.EndElement:
-			if len(stack) <= 1 {
-				return stats, fmt.Errorf("stream: unmatched end element %q", ev.Name)
+			if r.depth == 0 {
+				return r.stats, fmt.Errorf("stream: unmatched end element %q", ev.Name)
 			}
-			top := stack[len(stack)-1]
-			cells -= len(top.states) + len(top.pending)
-			stack = stack[:len(stack)-1]
+			r.close()
 		case xmldoc.Text:
 			// Core XPath ignores character data.
 		}
 	}
-	if len(stack) != 1 {
-		return stats, errors.New("stream: input ended with unclosed elements")
+	if r.depth != 0 {
+		return r.stats, errors.New("stream: input ended with unclosed elements")
 	}
-	return stats, nil
+	return r.stats, nil
 }
 
-// RunOnTree is a convenience that serializes the tree into events and runs
-// the matcher, returning the selected nodes (as NodeIDs of t, in ascending
-// NodeID order for easy comparison with the in-memory evaluators) and the
-// stats.  The report callback of Run sees matches in document order instead.
+// RunOnTree runs the matcher over the event stream of t without materializing
+// it: walking the tree in document order, a node at depth d is the next start
+// event once the open elements at depth >= d have been closed, so the walk
+// drives the same open and close steps as Run does on xmldoc.Events(t).  It
+// returns the selected nodes (as NodeIDs of t, in ascending NodeID order for
+// easy comparison with the in-memory evaluators) and the stats.  The report
+// callback of Run sees matches in document order instead.
 func (m *Matcher) RunOnTree(t *tree.Tree) ([]tree.NodeID, Stats, error) {
-	events := AcquireEvents(t)
-	defer ReleaseEvents(events)
+	r := m.start()
 	var out []tree.NodeID
-	stats, err := m.Run(events, func(pre int) {
-		out = append(out, t.NodeAtPre(pre))
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, stats, err
+	sorted := true
+	for _, n := range t.PreOrder() {
+		for d := t.Depth(n); r.depth > d; {
+			r.close()
+		}
+		r.stats.Events += 2 // this node's start and, eventually, its end
+		if t.Text(n) != "" {
+			r.stats.Events++
+		}
+		if r.open(t.Label(n)) {
+			sorted = sorted && (len(out) == 0 || out[len(out)-1] < n)
+			out = append(out, n)
+		}
+	}
+	if !sorted {
+		slices.Sort(out)
+	}
+	return out, r.stats, nil
 }

@@ -1,6 +1,10 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/tree"
@@ -100,11 +104,124 @@ func TestRunFromText(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	m := MustCompile(xpath.MustParse("//a"))
-	if _, err := m.Run([]xmldoc.Event{{Kind: xmldoc.EndElement, Name: "a"}}, nil); err == nil {
-		t.Errorf("unmatched end element should error")
+	start, end := xmldoc.Event{Kind: xmldoc.StartElement, Name: "a"}, xmldoc.Event{Kind: xmldoc.EndElement, Name: "a"}
+	for _, c := range []struct {
+		events []xmldoc.Event
+		want   string
+		seen   int // events consumed when the error is raised
+	}{
+		{[]xmldoc.Event{end}, `unmatched end element "a"`, 1},
+		{[]xmldoc.Event{start, end, end, start}, `unmatched end element "a"`, 3},
+		{[]xmldoc.Event{start}, "unclosed elements", 1},
+		{[]xmldoc.Event{start, start, end}, "unclosed elements", 3},
+	} {
+		stats, err := m.Run(c.events, nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error = %v, want one containing %q", c.events, err, c.want)
+		}
+		if stats.Events != c.seen {
+			t.Errorf("%v: %d events consumed at the error, want %d", c.events, stats.Events, c.seen)
+		}
 	}
-	if _, err := m.Run([]xmldoc.Event{{Kind: xmldoc.StartElement, Name: "a"}}, nil); err == nil {
-		t.Errorf("unclosed element should error")
+}
+
+// randomDoc builds a random document over element names a, b, c in which some
+// nodes also carry an "@id=..." attribute label, a second plain label outside
+// the query alphabet, or text.  With scramble, children are attached to
+// random earlier nodes, so NodeIDs are not preorder ranks; otherwise they are
+// attached along the rightmost path, as a parser would number them.
+func randomDoc(nodes int, seed int64, scramble bool) *tree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	b := tree.NewBuilder()
+	path := []tree.NodeID{b.AddRoot("a")}
+	for i := 1; i < nodes; i++ {
+		parent := tree.NodeID(rng.Intn(i))
+		if !scramble {
+			path = path[:1+rng.Intn(len(path))]
+			parent = path[len(path)-1]
+		}
+		id := b.AddChild(parent, string(rune('a'+rng.Intn(3))))
+		path = append(path, id)
+		if rng.Intn(3) == 0 {
+			b.AddLabel(id, fmt.Sprintf("@id=%d", rng.Intn(5)))
+		}
+		if rng.Intn(4) == 0 {
+			b.AddLabel(id, "extra")
+		}
+		if rng.Intn(4) == 0 {
+			b.SetText(id, "text")
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestTreeWalkMatchesEventsAndXPath is the differential test of the two
+// drivers: walking the tree must be indistinguishable — matches and every
+// Stats field — from running the matcher over the tree's SAX events, and both
+// must select what the in-memory XPath evaluator selects.
+func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
+	dos := "/descendant-or-self::*"
+	queries := []string{
+		"//a", "/a", "/*", "/b", "//a/b", "//a//b/c", "/a/b//c", "//*/c", "//*/*", "//a//*",
+		"/descendant::c", "/descendant-or-self::a",
+		dos + dos + "/a",            // several leading descendant-or-self::* steps
+		dos + dos + dos,             // ... and nothing else: selects every element
+		"//a/a//a/a",                // one label on every step
+		"//a/descendant-or-self::a", // self-matching chains
+		"//a/descendant-or-self::a/descendant-or-self::a/b",
+		"//b/descendant-or-self::*/descendant-or-self::b",
+		strings.Repeat(dos, 70) + "/a/b",        // 72 steps: the closure carries across words
+		"//a" + strings.Repeat("/*", 66) + "/a", // 68 steps, the last states in the second word
+		"/a" + strings.Repeat("/descendant-or-self::a/*", 40),
+	}
+	docs := []*tree.Tree{workload.PathTree(90, "a")}
+	for seed := int64(0); seed < 6; seed++ {
+		docs = append(docs, randomDoc(120, seed, false), randomDoc(120, seed, true))
+	}
+	inversions, multiWordMatches := 0, 0
+	for di, doc := range docs {
+		events := xmldoc.Events(doc)
+		for _, qs := range queries {
+			e := xpath.MustParse(qs)
+			m, err := Compile(e)
+			if err != nil {
+				t.Fatalf("Compile(%q): %v", qs, err)
+			}
+			got, walkStats, err := m.RunOnTree(doc)
+			if err != nil {
+				t.Fatalf("RunOnTree(%q): %v", qs, err)
+			}
+			var fromEvents []tree.NodeID
+			runStats, err := m.Run(events, func(pre int) { fromEvents = append(fromEvents, doc.NodeAtPre(pre)) })
+			if err != nil {
+				t.Fatalf("Run(%q): %v", qs, err)
+			}
+			if !slices.IsSorted(fromEvents) {
+				inversions++
+				slices.Sort(fromEvents)
+			}
+			if m.w > 1 {
+				multiWordMatches += len(got)
+			}
+			if walkStats != runStats {
+				t.Errorf("doc %d %q: tree walk stats %+v, event run stats %+v", di, qs, walkStats, runStats)
+			}
+			if walkStats.Events != len(events) || walkStats.Matches != len(got) {
+				t.Errorf("doc %d %q: stats %+v for %d events and %d matches", di, qs, walkStats, len(events), len(got))
+			}
+			if !slices.Equal(got, fromEvents) {
+				t.Errorf("doc %d %q: tree walk selects %v, event run %v", di, qs, got, fromEvents)
+			}
+			if want := xpath.Query(e, doc); !slices.Equal(got, want) {
+				t.Errorf("doc %d %q: stream selects %v, xpath %v", di, qs, got, want)
+			}
+		}
+	}
+	if inversions == 0 {
+		t.Error("no run reported matches out of NodeID order: the scrambled documents do not exercise the sort")
+	}
+	if multiWordMatches == 0 {
+		t.Error("no query of 64 or more steps selected anything: the multi-word frame is not exercised")
 	}
 }
 

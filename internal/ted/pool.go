@@ -26,29 +26,34 @@ func bucketFor(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// acquire returns an []int32 with length at least n (sliced to n).  Contents
-// are arbitrary: the DP overwrites every cell it reads.
-func acquire(n int) []int32 {
+// acquire returns a pooled []int32 of length n.  Contents are arbitrary: the
+// DP overwrites every cell it reads.  The pool traffics in *[]int32 so that
+// neither Get nor Put boxes a slice header.
+func acquire(n int) *[]int32 {
 	b := bucketFor(n)
 	if b > maxBucket {
 		scratch.misses.Add(1)
-		return make([]int32, n)
+		s := make([]int32, n)
+		return &s
 	}
 	if v := scratch.buckets[b].Get(); v != nil {
 		scratch.hits.Add(1)
-		return v.([]int32)[:n]
+		s := v.(*[]int32)
+		*s = (*s)[:n]
+		return s
 	}
 	scratch.misses.Add(1)
-	return make([]int32, n, 1<<b)
+	s := make([]int32, n, 1<<b)
+	return &s
 }
 
 // release returns a slice obtained from acquire to its bucket.
-func release(s []int32) {
-	b := bucketFor(cap(s))
-	if b > maxBucket || 1<<b != cap(s) {
+func release(s *[]int32) {
+	b := bucketFor(cap(*s))
+	if b > maxBucket || 1<<b != cap(*s) {
 		return
 	}
-	scratch.buckets[b].Put(s[:cap(s)]) //nolint:staticcheck // slice header, same as bitset pool
+	scratch.buckets[b].Put(s)
 }
 
 // PoolStats returns the cumulative hit/miss counters of the DP scratch pool.

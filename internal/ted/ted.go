@@ -202,8 +202,8 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 
 	// Keyroots of the candidate subtree: every in-range node with a left
 	// sibling, plus the subtree root itself (whether or not it has one).
-	kr2 := acquire(n2)
-	kr2 = kr2[:0]
+	kr2Buf := acquire(n2)
+	kr2 := (*kr2Buf)[:0]
 	for g := lo; g < root; g++ {
 		if d.lsib[g] {
 			kr2 = append(kr2, int32(g))
@@ -211,9 +211,10 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 	}
 	kr2 = append(kr2, int32(root))
 
-	td := acquire(m * n2)             // permanent tree-distance table
-	fd := acquire((m + 1) * (n2 + 1)) // per-keyroot-pair forest-distance table
-	w := n2 + 1                       // fd row stride
+	tdBuf := acquire(m * n2)             // permanent tree-distance table
+	fdBuf := acquire((m + 1) * (n2 + 1)) // per-keyroot-pair forest-distance table
+	td, fd := *tdBuf, *fdBuf
+	w := n2 + 1 // fd row stride
 
 	for _, i := range p.kr {
 		li := int(p.lml[i])
@@ -258,9 +259,9 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 		}
 	}
 	out := int(td[(m-1)*n2+(n2-1)])
-	release(td)
-	release(fd)
-	release(kr2)
+	release(tdBuf)
+	release(fdBuf)
+	release(kr2Buf)
 	return out
 }
 

@@ -474,15 +474,9 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 // produced for its serialization.  Used to drive the streaming evaluator
 // over synthetic trees without going through text.
 func Events(t *tree.Tree) []Event {
-	return AppendEvents(nil, t)
-}
-
-// AppendEvents appends the tree's SAX event stream to dst and returns the
-// extended slice, so callers that stream repeatedly (the stream package's
-// event-buffer pool) can reuse one allocation across runs.
-func AppendEvents(dst []Event, t *tree.Tree) []Event {
-	emitEvents(t, t.Root(), &dst)
-	return dst
+	var out []Event
+	emitEvents(t, t.Root(), &out)
+	return out
 }
 
 func emitEvents(t *tree.Tree, n tree.NodeID, out *[]Event) {

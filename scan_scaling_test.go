@@ -1,0 +1,68 @@
+package repro
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// scanMixQueries are the two streaming queries and the datalog program of the
+// scan_mix benchmark workload (bench/treeload/workload.go): the linear-scan
+// routes, whose cost is one pass over the document per execution.
+var scanMixQueries = []struct{ name, lang, text string }{
+	{"stream-item-keyword", core.LangStream, "//item//keyword"},
+	{"stream-region-item-name", core.LangStream, "//region/item/name"},
+	{"datalog-ancestor", core.LangDatalog, "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."},
+}
+
+// scanMixEngine is an engine over a scan_mix document as the daemon holds it
+// (NodeIDs are preorder ranks; see joinMixDocument).
+func scanMixEngine(items int) *core.Engine {
+	doc, _ := joinMixDocument(items)
+	return core.New(doc)
+}
+
+// TestScanScalingLinear pins the constants of the linear-scan routes on
+// counts that do not depend on the machine: a warm Exec of a streaming or a
+// datalog plan allocates O(1) objects whatever the document size (the growth
+// that remains is the result slice doubling), and grounding a datalog program
+// allocates per rule, not per node.  The map-per-element matcher and the
+// slice-per-clause Horn store these routes replaced allocated 56 k objects per
+// streaming run and 119 k per grounding at 1,000 items.
+func TestScanScalingLinear(t *testing.T) {
+	ctx := context.Background()
+	type counts struct {
+		exec, prepare float64
+		answers       int
+	}
+	measure := func(items int, lang, text string) counts {
+		eng := scanMixEngine(items)
+		pq, err := eng.Prepare(lang, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := pq.Exec(ctx) // warms the solver scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := counts{answers: len(res.Nodes)}
+		c.exec = testing.AllocsPerRun(5, func() { pq.Exec(ctx) })
+		c.prepare = testing.AllocsPerRun(3, func() { eng.Prepare(lang, text) })
+		return c
+	}
+	for _, q := range scanMixQueries {
+		small, big := measure(150, q.lang, q.text), measure(1500, q.lang, q.text)
+		t.Logf("%-24s exec allocs %3.0f -> %3.0f  prepare allocs %4.0f -> %4.0f  answers %4d -> %5d",
+			q.name, small.exec, big.exec, small.prepare, big.prepare, small.answers, big.answers)
+		if small.answers == 0 || big.answers < 5*small.answers {
+			t.Errorf("%s: %d -> %d answers: the documents do not scale the output", q.name, small.answers, big.answers)
+		}
+		if small.exec > 32 || big.exec > 32 {
+			t.Errorf("%s: a warm Exec allocates %.0f / %.0f objects at 150 / 1,500 items, want at most 32", q.name, small.exec, big.exec)
+		}
+		if q.lang == core.LangDatalog && big.prepare > 2*small.prepare {
+			t.Errorf("%s: Prepare allocations grew %.0f -> %.0f, more than 2x for 10x items", q.name, small.prepare, big.prepare)
+		}
+	}
+}
