@@ -31,6 +31,7 @@ import (
 	"repro/internal/treewidth"
 	"repro/internal/twigjoin"
 	"repro/internal/workload"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yannakakis"
 )
@@ -1083,5 +1084,88 @@ func BenchmarkSimilarCorpusRanked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, ts.URL+"/v1/corpus/query", body)
+	}
+}
+
+// --- Ingest: the write path's parse and a text-only PUT ----------------------
+
+// updateChurnQueries are the five reads of the update_churn benchmark workload
+// (bench/treeload/workload.go); a live document holds one warm plan for each.
+var updateChurnQueries = []struct{ lang, text string }{
+	{core.LangXPath, "//item[name]/description//keyword"},
+	{core.LangXPath, "//item[not(mailbox)]/name"},
+	{core.LangDatalog, "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."},
+	{core.LangStream, "//item//keyword"},
+	{core.LangSimilar, "k=10 description(parlist(listitem(keyword text)))"},
+}
+
+// withText returns a copy of t (whose NodeIDs are preorder ranks) in which
+// node n carries the given text.
+func withText(t *tree.Tree, n tree.NodeID, text string) *tree.Tree {
+	b := tree.NewBuilder()
+	b.Reserve(t.Len())
+	for i := 0; i < t.Len(); i++ {
+		v := tree.NodeID(i)
+		var id tree.NodeID
+		if p := t.Parent(v); p == tree.InvalidNode {
+			id = b.AddRoot(t.Labels(v)...)
+		} else {
+			id = b.AddChild(p, t.Labels(v)...)
+		}
+		if v == n {
+			b.SetText(id, text)
+		} else if txt := t.Text(v); txt != "" {
+			b.SetText(id, txt)
+		}
+	}
+	return b.MustBuild()
+}
+
+func BenchmarkIngest(b *testing.B) {
+	// What a PUT pays before and around the index splice.  "parse" is
+	// xmldoc.Parse alone on an update_churn document; "update-text-edit" is the
+	// whole service-side write (parse, diff, patch, warm-plan rebind) of an edit
+	// that changes one keyword's text and no label, with the workload's five
+	// plans warm — the edit every plan mentions and none has to be re-prepared
+	// for.
+	ctx := context.Background()
+	for _, items := range []int{400, 1000} {
+		doc, _ := joinMixDocument(items)
+		keywords := doc.NodesWithLabel("keyword")
+		revs := [2]string{
+			xmldoc.Serialize(doc, false),
+			xmldoc.Serialize(withText(doc, keywords[len(keywords)/2], "edited"), false),
+		}
+		b.Run(fmt.Sprintf("parse/items=%d", items), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(revs[0])))
+			for i := 0; i < b.N; i++ {
+				if _, err := xmldoc.Parse(revs[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("update-text-edit/items=%d", items), func(b *testing.B) {
+			svc := service.New()
+			if err := svc.AddXML("doc", revs[0]); err != nil {
+				b.Fatal(err)
+			}
+			for _, q := range updateChurnQueries {
+				if _, _, err := svc.Query(ctx, "doc", q.lang, q.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o, err := svc.UpdateDocXML("doc", revs[(i+1)%2])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !o.Patched || o.PlansReprepared != len(updateChurnQueries) {
+					b.Fatalf("text edit outcome %+v, want a patch rebinding %d plans", o, len(updateChurnQueries))
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,40 @@
+package repro
+
+import (
+	"testing"
+
+	"repro/internal/xmldoc"
+)
+
+// TestIngestScalingLinear pins the constants of the write path's parse on
+// counts that do not depend on the machine: xmldoc.Parse scans the document
+// once into a tree whose columns were sized up front, so what it allocates per
+// node is the attribute labels and a share of the label chunks — under half an
+// object per node on an update_churn document (400 items), and no faster than
+// the document grows.  The event buffer and per-element builders this ingest
+// replaced allocated 1.7 objects per node.
+func TestIngestScalingLinear(t *testing.T) {
+	measure := func(items int) (allocs float64, nodes int) {
+		doc, _ := joinMixDocument(items)
+		src := xmldoc.Serialize(doc, false)
+		allocs = testing.AllocsPerRun(5, func() {
+			if _, err := xmldoc.Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, doc.Len()
+	}
+	small, smallNodes := measure(400)
+	big, bigNodes := measure(4000)
+	t.Logf("Parse allocs %.0f for %d nodes (%.2f per node) -> %.0f for %d nodes (%.2f per node)",
+		small, smallNodes, small/float64(smallNodes), big, bigNodes, big/float64(bigNodes))
+	if bigNodes < 5*smallNodes {
+		t.Errorf("%d -> %d nodes: the documents do not scale the input", smallNodes, bigNodes)
+	}
+	if small > 0.5*float64(smallNodes) {
+		t.Errorf("Parse allocates %.0f objects for %d nodes, more than 0.5 per node", small, smallNodes)
+	}
+	if big > 12*small {
+		t.Errorf("Parse allocations grew %.0f -> %.0f, more than 12x for 10x items", small, big)
+	}
+}

@@ -10,10 +10,22 @@ import (
 
 // PatchSpec describes a verified single-splice edit (internal/treediff):
 // old preorder rows [Start, Start+OldLen) are replaced by the new tree's
-// rows [Start, Start+NewLen).  Touched lists every label occurring in either
-// region; artifacts keyed by any other label are structurally unaffected and
-// survive the patch after a positional remap.  ShapePreserving marks edits
-// that change no pre/post/parent value (pure relabel or text edits).
+// rows [Start, Start+NewLen).  ShapePreserving marks edits that change no
+// pre/post/parent value (pure relabel or text edits).
+//
+// Touched lists the labels whose extension (the nodes carrying the label)
+// the edit can have changed; artifacts keyed by any other label survive the
+// patch.  What Patch needs of it depends on the edit:
+//
+//   - ShapePreserving: no node moves, so an untouched label's artifacts are
+//     shared as they are.  That is sound iff Touched holds every old and new
+//     label of every node whose label list changed (a side relation's rows
+//     carry the node's primary-label code, so a node contributes its whole
+//     list, not only the labels it gained or lost).  An edit of text alone
+//     has an empty Touched and invalidates nothing.
+//   - otherwise survivors past the splice are renumbered by Delta, and the
+//     remap of an untouched label's artifacts assumes none of its nodes lies
+//     inside a region: Touched must cover every label of either region.
 type PatchSpec struct {
 	Start, OldLen, NewLen int
 	Touched               []string
@@ -22,6 +34,10 @@ type PatchSpec struct {
 
 // Delta returns the node-count change of the splice.
 func (s PatchSpec) Delta() int { return s.NewLen - s.OldLen }
+
+// unseen reports an edit the index cannot see: same shape and the same label
+// list on every node, that is, an edit of text alone.
+func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) == 0 }
 
 // Patch derives the index of nt from an existing index by splicing, instead
 // of rebuilding from scratch:
@@ -34,9 +50,12 @@ func (s PatchSpec) Delta() int { return s.NewLen - s.OldLen }
 //     splice by Delta (shared outright when Delta is 0);
 //   - cached structural-join pair relations whose (from, to) labels are both
 //     non-empty and untouched are carried over with both pre columns
-//     remapped ("" sides cover the whole document, so they never survive);
-//   - everything else (touched labels, region labels, the TED view) is
-//     dropped and rebuilt lazily on first use, exactly as after a Release.
+//     remapped;
+//   - whole-document artifacts — pair relations with a "" side and the TED
+//     view, whose label codes cover every node — survive only an edit the
+//     index cannot see, a shape-preserving one that touched no label;
+//   - everything else (touched labels, region labels) is dropped and rebuilt
+//     lazily on first use, exactly as after a Release.
 //
 // The old index is never mutated: readers still running against it see a
 // fully consistent document.  The result is a brand-new Index over nt with
@@ -52,6 +71,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	for _, l := range spec.Touched {
 		touched[l] = true
 	}
+	unseen := spec.unseen()
 
 	nix := &Index{
 		t:          nt,
@@ -64,7 +84,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	}
 
 	old.mu.RLock()
-	oldXASR := old.xasr
+	oldXASR, oldTED := old.xasr, old.tedDoc
 	oldNodes := make(map[string][]tree.NodeID, len(old.labelNodes))
 	for l, ns := range old.labelNodes {
 		oldNodes[l] = ns
@@ -86,11 +106,17 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	if oldXASR != nil {
 		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
 		nix.xasrBuilds.Add(1)
+		if unseen {
+			// The view is a function of the XASR's pre, post, parent_pre and lab
+			// columns, and the patched XASR repeats all four (its dictionary is
+			// a clone, so the codes agree too).
+			nix.tedDoc = oldTED
+		}
 	}
 
 	// Survivor remap: node ids / 1-based preorders at or past the removed
 	// region shift by delta; ids inside the region cannot occur for untouched
-	// labels (Touched covers every region label).
+	// labels (when delta != 0, Touched covers every region label).
 	for l, ns := range oldNodes {
 		if touched[l] {
 			continue
@@ -106,16 +132,16 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 			}
 		}
 		nix.labelNodes[l] = moved
-		if nix.xasr != nil {
+		if nix.xasr != nil && delta != 0 {
 			nix.labelRows[l] = nix.xasr.SubRelation("R_"+l, moved)
 		}
 	}
 	// Masks are remapped from their own bits, not from labelNodes: LabelMask
 	// caches a mask without materializing the node list, so an untouched
-	// label may be warm in oldMasks only.  Region bits cannot be set for an
-	// untouched label (Touched covers every region label), so every set bit
-	// is a survivor: before the region it stays, at or past the region's end
-	// it shifts by delta.
+	// label may be warm in oldMasks only.  Under a shift, region bits cannot be
+	// set for an untouched label (Touched covers every region label), so every
+	// set bit is a survivor: before the region it stays, at or past the
+	// region's end it shifts by delta.
 	oldN := old.t.Len()
 	for l, m := range oldMasks {
 		if touched[l] {
@@ -155,26 +181,23 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		nix.postings[l] = moved
 	}
 	if delta == 0 {
-		// Shape-preserving edits leave every untouched label's rows
-		// bit-identical, so the cached side relations can be shared as-is
-		// even when the XASR itself was never materialized.
+		// Without a shift every untouched label's rows are bit-identical (its
+		// nodes kept their label lists, so even the lab codes agree): the
+		// cached side relations are shared as they are, whether or not the
+		// XASR itself was materialized, and none is rebuilt ahead of use.
 		for l, r := range oldRows {
-			if touched[l] {
-				continue
-			}
-			if _, ok := nix.labelRows[l]; !ok {
+			if !touched[l] {
 				nix.labelRows[l] = r
 			}
 		}
 	}
 
 	// Pair relations: a cached (axis, from, to) closure survives iff both
-	// sides are concrete untouched labels — an empty side ranges over the
-	// whole document, which the splice changed by construction (unless it was
-	// a no-op, in which case there is nothing to remap either).
+	// sides are untouched labels.  An empty side ranges over the whole
+	// document, so it counts as touched by every edit the index can see.
 	old.pairMu.RLock()
 	old.pairs.Each(func(k pairKey, r *relstore.Relation) bool {
-		if k.from == "" || k.to == "" || touched[k.from] || touched[k.to] {
+		if touched[k.from] || touched[k.to] || ((k.from == "" || k.to == "") && !unseen) {
 			return true
 		}
 		if delta == 0 {
@@ -210,8 +233,12 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 // patchedMulti recomputes the multi-label classification after a splice.  If
 // the old tree was single-labeled, only the inserted region can introduce a
 // multi-labeled node; if it was multi-labeled, the witness may have lived in
-// the removed region, so the whole new tree is rescanned.
+// the removed region, so the whole new tree is rescanned — unless no label
+// list changed at all.
 func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
+	if spec.unseen() {
+		return old.multi
+	}
 	if !old.multi {
 		for i := spec.Start; i < spec.Start+spec.NewLen; i++ {
 			if v := nt.NodeAtPre(i + 1); v != tree.InvalidNode && len(nt.Labels(v)) > 1 {

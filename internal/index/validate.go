@@ -2,19 +2,21 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/relstore"
+	"repro/internal/ted"
 	"repro/internal/tree"
 )
 
 // Validate checks every cached artifact against the tree it claims to index
 // and returns the first inconsistency found.  It exists for the incremental-
 // update harness: after a Patch, the spliced XASR, remapped label caches,
-// and carried-over pair relations must be indistinguishable from a fresh
-// build.  It materializes the XASR if absent and is intended for tests, not
-// hot paths.
+// carried-over pair relations and a carried-over TED view must be
+// indistinguishable from a fresh build.  It materializes the XASR if absent
+// and is intended for tests, not hot paths.
 func (ix *Index) Validate() error {
 	t := ix.t
 	m := t.Len()
@@ -75,7 +77,12 @@ func (ix *Index) Validate() error {
 	for l, r := range ix.labelRows {
 		labelRows[l] = r
 	}
+	tedDoc := ix.tedDoc
 	ix.mu.RUnlock()
+
+	if tedDoc != nil && !reflect.DeepEqual(tedDoc, ted.NewDoc(x)) {
+		return fmt.Errorf("ted: cached postorder view differs from one derived from the xasr")
+	}
 
 	for l, ns := range labelNodes {
 		want := t.NodesWithLabel(l)

@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -509,6 +510,27 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// readBody reads the request body whole into the one buffer the parsed
+// document's labels and text will point into.  The buffer is sized up front
+// from Content-Length when the client declared one — never beyond the body
+// limit, which the MaxBytesReader installed by ServeHTTP enforces whatever was
+// declared — so the upload is neither regrown while it arrives nor copied
+// again on its way to the parser.
+func (s *Server) readBody(r *http.Request) (string, error) {
+	var sb strings.Builder
+	if n := r.ContentLength; n > 0 {
+		limit := s.maxBody
+		if limit <= 0 {
+			// No body limit: still reserve no more than the default one on a
+			// client's say-so.
+			limit = DefaultMaxBodyBytes
+		}
+		sb.Grow(int(min(n, limit)))
+	}
+	_, err := io.Copy(&sb, r.Body)
+	return sb.String(), err
+}
+
 // handlePutDoc upserts document {name} from the XML request body: a new name
 // is added at version 1 (201 Created); a live name is updated in place (200
 // OK) — the service swaps in a fresh engine under a bumped version, warm
@@ -516,7 +538,7 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 // prepared queries for the document are rebound to the new engine.
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	src, err := io.ReadAll(r.Body)
+	src, err := s.readBody(r)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
@@ -526,7 +548,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	doc, err := xmldoc.Parse(string(src))
+	doc, err := xmldoc.Parse(src)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: document %q: %w", name, err))
 		return

@@ -606,6 +606,50 @@ func TestServerConcurrency(t *testing.T) {
 	}
 }
 
+// TestPutDocBody covers how a PUT's body reaches the parser: a mixed-content
+// document is stored (it used to panic the parse and drop the connection), an
+// upload without a declared length is read whole, and the body limit answers
+// 413 whether or not the client declared the oversized length.
+func TestPutDocBody(t *testing.T) {
+	ts, svc := newTestServer(t, nil, WithMaxBodyBytes(256))
+
+	if code, body := putDoc(t, ts.URL, "mixed.xml", `<a>x<b/>z</a>`); code != http.StatusCreated {
+		t.Fatalf("mixed content: status %d (%v), want 201", code, body)
+	}
+	eng, err := svc.Engine("mixed.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc := eng.Document(); doc.Len() != 2 || doc.Text(doc.Root()) != "xz" {
+		t.Errorf("mixed content stored as %d nodes with root text %q, want 2 and \"xz\"", doc.Len(), doc.Text(doc.Root()))
+	}
+
+	put := func(name string, body io.Reader) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/docs/"+name, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// io.MultiReader hides the length, so the client sends a chunked body.
+	if code := put("chunked.xml", io.MultiReader(strings.NewReader(siteXML(2)))); code != http.StatusCreated {
+		t.Errorf("chunked upload: status %d, want 201", code)
+	}
+	big := siteXML(20)
+	if code := put("big.xml", strings.NewReader(big)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared %d-byte upload: status %d, want 413", len(big), code)
+	}
+	if code := put("big.xml", io.MultiReader(strings.NewReader(big))); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked %d-byte upload: status %d, want 413", len(big), code)
+	}
+}
+
 // TestUpdateDocumentOverHTTP drives the live-update path end to end: PUT on
 // a live name swaps the document under a bumped version, the service's warm
 // plans and the server's registered prepared queries are re-prepared (not

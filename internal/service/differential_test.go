@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/tree"
+	"repro/internal/treediff"
 )
 
 // The differential oracle: a service with patching forced on
@@ -123,6 +124,16 @@ func assertPatchEquivalence(t testing.TB, oldT, newT *tree.Tree) {
 	}
 	check(fmt.Sprintf("post-update[%s/%s]", po.Mode(), po.Kind))
 
+	// An edit that changes no label list touches nothing the index or any
+	// evaluator reads, whatever labels the edited nodes carry: it must patch,
+	// and every warm plan must take the same-shape rebind.
+	if textOnlyEdit(oldT, newT) {
+		if !po.Patched || po.PlansReprepared == 0 || po.PlansSkipped != po.PlansReprepared {
+			t.Fatalf("text-only edit outcome %+v, want a patch with every warm plan skipped\nold: %s\nnew: %s",
+				po, treediff.Canonical(oldT), treediff.Canonical(newT))
+		}
+	}
+
 	// Structural invariants of the (possibly patched) index, with its caches
 	// warmed by the query battery above.
 	eng, err := patched.Engine("d")
@@ -133,6 +144,13 @@ func assertPatchEquivalence(t testing.TB, oldT, newT *tree.Tree) {
 		t.Fatalf("patched index invalid after %s/%s update:\n%v\nold: %s\nnew: %s",
 			po.Mode(), po.Kind, err, oldT, newT)
 	}
+}
+
+// textOnlyEdit reports whether the two revisions differ, agree in shape and
+// agree in every node's label list — that is, differ in text alone.
+func textOnlyEdit(oldT, newT *tree.Tree) bool {
+	sc, ok := treediff.Diff(oldT, newT)
+	return ok && sc.Kind == treediff.KindRelabel && sc.ShapePreserving && sc.Touched == nil
 }
 
 // onode is the mutable tree the random-edit generator works on; rendered to a
@@ -219,12 +237,25 @@ func randOnode(r *rand.Rand, depth int) *onode {
 }
 
 // randomEdit applies one random edit (relabel, text edit, subtree insert,
-// subtree delete, subtree replace) to a copy of root and returns it.
+// subtree delete, subtree replace, text edit under a queried label) to a copy
+// of root and returns it.
 func randomEdit(r *rand.Rand, root *onode) *onode {
 	c := root.clone()
 	nodes := c.flatten()
 	pick := nodes[r.Intn(len(nodes))]
-	switch op := r.Intn(5); {
+	switch op := r.Intn(6); {
+	case op == 5:
+		// A text edit, never a no-op, on a node whose label the query battery
+		// mentions on every route (equivalenceQueries takes the first three
+		// labels in sorted order) whenever the document has one: the edit whose
+		// label every warm plan intersects and that none has to notice.
+		for _, i := range r.Perm(len(nodes)) {
+			if l := nodes[i].node.label; l == "a" || l == "b" || l == "c" {
+				pick = nodes[i]
+				break
+			}
+		}
+		pick.node.text = fmt.Sprintf("edited%d", r.Intn(100))
 	case op == 0: // relabel (occasionally to a label new to the document)
 		if r.Intn(4) == 0 {
 			pick.node.label = fmt.Sprintf("z%d", r.Intn(2))
@@ -258,7 +289,8 @@ func TestDifferentialUpdateOracle(t *testing.T) {
 		t.Skip("differential oracle is a many-query property test")
 	}
 	r := rand.New(rand.NewSource(60))
-	for i := 0; i < 30; i++ {
+	textOnly := 0
+	for i := 0; i < 36; i++ {
 		oldN := randOnode(r, 3)
 		newN := randomEdit(r, oldN)
 		if i%3 == 2 { // compound edit: usually not a single splice
@@ -267,7 +299,13 @@ func TestDifferentialUpdateOracle(t *testing.T) {
 		}
 		oldT, newT := oldN.build(), newN.build()
 		t.Logf("round %d: %d -> %d nodes", i, oldT.Len(), newT.Len())
+		if textOnlyEdit(oldT, newT) {
+			textOnly++
+		}
 		assertPatchEquivalence(t, oldT, newT)
+	}
+	if textOnly < 3 {
+		t.Errorf("only %d text-only rounds: the generator no longer reaches the edit that invalidates nothing", textOnly)
 	}
 }
 

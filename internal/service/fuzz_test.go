@@ -24,6 +24,10 @@ func FuzzDiffPatchEquivalence(f *testing.F) {
 	f.Add(`("a"("b"="t1"))`, `("a"("b"="t2"))`)      // text-only edit
 	f.Add(`("a"("b""x")("c"))`, `("a"("b")("c"))`)   // multi-label drop
 	f.Add(`("a"("b")("b")("b"))`, `("a"("b")("b"))`) // repeated-label delete
+	// Text-only edits under labels every route of the battery mentions: one on
+	// a multi-labelled node, one on two nodes at once with a label between.
+	f.Add(`("a"("b""c"="t1"("a"))("c"))`, `("a"("b""c"="t2"("a"))("c"))`)
+	f.Add(`("a"="x"("b"("c"))("c"="y"))`, `("a"="u"("b"("c"))("c"="v"))`)
 	f.Fuzz(func(t *testing.T, oldS, newS string) {
 		oldT := sexprOrSkip(t, oldS, treediff.ParseCanonical)
 		newT := sexprOrSkip(t, newS, treediff.ParseCanonical)

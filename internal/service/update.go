@@ -44,7 +44,9 @@ type UpdateOutcome struct {
 	// PlansSkipped counts warm plans whose label set was disjoint from the
 	// edit's touched labels under a shape-preserving patch, letting the rebind
 	// reuse even the document-bound grounding (core.PreparedQuery.
-	// RebindSameShape).
+	// RebindSameShape).  An edit of text alone touches no label, so it skips
+	// every warm plan that reports a label set: PlansSkipped ==
+	// PlansReprepared unless a route could not bound its labels.
 	PlansSkipped int
 }
 
@@ -138,7 +140,10 @@ func labelsDisjoint(labels, touched []string) bool {
 // rather than dropped; under a shape-preserving patch, plans whose label set
 // (core.PreparedQuery.Labels) is disjoint from the edit's touched labels are
 // rebound with RebindSameShape, reusing even the document-bound grounding —
-// the "plans skipped by label set" counter in Stats.
+// the "plans skipped by label set" counter in Stats.  The touched labels are
+// those whose extension the edit can have changed (treediff.Script.Touched),
+// so a write that only rewrites text — which no evaluator reads — re-prepares
+// nothing, whichever labels the edited nodes carry.
 //
 // Concurrency: the patch reads only immutable inputs (the old entry's engine
 // and the two trees), so a concurrent UpdateDoc that swapped a different

@@ -49,8 +49,8 @@ type Doc struct {
 	bySize []int32
 }
 
-// NewDoc derives the postorder view from the XASR's parallel columns.
-// Cost is O(n log n) (the size ordering dominates).
+// NewDoc derives the postorder view from the XASR's parallel columns in O(n)
+// time: one pass over the rows and a counting sort for the size ordering.
 func NewDoc(x *labeling.XASR) *Doc {
 	preCol, postCol, parentPre, labCol := x.Cols()
 	n := len(preCol)
@@ -87,16 +87,19 @@ func NewDoc(x *labeling.XASR) *Doc {
 		// any later child therefore has a left sibling.
 		d.lsib[j] = parentPre[i] != 0 && preCol[i] != parentPre[i]+1
 	}
-	for j := range d.bySize {
-		d.bySize[j] = int32(j)
+	// Counting sort on subtree size (1..n), stable over ascending postorder
+	// positions: next[s] is the slot of the next position of size s.
+	next := make([]int32, n+2)
+	for _, s := range d.size {
+		next[s+1]++
 	}
-	sort.Slice(d.bySize, func(a, b int) bool {
-		ja, jb := d.bySize[a], d.bySize[b]
-		if d.size[ja] != d.size[jb] {
-			return d.size[ja] < d.size[jb]
-		}
-		return ja < jb
-	})
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	for j, s := range d.size {
+		d.bySize[next[s]] = int32(j)
+		next[s]++
+	}
 	return d
 }
 

@@ -1,6 +1,8 @@
 package ted
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/labeling"
@@ -162,6 +164,38 @@ func subtreeSexpr(t *tree.Tree, v tree.NodeID) string {
 		s += subtreeSexpr(t, c)
 	}
 	return s + ")"
+}
+
+// TestBySizeOrder: the counting sort behind Doc.BySize yields exactly the
+// (subtree size, postorder) order a comparison sort does.
+func TestBySizeOrder(t *testing.T) {
+	docs := []*tree.Tree{
+		tree.MustParseSexpr("a"),
+		workload.PathTree(40, "a"),
+		workload.WideTree(40, "a"),
+		// 1,000 items are the 15k-node documents of the scan_mix workload.
+		workload.SiteDocument(workload.DocSpec{Items: 1000, Regions: 6, DescriptionDepth: 2, Seed: 1}),
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		docs = append(docs, workload.RandomTree(workload.TreeSpec{Nodes: 1 + int(seed*13%300), MaxFanout: int(seed % 5), Seed: seed}))
+	}
+	for _, doc := range docs {
+		d := NewDoc(labeling.BuildXASR(doc))
+		want := make([]int32, d.Len())
+		for j := range want {
+			want[j] = int32(j)
+		}
+		sort.Slice(want, func(a, b int) bool {
+			ja, jb := want[a], want[b]
+			if d.size[ja] != d.size[jb] {
+				return d.size[ja] < d.size[jb]
+			}
+			return ja < jb
+		})
+		if !slices.Equal(d.BySize(), want) {
+			t.Fatalf("%d-node tree: BySize differs from the (size, postorder) sort", d.Len())
+		}
+	}
 }
 
 func TestPatternDecomposition(t *testing.T) {

@@ -22,6 +22,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -242,10 +243,65 @@ func (t *Tree) NodesWithLabel(a string) []NodeID {
 type Builder struct {
 	t    Tree
 	open bool
+	// arena is the label chunk being filled: every node's label slice is
+	// carved off its end, capacity-clipped, so adding a node costs no
+	// allocation of its own and a later AddLabel copies out instead of
+	// running into the next node's labels.
+	arena []string
+	// reserved is the node count of the last Reserve, which sizes the label
+	// chunks too.
+	reserved int
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder { return &Builder{open: true} }
+
+// Reserve sizes the per-node columns for n nodes in total, so that adding
+// them grows nothing.  A caller that knows the node count (or a tight upper
+// bound on it) up front calls it once, before the first node; adding more
+// than n nodes stays correct and falls back to amortized growth.
+func (b *Builder) Reserve(n int) {
+	t := &b.t
+	more := n - len(t.parent)
+	if more <= 0 {
+		return
+	}
+	b.reserved = n
+	t.parent = slices.Grow(t.parent, more)
+	t.firstChild = slices.Grow(t.firstChild, more)
+	t.lastChild = slices.Grow(t.lastChild, more)
+	t.nextSibling = slices.Grow(t.nextSibling, more)
+	t.prevSibling = slices.Grow(t.prevSibling, more)
+	t.labels = slices.Grow(t.labels, more)
+	t.text = slices.Grow(t.text, more)
+}
+
+// A reserved builder sizes each label chunk to the nodes still to come — one
+// slot each, so a tree whose nodes average under two labels needs O(log n)
+// chunks and keeps next to no slack; beyond (or without) a reservation chunks
+// double from minLabelChunk to maxLabelChunk strings.
+const (
+	minLabelChunk = 16
+	maxLabelChunk = 4096
+)
+
+// carve copies labels into the arena and returns the copy.
+func (b *Builder) carve(labels []string) []string {
+	k := len(labels)
+	if k == 0 {
+		return []string{}
+	}
+	if len(b.arena)+k > cap(b.arena) {
+		size := b.reserved - len(b.t.parent)
+		if size <= 0 {
+			size = min(2*cap(b.arena), maxLabelChunk)
+		}
+		b.arena = make([]string, 0, max(size, minLabelChunk, k))
+	}
+	start := len(b.arena)
+	b.arena = append(b.arena, labels...)
+	return b.arena[start:len(b.arena):len(b.arena)]
+}
 
 // AddRoot adds the root node and returns its id.  It must be the first node
 // added.
@@ -270,13 +326,12 @@ func (b *Builder) add(parent NodeID, labels []string) NodeID {
 	if parent != InvalidNode && !t.valid(parent) {
 		panic(fmt.Sprintf("tree: AddChild of unknown parent %d", parent))
 	}
+	ls := b.carve(labels)
 	t.parent = append(t.parent, parent)
 	t.firstChild = append(t.firstChild, InvalidNode)
 	t.lastChild = append(t.lastChild, InvalidNode)
 	t.nextSibling = append(t.nextSibling, InvalidNode)
 	t.prevSibling = append(t.prevSibling, InvalidNode)
-	ls := make([]string, len(labels))
-	copy(ls, labels)
 	t.labels = append(t.labels, ls)
 	t.text = append(t.text, "")
 	if parent != InvalidNode {

@@ -20,6 +20,7 @@ package treediff
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,9 +84,19 @@ type Script struct {
 	// Touched (grounding depends only on structure plus the program's own
 	// label predicates).
 	ShapePreserving bool
-	// Touched is the sorted set of labels carried by any node of either
-	// splice region: exactly the labels whose derived index artifacts (and
-	// label-intersecting plans) the edit can invalidate.
+	// Touched is the sorted set of labels whose extension — the set of nodes
+	// carrying the label, as node ids — the edit can have changed: the labels
+	// whose derived index artifacts (and label-intersecting plans) it can
+	// invalidate.
+	//
+	// A shape-preserving script moves no node, so a label's extension changes
+	// only where a node's label list does: Touched holds the old and the new
+	// labels of exactly those nodes, and is nil for an edit that rewrites
+	// text alone, which no index artifact and no evaluator reads.  A shifting
+	// script (insert, delete, replace) renumbers the survivors after the
+	// splice, and index.Patch remaps an untouched label's artifacts on the
+	// premise that none of its nodes lies inside a region; there Touched
+	// therefore covers every label of either region.
 	Touched []string
 }
 
@@ -153,7 +164,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 				Start: p, OldLen: last + 1 - p, NewLen: last + 1 - p,
 				ShapePreserving: true,
 			}
-			sc.Touched = touchedLabels(oldT, newT, p, sc.OldLen, sc.NewLen)
+			sc.Touched = relabeled(oldT, newT, p, sc.OldLen)
 			return sc, true
 		}
 	}
@@ -210,7 +221,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	}
 
 	sc := &Script{Old: oldT, New: newT, Start: p, OldLen: oldLen, NewLen: newLen}
-	sc.Touched = touchedLabels(oldT, newT, p, oldLen, newLen)
+	sc.Touched = regionLabels(oldT, newT, p, oldLen, newLen)
 	switch {
 	case oldLen == 0 && newLen == 0:
 		sc.Kind, sc.ShapePreserving = KindNone, true
@@ -219,19 +230,10 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	case newLen == 0:
 		sc.Kind = KindDelete
 	default:
+		// Never shape-preserving, even when oldLen == newLen: prefix and suffix
+		// parents agree (checked above), so a region that kept every parent too
+		// would have taken the shape-preserving path.
 		sc.Kind = KindReplace
-		if oldLen == newLen {
-			shape := true
-			for i := p; i < p+oldLen; i++ {
-				if oldT.Parent(tree.NodeID(i)) != newT.Parent(tree.NodeID(i)) {
-					shape = false
-					break
-				}
-			}
-			if shape {
-				sc.Kind, sc.ShapePreserving = KindRelabel, true
-			}
-		}
 	}
 	return sc, true
 }
@@ -250,16 +252,7 @@ func preorderDense(t *tree.Tree) bool {
 
 // sameNode reports label-and-text equality of two nodes.
 func sameNode(a *tree.Tree, u tree.NodeID, b *tree.Tree, v tree.NodeID) bool {
-	la, lb := a.Labels(u), b.Labels(v)
-	if len(la) != len(lb) {
-		return false
-	}
-	for i := range la {
-		if la[i] != lb[i] {
-			return false
-		}
-	}
-	return a.Text(u) == b.Text(v)
+	return slices.Equal(a.Labels(u), b.Labels(v)) && a.Text(u) == b.Text(v)
 }
 
 // regionParent verifies that rows [start, start+length) of t form a forest
@@ -285,9 +278,9 @@ func regionParent(t *tree.Tree, start, length int) (tree.NodeID, bool) {
 	return par, true
 }
 
-// touchedLabels collects the sorted distinct labels occurring on any node of
+// regionLabels collects the sorted distinct labels occurring on any node of
 // either splice region.
-func touchedLabels(oldT, newT *tree.Tree, start, oldLen, newLen int) []string {
+func regionLabels(oldT, newT *tree.Tree, start, oldLen, newLen int) []string {
 	set := map[string]bool{}
 	for i := start; i < start+oldLen; i++ {
 		for _, l := range oldT.Labels(tree.NodeID(i)) {
@@ -299,6 +292,33 @@ func touchedLabels(oldT, newT *tree.Tree, start, oldLen, newLen int) []string {
 			set[l] = true
 		}
 	}
+	return sortedLabels(set)
+}
+
+// relabeled collects the sorted distinct old and new labels of the nodes in
+// rows [start, start+length) whose label list differs between the two trees,
+// which must agree in shape over those rows.
+func relabeled(oldT, newT *tree.Tree, start, length int) []string {
+	var set map[string]bool
+	for i := start; i < start+length; i++ {
+		lo, ln := oldT.Labels(tree.NodeID(i)), newT.Labels(tree.NodeID(i))
+		if slices.Equal(lo, ln) {
+			continue
+		}
+		if set == nil {
+			set = map[string]bool{}
+		}
+		for _, l := range lo {
+			set[l] = true
+		}
+		for _, l := range ln {
+			set[l] = true
+		}
+	}
+	return sortedLabels(set)
+}
+
+func sortedLabels(set map[string]bool) []string {
 	if len(set) == 0 {
 		return nil
 	}

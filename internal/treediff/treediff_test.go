@@ -118,8 +118,95 @@ func TestDiffTextOnly(t *testing.T) {
 	if !ok || sc.Kind != KindRelabel || !sc.ShapePreserving {
 		t.Fatalf("text edit: got %+v ok=%v", sc, ok)
 	}
-	if want := []string{"b"}; !reflect.DeepEqual(sc.Touched, want) {
-		t.Fatalf("touched %v, want %v", sc.Touched, want)
+	if sc.Touched != nil {
+		t.Fatalf("touched %v, want none: no label's extension changed", sc.Touched)
+	}
+}
+
+// TestDiffTouched pins which labels a script reports as touched: for a
+// shape-preserving script the old and new labels of the nodes whose label
+// list changed (none at all for a text-only edit), for a shifting script every
+// label of either region.
+func TestDiffTouched(t *testing.T) {
+	cases := []struct {
+		name     string
+		old, new *tree.Tree
+		kind     Kind
+		shape    bool
+		touched  []string
+	}{
+		{
+			name:  "text-only edit",
+			old:   buildTree(t, "r(item+@id(name keyword) item)", map[int]string{3: "old"}),
+			new:   buildTree(t, "r(item+@id(name keyword) item)", map[int]string{3: "new"}),
+			kind:  KindRelabel,
+			shape: true,
+		},
+		{
+			name:  "two text edits spanning labelled nodes",
+			old:   buildTree(t, "r(a b c)", map[int]string{1: "x", 3: "y"}),
+			new:   buildTree(t, "r(a b c)", map[int]string{1: "u", 3: "v"}),
+			kind:  KindRelabel,
+			shape: true,
+		},
+		{
+			name:    "relabel of one multi-labelled node",
+			old:     tree.MustParseSexpr("r(item+@id(name keyword) item+@n(name))"),
+			new:     tree.MustParseSexpr("r(entry+@id(name keyword) item+@n(name))"),
+			kind:    KindRelabel,
+			shape:   true,
+			touched: []string{"@id", "entry", "item"},
+		},
+		{
+			name:    "relabel beside a text edit",
+			old:     buildTree(t, "r(a b c)", map[int]string{1: "x"}),
+			new:     buildTree(t, "r(a b d)", map[int]string{1: "y"}),
+			kind:    KindRelabel,
+			shape:   true,
+			touched: []string{"c", "d"},
+		},
+		{
+			name:    "label dropped from a node",
+			old:     tree.MustParseSexpr("r(a+x b)"),
+			new:     tree.MustParseSexpr("r(a b)"),
+			kind:    KindRelabel,
+			shape:   true,
+			touched: []string{"a", "x"},
+		},
+		{
+			name:    "insert covers the region",
+			old:     tree.MustParseSexpr("r(a(x) b)"),
+			new:     tree.MustParseSexpr("r(a(x) q+@k(y z) b)"),
+			kind:    KindInsert,
+			touched: []string{"@k", "q", "y", "z"},
+		},
+		{
+			name:    "delete covers the region",
+			old:     tree.MustParseSexpr("r(a q+@k(y z) b)"),
+			new:     tree.MustParseSexpr("r(a b)"),
+			kind:    KindDelete,
+			touched: []string{"@k", "q", "y", "z"},
+		},
+		{
+			name:    "same-size replace covers both regions",
+			old:     tree.MustParseSexpr("r(a(x y) b)"),
+			new:     tree.MustParseSexpr("r(a(z(w)) b)"),
+			kind:    KindReplace,
+			touched: []string{"w", "x", "y", "z"},
+		},
+	}
+	for _, tc := range cases {
+		sc, ok := Diff(tc.old, tc.new)
+		if !ok {
+			t.Errorf("%s: no script", tc.name)
+			continue
+		}
+		if sc.Kind != tc.kind || sc.ShapePreserving != tc.shape {
+			t.Errorf("%s: kind %v shape=%v, want %v shape=%v", tc.name, sc.Kind, sc.ShapePreserving, tc.kind, tc.shape)
+		}
+		if !reflect.DeepEqual(sc.Touched, tc.touched) {
+			t.Errorf("%s: touched %v, want %v", tc.name, sc.Touched, tc.touched)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package xmldoc
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/tree"
@@ -74,12 +75,17 @@ func (e *SyntaxError) Error() string {
 // Element names become node labels; each attribute name=value additionally
 // becomes a label "@name=value" (so Core XPath label tests can address
 // attributes); character data is concatenated into the node text.
+//
+// Parse is one left-to-right scan: the scanner feeds every element straight
+// into a tree.Builder sized from a count of the document's start tags, and
+// the labels and text of the tree are substrings of src wherever src spells
+// them literally.
 func Parse(src string) (*tree.Tree, error) {
-	events, err := Tokenize(src)
-	if err != nil {
+	ts := newTreeSink(countStartTags(src))
+	if err := scan(src, ts); err != nil {
 		return nil, err
 	}
-	return FromEvents(events)
+	return ts.b.Build()
 }
 
 // MustParse is like Parse but panics on error; for tests and examples.
@@ -102,103 +108,232 @@ func ParseReader(r io.Reader) (*tree.Tree, error) {
 
 // FromEvents builds a tree from a well-formed event stream.
 func FromEvents(events []Event) (*tree.Tree, error) {
-	b := tree.NewBuilder()
-	var stack []tree.NodeID
-	var text []strings.Builder
-	for i, ev := range events {
-		switch ev.Kind {
-		case StartElement:
-			var id tree.NodeID
-			if len(stack) == 0 {
-				if b.Len() > 0 {
-					return nil, &SyntaxError{Offset: i, Msg: "multiple root elements"}
-				}
-				id = b.AddRoot(ev.Name)
-			} else {
-				id = b.AddChild(stack[len(stack)-1], ev.Name)
-			}
-			for _, a := range ev.Attrs {
-				b.AddLabel(id, "@"+a.Name+"="+a.Value)
-			}
-			stack = append(stack, id)
-			text = append(text, strings.Builder{})
-		case EndElement:
-			if len(stack) == 0 {
-				return nil, &SyntaxError{Offset: i, Msg: "unmatched end element " + ev.Name}
-			}
-			id := stack[len(stack)-1]
-			if s := text[len(text)-1].String(); s != "" {
-				b.SetText(id, s)
-			}
-			stack = stack[:len(stack)-1]
-			text = text[:len(text)-1]
-		case Text:
-			if len(stack) == 0 {
-				return nil, &SyntaxError{Offset: i, Msg: "character data outside the root element"}
-			}
-			text[len(text)-1].WriteString(ev.Text)
+	elements := 0
+	for i := range events {
+		if events[i].Kind == StartElement {
+			elements++
 		}
 	}
-	if len(stack) != 0 {
+	ts := newTreeSink(elements)
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case StartElement:
+			if len(ts.open) == 0 && ts.b.Len() > 0 {
+				return nil, &SyntaxError{Offset: i, Msg: "multiple root elements"}
+			}
+			ts.start(ev.Name, ev.Attrs)
+		case EndElement:
+			if len(ts.open) == 0 {
+				return nil, &SyntaxError{Offset: i, Msg: "unmatched end element " + ev.Name}
+			}
+			ts.end()
+		case Text:
+			if len(ts.open) == 0 {
+				return nil, &SyntaxError{Offset: i, Msg: "character data outside the root element"}
+			}
+			ts.text(ev.Text)
+		}
+	}
+	if len(ts.open) != 0 {
 		return nil, &SyntaxError{Offset: len(events), Msg: "unclosed elements at end of document"}
 	}
-	return b.Build()
+	return ts.b.Build()
 }
 
 // Tokenize scans src and returns the SAX-style event stream.  It validates
 // well-formedness of tag nesting (every EndElement matches the innermost
 // open StartElement).
 func Tokenize(src string) ([]Event, error) {
-	tz := &tokenizer{src: src}
-	return tz.run()
+	var es eventSink
+	if err := scan(src, &es); err != nil {
+		return nil, err
+	}
+	return es.events, nil
 }
 
-type tokenizer struct {
-	src    string
-	pos    int
+// sink receives the document from the scanner, in document order.  The
+// scanner has already checked well-formedness: start and end nest, text
+// arrives only inside an open element, and there is exactly one root.
+type sink interface {
+	// start opens an element; attrs is scratch the scanner reuses, valid only
+	// during the call.
+	start(name string, attrs []Attr)
+	// text delivers one chunk of character data of the innermost open element.
+	text(s string)
+	// end closes the innermost open element.
+	end()
+}
+
+// eventSink appends the document to an event slice.
+type eventSink struct {
 	events []Event
-	stack  []string
+	names  []string // open element names, for the EndElement events
 }
 
-func (t *tokenizer) errf(format string, args ...any) error {
-	return &SyntaxError{Offset: t.pos, Msg: fmt.Sprintf(format, args...)}
+func (es *eventSink) start(name string, attrs []Attr) {
+	var own []Attr // nil for an element without attributes
+	if len(attrs) > 0 {
+		own = slices.Clone(attrs)
+	}
+	es.events = append(es.events, Event{Kind: StartElement, Name: name, Attrs: own})
+	es.names = append(es.names, name)
 }
 
-func (t *tokenizer) run() ([]Event, error) {
+func (es *eventSink) text(s string) {
+	es.events = append(es.events, Event{Kind: Text, Text: s})
+}
+
+func (es *eventSink) end() {
+	last := len(es.names) - 1
+	es.events = append(es.events, Event{Kind: EndElement, Name: es.names[last]})
+	es.names = es.names[:last]
+}
+
+// treeSink adds the document to a tree.Builder, element by element.
+type treeSink struct {
+	b      *tree.Builder
+	open   []openElement
+	labels []string // scratch: the labels of the element being opened
+	// names is a direct-mapped cache of the element names seen last: nodes of
+	// one name share one string, so a label scan over the tree compares
+	// against a few hot cache lines, not one per node scattered over the
+	// source.  A collision only costs some of that sharing.
+	names [64]string
+}
+
+// openElement is an element whose end tag is still to come.
+type openElement struct {
+	id tree.NodeID
+	// text is the first chunk of the element's character data as it arrived —
+	// in all but mixed content, the only one.
+	text string
+	// mixed is the concatenation of the chunks so far, once a second arrived.
+	mixed []byte
+}
+
+// newTreeSink returns a sink whose builder is sized for the given number of
+// elements.
+func newTreeSink(elements int) *treeSink {
+	b := tree.NewBuilder()
+	b.Reserve(elements)
+	return &treeSink{b: b}
+}
+
+func (ts *treeSink) intern(name string) string {
+	h := len(name)
+	if h > 0 {
+		h = h*31 + int(name[0]) + int(name[h-1])<<3
+	}
+	slot := &ts.names[h%len(ts.names)]
+	if *slot != name {
+		*slot = name
+	}
+	return *slot
+}
+
+func (ts *treeSink) start(name string, attrs []Attr) {
+	ts.labels = append(ts.labels[:0], ts.intern(name))
+	for _, a := range attrs {
+		ts.labels = append(ts.labels, "@"+a.Name+"="+a.Value)
+	}
+	var id tree.NodeID
+	if len(ts.open) == 0 {
+		id = ts.b.AddRoot(ts.labels...)
+	} else {
+		id = ts.b.AddChild(ts.open[len(ts.open)-1].id, ts.labels...)
+	}
+	ts.open = append(ts.open, openElement{id: id})
+}
+
+func (ts *treeSink) text(s string) {
+	e := &ts.open[len(ts.open)-1]
+	if e.text == "" {
+		e.text = s
+		return
+	}
+	if e.mixed == nil {
+		e.mixed = append(make([]byte, 0, 2*(len(e.text)+len(s))), e.text...)
+	}
+	e.mixed = append(e.mixed, s...)
+}
+
+func (ts *treeSink) end() {
+	e := ts.open[len(ts.open)-1]
+	ts.open = ts.open[:len(ts.open)-1]
+	if e.text == "" {
+		return
+	}
+	if e.mixed != nil {
+		e.text = string(e.mixed)
+	}
+	ts.b.SetText(e.id, e.text)
+}
+
+// countStartTags returns the number of '<' in src that a name character
+// follows.  Every element has one, so the count bounds the node count from
+// above, and it is exact unless a comment, a CDATA section or an attribute
+// value contains such a pair.
+func countStartTags(src string) int {
+	n := 0
+	for i := 0; ; {
+		j := strings.IndexByte(src[i:], '<')
+		if j < 0 || i+j+1 >= len(src) {
+			return n
+		}
+		i += j + 1
+		if isNameChar(src[i]) {
+			n++
+		}
+	}
+}
+
+// scanner is the one XML scanner: it checks well-formedness and hands the
+// document to a sink.
+type scanner struct {
+	src      string
+	pos      int
+	out      sink
+	stack    []string // names of the open elements
+	rootSeen bool
+	attrs    []Attr // scratch handed to sink.start
+}
+
+// scan runs the scanner over src.
+func scan(src string, out sink) error {
+	t := &scanner{src: src, out: out}
 	for t.pos < len(t.src) {
 		if t.src[t.pos] == '<' {
 			if err := t.scanMarkup(); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
 		if err := t.scanText(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(t.stack) != 0 {
-		return nil, t.errf("unclosed element <%s>", t.stack[len(t.stack)-1])
+		return t.errf("unclosed element <%s>", t.stack[len(t.stack)-1])
 	}
-	rootSeen := false
-	for _, ev := range t.events {
-		if ev.Kind == StartElement {
-			rootSeen = true
-			break
-		}
+	if !t.rootSeen {
+		return t.errf("document has no root element")
 	}
-	if !rootSeen {
-		return nil, t.errf("document has no root element")
-	}
-	return t.events, nil
+	return nil
 }
 
-func (t *tokenizer) scanText() error {
+func (t *scanner) errf(format string, args ...any) error {
+	return &SyntaxError{Offset: t.pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (t *scanner) scanText() error {
 	start := t.pos
-	for t.pos < len(t.src) && t.src[t.pos] != '<' {
-		t.pos++
+	if end := strings.IndexByte(t.src[start:], '<'); end >= 0 {
+		t.pos = start + end
+	} else {
+		t.pos = len(t.src)
 	}
-	raw := t.src[start:t.pos]
-	unescaped, err := unescape(raw)
+	unescaped, err := unescape(t.src[start:t.pos])
 	if err != nil {
 		return t.errf("%v", err)
 	}
@@ -208,11 +343,11 @@ func (t *tokenizer) scanText() error {
 	if len(t.stack) == 0 {
 		return t.errf("character data outside the root element")
 	}
-	t.events = append(t.events, Event{Kind: Text, Text: unescaped})
+	t.out.text(unescaped)
 	return nil
 }
 
-func (t *tokenizer) scanMarkup() error {
+func (t *scanner) scanMarkup() error {
 	// t.src[t.pos] == '<'
 	if strings.HasPrefix(t.src[t.pos:], "<!--") {
 		end := strings.Index(t.src[t.pos+4:], "-->")
@@ -240,7 +375,7 @@ func (t *tokenizer) scanMarkup() error {
 			return t.errf("CDATA outside the root element")
 		}
 		if data != "" {
-			t.events = append(t.events, Event{Kind: Text, Text: data})
+			t.out.text(data)
 		}
 		t.pos += 9 + end + 3
 		return nil
@@ -273,23 +408,19 @@ func (t *tokenizer) scanMarkup() error {
 			return t.errf("closing tag </%s> does not match <%s>", name, open)
 		}
 		t.stack = t.stack[:len(t.stack)-1]
-		t.events = append(t.events, Event{Kind: EndElement, Name: name})
+		t.out.end()
 		return nil
 	}
 	// Opening or self-closing tag.
 	t.pos++ // consume '<'
-	if len(t.stack) == 0 {
-		for _, ev := range t.events {
-			if ev.Kind == StartElement {
-				return t.errf("multiple root elements")
-			}
-		}
+	if len(t.stack) == 0 && t.rootSeen {
+		return t.errf("multiple root elements")
 	}
 	name, err := t.scanName()
 	if err != nil {
 		return err
 	}
-	var attrs []Attr
+	t.attrs = t.attrs[:0]
 	for {
 		t.skipSpace()
 		if t.pos >= len(t.src) {
@@ -297,14 +428,16 @@ func (t *tokenizer) scanMarkup() error {
 		}
 		if t.src[t.pos] == '>' {
 			t.pos++
-			t.events = append(t.events, Event{Kind: StartElement, Name: name, Attrs: attrs})
+			t.rootSeen = true
+			t.out.start(name, t.attrs)
 			t.stack = append(t.stack, name)
 			return nil
 		}
 		if strings.HasPrefix(t.src[t.pos:], "/>") {
 			t.pos += 2
-			t.events = append(t.events, Event{Kind: StartElement, Name: name, Attrs: attrs})
-			t.events = append(t.events, Event{Kind: EndElement, Name: name})
+			t.rootSeen = true
+			t.out.start(name, t.attrs)
+			t.out.end()
 			return nil
 		}
 		attrName, err := t.scanName()
@@ -323,22 +456,22 @@ func (t *tokenizer) scanMarkup() error {
 		quote := t.src[t.pos]
 		t.pos++
 		start := t.pos
-		for t.pos < len(t.src) && t.src[t.pos] != quote {
-			t.pos++
-		}
-		if t.pos >= len(t.src) {
+		end := strings.IndexByte(t.src[start:], quote)
+		if end < 0 {
+			t.pos = len(t.src)
 			return t.errf("unterminated attribute value for %q", attrName)
 		}
+		t.pos = start + end
 		val, err := unescape(t.src[start:t.pos])
 		if err != nil {
 			return t.errf("%v", err)
 		}
 		t.pos++
-		attrs = append(attrs, Attr{Name: attrName, Value: val})
+		t.attrs = append(t.attrs, Attr{Name: attrName, Value: val})
 	}
 }
 
-func (t *tokenizer) scanName() (string, error) {
+func (t *scanner) scanName() (string, error) {
 	start := t.pos
 	for t.pos < len(t.src) && isNameChar(t.src[t.pos]) {
 		t.pos++
@@ -349,7 +482,7 @@ func (t *tokenizer) scanName() (string, error) {
 	return t.src[start:t.pos], nil
 }
 
-func (t *tokenizer) skipSpace() {
+func (t *scanner) skipSpace() {
 	for t.pos < len(t.src) {
 		switch t.src[t.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -414,15 +547,20 @@ func unescape(s string) (string, error) {
 	return sb.String(), nil
 }
 
-// escape is the inverse of unescape for the characters that must be escaped
-// in element content and attribute values.
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\"", "&quot;")
-	return r.Replace(s)
-}
+// The escapers are the inverse of unescape for the characters that must be
+// escaped in element content and in a double-quoted attribute value; the
+// latter also writes tab, newline and carriage return as character
+// references, which attribute-value normalization would otherwise turn into
+// spaces.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\"", "&quot;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\"", "&quot;",
+		"\t", "&#9;", "\n", "&#10;", "\r", "&#13;")
+)
 
 // Serialize renders a tree back to XML text.  Attribute labels of the form
-// "@name=value" become attributes; node text becomes element content.
+// "@name=value" become attributes; node text becomes element content (a
+// CDATA section when it is all whitespace, which Parse would otherwise drop).
 // Indentation uses two spaces per depth level when indent is true.
 func Serialize(t *tree.Tree, indent bool) string {
 	var sb strings.Builder
@@ -446,7 +584,9 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 	for _, l := range t.Labels(n)[min(1, len(t.Labels(n))):] {
 		if strings.HasPrefix(l, "@") {
 			if eq := strings.IndexByte(l, '='); eq > 0 {
-				fmt.Fprintf(sb, " %s=%q", l[1:eq], escape(l[eq+1:]))
+				sb.WriteString(" " + l[1:eq] + "=\"")
+				attrEscaper.WriteString(sb, l[eq+1:])
+				sb.WriteByte('"')
 			}
 		}
 	}
@@ -457,8 +597,12 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 		return
 	}
 	sb.WriteString(">")
-	if text != "" {
-		sb.WriteString(escape(text))
+	switch {
+	case text == "":
+	case strings.TrimSpace(text) == "":
+		sb.WriteString("<![CDATA[" + text + "]]>")
+	default:
+		textEscaper.WriteString(sb, text)
 	}
 	for _, c := range children {
 		serializeNode(sb, t, c, indent, depth+1)

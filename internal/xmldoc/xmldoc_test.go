@@ -1,10 +1,14 @@
 package xmldoc
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/tree"
+	"repro/internal/treediff"
+	"repro/internal/workload"
 )
 
 func TestParseSimple(t *testing.T) {
@@ -73,31 +77,129 @@ func TestParseCDATAAndDoctype(t *testing.T) {
 	}
 }
 
+// malformed are documents every ingest path must reject, with the byte offset
+// and message of the *SyntaxError (as the two-stage Tokenize + FromEvents
+// ingest reported them).
+var malformed = []struct {
+	name, doc string
+	offset    int
+	msg       string
+}{
+	{"empty", ``, 0, "document has no root element"},
+	{"no root", `<!-- only a comment -->`, 23, "document has no root element"},
+	{"text outside root", `hello<a/>`, 5, "character data outside the root element"},
+	{"trailing text", `<a/>tail`, 8, "character data outside the root element"},
+	{"cdata outside root", `<![CDATA[x]]><a/>`, 0, "CDATA outside the root element"},
+	{"mismatched tags", `<a><b></a></b>`, 10, "closing tag </a> does not match <b>"},
+	{"unclosed root", `<a><b></b>`, 10, "unclosed element <a>"},
+	{"stray close", `</a>`, 4, "closing tag </a> without matching opening tag"},
+	{"close without open", `<a></a></b>`, 11, "closing tag </b> without matching opening tag"},
+	{"bad close name", `<a></ >`, 5, "expected a name"},
+	{"close missing gt", `<a></a b>`, 7, "expected '>' after closing tag name \"a\""},
+	{"two roots", `<a/><b/>`, 5, "multiple root elements"},
+	{"second root after one", `<a></a><b></b>`, 8, "multiple root elements"},
+	{"nameless tag", `<a>< b/></a>`, 4, "expected a name"},
+	{"unterminated tag", `<a`, 2, "unterminated tag <a"},
+	{"missing attr value", `<a id></a>`, 5, "expected '=' after attribute name \"id\""},
+	{"unquoted attr value", `<a id=3></a>`, 6, "expected quoted attribute value for \"id\""},
+	{"unterminated attr", `<a id="3></a>`, 13, "unterminated attribute value for \"id\""},
+	{"bad attr entity", `<a id="&x;"/>`, 10, "unknown entity &x;"},
+	{"unknown entity", `<a>&nope;</a>`, 9, "unknown entity &nope;"},
+	{"unterminated entity", `<a>&amp</a>`, 7, "unterminated entity reference"},
+	{"bad char ref", `<a>&#xZZ;</a>`, 9, "bad numeric character reference &#xZZ;"},
+	{"unterminated comment", `<a><!-- oops</a>`, 3, "unterminated comment"},
+	{"unterminated cdata", `<a><![CDATA[x</a>`, 3, "unterminated CDATA section"},
+	{"unterminated pi", `<a><?pi </a>`, 3, "unterminated processing instruction"},
+	{"unterminated doctype", `<!DOCTYPE foo`, 0, "unterminated <! declaration"},
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := map[string]string{
-		"empty":                 ``,
-		"no root":               `<!-- only a comment -->`,
-		"text outside root":     `hello<a/>`,
-		"mismatched tags":       `<a><b></a></b>`,
-		"unclosed root":         `<a><b></b>`,
-		"stray close":           `</a>`,
-		"two roots":             `<a/><b/>`,
-		"unterminated comment":  `<a><!-- oops</a>`,
-		"unterminated tag":      `<a`,
-		"missing attr value":    `<a id></a>`,
-		"unquoted attr value":   `<a id=3></a>`,
-		"unterminated attr":     `<a id="3></a>`,
-		"unknown entity":        `<a>&nope;</a>`,
-		"unterminated entity":   `<a>&amp</a>`,
-		"unterminated cdata":    `<a><![CDATA[x</a>`,
-		"unterminated pi":       `<a><?pi </a>`,
-		"unterminated doctype":  `<!DOCTYPE foo`,
-		"close without open":    `<a></a></b>`,
-		"second root after one": `<a></a><b></b>`,
+	for _, tc := range malformed {
+		_, err := Parse(tc.doc)
+		var se *SyntaxError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: Parse(%q) = %v, want a *SyntaxError", tc.name, tc.doc, err)
+			continue
+		}
+		if se.Offset != tc.offset || se.Msg != tc.msg {
+			t.Errorf("%s: Parse(%q) failed at offset %d with %q, want offset %d and %q",
+				tc.name, tc.doc, se.Offset, se.Msg, tc.offset, tc.msg)
+		}
 	}
-	for name, doc := range bad {
-		if _, err := Parse(doc); err == nil {
-			t.Errorf("%s: Parse(%q) should fail", name, doc)
+}
+
+// TestParseMixedContent: character data before and after a child element
+// concatenates into the parent's text (the per-element strings.Builder stack
+// this ingest replaced panicked on exactly these documents).
+func TestParseMixedContent(t *testing.T) {
+	for _, tc := range []struct{ doc, rootText string }{
+		{`<a>x<b/>z</a>`, "xz"},
+		{`<a>x &amp; y<b>q</b>z<c/>w</a>`, "x & yzw"},
+		{`<a>1<b>2<c>3</c>4<c/>5</b>6<![CDATA[7]]></a>`, "167"},
+	} {
+		tr, err := Parse(tc.doc)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.doc, err)
+		}
+		if got := tr.Text(tr.Root()); got != tc.rootText {
+			t.Errorf("Parse(%q): root text %q, want %q", tc.doc, got, tc.rootText)
+		}
+		evs, err := Tokenize(tc.doc)
+		if err != nil {
+			t.Fatalf("Tokenize(%q): %v", tc.doc, err)
+		}
+		tr2, err := FromEvents(evs)
+		if err != nil {
+			t.Fatalf("FromEvents(%q): %v", tc.doc, err)
+		}
+		if got := tr2.Text(tr2.Root()); got != tc.rootText {
+			t.Errorf("FromEvents(%q): root text %q, want %q", tc.doc, got, tc.rootText)
+		}
+	}
+}
+
+// TestParseMatchesEventPath: the scanner builds the same tree through the
+// tree sink as through the event sink and a replay of its events, and rejects
+// a malformed document identically on both.
+func TestParseMatchesEventPath(t *testing.T) {
+	docs := []string{
+		Serialize(workload.SiteDocument(workload.DocSpec{Items: 40, Regions: 6, DescriptionDepth: 2, Seed: 7}), false),
+		Serialize(workload.SiteDocument(workload.DocSpec{Items: 15, Regions: 3, DescriptionDepth: 3, Seed: 8}), true),
+		`<a/>`,
+		`<catalog xmlns="urn:x"><book id="1" lang='en' id="1">Tom &amp; Jerry</book><empty a = "b"  /></catalog>`,
+		`<r><![CDATA[x < y & z]]><s><![CDATA[ ]]></s><![CDATA[]]></r>`,
+		`<?xml version="1.0"?><!DOCTYPE r><!-- c --><r><?pi x?><!-- <fake> --><s/></r><!-- tail --> `,
+		`<r a="&lt;&#65;&#x42;&quot;&apos;">&gt;&#x20AC; </r>`,
+		`<a>x<b/>z</a>`,
+		`<a>x &amp; y<b>q</b>z<c/>w</a>`,
+		`<a> <b> </b> lead<c/>trail </a>`,
+	}
+	for _, doc := range docs {
+		direct, err := Parse(doc)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", doc, err)
+		}
+		evs, err := Tokenize(doc)
+		if err != nil {
+			t.Fatalf("Tokenize(%q): %v", doc, err)
+		}
+		replayed, err := FromEvents(evs)
+		if err != nil {
+			t.Fatalf("FromEvents(Tokenize(%q)): %v", doc, err)
+		}
+		if !treediff.Equal(direct, replayed) {
+			t.Errorf("Parse and FromEvents(Tokenize) disagree on %q:\n%s\n%s",
+				doc, treediff.Canonical(direct), treediff.Canonical(replayed))
+		}
+		if err := direct.Validate(); err != nil {
+			t.Errorf("Parse(%q): %v", doc, err)
+		}
+	}
+	for _, tc := range malformed {
+		_, perr := Parse(tc.doc)
+		_, terr := Tokenize(tc.doc)
+		if !reflect.DeepEqual(perr, terr) {
+			t.Errorf("%s: Parse(%q) failed with %v, Tokenize with %v", tc.name, tc.doc, perr, terr)
 		}
 	}
 }
@@ -121,6 +223,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 		`<a><b><a/><c/></b><a><b/><d/></a></a>`,
 		`<catalog><book id="1">Tom &amp; Jerry</book><empty/></catalog>`,
 		`<r><x/><y>text</y></r>`,
+		// Attribute values Go quoting would rewrite: a backslash, a newline, a
+		// tab, a carriage return, both quote characters, a non-ASCII rune.
+		`<r path="c:\dir\new" note='say "hi" &amp; it&apos;s'><x v="a&#10;b&#9;c&#13;d" w="&#x20AC;"/></r>`,
+		"<r v=\"line one\nline two\tend\"/>",
+		`<r><s><![CDATA[ ]]></s></r>`,
 	}
 	for _, doc := range docs {
 		tr := MustParse(doc)
@@ -129,15 +236,18 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse of %q: %v", out, err)
 		}
-		if !tree.Equal(tr, tr2) {
-			t.Errorf("round trip changed the tree:\n in: %s\nout: %s", doc, out)
+		// Labels (attribute values included), text and shape must all survive.
+		if !treediff.Equal(tr, tr2) {
+			t.Errorf("round trip changed the tree:\n in: %s\nout: %s\n%s\n%s",
+				doc, out, treediff.Canonical(tr), treediff.Canonical(tr2))
 		}
-		// Text must also survive.
-		for i, n := range tr.Nodes() {
-			if tr.Text(n) != tr2.Text(tr2.Nodes()[i]) {
-				t.Errorf("text of node %d changed: %q -> %q", n, tr.Text(n), tr2.Text(tr2.Nodes()[i]))
-			}
-		}
+	}
+	tr := MustParse(`<r path="c:\dir" v="a&#10;b"/>`)
+	if !tr.HasLabel(tr.Root(), `@path=c:\dir`) || !tr.HasLabel(tr.Root(), "@v=a\nb") {
+		t.Fatalf("labels = %q", tr.Labels(tr.Root()))
+	}
+	if out, want := Serialize(tr, false), `<r path="c:\dir" v="a&#10;b"/>`; out != want {
+		t.Errorf("Serialize = %s, want %s", out, want)
 	}
 }
 
