@@ -128,6 +128,27 @@ func BenchmarkE4MonadicDatalog(b *testing.B) {
 			}
 		})
 	}
+	// The same theorem without the ground program: the TMNF rules compiled
+	// once, propagated on the tree (what treeqd executes).
+	tm, err := prog.ToTMNF()
+	if err != nil {
+		b.Fatal(err)
+	}
+	compiled, err := tm.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		t := workload.RandomTree(workload.TreeSpec{Nodes: n, Seed: 2, Alphabet: []string{"a", "b", "L"}})
+		b.Run(fmt.Sprintf("compiled/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compiled.SolveCtx(context.Background(), t, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	small := workload.RandomTree(workload.TreeSpec{Nodes: 60, Seed: 2, Alphabet: []string{"a", "b", "L"}})
 	b.Run("naive-fixpoint/n=60", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -293,9 +314,9 @@ func BenchmarkJoinKernel(b *testing.B) {
 
 // BenchmarkScanRoutes times the linear-scan routes of scan_mix at 150 and
 // 1,500 items: a warm Exec of the streaming plan //item//keyword, a warm Exec
-// of the ancestor datalog plan (one Horn-SAT solve), and that plan's Prepare
-// (TMNF + grounding, what every write to the document pays again).
-// TestScanScalingLinear enforces the allocation counts.
+// of the ancestor datalog plan (one unit propagation over the tree), and that
+// plan's Prepare (parse + TMNF + compile: no document is read, so the two
+// sizes cost the same).  TestScanScalingLinear enforces the counts.
 func BenchmarkScanRoutes(b *testing.B) {
 	ctx := context.Background()
 	stream, datalog := scanMixQueries[0], scanMixQueries[2]
@@ -467,8 +488,8 @@ func BenchmarkPreparedCQRewrite(b *testing.B) {
 }
 
 func BenchmarkPreparedDatalog(b *testing.B) {
-	// Prepared datalog grounds the TMNF program over the document once; each
-	// execution only solves the immutable ground Horn program.
+	// Prepared datalog converts to TMNF and compiles once; each execution only
+	// propagates the compiled rules on the document.
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 20_000, Seed: 22, Alphabet: []string{"a", "b", "L"}})
 	eng := core.New(doc)
 	ctx := context.Background()
@@ -582,8 +603,8 @@ func BenchmarkServicePlanCache(b *testing.B) {
 	// cache (compile once, execute thereafter), "cold" pays parse + classify +
 	// plan + compile on every call like the pre-service one-shot API.  The
 	// cache's margin tracks the route's compilation cost: roughly break-even
-	// on cheap-to-parse XPath, a wide win on datalog (TMNF grounding) and the
-	// rewrite route (acyclic-union construction).
+	// on cheap-to-parse XPath, a win on datalog (TMNF conversion + compile)
+	// and the rewrite route (acyclic-union construction).
 	svc := serviceCorpus(b, 1)
 	if err := svc.Add("tree00", workload.RandomTree(workload.TreeSpec{Nodes: 5000, Seed: 35, Alphabet: []string{"a", "b", "L"}})); err != nil {
 		b.Fatal(err)
@@ -1024,7 +1045,7 @@ func BenchmarkUpdateSmallEdit(b *testing.B) {
 	// and index caches are lazy, so a bare rebuild only defers its cost to
 	// the next query; timing update+query charges each arm what a client
 	// actually waits.  "patched" (ratio 1) splices the columnar index and
-	// rebinds label-disjoint plans without re-grounding; "rebuild" (ratio 0)
+	// rebinds the warm plans over the carried label artifacts; "rebuild" (ratio 0)
 	// starts from a cold index and re-prepares every plan.  The patched arm
 	// must win by >=5x.
 	revs := [2]*tree.Tree{updateBenchRev(0), updateBenchRev(1)}
@@ -1068,7 +1089,7 @@ func BenchmarkUpdateSmallEdit(b *testing.B) {
 			}
 			b.StopTimer()
 			if st := svc.Stats(); tc.ratio > 0 && st.PlansSkippedByLabelSet == 0 {
-				b.Fatal("patched arm never skipped a label-disjoint re-grounding")
+				b.Fatal("patched arm never counted a label-disjoint plan")
 			}
 		})
 	}

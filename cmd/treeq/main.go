@@ -287,7 +287,7 @@ func runCorpus(dir, lang, text string, engOpts []core.Option, run corpusRun) {
 			fatal(err)
 		}
 		st := svc.Stats()
-		fmt.Fprintf(os.Stderr, "treeq: updated %s to version %d, %s/%s (%d plans re-prepared, %d skipped re-grounding, %d re-prepare failures)\n",
+		fmt.Fprintf(os.Stderr, "treeq: updated %s to version %d, %s/%s (%d plans re-prepared, %d of them label-disjoint from the edit, %d re-prepare failures)\n",
 			name, outcome.Version, outcome.Mode(), outcome.Kind,
 			st.PlanReprepares, st.PlansSkippedByLabelSet, st.PlanReprepareFailures)
 		failed += pass()

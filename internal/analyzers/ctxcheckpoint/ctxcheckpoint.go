@@ -12,18 +12,19 @@
 // (building occurrence indexes, candidate domains, encodings), then the
 // dominant — often superlinear — work, which is where the cancellation
 // checkpoints live: a modulo-interval ctx.Err() in the main loop
-// (hornsat.SolveCtx), a checkpoint inside the backtracking recursion closure
-// (cq.EvalCtx, arccons.EnumerateCtx), or delegation by passing ctx to the
-// callee that does the solving (arccons building a Horn program and handing
-// it to SolveCtx).  Requiring a checkpoint in every loop would outlaw the
-// setup loops, so the analyzer checks the shape itself:
+// (hornsat.SolveCtx, mdatalog's compiled SolveCtx), a checkpoint inside the
+// backtracking recursion closure (cq.EvalCtx, arccons.EnumerateCtx), or
+// delegation by passing ctx to the callee that does the solving (arccons
+// building a Horn program and handing it to SolveCtx).  Requiring a
+// checkpoint in every loop would outlaw the setup loops, so the analyzer
+// checks the shape itself:
 //
-// In the solver packages (hornsat, cq, arccons, rewrite), every exported
-// function whose name ends in "Ctx" and takes a context.Context must, if it
-// loops at all, contain a cancellation touchpoint — ctx.Err(), ctx.Done(),
-// or a call forwarding a context — at or after its first loop.  An
-// entry-only ctx.Err() guard does not count: it proves the solver looked at
-// ctx once, not that cancellation can interrupt the work.
+// In the solver packages (hornsat, cq, arccons, rewrite, mdatalog), every
+// exported function whose name ends in "Ctx" and takes a context.Context
+// must, if it loops at all, contain a cancellation touchpoint — ctx.Err(),
+// ctx.Done(), or a call forwarding a context — at or after its first loop.
+// An entry-only ctx.Err() guard does not count: it proves the solver looked
+// at ctx once, not that cancellation can interrupt the work.
 package ctxcheckpoint
 
 import (
@@ -48,10 +49,11 @@ var Analyzer = &analysis.Analyzer{
 // solverPkgs are the packages whose exported *Ctx functions promise
 // checkpoint-grade cancellation (the PR 6 contract).
 var solverPkgs = map[string]bool{
-	"repro/internal/hornsat": true,
-	"repro/internal/cq":      true,
-	"repro/internal/arccons": true,
-	"repro/internal/rewrite": true,
+	"repro/internal/hornsat":  true,
+	"repro/internal/cq":       true,
+	"repro/internal/arccons":  true,
+	"repro/internal/rewrite":  true,
+	"repro/internal/mdatalog": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -67,9 +67,9 @@ func (s Strategy) String() string {
 }
 
 // Phase is one timed stage of query preparation: "parse" (source text to
-// AST), "translate" (twig-to-CQ or datalog-to-TMNF conversion), "compile"
-// (streaming matcher construction), "ground" (datalog grounding over the
-// document), "build" (classification, planning, and run-closure binding).
+// AST), "translate" (twig-to-CQ conversion), "compile" (streaming matcher
+// construction; datalog TMNF conversion and rule compilation), "build"
+// (classification, planning, and run-closure binding).
 // Routes record only the phases they actually performed, so a Reprepare —
 // which reuses the parsed artifacts — reports no "parse" phase: the phase
 // list is also the receipt for what a warm re-prepare saved.
@@ -300,7 +300,7 @@ func (e *Engine) EvaluateCQ(q *cq.Query) ([]cq.Answer, *Plan, error) {
 
 // Datalog evaluates a monadic datalog program (package mdatalog syntax) and
 // returns the nodes in the query predicate.  It is a thin wrapper over
-// Prepare + Exec; preparing once amortizes the TMNF grounding.
+// Prepare + Exec; preparing once amortizes the TMNF conversion and compile.
 func (e *Engine) Datalog(program string) ([]tree.NodeID, *Plan, error) {
 	pq, plan, err := e.prepareDatalog(program)
 	if err != nil {

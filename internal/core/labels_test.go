@@ -35,76 +35,57 @@ func TestPreparedQueryLabels(t *testing.T) {
 	}
 }
 
-// TestDatalogRebindSameShape checks the one route with a document-bound
-// artifact: after a shape-preserving edit disjoint from the program's labels,
-// the rebind reuses the ground Horn program (no "ground" phase) yet answers
-// against the new document exactly like a cold prepare.
-func TestDatalogRebindSameShape(t *testing.T) {
-	oldT := tree.MustParseSexpr("site(item(name keyword) item(other keyword))")
-	newT := tree.MustParseSexpr("site(item(name keyword) item(title keyword))")
-	sc, ok := treediff.Diff(oldT, newT)
-	if !ok || !sc.ShapePreserving {
-		t.Fatalf("expected shape-preserving diff, got %+v ok=%v", sc, ok)
+// TestDatalogReprepareSameShape: a datalog plan carried across a
+// shape-preserving edit disjoint from the program's labels — the rebind that
+// used to transfer a ground Horn program — shares the compiled program
+// (nothing is parsed, translated or compiled again) and answers against the
+// new document exactly like a cold prepare, edit after edit.
+func TestDatalogReprepareSameShape(t *testing.T) {
+	revs := []*tree.Tree{
+		tree.MustParseSexpr("site(item(name keyword) item(other keyword))"),
+		tree.MustParseSexpr("site(item(name keyword) item(title keyword))"),
+		tree.MustParseSexpr("site(item(name keyword) item(name2 keyword))"),
 	}
-
-	e := New(oldT)
-	const prog = "Q(x) :- Lab[keyword](x).\n?- Q."
+	const prog = "Q(x) :- Lab[keyword](y), NextSibling(x, y).\n?- Q."
+	e := New(revs[0])
 	pq, err := e.Prepare(LangDatalog, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ne := e.Patched(newT, index.PatchSpec{
-		Start: sc.Start, OldLen: sc.OldLen, NewLen: sc.NewLen,
-		Touched: sc.Touched, ShapePreserving: sc.ShapePreserving,
-	})
-	npq, err := pq.RebindSameShape(ne)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range npq.Phases() {
-		if ph.Name == "ground" {
-			t.Fatal("rebind re-ground the program")
+	for i, newT := range revs[1:] {
+		sc, ok := treediff.Diff(revs[i], newT)
+		if !ok || !sc.ShapePreserving {
+			t.Fatalf("edit %d: expected shape-preserving diff, got %+v ok=%v", i, sc, ok)
 		}
-	}
-	if npq.Clauses() != pq.Clauses() {
-		t.Fatalf("rebind changed clause count: %d vs %d", npq.Clauses(), pq.Clauses())
-	}
-
-	res, _, err := npq.Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := New(newT).Prepare(LangDatalog, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := cold.Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Nodes, want.Nodes) {
-		t.Fatalf("rebound answers %v, cold prepare answers %v", res.Nodes, want.Nodes)
-	}
-
-	// The transferred program survives a second qualifying edit.
-	n2 := tree.MustParseSexpr("site(item(name keyword) item(name2 keyword))")
-	sc2, ok := treediff.Diff(newT, n2)
-	if !ok || !sc2.ShapePreserving {
-		t.Fatalf("second diff: %+v ok=%v", sc2, ok)
-	}
-	ne2 := ne.Patched(n2, index.PatchSpec{
-		Start: sc2.Start, OldLen: sc2.OldLen, NewLen: sc2.NewLen,
-		Touched: sc2.Touched, ShapePreserving: sc2.ShapePreserving,
-	})
-	npq2, err := npq.RebindSameShape(ne2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, _, err := npq2.Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res2.Nodes, want.Nodes) {
-		t.Fatalf("chained rebind answers %v, want %v", res2.Nodes, want.Nodes)
+		e = e.Patched(newT, index.PatchSpec{
+			Start: sc.Start, OldLen: sc.OldLen, NewLen: sc.NewLen,
+			Touched: sc.Touched, ShapePreserving: sc.ShapePreserving,
+		})
+		if pq, err = pq.Reprepare(e); err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range pq.Phases() {
+			if ph.Name != "build" {
+				t.Fatalf("edit %d: reprepare ran phase %q again", i, ph.Name)
+			}
+		}
+		if pq.Clauses() != 0 {
+			t.Fatalf("edit %d: datalog plan reports %d clauses, want 0", i, pq.Clauses())
+		}
+		res, _, err := pq.Exec(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := New(newT).Prepare(LangDatalog, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := cold.Exec(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Nodes) != 2 || !reflect.DeepEqual(res.Nodes, want.Nodes) {
+			t.Fatalf("edit %d: rebound answers %v, cold prepare answers %v", i, res.Nodes, want.Nodes)
+		}
 	}
 }

@@ -77,8 +77,10 @@ func (s ExecStats) AvgExec() time.Duration {
 }
 
 // PreparedQuery is a compiled query: parsed, classified, and planned once by
-// Engine.Prepare, with every per-document artifact the plan needs (rewritten
-// disjunct unions, ground Horn programs) already materialized.  Exec runs the
+// Engine.Prepare, with every artifact the plan needs (rewritten disjunct
+// unions, compiled datalog programs and streaming matchers) already built.
+// None of them is bound to the document: what a route reads of it, it reads
+// from the engine's tree and index at execution time.  Exec runs the
 // compiled plan; it may be called repeatedly and from concurrent goroutines.
 type PreparedQuery struct {
 	eng  *Engine
@@ -87,34 +89,26 @@ type PreparedQuery struct {
 
 	base        Plan // immutable after prepare; cloned per execution
 	prepareTime time.Duration
-	clauses     int // size of the materialized per-document artifact, in clauses
+	clauses     int // size of the plan's largest artifact, in clauses (see Clauses)
 
 	// labels is the sorted set of document labels the query mentions (node
 	// tests, lab() qualifiers, Lab[...] atoms, pattern-tree labels).  nil
 	// means the route could not determine it, which callers must treat as
-	// "intersects everything".  The incremental-update layer skips
-	// re-grounding plans whose label set is disjoint from a diff's touched
-	// labels.
+	// "intersects everything".  The incremental-update layer counts the
+	// plans whose label set is disjoint from a shape-preserving diff's
+	// touched labels: their answers cannot have changed.
 	labels []string
 
 	// run executes the compiled plan.  It must be safe for concurrent calls:
 	// everything it closes over is immutable, and plan is execution-local.
 	run func(ctx context.Context, plan *Plan) (*Result, error)
 
-	// reprepare rebinds the query to a new engine, reusing the route's
-	// document-independent artifacts (parsed AST, translated CQ, TMNF
-	// conversion, compiled streaming matcher); only the document-bound work
-	// (grounding, run-closure binding) is redone.  Set by every prepare route.
+	// reprepare rebinds the query to a new engine, sharing the route's
+	// artifacts (parsed AST, translated and compiled CQ, compiled datalog
+	// program, compiled streaming matcher); only classification under the
+	// new engine's strategy and the run-closure binding are redone.  Set by
+	// every prepare route.
 	reprepare func(e *Engine) (*PreparedQuery, error)
-
-	// rebindShape, when set, rebinds the query to a new engine whose document
-	// is a shape-preserving edit of the old one that touches none of the
-	// query's labels — reusing even the document-BOUND artifacts (the ground
-	// Horn program), since grounding depends only on node count, structure,
-	// and the extensions of the query's own labels.  Routes without
-	// document-bound artifacts leave it nil and fall back to reprepare,
-	// which is already a pure closure rebind for them.
-	rebindShape func(e *Engine) (*PreparedQuery, error)
 
 	execs     atomic.Uint64
 	execNanos atomic.Int64
@@ -126,12 +120,13 @@ func (p *PreparedQuery) Language() string { return p.lang }
 // Text returns the source text of the query.
 func (p *PreparedQuery) Text() string { return p.text }
 
-// Clauses reports the size, in clauses, of the per-document artifact the
-// prepared query pins in memory: the ground Horn program for datalog queries
-// (O(|P| * |Dom|) clauses) and the rewritten disjunct union for the rewrite
-// route.  Routes whose compiled form is document-independent (a parsed
-// expression, a streaming matcher) report 0.  Cache admission policies use
-// this to keep one huge artifact from displacing many cheap plans.
+// Clauses reports the size of the one artifact a prepared query can pin that
+// grows faster than its text: the number of acyclic disjuncts the rewrite
+// route compiled (exponential in the query's variables), and the pattern size
+// of a similarity query.  Every other route — datalog included, whose
+// compiled program is a few rules and no ground clauses — reports 0.  Cache
+// admission policies use this to keep one huge artifact from displacing many
+// cheap plans.
 func (p *PreparedQuery) Clauses() int { return p.clauses }
 
 // Labels returns the sorted set of document labels the query mentions, or
@@ -177,12 +172,11 @@ func (p *PreparedQuery) Exec(ctx context.Context) (*Result, *Plan, error) {
 
 // Reprepare compiles the same query against another engine — typically the
 // engine of a new revision of the same document — and returns a fresh
-// PreparedQuery bound to it.  It reuses every document-independent artifact of
-// the original prepare (the parsed expression or program, the twig-to-CQ
-// translation, the TMNF conversion, the compiled streaming matcher) and redoes
-// only the document-bound work, so re-preparing a warm plan after a document
-// swap is strictly cheaper than a cold Prepare: datalog pays only the
-// re-grounding, the other routes only rebind their run closures.
+// PreparedQuery bound to it.  It shares every artifact of the original prepare
+// (the parsed expression or program, the twig-to-CQ translation, the compiled
+// datalog program, the compiled streaming matcher) — none is bound to the
+// document — so re-preparing a warm plan after a document swap costs a
+// closure and a plan, whatever the route and the document size.
 //
 // The receiver is left untouched and stays valid against its own engine;
 // execution statistics start fresh on the returned query.  Reprepare is safe
@@ -192,21 +186,6 @@ func (p *PreparedQuery) Reprepare(e *Engine) (*PreparedQuery, error) {
 		return p.reprepare(e)
 	}
 	return e.Prepare(p.lang, p.text)
-}
-
-// RebindSameShape rebinds the query to an engine whose document is a
-// shape-preserving edit of the old one (identical node count, parents, and
-// pre/post orders) touching none of the query's labels.  Under those
-// preconditions — which the CALLER must establish, via treediff's
-// ShapePreserving flag and a Labels()-vs-touched disjointness check — even
-// document-bound artifacts like the ground Horn program remain valid, so the
-// rebind is O(1) for every route.  Routes without such artifacts fall back
-// to Reprepare, which for them is already a pure closure rebind.
-func (p *PreparedQuery) RebindSameShape(e *Engine) (*PreparedQuery, error) {
-	if p.rebindShape != nil {
-		return p.rebindShape(e)
-	}
-	return p.Reprepare(e)
 }
 
 // Prepare parses, classifies and plans a query once, returning an immutable
@@ -495,14 +474,28 @@ func (e *Engine) prepareDatalog(program string) (*PreparedQuery, *Plan, error) {
 	if err != nil {
 		return nil, &Plan{Language: "datalog"}, err
 	}
-	return e.buildDatalog(p, program, time.Since(parseStart))
+	return e.buildDatalog(p, newDatalogForm(p), program, time.Since(parseStart))
 }
 
-// buildDatalog binds an already-parsed program to this engine's document:
-// strategy branch, TMNF conversion (query-only), and grounding (the one
-// per-document compilation step).  Reprepare re-enters here on the new
-// engine, so a document swap pays the re-grounding but never the parse.
-func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time.Duration) (*PreparedQuery, *Plan, error) {
+// newDatalogForm is the document-independent executable of a datalog program
+// — its TMNF conversion, compiled — built on first use by the first engine
+// that does not run the program naively and then shared by every Reprepare.
+func newDatalogForm(p *mdatalog.Program) func() (*mdatalog.Compiled, error) {
+	return sync.OnceValues(func() (*mdatalog.Compiled, error) {
+		tm, err := p.ToTMNF()
+		if err != nil {
+			return nil, err
+		}
+		return tm.Compile()
+	})
+}
+
+// buildDatalog binds an already-parsed program to this engine: the strategy
+// branch and the run closure.  TMNF conversion and compilation read no
+// document, so Reprepare re-enters here on the new engine with the same form
+// (parseDur 0 marks parse and compile as not performed) and a document swap
+// costs a closure and a plan.
+func (e *Engine) buildDatalog(p *mdatalog.Program, form func() (*mdatalog.Compiled, error), program string, parseDur time.Duration) (*PreparedQuery, *Plan, error) {
 	start := time.Now()
 	plan := &Plan{Language: "datalog", Technique: "TMNF grounding + Minoux Horn-SAT (Theorem 3.2)"}
 	if parseDur > 0 {
@@ -511,7 +504,7 @@ func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time
 	plan.note("program with %d rules, size %d, query predicate %s", len(p.Rules), p.Size(), p.Query)
 	pq := &PreparedQuery{eng: e, lang: LangDatalog, text: program, labels: p.LabelSet()}
 	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
-		npq, _, err := ne.buildDatalog(p, program, 0)
+		npq, _, err := ne.buildDatalog(p, form, program, 0)
 		return npq, err
 	}
 	if e.strategy == Naive {
@@ -526,57 +519,26 @@ func (e *Engine) buildDatalog(p *mdatalog.Program, program string, parseDur time
 		plan.phase("build", time.Since(start))
 		return e.finish(pq, plan, start), plan, nil
 	}
-	// Compile once: TMNF conversion and grounding over the engine's document
-	// happen at prepare time; each execution only solves the (immutable)
-	// ground Horn program and decodes the query predicate.
-	translateStart := time.Now()
-	tm, err := p.ToTMNF()
+	compileStart := time.Now()
+	c, err := form()
 	if err != nil {
 		return nil, plan, err
 	}
-	plan.phase("translate", time.Since(translateStart))
-	groundStart := time.Now()
-	g, err := tm.Ground(e.doc)
-	if err != nil {
-		return nil, plan, err
+	bindStart := time.Now()
+	if parseDur > 0 {
+		plan.phase("compile", bindStart.Sub(compileStart))
 	}
-	plan.phase("ground", time.Since(groundStart))
-	plan.note("TMNF-grounded over %d nodes at prepare time", e.doc.Len())
-	pq.clauses = g.Horn.NumClauses()
-	queryPred := tm.Query
-	bindRun := func(target *PreparedQuery) {
-		target.run = func(ctx context.Context, pl *Plan) (*Result, error) {
-			// Solving the ground program is the whole execution cost; the
-			// solver checkpoints ctx every CheckpointInterval unit
-			// propagations, so a mid-solve expiry aborts within one interval.
-			model, err := g.Horn.SolveCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Nodes: g.NodesOf(queryPred, model)}, nil
+	plan.note("TMNF-compiled to %d rules over %d predicates; propagated on the tree, no ground program", c.NumRules(), c.NumPredicates())
+	pq.run = func(ctx context.Context, pl *Plan) (*Result, error) {
+		// The solver checkpoints ctx every hornsat.CheckpointInterval unit
+		// propagations, so a mid-solve expiry aborts within one interval.
+		nodes, err := c.SolveCtx(ctx, e.doc, e.idx)
+		if err != nil {
+			return nil, err
 		}
+		return &Result{Nodes: nodes}, nil
 	}
-	bindRun(pq)
-	// Grounding reads the document only through its node count, the
-	// structural tau+ relations, and the extensions of the program's own
-	// Lab[...] labels — so when the caller guarantees a shape-preserving edit
-	// touching none of those labels, the ground Horn program transfers to the
-	// new engine verbatim and the rebind skips the one expensive phase.
-	pq.rebindShape = func(ne *Engine) (*PreparedQuery, error) {
-		npq := &PreparedQuery{
-			eng: ne, lang: LangDatalog, text: program,
-			labels: pq.labels, clauses: pq.clauses,
-		}
-		nplan := pq.base.clone()
-		nplan.Phases = nil
-		nplan.note("ground program reused: shape-preserving edit disjoint from the program's labels")
-		npq.base = *nplan
-		npq.reprepare = pq.reprepare
-		// The transferred program stays reusable for the next qualifying edit.
-		npq.rebindShape = pq.rebindShape
-		bindRun(npq)
-		return npq, nil
-	}
+	plan.phase("build", time.Since(bindStart))
 	return e.finish(pq, plan, start), plan, nil
 }
 

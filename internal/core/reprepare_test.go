@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/index"
 	"repro/internal/tree"
 	"repro/internal/treediff"
+	"repro/internal/workload"
 )
 
 // reprepareDocs builds two revisions of a small document: v1 has 2 keywords,
@@ -76,12 +78,15 @@ func TestReprepareEveryRoute(t *testing.T) {
 	}
 }
 
-// TestReprepareRebindsClauses: datalog grounding is per-document, so the
-// re-prepared artifact size must reflect the new document, not the old.
+// TestReprepareRebindsClauses: the artifact size a re-prepared plan reports is
+// measured on the plan the new engine built, not copied from the old one —
+// the rewritten union's disjunct count where the new engine runs the
+// rewriting, 0 where its forced strategy does not.
 func TestReprepareRebindsClauses(t *testing.T) {
 	oldEng, _ := FromXML(reprepareV1)
 	newEng, _ := FromXML(reprepareV2)
-	pq, err := oldEng.Prepare(LangDatalog, "P(x) :- Lab[keyword](x).\n?- P.")
+	naiveEng, _ := FromXML(reprepareV2, WithStrategy(Naive))
+	pq, err := oldEng.Prepare(LangCQ, "Q(k, l) :- Lab[item](i), Child+(i, k), Lab[keyword](k), Child+(i, l), Lab[keyword](l), Following(k, l).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +94,53 @@ func TestReprepareRebindsClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Clauses() != 2 || npq.Clauses() != 4 {
-		t.Errorf("clauses old=%d new=%d, want 2 and 4", pq.Clauses(), npq.Clauses())
+	if pq.Clauses() != 4 || npq.Clauses() != 4 {
+		t.Errorf("clauses old=%d new=%d, want the union's 4 disjuncts on both", pq.Clauses(), npq.Clauses())
+	}
+	naive, err := pq.Reprepare(naiveEng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if naive.Clauses() != 0 {
+		t.Errorf("clauses under the naive strategy = %d, want 0 (no union held)", naive.Clauses())
+	}
+	// One pair of keywords under one item in v1; three pairs in v2's first
+	// item and none in its second.
+	for _, tc := range []struct {
+		pq   *PreparedQuery
+		want int
+	}{{pq, 1}, {npq, 3}, {naive, 3}} {
+		res, _, err := tc.pq.Exec(context.Background())
+		if err != nil || len(res.Answers) != tc.want {
+			t.Errorf("%d answers, %v; want %d", len(res.Answers), err, tc.want)
+		}
+	}
+}
+
+// TestDatalogReprepareSharesCompiled: re-preparing a datalog plan shares the
+// compiled program, so it allocates a closure, a plan and its notes — the
+// same small number of objects whatever the document size.  (Re-grounding
+// allocated per rule and copied per node; recompiling per write would cost
+// update_churn its allocs_per_req bound.)
+func TestDatalogReprepareSharesCompiled(t *testing.T) {
+	const prog = "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."
+	var allocs [2]float64
+	for i, items := range []int{150, 1500} {
+		eng := New(workload.SiteDocument(workload.DocSpec{Items: items, Regions: 6, DescriptionDepth: 2, Seed: 1}))
+		pq, err := eng.Prepare(LangDatalog, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, err := pq.Reprepare(eng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("Reprepare allocations: %.0f at 150 items, %.0f at 1,500", allocs[0], allocs[1])
+	// 13 and 13 without the race detector, whose bookkeeping adds a few.
+	if math.Abs(allocs[0]-allocs[1]) > 4 || allocs[0] > 20 {
+		t.Errorf("Reprepare allocates %.0f / %.0f objects at 150 / 1,500 items, want the same small constant", allocs[0], allocs[1])
 	}
 }
 

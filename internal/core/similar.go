@@ -126,9 +126,8 @@ func (e *Engine) buildSimilar(pat *ted.Pattern, k, maxDist int, text string, par
 	}
 	sort.Strings(labels)
 	pq := &PreparedQuery{eng: e, lang: LangSimilar, text: text, labels: labels}
-	// The pattern is tiny next to a ground datalog program, but reporting its
-	// node count gives the plan-cache admission policy the same size handle
-	// every other route exposes.
+	// The pattern is tiny, but reporting its node count gives the plan-cache
+	// admission policy the same size handle the rewrite route exposes.
 	pq.clauses = pat.Size()
 	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
 		npq, _ := ne.buildSimilar(pat, k, maxDist, text, 0, 0)

@@ -10,7 +10,11 @@
 // Evaluation follows Theorem 3.2: the program is brought into (an extension
 // of) the Tree-Marking Normal Form of Definition 3.4, grounded over the tree
 // in time O(|P| * |Dom|), and the resulting propositional Horn program is
-// solved with Minoux' linear-time algorithm (package hornsat).
+// solved with Minoux' linear-time algorithm (package hornsat).  Evaluate does
+// exactly that, and is the paper's construction as written.  Compile +
+// SolveCtx run the same unit propagation without materializing the ground
+// program — every TMNF clause an atom fires can be read off the tree's links
+// — and are what the query engine executes; Ground is their oracle.
 package mdatalog
 
 import (
@@ -114,10 +118,10 @@ const (
 )
 
 // LabelSet returns the sorted distinct labels the program mentions through
-// Lab[...] predicates, in heads or bodies.  Grounding depends on the document
-// only through node count, the structural relations, and these labels'
-// extensions, so a plan whose LabelSet is disjoint from a shape-preserving
-// edit's touched labels can reuse its ground program unchanged.
+// Lab[...] predicates, in heads or bodies.  Evaluation depends on the
+// document only through node count, the structural relations, and these
+// labels' extensions, so a shape-preserving edit touching none of them cannot
+// change the program's answers.
 func (p *Program) LabelSet() []string {
 	set := map[string]bool{}
 	add := func(a Atom) {

@@ -114,8 +114,8 @@ func (s *Server) registerMetrics() {
 	counter("treeqd_plan_reprepare_failures_total", "Plans dropped because they no longer compile after an update.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanReprepareFailures) })
 
-	// Incremental updates: how each swap derived its engine, plans rebound
-	// without re-grounding, and cumulative per-phase update time.  The
+	// Incremental updates: how each swap derived its engine, warm plans the
+	// edit could not affect, and cumulative per-phase update time.  The
 	// per-call distribution lives in treeqd_update_duration_seconds{phase},
 	// registered by service.WithMetrics.
 	reg.RegisterFunc("treeqd_update_patch_total", obsv.TypeCounter,
@@ -127,7 +127,7 @@ func (s *Server) registerMetrics() {
 			emit(float64(sn.stats.RebuildUpdates), "rebuilt")
 		})
 	counter("treeqd_update_plans_skipped_total",
-		"Warm plans rebound without re-grounding because their label set was disjoint from the edit's touched labels.",
+		"Warm plans whose label set was disjoint from a shape-preserving edit's touched labels: the write could not change their answers.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlansSkippedByLabelSet) })
 	reg.RegisterFunc("treeqd_update_phase_seconds_total", obsv.TypeCounter,
 		"Cumulative wall time per update phase across all document updates.", []string{"phase"},

@@ -580,8 +580,7 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 // document's current engine — the server-registry mirror of the service's
 // warm plan re-prepare.  The (engine, version) pair is read consistently
 // from the corpus (not taken from the caller's Update result, which may
-// already be superseded).  Re-preparation runs outside prepMu (grounding can
-// be slow); the swap itself is under the lock and version-guarded, so when
+// already be superseded).  Re-preparation runs outside prepMu; the swap itself is under the lock and version-guarded, so when
 // concurrent updates race, a slower re-prepare against an older revision
 // never overwrites a newer one.  Entries that no longer compile against the
 // new document are dropped, so a later execution 404s instead of answering

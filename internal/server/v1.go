@@ -114,24 +114,39 @@ type envelopeJSON struct {
 	Timings map[string]any `json:"timings,omitempty"` // ?debug=timings echo
 }
 
-// resultEntries flattens one document's core.Result into envelope entries:
-// ranked hits carry a score, node lists are bare, answer tuples carry the
-// full tuple with the head as the selected node.
-func resultEntries(doc string, version uint64, res *core.Result) []resultEntryJSON {
+// fillEnvelope flattens one document's core.Result into the envelope: ranked
+// hits carry a score, node lists are bare, answer tuples carry the full tuple
+// with the head as the selected node.  Only the first limit entries (all of
+// them when limit is 0) are built; total counts every match regardless.
+func fillEnvelope(env *envelopeJSON, doc string, version uint64, res *core.Result, limit int) {
+	env.Version = APIVersion
+	env.Results = []resultEntryJSON{} // the envelope's results is never null
 	if res == nil {
-		return nil
+		return
 	}
-	out := make([]resultEntryJSON, 0, len(res.Hits)+len(res.Nodes)+len(res.Answers))
-	for _, h := range res.Hits {
+	env.Total = len(res.Hits) + len(res.Nodes) + len(res.Answers)
+	keep := env.Total
+	if limit > 0 && keep > limit {
+		keep = limit
+		env.Truncated = true
+	}
+	if keep == 0 {
+		return
+	}
+	hits := res.Hits[:min(keep, len(res.Hits))]
+	nodes := res.Nodes[:min(keep-len(hits), len(res.Nodes))]
+	answers := res.Answers[:min(keep-len(hits)-len(nodes), len(res.Answers))]
+	out := make([]resultEntryJSON, 0, keep)
+	for _, h := range hits {
 		score := h.Distance
 		out = append(out, resultEntryJSON{
 			Doc: doc, DocVersion: version, Node: int32(h.Node), Score: &score,
 		})
 	}
-	for _, n := range res.Nodes {
+	for _, n := range nodes {
 		out = append(out, resultEntryJSON{Doc: doc, DocVersion: version, Node: int32(n)})
 	}
-	for _, a := range res.Answers {
+	for _, a := range answers {
 		tuple := make([]int32, len(a))
 		for i, n := range a {
 			tuple[i] = int32(n)
@@ -142,22 +157,7 @@ func resultEntries(doc string, version uint64, res *core.Result) []resultEntryJS
 		}
 		out = append(out, e)
 	}
-	return out
-}
-
-// cutEnvelope applies the request limit to the assembled entries and fills in
-// the total/truncated accounting.
-func (s *Server) cutEnvelope(env *envelopeJSON, entries []resultEntryJSON, limit int) {
-	env.Total = len(entries)
-	if limit > 0 && len(entries) > limit {
-		entries = entries[:limit]
-		env.Truncated = true
-	}
-	if entries == nil {
-		entries = []resultEntryJSON{} // the envelope's results is never null
-	}
-	env.Results = entries
-	env.Version = APIVersion
+	env.Results = out
 }
 
 // handleQueryV1 is POST /v1/query: one document, any language, envelope out.
@@ -178,7 +178,7 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	env := envelopeJSON{RequestID: tr.ID()}
-	s.cutEnvelope(&env, resultEntries(req.Doc, version, res), req.Limit)
+	fillEnvelope(&env, req.Doc, version, res, req.Limit)
 	if req.Plan {
 		env.Plan = toPlanJSON(plan)
 	}
@@ -283,7 +283,7 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	env := envelopeJSON{RequestID: tr.ID(), ID: e.id, Plan: toPlanJSON(plan)}
-	s.cutEnvelope(&env, resultEntries(e.doc, version, res), queryLimit(r))
+	fillEnvelope(&env, e.doc, version, res, queryLimit(r))
 	if debugTimings(r) {
 		env.Timings = timingsJSON(tr)
 	}

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/service"
+	"repro/internal/tree"
 )
 
 // TestV1QueryEnvelope: POST /v1/query speaks the unified envelope for a
@@ -76,6 +78,59 @@ func TestV1QueryEnvelope(t *testing.T) {
 	if len(results) != 2 || !body["truncated"].(bool) || int(body["total"].(float64)) != 4 {
 		t.Errorf("limit=2: results=%d truncated=%v total=%v",
 			len(results), body["truncated"], body["total"])
+	}
+}
+
+// TestV1LimitBuildsOnlyKeptEntries: a 1,000-match result under limit 3 keeps
+// the full count in total, returns three entries — over both routes that
+// take a limit — and building the envelope costs the same allocations as for
+// a 10-match result: entries the limit throws away are never made.
+func TestV1LimitBuildsOnlyKeptEntries(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	putDoc(t, ts.URL, "doc.xml", siteXML(1000))
+
+	check := func(route string, body map[string]any) {
+		t.Helper()
+		results, _ := body["results"].([]any)
+		if len(results) != 3 || int(body["total"].(float64)) != 1000 || !body["truncated"].(bool) {
+			t.Errorf("%s: results=%d total=%v truncated=%v, want 3/1000/true",
+				route, len(results), body["total"], body["truncated"])
+		}
+	}
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword", "limit": 3,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("query: status %d (%v)", code, body)
+	}
+	check("/v1/query", body)
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared", map[string]any{
+		"doc": "doc.xml", "lang": core.LangTwig, "query": "//item[name]",
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d (%v)", code, body)
+	}
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared/"+body["id"].(string)+"?limit=3", nil)
+	if code != http.StatusOK {
+		t.Fatalf("exec: status %d (%v)", code, body)
+	}
+	check("/v1/prepared/{id}", body)
+
+	allocs := func(matches int) float64 {
+		res := &core.Result{Answers: make([]cq.Answer, matches)}
+		for i := range res.Answers {
+			res.Answers[i] = cq.Answer{tree.NodeID(i), tree.NodeID(i + 1)}
+		}
+		return testing.AllocsPerRun(20, func() {
+			var env envelopeJSON
+			fillEnvelope(&env, "doc.xml", 1, res, 3)
+			if len(env.Results) != 3 || env.Total != matches || !env.Truncated {
+				t.Fatalf("fillEnvelope: results=%d total=%d truncated=%v", len(env.Results), env.Total, env.Truncated)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1000); few != many || many > 4 {
+		t.Errorf("envelope allocations: %.0f for 10 matches, %.0f for 1,000; want equal, one slice plus one tuple per kept entry", few, many)
 	}
 }
 

@@ -111,21 +111,25 @@ func TestQueryCorpusDocTimeout(t *testing.T) {
 	}
 }
 
-// TestWithPlanClauseCap checks plan-cache admission control: a ground datalog
-// artifact above the clause cap executes but is never cached, while ordinary
-// plans keep caching normally.
+// cyclicKeywordPairs is a cyclic conjunctive query: Auto sends it through the
+// Theorem 5.1 rewriting, whose union of 4 acyclic disjuncts is the one
+// artifact a plan reports through Clauses.
+const cyclicKeywordPairs = "Q(k, l) :- Lab[item](i), Child+(i, k), Lab[keyword](k), Child+(i, l), Lab[keyword](l), Following(k, l)."
+
+// TestWithPlanClauseCap checks plan-cache admission control: a rewritten
+// disjunct union above the clause cap executes but is never cached, while
+// ordinary plans keep caching normally.
 func TestWithPlanClauseCap(t *testing.T) {
-	s := corpusService(t, 1, WithPlanClauseCap(100))
+	s := corpusService(t, 1, WithPlanClauseCap(3))
 	ctx := context.Background()
 
-	// The ground program over a ~500-node document far exceeds 100 clauses.
 	for i := 0; i < 2; i++ {
-		res, _, err := s.Query(ctx, "doc00", core.LangDatalog, keywordReachProgram)
+		res, _, err := s.Query(ctx, "doc00", core.LangCQ, cyclicKeywordPairs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Nodes) == 0 {
-			t.Fatal("oversize datalog query returned no nodes")
+		if len(res.Answers) == 0 {
+			t.Fatal("oversize rewritten query returned no answers")
 		}
 	}
 	st := s.Stats()
@@ -149,7 +153,7 @@ func TestWithPlanClauseCap(t *testing.T) {
 
 	// Unconfigured services admit everything.
 	s2 := corpusService(t, 1)
-	if _, _, err := s2.Query(ctx, "doc00", core.LangDatalog, keywordReachProgram); err != nil {
+	if _, _, err := s2.Query(ctx, "doc00", core.LangCQ, cyclicKeywordPairs); err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.Stats(); st.PlanCacheSize != 1 || st.PlanCacheSkips != 0 {
@@ -158,22 +162,29 @@ func TestWithPlanClauseCap(t *testing.T) {
 }
 
 // TestPreparedClauses pins the artifact-size accounting the admission cap
-// relies on: datalog reports its ground clause count, cheap routes report 0.
+// relies on: the rewrite route reports its disjunct count, every route whose
+// compiled form does not grow with the query — datalog included, which holds
+// no ground program — reports 0.
 func TestPreparedClauses(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 30, Regions: 3, DescriptionDepth: 2, Seed: 7})
 	eng := core.New(doc)
-	pq, err := eng.Prepare(core.LangDatalog, keywordReachProgram)
+	pq, err := eng.Prepare(core.LangCQ, cyclicKeywordPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.Clauses() < doc.Len() {
-		t.Errorf("ground datalog clauses = %d, want >= %d (one per node at least)", pq.Clauses(), doc.Len())
+	if pq.Clauses() != 4 {
+		t.Errorf("rewritten union clauses = %d, want its 4 disjuncts", pq.Clauses())
 	}
-	px, err := eng.Prepare(core.LangXPath, "//keyword")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if px.Clauses() != 0 {
-		t.Errorf("xpath clauses = %d, want 0", px.Clauses())
+	for _, q := range []struct{ lang, text string }{
+		{core.LangXPath, "//keyword"},
+		{core.LangDatalog, keywordReachProgram},
+	} {
+		px, err := eng.Prepare(q.lang, q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if px.Clauses() != 0 {
+			t.Errorf("%s clauses = %d, want 0", q.lang, px.Clauses())
+		}
 	}
 }

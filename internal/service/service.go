@@ -123,7 +123,7 @@ type Service struct {
 	replanFails atomic.Uint64
 
 	// Incremental-update counters: patched vs rebuilt swaps, plans whose
-	// label set let them skip re-grounding, and per-phase wall-clock totals
+	// label set was disjoint from the edit, and per-phase wall-clock totals
 	// (diff, patch, build, reprepare, swap) in nanoseconds.
 	patchRatio     float64
 	patchedUpdates atomic.Uint64
@@ -169,16 +169,16 @@ type Stats struct {
 	// on next use.
 	PlanReprepares uint64
 	// PlanReprepareFailures counts plans Update could not rebind to the new
-	// document (for example a datalog program whose grounding fails there);
-	// such plans are dropped and the next use pays a cold prepare.
+	// document (for example a query the new engine's forced strategy cannot
+	// run); such plans are dropped and the next use pays a cold prepare.
 	PlanReprepareFailures uint64
 	// PatchedUpdates / RebuildUpdates split Updates by how the new engine was
 	// derived: by splicing the old index (small single-subtree edits) or by a
 	// full rebuild (large or non-local edits, or patching disabled).
 	PatchedUpdates, RebuildUpdates uint64
 	// PlansSkippedByLabelSet counts warm plans whose label set was disjoint
-	// from a shape-preserving edit's touched labels, letting the update rebind
-	// them without re-grounding (core.PreparedQuery.RebindSameShape).
+	// from a shape-preserving edit's touched labels: plans the write could
+	// not have changed the answers of (see UpdateOutcome.PlansSkipped).
 	PlansSkippedByLabelSet uint64
 	// Index aggregates the index-cache counters (XASR/pair builds and hits,
 	// label lists/masks/rows, evictions, releases) across every engine
@@ -228,10 +228,11 @@ func WithPlanCacheSize(n int) Option {
 }
 
 // WithPlanClauseCap denies plan-cache admission to prepared queries whose
-// materialized per-document artifact exceeds n clauses (0, the default, admits
-// everything).  Ground datalog programs hold O(|P| * |Dom|) clauses while the
-// LRU counts entries, not bytes; without this cap a handful of huge programs
-// over large documents can pin more memory than thousands of ordinary plans.
+// largest artifact exceeds n clauses (core.PreparedQuery.Clauses; 0, the
+// default, admits everything).  A cyclic query's rewriting into acyclic
+// disjuncts is exponential in its variables while the LRU counts entries, not
+// bytes; without this cap a handful of huge unions can pin more memory than
+// thousands of ordinary plans.
 // Oversize queries still prepare and execute correctly on every call -- they
 // just pay their own compilation instead of displacing the working set.
 func WithPlanClauseCap(n int) Option {
@@ -262,7 +263,7 @@ func WithPatchRatio(r float64) Option {
 // WithMetrics registers the service's prepare-stage histogram
 // (treeqd_prepare_duration_seconds{lang,phase}) on reg.  Each plan-cache miss
 // and each warm re-prepare during Update observes one sample per stage the
-// route actually performed (parse, translate, compile, ground, build — see
+// route actually performed (parse, translate, compile, build — see
 // core.Phase), so the histogram separates the one-off compilation cost from
 // the per-request execution latency.  A nil registry disables the histogram.
 func WithMetrics(reg *obsv.Registry) Option {
@@ -487,10 +488,11 @@ func (s *Service) prepared(ent *docEntry, doc, lang, text string) (*core.Prepare
 		return nil, err
 	}
 	s.observePhases(lang, pq)
-	// Admission control: a prepared artifact above the clause cap (ground
-	// datalog programs are O(|P| * |Dom|)) is executed but never cached, so
-	// one huge program cannot pin more memory than the whole LRU of ordinary
-	// plans (the LRU counts entries, not bytes).
+	// Admission control: a prepared artifact above the clause cap (the
+	// rewrite route's disjunct union is exponential in the query's variables)
+	// is executed but never cached, so one huge plan cannot pin more memory
+	// than the whole LRU of ordinary plans (the LRU counts entries, not
+	// bytes).
 	if s.clauseCap > 0 && pq.Clauses() > s.clauseCap {
 		s.planSkips.Add(1)
 		return pq, nil

@@ -39,12 +39,14 @@ type UpdateOutcome struct {
 	// "delete", "replace") when the update was patched, "rebuild" otherwise.
 	Kind string
 	// PlansReprepared counts the document's warm plans rebound to the new
-	// engine (including label-disjoint rebinds that skipped re-grounding).
+	// engine (the label-disjoint ones included).
 	PlansReprepared int
 	// PlansSkipped counts warm plans whose label set was disjoint from the
-	// edit's touched labels under a shape-preserving patch, letting the rebind
-	// reuse even the document-bound grounding (core.PreparedQuery.
-	// RebindSameShape).  An edit of text alone touches no label, so it skips
+	// edit's touched labels under a shape-preserving patch: the write cannot
+	// have changed their answers, and every index artifact they read was
+	// carried across it.  No plan holds document-bound state, so they rebind
+	// like any other; the count says how much of the write was invisible to
+	// the warm queries.  An edit of text alone touches no label, so it skips
 	// every warm plan that reports a label set: PlansSkipped ==
 	// PlansReprepared unless a route could not bound its labels.
 	PlansSkipped int
@@ -137,13 +139,15 @@ func labelsDisjoint(labels, touched []string) bool {
 // engine from scratch exactly as before.
 //
 // Either way the document's warm plans are re-prepared against the new engine
-// rather than dropped; under a shape-preserving patch, plans whose label set
-// (core.PreparedQuery.Labels) is disjoint from the edit's touched labels are
-// rebound with RebindSameShape, reusing even the document-bound grounding —
-// the "plans skipped by label set" counter in Stats.  The touched labels are
-// those whose extension the edit can have changed (treediff.Script.Touched),
-// so a write that only rewrites text — which no evaluator reads — re-prepares
-// nothing, whichever labels the edited nodes carry.
+// rather than dropped (core.PreparedQuery.Reprepare: no plan holds
+// document-bound state, so each costs a closure and a plan).  Under a
+// shape-preserving patch, plans whose label set (core.PreparedQuery.Labels)
+// is disjoint from the edit's touched labels are additionally counted as
+// "plans skipped by label set" in Stats: the edit cannot have changed their
+// answers.  The touched labels are those whose extension the edit can have
+// changed (treediff.Script.Touched), so a write that only rewrites text —
+// which no evaluator reads — skips every plan, whichever labels the edited
+// nodes carry.
 //
 // Concurrency: the patch reads only immutable inputs (the old entry's engine
 // and the two trees), so a concurrent UpdateDoc that swapped a different
@@ -192,7 +196,7 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 	}
 
 	// Snapshot the document's warm plans so they can be re-prepared against
-	// the new engine outside any lock (a Reprepare can parse and ground).
+	// the new engine outside any lock.
 	type warm struct {
 		lang, text string
 		pq         *core.PreparedQuery
@@ -214,23 +218,14 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 	var reboundPlans []rebound
 	pt.time(updPhaseReprepare, func() {
 		for _, w := range warmPlans {
-			var npq *core.PreparedQuery
-			var err error
-			if out.Patched && sc.ShapePreserving && labelsDisjoint(w.pq.Labels(), sc.Touched) {
-				// Shape-preserving edit disjoint from the plan's labels: the
-				// rebind may reuse even document-bound artifacts (the ground
-				// datalog program), not just the parsed/compiled ones.
-				npq, err = w.pq.RebindSameShape(newEng)
-				if err == nil {
-					s.planLabelSkips.Add(1)
-					out.PlansSkipped++
-				}
-			} else {
-				npq, err = w.pq.Reprepare(newEng)
-			}
+			npq, err := w.pq.Reprepare(newEng)
 			if err != nil {
 				s.replanFails.Add(1)
 				continue
+			}
+			if out.Patched && sc.ShapePreserving && labelsDisjoint(w.pq.Labels(), sc.Touched) {
+				s.planLabelSkips.Add(1)
+				out.PlansSkipped++
 			}
 			s.replans.Add(1)
 			out.PlansReprepared++

@@ -377,38 +377,44 @@ func TestUpdateConcurrentUpdaters(t *testing.T) {
 	}
 }
 
-// TestUpdateRespectsClauseCap: a re-prepared plan whose artifact outgrows the
-// clause cap on the new (larger) document is denied cache admission, like any
-// other oversize plan.
+// TestUpdateRespectsClauseCap: the clause cap holds across an update.  The
+// oversize plan stays out of the cache the update re-populates, and is denied
+// admission again when it is prepared against the new revision, whose answers
+// it returns.
 func TestUpdateRespectsClauseCap(t *testing.T) {
-	s := New(WithPlanClauseCap(10))
+	s := New(WithPlanClauseCap(3))
 	if err := s.AddXML("d", keywordXML(2)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	const prog = "P(x) :- Lab[keyword](x).\n?- P."
-	if _, _, err := s.Query(ctx, "d", core.LangDatalog, prog); err != nil {
+	if _, _, err := s.Query(ctx, "d", core.LangXPath, "//keyword"); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.PlanCacheSize != 1 {
-		t.Fatalf("small grounding not cached: %+v", st)
+	res, _, err := s.Query(ctx, "d", core.LangCQ, cyclicKeywordPairs)
+	if err != nil || len(res.Answers) != 1 {
+		t.Fatalf("pre-update query: %d answers, %v; want 1", len(res.Answers), err)
 	}
-	// 50 keywords ground to 50 clauses, far past the cap of 10; the
-	// re-prepared plan must be skipped, leaving the cache empty for this doc.
-	if _, err := s.UpdateXML("d", keywordXML(50)); err != nil {
+	if st := s.Stats(); st.PlanCacheSize != 1 || st.PlanCacheSkips != 1 {
+		t.Fatalf("before the update: %+v, want the ordinary plan cached and the union skipped", st)
+	}
+	o, err := s.UpdateDocXML("d", keywordXML(50))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.PlanCacheSkips == 0 {
-		t.Errorf("oversize re-prepare admitted: %+v", st)
-	}
-	if st.PlanCacheSize != 0 {
-		t.Errorf("cache size = %d after oversize re-prepare, want 0", st.PlanCacheSize)
+	if o.PlansReprepared != 1 {
+		t.Errorf("update re-prepared %d plans, want only the cached one", o.PlansReprepared)
 	}
 	// Queries still answer correctly, paying their own compile.
-	res, _, err := s.Query(ctx, "d", core.LangDatalog, prog)
-	if err != nil || len(res.Nodes) != 50 {
-		t.Fatalf("post-cap query: %d nodes, %v; want 50", len(res.Nodes), err)
+	res, _, err = s.Query(ctx, "d", core.LangCQ, cyclicKeywordPairs)
+	if err != nil || len(res.Answers) != 50*49/2 {
+		t.Fatalf("post-update query: %d answers, %v; want %d", len(res.Answers), err, 50*49/2)
+	}
+	st := s.Stats()
+	if st.PlanCacheSkips != 2 {
+		t.Errorf("oversize plan admitted after the update: %+v", st)
+	}
+	if st.PlanCacheSize != 1 {
+		t.Errorf("cache size = %d after the update, want 1 (the ordinary plan)", st.PlanCacheSize)
 	}
 }
 

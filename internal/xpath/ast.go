@@ -285,8 +285,8 @@ func qualSize(q Qual) int {
 // LabelSet returns the sorted distinct labels the expression mentions: step
 // node tests (excluding "*") and lab() = L qualifiers, including those nested
 // in path qualifiers.  The incremental-update layer intersects this set with
-// a diff's touched labels to decide whether a prepared plan can survive a
-// document patch without re-grounding.
+// a diff's touched labels to decide whether a document patch can have
+// changed a prepared plan's answers.
 func LabelSet(e Expr) []string {
 	seen := map[string]bool{}
 	var visitExpr func(Expr)

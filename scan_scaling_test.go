@@ -2,9 +2,11 @@ package repro
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mdatalog"
 )
 
 // scanMixQueries are the two streaming queries and the datalog program of the
@@ -23,13 +25,34 @@ func scanMixEngine(items int) *core.Engine {
 	return core.New(doc)
 }
 
+// datalogDerivations solves the program once on a scan_mix document and
+// returns how many atoms the compiled solver derived.
+func datalogDerivations(t *testing.T, items int, text string) int64 {
+	t.Helper()
+	tm, err := mdatalog.MustParse(text).ToTMNF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := tm.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, ix := joinMixDocument(items)
+	if _, err := c.SolveCtx(context.Background(), doc, ix); err != nil {
+		t.Fatal(err)
+	}
+	return c.Derived()
+}
+
 // TestScanScalingLinear pins the constants of the linear-scan routes on
 // counts that do not depend on the machine: a warm Exec of a streaming or a
-// datalog plan allocates O(1) objects whatever the document size (the growth
-// that remains is the result slice doubling), and grounding a datalog program
-// allocates per rule, not per node.  The map-per-element matcher and the
-// slice-per-clause Horn store these routes replaced allocated 56 k objects per
-// streaming run and 119 k per grounding at 1,000 items.
+// datalog plan allocates O(1) objects whatever the document size (for
+// streaming the growth that remains is the result slice doubling; datalog
+// allocates its answer once), preparing a datalog plan allocates the same at
+// any size because it reads no document, and the datalog solver derives at
+// most twelve times the atoms for ten times the items.  The map-per-element
+// matcher and the slice-per-clause Horn store these routes replaced allocated
+// 56 k objects per streaming run and 119 k per grounding at 1,000 items.
 func TestScanScalingLinear(t *testing.T) {
 	ctx := context.Background()
 	type counts struct {
@@ -61,8 +84,22 @@ func TestScanScalingLinear(t *testing.T) {
 		if small.exec > 32 || big.exec > 32 {
 			t.Errorf("%s: a warm Exec allocates %.0f / %.0f objects at 150 / 1,500 items, want at most 32", q.name, small.exec, big.exec)
 		}
-		if q.lang == core.LangDatalog && big.prepare > 2*small.prepare {
-			t.Errorf("%s: Prepare allocations grew %.0f -> %.0f, more than 2x for 10x items", q.name, small.prepare, big.prepare)
+		if q.lang != core.LangDatalog {
+			continue
+		}
+		// Equal (5 and 178) without the race detector, whose bookkeeping and
+		// pool sampling move the counts by a few objects; 13,000 more nodes
+		// would move them by thousands.
+		if math.Abs(small.exec-big.exec) > 16 {
+			t.Errorf("%s: a warm Exec allocates %.0f objects at 150 items and %.0f at 1,500, want the same", q.name, small.exec, big.exec)
+		}
+		if math.Abs(small.prepare-big.prepare) > 16 {
+			t.Errorf("%s: Prepare allocates %.0f objects at 150 items and %.0f at 1,500, want the same: it reads no document", q.name, small.prepare, big.prepare)
+		}
+		few, many := datalogDerivations(t, 150, q.text), datalogDerivations(t, 1500, q.text)
+		t.Logf("%-24s derived atoms %d -> %d", q.name, few, many)
+		if few == 0 || many > 12*few {
+			t.Errorf("%s: %d -> %d derived atoms, more than 12x for 10x items", q.name, few, many)
 		}
 	}
 }
