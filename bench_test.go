@@ -313,18 +313,21 @@ func BenchmarkJoinKernel(b *testing.B) {
 }
 
 // BenchmarkScanRoutes times the linear-scan routes of scan_mix at 150 and
-// 1,500 items: a warm Exec of the streaming plan //item//keyword, a warm Exec
-// of the ancestor datalog plan (one unit propagation over the tree), and that
-// plan's Prepare (parse + TMNF + compile: no document is read, so the two
-// sizes cost the same).  TestScanScalingLinear enforces the counts.
+// 1,500 items, on parsed documents as the daemon holds them: a warm Exec of
+// the streaming plan //item//keyword, a warm Exec of the ancestor datalog plan
+// (one unit propagation over the tree), that plan's Prepare (parse + TMNF +
+// compile: no document is read, so the two sizes cost the same), and a warm
+// Exec of the XPath plan //item[name]/description//keyword (axis images on
+// the preorder-rank view).  TestScanScalingLinear enforces the counts.
 func BenchmarkScanRoutes(b *testing.B) {
 	ctx := context.Background()
-	stream, datalog := scanMixQueries[0], scanMixQueries[2]
+	stream, datalog, xp := scanMixQueries[0], scanMixQueries[2], scanMixQueries[3]
 	for _, items := range []int{150, 1500} {
 		eng := scanMixEngine(items)
 		for _, r := range []struct{ route, lang, text string }{
 			{"stream", stream.lang, stream.text},
 			{"datalog", datalog.lang, datalog.text},
+			{"xpath", xp.lang, xp.text},
 		} {
 			b.Run(fmt.Sprintf("%s/items=%d", r.route, items), func(b *testing.B) {
 				b.ReportAllocs()
@@ -891,12 +894,18 @@ func BenchmarkMultiLabelYannakakis(b *testing.B) {
 	})
 }
 
+// BenchmarkMultiLabelXPath sets a shared index (warm label masks and
+// preorder-rank view) against a nil one, which indexes the tree on every call.
+// workload.SiteDocument trees are not Identity — the generator adds children
+// out of document order — so both sides move every label mask through Pre: a
+// micro-benchmark on an unparsed document measures the shuffle path, not the
+// daemon's.  BenchmarkScanRoutes' xpath rows run on parsed documents.
 func BenchmarkMultiLabelXPath(b *testing.B) {
 	doc := multiLabelSite()
 	expr := xpath.MustParse("//item/description//keyword")
-	b.Run("indexed", func(b *testing.B) {
+	b.Run("view", func(b *testing.B) {
 		ix := index.New(doc)
-		xpath.QueryIndexed(expr, doc, ix) // warm the pair cache
+		xpath.QueryIndexed(expr, doc, ix) // warm the masks and the view
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if len(xpath.QueryIndexed(expr, doc, ix)) == 0 {
@@ -904,13 +913,9 @@ func BenchmarkMultiLabelXPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fallback", func(b *testing.B) {
-		// labelsOnlyIndex implements xpath.PairIndex but refuses every pair
-		// request, so this measures the pre-PR behavior exactly: cached label
-		// masks, SetImage steps, no structural-join shortcut.
-		fb := labelsOnlyIndex{ix: index.New(doc)}
+	b.Run("nil-index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if len(xpath.QueryIndexed(expr, doc, fb)) == 0 {
+			if len(xpath.QueryIndexed(expr, doc, nil)) == 0 {
 				b.Fatal("no matches")
 			}
 		}

@@ -131,8 +131,9 @@ assert_json "$resp" "r['docs'] == 3"
 
 echo "== multi-labeled document: attribute labels ride the indexed fast path"
 # treegen -shape site emits @id/@name attribute labels, so every node with an
-# attribute is multi-labeled; the label-complete XASR must serve it (pair
-# builds > 0 in /statusz) instead of demoting it to the unindexed path.
+# attribute is multi-labeled; the default routes serve it from label masks
+# (which hold every label of a node) and the preorder-rank view, and build no
+# XASR, side relation or pair relation (all three stay 0 in /statusz).
 /tmp/treegen -shape site -items 50 > /tmp/e2e-multi.xml
 resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-multi.xml "$BASE/docs/multi.xml")"
 assert_json "$resp" "r['doc'] == 'multi.xml'"
@@ -142,7 +143,8 @@ resp="$(curl -sf -X POST -d '{"doc":"multi.xml","lang":"cq","query":"Q(i) :- Lab
 assert_json "$resp" "r['result']['count'] >= 1"
 resp="$(curl -sf "$BASE/statusz")"
 assert_json "$resp" "r['index']['multi_labeled_docs'] >= 1"
-assert_json "$resp" "r['index']['pair_builds'] >= 1 and r['index']['label_row_builds'] >= 1"
+assert_json "$resp" "r['index']['label_mask_builds'] >= 1"
+assert_json "$resp" "r['index']['xasr_builds'] == 0 and r['index']['label_row_builds'] == 0 and r['index']['pair_builds'] == 0"
 resp="$(curl -sf -X DELETE "$BASE/docs/multi.xml")"
 assert_json "$resp" "r['docs'] == 3"
 

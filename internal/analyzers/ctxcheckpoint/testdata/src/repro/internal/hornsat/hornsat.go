@@ -69,6 +69,42 @@ func RunawayCtx(ctx context.Context, n int) int {
 	return total
 }
 
+// image is one bounded pass of work that takes no context, like an axis
+// image over a rank set.
+func image(n int) int {
+	t := 0
+	for i := 0; i < n; i++ {
+		t += i
+	}
+	return t
+}
+
+// ReduceCtx has the interval-join reducer's shape: a loop whose only work is
+// a callee that takes no ctx, polled once per iteration.  No diagnostics.
+func ReduceCtx(ctx context.Context, edges, n int) (int, error) {
+	visits := 0
+	for e := 0; e < edges; e++ {
+		visits += image(n)
+		if err := ctx.Err(); err != nil {
+			return visits, err
+		}
+	}
+	return visits, nil
+}
+
+// ReduceBlindCtx drops the poll: the callee cannot see ctx, so a solver loop
+// whose only work is such a callee still needs one per iteration.
+func ReduceBlindCtx(ctx context.Context, edges, n int) int {
+	if ctx.Err() != nil {
+		return -1
+	}
+	visits := 0
+	for e := 0; e < edges; e++ { // want `no ctx.Err\(\) checkpoint`
+		visits += image(n)
+	}
+	return visits
+}
+
 // helperCtx is unexported: the contract binds only the exported entry
 // points.  No diagnostics.
 func helperCtx(ctx context.Context, n int) int {

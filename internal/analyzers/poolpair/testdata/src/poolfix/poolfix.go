@@ -70,6 +70,20 @@ func NewMask(n int) bitset.Bits {
 	return b
 }
 
+// fill sets bits in a vector its caller owns, the way an axis image does.
+func fill(out bitset.Bits) { out.Set(0) }
+
+// FillThenRelease lends the buffer to a filler and releases it afterwards.
+// Passing it to a call counts as handing it over, so the pairing is not
+// tracked past that point.  No diagnostics.
+func FillThenRelease(n int) int {
+	b := bitset.Acquire(n)
+	fill(b)
+	c := b.Count()
+	bitset.Release(b)
+	return c
+}
+
 // BranchesOK releases on every path.  No diagnostics.
 func BranchesOK(n int, c bool) {
 	b := bitset.Acquire(n)

@@ -123,14 +123,6 @@ func Compile(q *cq.Query) (*Compiled, error) {
 // deterministic measure of work for scaling tests.
 func (c *Compiled) Visits() int64 { return c.visits.Load() }
 
-// viewIndex is what the kernel needs of a document index: label masks and the
-// preorder-rank view.  package index provides it; for any other LabelIndex
-// (nil included) the kernel indexes the tree itself, for this call only.
-type viewIndex interface {
-	LabelIndex
-	PreView() *index.PreView
-}
-
 // kernel is the state of one execution.  Everything lives in preorder-rank
 // space (rank r is the node with preorder index r+1): a candidate domain is a
 // bitset over ranks and a subtree is the rank interval [r, End[r]].
@@ -153,7 +145,9 @@ type kernel struct {
 // maximal arc-consistent pre-valuation (Prop. 6.9), after which every
 // candidate extends to a solution, so the enumeration never backtracks and
 // its cost is bounded by input plus output (Prop. 6.10).  ctx is checked on
-// entry and every enumCheckpointInterval candidate visits of either phase.
+// entry, after every semi-join of the reducer (one pass over a domain), and
+// every enumCheckpointInterval candidate visits of a probing semi-join or of
+// the enumeration.
 // Answers are sorted and duplicate-free.
 func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex) ([]cq.Answer, error) {
 	if err := ctx.Err(); err != nil {
@@ -198,8 +192,12 @@ func (k *kernel) answers() []cq.Answer {
 
 // newKernel binds c to a document and fills the label domains.  The caller
 // must release the kernel.
+//
+// What the kernel reads of a document — label masks and the preorder-rank
+// view — is package index's; for any other LabelIndex (nil included) the
+// kernel indexes the tree itself, for this call only.
 func (c *Compiled) newKernel(t *tree.Tree, ix LabelIndex) *kernel {
-	vix, ok := ix.(viewIndex)
+	vix, ok := ix.(*index.Index)
 	if !ok {
 		vix = index.New(t)
 	}
@@ -222,25 +220,14 @@ func (k *kernel) release() {
 }
 
 // domain returns the ranks of the nodes carrying every one of the labels (all
-// ranks when there is none).  Label masks are indexed by NodeID, which is the
-// rank only on trees built in document order; otherwise bits move through Pre.
+// ranks when there is none).
 func (k *kernel) domain(ix LabelIndex, labels []string) bitset.Bits {
 	d := bitset.Acquire(k.n)
-	if len(labels) == 0 {
-		d.SetAll(k.n)
-		return d
+	d.SetAll(k.n)
+	for _, l := range labels {
+		k.pv.AndNodeMask(k.t, d, ix.LabelMask(l))
 	}
-	d.CopyFrom(ix.LabelMask(labels[0]))
-	for _, l := range labels[1:] {
-		d.And(ix.LabelMask(l))
-	}
-	if k.pv.Identity {
-		return d
-	}
-	byRank := bitset.Acquire(k.n)
-	d.ForEach(func(id int) { byRank.Set(k.t.Pre(tree.NodeID(id)) - 1) })
-	bitset.Release(d)
-	return byRank
+	return d
 }
 
 // tick counts one candidate visit and polls ctx every enumCheckpointInterval
@@ -293,10 +280,12 @@ func (k *kernel) reduce(ctx context.Context) bool {
 func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool {
 	dx, dy := k.dom[x], k.dom[y]
 	if len(axes) == 1 {
+		// The image takes no ctx: its visits are booked, and ctx polled, here.
 		img := bitset.Acquire(k.n)
-		k.image(ctx, axes[0].Inverse(), dy, img)
+		k.visits += k.pv.Image(axes[0].Inverse(), dy, img)
 		dx.And(img)
 		bitset.Release(img)
+		k.err = ctx.Err()
 	} else {
 		k.each(ctx, dx, func(r int) {
 			if k.partner(axes, r, -1, dy) < 0 {
@@ -305,83 +294,6 @@ func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool 
 		})
 	}
 	return k.err == nil && dx.Any()
-}
-
-// hops describes a pointer-chasing axis in the view: its targets from rank r
-// are first[r] (r itself when first is nil), then col[·] of each target in
-// turn (nothing further when col is nil).  Self is (nil, nil).
-func (k *kernel) hops(a tree.Axis) (first, col []int32) {
-	pv := k.pv
-	switch a {
-	case tree.Parent:
-		return pv.Parent, nil
-	case tree.NextSiblingAxis:
-		return pv.NextSibling, nil
-	case tree.PrevSiblingAxis:
-		return pv.PrevSibling, nil
-	case tree.Child:
-		return pv.FirstChild, pv.NextSibling
-	case tree.Ancestor:
-		return pv.Parent, pv.Parent
-	case tree.AncestorOrSelf:
-		return nil, pv.Parent
-	case tree.FollowingSibling:
-		return pv.NextSibling, pv.NextSibling
-	case tree.FollowingSiblingOrSelf:
-		return nil, pv.NextSibling
-	case tree.PrecedingSibling:
-		return pv.PrevSibling, pv.PrevSibling
-	case tree.PrecedingSiblingOrSelf:
-		return nil, pv.PrevSibling
-	}
-	return nil, nil
-}
-
-// image sets in out (initially empty) every rank y with a(x, y) for some x in
-// s, in time linear in |s| plus the words or ranks it sets: the interval axes
-// fill rank ranges, and a pointer chase stops at the first rank already set,
-// since whoever set it went on to set everything beyond.
-func (k *kernel) image(ctx context.Context, a tree.Axis, s, out bitset.Bits) {
-	pv := k.pv
-	switch a {
-	case tree.Descendant, tree.DescendantOrSelf:
-		covered := -1 // subtrees nest or follow each other: skip what is filled
-		k.each(ctx, s, func(x int) {
-			lo := x + 1
-			if a == tree.DescendantOrSelf {
-				lo = x
-			}
-			out.SetRange(max(lo, covered+1), int(pv.End[x]))
-			covered = max(covered, int(pv.End[x]))
-		})
-	case tree.Following:
-		lo := k.n // everything after the subtree that closes first
-		k.each(ctx, s, func(x int) { lo = min(lo, int(pv.End[x])+1) })
-		out.SetRange(lo, k.n-1)
-	case tree.Preceding:
-		// Everything before the last rank of s, bar its ancestors.
-		if m := s.Last(); m > 0 {
-			out.SetRange(0, m-1)
-			for p := pv.Parent[m]; p >= 0; p = pv.Parent[p] {
-				out.Clear(int(p))
-			}
-		}
-	default:
-		first, col := k.hops(a)
-		k.each(ctx, s, func(x int) {
-			y := int32(x)
-			if first != nil {
-				y = first[x]
-			}
-			for y >= 0 && !out.Get(int(y)) {
-				out.Set(int(y))
-				if col == nil {
-					break
-				}
-				y = col[y]
-			}
-		})
-	}
 }
 
 // next returns the first rank y of dom with a(x, y) when after is -1, and the
@@ -405,7 +317,7 @@ func (k *kernel) next(a tree.Axis, x, after int, dom bitset.Bits) int {
 		}
 		return -1
 	}
-	first, col := k.hops(a)
+	first, col := pv.Hops(a)
 	y := int32(x)
 	switch {
 	case after >= 0 && col == nil:

@@ -4,38 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/index"
 	"repro/internal/tree"
+	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
-
-// scrambledTree builds a random tree whose children are attached to random
-// earlier nodes — so NodeIDs are not preorder ranks — with zero to two labels
-// per node (unlabeled and multi-labeled nodes included).
-func scrambledTree(nodes int, seed int64) *tree.Tree {
-	rng := rand.New(rand.NewSource(seed))
-	alphabet := []string{"a", "b", "c"}
-	labels := func() []string {
-		ls := []string{}
-		for _, l := range alphabet {
-			if len(ls) < 2 && rng.Intn(3) == 0 {
-				ls = append(ls, l)
-			}
-		}
-		return ls
-	}
-	b := tree.NewBuilder()
-	b.AddRoot(labels()...)
-	for i := 1; i < nodes; i++ {
-		b.AddChild(tree.NodeID(rng.Intn(i)), labels()...)
-	}
-	return b.MustBuild()
-}
 
 // reducedDomains runs only the full reducer and returns its domains as a
 // pre-valuation over NodeIDs; ok is false when some domain emptied.
@@ -117,7 +94,7 @@ func checkAgainstOracles(t *testing.T, name string, q *cq.Query, tr *tree.Tree) 
 // scrambled, multi-labeled trees.
 func TestKernelDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		tr := scrambledTree(6+int(seed%5)*6, seed)
+		tr := workload.ScrambledTree(6+int(seed%5)*6, seed)
 		spec := cq.GenSpec{
 			Vars: 1 + int(seed%5), HeadVars: int(seed % 4), Seed: seed,
 			Alphabet: []string{"a", "b", "c"}, LabelProb: 0.5, Axes: tree.AllAxes(),
@@ -154,7 +131,7 @@ func TestKernelHandCases(t *testing.T) {
 	for name, text := range cases {
 		q := cq.MustParse(text)
 		for seed := int64(0); seed < 12; seed++ {
-			checkAgainstOracles(t, name, q, scrambledTree(5+int(seed)*3, seed))
+			checkAgainstOracles(t, name, q, workload.ScrambledTree(5+int(seed)*3, seed))
 		}
 	}
 }
@@ -183,17 +160,30 @@ func TestKernelNodeIDsNotPreorder(t *testing.T) {
 	}
 }
 
-// TestKernelCheckpointCadence proves both phases poll ctx once per
-// enumCheckpointInterval visits and stop at the first poll that fails: the
-// visit counter of an aborted run is exactly that poll's multiple of the
-// interval, and ctx is not asked again.
+// TestKernelCheckpointCadence proves both phases poll ctx on their own cadence
+// and stop at the first poll that fails, without asking ctx again.  The
+// reducer's unit of work is one semi-join — an axis image takes no ctx — so it
+// polls once after each, and an aborted run has booked exactly the visits of
+// the semi-joins it finished.  The enumeration polls once per
+// enumCheckpointInterval visits, and an aborted run stops on that multiple.
 func TestKernelCheckpointCadence(t *testing.T) {
-	tr := scrambledTree(6000, 1)
-	cases := []struct{ name, query string }{
-		// Boolean: the reducer is all there is.
-		{"reduction", "Q :- Child+(x, y), Child+(y, z)."},
+	tr := workload.ScrambledTree(6000, 1)
+	inner := 0
+	for _, v := range tr.PreOrder() {
+		if !tr.IsLeaf(v) {
+			inner++
+		}
+	}
+	cases := []struct {
+		name, query string
+		aborted     int64
+	}{
+		// Boolean: the reducer is all there is.  Bottom-up, the first semi-join
+		// steps through every rank (z is unconstrained), the second through the
+		// ranks it left y: the inner nodes.
+		{"reduction", "Q :- Child+(x, y), Child+(y, z).", int64(tr.Len() + inner)},
 		// One variable: no semi-join at all, every visit is an enumeration visit.
-		{"enumeration", "Q(x) :- Child*(x, x)."},
+		{"enumeration", "Q(x) :- Child*(x, x).", 2 * enumCheckpointInterval},
 	}
 	for _, tc := range cases {
 		c, err := Compile(cq.MustParse(tc.query))
@@ -204,16 +194,16 @@ func TestKernelCheckpointCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := c.Visits()
-		if full < 4*enumCheckpointInterval {
-			t.Fatalf("%s: only %d visits, want several checkpoint intervals", tc.name, full)
+		if full < 4*enumCheckpointInterval || full <= tc.aborted {
+			t.Fatalf("%s: only %d visits, want several checkpoint intervals and more than %d", tc.name, full, tc.aborted)
 		}
 		// Err call 1 is the entry guard; calls 2 and 3 are the first two polls.
 		ctx := &expireAfterCtx{Context: context.Background(), failAfter: 3}
 		if _, err := c.EnumerateCtx(ctx, tr, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
-		if got := c.Visits() - full; got != 2*enumCheckpointInterval {
-			t.Errorf("%s: aborted after %d visits, want %d", tc.name, got, 2*enumCheckpointInterval)
+		if got := c.Visits() - full; got != tc.aborted {
+			t.Errorf("%s: aborted after %d visits, want %d", tc.name, got, tc.aborted)
 		}
 		if ctx.calls != 3 {
 			t.Errorf("%s: ctx.Err called %d times, want 3", tc.name, ctx.calls)

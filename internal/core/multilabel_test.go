@@ -15,9 +15,10 @@ import (
 // TestMultiLabelDifferential proves the label-complete index on a
 // multi-labeled (attribute-labeled) document for every prepare route: each
 // route's prepared execution must return exactly the unindexed reference
-// evaluator's answers, and the relational routes must do it through the
-// structural-join pair cache rather than silently falling back to the
-// per-node scans.
+// evaluator's answers.  Under Auto every route reads label masks (which hold
+// every label of a node) and the views cut from the tree, so the relational
+// encoding — XASR, side relations, pair relations — is never built; the
+// forced Yannakakis baseline still builds it and hits it on repeat.
 func TestMultiLabelDifferential(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 14, Regions: 3, DescriptionDepth: 2, Seed: 61})
 	eng := New(doc)
@@ -87,8 +88,11 @@ func TestMultiLabelDifferential(t *testing.T) {
 				t.Errorf("%v: answers diverge on multi-labeled doc", s)
 			}
 			if s == Yannakakis {
-				if st := se.Index().Snapshot(); st.PairBuilds == 0 {
-					t.Errorf("yannakakis on a multi-labeled doc never touched the pair cache: %+v", st)
+				if _, _, err := pq.Exec(ctx); err != nil {
+					t.Fatalf("%v: repeat: %v", s, err)
+				}
+				if st := se.Index().Snapshot(); st.XASRBuilds == 0 || st.LabelRowBuilds == 0 || st.PairBuilds == 0 || st.PairHits == 0 {
+					t.Errorf("yannakakis on a multi-labeled doc must build the pair cache and hit it on repeat: %+v", st)
 				}
 			}
 		}
@@ -137,16 +141,24 @@ func TestMultiLabelDifferential(t *testing.T) {
 		}
 	})
 
-	// The engine's shared index must have served structural joins: the whole
-	// point of label-completeness is that multi-labeled documents no longer
-	// keep xasr-builds/pair-builds at zero — and a repeated query hits the
-	// memoized relation instead of rebuilding it.
-	exec(LangXPath, "//item/name")
+	t.Run("similar", func(t *testing.T) {
+		q := "k=5 item(name description)"
+		got := exec(LangSimilar, q)
+		want, _, err := New(doc, WithStrategy(Naive)).Similar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Hits) != fmt.Sprint(want) {
+			t.Errorf("%q: pruned %v, exhaustive %v", q, got.Hits, want)
+		}
+	})
+
+	// Every language has run: the default routes read masks and views only.
 	st := eng.Index().Snapshot()
-	if st.XASRBuilds == 0 || st.PairBuilds == 0 {
-		t.Errorf("multi-labeled document fell off the indexed path: %+v", st)
+	if st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairBuilds != 0 {
+		t.Errorf("a default route built the relational encoding: %+v", st)
 	}
-	if st.PairHits == 0 {
-		t.Errorf("repeated label pairs should hit the cache: %+v", st)
+	if st.LabelMaskBuilds == 0 || st.LabelMaskHits == 0 || st.TEDBuilds != 1 {
+		t.Errorf("the default routes should share label masks and one TED view: %+v", st)
 	}
 }

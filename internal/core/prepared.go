@@ -269,7 +269,7 @@ func (e *Engine) buildXPath(expr xpath.Expr, query string, parseDur time.Duratio
 		}
 	} else {
 		plan.Technique = "set-at-a-time evaluation (O(|D|*|Q|))"
-		plan.note("label-to-label steps served from the label-complete structural-join cache")
+		plan.note("steps are axis images on the preorder-rank view: a range fill or one pointer chase per context node")
 		pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
 			return &Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
 		}

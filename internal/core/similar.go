@@ -255,7 +255,7 @@ const similarCheckpoint = 256
 // does the keyroots kernel run.
 func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	d := e.idx.TED()
-	codes := pat.Codes(e.idx.XASR().Dict())
+	codes := d.Codes(pat)
 	m := pat.Size()
 
 	// Posting lists for the pattern's distinct labels, fetched once per
@@ -371,7 +371,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 // differentially tested against.
 func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	d := e.idx.TED()
-	codes := pat.Codes(e.idx.XASR().Dict())
+	codes := d.Codes(pat)
 	var hits hitHeap
 	var candidates uint64
 	for j := 0; j < d.Len(); j++ {

@@ -1,11 +1,16 @@
 // Package index provides the shared, lazily-built document index used by the
 // prepare/execute query pipeline: one Index per tree caches the derived
 // structures that the evaluator layers would otherwise rebuild on every
-// query — the XASR labeling relation of Section 2, per-label node lists and
-// boolean label masks, label-complete XASR side relations (one per label,
-// covering every label a node carries, so the structural-join shortcut is
-// sound on multi-labeled trees), region (interval) labels, and memoized
-// structural-join pair relations ("axis closures").
+// query.  What the default routes read is small: per-label node lists,
+// boolean label masks and posting lists, the preorder-rank view (PreView,
+// whose Image is the one set-at-a-time axis primitive behind XPath and the
+// relational kernel) and the tree-edit-distance view.  The relational
+// encoding of Section 2 — the XASR labeling relation, label-complete XASR
+// side relations (one per label, covering every label a node carries, so the
+// structural-join shortcut is sound on multi-labeled trees), region
+// (interval) labels, and memoized structural-join pair relations ("axis
+// closures") — is built only for those who ask for it by name: the forced
+// Yannakakis baseline, the indexed twig path merge, the experiments.
 //
 // An Index is safe for concurrent use by multiple goroutines: every artifact
 // is built at most once (double-checked locking under a shared mutex) and is
@@ -146,8 +151,9 @@ type Index struct {
 	tedDoc   *ted.Doc
 	postings map[string][]int32
 	// preView is the preorder-rank navigation view behind the relational
-	// kernel (see PreView): built on the first relational exec, dropped by
-	// Release, never carried across a Patch.
+	// kernel and the XPath evaluator (see PreView): built on the first exec
+	// that navigates, dropped by Release, carried across a Patch that moved
+	// no rank.
 	preView *PreView
 
 	// Pair relations are the one unbounded-growth artifact (one entry per
@@ -381,9 +387,8 @@ func (ix *Index) LabelRows(label string) *relstore.Relation {
 
 // TED returns the shared tree-edit-distance postorder view of the tree
 // (leftmost-leaf array, keyroot flags, label codes, subtree sizes, and the
-// size-ordered candidate walk), derived from the columnar XASR's
-// pre/post/parent_pre/lab columns on first use and again after a Release
-// dropped it.  The returned view is immutable and shared.
+// size-ordered candidate walk), cut from the tree on first use and again
+// after a Release dropped it.  The returned view is immutable and shared.
 func (ix *Index) TED() *ted.Doc {
 	ix.mu.RLock()
 	d := ix.tedDoc
@@ -391,7 +396,7 @@ func (ix *Index) TED() *ted.Doc {
 	if d != nil {
 		return d
 	}
-	built := ted.NewDoc(ix.XASR())
+	built := ted.NewDoc(ix.t)
 	ix.mu.Lock()
 	if ix.tedDoc != nil {
 		// Another goroutine raced us to it; keep the published copy.

@@ -51,9 +51,12 @@ func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) ==
 //   - cached structural-join pair relations whose (from, to) labels are both
 //     non-empty and untouched are carried over with both pre columns
 //     remapped;
-//   - whole-document artifacts — pair relations with a "" side and the TED
-//     view, whose label codes cover every node — survive only an edit the
-//     index cannot see, a shape-preserving one that touched no label;
+//   - the preorder-rank view is a function of the tree's shape alone, so a
+//     ShapePreserving edit shares it outright; a shifting edit drops it;
+//   - whole-document artifacts that see labels — pair relations with a ""
+//     side and the TED view, whose label codes cover every node — survive
+//     only an edit the index cannot see, a shape-preserving one that touched
+//     no label;
 //   - everything else (touched labels, region labels) is dropped and rebuilt
 //     lazily on first use, exactly as after a Release.
 //
@@ -84,7 +87,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	}
 
 	old.mu.RLock()
-	oldXASR, oldTED := old.xasr, old.tedDoc
+	oldXASR, oldTED, oldView := old.xasr, old.tedDoc, old.preView
 	oldNodes := make(map[string][]tree.NodeID, len(old.labelNodes))
 	for l, ns := range old.labelNodes {
 		oldNodes[l] = ns
@@ -106,12 +109,14 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	if oldXASR != nil {
 		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
 		nix.xasrBuilds.Add(1)
-		if unseen {
-			// The view is a function of the XASR's pre, post, parent_pre and lab
-			// columns, and the patched XASR repeats all four (its dictionary is
-			// a clone, so the codes agree too).
-			nix.tedDoc = oldTED
-		}
+	}
+	if spec.ShapePreserving {
+		nix.preView = oldView
+	}
+	if unseen {
+		// The view is a function of the tree's shape and primary labels, and
+		// its label codes follow document order: all unchanged.
+		nix.tedDoc = oldTED
 	}
 
 	// Survivor remap: node ids / 1-based preorders at or past the removed

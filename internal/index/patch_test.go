@@ -12,6 +12,7 @@ func warm(ix *Index, labels ...string) {
 	ix.XASR()
 	ix.Regions()
 	ix.TED()
+	ix.PreView()
 	for _, l := range labels {
 		ix.NodesWithLabel(l)
 		ix.LabelMask(l)
@@ -202,5 +203,56 @@ func TestPatchMaskOnlyWarmLabel(t *testing.T) {
 	}
 	if err := patched.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPatchSharesViewOnShapePreservingEdit: the preorder-rank view is a
+// function of the tree's shape, so a patch that moved no rank shares it — the
+// same pointer, whether or not an XASR exists — and a shifting patch starts
+// without one.  A text-only edit also carries the TED view with no XASR
+// around.  Validate is green either way.
+func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
+	oldT := tree.MustParseSexpr("site(item(name keyword) item(name keyword))")
+	old := New(oldT)
+	view, ted := old.PreView(), old.TED()
+	old.LabelMask("item")
+
+	relabeled := tree.MustParseSexpr("site(item(name keyword) item(title keyword))")
+	spec := diffSpec(t, oldT, relabeled)
+	if !spec.ShapePreserving {
+		t.Fatalf("a relabel should preserve the shape: %+v", spec)
+	}
+	patched := Patch(old, relabeled, spec)
+	if patched.cachedPreView() != view {
+		t.Error("a shape-preserving patch did not share the rank view")
+	}
+	if patched.TED() == ted {
+		t.Error("a relabel carried the TED view, whose label codes it changed")
+	}
+	if s := patched.Snapshot(); s.XASRBuilds != 0 {
+		t.Errorf("patching an index without an XASR built one: %+v", s)
+	}
+	if err := patched.Validate(); err != nil {
+		t.Fatalf("relabel: patched index invalid: %v", err)
+	}
+
+	unseen := Patch(old, oldT, PatchSpec{ShapePreserving: true}) // an edit of text alone
+	if unseen.cachedPreView() != view || unseen.TED() != ted {
+		t.Error("a text-only patch did not share the rank view and the TED view")
+	}
+	if s := unseen.Snapshot(); s.XASRBuilds != 0 || s.TEDBuilds != 0 {
+		t.Errorf("a text-only patch built something: %+v", s)
+	}
+	if err := unseen.Validate(); err != nil {
+		t.Fatalf("text-only: patched index invalid: %v", err)
+	}
+
+	inserted := tree.MustParseSexpr("site(item(name keyword keyword) item(name keyword))")
+	patched = Patch(old, inserted, diffSpec(t, oldT, inserted))
+	if patched.cachedPreView() != nil {
+		t.Error("a shifting patch carried the rank view over")
+	}
+	if err := patched.Validate(); err != nil {
+		t.Fatalf("insert: patched index invalid: %v", err)
 	}
 }

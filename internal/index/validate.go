@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/labeling"
 	"repro/internal/relstore"
 	"repro/internal/ted"
 	"repro/internal/tree"
@@ -13,46 +14,20 @@ import (
 
 // Validate checks every cached artifact against the tree it claims to index
 // and returns the first inconsistency found.  It exists for the incremental-
-// update harness: after a Patch, the spliced XASR, remapped label caches,
-// carried-over pair relations and a carried-over TED view must be
-// indistinguishable from a fresh build.  It materializes the XASR if absent
+// update harness: after a Patch, a spliced XASR, remapped label caches,
+// carried-over pair relations, a shared preorder-rank view and a carried-over
+// TED view must be indistinguishable from a fresh build.  It checks what is
+// there — an XASR is materialized only to recompute cached pair relations —
 // and is intended for tests, not hot paths.
 func (ix *Index) Validate() error {
 	t := ix.t
 	m := t.Len()
-	x := ix.XASR()
-	rows := x.Relation().Tuples()
-	if len(rows) != m {
-		return fmt.Errorf("xasr: %d rows for %d nodes", len(rows), m)
-	}
-	postSeen := bitset.New(m + 1)
-	for i, row := range rows {
-		if row[0] != int64(i+1) {
-			return fmt.Errorf("xasr row %d: pre %d, want %d", i, row[0], i+1)
-		}
-		v := t.NodeAtPre(i + 1)
-		if v == tree.InvalidNode {
-			return fmt.Errorf("xasr row %d: no node at pre %d", i, i+1)
-		}
-		if row[1] < 1 || row[1] > int64(m) {
-			return fmt.Errorf("xasr row %d: post %d out of range [1,%d]", i, row[1], m)
-		}
-		if postSeen.Get(int(row[1])) {
-			return fmt.Errorf("xasr row %d: duplicate post %d", i, row[1])
-		}
-		postSeen.Set(int(row[1]))
-		if row[1] != int64(t.Post(v)) {
-			return fmt.Errorf("xasr row %d: post %d, want %d", i, row[1], t.Post(v))
-		}
-		wantPar := int64(0)
-		if p := t.Parent(v); p != tree.InvalidNode {
-			wantPar = int64(t.Pre(p))
-		}
-		if row[2] != wantPar {
-			return fmt.Errorf("xasr row %d: parent_pre %d, want %d", i, row[2], wantPar)
-		}
-		if lab := x.Dict().String(row[3]); lab != t.Label(v) {
-			return fmt.Errorf("xasr row %d: label %q, want %q", i, lab, t.Label(v))
+	ix.mu.RLock()
+	x := ix.xasr
+	ix.mu.RUnlock()
+	if x != nil {
+		if err := validateXASR(x, t); err != nil {
+			return err
 		}
 	}
 
@@ -80,8 +55,8 @@ func (ix *Index) Validate() error {
 	tedDoc := ix.tedDoc
 	ix.mu.RUnlock()
 
-	if tedDoc != nil && !reflect.DeepEqual(tedDoc, ted.NewDoc(x)) {
-		return fmt.Errorf("ted: cached postorder view differs from one derived from the xasr")
+	if tedDoc != nil && !reflect.DeepEqual(tedDoc, ted.NewDoc(t)) {
+		return fmt.Errorf("ted: cached postorder view differs from one cut from the tree")
 	}
 
 	for l, ns := range labelNodes {
@@ -145,6 +120,9 @@ func (ix *Index) Validate() error {
 		return true
 	})
 	ix.pairMu.RUnlock()
+	if len(ents) > 0 {
+		x = ix.XASR()
+	}
 	for _, e := range ents {
 		from := x.Relation()
 		if e.k.from != "" {
@@ -169,6 +147,46 @@ func (ix *Index) Validate() error {
 				return fmt.Errorf("pairs %v(%q,%q)[%d]: (%d,%d), want (%d,%d)",
 					e.k.axis, e.k.from, e.k.to, i, ga[i], gb[i], wa[i], wb[i])
 			}
+		}
+	}
+	return nil
+}
+
+// validateXASR checks a materialized XASR row by row against the tree.
+func validateXASR(x *labeling.XASR, t *tree.Tree) error {
+	m := t.Len()
+	rows := x.Relation().Tuples()
+	if len(rows) != m {
+		return fmt.Errorf("xasr: %d rows for %d nodes", len(rows), m)
+	}
+	postSeen := bitset.New(m + 1)
+	for i, row := range rows {
+		if row[0] != int64(i+1) {
+			return fmt.Errorf("xasr row %d: pre %d, want %d", i, row[0], i+1)
+		}
+		v := t.NodeAtPre(i + 1)
+		if v == tree.InvalidNode {
+			return fmt.Errorf("xasr row %d: no node at pre %d", i, i+1)
+		}
+		if row[1] < 1 || row[1] > int64(m) {
+			return fmt.Errorf("xasr row %d: post %d out of range [1,%d]", i, row[1], m)
+		}
+		if postSeen.Get(int(row[1])) {
+			return fmt.Errorf("xasr row %d: duplicate post %d", i, row[1])
+		}
+		postSeen.Set(int(row[1]))
+		if row[1] != int64(t.Post(v)) {
+			return fmt.Errorf("xasr row %d: post %d, want %d", i, row[1], t.Post(v))
+		}
+		wantPar := int64(0)
+		if p := t.Parent(v); p != tree.InvalidNode {
+			wantPar = int64(t.Pre(p))
+		}
+		if row[2] != wantPar {
+			return fmt.Errorf("xasr row %d: parent_pre %d, want %d", i, row[2], wantPar)
+		}
+		if lab := x.Dict().String(row[3]); lab != t.Label(v) {
+			return fmt.Errorf("xasr row %d: label %q, want %q", i, lab, t.Label(v))
 		}
 	}
 	return nil

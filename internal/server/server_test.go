@@ -251,28 +251,28 @@ func TestCorpusQueryAggregation(t *testing.T) {
 }
 
 // TestCorpusQueryDeadlinePartialFailure runs a corpus fan-out under a 1ms
-// request deadline over documents whose cold prepare far exceeds it.  The
-// response must stay 200 with per-document failures (partial-failure
-// semantics), and every document must be accounted for either way.
+// request deadline over documents whose execution far exceeds it: an
+// unbounded similarity search (k=0, no maxdist) prunes nothing, so it runs
+// the edit-distance kernel on all 8,002 subtrees of a document — tens of
+// deadlines on one worker, where a cold datalog prepare is now a fraction of
+// one.  The response must stay 200 with per-document failures
+// (partial-failure semantics), and every document must be accounted for
+// either way.
 func TestCorpusQueryDeadlinePartialFailure(t *testing.T) {
 	ts, _ := newTestServer(t, []service.Option{service.WithWorkers(1)})
 	for i := 0; i < 6; i++ {
 		putDoc(t, ts.URL, fmt.Sprintf("doc%d.xml", i), siteXML(2000))
 	}
-	const datalog = `P0(x) :- Lab[keyword](x).
-P0(x) :- NextSibling(x, y), P0(y).
-P(x)  :- FirstChild(x, y), P0(y).
-P0(x) :- P(x).
-?- P.`
+	similar := "k=0 site(region(" + strings.Repeat("item(name description(keyword)) ", 8) + "))"
 	code, body := doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
-		"lang": core.LangDatalog, "query": datalog, "timeout_ms": 1,
+		"lang": core.LangSimilar, "query": similar, "timeout_ms": 1,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, body)
 	}
 	failed, _ := body["failed"].([]any)
 	if len(failed) == 0 {
-		t.Fatal("1ms deadline over cold datalog prepares reported no failures")
+		t.Fatal("1ms deadline over unbounded similarity searches reported no failures")
 	}
 	if int(body["docs"].(float64)) != 6 {
 		t.Errorf("docs = %v, want 6", body["docs"])
@@ -431,23 +431,28 @@ func TestStatusz(t *testing.T) {
 	}
 
 	// A multi-labeled document queried with a label-to-label step must show
-	// up in the aggregated index counters: the label-complete shortcut builds
-	// (and then hits) structural-join pair relations.
+	// up in the aggregated index counters — as label masks built and then
+	// hit.  A default daemon builds no XASR, side relation or pair relation.
 	putDoc(t, ts.URL, "multi.xml", multiSiteXML(3))
 	for i := 0; i < 2; i++ {
-		doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
 			"doc": "multi.xml", "lang": core.LangXPath, "query": "//item/name"})
+		if code != http.StatusOK || body["result"].(map[string]any)["count"].(float64) != 3 {
+			t.Errorf("//item/name on the multi-labeled doc: status %d, %v; want 3 nodes", code, body)
+		}
 	}
 	_, body = doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
 	ix := body["index"].(map[string]any)
 	if ix["multi_labeled_docs"].(float64) != 1 {
 		t.Errorf("multi_labeled_docs = %v, want 1 (index section: %v)", ix["multi_labeled_docs"], ix)
 	}
-	if ix["pair_builds"].(float64) < 1 || ix["pair_hits"].(float64) < 1 {
-		t.Errorf("multi-labeled doc should build and hit the pair cache: %v", ix)
+	if ix["label_mask_builds"].(float64) < 1 || ix["label_mask_hits"].(float64) < 1 {
+		t.Errorf("multi-labeled doc should build and hit label masks: %v", ix)
 	}
-	if ix["label_row_builds"].(float64) < 1 {
-		t.Errorf("label-complete sides should be built and counted: %v", ix)
+	for _, k := range []string{"xasr_builds", "label_row_builds", "pair_builds"} {
+		if ix[k].(float64) != 0 {
+			t.Errorf("%s = %v on a default daemon, want 0 (index section: %v)", k, ix[k], ix)
+		}
 	}
 	if body["server"].(map[string]any)["retry_after_s"].(float64) < 1 {
 		t.Errorf("retry_after_s missing from statusz: %v", body["server"])

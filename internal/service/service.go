@@ -187,8 +187,8 @@ type Stats struct {
 	Index index.Stats
 	// MultiLabeledDocs counts corpus documents with at least one node
 	// carrying several labels (attribute-labeled XML, for example); they are
-	// served by the same label-complete structural-join fast path as
-	// single-labeled documents.
+	// served by the same routes as single-labeled documents, since a label
+	// mask holds every label of a node.
 	MultiLabeledDocs int
 }
 

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/tree"
 	"repro/internal/xmldoc"
 )
@@ -428,17 +430,24 @@ func multiKeywordXML(n int) string {
 	return s + "</description></item></region></site>"
 }
 
+// viewOnly reports whether the aggregated index counters show label masks and
+// no relational encoding: what the default routes leave behind.
+func viewOnly(ix index.Stats) bool {
+	return ix.XASRBuilds == 0 && ix.LabelRowBuilds == 0 && ix.PairBuilds == 0 && ix.LabelMaskBuilds >= 1
+}
+
 // TestUpdateMultiLabelKeepsPairPathWarm: a multi-labeled corpus document is
-// updated in place; the warm plan re-prepares onto the new engine's
-// label-complete index and keeps answering through the structural-join pair
-// cache (the workload class that used to fall off the fast path entirely).
+// updated in place; the warm plan re-prepares onto the new engine's index and
+// keeps answering label-to-label steps exactly — from label masks, which hold
+// every label of a node, and the preorder-rank view, never from the XASR and
+// the pair relations such steps used to be served from.
 func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	s := New()
 	if err := s.AddXML("d", multiKeywordXML(2)); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	const q = "//item//keyword" // label-to-label step: served by the pair cache
+	const q = "//item[lab() = @id=i0]//keyword" // label-to-label step under an attribute label
 
 	res, _, err := s.Query(ctx, "d", core.LangXPath, q)
 	if err != nil || len(res.Nodes) != 2 {
@@ -448,8 +457,8 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	if st.MultiLabeledDocs != 1 {
 		t.Fatalf("MultiLabeledDocs = %d, want 1", st.MultiLabeledDocs)
 	}
-	if st.Index.PairBuilds == 0 {
-		t.Fatalf("multi-labeled doc never reached the pair cache: %+v", st.Index)
+	if !viewOnly(st.Index) {
+		t.Fatalf("XPath on a multi-labeled doc must read masks and the view only: %+v", st.Index)
 	}
 
 	if _, err := s.UpdateXML("d", multiKeywordXML(5)); err != nil {
@@ -459,9 +468,8 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	if st.PlanReprepares == 0 {
 		t.Fatalf("warm plan was not re-prepared across the swap: %+v", st)
 	}
-	// The swapped-out engine no longer contributes to the aggregate, so the
-	// pre-swap pair builds are gone from it; the re-prepared plan must
-	// rebuild pairs on the NEW engine's label-complete index.
+	// The swapped-out engine no longer contributes to the aggregate; the
+	// re-prepared plan reads the NEW engine's masks.
 	res, _, err = s.Query(ctx, "d", core.LangXPath, q)
 	if err != nil || len(res.Nodes) != 5 {
 		t.Fatalf("v2 query: %d nodes, %v; want 5", len(res.Nodes), err)
@@ -470,10 +478,52 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	if after.PlanCacheHits <= st.PlanCacheHits {
 		t.Errorf("post-swap query should hit the re-prepared plan: %+v -> %+v", st, after)
 	}
-	if after.Index.PairBuilds == 0 {
-		t.Errorf("re-prepared plan did not rebuild pairs on the new index: %+v", after.Index)
+	if !viewOnly(after.Index) {
+		t.Errorf("re-prepared plan must read the new index's masks and view only: %+v", after.Index)
 	}
 	if after.MultiLabeledDocs != 1 {
 		t.Errorf("MultiLabeledDocs = %d after update, want 1", after.MultiLabeledDocs)
+	}
+}
+
+// TestUpdateYannakakisCarriesPairs is the converse: the forced Yannakakis
+// baseline still builds the XASR, the label-complete side relations and the
+// pair relations on a multi-labeled document, hits them on repeat, and a small
+// edit elsewhere carries them into the patched index instead of rebuilding.
+func TestUpdateYannakakisCarriesPairs(t *testing.T) {
+	s := New(WithEngineOptions(core.WithStrategy(core.Yannakakis)))
+	if err := s.AddXML("d", multiKeywordXML(3)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const q = "Q(k) :- Lab[item](i), Lab[@id=i0](i), Child+(i, k), Lab[keyword](k)."
+	query := func(want int) {
+		t.Helper()
+		res, _, err := s.Query(ctx, "d", core.LangCQ, q)
+		if err != nil || len(res.Answers) != want {
+			t.Fatalf("%d answers, %v; want %d", len(res.Answers), err, want)
+		}
+	}
+	query(3)
+	query(3)
+	st := s.Stats().Index
+	if st.XASRBuilds == 0 || st.LabelRowBuilds == 0 || st.PairBuilds == 0 || st.PairHits == 0 {
+		t.Fatalf("yannakakis must build the pair cache and hit it on repeat: %+v", st)
+	}
+
+	// One new leaf under the item: a shifting single-splice edit that touches
+	// neither side of the cached relations.
+	edited := strings.Replace(multiKeywordXML(3), "<name>x</name>", "<name>x</name><mailbox/>", 1)
+	o, err := s.UpdateDocXML("d", edited)
+	if err != nil || !o.Patched {
+		t.Fatalf("update: %+v, %v; want a patched index", o, err)
+	}
+	carried := s.Stats().Index
+	if carried.PairEntries == 0 || carried.PairBuilds != 0 {
+		t.Fatalf("patched index should carry the pair relations unbuilt: %+v", carried)
+	}
+	query(3)
+	if st := s.Stats().Index; st.PairBuilds != 0 || st.PairHits == 0 {
+		t.Errorf("post-patch query should hit the carried relations: %+v", st)
 	}
 }

@@ -7,13 +7,12 @@
 // bottom-up, so the answer for the two roots falls out of the last keyroot
 // pair.  Unit costs: insert 1, delete 1, rename 1 (0 when the labels match).
 //
-// The document side is derived once per document from the columnar XASR's
-// pre/post/parent_pre/lab columns (Doc) and cached in the shared index; a
-// subtree of the document is a contiguous postorder range, so every candidate
-// shares the same arrays and no per-candidate tree is materialized.  The
-// query side (Pattern) is decomposed once at prepare time and reused across
-// documents and re-prepares; only the label-code translation into a
-// document's dictionary is per-document.
+// The document side is cut once per document straight from the tree (Doc)
+// and cached in the shared index; a subtree of the document is a contiguous
+// postorder range, so every candidate shares the same arrays and no
+// per-candidate tree is materialized.  The query side (Pattern) is decomposed
+// once at prepare time and reused across documents and re-prepares; only the
+// translation of its labels into a document's label codes is per-document.
 //
 // DP scratch is pooled with the same size-bucketed sync.Pool idiom as
 // package bitset (power-of-two buckets keyed on slice length, hit/miss
@@ -26,66 +25,57 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/labeling"
-	"repro/internal/relstore"
 	"repro/internal/tree"
 )
 
-// Doc is the postorder view of one document, derived from the columnar XASR.
-// All slices are indexed by 0-based postorder position; a subtree rooted at
-// postorder position j spans exactly the positions [Lml(j), j].  A Doc is
-// immutable and safe for concurrent use.
+// Doc is the postorder view of one document.  All slices are indexed by
+// 0-based postorder position; a subtree rooted at postorder position j spans
+// exactly the positions [lml[j], j].  A Doc is immutable and safe for
+// concurrent use.
 type Doc struct {
 	n    int
 	lml  []int32 // leftmost-leaf postorder position per postorder position
 	lsib []bool  // whether the node has a left sibling (keyroot test)
-	lab  []int32 // XASR label code per postorder position
+	lab  []int32 // code of the node's primary label per postorder position
 	size []int32 // subtree size per postorder position
 	pre  []int32 // 1-based preorder index per postorder position
-	post []int32 // 0-based postorder position per XASR row (row i = preorder i+1)
 	// bySize lists postorder positions ordered by (subtree size, postorder),
 	// so the similarity search can walk candidates in increasing size
 	// distance from the pattern and stop at the first unreachable band.
 	bySize []int32
+	// codes numbers the primary labels in order of first occurrence in
+	// document order, so two trees with the same labels in the same places
+	// get equal views.
+	codes map[string]int32
 }
 
-// NewDoc derives the postorder view from the XASR's parallel columns in O(n)
-// time: one pass over the rows and a counting sort for the size ordering.
-func NewDoc(x *labeling.XASR) *Doc {
-	preCol, postCol, parentPre, labCol := x.Cols()
-	n := len(preCol)
+// NewDoc cuts the postorder view from the tree in O(n) time — one sweep in
+// document order and a counting sort for the size ordering — into a single
+// allocation for the five integer columns.
+func NewDoc(t *tree.Tree) *Doc {
+	n := t.Len()
+	cols := make([]int32, 5*n)
 	d := &Doc{
-		n:      n,
-		lml:    make([]int32, n),
-		lsib:   make([]bool, n),
-		lab:    make([]int32, n),
-		size:   make([]int32, n),
-		pre:    make([]int32, n),
-		post:   make([]int32, n),
-		bySize: make([]int32, n),
+		n:   n,
+		lml: cols[:n:n], lab: cols[n : 2*n : 2*n], size: cols[2*n : 3*n : 3*n],
+		pre: cols[3*n : 4*n : 4*n], bySize: cols[4*n:],
+		lsib:  make([]bool, n),
+		codes: map[string]int32{},
 	}
-	// Subtree sizes by reverse-preorder accumulation onto the parent row.
-	sizeByRow := make([]int32, n)
-	for i := 0; i < n; i++ {
-		sizeByRow[i] = 1
-	}
-	for i := n - 1; i > 0; i-- {
-		if p := parentPre[i]; p != 0 {
-			sizeByRow[p-1] += sizeByRow[i]
+	for r, v := range t.PreOrder() {
+		j := int32(t.Post(v) - 1)
+		size := int32(t.SubtreeSize(v))
+		label := t.Label(v)
+		code, ok := d.codes[label]
+		if !ok {
+			code = int32(len(d.codes))
+			d.codes[label] = code
 		}
-	}
-	for i := 0; i < n; i++ {
-		j := int32(postCol[i] - 1) // 0-based postorder position of row i
-		d.post[i] = j
-		d.pre[j] = int32(preCol[i])
-		d.lab[j] = int32(labCol[i])
-		d.size[j] = sizeByRow[i]
+		d.pre[j], d.lab[j], d.size[j] = int32(r+1), code, size
 		// A subtree is a contiguous postorder range ending at its root, and
 		// the first position of that range is the leftmost leaf.
-		d.lml[j] = j - sizeByRow[i] + 1
-		// The first child of a node has preorder exactly parent's preorder+1;
-		// any later child therefore has a left sibling.
-		d.lsib[j] = parentPre[i] != 0 && preCol[i] != parentPre[i]+1
+		d.lml[j] = j - size + 1
+		d.lsib[j] = t.PrevSibling(v) != tree.InvalidNode
 	}
 	// Counting sort on subtree size (1..n), stable over ascending postorder
 	// positions: next[s] is the slot of the next position of size s.
@@ -112,18 +102,24 @@ func (d *Doc) SubtreeSize(j int) int { return int(d.size[j]) }
 // PreAt returns the 1-based preorder index of the node at postorder position j.
 func (d *Doc) PreAt(j int) int { return int(d.pre[j]) }
 
-// PostOfRow returns the 0-based postorder position of XASR row i (the node
-// with preorder index i+1).
-func (d *Doc) PostOfRow(i int) int { return int(d.post[i]) }
-
-// Range returns the postorder span [lo, j] of the subtree rooted at
-// postorder position j; the same span in preorder is
-// [PreAt(j)-Size+1 ... ] — both encodings are contiguous.
-func (d *Doc) Range(j int) (lo int) { return int(d.lml[j]) }
-
 // BySize returns the postorder positions ordered by (subtree size,
 // postorder).  Shared; callers must not mutate.
 func (d *Doc) BySize() []int32 { return d.bySize }
+
+// Codes translates the pattern's labels into the document's label codes, one
+// per pattern postorder position, -1 for labels no node of the document has
+// as its primary label.  O(|P|).
+func (d *Doc) Codes(p *Pattern) []int32 {
+	codes := make([]int32, p.n)
+	for j, l := range p.labels {
+		if c, ok := d.codes[l]; ok {
+			codes[j] = c
+		} else {
+			codes[j] = -1
+		}
+	}
+	return codes
+}
 
 // Pattern is the prepare-time decomposition of a query tree: postorder label
 // array, leftmost-leaf array, keyroots, and the label histogram driving the
@@ -170,20 +166,6 @@ func (p *Pattern) Hist() map[string]int { return p.hist }
 // Shared; read-only.
 func (p *Pattern) Keyroots() []int32 { return p.kr }
 
-// Codes translates the pattern's labels into a document dictionary, one code
-// per postorder position, -1 for labels the document never uses.  O(|P|).
-func (p *Pattern) Codes(dict *relstore.Dict) []int32 {
-	codes := make([]int32, p.n)
-	for j, l := range p.labels {
-		if c, ok := dict.Lookup(l); ok {
-			codes[j] = int32(c)
-		} else {
-			codes[j] = -1
-		}
-	}
-	return codes
-}
-
 // tedCalls counts full kernel invocations; the similarity search's pruning
 // effectiveness is (candidates - tedCalls) / candidates.
 var tedCalls atomic.Uint64
@@ -193,7 +175,7 @@ func KernelCalls() uint64 { return tedCalls.Load() }
 
 // Distance returns the tree edit distance between the pattern and the
 // document subtree rooted at postorder position root.  codes must come from
-// Pattern.Codes against the same document's dictionary.
+// d.Codes(p).
 func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 	tedCalls.Add(1)
 	lo := int(d.lml[root])
@@ -272,10 +254,9 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 // the whole of b).  It is the reference entry point used by the property
 // tests and the single-document CLI path.
 func DistanceTrees(a, b *tree.Tree) int {
-	x := labeling.BuildXASR(b)
-	d := NewDoc(x)
+	d := NewDoc(b)
 	p := NewPattern(a)
-	return Distance(d, d.Len()-1, p, p.Codes(x.Dict()))
+	return Distance(d, d.Len()-1, p, d.Codes(p))
 }
 
 func min3(a, b, c int32) int32 {

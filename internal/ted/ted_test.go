@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/labeling"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -124,16 +123,67 @@ func TestDistanceMetricProperties(t *testing.T) {
 	}
 }
 
+// TestDocFromTree checks the view cut from the tree, on the property-test
+// corpus (random trees, NodeIDs out of and in document order): every column
+// equals a recomputation by pointer walks, label codes identify exactly the
+// primary labels, and Distance through the view — against every subtree, in
+// place — equals DistanceTrees against that subtree as a tree of its own.
+func TestDocFromTree(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		pat := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int(seed%7), Seed: seed, Alphabet: []string{"a", "b", "c"}})
+		doc := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int((seed*3)%8), Seed: seed + 1000, Alphabet: []string{"a", "b", "c"}})
+		if seed%2 == 1 {
+			// The generator attaches children out of document order; every
+			// other document is rebuilt in it, as a parsed one would be.
+			doc = tree.MustParseSexpr(doc.String())
+		}
+		d := NewDoc(doc)
+		if d.Len() != doc.Len() {
+			t.Fatalf("seed %d: %d positions for %d nodes", seed, d.Len(), doc.Len())
+		}
+		for j := 0; j < d.Len(); j++ {
+			v := doc.NodeAtPost(j + 1)
+			leaf := v
+			for !doc.IsLeaf(leaf) {
+				leaf = doc.FirstChild(leaf)
+			}
+			size := 0
+			doc.StepFunc(tree.DescendantOrSelf, v, func(tree.NodeID) bool { size++; return true })
+			if int(d.lml[j]) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.PreAt(j) != doc.Pre(v) ||
+				d.lsib[j] != (doc.PrevSibling(v) != tree.InvalidNode) {
+				t.Fatalf("seed %d, post %d: view (lml %d, size %d, pre %d, lsib %v) disagrees with the tree %s",
+					seed, j+1, d.lml[j], d.size[j], d.pre[j], d.lsib[j], doc)
+			}
+			for k := 0; k < d.Len(); k++ {
+				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(doc.NodeAtPost(k+1))) {
+					t.Fatalf("seed %d: label codes at post %d and %d disagree with the labels of %s", seed, j+1, k+1, doc)
+				}
+			}
+		}
+		p := NewPattern(pat)
+		codes := d.Codes(p)
+		for j := 0; j < d.Len(); j++ {
+			sub := tree.MustParseSexpr(subtreeSexpr(doc, doc.NodeAtPost(j+1)))
+			if got, want := Distance(d, j, p, codes), DistanceTrees(pat, sub); got != want {
+				t.Fatalf("seed %d, subtree at post %d: in place %d, standalone %d\n pattern %s\n doc %s", seed, j+1, got, want, pat, doc)
+			}
+		}
+		// A label the document lacks translates to -1, never to a code in use.
+		if c := d.Codes(NewPattern(tree.MustParseSexpr("nope")))[0]; c != -1 {
+			t.Fatalf("seed %d: absent label got code %d", seed, c)
+		}
+	}
+}
+
 // TestDistanceSubtreeRange exercises the in-place candidate path: distances
 // computed against subtrees of one shared Doc must agree with distances
 // against the same subtrees materialized as standalone trees.
 func TestDistanceSubtreeRange(t *testing.T) {
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 40, Seed: 7, Alphabet: []string{"a", "b", "c", "d"}})
-	x := labeling.BuildXASR(doc)
-	d := NewDoc(x)
+	d := NewDoc(doc)
 	pat := tree.MustParseSexpr("a(b c)")
 	p := NewPattern(pat)
-	codes := p.Codes(x.Dict())
+	codes := d.Codes(p)
 	for j := 0; j < d.Len(); j++ {
 		sub, err := tree.ParseSexpr(subtreeSexpr(doc, doc.NodeAtPost(j+1)))
 		if err != nil {
@@ -180,7 +230,7 @@ func TestBySizeOrder(t *testing.T) {
 		docs = append(docs, workload.RandomTree(workload.TreeSpec{Nodes: 1 + int(seed*13%300), MaxFanout: int(seed % 5), Seed: seed}))
 	}
 	for _, doc := range docs {
-		d := NewDoc(labeling.BuildXASR(doc))
+		d := NewDoc(doc)
 		want := make([]int32, d.Len())
 		for j := range want {
 			want[j] = int32(j)

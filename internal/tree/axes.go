@@ -273,11 +273,11 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	case Descendant, DescendantOrSelf:
 		// The descendants of n are exactly the nodes with preorder index in
 		// (pre(n), pre(n)+size(n)-1]; byPre gives them in document order.
-		start := t.pre[n] // 1-based
+		start := t.Pre(n) // 1-based
 		if a == Descendant {
 			start++
 		}
-		end := t.pre[n] + t.size[n] - 1
+		end := t.Pre(n) + t.SubtreeSize(n) - 1
 		for i := start; i <= end; i++ {
 			if !yield(t.byPre[i-1]) {
 				return
@@ -334,7 +334,7 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	case Following:
 		// Nodes y with pre(n) < pre(y) and post(n) < post(y): the nodes after
 		// the subtree of n in document order.
-		start := t.pre[n] + t.size[n]
+		start := t.Pre(n) + t.SubtreeSize(n)
 		for i := start; i <= t.Len(); i++ {
 			if !yield(t.byPre[i-1]) {
 				return
@@ -343,7 +343,7 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	case Preceding:
 		// Nodes y with pre(y) < pre(n) and post(y) < post(n): nodes strictly
 		// before n in document order that are not ancestors of n.
-		for i := 1; i < t.pre[n]; i++ {
+		for i := 1; i < t.Pre(n); i++ {
 			y := t.byPre[i-1]
 			if t.post[y] < t.post[n] {
 				if !yield(y) {
@@ -362,15 +362,15 @@ func (t *Tree) StepCount(a Axis, n NodeID) int {
 	case Self:
 		return 1
 	case Descendant:
-		return t.size[n] - 1
+		return t.SubtreeSize(n) - 1
 	case DescendantOrSelf:
-		return t.size[n]
+		return t.SubtreeSize(n)
 	case Ancestor:
-		return t.depth[n]
+		return t.Depth(n)
 	case AncestorOrSelf:
-		return t.depth[n] + 1
+		return t.Depth(n) + 1
 	case Following:
-		return t.Len() - (t.pre[n] + t.size[n] - 1)
+		return t.Len() - (t.Pre(n) + t.SubtreeSize(n) - 1)
 	}
 	k := 0
 	t.StepFunc(a, n, func(NodeID) bool { k++; return true })
@@ -426,11 +426,11 @@ func AllOrders() []Order { return []Order{PreOrder, PostOrder, BFLROrder} }
 func (t *Tree) Index(o Order, n NodeID) int {
 	switch o {
 	case PreOrder:
-		return t.pre[n]
+		return t.Pre(n)
 	case PostOrder:
-		return t.post[n]
+		return t.Post(n)
 	case BFLROrder:
-		return t.bflr[n]
+		return t.BFLR(n)
 	}
 	panic(fmt.Sprintf("tree: Index of unknown order %d", int(o)))
 }

@@ -49,11 +49,13 @@ type Tree struct {
 	labels [][]string // each node may carry several labels
 	text   []string   // optional textual content (ignored by Core XPath)
 
-	pre   []int // 1-based preorder index  (document order, <pre)
-	post  []int // 1-based postorder index (<post)
-	bflr  []int // 1-based breadth-first left-to-right index (<bflr)
-	depth []int // root has depth 0
-	size  []int // number of nodes in the subtree rooted at the node
+	// The order columns are int32 like NodeID: an index or a size never
+	// exceeds the node count.  The accessors widen to int.
+	pre   []int32 // 1-based preorder index  (document order, <pre)
+	post  []int32 // 1-based postorder index (<post)
+	bflr  []int32 // 1-based breadth-first left-to-right index (<bflr)
+	depth []int32 // root has depth 0
+	size  []int32 // number of nodes in the subtree rooted at the node
 
 	byPre  []NodeID // byPre[i-1]  = node with preorder index i
 	byPost []NodeID // byPost[i-1] = node with postorder index i
@@ -114,32 +116,30 @@ func (t *Tree) HasLabel(n NodeID, a string) bool {
 func (t *Tree) Text(n NodeID) string { return t.text[n] }
 
 // Depth returns the depth of n; the root has depth 0.
-func (t *Tree) Depth(n NodeID) int { return t.depth[n] }
+func (t *Tree) Depth(n NodeID) int { return int(t.depth[n]) }
 
 // Height returns the height of the tree: 1 + max depth, or 0 for the empty
 // tree.
 func (t *Tree) Height() int {
 	h := 0
 	for _, d := range t.depth {
-		if d+1 > h {
-			h = d + 1
-		}
+		h = max(h, int(d)+1)
 	}
 	return h
 }
 
 // SubtreeSize returns the number of nodes in the subtree rooted at n
 // (including n itself).
-func (t *Tree) SubtreeSize(n NodeID) int { return t.size[n] }
+func (t *Tree) SubtreeSize(n NodeID) int { return int(t.size[n]) }
 
 // Pre returns the 1-based preorder (document order) index of n.
-func (t *Tree) Pre(n NodeID) int { return t.pre[n] }
+func (t *Tree) Pre(n NodeID) int { return int(t.pre[n]) }
 
 // Post returns the 1-based postorder index of n.
-func (t *Tree) Post(n NodeID) int { return t.post[n] }
+func (t *Tree) Post(n NodeID) int { return int(t.post[n]) }
 
 // BFLR returns the 1-based breadth-first left-to-right index of n.
-func (t *Tree) BFLR(n NodeID) int { return t.bflr[n] }
+func (t *Tree) BFLR(n NodeID) int { return int(t.bflr[n]) }
 
 // NodeAtPre returns the node with preorder index i (1-based), or InvalidNode.
 func (t *Tree) NodeAtPre(i int) NodeID {
@@ -402,17 +402,17 @@ func (b *Builder) MustBuild() *Tree {
 // slices in O(n) without recursion (trees may be deep).
 func (t *Tree) computeOrders() {
 	n := t.Len()
-	t.pre = make([]int, n)
-	t.post = make([]int, n)
-	t.bflr = make([]int, n)
-	t.depth = make([]int, n)
-	t.size = make([]int, n)
+	t.pre = make([]int32, n)
+	t.post = make([]int32, n)
+	t.bflr = make([]int32, n)
+	t.depth = make([]int32, n)
+	t.size = make([]int32, n)
 	t.byPre = make([]NodeID, n)
 	t.byPost = make([]NodeID, n)
 	t.byBFLR = make([]NodeID, n)
 
 	// Iterative depth-first traversal computing pre and post order.
-	preCtr, postCtr := 0, 0
+	preCtr, postCtr := int32(0), int32(0)
 	type frame struct {
 		node  NodeID
 		child NodeID // next child to visit
@@ -431,7 +431,7 @@ func (t *Tree) computeOrders() {
 			postCtr++
 			t.post[top.node] = postCtr
 			t.byPost[postCtr-1] = top.node
-			sz := 1
+			sz := int32(1)
 			for c := t.firstChild[top.node]; c != InvalidNode; c = t.nextSibling[c] {
 				sz += t.size[c]
 			}
@@ -451,7 +451,7 @@ func (t *Tree) computeOrders() {
 	// Breadth-first left-to-right order.
 	queue := make([]NodeID, 0, n)
 	queue = append(queue, root)
-	ctr := 0
+	ctr := int32(0)
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -499,7 +499,7 @@ func (t *Tree) writeNode(sb *strings.Builder, n NodeID) {
 func (t *Tree) Indented() string {
 	var sb strings.Builder
 	for _, n := range t.byPre {
-		sb.WriteString(strings.Repeat("  ", t.depth[n]))
+		sb.WriteString(strings.Repeat("  ", int(t.depth[n])))
 		fmt.Fprintf(&sb, "%d:%d:%s\n", t.pre[n], t.post[n], t.Label(n))
 	}
 	return sb.String()

@@ -79,7 +79,7 @@ func (t *Tree) Validate() error {
 
 	// Reverse index tables are consistent.
 	for _, u := range t.byPre {
-		if t.NodeAtPre(t.pre[u]) != u || t.NodeAtPost(t.post[u]) != u || t.NodeAtBFLR(t.bflr[u]) != u {
+		if t.NodeAtPre(t.Pre(u)) != u || t.NodeAtPost(t.Post(u)) != u || t.NodeAtBFLR(t.BFLR(u)) != u {
 			return fmt.Errorf("tree: reverse order index inconsistent at node %d", u)
 		}
 	}
@@ -93,7 +93,7 @@ func (t *Tree) Validate() error {
 		} else if t.depth[u] != 0 {
 			return fmt.Errorf("tree: root depth %d, want 0", t.depth[u])
 		}
-		sz := 1
+		sz := int32(1)
 		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
 			sz += t.size[c]
 		}
@@ -160,5 +160,5 @@ func (t *Tree) parentPre(n NodeID) int {
 	if p == InvalidNode {
 		return 0
 	}
-	return t.pre[p]
+	return t.Pre(p)
 }

@@ -34,6 +34,29 @@ type TreeSpec struct {
 	LabelSkew float64
 }
 
+// ScrambledTree builds a random tree whose children are attached to random
+// earlier nodes — so NodeIDs are not preorder ranks — with zero to two of the
+// labels a, b, c per node (unlabeled and multi-labeled nodes included): the
+// document shape of the differential tests.
+func ScrambledTree(nodes int, seed int64) *tree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	labels := func() []string {
+		ls := []string{}
+		for _, l := range []string{"a", "b", "c"} {
+			if len(ls) < 2 && rng.Intn(3) == 0 {
+				ls = append(ls, l)
+			}
+		}
+		return ls
+	}
+	b := tree.NewBuilder()
+	b.AddRoot(labels()...)
+	for i := 1; i < nodes; i++ {
+		b.AddChild(tree.NodeID(rng.Intn(i)), labels()...)
+	}
+	return b.MustBuild()
+}
+
 // DefaultAlphabet is the label alphabet used when none is specified.
 var DefaultAlphabet = []string{"a", "b", "c", "d", "e"}
 

@@ -13,9 +13,11 @@
 //     efficient algorithms of [33] improve on,
 //   - an efficient set-at-a-time evaluator (Evaluate) in the spirit of the
 //     Gottlob-Koch-Pichler bottom-up/top-down algorithms: every step maps a
-//     whole context set through the axis in O(|D|) using SetImage, and every
-//     qualifier is evaluated once globally into its satisfaction set, giving
-//     O(|D| * |Q|) combined complexity for Core XPath,
+//     whole context set through the axis with the preorder-rank view's
+//     Image (package index) — a range fill or one pointer chase per context
+//     node — and every qualifier is evaluated once globally into its
+//     satisfaction set, giving O(|D| * |Q|) combined complexity for Core
+//     XPath,
 //   - a translation of conjunctive Core XPath (no union, or, not) into
 //     conjunctive queries (ToCQ), connecting the XPath front end to the
 //     CQ machinery of Sections 4-6.

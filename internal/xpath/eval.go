@@ -1,10 +1,12 @@
 package xpath
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
-	"repro/internal/relstore"
+	"repro/internal/index"
 	"repro/internal/tree"
 )
 
@@ -133,205 +135,40 @@ func naiveQual(q Qual, t *tree.Tree, n tree.NodeID) bool {
 	return false
 }
 
-// SetImage computes {m : axis(n, m) for some n in from} in O(|D|) time for
-// every axis, using the structure of the tree rather than per-node axis
-// enumeration.  This is the primitive that makes the set-at-a-time evaluator
-// run in O(|D| * |Q|) (the Core XPath algorithm of [33]).
-//
-// Sets are dense bit vectors indexed by NodeID.  The returned vector comes
-// from the bitset pool and is owned by the caller (Release when done); the
-// input is read-only.  Sparse axes (Child, Parent, the sibling hops, and the
-// fallback) iterate only the set bits of from; the order-based axes remain
-// linear sweeps over the preorder sequence.
-func SetImage(t *tree.Tree, axis tree.Axis, from bitset.Bits) bitset.Bits {
-	n := t.Len()
-	out := bitset.Acquire(n)
-	switch axis {
-	case tree.Self:
-		out.CopyFrom(from)
-	case tree.Child:
-		from.ForEach(func(i int) {
-			for c := t.FirstChild(tree.NodeID(i)); c != tree.InvalidNode; c = t.NextSibling(c) {
-				out.Set(int(c))
-			}
-		})
-	case tree.Parent:
-		from.ForEach(func(i int) {
-			if p := t.Parent(tree.NodeID(i)); p != tree.InvalidNode {
-				out.Set(int(p))
-			}
-		})
-	case tree.Descendant, tree.DescendantOrSelf:
-		// out[v] = some ancestor (or self) of v is in from: top-down sweep in
-		// document order (parents precede children in preorder).
-		for _, v := range t.PreOrder() {
-			p := t.Parent(v)
-			anc := p != tree.InvalidNode && (out.Get(int(p)) || from.Get(int(p)))
-			if anc || (axis == tree.DescendantOrSelf && from.Get(int(v))) {
-				out.Set(int(v))
-			}
-		}
-	case tree.Ancestor, tree.AncestorOrSelf:
-		// out[v] = some descendant (or self) of v is in from: bottom-up sweep
-		// in reverse document order.
-		nodes := t.PreOrder()
-		desc := bitset.Acquire(n)
-		for i := len(nodes) - 1; i >= 0; i-- {
-			v := nodes[i]
-			for c := t.FirstChild(v); c != tree.InvalidNode; c = t.NextSibling(c) {
-				if desc.Get(int(c)) || from.Get(int(c)) {
-					desc.Set(int(v))
-					break
-				}
-			}
-		}
-		out.CopyFrom(desc)
-		if axis == tree.AncestorOrSelf {
-			out.Or(from)
-		}
-		bitset.Release(desc)
-	case tree.NextSiblingAxis:
-		from.ForEach(func(i int) {
-			if s := t.NextSibling(tree.NodeID(i)); s != tree.InvalidNode {
-				out.Set(int(s))
-			}
-		})
-	case tree.PrevSiblingAxis:
-		from.ForEach(func(i int) {
-			if s := t.PrevSibling(tree.NodeID(i)); s != tree.InvalidNode {
-				out.Set(int(s))
-			}
-		})
-	case tree.FollowingSibling, tree.FollowingSiblingOrSelf:
-		// Left-to-right sweep over each sibling list.
-		for _, parent := range t.PreOrder() {
-			seen := false
-			for c := t.FirstChild(parent); c != tree.InvalidNode; c = t.NextSibling(c) {
-				inFrom := from.Get(int(c))
-				if axis == tree.FollowingSiblingOrSelf && (seen || inFrom) {
-					out.Set(int(c))
-				} else if axis == tree.FollowingSibling && seen {
-					out.Set(int(c))
-				}
-				if inFrom {
-					seen = true
-				}
-			}
-		}
-		// The root has no siblings; FollowingSiblingOrSelf of the root is itself.
-		if axis == tree.FollowingSiblingOrSelf && from.Get(int(t.Root())) {
-			out.Set(int(t.Root()))
-		}
-	case tree.PrecedingSibling, tree.PrecedingSiblingOrSelf:
-		for _, parent := range t.PreOrder() {
-			seen := false
-			var sibs []tree.NodeID
-			for c := t.FirstChild(parent); c != tree.InvalidNode; c = t.NextSibling(c) {
-				sibs = append(sibs, c)
-			}
-			for i := len(sibs) - 1; i >= 0; i-- {
-				c := sibs[i]
-				inFrom := from.Get(int(c))
-				if axis == tree.PrecedingSiblingOrSelf && (seen || inFrom) {
-					out.Set(int(c))
-				} else if axis == tree.PrecedingSibling && seen {
-					out.Set(int(c))
-				}
-				if inFrom {
-					seen = true
-				}
-			}
-		}
-		if axis == tree.PrecedingSiblingOrSelf && from.Get(int(t.Root())) {
-			out.Set(int(t.Root()))
-		}
-	case tree.Following:
-		// out[v] = exists u in from with pre(u) < pre(v) and post(u) < post(v).
-		// Sweep nodes in pre order keeping the minimum post index of from-nodes
-		// seen so far.
-		minPost := n + 1
-		for i := 1; i <= n; i++ {
-			v := t.NodeAtPre(i)
-			if minPost < t.Post(v) {
-				out.Set(int(v))
-			}
-			if from.Get(int(v)) && t.Post(v) < minPost {
-				minPost = t.Post(v)
-			}
-		}
-	case tree.Preceding:
-		// out[v] = exists u in from with pre(v) < pre(u) and post(v) < post(u):
-		// sweep in reverse pre order keeping the maximum post index seen.
-		maxPost := 0
-		for i := n; i >= 1; i-- {
-			v := t.NodeAtPre(i)
-			if maxPost > t.Post(v) {
-				out.Set(int(v))
-			}
-			if from.Get(int(v)) && t.Post(v) > maxPost {
-				maxPost = t.Post(v)
-			}
-		}
-	default:
-		// Fall back to per-node enumeration (correct for any axis).
-		from.ForEach(func(i int) {
-			t.StepFunc(axis, tree.NodeID(i), func(m tree.NodeID) bool {
-				out.Set(int(m))
-				return true
-			})
-		})
-	}
-	return out
-}
-
-// LabelIndex supplies shared per-label node masks so repeated evaluations
-// over the same tree skip the per-call label scans.  Implementations must
-// return masks that are stable and safe for concurrent readers (the
-// evaluator never mutates or releases them); package index provides one.
-type LabelIndex interface {
-	// LabelMask returns the bit vector with bit n set iff node n carries the
-	// label.
-	LabelMask(label string) bitset.Bits
-}
-
-// PairIndex optionally extends LabelIndex with memoized label-restricted
-// structural-join pair relations (package index implements it).  When the
-// index passed to EvaluateIndexed also implements PairIndex, steps of the
-// form lab1/lab2 and lab1//lab2 are answered by sweeping the cached
-// (from_pre, to_pre) relation — output-sensitive instead of the O(|D|)
-// SetImage scan — which is sound on multi-labeled documents because the
-// index's sides are label-complete.
-type PairIndex interface {
-	LabelIndex
-	// StructuralPairs returns the shared (from_pre, to_pre) relation of
-	// axis(from, to) under label-complete label restrictions ("" = any), or
-	// ok=false when the axis has no precomputed join.
-	StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*relstore.Relation, bool)
-}
-
-// Evaluate is the efficient set-at-a-time evaluator: context sets are pushed
-// through steps with SetImage, and every qualifier is evaluated once,
-// globally, into the set of nodes satisfying it (computed by evaluating its
-// path right-to-left through inverse axes).  Combined complexity
-// O(|D| * |Q|) for the whole of Core XPath, including negation.
+// Evaluate is the efficient set-at-a-time evaluator — the Core XPath
+// algorithm of [33]: context sets are pushed through steps as bit vectors,
+// and every qualifier is evaluated once, globally, into the set of nodes
+// satisfying it (computed by evaluating its path right-to-left through
+// inverse axes).  Combined complexity O(|D| * |Q|) for the whole of Core
+// XPath, including negation.
 func Evaluate(e Expr, t *tree.Tree, context NodeSet) NodeSet {
 	return EvaluateIndexed(e, t, context, nil)
 }
 
-// EvaluateIndexed is Evaluate with label tests answered by a shared index
-// (may be nil, in which case labels are scanned per call).  An index that
-// also implements PairIndex additionally serves label-to-label Child and
-// Descendant steps from its cached structural-join pair relations.
-func EvaluateIndexed(e Expr, t *tree.Tree, context NodeSet, ix LabelIndex) NodeSet {
-	ev := &evaluator{t: t, ix: ix}
-	ev.pairs, _ = ix.(PairIndex)
-	from := bitset.Acquire(t.Len())
+// EvaluateIndexed is Evaluate over a shared document index, which supplies
+// what the evaluator reads of the document: per-label node masks and the
+// preorder-rank view whose Image maps a set through an axis by range fills
+// and single pointer chases.  A nil index indexes the tree for this call.
+func EvaluateIndexed(e Expr, t *tree.Tree, context NodeSet, ix *index.Index) NodeSet {
+	if ix == nil {
+		ix = index.New(t)
+	}
+	ev := &evaluator{t: t, ix: ix, pv: ix.PreView(), n: t.Len()}
+	from := bitset.Acquire(ev.n)
 	for _, n := range context {
-		from.Set(int(n))
+		from.Set(t.Pre(n) - 1)
 	}
 	res := ev.exprSet(e, from)
 	out := make(NodeSet, 0, res.Count())
-	res.ForEach(func(i int) { out = append(out, tree.NodeID(i)) })
+	nodes := t.PreOrder()
+	for wi, w := range res {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, nodes[wi<<6+bits.TrailingZeros64(w)])
+		}
+	}
+	if !ev.pv.Identity {
+		slices.Sort(out)
+	}
 	bitset.Release(from)
 	bitset.Release(res)
 	return out
@@ -342,14 +179,15 @@ func Query(e Expr, t *tree.Tree) NodeSet {
 	return Evaluate(e, t, NodeSet{t.Root()})
 }
 
-// QueryIndexed evaluates the unary query with label tests answered by a
-// shared index.
-func QueryIndexed(e Expr, t *tree.Tree, ix LabelIndex) NodeSet {
+// QueryIndexed evaluates the unary query over a shared index.
+func QueryIndexed(e Expr, t *tree.Tree, ix *index.Index) NodeSet {
 	return EvaluateIndexed(e, t, NodeSet{t.Root()}, ix)
 }
 
-// evaluator bundles the tree with the optional label index so the recursive
-// evaluation functions need not thread both through every call.
+// evaluator is the state of one evaluation.  Every set is a bit vector over
+// preorder ranks (rank r is the node with preorder index r+1), the space in
+// which the view's Image works; on a tree built in document order — every
+// parsed document — ranks are NodeIDs and label masks are used as they are.
 //
 // Ownership discipline for bit vectors: every evaluator method that returns
 // a set returns one owned by the caller (obtained from the bitset pool and
@@ -357,44 +195,46 @@ func QueryIndexed(e Expr, t *tree.Tree, ix LabelIndex) NodeSet {
 // caller; masks handed out by the shared index are never mutated or
 // Released.
 type evaluator struct {
-	t     *tree.Tree
-	ix    LabelIndex
-	pairs PairIndex // non-nil when ix also serves structural-join pairs
+	t  *tree.Tree
+	ix *index.Index
+	pv *index.PreView
+	n  int
 }
 
-// restrictToLabel clears set bits for every node not carrying the label,
-// mutating set (never the shared index mask).  With an index this is a
-// word-at-a-time AND against the memoized label mask.
+// restrictToLabel clears from set every rank whose node does not carry the
+// label.
 func (ev *evaluator) restrictToLabel(set bitset.Bits, label string) {
-	if ev.ix != nil {
-		set.And(ev.ix.LabelMask(label))
-		return
-	}
-	set.ForEach(func(i int) {
-		if !ev.t.HasLabel(tree.NodeID(i), label) {
-			set.Clear(i)
-		}
-	})
+	ev.pv.AndNodeMask(ev.t, set, ev.ix.LabelMask(label))
 }
 
-// labelMaskCopy returns a freshly-owned mask of the nodes carrying the label
-// (callers may mutate it and must Release it).
-func (ev *evaluator) labelMaskCopy(label string) bitset.Bits {
-	out := bitset.Acquire(ev.t.Len())
-	if ev.ix != nil {
-		out.CopyFrom(ev.ix.LabelMask(label))
-		return out
-	}
-	for _, v := range ev.t.PreOrder() {
-		if ev.t.HasLabel(v, label) {
-			out.Set(int(v))
-		}
-	}
+// image returns the image of from under the axis.
+func (ev *evaluator) image(axis tree.Axis, from bitset.Bits) bitset.Bits {
+	out := bitset.Acquire(ev.n)
+	ev.pv.Image(axis, from, out)
 	return out
 }
 
+// restrictToQuals clears from set every rank failing one of the qualifiers.
+func (ev *evaluator) restrictToQuals(set bitset.Bits, quals []Qual) {
+	for _, q := range quals {
+		sat := ev.qualSatSet(q)
+		set.And(sat)
+		bitset.Release(sat)
+	}
+}
+
+// fuse undoes the "//" abbreviation: the step pair
+// descendant-or-self::*/child::T[q] is the single step descendant::T[q], one
+// range fill per context node instead of a fill and a child chase over
+// everything filled.
+func fuse(d, c Step) (Step, bool) {
+	if d.Axis == tree.DescendantOrSelf && d.Test == "*" && len(d.Quals) == 0 && c.Axis == tree.Child {
+		return Step{Axis: tree.Descendant, Test: c.Test, Quals: c.Quals}, true
+	}
+	return Step{}, false
+}
+
 func (ev *evaluator) exprSet(e Expr, from bitset.Bits) bitset.Bits {
-	t := ev.t
 	switch e := e.(type) {
 	case *Union:
 		l := ev.exprSet(e.Left, from)
@@ -404,122 +244,61 @@ func (ev *evaluator) exprSet(e Expr, from bitset.Bits) bitset.Bits {
 		return l
 	case *Path:
 		// See naiveExpr for the document-node convention on absolute paths;
-		// the two evaluators implement it identically.
-		current := bitset.Acquire(t.Len())
-		hasDoc := false
-		if e.Absolute {
-			hasDoc = true
-		} else {
+		// the two evaluators implement it identically.  Fusing "//" agrees
+		// with it: from the document node, descendant-or-self::*/child::T and
+		// descendant::T both reach every node, and neither keeps the document
+		// node in the set.
+		current := bitset.Acquire(ev.n)
+		hasDoc := e.Absolute
+		if !hasDoc {
 			current.CopyFrom(from)
 		}
-		// curLabel is a label every node of current is known to carry ("" =
-		// none known): the previous step's label test, which quals can only
-		// narrow.  It keys the structural-join shortcut for the next step.
-		curLabel := ""
-		for si := 0; si < len(e.Steps); si++ {
-			s := e.Steps[si]
-			// Label-to-label steps over the region axes are served from the
-			// index's cached pair relation when available.  curLabel != ""
-			// implies hasDoc == false (the document node carries no label),
-			// so the document-node bookkeeping below cannot be skipped by
-			// taking this branch.  The "//" desugaring (descendant-or-self::*
-			// followed by child::lab) is fused into one Descendant step first,
-			// so lab1//lab2 qualifies too.
-			var next bitset.Bits
-			usedPairs := false
-			if curLabel != "" && s.Axis == tree.DescendantOrSelf && s.Test == "*" &&
-				len(s.Quals) == 0 && si+1 < len(e.Steps) &&
-				e.Steps[si+1].Axis == tree.Child && e.Steps[si+1].Test != "*" {
-				fused := Step{Axis: tree.Descendant, Test: e.Steps[si+1].Test, Quals: e.Steps[si+1].Quals}
-				if next, usedPairs = ev.pairStep(current, curLabel, fused); usedPairs {
-					s = fused
-					si++ // the fused step consumed its successor
+		for i := 0; i < len(e.Steps); i++ {
+			s := e.Steps[i]
+			if i+1 < len(e.Steps) {
+				if f, ok := fuse(s, e.Steps[i+1]); ok {
+					s, i = f, i+1
 				}
 			}
-			if !usedPairs {
-				next, usedPairs = ev.pairStep(current, curLabel, s)
-			}
+			var next bitset.Bits
 			nextDoc := false
-			if !usedPairs {
-				next = SetImage(t, s.Axis, current)
+			if hasDoc && (s.Axis == tree.Descendant || s.Axis == tree.DescendantOrSelf) {
+				next = bitset.Acquire(ev.n)
+				next.SetAll(ev.n)
+				nextDoc = s.Axis == tree.DescendantOrSelf
+			} else {
+				next = ev.image(s.Axis, current)
 				if hasDoc {
 					switch s.Axis {
 					case tree.Self:
 						nextDoc = true
 					case tree.Child:
-						next.Set(int(t.Root()))
-					case tree.Descendant:
-						next.SetAll(t.Len())
-					case tree.DescendantOrSelf:
-						nextDoc = true
-						next.SetAll(t.Len())
+						next.Set(0) // the root element
 					}
 				}
-				if s.Test != "*" {
-					ev.restrictToLabel(next, s.Test)
-				}
 			}
-			for _, q := range s.Quals {
-				sat := ev.qualSatSet(q)
-				next.And(sat)
-				bitset.Release(sat)
+			if s.Test != "*" {
+				ev.restrictToLabel(next, s.Test)
 			}
+			ev.restrictToQuals(next, s.Quals)
 			bitset.Release(current)
 			current = next
 			hasDoc = nextDoc && s.Test == "*" && len(s.Quals) == 0
-			if s.Test != "*" {
-				curLabel = s.Test
-			} else {
-				curLabel = ""
-			}
 		}
 		return current
 	}
-	return bitset.Acquire(t.Len())
-}
-
-// pairStep serves one step from the index's structural-join pair cache when
-// that is sound and profitable: the axis is Child or Descendant, both the
-// current set's known label and the step's test are concrete, and the index
-// supplies pair relations.  The sweep touches O(|pairs|) tuples — the same
-// relation the relational evaluators materialize — instead of SetImage's
-// O(|D|) scan, and the label test is already folded into the relation.
-func (ev *evaluator) pairStep(current bitset.Bits, curLabel string, s Step) (bitset.Bits, bool) {
-	if ev.pairs == nil || curLabel == "" || s.Test == "*" {
-		return nil, false
-	}
-	if s.Axis != tree.Child && s.Axis != tree.Descendant {
-		return nil, false
-	}
-	rel, ok := ev.pairs.StructuralPairs(s.Axis, curLabel, s.Test)
-	if !ok {
-		return nil, false
-	}
-	t := ev.t
-	next := bitset.Acquire(t.Len())
-	if fromPre, toPre, ok := rel.IntColumns(0, 1); ok {
-		for i, fp := range fromPre {
-			if current.Get(int(t.NodeAtPre(int(fp)))) {
-				next.Set(int(t.NodeAtPre(int(toPre[i]))))
-			}
-		}
-		return next, true
-	}
-	for _, tp := range rel.Tuples() {
-		if current.Get(int(t.NodeAtPre(int(tp[0])))) {
-			next.Set(int(t.NodeAtPre(int(tp[1]))))
-		}
-	}
-	return next, true
+	return bitset.Acquire(ev.n)
 }
 
 // qualSatSet computes, once and globally, the set of nodes satisfying the
 // qualifier.  The returned vector is owned by the caller.
 func (ev *evaluator) qualSatSet(q Qual) bitset.Bits {
-	t := ev.t
 	switch q := q.(type) {
 	case *QualLabel:
-		return ev.labelMaskCopy(q.Label)
+		out := bitset.Acquire(ev.n)
+		out.SetAll(ev.n)
+		ev.restrictToLabel(out, q.Label)
+		return out
 	case *QualAnd:
 		l := ev.qualSatSet(q.Left)
 		r := ev.qualSatSet(q.Right)
@@ -534,12 +313,12 @@ func (ev *evaluator) qualSatSet(q Qual) bitset.Bits {
 		return l
 	case *QualNot:
 		l := ev.qualSatSet(q.Inner)
-		l.Not(t.Len())
+		l.Not(ev.n)
 		return l
 	case *QualPath:
 		return ev.pathNonEmptySet(q.Path)
 	}
-	return bitset.Acquire(t.Len())
+	return bitset.Acquire(ev.n)
 }
 
 // pathNonEmptySet computes { n : [[p]](n) != empty } for a path expression
@@ -547,7 +326,6 @@ func (ev *evaluator) qualSatSet(q Qual) bitset.Bits {
 // start the path iff stepping the first axis from it can reach a node that
 // passes the first test/qualifiers and can continue the rest of the path.
 func (ev *evaluator) pathNonEmptySet(e Expr) bitset.Bits {
-	t := ev.t
 	switch e := e.(type) {
 	case *Union:
 		l := ev.pathNonEmptySet(e.Left)
@@ -556,43 +334,40 @@ func (ev *evaluator) pathNonEmptySet(e Expr) bitset.Bits {
 		bitset.Release(r)
 		return l
 	case *Path:
+		if e.Absolute {
+			// An absolute path has the same (root-anchored) value from every
+			// context node, so it is non-empty either everywhere or nowhere.
+			empty := bitset.Acquire(ev.n)
+			res := ev.exprSet(e, empty)
+			bitset.Release(empty)
+			if res.Any() {
+				res.SetAll(ev.n)
+			}
+			return res
+		}
 		// target: nodes that can serve as the endpoint of the remaining path
 		// (initially: all nodes).
-		target := bitset.Acquire(t.Len())
-		target.SetAll(t.Len())
+		target := bitset.Acquire(ev.n)
+		target.SetAll(ev.n)
 		for i := len(e.Steps) - 1; i >= 0; i-- {
 			s := e.Steps[i]
+			if i > 0 {
+				if f, ok := fuse(e.Steps[i-1], s); ok {
+					s, i = f, i-1
+				}
+			}
 			// Restrict targets to those passing the step's test and qualifiers.
 			if s.Test != "*" {
 				ev.restrictToLabel(target, s.Test)
 			}
-			for _, q := range s.Quals {
-				sat := ev.qualSatSet(q)
-				target.And(sat)
-				bitset.Release(sat)
-			}
+			ev.restrictToQuals(target, s.Quals)
 			// A node can take this step iff some node related to it by the axis
 			// is a valid target: image through the inverse axis.
-			inv := SetImage(t, s.Axis.Inverse(), target)
+			inv := ev.image(s.Axis.Inverse(), target)
 			bitset.Release(target)
 			target = inv
 		}
-		if e.Absolute {
-			// An absolute path has the same (root-anchored) value from every
-			// context node, so it is non-empty either everywhere or nowhere.
-			empty := bitset.Acquire(t.Len())
-			res := ev.exprSet(e, empty)
-			nonEmpty := res.Any()
-			bitset.Release(empty)
-			bitset.Release(res)
-			bitset.Release(target)
-			out := bitset.Acquire(t.Len())
-			if nonEmpty {
-				out.SetAll(t.Len())
-			}
-			return out
-		}
 		return target
 	}
-	return bitset.Acquire(t.Len())
+	return bitset.Acquire(ev.n)
 }

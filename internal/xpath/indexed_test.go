@@ -34,16 +34,22 @@ func TestQueryIndexedMatchesQuery(t *testing.T) {
 			t.Errorf("%q: plain %v, indexed %v / %v", q, plain, first, second)
 		}
 	}
-	// The site document is multi-labeled (attribute labels); label-to-label
-	// Child/Descendant steps must have been served from the pair cache.
-	if s := ix.Snapshot(); s.PairBuilds == 0 {
-		t.Errorf("no step was served from the structural-join pair cache: %+v", s)
+	assertViewOnly(t, ix)
+}
+
+// assertViewOnly checks what the evaluator built of the document: label masks
+// (and the preorder-rank view), never the relational encoding.
+func assertViewOnly(t *testing.T, ix *index.Index) {
+	t.Helper()
+	if s := ix.Snapshot(); s.XASRBuilds != 0 || s.LabelRowBuilds != 0 || s.PairBuilds != 0 || s.LabelMaskBuilds == 0 {
+		t.Errorf("XPath must read label masks and the view only, got %+v", s)
 	}
 }
 
-// TestPairStepAgainstNaive stresses the pairs-served step on queries whose
-// previous step restricts the label, multi-label (attribute) tests included,
-// against the naive per-node semantics.
+// TestPairStepAgainstNaive stresses label-to-label steps — the ones a cached
+// structural-join pair relation used to serve — on queries whose previous
+// step restricts the label, multi-label (attribute) tests included, against
+// the naive per-node semantics.
 func TestPairStepAgainstNaive(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 18, Regions: 4, DescriptionDepth: 3, Seed: 22})
 	ix := index.New(doc)
@@ -62,10 +68,8 @@ func TestPairStepAgainstNaive(t *testing.T) {
 		want := xpath.QueryNaive(expr, doc)
 		got := xpath.QueryIndexed(expr, doc, ix)
 		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Errorf("%q: naive %v, pair-indexed %v", q, want, got)
+			t.Errorf("%q: naive %v, indexed %v", q, want, got)
 		}
 	}
-	if s := ix.Snapshot(); s.PairBuilds == 0 || s.PairHits == 0 {
-		t.Errorf("pair cache unused across the suite: %+v", s)
-	}
+	assertViewOnly(t, ix)
 }

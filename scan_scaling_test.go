@@ -9,13 +9,16 @@ import (
 	"repro/internal/mdatalog"
 )
 
-// scanMixQueries are the two streaming queries and the datalog program of the
-// scan_mix benchmark workload (bench/treeload/workload.go): the linear-scan
-// routes, whose cost is one pass over the document per execution.
+// scanMixQueries are the two streaming queries, the datalog program and the
+// first XPath query of the scan_mix benchmark workload
+// (bench/treeload/workload.go): the linear-scan routes, whose cost is one pass
+// over the document — for XPath, a few word-parallel passes over rank sets —
+// per execution.
 var scanMixQueries = []struct{ name, lang, text string }{
 	{"stream-item-keyword", core.LangStream, "//item//keyword"},
 	{"stream-region-item-name", core.LangStream, "//region/item/name"},
 	{"datalog-ancestor", core.LangDatalog, "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."},
+	{"xpath-item-description-keyword", core.LangXPath, "//item[name]/description//keyword"},
 }
 
 // scanMixEngine is an engine over a scan_mix document as the daemon holds it
@@ -48,11 +51,13 @@ func datalogDerivations(t *testing.T, items int, text string) int64 {
 // counts that do not depend on the machine: a warm Exec of a streaming or a
 // datalog plan allocates O(1) objects whatever the document size (for
 // streaming the growth that remains is the result slice doubling; datalog
-// allocates its answer once), preparing a datalog plan allocates the same at
-// any size because it reads no document, and the datalog solver derives at
-// most twelve times the atoms for ten times the items.  The map-per-element
-// matcher and the slice-per-clause Horn store these routes replaced allocated
-// 56 k objects per streaming run and 119 k per grounding at 1,000 items.
+// allocates its answer once, and so does XPath, whose sets are pooled bit
+// vectors: 12 objects at either size), preparing a datalog plan allocates the
+// same at any size because it reads no document, and the datalog solver
+// derives at most twelve times the atoms for ten times the items.  The
+// map-per-element matcher and the slice-per-clause Horn store these routes
+// replaced allocated 56 k objects per streaming run and 119 k per grounding at
+// 1,000 items.
 func TestScanScalingLinear(t *testing.T) {
 	ctx := context.Background()
 	type counts struct {
@@ -83,6 +88,11 @@ func TestScanScalingLinear(t *testing.T) {
 		}
 		if small.exec > 32 || big.exec > 32 {
 			t.Errorf("%s: a warm Exec allocates %.0f / %.0f objects at 150 / 1,500 items, want at most 32", q.name, small.exec, big.exec)
+		}
+		// 12 and 12 without the race detector, under which sync.Pool drops a
+		// released vector now and then.
+		if q.lang == core.LangXPath && (math.Abs(small.exec-big.exec) > 4 || big.exec > 16) {
+			t.Errorf("%s: a warm Exec allocates %.0f objects at 150 items and %.0f at 1,500, want the same dozen", q.name, small.exec, big.exec)
 		}
 		if q.lang != core.LangDatalog {
 			continue
