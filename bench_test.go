@@ -649,42 +649,6 @@ func BenchmarkServicePlanCache(b *testing.B) {
 	}
 }
 
-func BenchmarkServicePlanCacheSharded(b *testing.B) {
-	// Concurrent warm Query calls spread over 8 documents, with the plan
-	// cache either behind one shard (every lookup funnels through a single
-	// mutex, the pre-sharding layout) or split across 8 shards (each
-	// document's plans live next to its engine, so goroutines on different
-	// documents never contend).  On a single-core box the shards=8 margin is
-	// the shorter critical section alone; with real parallelism it grows
-	// with the contention the single lock would have serialized.
-	ctx := context.Background()
-	const docs = 8
-	queries := []string{"//item", "//item[name]/description//keyword", "//keyword", "//region//item"}
-	for _, shards := range []int{1, 8} {
-		svc := serviceCorpus(b, docs, service.WithShards(shards), service.WithPlanCacheSize(64))
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for d := 0; d < docs; d++ { // warm every (doc, query) plan
-				for _, q := range queries {
-					if _, _, err := svc.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					doc := fmt.Sprintf("doc%02d", i%docs)
-					if _, _, err := svc.Query(ctx, doc, core.LangXPath, queries[i%len(queries)]); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
-	}
-}
-
 func BenchmarkServiceQueryCorpus(b *testing.B) {
 	// One query fanned out to a 16-document corpus at increasing shard /
 	// worker counts over one shared service configuration per run.  Wall
@@ -713,8 +677,8 @@ func BenchmarkServiceQueryCorpus(b *testing.B) {
 }
 
 func BenchmarkServiceStreamCorpus(b *testing.B) {
-	// Prepared streaming through the service: the transducer compiles once per
-	// document, each fan-out replays pooled SAX events.
+	// Prepared streaming through the service: the transducer compiles once for
+	// the corpus, and each fan-out walks every document's tree with it.
 	svc := serviceCorpus(b, 8, service.WithWorkers(4))
 	ctx := context.Background()
 	for _, r := range svc.QueryCorpus(ctx, core.LangStream, "//item//keyword") {
@@ -762,10 +726,10 @@ func BenchmarkServerQuery(b *testing.B) {
 	// BenchmarkServicePlanCache/xpath/cached is the transport overhead.
 	ts, _ := serverCorpus(b, 1, nil)
 	body := []byte(`{"doc":"doc00","lang":"xpath","query":"//item[name]/description//keyword"}`)
-	benchPost(b, ts.URL+"/query", body) // warm the plan cache + index
+	benchPost(b, ts.URL+"/v1/query", body) // warm the plan cache + index
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/query", body)
+		benchPost(b, ts.URL+"/v1/query", body)
 	}
 }
 
@@ -774,10 +738,10 @@ func BenchmarkServerCorpusQuery(b *testing.B) {
 	// sorted, and truncated to a 100-match page per request.
 	ts, _ := serverCorpus(b, 8, []service.Option{service.WithWorkers(4)})
 	body := []byte(`{"lang":"xpath","query":"//item[name]/description//keyword","limit":100}`)
-	benchPost(b, ts.URL+"/corpus/query", body)
+	benchPost(b, ts.URL+"/v1/corpus/query", body)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/corpus/query", body)
+		benchPost(b, ts.URL+"/v1/corpus/query", body)
 	}
 }
 
@@ -785,7 +749,7 @@ func BenchmarkServerPreparedExec(b *testing.B) {
 	// Executing a server-registered prepared query: the HTTP analogue of
 	// PreparedQuery.Exec, with zero per-request compilation.
 	ts, _ := serverCorpus(b, 1, nil)
-	resp, err := http.Post(ts.URL+"/prepared", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/prepared", "application/json",
 		bytes.NewReader([]byte(`{"doc":"doc00","lang":"xpath","query":"//item[name]/description//keyword"}`)))
 	if err != nil {
 		b.Fatal(err)
@@ -800,7 +764,7 @@ func BenchmarkServerPreparedExec(b *testing.B) {
 	if reg.ID == "" {
 		b.Fatal("prepared registration returned no id")
 	}
-	url := ts.URL + "/prepared/" + reg.ID
+	url := ts.URL + "/v1/prepared/" + reg.ID
 	benchPost(b, url, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1188,8 +1152,8 @@ func BenchmarkIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !o.Patched || o.PlansReprepared != len(updateChurnQueries) {
-					b.Fatalf("text edit outcome %+v, want a patch rebinding %d plans", o, len(updateChurnQueries))
+				if !o.Patched || o.PlansCarried != len(updateChurnQueries) {
+					b.Fatalf("text edit outcome %+v, want a patch carrying %d plans", o, len(updateChurnQueries))
 				}
 			}
 		})

@@ -7,9 +7,9 @@
 #   ci/bench_json.sh BENCH_6.json pr6
 #   BENCH_COUNT=1 BENCH_TIME=100ms ci/bench_json.sh /tmp/fresh.json head
 #
-# Set METRICS_URL to a running treeqd's /metrics endpoint to also record the
+# Set METRICS_URL to a running treeqd's /v1/metrics endpoint to also record the
 # server-side histogram percentiles next to the micro-benchmarks:
-#   METRICS_URL=http://localhost:8080/metrics ci/bench_json.sh BENCH_7.json pr7
+#   METRICS_URL=http://localhost:8080/v1/metrics ci/bench_json.sh BENCH_7.json pr7
 # writes BENCH_7.metrics.json alongside the benchmark file.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -14,7 +14,7 @@ TREEQD_PID=$!
 trap 'kill "$TREEQD_PID" 2>/dev/null || true' EXIT
 
 for i in $(seq 1 50); do
-  if curl -sf "$BASE/healthz" >/dev/null; then break; fi
+  if curl -sf "$BASE/v1/healthz" >/dev/null; then break; fi
   [ "$i" = 50 ] && { echo "treeqd never became healthy" >&2; exit 1; }
   sleep 0.1
 done
@@ -33,30 +33,28 @@ if not ($expr):
 }
 
 echo "== corpus preloaded from disk via treeqd -load"
-resp="$(curl -sf "$BASE/docs")"
-assert_json "$resp" "r['count'] == 3 and r['docs'] == sorted(r['docs'])"
 resp="$(curl -sf "$BASE/v1/docs")"
-assert_json "$resp" "r['count'] == 3"
+assert_json "$resp" "r['count'] == 3 and r['docs'] == sorted(r['docs'])"
 
 echo "== xpath: single-document query"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//item/description//keyword","plan":true}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 4 and 'set-at-a-time' in r['plan']['technique']"
+resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//item/description//keyword","plan":true}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 4 and len(r['results']) == 4 and 'set-at-a-time' in r['plan']['technique']"
 
 echo "== cq: answer tuples"
-resp="$(curl -sf -X POST -d '{"doc":"coins.xml","lang":"cq","query":"Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 5 and len(r['result']['answers'][0]) == 2"
+resp="$(curl -sf -X POST -d '{"doc":"coins.xml","lang":"cq","query":"Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 5 and len(r['results'][0]['answer']) == 2"
 
 echo "== twig: //-rooted XPath through the holistic route"
-resp="$(curl -sf -X POST -d '{"doc":"coins.xml","lang":"twig","query":"//item[name]"}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 3"
+resp="$(curl -sf -X POST -d '{"doc":"coins.xml","lang":"twig","query":"//item[name]"}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 3"
 
 echo "== datalog: keyword-reachability program"
-resp="$(curl -sf -X POST -d '{"doc":"books.xml","lang":"datalog","query":"P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 4"
+resp="$(curl -sf -X POST -d '{"doc":"books.xml","lang":"datalog","query":"P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 4"
 
 echo "== stream: the streaming transducer route"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"stream","query":"//item//keyword"}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 4"
+resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"stream","query":"//item//keyword"}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 4"
 
 echo "== similar: ranked top-k through the /v1 envelope"
 resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"similar","query":"k=3 description(keyword)","plan":true}' "$BASE/v1/query")"
@@ -70,23 +68,25 @@ resp="$(curl -sf -X POST -d '{"lang":"similar","query":"k=2 description(keyword)
 assert_json "$resp" "r['docs'] == 3 and r['version'] == 'v1' and r['truncated'] and len(r['results']) == 4"
 assert_json "$resp" "[e['score'] for e in r['results']] == sorted(e['score'] for e in r['results'])"
 
-echo "== legacy aliases: unversioned paths keep their historical shape"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//item/description//keyword"}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 4 and 'results' not in r"
-resp="$(curl -s -X POST -d '{"doc":"nope.xml","lang":"xpath","query":"//a"}' "$BASE/query")"
+echo "== errors: the stable code enum and the request ID"
+resp="$(curl -s -X POST -d '{"doc":"nope.xml","lang":"xpath","query":"//a"}' "$BASE/v1/query")"
 assert_json "$resp" "r['error'] and r['code'] == 'not_found' and len(r['request_id']) == 16"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"doc":"nope.xml","lang":"xpath","query":"//a"}' "$BASE/v1/query")"
+[ "$code" = 404 ] || { echo "unknown document answered $code, want 404" >&2; exit 1; }
+code="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")"
+[ "$code" = 404 ] || { echo "unversioned /healthz answered $code, want 404" >&2; exit 1; }
 
 echo "== corpus-wide aggregated query with a limit"
-resp="$(curl -sf -X POST -d '{"lang":"xpath","query":"//keyword","limit":5}' "$BASE/corpus/query")"
-assert_json "$resp" "r['docs'] == 3 and r['total'] == 12 and r['truncated'] and len(r['nodes']) == 5"
-assert_json "$resp" "[n['doc'] for n in r['nodes']] == sorted(n['doc'] for n in r['nodes'])"
+resp="$(curl -sf -X POST -d '{"lang":"xpath","query":"//keyword","limit":5}' "$BASE/v1/corpus/query")"
+assert_json "$resp" "r['docs'] == 3 and r['total'] == 12 and r['truncated'] and len(r['results']) == 5"
+assert_json "$resp" "[e['doc'] for e in r['results']] == sorted(e['doc'] for e in r['results'])"
 
 echo "== prepared query lifecycle"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//keyword"}' "$BASE/prepared")"
+resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/prepared")"
 assert_json "$resp" "r['id']"
 PID_Q="$(echo "$resp" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
-resp="$(curl -sf -X POST "$BASE/prepared/$PID_Q")"
-assert_json "$resp" "r['result']['count'] == 4"
+resp="$(curl -sf -X POST "$BASE/v1/prepared/$PID_Q")"
+assert_json "$resp" "r['total'] == 4 and r['id'] == '$PID_Q'"
 
 echo "== deadline propagation: an expired budget turns into per-doc failures"
 # A large generated document (~300k nodes) makes one datalog execution — a
@@ -96,73 +96,79 @@ echo "== deadline propagation: an expired budget turns into per-doc failures"
 # still returns (partial-failure semantics).
 go build -o /tmp/treegen ./cmd/treegen
 /tmp/treegen -shape site -items 20000 > /tmp/e2e-big.xml
-resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-big.xml "$BASE/docs/big.xml")"
+resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-big.xml "$BASE/v1/docs/big.xml")"
 assert_json "$resp" "r['doc'] == 'big.xml'"
-resp="$(curl -sf -X POST -d '{"lang":"datalog","query":"P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P.","timeout_ms":1}' "$BASE/corpus/query")"
+resp="$(curl -sf -X POST -d '{"lang":"datalog","query":"P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P.","timeout_ms":1}' "$BASE/v1/corpus/query")"
 assert_json "$resp" "r['docs'] == 4"
-assert_json "$resp" "any(f['doc'] == 'big.xml' and 'deadline' in f['error'] for f in r.get('failed', []))"
-resp="$(curl -sf -X DELETE "$BASE/docs/big.xml")"
+assert_json "$resp" "any(f['doc'] == 'big.xml' and 'deadline' in f['error'] and 'request_id=' + r['request_id'] in f['error'] for f in r.get('failed', []))"
+resp="$(curl -sf -X DELETE "$BASE/v1/docs/big.xml")"
 assert_json "$resp" "r['docs'] == 3"
 
-echo "== live document update: PUT on a live name bumps the version and keeps plans warm"
+echo "== live document update: PUT on a live name bumps the version and compiles nothing"
 # v1 of a small document: 2 keywords.
-resp="$(curl -sf -X PUT --data-binary '<site><item><name>a</name><description><keyword>k1</keyword><keyword>k2</keyword></description></item></site>' "$BASE/docs/upd.xml")"
+resp="$(curl -sf -X PUT --data-binary '<site><item><name>a</name><description><keyword>k1</keyword><keyword>k2</keyword></description></item></site>' "$BASE/v1/docs/upd.xml")"
 assert_json "$resp" "r['doc'] == 'upd.xml' and r['version'] == 1"
-resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 2 and r['version'] == 1"
-# Register a prepared query bound to v1.
-resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/prepared")"
+resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 2 and r['results'][0]['doc_version'] == 1"
+# Register a prepared query while the document is at v1.
+resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/prepared")"
 PID_U="$(echo "$resp" | python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')"
-# v2: 3 keywords.  The PUT must update in place (200, version 2) and rebind
-# the registered prepared query.
-resp="$(curl -sf -X PUT --data-binary '<site><item><name>a</name><description><keyword>k1</keyword><keyword>k2</keyword><keyword>k3</keyword></description></item></site>' "$BASE/docs/upd.xml")"
-assert_json "$resp" "r['doc'] == 'upd.xml' and r['version'] == 2 and r['reprepared'] == 1"
-# New results, new version — served by the warm re-prepared plan.
-resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 3 and r['version'] == 2"
-resp="$(curl -sf -X POST "$BASE/prepared/$PID_U")"
-assert_json "$resp" "r['result']['count'] == 3 and r['version'] == 2"
-# The swap shows up in /statusz: an update, warm re-prepares, bumped version.
-resp="$(curl -sf "$BASE/statusz")"
-assert_json "$resp" "r['service']['updates'] == 1 and r['service']['plan_reprepares'] >= 1"
-assert_json "$resp" "r['service']['doc_versions']['upd.xml'] == 2 and r['server']['prepared_reprepares'] == 1"
-resp="$(curl -sf -X DELETE "$BASE/docs/upd.xml")"
+misses="$(curl -sf "$BASE/v1/statusz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["service"]["plan_cache_misses"])')"
+hits="$(curl -sf "$BASE/v1/statusz" | python3 -c 'import json,sys; print(json.load(sys.stdin)["service"]["plan_cache_hits"])')"
+# v2: 3 keywords.  The PUT updates in place (200, version 2).
+resp="$(curl -sf -X PUT --data-binary '<site><item><name>a</name><description><keyword>k1</keyword><keyword>k2</keyword><keyword>k3</keyword></description></item></site>' "$BASE/v1/docs/upd.xml")"
+assert_json "$resp" "r['doc'] == 'upd.xml' and r['version'] == 2"
+resp="$(curl -sf "$BASE/v1/statusz")"
+assert_json "$resp" "r['service']['plan_cache_misses'] == $misses"
+# New results, new version — and the same text hits the cached plan.
+resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 3 and r['results'][0]['doc_version'] == 2"
+resp="$(curl -sf "$BASE/v1/statusz")"
+assert_json "$resp" "r['service']['plan_cache_misses'] == $misses and r['service']['plan_cache_hits'] == $hits + 1"
+# The registered prepared query answers the new version.
+resp="$(curl -sf -X POST "$BASE/v1/prepared/$PID_U")"
+assert_json "$resp" "r['total'] == 3 and r['results'][0]['doc_version'] == 2"
+# The swap shows up in /v1/statusz: an update, carried plans, bumped version.
+resp="$(curl -sf "$BASE/v1/statusz")"
+assert_json "$resp" "r['service']['updates'] == 1 and r['updates']['plans_carried'] >= 1"
+assert_json "$resp" "r['service']['doc_versions']['upd.xml'] == 2 and 'reprepare' not in r['updates']['phase_totals_ns']"
+resp="$(curl -sf -X DELETE "$BASE/v1/docs/upd.xml")"
 assert_json "$resp" "r['docs'] == 3"
 
 echo "== multi-labeled document: attribute labels ride the indexed fast path"
 # treegen -shape site emits @id/@name attribute labels, so every node with an
 # attribute is multi-labeled; the default routes serve it from label masks
 # (which hold every label of a node) and the preorder-rank view, and build no
-# XASR, side relation or pair relation (all three stay 0 in /statusz).
+# XASR, side relation or pair relation (all three stay 0 in /v1/statusz).
 /tmp/treegen -shape site -items 50 > /tmp/e2e-multi.xml
-resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-multi.xml "$BASE/docs/multi.xml")"
+resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-multi.xml "$BASE/v1/docs/multi.xml")"
 assert_json "$resp" "r['doc'] == 'multi.xml'"
-resp="$(curl -sf -X POST -d '{"doc":"multi.xml","lang":"xpath","query":"//item/name","plan":true}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] == 50"
-resp="$(curl -sf -X POST -d '{"doc":"multi.xml","lang":"cq","query":"Q(i) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."}' "$BASE/query")"
-assert_json "$resp" "r['result']['count'] >= 1"
-resp="$(curl -sf "$BASE/statusz")"
+resp="$(curl -sf -X POST -d '{"doc":"multi.xml","lang":"xpath","query":"//item/name","plan":true}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 50"
+resp="$(curl -sf -X POST -d '{"doc":"multi.xml","lang":"cq","query":"Q(i) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] >= 1"
+resp="$(curl -sf "$BASE/v1/statusz")"
 assert_json "$resp" "r['index']['multi_labeled_docs'] >= 1"
 assert_json "$resp" "r['index']['label_mask_builds'] >= 1"
 assert_json "$resp" "r['index']['xasr_builds'] == 0 and r['index']['label_row_builds'] == 0 and r['index']['pair_builds'] == 0"
-resp="$(curl -sf -X DELETE "$BASE/docs/multi.xml")"
+resp="$(curl -sf -X DELETE "$BASE/v1/docs/multi.xml")"
 assert_json "$resp" "r['docs'] == 3"
 
 echo "== request IDs: every response is stamped, client IDs are echoed"
-rid="$(curl -sf -D - -o /dev/null "$BASE/healthz" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
+rid="$(curl -sf -D - -o /dev/null "$BASE/v1/healthz" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
 [ -n "$rid" ] || { echo "healthz response missing X-Request-ID" >&2; exit 1; }
-rid="$(curl -sf -D - -o /dev/null -H 'X-Request-ID: e2e-test-id-1' "$BASE/statusz" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
+rid="$(curl -sf -D - -o /dev/null -H 'X-Request-ID: e2e-test-id-1' "$BASE/v1/statusz" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')"
 [ "$rid" = "e2e-test-id-1" ] || { echo "client X-Request-ID not echoed (got '$rid')" >&2; exit 1; }
 
 echo "== ?debug=timings echoes per-stage spans"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//keyword"}' "$BASE/query?debug=timings")"
-assert_json "$resp" "r['result']['count'] == 4 and len(r['timings']['request_id']) > 0"
+resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/query?debug=timings")"
+assert_json "$resp" "r['total'] == 4 and len(r['timings']['request_id']) > 0"
 assert_json "$resp" "{s['stage'] for s in r['timings']['stages']} >= {'gate', 'plan', 'exec'}"
 
-echo "== /metrics: well-formed exposition with non-zero core families"
-metrics="$(curl -sf "$BASE/metrics")"
-ctype="$(curl -sf -D - -o /dev/null "$BASE/metrics" | tr -d '\r' | awk -F': ' 'tolower($1)=="content-type"{print $2}')"
-case "$ctype" in text/plain*version=0.0.4*) ;; *) echo "bad /metrics Content-Type: $ctype" >&2; exit 1;; esac
+echo "== /v1/metrics: well-formed exposition with non-zero core families"
+metrics="$(curl -sf "$BASE/v1/metrics")"
+ctype="$(curl -sf -D - -o /dev/null "$BASE/v1/metrics" | tr -d '\r' | awk -F': ' 'tolower($1)=="content-type"{print $2}')"
+case "$ctype" in text/plain*version=0.0.4*) ;; *) echo "bad /v1/metrics Content-Type: $ctype" >&2; exit 1;; esac
 echo "$metrics" | python3 -c "
 import sys
 text = sys.stdin.read()
@@ -186,12 +192,12 @@ nonzero('treeqd_query_duration_seconds_count{lang=\"xpath\",route=\"corpus\"')
 nonzero('treeqd_prepare_duration_seconds_count{lang=\"xpath\",phase=\"build\"')
 nonzero('treeqd_prepare_duration_seconds_count{lang=\"datalog\",phase=\"compile\"')
 nonzero('treeqd_corpus_fanout_docs_count')
-# Cache, pool, and gate families are present with live values.
+# Cache, pool, update, and gate families are present with live values.
 nonzero('treeqd_http_requests_total{handler=\"query\",code=\"200\"}')
 nonzero('treeqd_plan_cache_hits_total')
 nonzero('treeqd_plan_cache_size')
 nonzero('treeqd_pool_hits_total{pool=\"bitset\"}')
-nonzero('treeqd_plan_cache_shard_size')
+nonzero('treeqd_update_plans_carried_total')
 nonzero('treeqd_retry_after_seconds')
 nonzero('treeqd_corpus_docs')
 nonzero('treeqd_uptime_seconds')
@@ -200,15 +206,15 @@ print('metrics: %d samples across %d families ok'
 "
 
 echo "== promlint: structural well-formedness of the exposition"
-./ci/promlint.sh "$BASE/metrics"
+./ci/promlint.sh "$BASE/v1/metrics"
 
 echo "== statusz accounting"
-resp="$(curl -sf "$BASE/statusz")"
+resp="$(curl -sf "$BASE/v1/statusz")"
 assert_json "$resp" "r['service']['docs'] == 3 and r['service']['queries'] >= 7 and r['server']['requests'] >= 10"
 
 echo "== document removal"
-resp="$(curl -sf -X DELETE "$BASE/docs/books.xml")"
+resp="$(curl -sf -X DELETE "$BASE/v1/docs/books.xml")"
 assert_json "$resp" "r['docs'] == 2"
-curl -s -o /dev/null -w '%{http_code}' -X DELETE "$BASE/docs/books.xml" | grep -q 404
+curl -s -o /dev/null -w '%{http_code}' -X DELETE "$BASE/v1/docs/books.xml" | grep -q 404
 
 echo "e2e: all assertions passed"

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Lints the /metrics exposition for structural and naming problems, with no
+# Lints the /v1/metrics exposition for structural and naming problems, with no
 # dependency beyond the repo itself.  Two layers:
 #
 #   1. `benchjson -metrics-url` round-trips the payload through
@@ -19,18 +19,18 @@ cd "$(dirname "$0")/.."
 URL="${1:-}"
 if [[ -z "$URL" ]]; then
   ADDR="127.0.0.1:18090"
-  URL="http://$ADDR/metrics"
+  URL="http://$ADDR/v1/metrics"
   go build -o /tmp/treeqd-promlint ./cmd/treeqd
   /tmp/treeqd-promlint -addr "$ADDR" -access-log=false &
   PROMLINT_PID=$!
   trap 'kill "$PROMLINT_PID" 2>/dev/null || true' EXIT
   for i in $(seq 1 50); do
-    if curl -sf "http://$ADDR/healthz" >/dev/null; then break; fi
+    if curl -sf "http://$ADDR/v1/healthz" >/dev/null; then break; fi
     [ "$i" = 50 ] && { echo "promlint: treeqd never became healthy" >&2; exit 1; }
     sleep 0.1
   done
-  curl -sf -X PUT --data-binary @examples/corpus/docs/auctions.xml "http://$ADDR/docs/a.xml" >/dev/null
-  curl -sf -X POST -d '{"doc":"a.xml","lang":"xpath","query":"//keyword"}' "http://$ADDR/query" >/dev/null
+  curl -sf -X PUT --data-binary @examples/corpus/docs/auctions.xml "http://$ADDR/v1/docs/a.xml" >/dev/null
+  curl -sf -X POST -d '{"doc":"a.xml","lang":"xpath","query":"//keyword"}' "http://$ADDR/v1/query" >/dev/null
 fi
 
 echo "promlint: structural validation of $URL"

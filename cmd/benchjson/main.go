@@ -20,7 +20,7 @@
 // interpolated p50/p90/p99 per labelled series — so ci/bench_json.sh can
 // record observed serving percentiles alongside the micro-benchmarks:
 //
-//	benchjson -metrics-url http://localhost:8080/metrics > METRICS.json
+//	benchjson -metrics-url http://localhost:8080/v1/metrics > METRICS.json
 package main
 
 import (

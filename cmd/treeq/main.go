@@ -17,9 +17,9 @@
 //
 // In corpus mode, -update FILE demonstrates the live-update path: after the
 // first fan-out pass the corpus document named after FILE's base name is
-// replaced by FILE's contents (the engine swap re-prepares the document's
-// warm plans), and the fan-out runs again against the new version.  With
-// -timing the service counters show re-prepares instead of cold compiles.
+// replaced by FILE's contents (the engine swap compiles nothing: the cached
+// plans serve the new version as they are), and the fan-out runs again
+// against it.  With -timing the service counters show no second miss.
 //
 // With -similar PATTERN the query is a top-k subtree similarity search: the
 // pattern is an s-expression tree and the result is the k closest subtrees by
@@ -275,8 +275,8 @@ func runCorpus(dir, lang, text string, engOpts []core.Option, run corpusRun) {
 
 	failed := pass()
 	if run.updateFile != "" {
-		// Live-update path: swap the named document in place (warm plans are
-		// re-prepared, not dropped) and fan out again against the new version.
+		// Live-update path: swap the named document in place (cached plans
+		// stay warm) and fan out again against the new version.
 		data, err := os.ReadFile(run.updateFile)
 		if err != nil {
 			fatal(err)
@@ -286,19 +286,16 @@ func runCorpus(dir, lang, text string, engOpts []core.Option, run corpusRun) {
 		if err != nil {
 			fatal(err)
 		}
-		st := svc.Stats()
-		fmt.Fprintf(os.Stderr, "treeq: updated %s to version %d, %s/%s (%d plans re-prepared, %d of them label-disjoint from the edit, %d re-prepare failures)\n",
-			name, outcome.Version, outcome.Mode(), outcome.Kind,
-			st.PlanReprepares, st.PlansSkippedByLabelSet, st.PlanReprepareFailures)
+		fmt.Fprintf(os.Stderr, "treeq: updated %s to version %d, %s/%s (%d cached plans carried, %d of them label-disjoint from the edit)\n",
+			name, outcome.Version, outcome.Mode(), outcome.Kind, outcome.PlansCarried, outcome.PlansSkipped)
 		failed += pass()
 	}
 	if run.timing {
 		st := svc.Stats()
-		fmt.Fprintf(os.Stderr, "service: docs=%d queries=%d updates=%d (patched=%d rebuilt=%d) reprepares=%d plan-cache hits=%d misses=%d evictions=%d size=%d/%d shard-sizes=%v\n",
-			st.Docs, st.Queries, st.Updates, st.PatchedUpdates, st.RebuildUpdates, st.PlanReprepares,
+		fmt.Fprintf(os.Stderr, "service: docs=%d queries=%d updates=%d (patched=%d rebuilt=%d) plan-cache hits=%d misses=%d evictions=%d size=%d/%d\n",
+			st.Docs, st.Queries, st.Updates, st.PatchedUpdates, st.RebuildUpdates,
 			st.PlanCacheHits, st.PlanCacheMisses,
-			st.PlanCacheEvictions, st.PlanCacheSize, st.PlanCacheCap,
-			svc.PlanShardSizes())
+			st.PlanCacheEvictions, st.PlanCacheSize, st.PlanCacheCap)
 		if lang == core.LangSimilar {
 			printSimilarStats()
 		}

@@ -5,18 +5,16 @@
 // datalog, twig patterns, streaming path queries, and top-k subtree
 // similarity search).
 //
-// Endpoints (all JSON unless noted).  The /v1 paths are canonical; the
-// unversioned aliases are deprecated and kept for one release (the mapping
-// is published in /statusz under "api"):
+// Endpoints (all JSON unless noted):
 //
 //	GET    /v1/healthz          liveness probe
 //	GET    /v1/statusz          service + server counters, per-document versions,
-//	                            similarity-route counters, deprecation table
+//	                            similarity-route counters
 //	GET    /v1/metrics          Prometheus text exposition (histograms, gauges)
 //	GET    /v1/docs             list document names and versions
 //	PUT    /v1/docs/{name}      upsert: add the XML body (201, version 1) or
 //	                            update a live document in place (200, version
-//	                            bumped, warm plans re-prepared, not dropped)
+//	                            bumped, every cached plan still warm)
 //	DELETE /v1/docs/{name}      remove a document
 //	POST   /v1/query            {"doc","lang","query","limit"?,"timeout_ms"?,"plan"?}
 //	POST   /v1/corpus/query     {"lang","query","limit"?,"timeout_ms"?,"doc_timeout_ms"?}
@@ -30,8 +28,7 @@
 // answer?, score?} — score only on the ranked similarity route (lang
 // "similar", query "{k=N} {maxdist=N} SEXPR"), where it is the tree edit
 // distance and results arrive closest-first.  Errors everywhere are {error,
-// code, request_id, retry_after_s?} with a stable code enum.  The legacy
-// aliases keep their historical response shapes.
+// code, request_id, retry_after_s?} with a stable code enum.
 //
 // Every query request runs under a deadline (request-supplied, clamped to
 // -max-timeout) and the admission gate rejects work beyond -max-inflight with

@@ -33,7 +33,8 @@ func main() {
 	ctx := context.Background()
 
 	// One-shot queries against named documents go through the plan cache:
-	// the second call for the same (document, language, text) only executes.
+	// the second call for the same (language, text) only executes, on any
+	// document.
 	const q = "//item[name]/description//keyword"
 	for i := 0; i < 2; i++ {
 		res, _, err := svc.Query(ctx, "site-03", core.LangXPath, q)
@@ -56,7 +57,7 @@ func main() {
 	}
 
 	// Streaming XPath joins the same pipeline: LangStream compiles the
-	// transducer once, and each execution replays pooled SAX events.
+	// transducer once for the corpus, and each execution walks a document.
 	fmt.Println("\nprepared streaming //item//keyword across the corpus:")
 	for _, r := range svc.QueryCorpus(ctx, core.LangStream, "//item//keyword") {
 		if r.Err != nil {

@@ -40,7 +40,7 @@ func main() {
 		fmt.Printf("  %-34s %6d matches in %v\n", name, n, time.Since(start).Round(time.Microsecond))
 	}
 
-	run("holistic twig join (PathStack)", func() (int, error) {
+	run("holistic twig join (join kernel)", func() (int, error) {
 		ms, err := twigjoin.MatchTwig(doc, tw)
 		return len(ms), err
 	})

@@ -47,7 +47,7 @@ const obsvPkg = "repro/internal/obsv"
 
 // labelAllowlist is the closed set of label names the exposition may carry.
 // Every entry is known-bounded: handler/route/lang/outcome/code enumerate
-// small static sets, shard/pool/phase/mode/bound enumerate engine internals.
+// small static sets, pool/phase/mode/bound enumerate engine internals.
 // Adding a label means extending this list in the same commit that
 // registers it — which is the review point the allowlist exists to create.
 var labelAllowlist = map[string]bool{
@@ -58,7 +58,6 @@ var labelAllowlist = map[string]bool{
 	"outcome": true,
 	"mode":    true,
 	"phase":   true,
-	"shard":   true,
 	"pool":    true,
 	"bound":   true,
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/ctxcheckpoint"
 	"repro/internal/analyzers/errcode"
-	"repro/internal/analyzers/lockorder"
 	"repro/internal/analyzers/obsvnames"
 	"repro/internal/analyzers/poolpair"
 )
@@ -18,7 +17,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxcheckpoint.Analyzer,
 		errcode.Analyzer,
-		lockorder.Analyzer,
 		obsvnames.Analyzer,
 		poolpair.Analyzer,
 	}

@@ -66,13 +66,11 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// Phase is one timed stage of query preparation: "parse" (source text to
+// Phase is one timed stage of query compilation: "parse" (source text to
 // AST), "translate" (twig-to-CQ conversion), "compile" (streaming matcher
-// construction; datalog TMNF conversion and rule compilation), "build"
-// (classification, planning, and run-closure binding).
-// Routes record only the phases they actually performed, so a Reprepare —
-// which reuses the parsed artifacts — reports no "parse" phase: the phase
-// list is also the receipt for what a warm re-prepare saved.
+// construction; datalog TMNF conversion and rule compilation), "ted"
+// (similarity-pattern decomposition), "build" (classification, planning, and
+// run-closure binding).  Routes record only the phases they perform.
 type Phase struct {
 	// Name is the stage name.
 	Name string
@@ -95,7 +93,7 @@ type Plan struct {
 	// treeqd_prepare_duration_seconds{lang,phase} histogram.
 	Phases []Phase
 	// PrepareDuration is the time spent parsing, classifying and planning
-	// (paid once per PreparedQuery, amortized over its executions).
+	// (paid once per Compiled query, amortized over its executions).
 	PrepareDuration time.Duration
 	// ExecDuration is the wall time of the execution that produced this Plan.
 	ExecDuration time.Duration
@@ -115,6 +113,13 @@ func (p *Plan) phase(name string, d time.Duration) {
 		d = 1
 	}
 	p.Phases = append(p.Phases, Phase{Name: name, Duration: d})
+}
+
+// lap records the stage that ran since *t and restarts the clock.
+func (p *Plan) lap(name string, t *time.Time) {
+	now := time.Now()
+	p.phase(name, now.Sub(*t))
+	*t = now
 }
 
 // clone copies the plan so each execution can annotate its own.
@@ -164,12 +169,17 @@ func WithPairCacheCap(n int) Option {
 	return func(c *engineConfig) { c.pairCap = n }
 }
 
-// New creates an engine over an already-built tree.
-func New(doc *tree.Tree, opts ...Option) *Engine {
+func newConfig(opts []Option) engineConfig {
 	cfg := engineConfig{strategy: Auto}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return cfg
+}
+
+// New creates an engine over an already-built tree.
+func New(doc *tree.Tree, opts ...Option) *Engine {
+	cfg := newConfig(opts)
 	return &Engine{
 		doc:      doc,
 		strategy: cfg.strategy,
@@ -216,15 +226,21 @@ func (e *Engine) Index() *index.Index { return e.idx }
 // pinning its O(|D|) index structures.
 func (e *Engine) Release() { e.idx.Release() }
 
+// once executes a query compiled by compile or compileParsedCQ, for the
+// one-shot wrappers below; a query that failed to compile reports the plan as
+// far as it got.
+func (e *Engine) once(c *Compiled, plan *Plan, err error) (*Result, *Plan, error) {
+	if err != nil {
+		return nil, plan, err
+	}
+	return c.Exec(context.Background(), e)
+}
+
 // XPath evaluates a Core XPath expression as a unary query from the root and
 // returns the selected nodes.  It is a thin wrapper over Prepare + Exec; for
 // repeated evaluation of the same query, Prepare once and Exec many times.
 func (e *Engine) XPath(query string) (xpath.NodeSet, *Plan, error) {
-	pq, plan, err := e.prepareXPath(query)
-	if err != nil {
-		return nil, plan, err
-	}
-	res, plan, err := pq.Exec(context.Background())
+	res, plan, err := e.once(compile(LangXPath, query, e.strategy))
 	if err != nil {
 		return nil, plan, err
 	}
@@ -287,11 +303,7 @@ func (e *Engine) CQ(query string) ([]cq.Answer, *Plan, error) {
 // It is a thin wrapper over PrepareCQ + Exec; for repeated evaluation of the
 // same query, prepare once and Exec many times.
 func (e *Engine) EvaluateCQ(q *cq.Query) ([]cq.Answer, *Plan, error) {
-	pq, plan, err := e.prepareCQ(q)
-	if err != nil {
-		return nil, plan, err
-	}
-	res, plan, err := pq.Exec(context.Background())
+	res, plan, err := e.once(compileParsedCQ(q, e.strategy))
 	if err != nil {
 		return nil, plan, err
 	}
@@ -302,11 +314,7 @@ func (e *Engine) EvaluateCQ(q *cq.Query) ([]cq.Answer, *Plan, error) {
 // returns the nodes in the query predicate.  It is a thin wrapper over
 // Prepare + Exec; preparing once amortizes the TMNF conversion and compile.
 func (e *Engine) Datalog(program string) ([]tree.NodeID, *Plan, error) {
-	pq, plan, err := e.prepareDatalog(program)
-	if err != nil {
-		return nil, plan, err
-	}
-	res, plan, err := pq.Exec(context.Background())
+	res, plan, err := e.once(compile(LangDatalog, program, e.strategy))
 	if err != nil {
 		return nil, plan, err
 	}
@@ -318,11 +326,7 @@ func (e *Engine) Datalog(program string) ([]tree.NodeID, *Plan, error) {
 // this is the "twig pattern matching" route of Section 6.  It is a thin
 // wrapper over Prepare + Exec.
 func (e *Engine) Twig(query string) ([]cq.Answer, *Plan, error) {
-	pq, plan, err := e.prepareTwig(query)
-	if err != nil {
-		return nil, plan, err
-	}
-	res, plan, err := pq.Exec(context.Background())
+	res, plan, err := e.once(compile(LangTwig, query, e.strategy))
 	if err != nil {
 		return nil, plan, err
 	}

@@ -92,69 +92,42 @@ func parseSimilarText(text string) (k, maxDist int, pat *tree.Tree, err error) {
 	return k, maxDist, pat, nil
 }
 
-func (e *Engine) prepareSimilar(text string) (*PreparedQuery, *Plan, error) {
-	parseStart := time.Now()
-	k, maxDist, patTree, err := parseSimilarText(text)
+// compileSimilar decomposes the pattern (postorder arrays, keyroots, label
+// histogram) once; it reads no document.
+func (c *Compiled) compileSimilar(plan *Plan, s Strategy, t *time.Time) error {
+	k, maxDist, patTree, err := parseSimilarText(c.text)
 	if err != nil {
-		return nil, &Plan{Language: "similar"}, err
+		return err
 	}
-	parseDur := time.Since(parseStart)
-	tedStart := time.Now()
+	plan.lap("parse", t)
 	pat := ted.NewPattern(patTree)
-	pq, plan := e.buildSimilar(pat, k, maxDist, text, parseDur, time.Since(tedStart))
-	return pq, plan, nil
-}
-
-// buildSimilar binds an already-decomposed pattern to this engine's document.
-// The decomposition (postorder arrays, keyroots, label histogram) is
-// document-independent and cached in the prepared plan, so Reprepare re-enters
-// here (durations 0) and a document swap costs only the closure rebind.
-func (e *Engine) buildSimilar(pat *ted.Pattern, k, maxDist int, text string, parseDur, tedDur time.Duration) (*PreparedQuery, *Plan) {
-	start := time.Now()
-	plan := &Plan{Language: "similar"}
-	if parseDur > 0 {
-		plan.phase("parse", parseDur)
-	}
-	if tedDur > 0 {
-		plan.phase("ted", tedDur)
-	}
+	plan.lap("ted", t)
 	plan.note("pattern with %d nodes, %d keyroots, %d distinct labels; k=%d maxdist=%d",
 		pat.Size(), len(pat.Keyroots()), len(pat.Hist()), k, maxDist)
-	labels := make([]string, 0, len(pat.Hist()))
+	c.labels = make([]string, 0, len(pat.Hist()))
 	for l := range pat.Hist() {
-		labels = append(labels, l)
+		c.labels = append(c.labels, l)
 	}
-	sort.Strings(labels)
-	pq := &PreparedQuery{eng: e, lang: LangSimilar, text: text, labels: labels}
+	sort.Strings(c.labels)
 	// The pattern is tiny, but reporting its node count gives the plan-cache
 	// admission policy the same size handle the rewrite route exposes.
-	pq.clauses = pat.Size()
-	pq.reprepare = func(ne *Engine) (*PreparedQuery, error) {
-		npq, _ := ne.buildSimilar(pat, k, maxDist, text, 0, 0)
-		return npq, nil
-	}
-	if e.strategy == Naive {
+	c.clauses = pat.Size()
+	search := (*Engine).similarTopK
+	if s == Naive {
 		plan.Technique = "exhaustive tree edit distance (keyroots kernel, no pruning)"
-		pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-			hits, err := e.similarExhaustive(ctx, pat, k, maxDist, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Hits: hits}, nil
-		}
+		search = (*Engine).similarExhaustive
 	} else {
 		plan.Technique = "top-k tree edit distance (posting-list lower bounds + keyroots kernel)"
 		plan.note("candidates walked in size order; size and label-histogram bounds prune before any kernel call")
-		pq.run = func(ctx context.Context, p *Plan) (*Result, error) {
-			hits, err := e.similarTopK(ctx, pat, k, maxDist, p)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Hits: hits}, nil
-		}
 	}
-	plan.phase("build", time.Since(start))
-	return e.finish(pq, plan, start), plan
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		hits, err := search(e, ctx, pat, k, maxDist, p)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Hits: hits}, nil
+	}
+	return nil
 }
 
 // hitHeap is a bounded max-heap under the (distance, pre) result order: the
@@ -395,11 +368,7 @@ func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, max
 // Similar prepares and executes a similarity query in one step, returning
 // the ranked hits; the convenience analogue of Engine.XPath for LangSimilar.
 func (e *Engine) Similar(text string) ([]Hit, *Plan, error) {
-	pq, err := e.Prepare(LangSimilar, text)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, plan, err := pq.Exec(context.Background())
+	res, plan, err := e.once(compile(LangSimilar, text, e.strategy))
 	if err != nil {
 		return nil, plan, err
 	}

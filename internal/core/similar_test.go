@@ -203,25 +203,18 @@ func TestSimilarPreparePhasesAndReprepare(t *testing.T) {
 		t.Fatalf("Clauses() = %d, want pattern size 3", pq.Clauses())
 	}
 
-	// Reprepare onto a new engine reuses the decomposition: no parse or ted
-	// phase, same answers on the new document.
+	// The same compiled pattern runs on another document's engine: its
+	// decomposition is reused, and the answers are the new document's.
 	doc2 := tree.MustParseSexpr("r(a(b c) x)")
-	e2 := New(doc2)
-	pq2, err := pq.Reprepare(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range pq2.Phases() {
-		if ph.Name == "parse" || ph.Name == "ted" {
-			t.Fatalf("reprepare redid phase %q", ph.Name)
-		}
-	}
-	res, _, err := pq2.Exec(context.Background())
+	res, _, err := pq.Compiled.Exec(context.Background(), New(doc2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Hits) != 2 || res.Hits[0].Distance != 0 {
-		t.Fatalf("reprepared hits = %+v", res.Hits)
+		t.Fatalf("hits on the second document = %+v", res.Hits)
+	}
+	if len(pq.Phases()) != len(names) {
+		t.Fatalf("executing on a second engine changed the phases: %v", pq.Phases())
 	}
 }
 

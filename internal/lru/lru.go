@@ -1,8 +1,8 @@
 // Package lru provides a small size-capped least-recently-used cache used by
 // the admission/eviction layers of the query pipeline: the per-document index
 // caps its structural-join pair relations with it, and the corpus query
-// service caps its compiled-plan cache with it (and snapshots a document's
-// warm plans through Each before an update swap).
+// service caps its compiled-plan cache with it (and walks the cached plans
+// through Each to count what an update carried across).
 //
 // A Cache is NOT safe for concurrent use; callers guard it with their own
 // lock (both current users already hold a mutex around every access, so
@@ -74,20 +74,9 @@ func (c *Cache[K, V]) Add(key K, val V) {
 	}
 }
 
-// Remove drops the entry under key, reporting whether it was present.
-// Explicit removals do not count as evictions.
-func (c *Cache[K, V]) Remove(key K) bool {
-	el, ok := c.items[key]
-	if ok {
-		c.removeElement(el)
-	}
-	return ok
-}
-
 // Each calls fn on every cached entry, from most to least recently used,
 // stopping early if fn returns false.  Iteration is read-only: it does not
-// touch recency, and fn must not mutate the cache.  The corpus service uses
-// it to snapshot a document's warm plans before an update swap.
+// touch recency, and fn must not mutate the cache.
 func (c *Cache[K, V]) Each(fn func(key K, val V) bool) {
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry[K, V])
@@ -98,8 +87,7 @@ func (c *Cache[K, V]) Each(fn func(key K, val V) bool) {
 }
 
 // RemoveFunc drops every entry whose key satisfies pred and returns how many
-// were dropped.  Used by the corpus service to purge all plans of a document
-// that was removed.
+// were dropped.  Explicit removals do not count as evictions.
 func (c *Cache[K, V]) RemoveFunc(pred func(K) bool) int {
 	removed := 0
 	for el := c.ll.Front(); el != nil; {

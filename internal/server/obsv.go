@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -23,13 +22,12 @@ import (
 )
 
 // scrapeSnapshot caches the expensive per-scrape state: one service.Stats
-// walk (it visits every live engine), the plan-shard sizes, the pool
-// counters, and the prepared-query count.  The registry's OnScrape hook
-// refreshes it once per scrape; the dozens of gauge collectors below read the
-// cached copy instead of re-walking the corpus per family.
+// walk (it visits every live engine), the pool counters, and the
+// prepared-query count.  The registry's OnScrape hook refreshes it once per
+// scrape; the dozens of gauge collectors below read the cached copy instead
+// of re-walking the corpus per family.
 type scrapeSnapshot struct {
 	stats        service.Stats
-	shardSizes   []int
 	pools        obsv.PoolCounters
 	prepared     int
 	updatePhases map[string]time.Duration
@@ -41,7 +39,6 @@ func (s *Server) snapshotForScrape() {
 	s.prepMu.Unlock()
 	s.scrape.Store(&scrapeSnapshot{
 		stats:        s.svc.Stats(),
-		shardSizes:   s.svc.PlanShardSizes(),
 		pools:        obsv.Pools(),
 		prepared:     prepared,
 		updatePhases: s.svc.UpdatePhaseTotals(),
@@ -97,8 +94,6 @@ func (s *Server) registerMetrics() {
 		func(*scrapeSnapshot) float64 { return float64(s.retryAfterSeconds()) })
 	gauge("treeqd_prepared_queries", "Server-registered prepared queries.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.prepared) })
-	counter("treeqd_prepared_reprepares_total", "Registered prepared queries rebound after document updates.",
-		func(*scrapeSnapshot) float64 { return float64(s.reprepares.Load()) })
 
 	// Corpus service.
 	gauge("treeqd_corpus_docs", "Documents in the corpus.",
@@ -109,15 +104,12 @@ func (s *Server) registerMetrics() {
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Queries) })
 	counter("treeqd_updates_total", "Completed document update swaps.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Updates) })
-	counter("treeqd_plan_reprepares_total", "Warm plan re-prepares performed by updates.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanReprepares) })
-	counter("treeqd_plan_reprepare_failures_total", "Plans dropped because they no longer compile after an update.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanReprepareFailures) })
 
-	// Incremental updates: how each swap derived its engine, warm plans the
-	// edit could not affect, and cumulative per-phase update time.  The
-	// per-call distribution lives in treeqd_update_duration_seconds{phase},
-	// registered by service.WithMetrics.
+	// Incremental updates: how each swap derived its engine, cached plans
+	// carried across and those the edit could not affect, and cumulative
+	// per-phase update time.  The per-call distribution lives in
+	// treeqd_update_duration_seconds{phase}, registered by
+	// service.WithMetrics.
 	reg.RegisterFunc("treeqd_update_patch_total", obsv.TypeCounter,
 		"Document update swaps by how the new engine was derived (patched = index splice, rebuilt = from scratch).",
 		[]string{"mode"},
@@ -126,8 +118,10 @@ func (s *Server) registerMetrics() {
 			emit(float64(sn.stats.PatchedUpdates), "patched")
 			emit(float64(sn.stats.RebuildUpdates), "rebuilt")
 		})
+	counter("treeqd_update_plans_carried_total", "Cached plans carried across document updates, summed over updates.",
+		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanReprepares) })
 	counter("treeqd_update_plans_skipped_total",
-		"Warm plans whose label set was disjoint from a shape-preserving edit's touched labels: the write could not change their answers.",
+		"Carried plans whose label set was disjoint from a shape-preserving edit's touched labels: the write could not change their answers.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlansSkippedByLabelSet) })
 	reg.RegisterFunc("treeqd_update_phase_seconds_total", obsv.TypeCounter,
 		"Cumulative wall time per update phase across all document updates.", []string{"phase"},
@@ -146,17 +140,10 @@ func (s *Server) registerMetrics() {
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheEvictions) })
 	counter("treeqd_plan_cache_skips_total", "Plans denied cache admission by the clause cap.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheSkips) })
-	gauge("treeqd_plan_cache_size", "Cached plans across all shards.",
+	gauge("treeqd_plan_cache_size", "Cached plans.",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheSize) })
-	gauge("treeqd_plan_cache_cap", "Total plan-cache capacity (0 = unbounded).",
+	gauge("treeqd_plan_cache_cap", "Plan-cache capacity (0 = unbounded).",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheCap) })
-	reg.RegisterFunc("treeqd_plan_cache_shard_size", obsv.TypeGauge,
-		"Cached plans per shard; skew across shards shows here.", []string{"shard"},
-		func(emit obsv.Emit) {
-			for i, n := range s.snap().shardSizes {
-				emit(float64(n), strconv.Itoa(i))
-			}
-		})
 
 	// Index pair cache, aggregated over the live engines.
 	counter("treeqd_pair_cache_hits_total", "Structural-join pair relations served from the index cache.",
@@ -258,12 +245,12 @@ func requestID(r *http.Request) string {
 
 // handlerLabel maps the request path onto the bounded handler-label set of
 // treeqd_http_requests_total.  (Derived by hand: the mux pattern that matched
-// is not observable on this Go version.)  /v1 paths and their legacy aliases
-// share one label per logical handler, keeping the cardinality fixed across
-// the deprecation window.
+// is not observable on this Go version.)
 func handlerLabel(r *http.Request) string {
-	p := strings.TrimPrefix(r.URL.Path, "/v1")
+	p, ok := strings.CutPrefix(r.URL.Path, "/v1")
 	switch {
+	case !ok:
+		return "other"
 	case p == "/healthz":
 		return "healthz"
 	case p == "/statusz":
@@ -347,7 +334,7 @@ func timingsJSON(tr *obsv.Trace) map[string]any {
 
 // DebugHandler returns the opt-in debug mux treeqd serves on -debug-addr: the
 // pprof profiling endpoints and a /debug/vars JSON dump of the runtime, pool,
-// and plan-shard counters.  It is a separate handler (not mounted on the main
+// and plan-cache counters.  It is a separate handler (not mounted on the main
 // server) so profiling never shares a listener with production traffic.
 func DebugHandler(svc *service.Service) http.Handler {
 	mux := http.NewServeMux()
@@ -362,13 +349,12 @@ func DebugHandler(svc *service.Service) http.Handler {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(map[string]any{
-			"goroutines":             runtime.NumGoroutine(),
-			"gomaxprocs":             runtime.GOMAXPROCS(0),
-			"pools":                  obsv.Pools(),
-			"plan_cache_shard_sizes": svc.PlanShardSizes(),
-			"plan_cache_size":        st.PlanCacheSize,
-			"plan_cache_cap":         st.PlanCacheCap,
-			"docs":                   st.Docs,
+			"goroutines":      runtime.NumGoroutine(),
+			"gomaxprocs":      runtime.GOMAXPROCS(0),
+			"pools":           obsv.Pools(),
+			"plan_cache_size": st.PlanCacheSize,
+			"plan_cache_cap":  st.PlanCacheCap,
+			"docs":            st.Docs,
 		})
 	})
 	return mux

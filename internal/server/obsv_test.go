@@ -18,16 +18,16 @@ import (
 	"repro/internal/service"
 )
 
-// scrapeText fetches and returns the /metrics exposition.
+// scrapeText fetches and returns the /v1/metrics exposition.
 func scrapeText(t testing.TB, base string) string {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: status %d", resp.StatusCode)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
 
 	// Every endpoint, success or failure, carries a generated X-Request-ID.
-	for _, path := range []string{"/healthz", "/statusz", "/metrics", "/docs", "/nosuch"} {
+	for _, path := range []string{"/v1/healthz", "/v1/statusz", "/v1/metrics", "/v1/docs", "/nosuch"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 	}
 
 	// A usable client-supplied ID is echoed back verbatim.
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/query",
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query",
 		strings.NewReader(`{"doc":"doc.xml","lang":"xpath","query":"//keyword"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestRequestIDOnEveryResponse(t *testing.T) {
 
 	// An unusable one (over-length values would bloat logs) is replaced.
 	long := strings.Repeat("x", 200)
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/healthz", nil)
 	req.Header.Set("X-Request-ID", long)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -98,12 +98,12 @@ func TestMetricsExposition(t *testing.T) {
 	putDoc(t, ts.URL, "a.xml", siteXML(2))
 	putDoc(t, ts.URL, "b.xml", siteXML(3))
 	for i := 0; i < 2; i++ {
-		doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+		doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"doc": "a.xml", "lang": core.LangXPath, "query": "//keyword"})
 	}
-	doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+	doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 		"lang": core.LangXPath, "query": "//keyword"})
-	if _, err := svc.UpdateXML("a.xml", siteXML(4)); err != nil {
+	if _, err := svc.UpdateDocXML("a.xml", siteXML(4)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,19 +141,22 @@ func TestMetricsExposition(t *testing.T) {
 	checkCount("treeqd_corpus_docs", "treeqd_corpus_docs", 2)
 	checkCount("treeqd_retry_after_seconds", "treeqd_retry_after_seconds", 1)
 	for _, fam := range []string{"treeqd_pool_hits_total", "treeqd_pool_misses_total",
-		"treeqd_plan_cache_shard_size", "treeqd_pair_cache_hits_total", "treeqd_uptime_seconds"} {
+		"treeqd_pair_cache_hits_total", "treeqd_uptime_seconds"} {
 		if fams[fam] == nil {
 			t.Errorf("family %s missing from scrape", fam)
 		}
 	}
-	// Shard-size gauge has one sample per shard.
-	if n := len(fams["treeqd_plan_cache_shard_size"].Samples); n != 8 {
-		t.Errorf("plan_cache_shard_size has %d samples, want 8 (default shards)", n)
+	// One plan serves both documents: the corpus fan-out hit the plan the
+	// single-document queries compiled.
+	checkCount("treeqd_plan_cache_size", "treeqd_plan_cache_size", 1)
+	if n := fams["treeqd_plan_cache_misses_total"].Samples["treeqd_plan_cache_misses_total"]; n != 1 {
+		t.Errorf("plan_cache_misses_total = %v, want 1", n)
 	}
 
 	// Incremental-update families: the one update above landed in exactly one
-	// of the two modes, its phases accrued wall time, and the per-phase
-	// histogram (shared registry, observed by the service) has samples.
+	// of the two modes and carried the one cached plan, its phases accrued
+	// wall time, and the per-phase histogram (shared registry, observed by the
+	// service) has samples.
 	patchFam := fams["treeqd_update_patch_total"]
 	if patchFam == nil {
 		t.Fatal("family treeqd_update_patch_total missing from scrape")
@@ -166,6 +169,7 @@ func TestMetricsExposition(t *testing.T) {
 	if fams["treeqd_update_plans_skipped_total"] == nil {
 		t.Error("family treeqd_update_plans_skipped_total missing from scrape")
 	}
+	checkCount("treeqd_update_plans_carried_total", "treeqd_update_plans_carried_total", 1)
 	phaseFam := fams["treeqd_update_phase_seconds_total"]
 	if phaseFam == nil {
 		t.Fatal("family treeqd_update_phase_seconds_total missing from scrape")
@@ -192,7 +196,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Updater: swap documents (warm re-prepares fire the prepare histogram).
+	// Updater: swap documents under the scrapers and the query load.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -202,7 +206,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := svc.UpdateXML(fmt.Sprintf("d%d.xml", i%4), siteXML(i%5+1)); err != nil {
+			if _, err := svc.UpdateDocXML(fmt.Sprintf("d%d.xml", i%4), siteXML(i%5+1)); err != nil {
 				t.Errorf("update: %v", err)
 				return
 			}
@@ -221,10 +225,10 @@ func TestMetricsScrapeRace(t *testing.T) {
 				default:
 				}
 				if w == 0 {
-					doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+					doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 						"doc": "d0.xml", "lang": core.LangXPath, "query": "//keyword"})
 				} else {
-					doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+					doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 						"lang": core.LangXPath, "query": "//keyword"})
 				}
 			}
@@ -308,17 +312,17 @@ func TestRetryAfterResetOnReconfigure(t *testing.T) {
 	}
 }
 
-// TestStatuszPoolKeys asserts /statusz marshals the pool counters under
+// TestStatuszPoolKeys asserts /v1/statusz marshals the pool counters under
 // exactly the canonical obsv.PoolFieldNames keys — the same shared table
 // internal/obsv's TestPoolFieldNames pins, so /statusz and treeq -timing can
 // only drift by failing one of the two tests.
 func TestStatuszPoolKeys(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
-	doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
 
-	_, body := doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 	pools, ok := body["pools"].(map[string]any)
 	if !ok {
 		t.Fatalf("statusz pools section: %v", body["pools"])
@@ -362,11 +366,11 @@ func TestSlowQueryLogExactlyOnePerQuery(t *testing.T) {
 
 	const queries = 3
 	for i := 0; i < queries; i++ {
-		doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+		doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
 	}
-	doJSON(t, http.MethodGet, ts.URL+"/healthz", nil)
-	doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 
 	lines := logLines(t, &buf)
 	slow := 0
@@ -398,7 +402,7 @@ func TestAccessLogJSON(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	ts, _ := newTestServer(t, nil, WithAccessLog(logger))
 	putDoc(t, ts.URL, "doc.xml", siteXML(1))
-	doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
 
 	var sawQuery bool
@@ -406,7 +410,7 @@ func TestAccessLogJSON(t *testing.T) {
 		if m["msg"] != "request" {
 			continue
 		}
-		if m["path"] == "/query" {
+		if m["path"] == "/v1/query" {
 			sawQuery = true
 			if m["method"] != "POST" || m["handler"] != "query" || m["status"].(float64) != 200 {
 				t.Errorf("access-log line fields: %v", m)
@@ -417,7 +421,7 @@ func TestAccessLogJSON(t *testing.T) {
 		}
 	}
 	if !sawQuery {
-		t.Errorf("no access-log line for /query:\n%s", buf.String())
+		t.Errorf("no access-log line for /v1/query:\n%s", buf.String())
 	}
 }
 
@@ -425,7 +429,7 @@ func TestDebugTimingsEcho(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
 
-	resp, err := http.Post(ts.URL+"/query?debug=timings", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/query?debug=timings", "application/json",
 		strings.NewReader(`{"doc":"doc.xml","lang":"xpath","query":"//keyword"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +462,7 @@ func TestDebugTimingsEcho(t *testing.T) {
 	}
 
 	// Without the flag the field is absent.
-	_, plain := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	_, plain := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
 	if _, ok := plain["timings"]; ok {
 		t.Error("timings echoed without ?debug=timings")
@@ -474,7 +478,7 @@ func TestCorpusFailedCarriesRequestID(t *testing.T) {
 	var body map[string]any
 	for i := 0; i < 100; i++ {
 		// A 1ns per-document budget forces deadline failures.
-		_, body = doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+		_, body = doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 			"lang": core.LangCQ, "query": "Q(x,y) :- Lab[item](x), Child+(x, y), Lab[keyword](y).",
 			"doc_timeout_ms": 1})
 		if body["failed"] != nil {

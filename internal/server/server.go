@@ -1,10 +1,10 @@
 // Package server is the HTTP/JSON front-end over the corpus query service:
 // the layer that turns the in-process engine into a deployable system.  It
-// exposes document management (upsert via PUT — live documents are updated
-// in place under a bumped version with their warm plans re-prepared —
-// remove, list), single-document queries, prepared-query registration and
-// execution, the corpus-wide aggregated fan-out, and a /statusz counters
-// endpoint.  The complete wire reference lives in docs/API.md.
+// exposes, under /v1, document management (upsert via PUT — live documents
+// are updated in place under a bumped version, with every cached plan still
+// warm — remove, list), single-document queries, prepared-query registration
+// and execution, the corpus-wide aggregated fan-out, and a /v1/statusz
+// counters endpoint.  The complete wire reference lives in docs/API.md.
 //
 // Two production concerns shape every handler:
 //
@@ -84,11 +84,10 @@ type Server struct {
 	prepared map[string]*preparedEntry
 	prepSeq  atomic.Uint64
 
-	requests   atomic.Uint64
-	rejected   atomic.Uint64
-	inflight   atomic.Int64
-	reprepares atomic.Uint64
-	started    time.Time
+	requests atomic.Uint64
+	rejected atomic.Uint64
+	inflight atomic.Int64
+	started  time.Time
 
 	// Observability (see obsv.go): the metrics registry and the live
 	// instruments observed on the hot path, the access and slow-query logs,
@@ -103,16 +102,14 @@ type Server struct {
 	slowQuery  time.Duration
 }
 
-// preparedEntry is one server-registered prepared query.  id, doc, lang and
-// text are immutable; pq and version are re-pointed under prepMu when a
-// document update re-prepares the entry against the new engine.
+// preparedEntry is one server-registered prepared query: a compiled plan and
+// the name of the document it runs on.  It is immutable; each execution runs
+// the plan on the document's current engine, so a document update needs
+// nothing from the registry.
 type preparedEntry struct {
-	id      string
-	doc     string
-	lang    string
-	text    string
-	pq      *core.PreparedQuery
-	version uint64
+	id  string
+	doc string
+	c   *core.Compiled
 }
 
 // Option configures a Server.
@@ -195,9 +192,8 @@ func New(svc *service.Service, opts ...Option) *Server {
 		s.reg = obsv.NewRegistry()
 	}
 	s.registerMetrics()
-	// Canonical /v1 surface.  The three query routes speak the unified
-	// ranked-result envelope (see v1.go); management and introspection routes
-	// share handlers with their legacy aliases.
+	// The /v1 surface.  The three query routes speak the unified ranked-result
+	// envelope (see v1.go).
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/statusz", s.handleStatusz)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -210,20 +206,6 @@ func New(svc *service.Service, opts ...Option) *Server {
 	s.mux.HandleFunc("POST /v1/prepared", s.gated(s.handleRegisterPrepared))
 	s.mux.HandleFunc("POST /v1/prepared/{id}", s.gated(s.handleExecPreparedV1))
 	s.mux.HandleFunc("DELETE /v1/prepared/{id}", s.handleDeletePrepared)
-	// Deprecated unversioned aliases, kept for one release with their
-	// historical response shapes; the mapping is published in /statusz.
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /docs", s.handleListDocs)
-	s.mux.HandleFunc("PUT /docs/{name}", s.gated(s.handlePutDoc))
-	s.mux.HandleFunc("DELETE /docs/{name}", s.handleRemoveDoc)
-	s.mux.HandleFunc("POST /query", s.gated(s.handleQuery))
-	s.mux.HandleFunc("POST /corpus/query", s.gated(s.handleCorpusQuery))
-	s.mux.HandleFunc("GET /prepared", s.handleListPrepared)
-	s.mux.HandleFunc("POST /prepared", s.gated(s.handleRegisterPrepared))
-	s.mux.HandleFunc("POST /prepared/{id}", s.gated(s.handleExecPrepared))
-	s.mux.HandleFunc("DELETE /prepared/{id}", s.handleDeletePrepared)
 	return s
 }
 
@@ -419,32 +401,6 @@ func toPlanJSON(p *core.Plan) *planJSON {
 	}
 }
 
-// resultJSON is the wire form of a core.Result.
-type resultJSON struct {
-	Nodes   []int32   `json:"nodes,omitempty"`
-	Answers [][]int32 `json:"answers,omitempty"`
-	Count   int       `json:"count"`
-}
-
-func toResultJSON(res *core.Result) resultJSON {
-	var out resultJSON
-	if res == nil {
-		return out
-	}
-	for _, n := range res.Nodes {
-		out.Nodes = append(out.Nodes, int32(n))
-	}
-	for _, a := range res.Answers {
-		tuple := make([]int32, len(a))
-		for i, n := range a {
-			tuple[i] = int32(n)
-		}
-		out.Answers = append(out.Answers, tuple)
-	}
-	out.Count = len(res.Nodes) + len(res.Answers)
-	return out
-}
-
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -454,12 +410,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError emits the unified error body {error, code, request_id,
-// retry_after_s?} shared by every route, /v1 and legacy alike (the old
-// {"error": ...} shape is a strict subset, so pre-/v1 clients keep parsing).
-// Retryable statuses carry the back-off hint in both the Retry-After header
-// and the body, derived from the gate's observed load — previously only the
-// admission-gate 429 path set the header, so a timeout after gate admission
-// lost the hint.
+// retry_after_s?} shared by every route.  Retryable statuses carry the
+// back-off hint in both the Retry-After header and the body, derived from the
+// gate's observed load, whether the gate or a later stage gave up.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	body := map[string]any{
 		"error":      err.Error(),
@@ -533,9 +486,8 @@ func (s *Server) readBody(r *http.Request) (string, error) {
 
 // handlePutDoc upserts document {name} from the XML request body: a new name
 // is added at version 1 (201 Created); a live name is updated in place (200
-// OK) — the service swaps in a fresh engine under a bumped version, warm
-// plans are re-prepared rather than dropped, and the server's registered
-// prepared queries for the document are rebound to the new engine.
+// OK) — the service swaps in a fresh engine under a bumped version, and
+// every cached plan and registered prepared query answers over it as it is.
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	src, err := s.readBody(r)
@@ -560,64 +512,14 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	version, err := s.svc.Update(name, doc)
+	o, err := s.svc.UpdateDoc(name, doc)
 	if err != nil {
 		// The document was removed between the duplicate check and the update;
 		// surface the race as 404 rather than retrying into a livelock.
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	reprepared := s.reprepareRegistered(name)
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"doc":        name,
-		"version":    version,
-		"docs":       s.svc.Len(),
-		"reprepared": reprepared,
-	})
-}
-
-// reprepareRegistered rebinds every registered prepared query of doc to the
-// document's current engine — the server-registry mirror of the service's
-// warm plan re-prepare.  The (engine, version) pair is read consistently
-// from the corpus (not taken from the caller's Update result, which may
-// already be superseded).  Re-preparation runs outside prepMu; the swap itself is under the lock and version-guarded, so when
-// concurrent updates race, a slower re-prepare against an older revision
-// never overwrites a newer one.  Entries that no longer compile against the
-// new document are dropped, so a later execution 404s instead of answering
-// over a superseded document.
-func (s *Server) reprepareRegistered(doc string) int {
-	eng, version, err := s.svc.EngineVersion(doc)
-	if err != nil {
-		return 0
-	}
-	s.prepMu.Lock()
-	var targets []*preparedEntry
-	for _, e := range s.prepared {
-		if e.doc == doc {
-			targets = append(targets, e)
-		}
-	}
-	s.prepMu.Unlock()
-	n := 0
-	for _, e := range targets {
-		s.prepMu.Lock()
-		old := e.pq
-		s.prepMu.Unlock()
-		npq, err := old.Reprepare(eng)
-		s.prepMu.Lock()
-		if _, ok := s.prepared[e.id]; ok && version >= e.version {
-			if err != nil {
-				delete(s.prepared, e.id)
-			} else {
-				e.pq = npq
-				e.version = version
-				n++
-			}
-		}
-		s.prepMu.Unlock()
-	}
-	s.reprepares.Add(uint64(n))
-	return n
+	s.writeJSON(w, http.StatusOK, map[string]any{"doc": name, "version": o.Version, "docs": s.svc.Len()})
 }
 
 func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
@@ -626,9 +528,8 @@ func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", service.ErrUnknownDocument, name))
 		return
 	}
-	// Prepared queries are bound to the removed document's engine; drop them
-	// so later executions fail fast at lookup instead of answering over a
-	// document no longer in the corpus.
+	// Drop the document's prepared queries, so a later execution fails at
+	// lookup even if a new document takes the name.
 	s.prepMu.Lock()
 	for id, e := range s.prepared {
 		if e.doc == name {
@@ -641,8 +542,7 @@ func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
 
 // --- queries ---------------------------------------------------------------
 
-// queryRequest is the body of POST /query and POST /v1/query.  Limit is only
-// honored by the /v1 envelope route.
+// queryRequest is the body of POST /v1/query.
 type queryRequest struct {
 	Doc       string `json:"doc"`
 	Lang      string `json:"lang"`
@@ -652,33 +552,7 @@ type queryRequest struct {
 	Plan      bool   `json:"plan,omitempty"`
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
-	start := time.Now()
-	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	res, plan, version, err := s.svc.QueryVersioned(ctx, req.Doc, req.Lang, req.Query)
-	s.observeQuery(tr, "query", req.Lang, req.Query, start, err)
-	if err != nil {
-		s.writeError(w, errorStatus(err), err)
-		return
-	}
-	resp := map[string]any{"doc": req.Doc, "version": version, "lang": req.Lang, "result": toResultJSON(res)}
-	if req.Plan {
-		resp["plan"] = toPlanJSON(plan)
-	}
-	if debugTimings(r) {
-		resp["timings"] = timingsJSON(tr)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// corpusQueryRequest is the body of POST /corpus/query.
+// corpusQueryRequest is the body of POST /v1/corpus/query.
 type corpusQueryRequest struct {
 	Lang         string `json:"lang"`
 	Query        string `json:"query"`
@@ -687,89 +561,15 @@ type corpusQueryRequest struct {
 	DocTimeoutMS int64  `json:"doc_timeout_ms,omitempty"`
 }
 
-// corpusNodeJSON / corpusAnswerJSON / docErrorJSON are the wire forms of the
-// aggregation types.
-type corpusNodeJSON struct {
-	Doc  string `json:"doc"`
-	Node int32  `json:"node"`
-}
-
-type corpusAnswerJSON struct {
-	Doc    string  `json:"doc"`
-	Answer []int32 `json:"answer"`
-}
-
+// docErrorJSON is the wire form of one failed document of a fan-out.
 type docErrorJSON struct {
 	Doc   string `json:"doc"`
 	Error string `json:"error"`
 }
 
-func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
-	start := time.Now()
-	var req corpusQueryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	var opts []service.CorpusOption
-	if req.DocTimeoutMS > 0 {
-		opts = append(opts, service.WithDocTimeout(time.Duration(req.DocTimeoutMS)*time.Millisecond))
-	}
-	execStart := time.Now()
-	results := s.svc.QueryCorpus(ctx, req.Lang, req.Query, opts...)
-	tr.Observe("exec", time.Since(execStart))
-	aggStart := time.Now()
-	agg := service.Aggregate(results, req.Limit)
-	tr.Observe("aggregate", time.Since(aggStart))
-	tr.SetDocs(agg.Docs)
-	s.fanoutDocs.Observe(float64(agg.Docs))
-	s.observeQuery(tr, "corpus", req.Lang, req.Query, start, nil)
-	resp := map[string]any{
-		"lang":      req.Lang,
-		"docs":      agg.Docs,
-		"total":     agg.Total,
-		"truncated": agg.Truncated,
-	}
-	if len(agg.Nodes) > 0 {
-		nodes := make([]corpusNodeJSON, len(agg.Nodes))
-		for i, n := range agg.Nodes {
-			nodes[i] = corpusNodeJSON{Doc: n.Doc, Node: int32(n.Node)}
-		}
-		resp["nodes"] = nodes
-	}
-	if len(agg.Answers) > 0 {
-		answers := make([]corpusAnswerJSON, len(agg.Answers))
-		for i, a := range agg.Answers {
-			tuple := make([]int32, len(a.Answer))
-			for j, n := range a.Answer {
-				tuple[j] = int32(n)
-			}
-			answers[i] = corpusAnswerJSON{Doc: a.Doc, Answer: tuple}
-		}
-		resp["answers"] = answers
-	}
-	if len(agg.Failed) > 0 {
-		// Each per-document failure is stamped with the request ID, so a
-		// partial-failure line in a client's log can be joined against the
-		// server's access and slow-query logs without guessing.
-		failed := make([]docErrorJSON, len(agg.Failed))
-		for i, f := range agg.Failed {
-			failed[i] = docErrorJSON{Doc: f.Doc, Error: fmt.Sprintf("%s (request_id=%s)", f.Err.Error(), tr.ID())}
-		}
-		resp["failed"] = failed
-	}
-	if debugTimings(r) {
-		resp["timings"] = timingsJSON(tr)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
 // --- prepared queries ------------------------------------------------------
 
-// prepareRequest is the body of POST /prepared.
+// prepareRequest is the body of POST /v1/prepared.
 type prepareRequest struct {
 	Doc       string `json:"doc"`
 	Lang      string `json:"lang"`
@@ -777,6 +577,9 @@ type prepareRequest struct {
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
+// handleRegisterPrepared compiles a query once for one document, under the
+// service's strategy, and registers it: every later execution runs the
+// compiled plan on the document's current engine.
 func (s *Server) handleRegisterPrepared(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
 	if err := decodeJSONBody(r, &req); err != nil {
@@ -794,42 +597,22 @@ func (s *Server) handleRegisterPrepared(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	// Zero-padded ids keep the lexicographic listing in registration order.
-	entry := &preparedEntry{
-		id:      fmt.Sprintf("p%08d", s.prepSeq.Add(1)),
-		doc:     req.Doc,
-		lang:    req.Lang,
-		text:    req.Query,
-		pq:      pq,
-		version: version,
-	}
+	entry := &preparedEntry{id: fmt.Sprintf("p%08d", s.prepSeq.Add(1)), doc: req.Doc, c: pq.Compiled}
 	s.prepMu.Lock()
 	s.prepared[entry.id] = entry
 	s.prepMu.Unlock()
-	// Guard against a DELETE /docs/{name} that ran between the Engine lookup
-	// and the insert above: its purge loop saw no entry for the document, so
-	// re-check the corpus and drop our own entry if the document is gone (the
-	// same recheck pattern the service's plan cache uses).
-	if cur, err := s.svc.Engine(req.Doc); err != nil || cur != eng {
-		s.prepMu.Lock()
-		if e, ok := s.prepared[entry.id]; ok && e == entry {
-			delete(s.prepared, entry.id)
-		}
-		s.prepMu.Unlock()
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", service.ErrUnknownDocument, req.Doc))
-		return
-	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{
 		"id":      entry.id,
 		"doc":     entry.doc,
 		"version": version,
-		"lang":    entry.lang,
-		"query":   entry.text,
+		"lang":    req.Lang,
+		"query":   req.Query,
 		"clauses": pq.Clauses(),
 		"plan":    toPlanJSON(pq.Plan()),
 	})
 }
 
-// preparedInfoJSON is one row of GET /prepared.
+// preparedInfoJSON is one row of GET /v1/prepared.
 type preparedInfoJSON struct {
 	ID        string `json:"id"`
 	Doc       string `json:"doc"`
@@ -840,17 +623,20 @@ type preparedInfoJSON struct {
 	AvgExecNS int64  `json:"avg_exec_ns"`
 }
 
+// handleListPrepared lists the registered queries, each with the current
+// version of its document (0 once the document is gone).
 func (s *Server) handleListPrepared(w http.ResponseWriter, r *http.Request) {
+	versions := s.svc.Versions()
 	s.prepMu.Lock()
 	infos := make([]preparedInfoJSON, 0, len(s.prepared))
 	for _, e := range s.prepared {
-		st := e.pq.Stats()
+		st := e.c.Stats()
 		infos = append(infos, preparedInfoJSON{
 			ID:        e.id,
 			Doc:       e.doc,
-			Version:   e.version,
-			Lang:      e.lang,
-			Query:     e.text,
+			Version:   versions[e.doc],
+			Lang:      e.c.Language(),
+			Query:     e.c.Text(),
 			Execs:     st.Execs,
 			AvgExecNS: int64(st.AvgExec()),
 		})
@@ -860,50 +646,11 @@ func (s *Server) handleListPrepared(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"prepared": infos, "count": len(infos)})
 }
 
-// lookupPrepared snapshots the entry's mutable fields (pq, version) under
-// prepMu, so executions racing a document update see either the old plan or
-// its warm re-prepare — never a torn entry.
-func (s *Server) lookupPrepared(id string) (*preparedEntry, *core.PreparedQuery, uint64, bool) {
+func (s *Server) lookupPrepared(id string) (*preparedEntry, bool) {
 	s.prepMu.Lock()
 	defer s.prepMu.Unlock()
 	e, ok := s.prepared[id]
-	if !ok {
-		return nil, nil, 0, false
-	}
-	return e, e.pq, e.version, true
-}
-
-func (s *Server) handleExecPrepared(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
-	start := time.Now()
-	id := r.PathValue("id")
-	e, pq, version, ok := s.lookupPrepared(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown prepared query %q", id))
-		return
-	}
-	ctx, cancel := s.requestContext(r, queryTimeoutMS(r))
-	defer cancel()
-	execStart := time.Now()
-	res, plan, err := pq.Exec(ctx)
-	tr.Observe("exec", time.Since(execStart))
-	s.observeQuery(tr, "prepared", e.lang, e.text, start, err)
-	if err != nil {
-		s.writeError(w, errorStatus(err), err)
-		return
-	}
-	resp := map[string]any{
-		"id":      e.id,
-		"doc":     e.doc,
-		"version": version,
-		"lang":    e.lang,
-		"result":  toResultJSON(res),
-		"plan":    toPlanJSON(plan),
-	}
-	if debugTimings(r) {
-		resp["timings"] = timingsJSON(tr)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return e, ok
 }
 
 func (s *Server) handleDeletePrepared(w http.ResponseWriter, r *http.Request) {
@@ -938,8 +685,8 @@ func updatePhaseNanos(totals map[string]time.Duration) map[string]int64 {
 
 // handleStatusz reports the service counters (docs, queries, plan cache),
 // the aggregated index-cache counters of every live engine, the similarity
-// route's candidate/pruning counters, the API deprecation table, and the
-// server-level traffic counters (requests, inflight, rejected).
+// route's candidate/pruning counters, and the server-level traffic counters
+// (requests, inflight, rejected).
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
 	s.prepMu.Lock()
@@ -948,18 +695,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	candidates, sizePruned, histPruned, kernelCalls := core.SimilarCounters()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s": int64(time.Since(s.started).Seconds()),
-		"api": map[string]any{
-			"version":    APIVersion,
-			"deprecated": deprecatedPaths,
-		},
 		"server": map[string]any{
-			"requests":            s.requests.Load(),
-			"inflight":            s.inflight.Load(),
-			"rejected_429":        s.rejected.Load(),
-			"max_in_flight":       s.gateLimit.Load(),
-			"retry_after_s":       s.retryAfterSeconds(),
-			"prepared":            preparedCount,
-			"prepared_reprepares": s.reprepares.Load(),
+			"requests":      s.requests.Load(),
+			"inflight":      s.inflight.Load(),
+			"rejected_429":  s.rejected.Load(),
+			"max_in_flight": s.gateLimit.Load(),
+			"retry_after_s": s.retryAfterSeconds(),
+			"prepared":      preparedCount,
 		},
 		"index": map[string]any{
 			"multi_labeled_docs": st.MultiLabeledDocs,
@@ -989,25 +731,24 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"ted_kernel_calls": kernelCalls,
 		},
 		"service": map[string]any{
-			"docs":                    st.Docs,
-			"doc_versions":            s.svc.Versions(),
-			"queries":                 st.Queries,
-			"updates":                 st.Updates,
-			"plan_reprepares":         st.PlanReprepares,
-			"plan_reprepare_failures": st.PlanReprepareFailures,
-			"plan_cache_hits":         st.PlanCacheHits,
-			"plan_cache_misses":       st.PlanCacheMisses,
-			"plan_cache_evictions":    st.PlanCacheEvictions,
-			"plan_cache_skips":        st.PlanCacheSkips,
-			"plan_cache_size":         st.PlanCacheSize,
-			"plan_cache_cap":          st.PlanCacheCap,
-			"plan_cache_shard_sizes":  s.svc.PlanShardSizes(),
+			"docs":                 st.Docs,
+			"doc_versions":         s.svc.Versions(),
+			"queries":              st.Queries,
+			"updates":              st.Updates,
+			"plan_cache_hits":      st.PlanCacheHits,
+			"plan_cache_misses":    st.PlanCacheMisses,
+			"plan_cache_evictions": st.PlanCacheEvictions,
+			"plan_cache_skips":     st.PlanCacheSkips,
+			"plan_cache_size":      st.PlanCacheSize,
+			"plan_cache_cap":       st.PlanCacheCap,
 		},
-		// Incremental document updates: patch-vs-rebuild split, label-skip
-		// rebinds, and cumulative per-phase wall time in nanoseconds.
+		// Incremental document updates: patch-vs-rebuild split, cached plans
+		// carried across (and how many of them the edit could not affect),
+		// and cumulative per-phase wall time in nanoseconds.
 		"updates": map[string]any{
 			"patched":                    st.PatchedUpdates,
 			"rebuilt":                    st.RebuildUpdates,
+			"plans_carried":              st.PlanReprepares,
 			"plans_skipped_by_label_set": st.PlansSkippedByLabelSet,
 			"phase_totals_ns":            updatePhaseNanos(s.svc.UpdatePhaseTotals()),
 		},

@@ -76,7 +76,7 @@ func doJSON(t testing.TB, method, url string, body any) (int, map[string]any) {
 
 func putDoc(t testing.TB, base, name, xml string) (int, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/docs/"+name, strings.NewReader(xml))
+	req, err := http.NewRequest(http.MethodPut, base+"/v1/docs/"+name, strings.NewReader(xml))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +90,12 @@ func putDoc(t testing.TB, base, name, xml string) (int, map[string]any) {
 		t.Fatalf("PUT %s: bad JSON: %v", name, err)
 	}
 	return resp.StatusCode, out
+}
+
+// total reads the envelope's total: every match, before any limit cut.
+func total(body map[string]any) int {
+	n, _ := body["total"].(float64)
+	return int(n)
 }
 
 func TestDocumentLifecycle(t *testing.T) {
@@ -115,7 +121,7 @@ func TestDocumentLifecycle(t *testing.T) {
 		t.Errorf("malformed XML: status %d, want 400", code)
 	}
 
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/docs", nil)
+	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/docs", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
@@ -124,16 +130,16 @@ func TestDocumentLifecycle(t *testing.T) {
 		t.Errorf("list = %v, want [a.xml]", docs)
 	}
 
-	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/docs/a.xml", nil); code != http.StatusOK {
+	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/docs/a.xml", nil); code != http.StatusOK {
 		t.Errorf("remove: status %d", code)
 	}
-	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/docs/a.xml", nil); code != http.StatusNotFound {
+	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/docs/a.xml", nil); code != http.StatusNotFound {
 		t.Errorf("double remove: status %d, want 404", code)
 	}
 }
 
-// TestQueryEveryLanguage exercises POST /query across all five languages and
-// checks the JSON result shapes.
+// TestQueryEveryLanguage exercises POST /v1/query across all five languages
+// and checks the envelope's result shapes.
 func TestQueryEveryLanguage(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(4))
@@ -158,21 +164,18 @@ P0(x) :- P(x).
 		{core.LangDatalog, datalog, false, 10},
 	}
 	for _, tc := range cases {
-		code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"doc": "doc.xml", "lang": tc.lang, "query": tc.query, "plan": true,
 		})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d (%v)", tc.lang, code, body)
 		}
-		res, _ := body["result"].(map[string]any)
-		if res == nil {
-			t.Fatalf("%s: no result in %v", tc.lang, body)
+		results, _ := body["results"].([]any)
+		if got := total(body); got != tc.count || len(results) != tc.count {
+			t.Errorf("%s: total = %d with %d results, want %d", tc.lang, got, len(results), tc.count)
 		}
-		if got := int(res["count"].(float64)); got != tc.count {
-			t.Errorf("%s: count = %d, want %d", tc.lang, got, tc.count)
-		}
-		if tc.answers && tc.count > 0 && res["answers"] == nil {
-			t.Errorf("%s: expected answer tuples, got %v", tc.lang, res)
+		if tc.answers && tc.count > 0 && results[0].(map[string]any)["answer"] == nil {
+			t.Errorf("%s: expected answer tuples, got %v", tc.lang, results)
 		}
 		if plan, _ := body["plan"].(map[string]any); plan == nil || plan["technique"] == "" {
 			t.Errorf("%s: missing plan: %v", tc.lang, body["plan"])
@@ -180,11 +183,11 @@ P0(x) :- P(x).
 	}
 
 	// Error mapping: unknown document and broken query text.
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "nope.xml", "lang": core.LangXPath, "query": "//a"}); code != http.StatusNotFound {
 		t.Errorf("unknown doc: status %d, want 404", code)
 	}
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//["}); code != http.StatusBadRequest {
 		t.Errorf("broken query: status %d, want 400", code)
 	}
@@ -199,19 +202,19 @@ func TestCorpusQueryAggregation(t *testing.T) {
 	putDoc(t, ts.URL, "a.xml", siteXML(3))
 	putDoc(t, ts.URL, "b.xml", siteXML(1))
 
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 		"lang": core.LangXPath, "query": "//keyword",
 	})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, body)
 	}
-	if got := int(body["total"].(float64)); got != 6 {
+	if got := total(body); got != 6 {
 		t.Errorf("total = %d, want 6", got)
 	}
 	if body["truncated"].(bool) {
 		t.Error("unlimited query reported truncation")
 	}
-	nodes, _ := body["nodes"].([]any)
+	nodes, _ := body["results"].([]any)
 	if len(nodes) != 6 {
 		t.Fatalf("got %d nodes, want 6", len(nodes))
 	}
@@ -238,14 +241,14 @@ func TestCorpusQueryAggregation(t *testing.T) {
 	}
 
 	// A limit truncates but keeps reporting the full total.
-	code, body = doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 		"lang": core.LangXPath, "query": "//keyword", "limit": 2,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	nodes, _ = body["nodes"].([]any)
-	if len(nodes) != 2 || !body["truncated"].(bool) || int(body["total"].(float64)) != 6 {
+	nodes, _ = body["results"].([]any)
+	if len(nodes) != 2 || !body["truncated"].(bool) || total(body) != 6 {
 		t.Errorf("limit=2: nodes=%d truncated=%v total=%v", len(nodes), body["truncated"], body["total"])
 	}
 }
@@ -264,7 +267,7 @@ func TestCorpusQueryDeadlinePartialFailure(t *testing.T) {
 		putDoc(t, ts.URL, fmt.Sprintf("doc%d.xml", i), siteXML(2000))
 	}
 	similar := "k=0 site(region(" + strings.Repeat("item(name description(keyword)) ", 8) + "))"
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 		"lang": core.LangSimilar, "query": similar, "timeout_ms": 1,
 	})
 	if code != http.StatusOK {
@@ -288,7 +291,7 @@ func TestPreparedLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(3))
 
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/prepared", map[string]any{
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/prepared", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
 	})
 	if code != http.StatusCreated {
@@ -300,17 +303,16 @@ func TestPreparedLifecycle(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		code, body = doJSON(t, http.MethodPost, ts.URL+"/prepared/"+id, nil)
+		code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared/"+id, nil)
 		if code != http.StatusOK {
 			t.Fatalf("exec %d: status %d (%v)", i, code, body)
 		}
-		res := body["result"].(map[string]any)
-		if int(res["count"].(float64)) != 3 {
-			t.Errorf("exec %d: count %v, want 3", i, res["count"])
+		if total(body) != 3 {
+			t.Errorf("exec %d: total %v, want 3", i, body["total"])
 		}
 	}
 
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/prepared", nil)
+	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/prepared", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
@@ -323,11 +325,11 @@ func TestPreparedLifecycle(t *testing.T) {
 	}
 
 	// Removing the document invalidates its prepared queries.
-	doJSON(t, http.MethodDelete, ts.URL+"/docs/doc.xml", nil)
-	if code, _ = doJSON(t, http.MethodPost, ts.URL+"/prepared/"+id, nil); code != http.StatusNotFound {
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/docs/doc.xml", nil)
+	if code, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared/"+id, nil); code != http.StatusNotFound {
 		t.Errorf("exec after doc removal: status %d, want 404", code)
 	}
-	if code, _ = doJSON(t, http.MethodDelete, ts.URL+"/prepared/"+id, nil); code != http.StatusNotFound {
+	if code, _ = doJSON(t, http.MethodDelete, ts.URL+"/v1/prepared/"+id, nil); code != http.StatusNotFound {
 		t.Errorf("delete after doc removal: status %d, want 404", code)
 	}
 }
@@ -338,9 +340,9 @@ func TestPreparedLifecycle(t *testing.T) {
 func TestBackpressure429(t *testing.T) {
 	ts, _ := newTestServer(t, nil, WithMaxInFlight(1))
 
-	// Occupy the only slot: PUT /docs is gated and blocks reading the body.
+	// Occupy the only slot: PUT /v1/docs is gated and blocks reading the body.
 	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/docs/slow.xml", pr)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/docs/slow.xml", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +364,7 @@ func TestBackpressure429(t *testing.T) {
 	// The gate is full: a second gated request must shed immediately.
 	var saw429 bool
 	for i := 0; i < 50; i++ {
-		resp, err := http.Post(ts.URL+"/corpus/query", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/corpus/query", "application/json",
 			strings.NewReader(`{"lang":"xpath","query":"//a"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -394,13 +396,13 @@ func TestBackpressure429(t *testing.T) {
 			t.Errorf("unblocked upload: status %d", resp.StatusCode)
 		}
 	}
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "slow.xml", "lang": core.LangXPath, "query": "//site"})
 	if code != http.StatusOK {
 		t.Errorf("after release: status %d (%v)", code, body)
 	}
 
-	_, st := doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	_, st := doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 	srv := st["server"].(map[string]any)
 	if srv["rejected_429"].(float64) < 1 {
 		t.Errorf("statusz rejected_429 = %v, want >= 1", srv["rejected_429"])
@@ -410,12 +412,12 @@ func TestBackpressure429(t *testing.T) {
 func TestStatusz(t *testing.T) {
 	ts, _ := newTestServer(t, []service.Option{service.WithPlanCacheSize(8)})
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
-	doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
-	doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
 
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -435,13 +437,13 @@ func TestStatusz(t *testing.T) {
 	// hit.  A default daemon builds no XASR, side relation or pair relation.
 	putDoc(t, ts.URL, "multi.xml", multiSiteXML(3))
 	for i := 0; i < 2; i++ {
-		code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"doc": "multi.xml", "lang": core.LangXPath, "query": "//item/name"})
-		if code != http.StatusOK || body["result"].(map[string]any)["count"].(float64) != 3 {
+		if code != http.StatusOK || total(body) != 3 {
 			t.Errorf("//item/name on the multi-labeled doc: status %d, %v; want 3 nodes", code, body)
 		}
 	}
-	_, body = doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	_, body = doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 	ix := body["index"].(map[string]any)
 	if ix["multi_labeled_docs"].(float64) != 1 {
 		t.Errorf("multi_labeled_docs = %v, want 1 (index section: %v)", ix["multi_labeled_docs"], ix)
@@ -505,7 +507,7 @@ func TestRetryAfterHeader(t *testing.T) {
 	ts, _ := newTestServer(t, nil, WithMaxInFlight(1), WithRetryAfter(5*time.Second))
 
 	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/docs/slow.xml", pr)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/docs/slow.xml", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +531,7 @@ func TestRetryAfterHeader(t *testing.T) {
 	}()
 
 	for i := 0; i < 50; i++ {
-		resp, err := http.Post(ts.URL+"/corpus/query", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/corpus/query", "application/json",
 			strings.NewReader(`{"lang":"xpath","query":"//a"}`))
 		if err != nil {
 			t.Fatal(err)
@@ -575,16 +577,16 @@ func TestServerConcurrency(t *testing.T) {
 					if code, _ := putDoc(t, ts.URL, name, siteXML(5)); code != http.StatusCreated {
 						t.Errorf("add %s: %d", name, code)
 					}
-					doJSON(t, http.MethodDelete, ts.URL+"/docs/"+name, nil)
+					doJSON(t, http.MethodDelete, ts.URL+"/v1/docs/"+name, nil)
 				case 1:
 					doc := fmt.Sprintf("base%d.xml", i%4)
-					code, _ := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+					code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 						"doc": doc, "lang": core.LangXPath, "query": "//keyword"})
 					if code != http.StatusOK {
 						t.Errorf("query %s: %d", doc, code)
 					}
 				case 2:
-					code, _ := doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+					code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 						"lang": core.LangXPath, "query": "//item//keyword", "limit": 10})
 					if code != http.StatusOK {
 						t.Errorf("corpus query: %d", code)
@@ -593,7 +595,7 @@ func TestServerConcurrency(t *testing.T) {
 					// Deadline chaos: 1ms budgets cancel fan-outs mid-flight;
 					// the response must still be well-formed JSON with every
 					// document accounted as a result or a failure.
-					code, body := doJSON(t, http.MethodPost, ts.URL+"/corpus/query", map[string]any{
+					code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{
 						"lang": core.LangCQ, "query": "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k).",
 						"timeout_ms": 1, "doc_timeout_ms": 1})
 					if code != http.StatusOK {
@@ -605,7 +607,7 @@ func TestServerConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	code, body := doJSON(t, http.MethodGet, ts.URL+"/docs", nil)
+	code, body := doJSON(t, http.MethodGet, ts.URL+"/v1/docs", nil)
 	if code != http.StatusOK || int(body["count"].(float64)) != 4 {
 		t.Errorf("corpus should end at 4 docs: %v", body)
 	}
@@ -656,24 +658,25 @@ func TestPutDocBody(t *testing.T) {
 }
 
 // TestUpdateDocumentOverHTTP drives the live-update path end to end: PUT on
-// a live name swaps the document under a bumped version, the service's warm
-// plans and the server's registered prepared queries are re-prepared (not
-// dropped), and the version shows up in every response that names the doc.
+// a live name swaps the document under a bumped version, compiling nothing —
+// the service's cached plan and the server's registered prepared query both
+// answer over the new revision as they are — and the version shows up in
+// every response that names the doc.
 func TestUpdateDocumentOverHTTP(t *testing.T) {
 	ts, svc := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(3))
 
 	// Warm the plan cache and register a prepared query.
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
 	})
 	if code != http.StatusOK {
 		t.Fatalf("warmup query: status %d (%v)", code, body)
 	}
-	if v := body["version"].(float64); v != 1 {
-		t.Errorf("query version = %v, want 1", v)
+	if v := body["results"].([]any)[0].(map[string]any)["doc_version"].(float64); v != 1 {
+		t.Errorf("query doc_version = %v, want 1", v)
 	}
-	code, body = doJSON(t, http.MethodPost, ts.URL+"/prepared", map[string]any{
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
 	})
 	if code != http.StatusCreated {
@@ -682,6 +685,7 @@ func TestUpdateDocumentOverHTTP(t *testing.T) {
 	id := body["id"].(string)
 
 	// Update: 7 keywords now.
+	before := svc.Stats()
 	code, body = putDoc(t, ts.URL, "doc.xml", siteXML(7))
 	if code != http.StatusOK {
 		t.Fatalf("update: status %d (%v)", code, body)
@@ -689,79 +693,72 @@ func TestUpdateDocumentOverHTTP(t *testing.T) {
 	if v := body["version"].(float64); v != 2 {
 		t.Errorf("update version = %v, want 2", v)
 	}
-	if n := body["reprepared"].(float64); n != 1 {
-		t.Errorf("reprepared = %v, want 1 registered query rebound", n)
-	}
 
 	// The registered prepared query answers over the new document at once.
-	code, body = doJSON(t, http.MethodPost, ts.URL+"/prepared/"+id, nil)
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/prepared/"+id, nil)
 	if code != http.StatusOK {
 		t.Fatalf("exec after swap: status %d (%v)", code, body)
 	}
-	if n := body["result"].(map[string]any)["count"].(float64); n != 7 {
-		t.Errorf("prepared exec after swap: count %v, want 7 (new document)", n)
+	if total(body) != 7 {
+		t.Errorf("prepared exec after swap: total %v, want 7 (new document)", body["total"])
 	}
-	if v := body["version"].(float64); v != 2 {
-		t.Errorf("prepared exec version = %v, want 2", v)
+	if v := body["results"].([]any)[0].(map[string]any)["doc_version"].(float64); v != 2 {
+		t.Errorf("prepared exec doc_version = %v, want 2", v)
 	}
 
-	// The warm service plan survived the swap: the next query hits the cache.
-	before := svc.Stats()
-	code, body = doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
+	// The cached service plan survived the swap: the next query hits it.
+	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
 	})
 	if code != http.StatusOK {
 		t.Fatalf("post-swap query: status %d (%v)", code, body)
 	}
-	if n := body["result"].(map[string]any)["count"].(float64); n != 7 {
-		t.Errorf("post-swap query count = %v, want 7", n)
+	if total(body) != 7 {
+		t.Errorf("post-swap query total = %v, want 7", body["total"])
 	}
 	after := svc.Stats()
 	if after.PlanCacheMisses != before.PlanCacheMisses {
-		t.Errorf("post-swap query cold-compiled: misses %d -> %d", before.PlanCacheMisses, after.PlanCacheMisses)
-	}
-	if after.PlanReprepares == 0 {
-		t.Error("service shows no re-prepares after the update")
+		t.Errorf("the update or the post-swap query compiled: misses %d -> %d", before.PlanCacheMisses, after.PlanCacheMisses)
 	}
 
-	// Version accounting is visible in /docs and /statusz.
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/docs", nil)
+	// Version accounting is visible in /v1/docs and /v1/statusz.
+	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/docs", nil)
 	if code != http.StatusOK {
-		t.Fatalf("/docs: status %d", code)
+		t.Fatalf("/v1/docs: status %d", code)
 	}
 	versions := body["versions"].(map[string]any)
 	if v := versions["doc.xml"].(float64); v != 2 {
-		t.Errorf("/docs versions = %v, want doc.xml:2", versions)
+		t.Errorf("/v1/docs versions = %v, want doc.xml:2", versions)
 	}
-	code, body = doJSON(t, http.MethodGet, ts.URL+"/statusz", nil)
+	code, body = doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
 	if code != http.StatusOK {
-		t.Fatalf("/statusz: status %d", code)
+		t.Fatalf("/v1/statusz: status %d", code)
 	}
 	svcStats := body["service"].(map[string]any)
 	if u := svcStats["updates"].(float64); u != 1 {
-		t.Errorf("/statusz updates = %v, want 1", u)
-	}
-	if r := svcStats["plan_reprepares"].(float64); r < 1 {
-		t.Errorf("/statusz plan_reprepares = %v, want >= 1", r)
+		t.Errorf("/v1/statusz updates = %v, want 1", u)
 	}
 	if v := svcStats["doc_versions"].(map[string]any)["doc.xml"].(float64); v != 2 {
-		t.Errorf("/statusz doc_versions = %v, want doc.xml:2", svcStats["doc_versions"])
-	}
-	srvStats := body["server"].(map[string]any)
-	if r := srvStats["prepared_reprepares"].(float64); r != 1 {
-		t.Errorf("/statusz prepared_reprepares = %v, want 1", r)
+		t.Errorf("/v1/statusz doc_versions = %v, want doc.xml:2", svcStats["doc_versions"])
 	}
 	// The incremental-update section: the one swap above is accounted in
-	// exactly one of the two modes, and its phases accrued wall time.
+	// exactly one of the two modes, carried the one cached plan, and its
+	// phases accrued wall time.
 	upd := body["updates"].(map[string]any)
 	if n := upd["patched"].(float64) + upd["rebuilt"].(float64); n != 1 {
-		t.Errorf("/statusz updates section = %v, want patched+rebuilt == 1", upd)
+		t.Errorf("/v1/statusz updates section = %v, want patched+rebuilt == 1", upd)
+	}
+	if n := upd["plans_carried"].(float64); n != 1 {
+		t.Errorf("/v1/statusz plans_carried = %v, want 1", n)
 	}
 	if _, ok := upd["plans_skipped_by_label_set"]; !ok {
-		t.Errorf("/statusz updates section missing plans_skipped_by_label_set: %v", upd)
+		t.Errorf("/v1/statusz updates section missing plans_skipped_by_label_set: %v", upd)
 	}
 	phases := upd["phase_totals_ns"].(map[string]any)
 	if phases["diff"].(float64) <= 0 || phases["swap"].(float64) <= 0 {
-		t.Errorf("/statusz update phase totals did not accrue: %v", phases)
+		t.Errorf("/v1/statusz update phase totals did not accrue: %v", phases)
+	}
+	if _, ok := phases["reprepare"]; ok {
+		t.Errorf("/v1/statusz still reports a reprepare phase: %v", phases)
 	}
 }

@@ -1,9 +1,6 @@
-// The versioned /v1 API surface.  Every route is mounted twice: the /v1 path
-// is canonical, the unversioned legacy path is a deprecated alias kept for
-// one release (the mapping is published in /statusz under "api").
-//
-// The three query routes — /v1/query, /v1/corpus/query, /v1/prepared/{id} —
-// converge on one response envelope regardless of language or route:
+// The versioned /v1 API surface.  The three query routes — /v1/query,
+// /v1/corpus/query, /v1/prepared/{id} — converge on one response envelope
+// regardless of language or route:
 //
 //	{
 //	  "results":    [{"doc", "doc_version", "node", "answer"?, "score"?}, ...],
@@ -16,11 +13,9 @@
 // node is always the selected node (the answer head when the result is a
 // tuple); answer appears only for tuple-producing languages (cq, twig);
 // score appears only on ranked routes (LangSimilar) and is the tree edit
-// distance — lower is closer, 0 is an exact match.  Legacy aliases keep
-// their historical response shapes; only the /v1 paths speak the envelope.
+// distance — lower is closer, 0 is an exact match.
 //
-// Errors are uniform across the whole server (legacy paths included, as a
-// strict superset of the old {"error": ...} body):
+// Errors are uniform across the whole server:
 //
 //	{"error": "...", "code": "<stable enum>", "request_id": "...",
 //	 "retry_after_s": <hint, retryable statuses only>}
@@ -73,21 +68,6 @@ func errorCode(status int) string {
 		}
 		return CodeBadRequest
 	}
-}
-
-// deprecatedPaths maps every legacy alias onto its /v1 replacement; the table
-// is published verbatim in /statusz so operators can grep client logs for
-// paths due to disappear.
-var deprecatedPaths = map[string]string{
-	"/healthz":       "/v1/healthz",
-	"/statusz":       "/v1/statusz",
-	"/metrics":       "/v1/metrics",
-	"/docs":          "/v1/docs",
-	"/docs/{name}":   "/v1/docs/{name}",
-	"/query":         "/v1/query",
-	"/corpus/query":  "/v1/corpus/query",
-	"/prepared":      "/v1/prepared",
-	"/prepared/{id}": "/v1/prepared/{id}",
 }
 
 // resultEntryJSON is one element of the envelope's results array.
@@ -262,22 +242,28 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExecPreparedV1 is POST /v1/prepared/{id}: execute a registered
-// prepared query, envelope out (limit via the ?limit query parameter).
+// prepared query on its document's current revision, envelope out (limit via
+// the ?limit query parameter).
 func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 	tr := obsv.TraceFrom(r.Context())
 	start := time.Now()
 	id := r.PathValue("id")
-	e, pq, version, ok := s.lookupPrepared(id)
+	e, ok := s.lookupPrepared(id)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown prepared query %q", id))
+		return
+	}
+	eng, version, err := s.svc.EngineVersion(e.doc)
+	if err != nil {
+		s.writeError(w, errorStatus(err), err)
 		return
 	}
 	ctx, cancel := s.requestContext(r, queryTimeoutMS(r))
 	defer cancel()
 	execStart := time.Now()
-	res, plan, err := pq.Exec(ctx)
+	res, plan, err := e.c.Exec(ctx, eng)
 	tr.Observe("exec", time.Since(execStart))
-	s.observeQuery(tr, "prepared", e.lang, e.text, start, err)
+	s.observeQuery(tr, "prepared", e.c.Language(), e.c.Text(), start, err)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
 		return

@@ -241,7 +241,7 @@ func TestV1PreparedEnvelope(t *testing.T) {
 }
 
 // TestV1ErrorEnvelope: every error body carries the stable code enum and the
-// request ID, on /v1 and legacy paths alike.
+// request ID, on every route.
 func TestV1ErrorEnvelope(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(1))
@@ -256,8 +256,9 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			http.StatusNotFound, "not_found"},
 		{"/v1/query", map[string]any{"doc": "doc.xml", "lang": core.LangXPath, "query": "//["},
 			http.StatusBadRequest, "bad_request"},
-		{"/query", map[string]any{"doc": "nope.xml", "lang": core.LangXPath, "query": "//a"},
-			http.StatusNotFound, "not_found"},
+		{"/v1/corpus/query", map[string]any{"lang": core.LangXPath, "query": "//a", "bogus": 1},
+			http.StatusBadRequest, "bad_request"},
+		{"/v1/prepared/p99999999", nil, http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
 		code, body := doJSON(t, http.MethodPost, ts.URL+tc.path, tc.req)
@@ -271,7 +272,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			t.Errorf("%s: error body missing request_id: %v", tc.path, body)
 		}
 		if msg, _ := body["error"].(string); msg == "" {
-			t.Errorf("%s: error body lost the legacy error field: %v", tc.path, body)
+			t.Errorf("%s: error body lost the error message: %v", tc.path, body)
 		}
 	}
 }
@@ -300,47 +301,31 @@ func TestRetryAfterInErrorBody(t *testing.T) {
 	}
 }
 
-// TestV1AliasesAndDeprecationTable: management routes answer identically on
-// both mounts, legacy query routes keep their historical shapes, and /statusz
-// publishes the deprecation mapping and the similarity counters.
-func TestV1AliasesAndDeprecationTable(t *testing.T) {
+// TestV1RoutesAndSimilarCounters: the management routes answer under /v1
+// only — the unversioned paths are gone — and /v1/statusz publishes the
+// similarity counters.
+func TestV1RoutesAndSimilarCounters(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
 
-	for _, path := range []string{"/v1/healthz", "/v1/docs", "/v1/statusz", "/v1/metrics"} {
+	for path, want := range map[string]int{
+		"/v1/healthz": http.StatusOK, "/v1/docs": http.StatusOK, "/v1/statusz": http.StatusOK, "/v1/metrics": http.StatusOK,
+		"/healthz": http.StatusNotFound, "/docs": http.StatusNotFound, "/statusz": http.StatusNotFound, "/metrics": http.StatusNotFound,
+	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 
-	// Legacy /query still answers in the legacy shape (result.count), not the
-	// envelope.
-	code, body := doJSON(t, http.MethodPost, ts.URL+"/query", map[string]any{
-		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"})
-	if code != http.StatusOK {
-		t.Fatalf("legacy query: status %d", code)
-	}
-	if body["result"] == nil || body["results"] != nil {
-		t.Errorf("legacy /query shape changed: %v", body)
-	}
-
-	// Run one similarity query so the counters move, then check /statusz.
+	// Run one similarity query so the counters move, then check /v1/statusz.
 	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "doc.xml", "lang": core.LangSimilar, "query": "k=1 description(keyword)"})
 	_, st := doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
-	api, _ := st["api"].(map[string]any)
-	if api == nil || api["version"] != "v1" {
-		t.Fatalf("statusz api section: %v", st["api"])
-	}
-	dep, _ := api["deprecated"].(map[string]any)
-	if dep["/query"] != "/v1/query" || dep["/corpus/query"] != "/v1/corpus/query" {
-		t.Errorf("deprecation table: %v", dep)
-	}
 	similar, _ := st["similar"].(map[string]any)
 	if similar == nil || similar["candidates"].(float64) < 1 {
 		t.Errorf("statusz similar section: %v", st["similar"])
@@ -351,7 +336,7 @@ func TestV1AliasesAndDeprecationTable(t *testing.T) {
 }
 
 // TestV1MetricsFamilies: the similarity and ted-pool families appear on the
-// scrape and the /v1 path maps onto the same handler label as its alias.
+// scrape and /v1/query is counted under the "query" handler label.
 func TestV1MetricsFamilies(t *testing.T) {
 	ts, _ := newTestServer(t, nil)
 	putDoc(t, ts.URL, "doc.xml", siteXML(2))
@@ -371,7 +356,7 @@ func TestV1MetricsFamilies(t *testing.T) {
 	if !strings.Contains(out, `treeqd_pool_hits_total{pool="ted_dp"}`) {
 		t.Error("scrape missing ted_dp pool series")
 	}
-	// /v1/query and /query share the "query" handler label.
+	// /v1/query is counted under the "query" handler label.
 	if !strings.Contains(out, `treeqd_http_requests_total{handler="query",code="200"}`) {
 		t.Error("v1 request not counted under the query handler label")
 	}

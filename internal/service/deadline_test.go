@@ -97,7 +97,7 @@ func TestQueryCorpusDocTimeout(t *testing.T) {
 		t.Fatalf("caller context was cancelled: %v", err)
 	}
 
-	// The per-document budget only bounds execution; plans were prepared and
+	// The per-document budget only bounds execution; the plan was compiled and
 	// cached, so a sane budget immediately succeeds compile-free.
 	before := s.Stats()
 	results = s.QueryCorpus(ctx, core.LangXPath, "//keyword", WithDocTimeout(time.Minute))
@@ -134,7 +134,7 @@ func TestWithPlanClauseCap(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.PlanCacheSkips != 2 {
-		t.Errorf("skips = %d, want 2 (oversize plan re-prepared per call)", st.PlanCacheSkips)
+		t.Errorf("skips = %d, want 2 (oversize plan compiled per call)", st.PlanCacheSkips)
 	}
 	if st.PlanCacheSize != 0 || st.PlanCacheHits != 0 {
 		t.Errorf("oversize plan was cached: size=%d hits=%d", st.PlanCacheSize, st.PlanCacheHits)

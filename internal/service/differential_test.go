@@ -126,9 +126,9 @@ func assertPatchEquivalence(t testing.TB, oldT, newT *tree.Tree) {
 
 	// An edit that changes no label list touches nothing the index or any
 	// evaluator reads, whatever labels the edited nodes carry: it must patch,
-	// and every warm plan must take the same-shape rebind.
+	// and every carried plan must count as skipped.
 	if textOnlyEdit(oldT, newT) {
-		if !po.Patched || po.PlansReprepared == 0 || po.PlansSkipped != po.PlansReprepared {
+		if !po.Patched || po.PlansCarried == 0 || po.PlansSkipped != po.PlansCarried {
 			t.Fatalf("text-only edit outcome %+v, want a patch with every warm plan skipped\nold: %s\nnew: %s",
 				po, treediff.Canonical(oldT), treediff.Canonical(newT))
 		}

@@ -6,21 +6,20 @@
 // worker pools.
 //
 // The paper's pipeline (conf_pods_Koch06) compiles a tree query once and runs
-// it many times over one document; Service extends that economics to a
-// multi-user, multi-document setting: every (document, version, language,
-// query text) tuple is prepared at most once while it stays warm in the
-// cache, and the same compiled matcher/plan is reused across users, requests,
-// and the corpus-wide fan-out.
+// it many times; every compilation it describes is a function of the query
+// alone.  Service extends that economics to a multi-user, multi-document
+// setting: every (language, query text) pair is compiled at most once while
+// it stays warm in the cache, and the same core.Compiled serves every
+// document, every revision of each, every user and the corpus-wide fan-out.
 //
-// Documents are live: every corpus entry carries a version number, and Update
-// replaces a document by building the new engine off to the side,
-// re-preparing the document's warm plans against it (core.PreparedQuery.
-// Reprepare reuses all document-independent compilation), and atomically
-// swapping the versioned entry — so updates neither drop the plan cache nor
-// block readers, which finish against the engine they looked up.
+// Documents are live: every corpus entry carries a version number, and
+// UpdateDoc replaces a document by building (or patching) the new engine off
+// to the side and atomically swapping the versioned entry — so updates
+// neither touch the plan cache nor block readers, which finish against the
+// engine they looked up.
 //
 // A Service is safe for concurrent use by multiple goroutines, including
-// concurrent Add/Remove/Update while queries are in flight.
+// concurrent Add/Remove/UpdateDoc while queries are in flight.
 package service
 
 import (
@@ -50,17 +49,12 @@ var (
 	ErrDuplicateDocument = errors.New("service: document already in corpus")
 )
 
-// planKey identifies one compiled plan in the cache.  The user-level view is
-// (language, query text); the document name and version complete the key
-// because a PreparedQuery is bound to one engine, and an updated document gets
-// a fresh engine under a bumped version — keying on the version makes every
-// pre-swap plan unreachable the instant the swap publishes, with no sweep
-// racing in-flight lookups.
+// planKey identifies one compiled plan in the cache.  A core.Compiled reads
+// no document, so the query alone is the key: no write, removal or re-add of
+// a document can leave a cached plan stale.
 type planKey struct {
-	doc     string
-	version uint64
-	lang    string
-	text    string
+	lang string
+	text string
 }
 
 // docEntry is one versioned slot of the corpus: the engine serving the
@@ -75,26 +69,12 @@ type docEntry struct {
 }
 
 // shard is one slice of the engine pool: an independently locked map of
-// document name to versioned entry, plus this shard's slice of the plan
-// cache.  Document names are hashed onto shards, so concurrent operations on
-// documents of different shards never share a lock; and because plan keys are
-// document-scoped, a document's plans live on the same shard as its entry —
-// plan lookups for documents on different shards never contend either.
-//
-// Lock order (per shard): mu may be taken first and the same shard's planMu
-// second (Update does, to publish warm plans atomically with the swap);
-// planMu is never held while taking any shard's mu.  Locks of different
-// shards are never nested.
+// document name to versioned entry.  Document names are hashed onto shards,
+// so concurrent operations on documents of different shards never share a
+// lock.  No other lock is ever taken while a shard's mu is held.
 type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*docEntry
-
-	// planMu guards plans, this shard's independently capped LRU of compiled
-	// plans.  Its critical sections are a map lookup plus a list splice, and
-	// with the cache sharded by document they are spread over as many locks
-	// as the engine pool itself.
-	planMu sync.Mutex
-	plans  *lru.Cache[planKey, *core.PreparedQuery]
 }
 
 // Service owns a corpus of named documents and routes queries to their
@@ -106,25 +86,23 @@ type Service struct {
 	engineOpts []core.Option
 	clauseCap  int
 
-	// The plan cache lives on the shards (see shard.plans): each shard owns
-	// an LRU capped at planCap/len(shards), so the whole service still holds
-	// a deterministic total of at most WithPlanCacheSize plans — the cap is
-	// enforced per shard rather than globally, which means a corpus whose hot
-	// documents all hash to one shard can evict earlier than a global LRU
-	// would (documented skew, traded for lookups that never cross shards).
+	// planMu guards plans, the one LRU of compiled plans for the whole
+	// service.  Its critical sections are a map lookup plus a list splice: it
+	// is never held across a compile, and never while a shard lock is held.
+	planMu    sync.Mutex
+	plans     *lru.Cache[planKey, *core.Compiled]
 	planHits  atomic.Uint64
 	planMiss  atomic.Uint64
 	planSkips atomic.Uint64
 	queries   atomic.Uint64
 	docsCount atomic.Int64
 
-	updates     atomic.Uint64
-	replans     atomic.Uint64
-	replanFails atomic.Uint64
+	updates      atomic.Uint64
+	plansCarried atomic.Uint64
 
-	// Incremental-update counters: patched vs rebuilt swaps, plans whose
-	// label set was disjoint from the edit, and per-phase wall-clock totals
-	// (diff, patch, build, reprepare, swap) in nanoseconds.
+	// Incremental-update counters: patched vs rebuilt swaps, carried plans
+	// whose label set was disjoint from the edit, and per-phase wall-clock
+	// totals (diff, patch, build, swap) in nanoseconds.
 	patchRatio     float64
 	patchedUpdates atomic.Uint64
 	rebuildUpdates atomic.Uint64
@@ -133,8 +111,8 @@ type Service struct {
 
 	// prepDur is the per-stage prepare histogram
 	// (treeqd_prepare_duration_seconds{lang,phase}), nil unless WithMetrics
-	// was given.  Observed only on plan-cache misses and Update re-prepares,
-	// so the cached-plan hot path never touches it.
+	// was given.  Observed only on plan-cache misses, so the cached-plan hot
+	// path never touches it.
 	prepDur *obsv.HistogramVec
 	// updDur is the per-phase update histogram
 	// (treeqd_update_duration_seconds{phase}), nil unless WithMetrics was
@@ -149,8 +127,9 @@ type Stats struct {
 	// Queries counts single-document query executions routed through the
 	// service (corpus fan-out counts one per document).
 	Queries uint64
-	// PlanCacheHits / PlanCacheMisses count plan-cache lookups; a miss pays
-	// one Engine.Prepare (parse + classify + plan + compile).
+	// PlanCacheHits / PlanCacheMisses count plan-cache lookups, one per
+	// single-document query and one per corpus fan-out; a miss pays one
+	// core.Compile (parse + classify + plan + compile).
 	PlanCacheHits, PlanCacheMisses uint64
 	// PlanCacheEvictions counts plans evicted to respect the cache cap.
 	PlanCacheEvictions uint64
@@ -163,22 +142,17 @@ type Stats struct {
 	PlanCacheSize, PlanCacheCap int
 	// Updates counts completed document update swaps.
 	Updates uint64
-	// PlanReprepares counts warm plan re-prepares performed by Update: plans
-	// rebound to the new engine (reusing their parsed, translated, or compiled
-	// document-independent artifacts) instead of being dropped to cold-compile
-	// on next use.
+	// PlanReprepares counts cached plans carried across updates: the size of
+	// the plan cache at each completed swap, summed.  A plan reads no
+	// document, so every one of them serves the new revision as it is.
 	PlanReprepares uint64
-	// PlanReprepareFailures counts plans Update could not rebind to the new
-	// document (for example a query the new engine's forced strategy cannot
-	// run); such plans are dropped and the next use pays a cold prepare.
-	PlanReprepareFailures uint64
 	// PatchedUpdates / RebuildUpdates split Updates by how the new engine was
 	// derived: by splicing the old index (small single-subtree edits) or by a
 	// full rebuild (large or non-local edits, or patching disabled).
 	PatchedUpdates, RebuildUpdates uint64
-	// PlansSkippedByLabelSet counts warm plans whose label set was disjoint
-	// from a shape-preserving edit's touched labels: plans the write could
-	// not have changed the answers of (see UpdateOutcome.PlansSkipped).
+	// PlansSkippedByLabelSet counts the carried plans whose label set was
+	// disjoint from a shape-preserving edit's touched labels: plans the write
+	// could not have changed the answers of (see UpdateOutcome.PlansSkipped).
 	PlansSkippedByLabelSet uint64
 	// Index aggregates the index-cache counters (XASR/pair builds and hits,
 	// label lists/masks/rows, evictions, releases) across every engine
@@ -207,7 +181,7 @@ type config struct {
 
 // WithShards sets the number of engine-pool shards (default 8; values < 1 are
 // raised to 1).  More shards reduce lock contention when many goroutines add,
-// remove, and look up documents concurrently.
+// remove, and look up documents concurrently.  The plan cache is not sharded.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -218,17 +192,15 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithPlanCacheSize caps the plan cache at n compiled plans in total, LRU
-// evicted (default 512; 0 means unbounded).  The cache is sharded with the
-// engine pool: each shard's LRU is capped at n/shards (at least 1), so the
-// total never exceeds n but a document-skewed workload can evict from a hot
-// shard while cold shards have room.
+// WithPlanCacheSize caps the plan cache at n compiled plans, LRU evicted
+// (default 512; 0 means unbounded).  One plan serves every document, so n
+// counts distinct (language, query text) pairs.
 func WithPlanCacheSize(n int) Option {
 	return func(c *config) { c.planCap = n }
 }
 
 // WithPlanClauseCap denies plan-cache admission to prepared queries whose
-// largest artifact exceeds n clauses (core.PreparedQuery.Clauses; 0, the
+// largest artifact exceeds n clauses (core.Compiled.Clauses; 0, the
 // default, admits everything).  A cyclic query's rewriting into acyclic
 // disjuncts is exponential in its variables while the LRU counts entries, not
 // bytes; without this cap a handful of huge unions can pin more memory than
@@ -240,7 +212,8 @@ func WithPlanClauseCap(n int) Option {
 }
 
 // WithEngineOptions passes options (strategy, pair-cache cap, ...) to every
-// engine the service creates for an added document.
+// engine the service creates for an added document, and the strategy to
+// every query it compiles.
 func WithEngineOptions(opts ...core.Option) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, opts...) }
 }
@@ -262,10 +235,10 @@ func WithPatchRatio(r float64) Option {
 
 // WithMetrics registers the service's prepare-stage histogram
 // (treeqd_prepare_duration_seconds{lang,phase}) on reg.  Each plan-cache miss
-// and each warm re-prepare during Update observes one sample per stage the
-// route actually performed (parse, translate, compile, build — see
-// core.Phase), so the histogram separates the one-off compilation cost from
-// the per-request execution latency.  A nil registry disables the histogram.
+// observes one sample per stage the route actually performed (parse,
+// translate, compile, build — see core.Phase), so the histogram separates the
+// one-off compilation cost from the per-request execution latency.  A nil
+// registry disables the histogram.
 func WithMetrics(reg *obsv.Registry) Option {
 	return func(c *config) { c.metrics = reg }
 }
@@ -285,28 +258,19 @@ func New(opts ...Option) *Service {
 		workers:    cfg.workers,
 		engineOpts: cfg.engineOpts,
 		clauseCap:  cfg.clauseCap,
+		plans:      lru.New[planKey, *core.Compiled](cfg.planCap),
 		patchRatio: cfg.patchRatio,
 	}
 	if cfg.metrics != nil {
 		s.prepDur = cfg.metrics.NewHistogramVec("treeqd_prepare_duration_seconds",
-			"Per-stage query preparation time, observed on plan-cache misses and update re-prepares.",
+			"Per-stage query preparation time, observed on plan-cache misses.",
 			obsv.DurationBuckets, "lang", "phase")
 		s.updDur = cfg.metrics.NewHistogramVec("treeqd_update_duration_seconds",
-			"Per-phase document update time (diff, patch, build, reprepare, swap).",
+			"Per-phase document update time (diff, patch, build, swap).",
 			obsv.DurationBuckets, "phase")
 	}
-	perShardCap := 0
-	if cfg.planCap > 0 {
-		perShardCap = cfg.planCap / cfg.shards
-		if perShardCap < 1 {
-			perShardCap = 1
-		}
-	}
 	for i := range s.shards {
-		s.shards[i] = &shard{
-			entries: map[string]*docEntry{},
-			plans:   lru.New[planKey, *core.PreparedQuery](perShardCap),
-		}
+		s.shards[i] = &shard{entries: map[string]*docEntry{}}
 	}
 	return s
 }
@@ -317,18 +281,18 @@ func (s *Service) shardFor(doc string) *shard {
 
 // observePhases records one prepare-histogram sample per stage the route
 // performed.  No-op when WithMetrics was not given.
-func (s *Service) observePhases(lang string, pq *core.PreparedQuery) {
+func (s *Service) observePhases(c *core.Compiled) {
 	if s.prepDur == nil {
 		return
 	}
-	for _, ph := range pq.Phases() {
-		s.prepDur.With(lang, ph.Name).ObserveDuration(ph.Duration)
+	for _, ph := range c.Phases() {
+		s.prepDur.With(c.Language(), ph.Name).ObserveDuration(ph.Duration)
 	}
 }
 
 // Add places a document in the corpus under name at version 1, building its
 // engine with the service's engine options.  It fails on duplicate names; use
-// Update to replace a live document, or Remove first to recycle the name.
+// UpdateDoc to replace a live document, or Remove first to recycle the name.
 func (s *Service) Add(name string, doc *tree.Tree) error {
 	eng := core.New(doc, s.engineOpts...)
 	sh := s.shardFor(name)
@@ -351,28 +315,8 @@ func (s *Service) AddXML(name, src string) error {
 	return s.Add(name, doc)
 }
 
-// Update replaces the named document with doc under a bumped version number,
-// re-preparing the document's warm plans instead of dropping them.  It returns
-// the new version, or ErrUnknownDocument when the name is not in the corpus
-// (Update never creates a document: a racing Remove wins).  Update is
-// UpdateDoc without the outcome report; see UpdateDoc for the full
-// patch-vs-rebuild semantics.
-func (s *Service) Update(name string, doc *tree.Tree) (uint64, error) {
-	o, err := s.UpdateDoc(name, doc)
-	return o.Version, err
-}
-
-// UpdateXML parses src and updates the named document with the result.
-func (s *Service) UpdateXML(name, src string) (uint64, error) {
-	doc, err := xmldoc.Parse(src)
-	if err != nil {
-		return 0, fmt.Errorf("service: document %q: %w", name, err)
-	}
-	return s.Update(name, doc)
-}
-
-// Remove drops the named document and purges its cached plans (all versions),
-// reporting whether it was present.
+// Remove drops the named document, reporting whether it was present.  The
+// plan cache is untouched: no cached plan refers to the document.
 func (s *Service) Remove(name string) bool {
 	sh := s.shardFor(name)
 	sh.mu.Lock()
@@ -381,9 +325,6 @@ func (s *Service) Remove(name string) bool {
 	sh.mu.Unlock()
 	if ok {
 		s.docsCount.Add(-1)
-		sh.planMu.Lock()
-		sh.plans.RemoveFunc(func(k planKey) bool { return k.doc == name })
-		sh.planMu.Unlock()
 	}
 	return ok
 }
@@ -422,7 +363,7 @@ func (s *Service) entry(name string) (*docEntry, error) {
 // Engine returns the engine currently serving the named document, or
 // ErrUnknownDocument.  The engine is safe for concurrent use; going through
 // it directly bypasses the service's plan cache and counters, and the corpus
-// may swap in a newer engine at any time (see Update).
+// may swap in a newer engine at any time (see UpdateDoc).
 func (s *Service) Engine(name string) (*core.Engine, error) {
 	e, err := s.entry(name)
 	if err != nil {
@@ -444,7 +385,7 @@ func (s *Service) EngineVersion(name string) (*core.Engine, uint64, error) {
 }
 
 // Version returns the current version of the named document: 1 after Add,
-// bumped by each Update, restarted by Remove+Add.
+// bumped by each UpdateDoc, restarted by Remove+Add.
 func (s *Service) Version(name string) (uint64, error) {
 	e, err := s.entry(name)
 	if err != nil {
@@ -467,58 +408,39 @@ func (s *Service) Versions() map[string]uint64 {
 	return out
 }
 
-// prepared returns the compiled plan for (doc@version, lang, text), hitting
-// the plan cache when warm.  Concurrent misses on the same key may prepare
-// twice; both results are correct and the second Add just refreshes the
-// entry, so the race is left unsynchronized rather than holding the cache
-// lock across a Prepare.
-func (s *Service) prepared(ent *docEntry, doc, lang, text string) (*core.PreparedQuery, error) {
-	sh := s.shardFor(doc)
-	k := planKey{doc: doc, version: ent.version, lang: lang, text: text}
-	sh.planMu.Lock()
-	pq, ok := sh.plans.Get(k)
-	sh.planMu.Unlock()
+// plan returns the compiled plan for (lang, text), hitting the plan cache
+// when warm.  Concurrent misses on the same key may compile twice; both
+// results are correct and the second Add just refreshes the entry, so the
+// race is left unsynchronized rather than holding the cache lock across a
+// compile.
+func (s *Service) plan(lang, text string) (*core.Compiled, error) {
+	k := planKey{lang: lang, text: text}
+	s.planMu.Lock()
+	c, ok := s.plans.Get(k)
+	s.planMu.Unlock()
 	if ok {
 		s.planHits.Add(1)
-		return pq, nil
+		return c, nil
 	}
 	s.planMiss.Add(1)
-	pq, err := ent.eng.Prepare(lang, text)
+	c, err := core.Compile(lang, text, s.engineOpts...)
 	if err != nil {
 		return nil, err
 	}
-	s.observePhases(lang, pq)
-	// Admission control: a prepared artifact above the clause cap (the
+	s.observePhases(c)
+	// Admission control: a compiled artifact above the clause cap (the
 	// rewrite route's disjunct union is exponential in the query's variables)
 	// is executed but never cached, so one huge plan cannot pin more memory
 	// than the whole LRU of ordinary plans (the LRU counts entries, not
 	// bytes).
-	if s.clauseCap > 0 && pq.Clauses() > s.clauseCap {
+	if s.clauseCap > 0 && c.Clauses() > s.clauseCap {
 		s.planSkips.Add(1)
-		return pq, nil
+		return c, nil
 	}
-	sh.planMu.Lock()
-	sh.plans.Add(k, pq)
-	sh.planMu.Unlock()
-	// Guard against a concurrent Remove, Remove+Add, or Update of the
-	// document: if the corpus no longer maps doc to the version we prepared
-	// on, drop the entry we just cached.  Remove and Update both change the
-	// corpus mapping before (or atomically with) purging plans, so either
-	// this recheck observes the change and removes the stale plan itself, or
-	// the change happened after the recheck and the purge sweeps it.  A
-	// shard's planMu is never held while taking any shard's mu, so this
-	// nesting cannot deadlock against Update's shard-then-plan order.
-	if cur, err := s.entry(doc); err != nil || cur.version != ent.version || cur.eng != ent.eng {
-		sh.planMu.Lock()
-		// Compare-and-remove: a concurrent query against a re-added document
-		// may have already cached a fresh plan under this key; only our own
-		// stale entry is dropped.
-		if cached, ok := sh.plans.Get(k); ok && cached == pq {
-			sh.plans.Remove(k)
-		}
-		sh.planMu.Unlock()
-	}
-	return pq, nil
+	s.planMu.Lock()
+	s.plans.Add(k, c)
+	s.planMu.Unlock()
+	return c, nil
 }
 
 // Query executes one query against the named document through the plan
@@ -539,14 +461,14 @@ func (s *Service) QueryVersioned(ctx context.Context, doc, lang, text string) (*
 		return nil, nil, 0, err
 	}
 	planStart := time.Now()
-	pq, err := s.prepared(ent, doc, lang, text)
+	c, err := s.plan(lang, text)
 	tr.Observe("plan", time.Since(planStart))
 	if err != nil {
 		return nil, nil, ent.version, err
 	}
 	s.queries.Add(1)
 	execStart := time.Now()
-	res, plan, err := pq.Exec(ctx)
+	res, plan, err := c.Exec(ctx, ent.eng)
 	tr.Observe("exec", time.Since(execStart))
 	return res, plan, ent.version, err
 }
@@ -562,13 +484,13 @@ func (s *Service) QueryAll(ctx context.Context, doc string, reqs []core.QueryReq
 	out := make([]core.BatchResult, len(reqs))
 	core.RunPool(len(reqs), s.workers, func(i int) {
 		out[i] = core.BatchResult{Index: i}
-		pq, err := s.prepared(ent, doc, reqs[i].Lang, reqs[i].Text)
+		c, err := s.plan(reqs[i].Lang, reqs[i].Text)
 		if err != nil {
 			out[i].Err = err
 			return
 		}
 		s.queries.Add(1)
-		out[i].Result, out[i].Plan, out[i].Err = pq.Exec(ctx)
+		out[i].Result, out[i].Plan, out[i].Err = c.Exec(ctx, ent.eng)
 	})
 	return out, nil
 }
@@ -607,11 +529,11 @@ func WithDocTimeout(d time.Duration) CorpusOption {
 
 // QueryCorpus runs one query against every document in the corpus on the
 // service's worker pool and returns the per-document results sorted by
-// document name.  The plan cache makes repeated fan-outs compile-free; a
-// cancelled context aborts documents that have not started, reporting the
-// context error in their DocResult (partial-failure semantics: completed
-// documents keep their results).  WithDocTimeout adds a per-document bound
-// derived from ctx.
+// document name.  The plan is resolved once per call and shared by every
+// document, so a fan-out compiles at most once.  A cancelled context aborts
+// documents that have not started, reporting the context error in their
+// DocResult (partial-failure semantics: completed documents keep their
+// results).  WithDocTimeout adds a per-document bound derived from ctx.
 func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...CorpusOption) []DocResult {
 	var cfg corpusConfig
 	for _, o := range opts {
@@ -619,6 +541,10 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 	}
 	names := s.Names()
 	out := make([]DocResult, len(names))
+	if len(names) == 0 {
+		return out
+	}
+	c, planErr := s.plan(lang, text)
 	core.RunPool(len(names), s.workers, func(i int) {
 		out[i] = DocResult{Doc: names[i]}
 		if err := ctx.Err(); err != nil {
@@ -632,19 +558,18 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 			return
 		}
 		out[i].Version = ent.version
-		pq, err := s.prepared(ent, names[i], lang, text)
-		if err != nil {
-			out[i].Err = err
+		if planErr != nil {
+			out[i].Err = planErr
 			return
 		}
 		s.queries.Add(1)
 		out[i].Result, out[i].Plan, out[i].Err = func() (*core.Result, *core.Plan, error) {
 			if cfg.docTimeout <= 0 {
-				return pq.Exec(ctx)
+				return c.Exec(ctx, ent.eng)
 			}
 			docCtx, cancel := context.WithTimeout(ctx, cfg.docTimeout)
 			defer cancel()
-			return pq.Exec(docCtx)
+			return c.Exec(docCtx, ent.eng)
 		}()
 	})
 	return out
@@ -671,31 +596,11 @@ func (s *Service) IndexStats() (index.Stats, int) {
 	return agg, multi
 }
 
-// PlanShardSizes returns the current number of cached plans on each shard, in
-// shard order — the observability view of the sharded cache (exposed by the
-// server's /statusz), where cap skew across a document-heavy shard shows up.
-func (s *Service) PlanShardSizes() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		sh.planMu.Lock()
-		out[i] = sh.plans.Len()
-		sh.planMu.Unlock()
-	}
-	return out
-}
-
-// Stats returns the current service counters.  Plan-cache size, cap, and
-// evictions are summed across the shards.
+// Stats returns the current service counters.
 func (s *Service) Stats() Stats {
-	var size, capacity int
-	var evictions uint64
-	for _, sh := range s.shards {
-		sh.planMu.Lock()
-		size += sh.plans.Len()
-		capacity += sh.plans.Cap()
-		evictions += sh.plans.Evictions()
-		sh.planMu.Unlock()
-	}
+	s.planMu.Lock()
+	size, capacity, evictions := s.plans.Len(), s.plans.Cap(), s.plans.Evictions()
+	s.planMu.Unlock()
 	ixStats, multiDocs := s.IndexStats()
 	return Stats{
 		Index:                  ixStats,
@@ -709,8 +614,7 @@ func (s *Service) Stats() Stats {
 		PlanCacheSize:          size,
 		PlanCacheCap:           capacity,
 		Updates:                s.updates.Load(),
-		PlanReprepares:         s.replans.Load(),
-		PlanReprepareFailures:  s.replanFails.Load(),
+		PlanReprepares:         s.plansCarried.Load(),
 		PatchedUpdates:         s.patchedUpdates.Load(),
 		RebuildUpdates:         s.rebuildUpdates.Load(),
 		PlansSkippedByLabelSet: s.planLabelSkips.Load(),

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -57,10 +59,7 @@ func TestQueryMatchesDirectEngine(t *testing.T) {
 }
 
 func TestPlanCacheHitsAndEviction(t *testing.T) {
-	// One shard so the total cap of 2 lands on the single document's LRU
-	// undivided; the per-shard split itself is covered by
-	// TestPlanCacheShardCapAccounting.
-	s := corpusService(t, 1, WithShards(1), WithPlanCacheSize(2))
+	s := corpusService(t, 1, WithPlanCacheSize(2))
 	ctx := context.Background()
 	queries := []string{"//item", "//keyword", "//name"}
 
@@ -99,24 +98,64 @@ func TestPlanCacheHitsAndEviction(t *testing.T) {
 	}
 }
 
-func TestRemovePurgesPlans(t *testing.T) {
+// TestCachedPlanPinsNoEngine: a cached plan of every language holds no
+// reference to the engines it ran on, so the engine an update swaps out and
+// the engine of a removed document are both collectable while the plans stay
+// cached.
+func TestCachedPlanPinsNoEngine(t *testing.T) {
 	s := corpusService(t, 2)
 	ctx := context.Background()
-	if _, _, err := s.Query(ctx, "doc00", core.LangXPath, "//item"); err != nil {
+	queries := []struct{ lang, text string }{
+		{core.LangXPath, "//item[name]/description//keyword"},
+		{core.LangCQ, "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."},
+		{core.LangCQ, cyclicKeywordPairs},
+		{core.LangTwig, "//item[name]//keyword"},
+		{core.LangDatalog, keywordReachProgram},
+		{core.LangStream, "//item//keyword"},
+		{core.LangSimilar, "k=3 description(keyword)"},
+	}
+	for _, q := range queries {
+		if _, _, err := s.Query(ctx, "doc00", q.lang, q.text); err != nil {
+			t.Fatalf("%s %q: %v", q.lang, q.text, err)
+		}
+	}
+	engine := func() weak.Pointer[core.Engine] {
+		eng, err := s.Engine("doc00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(eng)
+	}
+	swapped := engine()
+	if _, err := s.UpdateDoc("doc00", workload.SiteDocument(workload.DocSpec{Items: 10, Regions: 2, DescriptionDepth: 2, Seed: 99})); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Query(ctx, "doc01", core.LangXPath, "//item"); err != nil {
-		t.Fatal(err)
-	}
+	removed := engine()
 	if !s.Remove("doc00") || s.Remove("doc00") {
 		t.Fatal("Remove should succeed exactly once")
 	}
-	st := s.Stats()
-	if st.Docs != 1 || st.PlanCacheSize != 1 {
-		t.Errorf("after remove: docs=%d cached plans=%d, want 1 and 1", st.Docs, st.PlanCacheSize)
+	if st := s.Stats(); st.Docs != 1 || st.PlanCacheSize != len(queries) {
+		t.Fatalf("after update and remove: docs=%d cached plans=%d, want 1 and %d", st.Docs, st.PlanCacheSize, len(queries))
+	}
+	runtime.GC()
+	if swapped.Value() != nil {
+		t.Error("the engine swapped out by UpdateDoc is still reachable")
+	}
+	if removed.Value() != nil {
+		t.Error("the engine of the removed document is still reachable")
 	}
 	if _, _, err := s.Query(ctx, "doc00", core.LangXPath, "//item"); !errors.Is(err, ErrUnknownDocument) {
 		t.Errorf("removed doc error = %v", err)
+	}
+	// The surviving document runs the cached plans warm.
+	before := s.Stats().PlanCacheMisses
+	for _, q := range queries {
+		if _, _, err := s.Query(ctx, "doc01", q.lang, q.text); err != nil {
+			t.Fatalf("%s %q: %v", q.lang, q.text, err)
+		}
+	}
+	if after := s.Stats().PlanCacheMisses; after != before {
+		t.Errorf("cached plans recompiled for another document: misses %d -> %d", before, after)
 	}
 }
 
@@ -146,15 +185,16 @@ func TestQueryCorpusFanOut(t *testing.T) {
 			t.Errorf("%s: fan-out %d nodes, direct %d", r.Doc, len(r.Result.Nodes), len(want))
 		}
 	}
-	// Second fan-out is compile-free: every document hits the plan cache.
+	// Second fan-out is compile-free: one lookup hits the plan every document
+	// runs.
 	before := s.Stats()
 	s.QueryCorpus(ctx, core.LangXPath, "//keyword")
 	after := s.Stats()
 	if after.PlanCacheMisses != before.PlanCacheMisses {
 		t.Errorf("repeat fan-out recompiled: misses %d -> %d", before.PlanCacheMisses, after.PlanCacheMisses)
 	}
-	if after.PlanCacheHits != before.PlanCacheHits+6 {
-		t.Errorf("repeat fan-out hits %d -> %d, want +6", before.PlanCacheHits, after.PlanCacheHits)
+	if after.PlanCacheHits != before.PlanCacheHits+1 {
+		t.Errorf("repeat fan-out hits %d -> %d, want +1", before.PlanCacheHits, after.PlanCacheHits)
 	}
 }
 

@@ -10,13 +10,39 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPlanCacheShardCapAccounting pins down the deterministic cap split of
-// the sharded plan cache: WithPlanCacheSize(n) caps each of the k shards at
-// n/k plans, so the total never exceeds n, the per-shard sizes never exceed
-// n/k, and Stats' summed size always equals the sum of PlanShardSizes.
+// TestPlanCacheSharedAcrossDocuments: a plan reads no document, so one query
+// text fanned out over a corpus compiles once and is cached once, and later
+// single-document queries of every document hit it.
+func TestPlanCacheSharedAcrossDocuments(t *testing.T) {
+	const docs = 32
+	s := corpusService(t, docs)
+	ctx := context.Background()
+	for _, r := range s.QueryCorpus(ctx, core.LangXPath, "//item[name]/description//keyword") {
+		if r.Err != nil || len(r.Result.Nodes) == 0 {
+			t.Fatalf("%s: %d nodes, %v", r.Doc, len(r.Result.Nodes), r.Err)
+		}
+	}
+	st := s.Stats()
+	if st.PlanCacheMisses != 1 || st.PlanCacheSize != 1 {
+		t.Fatalf("fan-out over %d documents: misses=%d size=%d, want 1 and 1", docs, st.PlanCacheMisses, st.PlanCacheSize)
+	}
+	for d := 0; d < docs; d++ {
+		if _, _, err := s.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, "//item[name]/description//keyword"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PlanCacheMisses != 1 || st.PlanCacheHits != docs {
+		t.Errorf("per-document queries: misses=%d hits=%d, want 1 and %d", st.PlanCacheMisses, st.PlanCacheHits, docs)
+	}
+}
+
+// TestPlanCacheShardCapAccounting pins the plan cache's counters exactly,
+// across many documents on several shards: five texts cycled through an LRU
+// of three miss on every lookup, so 60 queries are 60 misses, 57 evictions,
+// no hits, and a cache of exactly its cap.
 func TestPlanCacheShardCapAccounting(t *testing.T) {
-	const shards, totalCap, docs = 4, 8, 12
-	s := corpusService(t, docs, WithShards(shards), WithPlanCacheSize(totalCap))
+	const shards, capacity, docs = 4, 3, 12
+	s := corpusService(t, docs, WithShards(shards), WithPlanCacheSize(capacity))
 	ctx := context.Background()
 	queries := []string{"//item", "//keyword", "//name", "//description", "//region"}
 	for d := 0; d < docs; d++ {
@@ -26,68 +52,61 @@ func TestPlanCacheShardCapAccounting(t *testing.T) {
 			}
 		}
 	}
-
 	st := s.Stats()
-	sizes := s.PlanShardSizes()
-	if len(sizes) != shards {
-		t.Fatalf("PlanShardSizes has %d entries, want %d", len(sizes), shards)
+	n := uint64(docs * len(queries))
+	if st.PlanCacheMisses != n || st.PlanCacheHits != 0 || st.PlanCacheEvictions != n-capacity {
+		t.Errorf("misses=%d hits=%d evictions=%d, want %d, 0 and %d", st.PlanCacheMisses, st.PlanCacheHits, st.PlanCacheEvictions, n, n-capacity)
 	}
-	sum := 0
-	for i, sz := range sizes {
-		if sz > totalCap/shards {
-			t.Errorf("shard %d holds %d plans, per-shard cap is %d", i, sz, totalCap/shards)
-		}
-		sum += sz
-	}
-	if sum != st.PlanCacheSize {
-		t.Errorf("shard sizes sum to %d, Stats reports %d", sum, st.PlanCacheSize)
-	}
-	if st.PlanCacheSize > totalCap {
-		t.Errorf("total cached plans %d exceed the cap %d", st.PlanCacheSize, totalCap)
-	}
-	if st.PlanCacheCap != totalCap {
-		t.Errorf("PlanCacheCap = %d, want %d", st.PlanCacheCap, totalCap)
-	}
-	// 12 docs x 5 queries against a cap of 8 must evict; the counters stay
-	// exact because each shard's LRU accounts its own slice.
-	if st.PlanCacheEvictions == 0 {
-		t.Error("expected evictions with 60 plans against a cap of 8")
-	}
-	if st.PlanCacheMisses < uint64(docs*len(queries)) {
-		t.Errorf("misses = %d, want at least %d", st.PlanCacheMisses, docs*len(queries))
+	if st.PlanCacheSize != capacity || st.PlanCacheCap != capacity {
+		t.Errorf("size=%d cap=%d, want %d and %d", st.PlanCacheSize, st.PlanCacheCap, capacity, capacity)
 	}
 }
 
-// TestPlanCacheTinyCapStillBounded covers the rounding corner: a total cap
-// smaller than the shard count floors each shard at one plan, so caching
-// still works (no shard gets an unbounded cache) and the total stays at most
-// one per shard.
-func TestPlanCacheTinyCapStillBounded(t *testing.T) {
-	const shards = 8
-	s := corpusService(t, 6, WithShards(shards), WithPlanCacheSize(2))
+// TestPlanCacheCapIsGlobal: WithPlanCacheSize caps the whole service, however
+// many shards the document map has — a cap below the shard count holds
+// exactly.
+func TestPlanCacheCapIsGlobal(t *testing.T) {
+	s := corpusService(t, 6, WithShards(8), WithPlanCacheSize(2))
 	ctx := context.Background()
+	queries := []string{"//item", "//keyword", "//name", "//description", "//region"}
 	for d := 0; d < 6; d++ {
-		doc := fmt.Sprintf("doc%02d", d)
-		for _, q := range []string{"//item", "//keyword"} {
-			if _, _, err := s.Query(ctx, doc, core.LangXPath, q); err != nil {
+		for _, q := range queries {
+			if _, _, err := s.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, q); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for i, sz := range s.PlanShardSizes() {
-		if sz > 1 {
-			t.Errorf("shard %d holds %d plans, floor cap is 1", i, sz)
-		}
-	}
-	if st := s.Stats(); st.PlanCacheSize > shards {
-		t.Errorf("total cached plans %d exceed one per shard (%d)", st.PlanCacheSize, shards)
+	if st := s.Stats(); st.PlanCacheSize != 2 || st.PlanCacheCap != 2 {
+		t.Errorf("cached plans %d under cap %d, want 2 and 2", st.PlanCacheSize, st.PlanCacheCap)
 	}
 }
 
-// TestPlanCacheShardedConcurrent hammers the sharded plan cache from
-// concurrent registrants (cold prepares), executors (warm hits), and
-// updaters (document swaps with warm re-prepare) — run under -race in CI,
-// it proves no lookup path ever crosses shard locks inconsistently.
+// TestPlanCacheTinyCapStillBounded covers the smallest cap: one plan is still
+// a cache — a text repeated on another document hits it — and a second text
+// displaces it rather than growing the cache.
+func TestPlanCacheTinyCapStillBounded(t *testing.T) {
+	s := corpusService(t, 3, WithShards(8), WithPlanCacheSize(1))
+	ctx := context.Background()
+	for d := 0; d < 3; d++ {
+		if _, _, err := s.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, "//item"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PlanCacheMisses != 1 || st.PlanCacheHits != 2 || st.PlanCacheSize != 1 {
+		t.Fatalf("one text on three documents: %+v, want 1 miss, 2 hits and 1 plan", st)
+	}
+	if _, _, err := s.Query(ctx, "doc00", core.LangXPath, "//keyword"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.PlanCacheSize != 1 || st.PlanCacheEvictions != 1 {
+		t.Errorf("a second text: size=%d evictions=%d, want 1 and 1", st.PlanCacheSize, st.PlanCacheEvictions)
+	}
+}
+
+// TestPlanCacheShardedConcurrent hammers the plan cache from concurrent
+// compilers (cold misses), executors (warm hits), and updaters (document
+// swaps on the sharded document map) — run under -race in CI, it proves the
+// plan cache and the shards never need each other's locks.
 func TestPlanCacheShardedConcurrent(t *testing.T) {
 	const docs = 8
 	s := corpusService(t, docs, WithShards(4), WithPlanCacheSize(32))
@@ -115,7 +134,7 @@ func TestPlanCacheShardedConcurrent(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			name := fmt.Sprintf("doc%02d", i%docs)
 			doc := workload.SiteDocument(workload.DocSpec{Items: 15, Regions: 2, DescriptionDepth: 2, Seed: int64(100 + i)})
-			if _, err := s.Update(name, doc); err != nil {
+			if _, err := s.UpdateDoc(name, doc); err != nil {
 				errs <- err
 				return
 			}
@@ -128,15 +147,8 @@ func TestPlanCacheShardedConcurrent(t *testing.T) {
 	}
 
 	st := s.Stats()
-	sum := 0
-	for _, sz := range s.PlanShardSizes() {
-		sum += sz
-	}
-	if sum != st.PlanCacheSize {
-		t.Errorf("shard sizes sum to %d, Stats reports %d", sum, st.PlanCacheSize)
-	}
-	if st.PlanCacheSize > 32 {
-		t.Errorf("total cached plans %d exceed the cap", st.PlanCacheSize)
+	if st.PlanCacheSize != len(queries) {
+		t.Errorf("cached plans = %d, want one per query text (%d)", st.PlanCacheSize, len(queries))
 	}
 	if st.Queries != 200 {
 		t.Errorf("queries = %d, want 200", st.Queries)

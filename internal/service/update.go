@@ -16,17 +16,16 @@ import (
 // by UpdatePhaseTotals and, when WithMetrics was given, observed on the
 // treeqd_update_duration_seconds{phase} histogram).
 const (
-	updPhaseDiff      = iota // treediff.Diff of old vs new document
-	updPhasePatch            // index splice (only on the patch path)
-	updPhaseBuild            // full engine rebuild (only on the rebuild path)
-	updPhaseReprepare        // warm-plan rebinding against the new engine
-	updPhaseSwap             // corpus entry + plan-cache swap under the shard locks
+	updPhaseDiff  = iota // treediff.Diff of old vs new document
+	updPhasePatch        // index splice (only on the patch path)
+	updPhaseBuild        // full engine rebuild (only on the rebuild path)
+	updPhaseSwap         // corpus entry swap under the shard lock
 	updPhaseCount
 )
 
 // updPhaseNames names the phases for UpdatePhaseTotals and the metrics layer,
 // indexed by the updPhase* constants.
-var updPhaseNames = [updPhaseCount]string{"diff", "patch", "build", "reprepare", "swap"}
+var updPhaseNames = [updPhaseCount]string{"diff", "patch", "build", "swap"}
 
 // UpdateOutcome reports how UpdateDoc replaced a document.
 type UpdateOutcome struct {
@@ -38,17 +37,16 @@ type UpdateOutcome struct {
 	// Kind is the edit classification: the diff kind ("relabel", "insert",
 	// "delete", "replace") when the update was patched, "rebuild" otherwise.
 	Kind string
-	// PlansReprepared counts the document's warm plans rebound to the new
-	// engine (the label-disjoint ones included).
-	PlansReprepared int
-	// PlansSkipped counts warm plans whose label set was disjoint from the
-	// edit's touched labels under a shape-preserving patch: the write cannot
-	// have changed their answers, and every index artifact they read was
-	// carried across it.  No plan holds document-bound state, so they rebind
-	// like any other; the count says how much of the write was invisible to
-	// the warm queries.  An edit of text alone touches no label, so it skips
-	// every warm plan that reports a label set: PlansSkipped ==
-	// PlansReprepared unless a route could not bound its labels.
+	// PlansCarried counts the cached plans carried across the write: all of
+	// them, since no plan reads the document it runs on.
+	PlansCarried int
+	// PlansSkipped counts the carried plans whose label set was disjoint from
+	// the edit's touched labels under a shape-preserving patch: the write
+	// cannot have changed their answers, and every index artifact they read
+	// was carried across it.  The count says how much of the write was
+	// invisible to the warm queries.  An edit of text alone touches no label,
+	// so it skips every plan that reports a label set: PlansSkipped ==
+	// PlansCarried unless a route could not bound its labels.
 	PlansSkipped int
 }
 
@@ -132,18 +130,16 @@ func labelsDisjoint(labels, touched []string) bool {
 // UpdateDoc replaces the named document with doc under a bumped version
 // number and reports how: it diffs the old and new trees (treediff.Diff), and
 // when the edit is one small splice it derives the new engine by patching the
-// old one's index in place of a rebuild (core.Engine.Patched) — XASR rows
-// outside the edit shift, label caches for untouched labels carry over, and
-// only the touched labels start cold.  Diffs that are not a single splice, or
-// whose edit region exceeds the patch ratio (WithPatchRatio), rebuild the
-// engine from scratch exactly as before.
+// old one's index in place of a rebuild (core.Engine.Patched) — label caches
+// for untouched labels carry over, and only the touched labels start cold.
+// Diffs that are not a single splice, or whose edit region exceeds the patch
+// ratio (WithPatchRatio), rebuild the engine from scratch.  Then the new
+// engine is swapped in.
 //
-// Either way the document's warm plans are re-prepared against the new engine
-// rather than dropped (core.PreparedQuery.Reprepare: no plan holds
-// document-bound state, so each costs a closure and a plan).  Under a
-// shape-preserving patch, plans whose label set (core.PreparedQuery.Labels)
-// is disjoint from the edit's touched labels are additionally counted as
-// "plans skipped by label set" in Stats: the edit cannot have changed their
+// Nothing is compiled: every cached plan reads no document and serves the new
+// revision as it is.  The outcome counts them, and under a shape-preserving
+// patch also the plans whose label set (core.Compiled.Labels) is disjoint
+// from the edit's touched labels: the edit cannot have changed their
 // answers.  The touched labels are those whose extension the edit can have
 // changed (treediff.Script.Touched), so a write that only rewrites text —
 // which no evaluator reads — skips every plan, whichever labels the edited
@@ -157,12 +153,9 @@ func labelsDisjoint(labels, touched []string) bool {
 // ErrUnknownDocument when the name is not in the corpus (UpdateDoc never
 // creates a document: a racing Remove wins).
 func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) {
-	sh := s.shardFor(name)
-	sh.mu.RLock()
-	cur, ok := sh.entries[name]
-	sh.mu.RUnlock()
-	if !ok {
-		return UpdateOutcome{}, fmt.Errorf("%w: %q", ErrUnknownDocument, name)
+	cur, err := s.entry(name)
+	if err != nil {
+		return UpdateOutcome{}, err
 	}
 
 	pt := phaseTimer{s: s}
@@ -195,76 +188,19 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 		out.Kind = "rebuild"
 	}
 
-	// Snapshot the document's warm plans so they can be re-prepared against
-	// the new engine outside any lock.
-	type warm struct {
-		lang, text string
-		pq         *core.PreparedQuery
-	}
-	var warmPlans []warm
-	sh.planMu.Lock()
-	sh.plans.Each(func(k planKey, pq *core.PreparedQuery) bool {
-		if k.doc == name && k.version == cur.version {
-			warmPlans = append(warmPlans, warm{lang: k.lang, text: k.text, pq: pq})
-		}
-		return true
-	})
-	sh.planMu.Unlock()
-
-	type rebound struct {
-		lang, text string
-		pq         *core.PreparedQuery
-	}
-	var reboundPlans []rebound
-	pt.time(updPhaseReprepare, func() {
-		for _, w := range warmPlans {
-			npq, err := w.pq.Reprepare(newEng)
-			if err != nil {
-				s.replanFails.Add(1)
-				continue
-			}
-			if out.Patched && sc.ShapePreserving && labelsDisjoint(w.pq.Labels(), sc.Touched) {
-				s.planLabelSkips.Add(1)
-				out.PlansSkipped++
-			}
-			s.replans.Add(1)
-			out.PlansReprepared++
-			s.observePhases(w.lang, npq)
-			reboundPlans = append(reboundPlans, rebound{lang: w.lang, text: w.text, pq: npq})
-		}
-	})
-
+	sh := s.shardFor(name)
 	var old *core.Engine
-	var swapErr error
 	pt.time(updPhaseSwap, func() {
 		sh.mu.Lock()
-		cur, ok = sh.entries[name]
-		if !ok {
-			sh.mu.Unlock()
-			swapErr = fmt.Errorf("%w: %q", ErrUnknownDocument, name)
-			return
+		defer sh.mu.Unlock()
+		if cur, ok := sh.entries[name]; ok {
+			old = cur.eng
+			out.Version = cur.version + 1
+			sh.entries[name] = &docEntry{eng: newEng, version: out.Version}
 		}
-		next := cur.version + 1
-		old = cur.eng
-		// Publish the warm plans atomically with the swap: drop every plan of
-		// the document (all versions) and re-add the rebound ones under the new
-		// version, so no reader can observe the new entry with stale plans.
-		sh.planMu.Lock()
-		sh.plans.RemoveFunc(func(k planKey) bool { return k.doc == name })
-		for _, r := range reboundPlans {
-			if s.clauseCap > 0 && r.pq.Clauses() > s.clauseCap {
-				s.planSkips.Add(1)
-				continue
-			}
-			sh.plans.Add(planKey{doc: name, version: next, lang: r.lang, text: r.text}, r.pq)
-		}
-		sh.planMu.Unlock()
-		sh.entries[name] = &docEntry{eng: newEng, version: next}
-		sh.mu.Unlock()
-		out.Version = next
 	})
-	if swapErr != nil {
-		return UpdateOutcome{}, swapErr
+	if old == nil {
+		return UpdateOutcome{}, fmt.Errorf("%w: %q", ErrUnknownDocument, name)
 	}
 
 	s.updates.Add(1)
@@ -273,6 +209,18 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 	} else {
 		s.rebuildUpdates.Add(1)
 	}
+	skippable := out.Patched && sc.ShapePreserving
+	s.planMu.Lock()
+	s.plans.Each(func(_ planKey, c *core.Compiled) bool {
+		out.PlansCarried++
+		if skippable && labelsDisjoint(c.Labels(), sc.Touched) {
+			out.PlansSkipped++
+		}
+		return true
+	})
+	s.planMu.Unlock()
+	s.plansCarried.Add(uint64(out.PlansCarried))
+	s.planLabelSkips.Add(uint64(out.PlansSkipped))
 	// The swapped-out engine stops pinning its index; in-flight readers that
 	// already hold it finish correctly (artifacts rebuild on demand).
 	old.Release()
@@ -290,7 +238,7 @@ func (s *Service) UpdateDocXML(name, src string) (UpdateOutcome, error) {
 }
 
 // UpdatePhaseTotals returns the cumulative wall time spent in each update
-// phase ("diff", "patch", "build", "reprepare", "swap") across every UpdateDoc
+// phase ("diff", "patch", "build", "swap") across every UpdateDoc
 // call so far — the /statusz view of where update latency goes.
 func (s *Service) UpdatePhaseTotals() map[string]time.Duration {
 	out := make(map[string]time.Duration, updPhaseCount)

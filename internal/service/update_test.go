@@ -40,12 +40,12 @@ func TestUpdateSwapsDocumentAndBumpsVersion(t *testing.T) {
 		t.Fatalf("v1 query: %d nodes, %v; want 2", len(res.Nodes), err)
 	}
 
-	v, err := s.UpdateXML("d", keywordXML(5))
+	o, err := s.UpdateDocXML("d", keywordXML(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 2 {
-		t.Fatalf("version after update = %d, want 2", v)
+	if o.Version != 2 {
+		t.Fatalf("version after update = %d, want 2", o.Version)
 	}
 	res, _, err = s.Query(ctx, "d", core.LangXPath, "//keyword")
 	if err != nil || len(res.Nodes) != 5 {
@@ -56,9 +56,9 @@ func TestUpdateSwapsDocumentAndBumpsVersion(t *testing.T) {
 	}
 }
 
-// TestUpdateKeepsPlansWarm is the acceptance check: after an Update swap, a
+// TestUpdateKeepsPlansWarm is the acceptance check: after an UpdateDoc swap, a
 // previously-cached plan executes without a cold compile — the stats show a
-// re-prepare and a cache hit, not a second miss.
+// carried plan and a cache hit, not a second miss.
 func TestUpdateKeepsPlansWarm(t *testing.T) {
 	s := New()
 	if err := s.AddXML("d", keywordXML(2)); err != nil {
@@ -74,7 +74,7 @@ func TestUpdateKeepsPlansWarm(t *testing.T) {
 		t.Fatalf("warmup misses = %d, want 1", before.PlanCacheMisses)
 	}
 
-	if _, err := s.UpdateXML("d", keywordXML(7)); err != nil {
+	if _, err := s.UpdateDocXML("d", keywordXML(7)); err != nil {
 		t.Fatal(err)
 	}
 	res, _, err := s.Query(ctx, "d", core.LangXPath, q)
@@ -99,9 +99,62 @@ func TestUpdateKeepsPlansWarm(t *testing.T) {
 	}
 }
 
-// TestUpdateReprepareDatalog covers the compile-heavy route: the ground Horn
-// program is document-bound, so the re-prepare must re-ground against the new
-// document and keep answering correctly.
+// TestUpdateCompilesNothing: an update compiles nothing on either path — the
+// next query of a cached text hits, the miss count does not move, and the
+// outcome counts the cached plan as carried.  A text-only edit (the patch
+// path) also counts it as skipped; a rebuild skips nothing.
+func TestUpdateCompilesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opts  []Option
+		patch bool
+	}{
+		{"patch", nil, true},
+		{"rebuild", []Option{WithPatchRatio(0)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.opts...)
+			if err := s.AddXML("d", keywordXML(2)); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			const q = "//item/description//keyword"
+			if _, _, err := s.Query(ctx, "d", core.LangXPath, q); err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats()
+			o, err := s.UpdateDocXML("d", strings.Replace(keywordXML(2), ">k<", ">changed<", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Patched != tc.patch || o.PlansCarried != 1 {
+				t.Fatalf("outcome %+v, want patched=%v with 1 plan carried", o, tc.patch)
+			}
+			if wantSkipped := map[bool]int{true: 1, false: 0}[tc.patch]; o.PlansSkipped != wantSkipped {
+				t.Errorf("PlansSkipped = %d, want %d", o.PlansSkipped, wantSkipped)
+			}
+			if mid := s.Stats(); mid.PlanCacheMisses != before.PlanCacheMisses {
+				t.Errorf("the update compiled: misses %d -> %d", before.PlanCacheMisses, mid.PlanCacheMisses)
+			}
+			res, _, err := s.Query(ctx, "d", core.LangXPath, q)
+			if err != nil || len(res.Nodes) != 2 {
+				t.Fatalf("post-update query: %d nodes, %v; want 2", len(res.Nodes), err)
+			}
+			after := s.Stats()
+			if after.PlanCacheMisses != before.PlanCacheMisses || after.PlanCacheHits != before.PlanCacheHits+1 {
+				t.Errorf("post-update query: misses %d -> %d, hits %d -> %d; want a hit",
+					before.PlanCacheMisses, after.PlanCacheMisses, before.PlanCacheHits, after.PlanCacheHits)
+			}
+			if _, ok := s.UpdatePhaseTotals()["reprepare"]; ok {
+				t.Error("UpdatePhaseTotals still reports a reprepare phase")
+			}
+		})
+	}
+}
+
+// TestUpdateReprepareDatalog covers the compile-heavy route: the one compiled
+// program carried across the update answers over the new document without a
+// second compile.
 func TestUpdateReprepareDatalog(t *testing.T) {
 	s := New()
 	if err := s.AddXML("d", keywordXML(3)); err != nil {
@@ -113,21 +166,21 @@ func TestUpdateReprepareDatalog(t *testing.T) {
 	if err != nil || len(res.Nodes) != 3 {
 		t.Fatalf("v1 datalog: %d nodes, %v; want 3", len(res.Nodes), err)
 	}
-	if _, err := s.UpdateXML("d", keywordXML(6)); err != nil {
+	if _, err := s.UpdateDocXML("d", keywordXML(6)); err != nil {
 		t.Fatal(err)
 	}
 	res, _, err = s.Query(ctx, "d", core.LangDatalog, prog)
 	if err != nil || len(res.Nodes) != 6 {
-		t.Fatalf("v2 datalog: %d nodes, %v; want 6 (re-grounded)", len(res.Nodes), err)
+		t.Fatalf("v2 datalog: %d nodes, %v; want 6 (new document)", len(res.Nodes), err)
 	}
 	if st := s.Stats(); st.PlanReprepares != 1 || st.PlanCacheMisses != 1 {
-		t.Errorf("stats = %+v, want 1 re-prepare and 1 miss", st)
+		t.Errorf("stats = %+v, want 1 carried plan and 1 miss", st)
 	}
 }
 
 func TestUpdateUnknownDocument(t *testing.T) {
 	s := New()
-	if _, err := s.UpdateXML("ghost", keywordXML(1)); !errors.Is(err, ErrUnknownDocument) {
+	if _, err := s.UpdateDocXML("ghost", keywordXML(1)); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("update of unknown doc: %v, want ErrUnknownDocument", err)
 	}
 	if _, err := s.Version("ghost"); !errors.Is(err, ErrUnknownDocument) {
@@ -141,7 +194,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := s.UpdateXML("d", keywordXML(i+2)); err != nil {
+		if _, err := s.UpdateDocXML("d", keywordXML(i+2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +212,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 	}
 }
 
-// TestUpdateUnderLoad hammers the query paths while Update swaps a document,
+// TestUpdateUnderLoad hammers the query paths while UpdateDoc swaps a document,
 // with -race watching for torn state.  Invariants checked:
 //
 //   - every query observes a result count consistent with some published
@@ -170,7 +223,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 // The "hot" document grows by one keyword per update (a single-splice insert,
 // so most of its swaps take the patch path) and the "patchy" document
 // alternates one label per update (a shape-preserving relabel, so readers
-// also cross RebindSameShape label-skip swaps).
+// also cross label-skip swaps).
 func TestUpdateUnderLoad(t *testing.T) {
 	s := New(WithShards(4))
 	// Revision v has v+1 keywords, so a //keyword count identifies the
@@ -268,12 +321,12 @@ func TestUpdateUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Update("hot", doc)
+		got, err := s.UpdateDoc("hot", doc)
 		if err != nil {
 			t.Fatalf("update to v%d: %v", v, err)
 		}
-		if got != uint64(v) {
-			t.Fatalf("update returned version %d, want %d", got, v)
+		if got.Version != uint64(v) {
+			t.Fatalf("update returned version %d, want %d", got.Version, v)
 		}
 		// A one-node relabel: readers cross a shape-preserving patch swap.
 		if o, err := s.UpdateDoc("patchy", patchyRev(v)); err != nil {
@@ -296,7 +349,7 @@ func TestUpdateUnderLoad(t *testing.T) {
 		t.Errorf("Updates = %d, want %d (hot + patchy)", st.Updates, 2*updates)
 	}
 	if st.PlanReprepares == 0 {
-		t.Error("no warm re-prepares happened under load")
+		t.Error("no cached plan was carried across an update under load")
 	}
 	// Every patchy swap was a verified patch; readers crossed them all.
 	if st.PatchedUpdates < updates {
@@ -308,10 +361,9 @@ func TestUpdateUnderLoad(t *testing.T) {
 		t.Fatalf("final state: %d keywords, %v; want %d", len(res.Nodes), err, updates+2)
 	}
 
-	// Deterministic label-skip coda (readers may or may not have left a warm
-	// plan at the exact pre-swap version above): warm a plan whose label set
-	// is disjoint from the relabel's touched labels, swap once more, and the
-	// rebind must skip re-grounding.
+	// Deterministic label-skip coda: warm a plan whose label set is disjoint
+	// from the relabel's touched labels, swap once more, and the outcome must
+	// count it as skipped.
 	if _, _, err := s.Query(ctx, "patchy", core.LangDatalog, "P(x) :- Lab[keyword](x).\n?- P."); err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +408,12 @@ func TestUpdateConcurrentUpdaters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				v, err := s.Update("d", doc)
+				o, err := s.UpdateDoc("d", doc)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				versions <- v
+				versions <- o.Version
 			}
 		}(w)
 	}
@@ -380,9 +432,8 @@ func TestUpdateConcurrentUpdaters(t *testing.T) {
 }
 
 // TestUpdateRespectsClauseCap: the clause cap holds across an update.  The
-// oversize plan stays out of the cache the update re-populates, and is denied
-// admission again when it is prepared against the new revision, whose answers
-// it returns.
+// oversize plan stays out of the cache, and is denied admission again when it
+// is compiled for the new revision, whose answers it returns.
 func TestUpdateRespectsClauseCap(t *testing.T) {
 	s := New(WithPlanClauseCap(3))
 	if err := s.AddXML("d", keywordXML(2)); err != nil {
@@ -403,8 +454,8 @@ func TestUpdateRespectsClauseCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.PlansReprepared != 1 {
-		t.Errorf("update re-prepared %d plans, want only the cached one", o.PlansReprepared)
+	if o.PlansCarried != 1 {
+		t.Errorf("update carried %d plans, want only the cached one", o.PlansCarried)
 	}
 	// Queries still answer correctly, paying their own compile.
 	res, _, err = s.Query(ctx, "d", core.LangCQ, cyclicKeywordPairs)
@@ -437,8 +488,8 @@ func viewOnly(ix index.Stats) bool {
 }
 
 // TestUpdateMultiLabelKeepsPairPathWarm: a multi-labeled corpus document is
-// updated in place; the warm plan re-prepares onto the new engine's index and
-// keeps answering label-to-label steps exactly — from label masks, which hold
+// updated in place; the warm plan runs on the new engine's index and keeps
+// answering label-to-label steps exactly — from label masks, which hold
 // every label of a node, and the preorder-rank view, never from the XASR and
 // the pair relations such steps used to be served from.
 func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
@@ -461,25 +512,25 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 		t.Fatalf("XPath on a multi-labeled doc must read masks and the view only: %+v", st.Index)
 	}
 
-	if _, err := s.UpdateXML("d", multiKeywordXML(5)); err != nil {
+	if _, err := s.UpdateDocXML("d", multiKeywordXML(5)); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
 	if st.PlanReprepares == 0 {
-		t.Fatalf("warm plan was not re-prepared across the swap: %+v", st)
+		t.Fatalf("warm plan was not carried across the swap: %+v", st)
 	}
 	// The swapped-out engine no longer contributes to the aggregate; the
-	// re-prepared plan reads the NEW engine's masks.
+	// carried plan reads the NEW engine's masks.
 	res, _, err = s.Query(ctx, "d", core.LangXPath, q)
 	if err != nil || len(res.Nodes) != 5 {
 		t.Fatalf("v2 query: %d nodes, %v; want 5", len(res.Nodes), err)
 	}
 	after := s.Stats()
 	if after.PlanCacheHits <= st.PlanCacheHits {
-		t.Errorf("post-swap query should hit the re-prepared plan: %+v -> %+v", st, after)
+		t.Errorf("post-swap query should hit the carried plan: %+v -> %+v", st, after)
 	}
 	if !viewOnly(after.Index) {
-		t.Errorf("re-prepared plan must read the new index's masks and view only: %+v", after.Index)
+		t.Errorf("carried plan must read the new index's masks and view only: %+v", after.Index)
 	}
 	if after.MultiLabeledDocs != 1 {
 		t.Errorf("MultiLabeledDocs = %d after update, want 1", after.MultiLabeledDocs)

@@ -11,8 +11,8 @@
 // and cached in the shared index; a subtree of the document is a contiguous
 // postorder range, so every candidate shares the same arrays and no
 // per-candidate tree is materialized.  The query side (Pattern) is decomposed
-// once at prepare time and reused across documents and re-prepares; only the
-// translation of its labels into a document's label codes is per-document.
+// once at compile time and reused across documents and their revisions; only
+// the translation of its labels into a document's label codes is per-document.
 //
 // DP scratch is pooled with the same size-bucketed sync.Pool idiom as
 // package bitset (power-of-two buckets keyed on slice length, hit/miss
@@ -123,8 +123,8 @@ func (d *Doc) Codes(p *Pattern) []int32 {
 
 // Pattern is the prepare-time decomposition of a query tree: postorder label
 // array, leftmost-leaf array, keyroots, and the label histogram driving the
-// histogram lower bound.  A Pattern is document-independent — Reprepare
-// reuses it as-is — and immutable after NewPattern.
+// histogram lower bound.  A Pattern is document-independent — one compiled
+// query runs it on every document — and immutable after NewPattern.
 type Pattern struct {
 	n      int
 	lml    []int32
