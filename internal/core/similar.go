@@ -118,7 +118,7 @@ func (c *Compiled) compileSimilar(plan *Plan, s Strategy, t *time.Time) error {
 		search = (*Engine).similarExhaustive
 	} else {
 		plan.Technique = "top-k tree edit distance (posting-list lower bounds + keyroots kernel)"
-		plan.note("candidates walked in size order; size and label-histogram bounds prune before any kernel call")
+		plan.note("candidates walked band by band in size distance, each band in document order; size and label-histogram bounds prune against the (distance, pre) result order before any kernel call")
 	}
 	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
 		hits, err := search(e, ctx, pat, k, maxDist, p)
@@ -186,20 +186,18 @@ func (h hitHeap) offer(k int, hit Hit) hitHeap {
 	return h
 }
 
-// threshold returns the largest distance a new candidate may reach and still
-// possibly enter the result: the worst retained distance once the heap is
-// full, clamped by maxdist.  Candidates with a lower bound strictly above the
-// threshold are pruned; equality survives because a tie can still displace
-// the heap root on the pre-order tiebreak.
-func (h hitHeap) threshold(k, maxDist int) int {
-	t := int(^uint(0) >> 1) // MaxInt
-	if maxDist >= 0 {
-		t = maxDist
+// bars reports whether a candidate whose distance is at least lb can no
+// longer enter the result; pre is its 0-based preorder index, as stashed in
+// Hit.Node during the search.  maxdist admits every distance up to and
+// including itself, whatever the pre order; a full heap admits only a hit
+// that precedes its root in (distance, pre) result order, so a tie with the
+// root is barred once the candidate comes later in document order.  pre = -1
+// precedes every node, so only a strict distance excess bars it.
+func (h hitHeap) bars(k, maxDist, lb int, pre tree.NodeID) bool {
+	if maxDist >= 0 && lb > maxDist {
+		return true
 	}
-	if k > 0 && len(h) == k && h[0].Distance < t {
-		t = h[0].Distance
-	}
-	return t
+	return k > 0 && len(h) == k && hitWorse(Hit{Node: pre, Distance: lb}, h[0])
 }
 
 // finish sorts the retained hits into result order and translates the pre
@@ -221,11 +219,17 @@ func (h hitHeap) finish(t *tree.Tree) []Hit {
 // similarCheckpoint is how many candidates are examined between ctx checks.
 const similarCheckpoint = 256
 
-// similarTopK is the pruned similarity search: candidates are walked outward
-// from the pattern's size band (so the subtree-size lower bound terminates
-// the walk at the first unreachable band), the label-histogram lower bound
-// from the per-label posting lists eliminates most survivors, and only then
-// does the keyroots kernel run.
+// similarTopK is the pruned similarity search.  Candidates are walked band by
+// band — a band is the run of BySize with one subtree size — in increasing
+// size distance from the pattern, ties toward the smaller size, and each band
+// in ascending BySize index.  Two nodes of equal subtree size are never
+// nested, so that is document order, the result order's tiebreak.  Both
+// lower bounds (subtree size, then the label histogram from the per-label
+// posting lists) are tested against the result order itself: a full heap
+// admits a candidate only if (lb, pre) precedes its root.  A size bound that
+// ties the root therefore ends the band at the first candidate later than
+// the root, one that exceeds it ends the walk, and the keyroots kernel runs
+// only on what is left — about k times once the k-th answer is decided.
 func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	d := e.idx.TED()
 	codes := d.Codes(pat)
@@ -244,10 +248,11 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 
 	bySize := d.BySize()
 	n := len(bySize)
-	// First candidate with subtree size >= m; the two cursors then expand
-	// outward, always stepping to the side with the smaller size distance.
-	up := sort.Search(n, func(i int) bool { return d.SubtreeSize(int(bySize[i])) >= m })
-	down := up - 1
+	sizeAt := func(i int) int { return d.SubtreeSize(int(bySize[i])) }
+	// The bands below the pattern's size are bySize[:down], taken from the
+	// largest size downward; those at or above it are bySize[up:], upward.
+	up := sort.Search(n, func(i int) bool { return sizeAt(i) >= m })
+	down := up
 
 	var hits hitHeap
 	var candidates, sizePruned, histPruned uint64
@@ -259,82 +264,72 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 			candidates, sizePruned, histPruned, candidates-sizePruned-histPruned)
 	}()
 
-	for down >= 0 || up < n {
-		if candidates%similarCheckpoint == similarCheckpoint-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	for examined := 0; down > 0 || up < n; {
+		// Take the nearer band: bySize[lo:hi], every member diff away in size.
+		var lo, hi, diff int
+		if down > 0 && (up == n || m-sizeAt(down-1) <= sizeAt(up)-m) {
+			s := sizeAt(down - 1)
+			diff, hi = m-s, down
+			lo = sort.Search(down, func(i int) bool { return sizeAt(i) >= s })
+			down = lo
+		} else {
+			s := sizeAt(up)
+			diff, lo = s-m, up
+			hi = up + sort.Search(n-up, func(i int) bool { return sizeAt(up+i) > s })
+			up = hi
+		}
+		if hits.bars(k, maxDist, diff, -1) {
+			// Not even the band's first node can enter, nor any node of a
+			// farther band: bands come in increasing diff and the heap only
+			// improves.
+			rest := uint64(hi - lo + down + n - up)
+			candidates += rest
+			sizePruned += rest
+			break
+		}
+		for i := lo; i < hi; i++ {
+			if examined%similarCheckpoint == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
-		}
-		tau := hits.threshold(k, maxDist)
-		// Pick the side with the smaller size distance; a side whose next
-		// band already exceeds the threshold is exhausted for good (sizes
-		// are monotone along each cursor and the threshold only shrinks).
-		var j int
-		downDiff, upDiff := -1, -1
-		if down >= 0 {
-			downDiff = m - d.SubtreeSize(int(bySize[down]))
-			if downDiff > tau {
-				sizePruned += uint64(down + 1)
-				candidates += uint64(down + 1)
-				down = -1
-				downDiff = -1
+			examined++
+			j := int(bySize[i])
+			pre := tree.NodeID(d.PreAt(j) - 1)
+			if hits.bars(k, maxDist, diff, pre) {
+				// The size bound alone bars this node, and every later band
+				// member comes later in document order.
+				cut := uint64(hi - i)
+				candidates += cut
+				sizePruned += cut
+				break
 			}
-		}
-		if up < n {
-			upDiff = d.SubtreeSize(int(bySize[up])) - m
-			if upDiff > tau {
-				sizePruned += uint64(n - up)
-				candidates += uint64(n - up)
-				up = n
-				upDiff = -1
-			}
-		}
-		switch {
-		case downDiff >= 0 && (upDiff < 0 || downDiff <= upDiff):
-			j = int(bySize[down])
-			down--
-		case upDiff >= 0:
-			j = int(bySize[up])
-			up++
-		default:
-			continue // both sides just exhausted; loop condition ends the walk
-		}
-		candidates++
+			candidates++
 
-		size := d.SubtreeSize(j)
-		// Label-histogram lower bound: every node not matched to an
-		// equal-labeled node costs at least one edit, so
-		// ted >= max(|T|, |P|) - sum_l min(count_T(l), count_P(l)).
-		overlap := 0
-		if len(labels) > 0 {
-			preLo := int32(d.PreAt(j))
+			// Label-histogram lower bound: every node not matched to an
+			// equal-labeled node costs at least one edit, so
+			// ted >= max(|T|, |P|) - sum_l min(count_T(l), count_P(l)).
+			size := d.SubtreeSize(j)
+			overlap := 0
+			preLo := int32(pre) + 1
 			preHi := preLo + int32(size) // exclusive
 			for _, lc := range labels {
 				pl := lc.posting
-				lo := sort.Search(len(pl), func(i int) bool { return pl[i] >= preLo })
-				hi := sort.Search(len(pl), func(i int) bool { return pl[i] >= preHi })
-				if c := hi - lo; c < lc.count {
-					overlap += c
-				} else {
-					overlap += lc.count
-				}
+				from := sort.Search(len(pl), func(x int) bool { return pl[x] >= preLo })
+				to := sort.Search(len(pl), func(x int) bool { return pl[x] >= preHi })
+				overlap += min(to-from, lc.count)
 			}
-		}
-		lb := size
-		if m > size {
-			lb = m
-		}
-		lb -= overlap
-		if lb > tau {
-			histPruned++
-			continue
-		}
+			if hits.bars(k, maxDist, max(size, m)-overlap, pre) {
+				histPruned++
+				continue
+			}
 
-		dist := ted.Distance(d, j, pat, codes)
-		if dist > tau {
-			continue
+			dist := ted.Distance(d, j, pat, codes)
+			if maxDist >= 0 && dist > maxDist {
+				continue
+			}
+			hits = hits.offer(k, Hit{Node: pre, Distance: dist})
 		}
-		hits = hits.offer(k, Hit{Node: tree.NodeID(d.PreAt(j) - 1), Distance: dist})
 	}
 	return hits.finish(e.doc), nil
 }

@@ -76,24 +76,162 @@ func TestSimilarPrunedMatchesExhaustive(t *testing.T) {
 		pruned := New(doc)
 		exhaustive := New(doc, WithStrategy(Naive))
 		for _, q := range queries {
-			want, _, err := exhaustive.Similar(q)
+			checkPrunedMatchesExhaustive(t, fmt.Sprintf("seed %d", seed), pruned, exhaustive, q)
+		}
+	}
+
+	// Site documents are tie-heavy: every description is an exact copy of
+	// the bench pattern, so hundreds of candidates share each distance and
+	// only the preorder tiebreak decides which enter a full heap.  Sweep k
+	// and maxdist, including maxdist equal to the k-th distance — the one
+	// place where maxdist (which admits ties whatever their pre order) and a
+	// full heap (which admits only earlier ones) draw the line differently.
+	patterns := []string{
+		"description(parlist(listitem(keyword text)))", // scan_mix and corpus_fanout
+		"description(parlist(listitem(keyword)))",      // ties at distance 1
+		"item(name description(parlist))",
+	}
+	for _, spec := range []workload.DocSpec{
+		{Items: 40, Seed: 1},
+		{Items: 120, Regions: 3, DescriptionDepth: 2, Seed: 2},
+		{Items: 200, Regions: 6, Seed: 3},
+	} {
+		doc := workload.SiteDocument(spec)
+		pruned := New(doc)
+		exhaustive := New(doc, WithStrategy(Naive))
+		where := fmt.Sprintf("site %d items depth %d", spec.Items, spec.DescriptionDepth)
+		for _, pat := range patterns {
+			ranked, _, err := exhaustive.Similar("k=0 " + pat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := pruned.Similar(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %q: pruned %d hits, exhaustive %d", seed, q, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %q hit %d: pruned %+v, exhaustive %+v", seed, q, i, got[i], want[i])
+			for _, k := range []int{0, 1, 5, 10} {
+				maxDists := []int{-1, 0, 1, 2}
+				if k > 0 {
+					maxDists = append(maxDists, ranked[k-1].Distance)
+				}
+				for _, maxDist := range maxDists {
+					q := fmt.Sprintf("k=%d %s", k, pat)
+					if maxDist >= 0 {
+						q = fmt.Sprintf("k=%d maxdist=%d %s", k, maxDist, pat)
+					}
+					checkPrunedMatchesExhaustive(t, where, pruned, exhaustive, q)
 				}
 			}
 		}
 	}
+}
+
+// checkPrunedMatchesExhaustive runs q on both engines and fails unless the
+// pruned hits equal the exhaustive ones, in order.
+func checkPrunedMatchesExhaustive(t *testing.T, where string, pruned, exhaustive *Engine, q string) {
+	t.Helper()
+	want, _, err := exhaustive.Similar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := pruned.Similar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s %q: pruned %d hits, exhaustive %d", where, q, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s %q hit %d: pruned %+v, exhaustive %+v", where, q, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSimilarTopKStopsAtKthAnswer: on a 200-item site document every
+// description is an exact copy of the pattern, so once the first k of them in
+// document order are scored the k-th answer is decided and no other candidate
+// can enter.  One execution must make at most k kernel calls, not one per
+// tie, and the counters must still account for every subtree exactly once:
+// candidates = size-pruned + histogram-pruned + kernel calls = |doc|.
+func TestSimilarTopKStopsAtKthAnswer(t *testing.T) {
+	const k = 10
+	doc := workload.SiteDocument(workload.DocSpec{Items: 200})
+	c, err := Compile(LangSimilar, fmt.Sprintf("k=%d description(parlist(listitem(keyword text)))", k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(doc)
+	c0, s0, h0, k0 := SimilarCounters()
+	res, _, err := c.Exec(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, s1, h1, k1 := SimilarCounters()
+	candidates, sizePruned, histPruned, calls := c1-c0, s1-s0, h1-h0, k1-k0
+	if calls > k {
+		t.Errorf("%d kernel calls for k=%d on %d exact ties, want at most k", calls, k, 200)
+	}
+	if candidates != sizePruned+histPruned+calls {
+		t.Errorf("counter identity broken: %d candidates != %d size-pruned + %d histogram-pruned + %d kernel calls",
+			candidates, sizePruned, histPruned, calls)
+	}
+	if candidates != uint64(doc.Len()) {
+		t.Errorf("%d candidates on a %d-node document, want every subtree counted once", candidates, doc.Len())
+	}
+	if len(res.Hits) != k {
+		t.Fatalf("got %d hits, want %d", len(res.Hits), k)
+	}
+	for i, h := range res.Hits {
+		if h.Distance != 0 || doc.Label(h.Node) != "description" {
+			t.Fatalf("hit %d = %+v (%s), want an exact description copy", i, h, doc.Label(h.Node))
+		}
+		if i > 0 && doc.Pre(h.Node) <= doc.Pre(res.Hits[i-1].Node) {
+			t.Fatalf("hits not in document order among ties: %+v", res.Hits)
+		}
+	}
+}
+
+// FuzzSimilarPrunedVsExhaustive feeds arbitrary similarity query text — the
+// "k=" / "maxdist=" directives and the pattern — against small random trees
+// over a 3–5 letter alphabet chosen by the seed.  Text that compiles must
+// give the pruned search exactly the exhaustive search's hits; text that does
+// not must be rejected with an error, under both strategies alike.
+func FuzzSimilarPrunedVsExhaustive(f *testing.F) {
+	for _, text := range []string{
+		"k=1 a(b c)", "k=5 maxdist=2 b(a(c) c)", "k=0 a", "maxdist=0 a(b)",
+		"k=3 maxdist=1 a(a(a) b)", "k=2 c(d e(a))", "k=2 x=y(a)", "k=10 a+b(_ c)",
+		"k=x a", "k=3", "maxdist=-1 a", "a(b", "a)", "",
+	} {
+		f.Add(text, int64(len(text)))
+	}
+	f.Fuzz(func(t *testing.T, text string, seed int64) {
+		if len(text) > 1<<8 {
+			t.Skip("oversized input")
+		}
+		pruned, err := Compile(LangSimilar, text)
+		exhaustive, nerr := Compile(LangSimilar, text, WithStrategy(Naive))
+		if (err == nil) != (nerr == nil) {
+			t.Fatalf("%q: pruned compile error %v, exhaustive %v", text, err, nerr)
+		}
+		if err != nil {
+			return // rejecting a malformed query is fine; crashing is not
+		}
+		u := uint64(seed)
+		doc := workload.RandomTree(workload.TreeSpec{
+			Nodes:    1 + int(u>>8%60),
+			Alphabet: []string{"a", "b", "c", "d", "e"}[:3+u%3],
+			Seed:     seed,
+		})
+		e := New(doc)
+		want, _, err := exhaustive.Exec(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := pruned.Exec(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Hits) != fmt.Sprint(want.Hits) {
+			t.Fatalf("%q on %s: pruned %v, exhaustive %v", text, doc, got.Hits, want.Hits)
+		}
+	})
 }
 
 // patternToTwig renders a pattern tree as the //-rooted twig expression that

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +275,43 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		if msg, _ := body["error"].(string); msg == "" {
 			t.Errorf("%s: error body lost the error message: %v", tc.path, body)
 		}
+	}
+}
+
+// TestV1DeepQueryTextRejected: a similarity pattern or an XPath text nested a
+// quarter of a million levels deep is a 400 bad_request, and the daemon goes
+// on answering.  The goroutine stack is capped at 16 MiB for the test, so a
+// parser that recursed once per level would die of a stack overflow here — a
+// fatal error that no recover can turn into a response.
+func TestV1DeepQueryTextRejected(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(16 << 20))
+	ts, _ := newTestServer(t, nil)
+	putDoc(t, ts.URL, "doc.xml", siteXML(3))
+
+	const depth = 1 << 18
+	deepPath := "/a" + strings.Repeat("[a", depth) + strings.Repeat("]", depth)
+	for lang, text := range map[string]string{
+		core.LangSimilar: "k=1 " + strings.Repeat("a(", depth) + "a" + strings.Repeat(")", depth),
+		core.LangXPath:   deepPath,
+		core.LangTwig:    deepPath,
+		core.LangStream:  deepPath,
+	} {
+		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+			"doc": "doc.xml", "lang": lang, "query": text,
+		})
+		if code != http.StatusBadRequest || body["code"] != CodeBadRequest {
+			t.Errorf("%s: status %d code %v, want 400 bad_request", lang, code, body["code"])
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "nested deeper") {
+			t.Errorf("%s: error %q does not name the nesting limit", lang, msg)
+		}
+	}
+
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
+	})
+	if code != http.StatusOK || int(body["total"].(float64)) != 3 {
+		t.Fatalf("query after the deep texts: status %d body %v", code, body)
 	}
 }
 

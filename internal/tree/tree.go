@@ -530,7 +530,8 @@ func (t *Tree) DOT() string {
 //	tree    := label [ "(" tree { " " tree } ")" ]
 //	label   := one or more labels joined by "+", or "_" for no label
 //
-// Example: "a(b(a c) a(b d))".
+// Example: "a(b(a c) a(b d))".  Nesting deeper than maxSexprDepth is an
+// error.
 func ParseSexpr(s string) (*Tree, error) {
 	p := &sexprParser{input: s}
 	b := NewBuilder()
@@ -557,7 +558,13 @@ func MustParseSexpr(s string) *Tree {
 type sexprParser struct {
 	input string
 	pos   int
+	depth int
 }
+
+// maxSexprDepth bounds parser recursion: similarity patterns arrive as
+// request text, and a long enough run of "a(" would otherwise overflow the
+// goroutine stack — a fatal error no recover can catch.
+const maxSexprDepth = 1000
 
 func (p *sexprParser) skipSpace() {
 	for p.pos < len(p.input) && (p.input[p.pos] == ' ' || p.input[p.pos] == '\t' || p.input[p.pos] == '\n') {
@@ -566,6 +573,10 @@ func (p *sexprParser) skipSpace() {
 }
 
 func (p *sexprParser) parseNode(b *Builder, parent NodeID) error {
+	if p.depth++; p.depth > maxSexprDepth {
+		return fmt.Errorf("tree: nested deeper than %d at offset %d", maxSexprDepth, p.pos)
+	}
+	defer func() { p.depth-- }()
 	start := p.pos
 	for p.pos < len(p.input) && !strings.ContainsRune("() \t\n", rune(p.input[p.pos])) {
 		p.pos++

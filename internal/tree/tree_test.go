@@ -315,6 +315,26 @@ func TestParseSexprErrors(t *testing.T) {
 	}
 }
 
+// TestParseSexprDepthLimit: a chain exactly maxSexprDepth nodes deep parses;
+// one node deeper is a parse error rather than unbounded recursion.
+func TestParseSexprDepthLimit(t *testing.T) {
+	chain := func(depth int) string {
+		return strings.Repeat("a(", depth-1) + "a" + strings.Repeat(")", depth-1)
+	}
+	tr, err := ParseSexpr(chain(maxSexprDepth))
+	if err != nil {
+		t.Fatalf("depth %d: %v", maxSexprDepth, err)
+	}
+	if tr.Len() != maxSexprDepth {
+		t.Fatalf("depth %d: parsed %d nodes", maxSexprDepth, tr.Len())
+	}
+	for _, depth := range []int{maxSexprDepth + 1, 1 << 20} {
+		if _, err := ParseSexpr(chain(depth)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("depth %d: err = %v, want a nesting error", depth, err)
+		}
+	}
+}
+
 func TestIndentedAndDOT(t *testing.T) {
 	tr := figure2Tree(t)
 	ind := tr.Indented()

@@ -21,6 +21,7 @@ import (
 // The abbreviation '//' between steps stands for
 // /descendant-or-self::*/ as in XPath; a leading '/' makes the path
 // absolute (evaluated from the root).  '.' is self::* and '..' is parent::*.
+// Qualifiers and parentheses nested deeper than maxNesting are an error.
 func Parse(input string) (Expr, error) {
 	p := &parser{input: input}
 	p.skipSpace()
@@ -47,7 +48,13 @@ func MustParse(input string) Expr {
 type parser struct {
 	input string
 	pos   int
+	depth int
 }
+
+// maxNesting bounds parser recursion: queries arrive as request text, and a
+// long enough run of "a[" or "not(" would otherwise overflow the goroutine
+// stack — a fatal error no recover can catch.
+const maxNesting = 1000
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("xpath: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
@@ -215,7 +222,13 @@ func (p *parser) scanName() string {
 	return p.input[start:p.pos]
 }
 
+// parseQual is the one step of every recursive cycle in the grammar ('[',
+// 'not(' and '(' all open a q), so it is where nesting is counted.
 func (p *parser) parseQual() (Qual, error) {
+	if p.depth++; p.depth > maxNesting {
+		return nil, p.errf("qualifiers nested deeper than %d", maxNesting)
+	}
+	defer func() { p.depth-- }()
 	return p.parseQualOr()
 }
 

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arccons"
@@ -76,6 +77,33 @@ func TestParseErrors(t *testing.T) {
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
+		}
+	}
+}
+
+// TestParseNestingLimit: qualifiers, not(...) and parentheses nested exactly
+// maxNesting deep parse; one level deeper is a parse error rather than
+// unbounded recursion.
+func TestParseNestingLimit(t *testing.T) {
+	forms := map[string]func(depth int) string{
+		"qualifiers": func(depth int) string {
+			return "/a" + strings.Repeat("[a", depth) + strings.Repeat("]", depth)
+		},
+		"not": func(depth int) string {
+			return "//a[" + strings.Repeat("not(", depth-1) + "b" + strings.Repeat(")", depth-1) + "]"
+		},
+		"parens": func(depth int) string {
+			return "//a[" + strings.Repeat("(", depth-1) + "b" + strings.Repeat(")", depth-1) + "]"
+		},
+	}
+	for name, nest := range forms {
+		if _, err := Parse(nest(maxNesting)); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxNesting, err)
+		}
+		for _, depth := range []int{maxNesting + 1, 1 << 20} {
+			if _, err := Parse(nest(depth)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+				t.Errorf("%s at depth %d: err = %v, want a nesting error", name, depth, err)
+			}
 		}
 	}
 }
