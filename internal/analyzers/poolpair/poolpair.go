@@ -16,7 +16,7 @@
 // non-defer closure, or passed to any call other than the paired release —
 // is assumed handed to its consumer, matching constructor-style helpers like
 // the XPath evaluator's qualSatSet that document "owned by the caller".  (A
-// filler such as index.PreView.Image, which takes its output vector from the
+// filler such as tree.Tree.Image, which takes its output vector from the
 // caller, hands nothing over — but a pass to any call reads the same to this
 // analyzer, so the caller's release goes unchecked.)  The flow analysis is
 // structural (if/else, switch, loops, returns) rather than CFG-complete;

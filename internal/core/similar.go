@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,7 +16,8 @@ import (
 )
 
 // Hit is one ranked answer of a similarity query: a document node and its
-// tree edit distance to the pattern.  Hits are ordered by (Distance, pre).
+// tree edit distance to the pattern.  Hits are ordered by (Distance, Node):
+// NodeIDs are preorder ranks, so ties go to document order.
 type Hit struct {
 	// Node is the root of the matched subtree.
 	Node tree.NodeID
@@ -130,7 +133,7 @@ func (c *Compiled) compileSimilar(plan *Plan, s Strategy, t *time.Time) error {
 	return nil
 }
 
-// hitHeap is a bounded max-heap under the (distance, pre) result order: the
+// hitHeap is a bounded max-heap under the (distance, node) result order: the
 // root is the worst retained hit, so a full heap admits a candidate exactly
 // when the candidate precedes the root in result order.
 type hitHeap []Hit
@@ -139,7 +142,7 @@ func hitWorse(a, b Hit) bool {
 	if a.Distance != b.Distance {
 		return a.Distance > b.Distance
 	}
-	return a.Node > b.Node // Node carries pre order here (set to pre-1 during search)
+	return a.Node > b.Node
 }
 
 func (h hitHeap) siftDown(i int) {
@@ -186,34 +189,25 @@ func (h hitHeap) offer(k int, hit Hit) hitHeap {
 	return h
 }
 
-// bars reports whether a candidate whose distance is at least lb can no
-// longer enter the result; pre is its 0-based preorder index, as stashed in
-// Hit.Node during the search.  maxdist admits every distance up to and
-// including itself, whatever the pre order; a full heap admits only a hit
-// that precedes its root in (distance, pre) result order, so a tie with the
-// root is barred once the candidate comes later in document order.  pre = -1
+// bars reports whether a candidate node whose distance is at least lb can no
+// longer enter the result.  maxdist admits every distance up to and
+// including itself, whatever the node; a full heap admits only a hit that
+// precedes its root in (distance, node) result order, so a tie with the root
+// is barred once the candidate comes later in document order.  node = -1
 // precedes every node, so only a strict distance excess bars it.
-func (h hitHeap) bars(k, maxDist, lb int, pre tree.NodeID) bool {
+func (h hitHeap) bars(k, maxDist, lb int, node tree.NodeID) bool {
 	if maxDist >= 0 && lb > maxDist {
 		return true
 	}
-	return k > 0 && len(h) == k && hitWorse(Hit{Node: pre, Distance: lb}, h[0])
+	return k > 0 && len(h) == k && hitWorse(Hit{Node: node, Distance: lb}, h[0])
 }
 
-// finish sorts the retained hits into result order and translates the pre
-// indexes stashed in Node into real NodeIDs.
-func (h hitHeap) finish(t *tree.Tree) []Hit {
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].Distance != h[j].Distance {
-			return h[i].Distance < h[j].Distance
-		}
-		return h[i].Node < h[j].Node
+// finish sorts the retained hits into result order.
+func (h hitHeap) finish() []Hit {
+	slices.SortFunc(h, func(a, b Hit) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Node, b.Node))
 	})
-	out := make([]Hit, len(h))
-	for i, hit := range h {
-		out[i] = Hit{Node: t.NodeAtPre(int(hit.Node) + 1), Distance: hit.Distance}
-	}
-	return out
+	return h
 }
 
 // similarCheckpoint is how many candidates are examined between ctx checks.
@@ -226,7 +220,7 @@ const similarCheckpoint = 256
 // nested, so that is document order, the result order's tiebreak.  Both
 // lower bounds (subtree size, then the label histogram from the per-label
 // posting lists) are tested against the result order itself: a full heap
-// admits a candidate only if (lb, pre) precedes its root.  A size bound that
+// admits a candidate only if (lb, node) precedes its root.  A size bound that
 // ties the root therefore ends the band at the first candidate later than
 // the root, one that exceeds it ends the walk, and the keyroots kernel runs
 // only on what is left — about k times once the k-th answer is decided.
@@ -238,12 +232,12 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 	// Posting lists for the pattern's distinct labels, fetched once per
 	// execution (cache hits after the first) for the histogram bound.
 	type labelCount struct {
-		posting []int32
+		posting []tree.NodeID
 		count   int
 	}
 	labels := make([]labelCount, 0, len(pat.Hist()))
 	for l, c := range pat.Hist() {
-		labels = append(labels, labelCount{posting: e.idx.PostingList(l), count: c})
+		labels = append(labels, labelCount{posting: e.idx.NodesWithLabel(l), count: c})
 	}
 
 	bySize := d.BySize()
@@ -295,8 +289,8 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 			}
 			examined++
 			j := int(bySize[i])
-			pre := tree.NodeID(d.PreAt(j) - 1)
-			if hits.bars(k, maxDist, diff, pre) {
+			v := d.Node(j)
+			if hits.bars(k, maxDist, diff, v) {
 				// The size bound alone bars this node, and every later band
 				// member comes later in document order.
 				cut := uint64(hi - i)
@@ -309,17 +303,15 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 			// Label-histogram lower bound: every node not matched to an
 			// equal-labeled node costs at least one edit, so
 			// ted >= max(|T|, |P|) - sum_l min(count_T(l), count_P(l)).
+			// The subtree of v is the NodeID interval [v, v+size).
 			size := d.SubtreeSize(j)
 			overlap := 0
-			preLo := int32(pre) + 1
-			preHi := preLo + int32(size) // exclusive
 			for _, lc := range labels {
-				pl := lc.posting
-				from := sort.Search(len(pl), func(x int) bool { return pl[x] >= preLo })
-				to := sort.Search(len(pl), func(x int) bool { return pl[x] >= preHi })
+				from, _ := slices.BinarySearch(lc.posting, v)
+				to, _ := slices.BinarySearch(lc.posting, v+tree.NodeID(size))
 				overlap += min(to-from, lc.count)
 			}
-			if hits.bars(k, maxDist, max(size, m)-overlap, pre) {
+			if hits.bars(k, maxDist, max(size, m)-overlap, v) {
 				histPruned++
 				continue
 			}
@@ -328,10 +320,10 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 			if maxDist >= 0 && dist > maxDist {
 				continue
 			}
-			hits = hits.offer(k, Hit{Node: pre, Distance: dist})
+			hits = hits.offer(k, Hit{Node: v, Distance: dist})
 		}
 	}
-	return hits.finish(e.doc), nil
+	return hits.finish(), nil
 }
 
 // similarExhaustive runs the kernel against every subtree with no lower
@@ -353,11 +345,11 @@ func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, max
 		if maxDist >= 0 && dist > maxDist {
 			continue
 		}
-		hits = hits.offer(k, Hit{Node: tree.NodeID(d.PreAt(j) - 1), Distance: dist})
+		hits = hits.offer(k, Hit{Node: d.Node(j), Distance: dist})
 	}
 	similarCandidates.Add(candidates)
 	p.note("similar: exhaustive over %d subtrees", candidates)
-	return hits.finish(e.doc), nil
+	return hits.finish(), nil
 }
 
 // Similar prepares and executes a similarity query in one step, returning

@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"repro/internal/tree"
 )
@@ -18,7 +19,9 @@ import (
 //	                     lowercase label that is not an axis name
 //	x <pre y          -- order atoms (<pre, <post, <bflr)
 //
-// The trailing period is optional.
+// Variables are identifiers (a letter or underscore, then letters, digits
+// and underscores); a label is any text that keeps the brackets of the query
+// balanced, such as "@name=africa".  The trailing period is optional.
 func Parse(input string) (*Query, error) {
 	s := strings.TrimSpace(input)
 	s = strings.TrimSuffix(s, ".")
@@ -38,13 +41,16 @@ func Parse(input string) (*Query, error) {
 		if !strings.HasSuffix(headPart, ")") {
 			return nil, fmt.Errorf("cq: malformed head %q", headPart)
 		}
-		inner := headPart[i+1 : len(headPart)-1]
-		for _, v := range splitTopLevel(inner) {
-			v = strings.TrimSpace(v)
-			if v == "" {
-				return nil, fmt.Errorf("cq: empty head variable in %q", headPart)
+		vars, err := splitTopLevel(headPart[i+1 : len(headPart)-1])
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range vars {
+			x, err := variable(v)
+			if err != nil {
+				return nil, fmt.Errorf("%w in head %q", err, headPart)
 			}
-			q.Head = append(q.Head, Variable(v))
+			q.Head = append(q.Head, x)
 		}
 	}
 
@@ -55,7 +61,11 @@ func Parse(input string) (*Query, error) {
 		}
 		return q, nil
 	}
-	for _, atomText := range splitTopLevel(bodyPart) {
+	atoms, err := splitTopLevel(bodyPart)
+	if err != nil {
+		return nil, err
+	}
+	for _, atomText := range atoms {
 		atomText = strings.TrimSpace(atomText)
 		if atomText == "" {
 			continue
@@ -84,12 +94,12 @@ func parseAtom(q *Query, s string) error {
 	for _, o := range tree.AllOrders() {
 		marker := " " + o.String() + " "
 		if i := strings.Index(s, marker); i > 0 {
-			from := strings.TrimSpace(s[:i])
-			to := strings.TrimSpace(s[i+len(marker):])
-			if from == "" || to == "" {
+			from, err1 := variable(s[:i])
+			to, err2 := variable(s[i+len(marker):])
+			if err1 != nil || err2 != nil {
 				return fmt.Errorf("cq: malformed order atom %q", s)
 			}
-			q.Orders = append(q.Orders, OrderAtom{Order: o, From: Variable(from), To: Variable(to)})
+			q.Orders = append(q.Orders, OrderAtom{Order: o, From: from, To: to})
 			return nil
 		}
 	}
@@ -98,41 +108,64 @@ func parseAtom(q *Query, s string) error {
 		return fmt.Errorf("cq: malformed atom %q", s)
 	}
 	pred := strings.TrimSpace(s[:open])
-	argsText := s[open+1 : len(s)-1]
-	args := splitTopLevel(argsText)
-	for i := range args {
-		args[i] = strings.TrimSpace(args[i])
+	argsText, err := splitTopLevel(s[open+1 : len(s)-1])
+	if err != nil {
+		return err
+	}
+	var args []Variable
+	for _, a := range argsText {
+		v, err := variable(a)
+		if err != nil {
+			return fmt.Errorf("%w in atom %q", err, s)
+		}
+		args = append(args, v)
 	}
 
 	// Label atom Lab[a](x).
 	if strings.HasPrefix(pred, "Lab[") && strings.HasSuffix(pred, "]") {
-		label := pred[len("Lab[") : len(pred)-1]
-		if len(args) != 1 || args[0] == "" {
+		if len(args) != 1 {
 			return fmt.Errorf("cq: label atom %q must have exactly one variable", s)
 		}
-		q.Labels = append(q.Labels, LabelAtom{Var: Variable(args[0]), Label: label})
+		q.Labels = append(q.Labels, LabelAtom{Var: args[0], Label: pred[len("Lab[") : len(pred)-1]})
 		return nil
 	}
 
 	// Axis atom.
 	if axis, err := tree.ParseAxis(pred); err == nil {
-		if len(args) != 2 || args[0] == "" || args[1] == "" {
+		if len(args) != 2 {
 			return fmt.Errorf("cq: axis atom %q must have exactly two variables", s)
 		}
-		q.Axes = append(q.Axes, AxisAtom{Axis: axis, From: Variable(args[0]), To: Variable(args[1])})
+		q.Axes = append(q.Axes, AxisAtom{Axis: axis, From: args[0], To: args[1]})
 		return nil
 	}
 
 	// Bare label atom a(x): treated as Lab[a](x) when unary.
-	if len(args) == 1 && args[0] != "" {
-		q.Labels = append(q.Labels, LabelAtom{Var: Variable(args[0]), Label: pred})
+	if len(args) == 1 {
+		q.Labels = append(q.Labels, LabelAtom{Var: args[0], Label: pred})
 		return nil
 	}
 	return fmt.Errorf("cq: unknown predicate %q in atom %q", pred, s)
 }
 
-// splitTopLevel splits s on commas that are not nested inside brackets.
-func splitTopLevel(s string) []string {
+// variable trims s and checks that it is an identifier: a letter or
+// underscore, then letters, digits and underscores.
+func variable(s string) (Variable, error) {
+	s = strings.TrimSpace(s)
+	for i, r := range s {
+		if r != '_' && !unicode.IsLetter(r) && (i == 0 || !unicode.IsDigit(r)) {
+			return "", fmt.Errorf("cq: variable %q is not an identifier", s)
+		}
+	}
+	if s == "" {
+		return "", fmt.Errorf("cq: empty variable")
+	}
+	return Variable(s), nil
+}
+
+// splitTopLevel splits s on commas that are not nested inside brackets.  A
+// bracket that closes before it opens, or stays open, is an error: String
+// could not print such a query back into text that parses.
+func splitTopLevel(s string) ([]string, error) {
 	var out []string
 	depth := 0
 	start := 0
@@ -141,7 +174,9 @@ func splitTopLevel(s string) []string {
 		case '(', '[':
 			depth++
 		case ')', ']':
-			depth--
+			if depth--; depth < 0 {
+				return nil, fmt.Errorf("cq: unbalanced %q in %q", s[i], s)
+			}
 		case ',':
 			if depth == 0 {
 				out = append(out, s[start:i])
@@ -149,6 +184,8 @@ func splitTopLevel(s string) []string {
 			}
 		}
 	}
-	out = append(out, s[start:])
-	return out
+	if depth != 0 {
+		return nil, fmt.Errorf("cq: unclosed bracket in %q", s)
+	}
+	return append(out, s[start:]), nil
 }

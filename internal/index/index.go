@@ -1,10 +1,12 @@
 // Package index provides the shared, lazily-built document index used by the
 // prepare/execute query pipeline: one Index per tree caches the derived
 // structures that the evaluator layers would otherwise rebuild on every
-// query.  What the default routes read is small: per-label node lists,
-// boolean label masks and posting lists, the preorder-rank view (PreView,
-// whose Image is the one set-at-a-time axis primitive behind XPath and the
-// relational kernel) and the tree-edit-distance view.  The relational
+// query.  What the default routes read is small: one sorted node list per
+// label (its posting list), that label's boolean mask, and the
+// tree-edit-distance view.  Navigation is not an index artifact: NodeIDs are
+// preorder ranks, so the tree's own link columns are the rank-space view,
+// and tree.Image is the one set-at-a-time axis primitive behind XPath and
+// the relational kernel.  The relational
 // encoding of Section 2 — the XASR labeling relation, label-complete XASR
 // side relations (one per label, covering every label a node carries, so the
 // structural-join shortcut is sound on multi-labeled trees), region
@@ -50,7 +52,8 @@ type Stats struct {
 	// RegionBuilds counts region-label computations (again, rebuilds after a
 	// Release included).
 	RegionBuilds uint64
-	// LabelListBuilds / LabelListHits count NodesWithLabel cache misses/hits.
+	// LabelListBuilds / LabelListHits count cache misses/hits of the one
+	// per-label node list (NodesWithLabel, alias PostingList).
 	LabelListBuilds, LabelListHits uint64
 	// LabelMaskBuilds / LabelMaskHits count LabelMask cache misses/hits.
 	LabelMaskBuilds, LabelMaskHits uint64
@@ -67,10 +70,6 @@ type Stats struct {
 	// TEDBuilds counts constructions of the tree-edit-distance postorder view
 	// (the ted.Doc behind the similarity route), rebuilds after Release included.
 	TEDBuilds uint64
-	// PostingBuilds / PostingHits count per-label posting-list cache
-	// misses/hits (the sorted preorder lists behind the similarity route's
-	// label-histogram lower bound).
-	PostingBuilds, PostingHits uint64
 	// Releases counts Release calls (cache drops after a document swap).
 	Releases uint64
 	// MultiLabeled reports whether some node of the indexed tree carries more
@@ -81,13 +80,13 @@ type Stats struct {
 
 // Hits returns the total number of cache hits across all artifact kinds.
 func (s Stats) Hits() uint64 {
-	return s.LabelListHits + s.LabelMaskHits + s.LabelRowHits + s.PairHits + s.PostingHits
+	return s.LabelListHits + s.LabelMaskHits + s.LabelRowHits + s.PairHits
 }
 
 // Builds returns the total number of artifact constructions.
 func (s Stats) Builds() uint64 {
 	return s.XASRBuilds + s.RegionBuilds + s.LabelListBuilds + s.LabelMaskBuilds +
-		s.LabelRowBuilds + s.PairBuilds + s.TEDBuilds + s.PostingBuilds
+		s.LabelRowBuilds + s.PairBuilds + s.TEDBuilds
 }
 
 // Add returns the field-wise sum of two snapshots (MultiLabeled ORs); the
@@ -105,8 +104,6 @@ func (s Stats) Add(o Stats) Stats {
 		PairBuilds:      s.PairBuilds + o.PairBuilds,
 		PairHits:        s.PairHits + o.PairHits,
 		TEDBuilds:       s.TEDBuilds + o.TEDBuilds,
-		PostingBuilds:   s.PostingBuilds + o.PostingBuilds,
-		PostingHits:     s.PostingHits + o.PostingHits,
 		PairEvictions:   s.PairEvictions + o.PairEvictions,
 		PairEntries:     s.PairEntries + o.PairEntries,
 		Releases:        s.Releases + o.Releases,
@@ -145,16 +142,8 @@ type Index struct {
 	// joins restricted through them are sound on multi-labeled trees.
 	labelRows map[string]*relstore.Relation
 	// tedDoc is the postorder view driving the tree-edit-distance kernel of
-	// the similarity route; postings are the per-label sorted preorder lists
-	// behind its label-histogram lower bound.  Both live beside the other
-	// label-keyed caches: built lazily, dropped by Release.
-	tedDoc   *ted.Doc
-	postings map[string][]int32
-	// preView is the preorder-rank navigation view behind the relational
-	// kernel and the XPath evaluator (see PreView): built on the first exec
-	// that navigates, dropped by Release, carried across a Patch that moved
-	// no rank.
-	preView *PreView
+	// the similarity route: built lazily, dropped by Release.
+	tedDoc *ted.Doc
 
 	// Pair relations are the one unbounded-growth artifact (one entry per
 	// distinct (axis, fromLabel, toLabel) ever joined), so unlike the
@@ -170,7 +159,6 @@ type Index struct {
 	rowBuilds, rowHits           atomic.Uint64
 	pairBuilds, pairHitsCounters atomic.Uint64
 	tedBuilds                    atomic.Uint64
-	postingBuilds, postingHits   atomic.Uint64
 	releases                     atomic.Uint64
 }
 
@@ -196,7 +184,7 @@ func New(t *tree.Tree, opts ...Option) *Index {
 		o(&cfg)
 	}
 	multi := false
-	for _, n := range t.Nodes() {
+	for n := range tree.NodeID(t.Len()) {
 		if len(t.Labels(n)) > 1 {
 			multi = true
 			break
@@ -208,7 +196,6 @@ func New(t *tree.Tree, opts ...Option) *Index {
 		labelNodes: map[string][]tree.NodeID{},
 		labelMasks: map[string]bitset.Bits{},
 		labelRows:  map[string]*relstore.Relation{},
-		postings:   map[string][]int32{},
 		pairs:      lru.New[pairKey, *relstore.Relation](cfg.pairCap),
 	}
 }
@@ -262,9 +249,9 @@ func (ix *Index) Regions() []labeling.RegionLabel {
 }
 
 // Release drops every cached artifact — the XASR, region labels, label
-// lists and masks, the preorder-rank view, and all structural-join pair
-// relations — returning their memory to the collector while the Index stays
-// fully usable: a later request simply rebuilds what it needs.
+// lists and masks, the TED view, and all structural-join pair relations —
+// returning their memory to the collector while the Index stays fully
+// usable: a later request simply rebuilds what it needs.
 //
 // Release exists for document swaps: when a corpus replaces a document, the
 // superseded engine may still be serving in-flight queries, so it cannot be
@@ -280,8 +267,6 @@ func (ix *Index) Release() {
 	ix.labelMasks = map[string]bitset.Bits{}
 	ix.labelRows = map[string]*relstore.Relation{}
 	ix.tedDoc = nil
-	ix.postings = map[string][]int32{}
-	ix.preView = nil
 	ix.mu.Unlock()
 	// The pair cache is cleared in place, never re-pointed: StructuralPairs
 	// reads ix.pairs (and its immutable Cap) outside pairMu, which is only
@@ -299,8 +284,11 @@ func (ix *Index) Release() {
 // is sound on multi-labeled trees too.
 func (ix *Index) MultiLabeled() bool { return ix.multi }
 
-// NodesWithLabel returns, in document order, the nodes carrying the label.
-// The returned slice is shared: callers must not mutate it.
+// NodesWithLabel returns, in document order, the nodes carrying the label in
+// any label position.  NodeIDs are preorder ranks, so the list is sorted and
+// is the label's posting list too: the occurrences inside a subtree [v,
+// End(v)] are two binary searches away.  The returned slice is shared:
+// callers must not mutate it.
 func (ix *Index) NodesWithLabel(label string) []tree.NodeID {
 	ix.mu.RLock()
 	ns, ok := ix.labelNodes[label]
@@ -337,7 +325,7 @@ func (ix *Index) LabelMask(label string) bitset.Bits {
 		return m
 	}
 	built := bitset.New(ix.t.Len())
-	for _, n := range ix.t.PreOrder() {
+	for n := range tree.NodeID(ix.t.Len()) {
 		if ix.t.HasLabel(n, label) {
 			built.Set(int(n))
 		}
@@ -410,37 +398,10 @@ func (ix *Index) TED() *ted.Doc {
 	return built
 }
 
-// PostingList returns the sorted 1-based preorder indexes of every node
-// carrying the label — in any label position, matching NodesWithLabel, so
-// the similarity route's histogram bound is label-complete on multi-labeled
-// trees.  Subtree occurrence counts are then two binary searches, because a
-// subtree is a contiguous preorder interval.  The returned slice is shared:
-// callers must not mutate it.
-func (ix *Index) PostingList(label string) []int32 {
-	ix.mu.RLock()
-	pl, ok := ix.postings[label]
-	ix.mu.RUnlock()
-	if ok {
-		ix.postingHits.Add(1)
-		return pl
-	}
-	nodes := ix.NodesWithLabel(label)
-	built := make([]int32, len(nodes))
-	for i, n := range nodes {
-		built[i] = int32(ix.t.Pre(n)) // document order: already ascending
-	}
-	ix.mu.Lock()
-	if cached, ok := ix.postings[label]; ok {
-		// Another goroutine raced us to it; keep the published copy.
-		ix.mu.Unlock()
-		ix.postingHits.Add(1)
-		return cached
-	}
-	ix.postings[label] = built
-	ix.mu.Unlock()
-	ix.postingBuilds.Add(1)
-	return built
-}
+// PostingList is NodesWithLabel under its information-retrieval name, for
+// callers that know the list by it: the same cached list, counted by the
+// same LabelList counters.
+func (ix *Index) PostingList(label string) []tree.NodeID { return ix.NodesWithLabel(label) }
 
 // StructuralPairs returns the cached structural-join pair relation
 // (from_pre, to_pre) for axis(from, to) with the given (possibly empty)
@@ -505,8 +466,6 @@ func (ix *Index) Snapshot() Stats {
 		PairBuilds:      ix.pairBuilds.Load(),
 		PairHits:        ix.pairHitsCounters.Load(),
 		TEDBuilds:       ix.tedBuilds.Load(),
-		PostingBuilds:   ix.postingBuilds.Load(),
-		PostingHits:     ix.postingHits.Load(),
 		PairEvictions:   pairEvictions,
 		PairEntries:     pairEntries,
 		Releases:        ix.releases.Load(),

@@ -45,14 +45,12 @@ func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) ==
 //   - the columnar XASR is patched (labeling.PatchXASR) when the old index
 //     had materialized one — only region rows are recomputed, survivors are
 //     shifted, and only new labels are re-interned into a cloned dictionary;
-//   - label node lists, masks, rows, and posting lists for labels NOT in
-//     spec.Touched are carried over, remapping node ids / preorders past the
-//     splice by Delta (shared outright when Delta is 0);
+//   - label node lists, masks and rows for labels NOT in spec.Touched are
+//     carried over, remapping node ids past the splice by Delta (shared
+//     outright when Delta is 0);
 //   - cached structural-join pair relations whose (from, to) labels are both
 //     non-empty and untouched are carried over with both pre columns
 //     remapped;
-//   - the preorder-rank view is a function of the tree's shape alone, so a
-//     ShapePreserving edit shares it outright; a shifting edit drops it;
 //   - whole-document artifacts that see labels — pair relations with a ""
 //     side and the TED view, whose label codes cover every node — survive
 //     only an edit the index cannot see, a shape-preserving one that touched
@@ -82,12 +80,11 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		labelNodes: map[string][]tree.NodeID{},
 		labelMasks: map[string]bitset.Bits{},
 		labelRows:  map[string]*relstore.Relation{},
-		postings:   map[string][]int32{},
 		pairs:      lru.New[pairKey, *relstore.Relation](cfg.pairCap),
 	}
 
 	old.mu.RLock()
-	oldXASR, oldTED, oldView := old.xasr, old.tedDoc, old.preView
+	oldXASR, oldTED := old.xasr, old.tedDoc
 	oldNodes := make(map[string][]tree.NodeID, len(old.labelNodes))
 	for l, ns := range old.labelNodes {
 		oldNodes[l] = ns
@@ -95,10 +92,6 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	oldMasks := make(map[string]bitset.Bits, len(old.labelMasks))
 	for l, m := range old.labelMasks {
 		oldMasks[l] = m
-	}
-	oldPostings := make(map[string][]int32, len(old.postings))
-	for l, p := range old.postings {
-		oldPostings[l] = p
 	}
 	oldRows := make(map[string]*relstore.Relation, len(old.labelRows))
 	for l, r := range old.labelRows {
@@ -110,18 +103,15 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
 		nix.xasrBuilds.Add(1)
 	}
-	if spec.ShapePreserving {
-		nix.preView = oldView
-	}
 	if unseen {
 		// The view is a function of the tree's shape and primary labels, and
 		// its label codes follow document order: all unchanged.
 		nix.tedDoc = oldTED
 	}
 
-	// Survivor remap: node ids / 1-based preorders at or past the removed
-	// region shift by delta; ids inside the region cannot occur for untouched
-	// labels (when delta != 0, Touched covers every region label).
+	// Survivor remap: node ids at or past the removed region shift by delta;
+	// ids inside the region cannot occur for untouched labels (when
+	// delta != 0, Touched covers every region label).
 	for l, ns := range oldNodes {
 		if touched[l] {
 			continue
@@ -168,22 +158,6 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 			}
 		}
 		nix.labelMasks[l] = nm
-	}
-	for l, pl := range oldPostings {
-		if touched[l] {
-			continue
-		}
-		moved := pl
-		if delta != 0 {
-			moved = make([]int32, len(pl))
-			for i, p := range pl {
-				if int(p) > spec.Start+spec.OldLen {
-					p += int32(delta)
-				}
-				moved[i] = p
-			}
-		}
-		nix.postings[l] = moved
 	}
 	if delta == 0 {
 		// Without a shift every untouched label's rows are bit-identical (its
@@ -245,14 +219,14 @@ func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
 		return old.multi
 	}
 	if !old.multi {
-		for i := spec.Start; i < spec.Start+spec.NewLen; i++ {
-			if v := nt.NodeAtPre(i + 1); v != tree.InvalidNode && len(nt.Labels(v)) > 1 {
+		for v := tree.NodeID(spec.Start); int(v) < min(spec.Start+spec.NewLen, nt.Len()); v++ {
+			if len(nt.Labels(v)) > 1 {
 				return true
 			}
 		}
 		return false
 	}
-	for _, n := range nt.Nodes() {
+	for n := range tree.NodeID(nt.Len()) {
 		if len(nt.Labels(n)) > 1 {
 			return true
 		}
@@ -261,7 +235,7 @@ func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
 }
 
 // ReleaseLabels drops every cached artifact keyed by one of the given labels
-// — node lists, masks, side relations, posting lists, and any structural-join
+// — node lists, masks, side relations, and any structural-join
 // pair relation with a matching or empty ("whole document") side — plus the
 // TED postorder view, whose label codes embed the dropped labels.  Unlike
 // Release it leaves all other labels' artifacts in place.  It is the
@@ -280,7 +254,6 @@ func (ix *Index) ReleaseLabels(labels ...string) {
 		delete(ix.labelNodes, l)
 		delete(ix.labelMasks, l)
 		delete(ix.labelRows, l)
-		delete(ix.postings, l)
 	}
 	ix.tedDoc = nil
 	ix.mu.Unlock()

@@ -12,7 +12,6 @@ func warm(ix *Index, labels ...string) {
 	ix.XASR()
 	ix.Regions()
 	ix.TED()
-	ix.PreView()
 	for _, l := range labels {
 		ix.NodesWithLabel(l)
 		ix.LabelMask(l)
@@ -76,7 +75,7 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 			patched.NodesWithLabel("item")
 			patched.PostingList("item")
 			after := patched.Snapshot()
-			if after.LabelListBuilds != sn.LabelListBuilds || after.PostingBuilds != sn.PostingBuilds {
+			if after.LabelListBuilds != sn.LabelListBuilds {
 				t.Fatal("untouched label artifacts were rebuilt instead of carried over")
 			}
 			if after.LabelListHits == sn.LabelListHits {
@@ -206,16 +205,15 @@ func TestPatchMaskOnlyWarmLabel(t *testing.T) {
 	}
 }
 
-// TestPatchSharesViewOnShapePreservingEdit: the preorder-rank view is a
-// function of the tree's shape, so a patch that moved no rank shares it — the
-// same pointer, whether or not an XASR exists — and a shifting patch starts
-// without one.  A text-only edit also carries the TED view with no XASR
-// around.  Validate is green either way.
+// TestPatchSharesViewOnShapePreservingEdit: a patch that moved no node shares
+// an untouched label's mask — the same vector, whether or not an XASR exists
+// — and a shifting patch remaps it.  A text-only edit also carries the TED
+// view with no XASR around.  Validate is green either way.
 func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 	oldT := tree.MustParseSexpr("site(item(name keyword) item(name keyword))")
 	old := New(oldT)
-	view, ted := old.PreView(), old.TED()
-	old.LabelMask("item")
+	ted, mask := old.TED(), old.LabelMask("item")
+	same := func(a, b []uint64) bool { return &a[0] == &b[0] }
 
 	relabeled := tree.MustParseSexpr("site(item(name keyword) item(title keyword))")
 	spec := diffSpec(t, oldT, relabeled)
@@ -223,8 +221,8 @@ func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 		t.Fatalf("a relabel should preserve the shape: %+v", spec)
 	}
 	patched := Patch(old, relabeled, spec)
-	if patched.cachedPreView() != view {
-		t.Error("a shape-preserving patch did not share the rank view")
+	if !same(patched.LabelMask("item"), mask) {
+		t.Error("a shape-preserving patch did not share an untouched label's mask")
 	}
 	if patched.TED() == ted {
 		t.Error("a relabel carried the TED view, whose label codes it changed")
@@ -237,8 +235,8 @@ func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 	}
 
 	unseen := Patch(old, oldT, PatchSpec{ShapePreserving: true}) // an edit of text alone
-	if unseen.cachedPreView() != view || unseen.TED() != ted {
-		t.Error("a text-only patch did not share the rank view and the TED view")
+	if !same(unseen.LabelMask("item"), mask) || unseen.TED() != ted {
+		t.Error("a text-only patch did not share the mask and the TED view")
 	}
 	if s := unseen.Snapshot(); s.XASRBuilds != 0 || s.TEDBuilds != 0 {
 		t.Errorf("a text-only patch built something: %+v", s)
@@ -249,8 +247,8 @@ func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 
 	inserted := tree.MustParseSexpr("site(item(name keyword keyword) item(name keyword))")
 	patched = Patch(old, inserted, diffSpec(t, oldT, inserted))
-	if patched.cachedPreView() != nil {
-		t.Error("a shifting patch carried the rank view over")
+	if same(patched.LabelMask("item"), mask) {
+		t.Error("a shifting patch shared a mask whose bits moved")
 	}
 	if err := patched.Validate(); err != nil {
 		t.Fatalf("insert: patched index invalid: %v", err)

@@ -1,7 +1,7 @@
 package index
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,33 +10,28 @@ import (
 
 func TestPostingListSortedAndComplete(t *testing.T) {
 	// b appears as a primary label and as a secondary label (multi-label
-	// node): the posting list must cover both, like NodesWithLabel.
+	// node): the posting list must cover both.  It is the one per-label list,
+	// so NodesWithLabel hands out the very same slice.
 	tr := tree.MustParseSexpr("a(b a+b(c) b(b))")
 	ix := New(tr)
 	pl := ix.PostingList("b")
-	if !sort.SliceIsSorted(pl, func(i, j int) bool { return pl[i] < pl[j] }) {
-		t.Fatalf("posting list not sorted: %v", pl)
+	if want := []tree.NodeID{1, 2, 4, 5}; !slices.Equal(pl, want) {
+		t.Fatalf("posting list %v, want %v", pl, want)
 	}
-	want := ix.NodesWithLabel("b")
-	if len(pl) != len(want) {
-		t.Fatalf("posting list has %d entries, NodesWithLabel has %d", len(pl), len(want))
-	}
-	for i, n := range want {
-		if int(pl[i]) != tr.Pre(n) {
-			t.Fatalf("entry %d: pre %d, want %d", i, pl[i], tr.Pre(n))
-		}
+	if nodes := ix.NodesWithLabel("b"); &nodes[0] != &pl[0] {
+		t.Fatal("NodesWithLabel built a second list")
 	}
 	if got := ix.PostingList("zzz"); len(got) != 0 {
 		t.Fatalf("absent label posting list = %v, want empty", got)
 	}
 
 	s := ix.Snapshot()
-	if s.PostingBuilds != 2 {
-		t.Fatalf("PostingBuilds = %d, want 2", s.PostingBuilds)
+	if s.LabelListBuilds != 2 || s.LabelListHits != 1 {
+		t.Fatalf("LabelListBuilds/Hits = %d/%d, want 2/1", s.LabelListBuilds, s.LabelListHits)
 	}
 	ix.PostingList("b")
-	if s = ix.Snapshot(); s.PostingHits != 1 {
-		t.Fatalf("PostingHits = %d, want 1", s.PostingHits)
+	if s = ix.Snapshot(); s.LabelListHits != 2 {
+		t.Fatalf("LabelListHits = %d, want 2", s.LabelListHits)
 	}
 }
 
@@ -59,10 +54,10 @@ func TestTEDViewCachedAndReleased(t *testing.T) {
 	if s.TEDBuilds != 2 {
 		t.Fatalf("TEDBuilds = %d, want 2 (one per side of the Release)", s.TEDBuilds)
 	}
-	// The posting map was re-pointed by Release: next call rebuilds.
+	// The list map was re-pointed by Release: next call rebuilds.
 	ix.PostingList("b")
-	if s = ix.Snapshot(); s.PostingBuilds != 2 {
-		t.Fatalf("PostingBuilds = %d, want 2 after Release", s.PostingBuilds)
+	if s = ix.Snapshot(); s.LabelListBuilds != 2 {
+		t.Fatalf("LabelListBuilds = %d, want 2 after Release", s.LabelListBuilds)
 	}
 }
 

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"reflect"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/labeling"
@@ -15,8 +14,8 @@ import (
 // Validate checks every cached artifact against the tree it claims to index
 // and returns the first inconsistency found.  It exists for the incremental-
 // update harness: after a Patch, a spliced XASR, remapped label caches,
-// carried-over pair relations, a shared preorder-rank view and a carried-over
-// TED view must be indistinguishable from a fresh build.  It checks what is
+// carried-over pair relations and a carried-over TED view must be
+// indistinguishable from a fresh build.  It checks what is
 // there — an XASR is materialized only to recompute cached pair relations —
 // and is intended for tests, not hot paths.
 func (ix *Index) Validate() error {
@@ -31,10 +30,6 @@ func (ix *Index) Validate() error {
 		}
 	}
 
-	if err := ix.validatePreView(); err != nil {
-		return err
-	}
-
 	ix.mu.RLock()
 	labelNodes := make(map[string][]tree.NodeID, len(ix.labelNodes))
 	for l, ns := range ix.labelNodes {
@@ -43,10 +38,6 @@ func (ix *Index) Validate() error {
 	labelMasks := make(map[string]bitset.Bits, len(ix.labelMasks))
 	for l, mk := range ix.labelMasks {
 		labelMasks[l] = mk
-	}
-	postings := make(map[string][]int32, len(ix.postings))
-	for l, p := range ix.postings {
-		postings[l] = p
 	}
 	labelRows := make(map[string]*relstore.Relation, len(ix.labelRows))
 	for l, r := range ix.labelRows {
@@ -74,20 +65,6 @@ func (ix *Index) Validate() error {
 		for i := 0; i < m; i++ {
 			if mk.Get(i) != t.HasLabel(tree.NodeID(i), l) {
 				return fmt.Errorf("label %q: mask bit %d = %v, disagrees with tree", l, i, mk.Get(i))
-			}
-		}
-	}
-	for l, pl := range postings {
-		want := t.NodesWithLabel(l)
-		if len(pl) != len(want) {
-			return fmt.Errorf("posting %q: %d entries, want %d", l, len(pl), len(want))
-		}
-		if !sort.SliceIsSorted(pl, func(i, j int) bool { return pl[i] < pl[j] }) {
-			return fmt.Errorf("posting %q: not sorted", l)
-		}
-		for i, p := range pl {
-			if int(p) != t.Pre(want[i]) {
-				return fmt.Errorf("posting %q[%d]: pre %d, want %d", l, i, p, t.Pre(want[i]))
 			}
 		}
 	}
@@ -164,10 +141,7 @@ func validateXASR(x *labeling.XASR, t *tree.Tree) error {
 		if row[0] != int64(i+1) {
 			return fmt.Errorf("xasr row %d: pre %d, want %d", i, row[0], i+1)
 		}
-		v := t.NodeAtPre(i + 1)
-		if v == tree.InvalidNode {
-			return fmt.Errorf("xasr row %d: no node at pre %d", i, i+1)
-		}
+		v := tree.NodeID(i)
 		if row[1] < 1 || row[1] > int64(m) {
 			return fmt.Errorf("xasr row %d: post %d out of range [1,%d]", i, row[1], m)
 		}

@@ -59,7 +59,8 @@ func BuildXASR(t *tree.Tree) *XASR {
 	dict := relstore.NewDict()
 	n := t.Len()
 	backing := make(relstore.Tuple, 4*n)
-	for i, v := range t.PreOrder() {
+	for v := range tree.NodeID(n) {
+		i := int(v)
 		parentPre := int64(0)
 		if p := t.Parent(v); p != tree.InvalidNode {
 			parentPre = int64(t.Pre(p))
@@ -185,16 +186,14 @@ func (x *XASR) axisPredicate(a tree.Axis) func(u, v relstore.Tuple) bool {
 	case tree.NextSiblingAxis:
 		t := x.tr
 		return func(u, v relstore.Tuple) bool {
-			un := t.NodeAtPre(int(u[pre]))
-			return un != tree.InvalidNode && t.NextSibling(un) != tree.InvalidNode &&
-				int64(t.Pre(t.NextSibling(un))) == v[pre]
+			s := t.NextSibling(tree.NodeID(u[pre] - 1))
+			return s != tree.InvalidNode && int64(t.Pre(s)) == v[pre]
 		}
 	case tree.PrevSiblingAxis:
 		t := x.tr
 		return func(u, v relstore.Tuple) bool {
-			un := t.NodeAtPre(int(u[pre]))
-			return un != tree.InvalidNode && t.PrevSibling(un) != tree.InvalidNode &&
-				int64(t.Pre(t.PrevSibling(un))) == v[pre]
+			s := t.PrevSibling(tree.NodeID(u[pre] - 1))
+			return s != tree.InvalidNode && int64(t.Pre(s)) == v[pre]
 		}
 	}
 	panic(fmt.Sprintf("labeling: no predicate for axis %v", a))
@@ -240,11 +239,10 @@ func (x *XASR) SubRelation(name string, nodes []tree.NodeID) *relstore.Relation 
 	if len(nodes) == 0 {
 		return out
 	}
-	// Row i of the XASR is the node with preorder index i+1 (BuildXASR walks
-	// t.Nodes() in document order), so each node's row is found in O(1).
+	// Row i of the XASR is the node with preorder index i+1, NodeID i.
 	rows := x.rel.Tuples()
 	for _, n := range nodes {
-		out.InsertRow(rows[x.tr.Pre(n)-1])
+		out.InsertRow(rows[n])
 	}
 	return out
 }

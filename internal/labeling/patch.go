@@ -52,10 +52,9 @@ func PatchXASR(old *XASR, nt *tree.Tree, start, oldLen, newLen int) *XASR {
 			}
 			postKeep = min - 1
 		} else {
-			v := nt.NodeAtPre(start + 1)
-			min := int64(nt.Post(v))
+			min := int64(nt.Post(tree.NodeID(start)))
 			for i := start + 1; i < start+newLen; i++ {
-				if p := int64(nt.Post(nt.NodeAtPre(i + 1))); p < min {
+				if p := int64(nt.Post(tree.NodeID(i))); p < min {
 					min = p
 				}
 			}
@@ -75,7 +74,7 @@ func PatchXASR(old *XASR, nt *tree.Tree, start, oldLen, newLen int) *XASR {
 		rel.InsertRow(row)
 	}
 	for i := start; i < start+newLen; i++ {
-		v := nt.NodeAtPre(i + 1)
+		v := tree.NodeID(i)
 		row := backing[4*i : 4*i+4 : 4*i+4]
 		row[0] = int64(i + 1)
 		row[1] = int64(nt.Post(v))

@@ -17,8 +17,8 @@ import (
 )
 
 // relabeled rebuilds the shape of a workload.RandomTree document — whose
-// nodes hang off uniformly random earlier nodes, so NodeIDs are not preorder
-// ranks — with 0 to 2 labels per node.
+// nodes hang off uniformly random earlier nodes, out of document order —
+// with 0 to 2 labels per node.
 func relabeled(nodes int, seed int64) *tree.Tree {
 	shape := workload.RandomTree(workload.TreeSpec{Nodes: nodes, Seed: seed})
 	rng := rand.New(rand.NewSource(seed))

@@ -119,7 +119,7 @@ func (p *Program) Ground(t *tree.Tree) (*GroundProgram, error) {
 			binaryPairsFunc(t, r.binary, emit)
 			continue
 		}
-		for _, v := range t.PreOrder() {
+		for v := range tree.NodeID(t.Len()) {
 			emit(v, v)
 		}
 	}

@@ -393,7 +393,7 @@ func binaryPairsFunc(t *tree.Tree, pred string, yield func(u, v tree.NodeID)) {
 		direct := yield
 		yield = func(u, v tree.NodeID) { direct(v, u) }
 	}
-	for _, u := range t.PreOrder() {
+	for u := range tree.NodeID(t.Len()) {
 		switch base {
 		case PredFirstChild:
 			if c := t.FirstChild(u); c != tree.InvalidNode {

@@ -718,8 +718,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"pair_evictions":     st.Index.PairEvictions,
 			"pair_entries":       st.Index.PairEntries,
 			"ted_builds":         st.Index.TEDBuilds,
-			"posting_builds":     st.Index.PostingBuilds,
-			"posting_hits":       st.Index.PostingHits,
 			"releases":           st.Index.Releases,
 		},
 		// The similarity route: candidates considered, candidates eliminated

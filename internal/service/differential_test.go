@@ -357,6 +357,71 @@ func TestUpdateDocOutcomes(t *testing.T) {
 	}
 }
 
+// TestUpdateDocPatchesBuilderTree: a tree whose nodes were added out of
+// document order is numbered in preorder all the same, so inserting one leaf
+// mid-document is a single splice that patches, and afterwards every route
+// answers exactly as on a fresh Add of the new revision.
+func TestUpdateDocPatchesBuilderTree(t *testing.T) {
+	build := func(leaf bool) *tree.Tree {
+		rng := rand.New(rand.NewSource(5))
+		b := tree.NewBuilder()
+		b.AddRoot("a")
+		for i := 1; i < 200; i++ {
+			b.AddChild(tree.NodeID(rng.Intn(i)), []string{"a", "b", "c"}[rng.Intn(3)])
+		}
+		if leaf {
+			b.AddChild(7, "d") // the last child of an early node
+		}
+		return b.MustBuild()
+	}
+	oldT, newT := build(false), build(true)
+	if sc, ok := treediff.Diff(oldT, newT); !ok || sc.Kind != treediff.KindInsert || sc.Start >= oldT.Len() {
+		t.Fatalf("want one leaf inserted mid-document, diff = %+v ok=%v", sc, ok)
+	}
+
+	ctx := context.Background()
+	queries := equivalenceQueries(oldT, newT)
+	svc, fresh := New(), New()
+	if err := svc.Add("d", oldT); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Add("d", newT); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries { // warm plans and index artifacts
+		if _, _, err := svc.Query(ctx, "d", q.lang, q.text); err != nil {
+			t.Fatalf("%s %q: %v", q.lang, q.text, err)
+		}
+	}
+	out, err := svc.UpdateDoc("d", newT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Patched || out.Kind != "insert" {
+		t.Fatalf("outcome %+v, want a patched insert", out)
+	}
+	for _, q := range queries {
+		got, _, err := svc.Query(ctx, "d", q.lang, q.text)
+		if err != nil {
+			t.Fatalf("%s %q: %v", q.lang, q.text, err)
+		}
+		want, _, err := fresh.Query(ctx, "d", q.lang, q.text)
+		if err != nil {
+			t.Fatalf("%s %q on a fresh Add: %v", q.lang, q.text, err)
+		}
+		if g, w := renderResult(got), renderResult(want); g != w {
+			t.Fatalf("%s %q after the patch:\n%s\nfresh Add:\n%s", q.lang, q.text, g, w)
+		}
+	}
+	eng, err := svc.Engine("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Index().Validate(); err != nil {
+		t.Fatalf("patched index invalid: %v", err)
+	}
+}
+
 func TestLabelsDisjoint(t *testing.T) {
 	cases := []struct {
 		labels, touched []string

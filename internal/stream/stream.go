@@ -257,14 +257,12 @@ func (m *Matcher) Run(events []xmldoc.Event, report func(pre int)) (Stats, error
 // it: walking the tree in document order, a node at depth d is the next start
 // event once the open elements at depth >= d have been closed, so the walk
 // drives the same open and close steps as Run does on xmldoc.Events(t).  It
-// returns the selected nodes (as NodeIDs of t, in ascending NodeID order for
-// easy comparison with the in-memory evaluators) and the stats.  The report
-// callback of Run sees matches in document order instead.
+// returns the selected nodes (as NodeIDs of t, in document order, which is
+// ascending NodeID order) and the stats.
 func (m *Matcher) RunOnTree(t *tree.Tree) ([]tree.NodeID, Stats, error) {
 	r := m.start()
 	var out []tree.NodeID
-	sorted := true
-	for _, n := range t.PreOrder() {
+	for n := range tree.NodeID(t.Len()) {
 		for d := t.Depth(n); r.depth > d; {
 			r.close()
 		}
@@ -273,12 +271,8 @@ func (m *Matcher) RunOnTree(t *tree.Tree) ([]tree.NodeID, Stats, error) {
 			r.stats.Events++
 		}
 		if r.open(t.Label(n)) {
-			sorted = sorted && (len(out) == 0 || out[len(out)-1] < n)
 			out = append(out, n)
 		}
-	}
-	if !sorted {
-		slices.Sort(out)
 	}
 	return out, r.stats, nil
 }

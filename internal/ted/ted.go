@@ -38,7 +38,7 @@ type Doc struct {
 	lsib []bool  // whether the node has a left sibling (keyroot test)
 	lab  []int32 // code of the node's primary label per postorder position
 	size []int32 // subtree size per postorder position
-	pre  []int32 // 1-based preorder index per postorder position
+	node []int32 // the node (its NodeID, a preorder rank) per postorder position
 	// bySize lists postorder positions ordered by (subtree size, postorder),
 	// so the similarity search can walk candidates in increasing size
 	// distance from the pattern and stop at the first unreachable band.
@@ -58,11 +58,11 @@ func NewDoc(t *tree.Tree) *Doc {
 	d := &Doc{
 		n:   n,
 		lml: cols[:n:n], lab: cols[n : 2*n : 2*n], size: cols[2*n : 3*n : 3*n],
-		pre: cols[3*n : 4*n : 4*n], bySize: cols[4*n:],
+		node: cols[3*n : 4*n : 4*n], bySize: cols[4*n:],
 		lsib:  make([]bool, n),
 		codes: map[string]int32{},
 	}
-	for r, v := range t.PreOrder() {
+	for v := range tree.NodeID(n) {
 		j := int32(t.Post(v) - 1)
 		size := int32(t.SubtreeSize(v))
 		label := t.Label(v)
@@ -71,7 +71,7 @@ func NewDoc(t *tree.Tree) *Doc {
 			code = int32(len(d.codes))
 			d.codes[label] = code
 		}
-		d.pre[j], d.lab[j], d.size[j] = int32(r+1), code, size
+		d.node[j], d.lab[j], d.size[j] = int32(v), code, size
 		// A subtree is a contiguous postorder range ending at its root, and
 		// the first position of that range is the leftmost leaf.
 		d.lml[j] = j - size + 1
@@ -99,8 +99,8 @@ func (d *Doc) Len() int { return d.n }
 // SubtreeSize returns the size of the subtree rooted at postorder position j.
 func (d *Doc) SubtreeSize(j int) int { return int(d.size[j]) }
 
-// PreAt returns the 1-based preorder index of the node at postorder position j.
-func (d *Doc) PreAt(j int) int { return int(d.pre[j]) }
+// Node returns the node at postorder position j.
+func (d *Doc) Node(j int) tree.NodeID { return tree.NodeID(d.node[j]) }
 
 // BySize returns the postorder positions ordered by (subtree size,
 // postorder).  Shared; callers must not mutate.

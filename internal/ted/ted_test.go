@@ -124,7 +124,7 @@ func TestDistanceMetricProperties(t *testing.T) {
 }
 
 // TestDocFromTree checks the view cut from the tree, on the property-test
-// corpus (random trees, NodeIDs out of and in document order): every column
+// corpus (random trees, built out of document order): every column
 // equals a recomputation by pointer walks, label codes identify exactly the
 // primary labels, and Distance through the view — against every subtree, in
 // place — equals DistanceTrees against that subtree as a tree of its own.
@@ -132,11 +132,6 @@ func TestDocFromTree(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		pat := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int(seed%7), Seed: seed, Alphabet: []string{"a", "b", "c"}})
 		doc := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int((seed*3)%8), Seed: seed + 1000, Alphabet: []string{"a", "b", "c"}})
-		if seed%2 == 1 {
-			// The generator attaches children out of document order; every
-			// other document is rebuilt in it, as a parsed one would be.
-			doc = tree.MustParseSexpr(doc.String())
-		}
 		d := NewDoc(doc)
 		if d.Len() != doc.Len() {
 			t.Fatalf("seed %d: %d positions for %d nodes", seed, d.Len(), doc.Len())
@@ -149,10 +144,10 @@ func TestDocFromTree(t *testing.T) {
 			}
 			size := 0
 			doc.StepFunc(tree.DescendantOrSelf, v, func(tree.NodeID) bool { size++; return true })
-			if int(d.lml[j]) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.PreAt(j) != doc.Pre(v) ||
+			if int(d.lml[j]) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.Node(j) != v ||
 				d.lsib[j] != (doc.PrevSibling(v) != tree.InvalidNode) {
-				t.Fatalf("seed %d, post %d: view (lml %d, size %d, pre %d, lsib %v) disagrees with the tree %s",
-					seed, j+1, d.lml[j], d.size[j], d.pre[j], d.lsib[j], doc)
+				t.Fatalf("seed %d, post %d: view (lml %d, size %d, node %d, lsib %v) disagrees with the tree %s",
+					seed, j+1, d.lml[j], d.size[j], d.node[j], d.lsib[j], doc)
 			}
 			for k := 0; k < d.Len(); k++ {
 				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(doc.NodeAtPost(k+1))) {

@@ -202,8 +202,9 @@ func (a Axis) IsTransitive() bool {
 }
 
 // Holds reports whether the axis relation a(x, y) holds in t.  Thanks to the
-// pre/post/bflr indexes every test is O(1) except Child and NextSibling-style
-// local axes, which are O(1) by pointer comparison anyway.
+// pre/post indexes (the preorder index is the NodeID itself) every test is
+// O(1) except Child and NextSibling-style local axes, which are O(1) by
+// pointer comparison anyway.
 func (t *Tree) Holds(a Axis, x, y NodeID) bool {
 	switch a {
 	case Self:
@@ -214,30 +215,30 @@ func (t *Tree) Holds(a Axis, x, y NodeID) bool {
 		return t.parent[x] == y
 	case Descendant:
 		// x is a proper ancestor of y:  x <pre y  and  y <post x.
-		return t.pre[x] < t.pre[y] && t.post[y] < t.post[x]
+		return x < y && t.post[y] < t.post[x]
 	case Ancestor:
-		return t.pre[y] < t.pre[x] && t.post[x] < t.post[y]
+		return y < x && t.post[x] < t.post[y]
 	case DescendantOrSelf:
-		return x == y || (t.pre[x] < t.pre[y] && t.post[y] < t.post[x])
+		return x == y || (x < y && t.post[y] < t.post[x])
 	case AncestorOrSelf:
-		return x == y || (t.pre[y] < t.pre[x] && t.post[x] < t.post[y])
+		return x == y || (y < x && t.post[x] < t.post[y])
 	case NextSiblingAxis:
 		return t.nextSibling[x] == y
 	case PrevSiblingAxis:
 		return t.prevSibling[x] == y
 	case FollowingSibling:
-		return t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && t.pre[x] < t.pre[y]
+		return t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && x < y
 	case PrecedingSibling:
-		return t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && t.pre[y] < t.pre[x]
+		return t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && y < x
 	case FollowingSiblingOrSelf:
-		return x == y || (t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && t.pre[x] < t.pre[y])
+		return x == y || (t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && x < y)
 	case PrecedingSiblingOrSelf:
-		return x == y || (t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && t.pre[y] < t.pre[x])
+		return x == y || (t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && y < x)
 	case Following:
 		// x <pre y and x <post y (x entirely precedes y).
-		return t.pre[x] < t.pre[y] && t.post[x] < t.post[y]
+		return x < y && t.post[x] < t.post[y]
 	case Preceding:
-		return t.pre[y] < t.pre[x] && t.post[y] < t.post[x]
+		return y < x && t.post[y] < t.post[x]
 	}
 	panic(fmt.Sprintf("tree: Holds of unknown axis %d", int(a)))
 }
@@ -271,15 +272,13 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 			yield(p)
 		}
 	case Descendant, DescendantOrSelf:
-		// The descendants of n are exactly the nodes with preorder index in
-		// (pre(n), pre(n)+size(n)-1]; byPre gives them in document order.
-		start := t.Pre(n) // 1-based
+		// The descendants of n are exactly the NodeIDs (n, n+size(n)-1].
+		start := n
 		if a == Descendant {
 			start++
 		}
-		end := t.Pre(n) + t.SubtreeSize(n) - 1
-		for i := start; i <= end; i++ {
-			if !yield(t.byPre[i-1]) {
+		for y := start; y <= t.End(n); y++ {
+			if !yield(y) {
 				return
 			}
 		}
@@ -334,17 +333,15 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	case Following:
 		// Nodes y with pre(n) < pre(y) and post(n) < post(y): the nodes after
 		// the subtree of n in document order.
-		start := t.Pre(n) + t.SubtreeSize(n)
-		for i := start; i <= t.Len(); i++ {
-			if !yield(t.byPre[i-1]) {
+		for y := t.End(n) + 1; int(y) < t.Len(); y++ {
+			if !yield(y) {
 				return
 			}
 		}
 	case Preceding:
 		// Nodes y with pre(y) < pre(n) and post(y) < post(n): nodes strictly
 		// before n in document order that are not ancestors of n.
-		for i := 1; i < t.Pre(n); i++ {
-			y := t.byPre[i-1]
+		for y := range n {
 			if t.post[y] < t.post[n] {
 				if !yield(y) {
 					return
@@ -370,7 +367,7 @@ func (t *Tree) StepCount(a Axis, n NodeID) int {
 	case AncestorOrSelf:
 		return t.Depth(n) + 1
 	case Following:
-		return t.Len() - (t.Pre(n) + t.SubtreeSize(n) - 1)
+		return t.Len() - 1 - int(t.End(n))
 	}
 	k := 0
 	t.StepFunc(a, n, func(NodeID) bool { k++; return true })
@@ -382,7 +379,7 @@ func (t *Tree) StepCount(a Axis, n NodeID) int {
 // into the relational store; cost is proportional to the output.
 func (t *Tree) Pairs(a Axis) [][2]NodeID {
 	var out [][2]NodeID
-	for _, x := range t.byPre {
+	for x := range NodeID(t.Len()) {
 		t.StepFunc(a, x, func(y NodeID) bool {
 			out = append(out, [2]NodeID{x, y})
 			return true
@@ -445,7 +442,7 @@ func (t *Tree) NodesInOrder(o Order) []NodeID {
 	var src []NodeID
 	switch o {
 	case PreOrder:
-		src = t.byPre
+		return t.Nodes()
 	case PostOrder:
 		src = t.byPost
 	case BFLROrder:

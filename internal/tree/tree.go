@@ -14,9 +14,13 @@
 //   - multiple labels per node (the tractability results of the paper allow
 //     multi-labeled nodes).
 //
-// All index computations are performed once, when Builder.Build freezes the
-// tree; afterwards every axis test is O(1) and every axis enumeration is
-// linear in its output.
+// A node's NodeID is its preorder rank: Builder.Build numbers the nodes in
+// document order whatever order they were added in, so a subtree is the
+// contiguous NodeID interval [v, v+SubtreeSize(v)-1] and the navigation
+// columns themselves are the rank-space view the set-at-a-time evaluators
+// read (Image).  All index computations are performed once, when
+// Builder.Build freezes the tree; afterwards every axis test is O(1) and
+// every axis enumeration is linear in its output.
 package tree
 
 import (
@@ -27,8 +31,9 @@ import (
 	"strings"
 )
 
-// NodeID identifies a node of a Tree.  NodeIDs are dense: a tree with n
-// nodes uses the IDs 0..n-1 in document (pre-) order of insertion.
+// NodeID identifies a node of a Tree.  NodeIDs are dense preorder ranks: a
+// tree with n nodes uses the IDs 0..n-1, and NodeID v is the node with
+// 1-based preorder index v+1, whatever order a Builder added the nodes in.
 // InvalidNode is the zero of the "option" convention used throughout.
 type NodeID int32
 
@@ -50,14 +55,13 @@ type Tree struct {
 	text   []string   // optional textual content (ignored by Core XPath)
 
 	// The order columns are int32 like NodeID: an index or a size never
-	// exceeds the node count.  The accessors widen to int.
-	pre   []int32 // 1-based preorder index  (document order, <pre)
+	// exceeds the node count.  The accessors widen to int.  The preorder
+	// index needs no column: it is the NodeID plus one.
 	post  []int32 // 1-based postorder index (<post)
 	bflr  []int32 // 1-based breadth-first left-to-right index (<bflr)
 	depth []int32 // root has depth 0
 	size  []int32 // number of nodes in the subtree rooted at the node
 
-	byPre  []NodeID // byPre[i-1]  = node with preorder index i
 	byPost []NodeID // byPost[i-1] = node with postorder index i
 	byBFLR []NodeID // byBFLR[i-1] = node with bflr index i
 }
@@ -132,22 +136,18 @@ func (t *Tree) Height() int {
 // (including n itself).
 func (t *Tree) SubtreeSize(n NodeID) int { return int(t.size[n]) }
 
-// Pre returns the 1-based preorder (document order) index of n.
-func (t *Tree) Pre(n NodeID) int { return int(t.pre[n]) }
+// End returns the last node of n's subtree in document order: the subtree
+// of n is the NodeID interval [n, End(n)].
+func (t *Tree) End(n NodeID) NodeID { return n + NodeID(t.size[n]) - 1 }
+
+// Pre returns the 1-based preorder (document order) index of n: n + 1.
+func (t *Tree) Pre(n NodeID) int { return int(n) + 1 }
 
 // Post returns the 1-based postorder index of n.
 func (t *Tree) Post(n NodeID) int { return int(t.post[n]) }
 
 // BFLR returns the 1-based breadth-first left-to-right index of n.
 func (t *Tree) BFLR(n NodeID) int { return int(t.bflr[n]) }
-
-// NodeAtPre returns the node with preorder index i (1-based), or InvalidNode.
-func (t *Tree) NodeAtPre(i int) NodeID {
-	if i < 1 || i > t.Len() {
-		return InvalidNode
-	}
-	return t.byPre[i-1]
-}
 
 // NodeAtPost returns the node with postorder index i (1-based), or InvalidNode.
 func (t *Tree) NodeAtPost(i int) NodeID {
@@ -165,17 +165,15 @@ func (t *Tree) NodeAtBFLR(i int) NodeID {
 	return t.byBFLR[i-1]
 }
 
-// Nodes returns all nodes of the tree in document (pre-) order.
+// Nodes returns all nodes of the tree in document (pre-) order, that is
+// 0..Len()-1.  Loops that need no slice range over NodeID(t.Len()) instead.
 func (t *Tree) Nodes() []NodeID {
 	out := make([]NodeID, t.Len())
-	copy(out, t.byPre)
+	for i := range out {
+		out[i] = NodeID(i)
+	}
 	return out
 }
-
-// PreOrder returns the nodes in document (preorder) order without copying.
-// The returned slice is owned by the tree and must not be modified; hot
-// evaluator sweeps use it to avoid the per-call allocation of Nodes.
-func (t *Tree) PreOrder() []NodeID { return t.byPre }
 
 // Children returns the children of n, left to right.
 func (t *Tree) Children(n NodeID) []NodeID {
@@ -230,7 +228,7 @@ func (t *Tree) LabelAlphabet() []string {
 // NodesWithLabel returns, in document order, all nodes carrying label a.
 func (t *Tree) NodesWithLabel(a string) []NodeID {
 	var out []NodeID
-	for _, n := range t.byPre {
+	for n := range NodeID(t.Len()) {
 		if t.HasLabel(n, a) {
 			out = append(out, n)
 		}
@@ -238,11 +236,18 @@ func (t *Tree) NodesWithLabel(a string) []NodeID {
 	return out
 }
 
-// Builder incrementally constructs a Tree.  Nodes must be added in document
-// order: the parent of a node must have been added before the node itself.
+// Builder incrementally constructs a Tree.  A node's parent must have been
+// added before the node itself; otherwise nodes may come in any order — a
+// child may be appended to any earlier node — and Build renumbers them into
+// document order.  Until Build, a node is known by the construction ID its
+// Add call returned; Final translates one into the built tree's NodeID.
 type Builder struct {
 	t    Tree
 	open bool
+	// final[id] is the built tree's NodeID of construction ID id; nil when
+	// the nodes were added in document order (every parsed document), which
+	// Build then keeps as it is.
+	final []NodeID
 	// arena is the label chunk being filled: every node's label slice is
 	// carved off its end, capacity-clipped, so adding a node costs no
 	// allocation of its own and a later AddLabel copies out instead of
@@ -372,9 +377,9 @@ func (b *Builder) SetText(n NodeID, text string) {
 // Len returns the number of nodes added so far.
 func (b *Builder) Len() int { return len(b.t.parent) }
 
-// Build freezes the builder, computes all orders and indexes and returns the
-// tree.  Build returns an error for the empty tree (a tree has at least one
-// node).
+// Build freezes the builder, renumbers the nodes into document order,
+// computes all orders and indexes and returns the tree.  Build returns an
+// error for the empty tree (a tree has at least one node).
 func (b *Builder) Build() (*Tree, error) {
 	if !b.open {
 		return nil, errors.New("tree: Build called twice")
@@ -383,9 +388,76 @@ func (b *Builder) Build() (*Tree, error) {
 		return nil, errors.New("tree: cannot build an empty tree")
 	}
 	b.open = false
+	b.renumber()
 	t := &b.t
 	t.computeOrders()
 	return t, nil
+}
+
+// Final returns the NodeID, in the built tree, of the node whose construction
+// ID is id.  It is the identity until Build, and after it when the nodes were
+// added in document order.
+func (b *Builder) Final(id NodeID) NodeID {
+	if b.final == nil {
+		return id
+	}
+	return b.final[id]
+}
+
+// nextInPreorder returns the node after v in document order, or InvalidNode:
+// v's first child, else the next sibling of v's nearest ancestor-or-self
+// that has one.
+func (t *Tree) nextInPreorder(v NodeID) NodeID {
+	if c := t.firstChild[v]; c != InvalidNode {
+		return c
+	}
+	for ; v != InvalidNode; v = t.parent[v] {
+		if s := t.nextSibling[v]; s != InvalidNode {
+			return s
+		}
+	}
+	return InvalidNode
+}
+
+// renumber makes construction IDs preorder ranks.  Nodes added in document
+// order already are, and are left in place after one walk; otherwise every
+// column moves to the node's rank, and every link is rewritten through the
+// same permutation, which Final then answers from.
+func (b *Builder) renumber() {
+	t := &b.t
+	rank := NodeID(0)
+	for v := t.Root(); v != InvalidNode && v == rank; v = t.nextInPreorder(v) {
+		rank++
+	}
+	if int(rank) == t.Len() {
+		return
+	}
+	final := make([]NodeID, t.Len())
+	rank = 0
+	for v := t.Root(); v != InvalidNode; v = t.nextInPreorder(v) {
+		final[v] = rank
+		rank++
+	}
+	for _, col := range []*[]NodeID{&t.parent, &t.firstChild, &t.lastChild, &t.nextSibling, &t.prevSibling} {
+		*col = permute(*col, final)
+		for i, x := range *col {
+			if x != InvalidNode {
+				(*col)[i] = final[x]
+			}
+		}
+	}
+	t.labels = permute(t.labels, final)
+	t.text = permute(t.text, final)
+	b.final = final
+}
+
+// permute returns col with entry v moved to position final[v].
+func permute[E any](col []E, final []NodeID) []E {
+	out := make([]E, len(col))
+	for v, x := range col {
+		out[final[v]] = x
+	}
+	return out
 }
 
 // MustBuild is like Build but panics on error; intended for tests and
@@ -398,68 +470,39 @@ func (b *Builder) MustBuild() *Tree {
 	return t
 }
 
-// computeOrders fills pre, post, bflr, depth, size and the reverse index
-// slices in O(n) without recursion (trees may be deep).
+// computeOrders fills post, bflr, depth, size and the reverse index slices
+// in O(n) on a tree numbered in preorder, without recursion (trees may be
+// deep): a parent precedes its children, so depth is one forward sweep and
+// size one backward sweep, and the nodes of post index at most post(v) are
+// v's pre(v)-1-depth(v) predecessors that are not its ancestors plus its
+// subtree, so post(v) = pre(v) + size(v) - depth(v) - 1.
 func (t *Tree) computeOrders() {
 	n := t.Len()
-	t.pre = make([]int32, n)
-	t.post = make([]int32, n)
-	t.bflr = make([]int32, n)
-	t.depth = make([]int32, n)
-	t.size = make([]int32, n)
-	t.byPre = make([]NodeID, n)
+	cols := make([]int32, 4*n) // one allocation, four columns
+	t.post, t.bflr, t.depth, t.size = cols[:n:n], cols[n:2*n:2*n], cols[2*n:3*n:3*n], cols[3*n:]
 	t.byPost = make([]NodeID, n)
 	t.byBFLR = make([]NodeID, n)
 
-	// Iterative depth-first traversal computing pre and post order.
-	preCtr, postCtr := int32(0), int32(0)
-	type frame struct {
-		node  NodeID
-		child NodeID // next child to visit
+	for v := NodeID(1); int(v) < n; v++ {
+		t.depth[v] = t.depth[t.parent[v]] + 1
 	}
-	stack := make([]frame, 0, 64)
-	root := t.Root()
-	t.depth[root] = 0
-	preCtr++
-	t.pre[root] = preCtr
-	t.byPre[preCtr-1] = root
-	stack = append(stack, frame{root, t.firstChild[root]})
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.child == InvalidNode {
-			// All children visited: emit postorder, compute subtree size.
-			postCtr++
-			t.post[top.node] = postCtr
-			t.byPost[postCtr-1] = top.node
-			sz := int32(1)
-			for c := t.firstChild[top.node]; c != InvalidNode; c = t.nextSibling[c] {
-				sz += t.size[c]
-			}
-			t.size[top.node] = sz
-			stack = stack[:len(stack)-1]
-			continue
+	for v := NodeID(n - 1); v >= 0; v-- {
+		t.size[v]++
+		if p := t.parent[v]; p != InvalidNode {
+			t.size[p] += t.size[v]
 		}
-		c := top.child
-		top.child = t.nextSibling[c]
-		t.depth[c] = t.depth[top.node] + 1
-		preCtr++
-		t.pre[c] = preCtr
-		t.byPre[preCtr-1] = c
-		stack = append(stack, frame{c, t.firstChild[c]})
+		t.post[v] = int32(v) + t.size[v] - t.depth[v]
+		t.byPost[t.post[v]-1] = v
 	}
 
-	// Breadth-first left-to-right order.
-	queue := make([]NodeID, 0, n)
-	queue = append(queue, root)
-	ctr := int32(0)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		ctr++
-		t.bflr[u] = ctr
-		t.byBFLR[ctr-1] = u
+	// Breadth-first left-to-right order: byBFLR is its own queue.
+	t.byBFLR[0] = t.Root()
+	next := 1
+	for i, u := range t.byBFLR {
+		t.bflr[u] = int32(i + 1)
 		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
-			queue = append(queue, c)
+			t.byBFLR[next] = c
+			next++
 		}
 	}
 }
@@ -498,9 +541,9 @@ func (t *Tree) writeNode(sb *strings.Builder, n NodeID) {
 // in Figure 2 (a) of the paper ("pre:post:label").
 func (t *Tree) Indented() string {
 	var sb strings.Builder
-	for _, n := range t.byPre {
+	for n := range NodeID(t.Len()) {
 		sb.WriteString(strings.Repeat("  ", int(t.depth[n])))
-		fmt.Fprintf(&sb, "%d:%d:%s\n", t.pre[n], t.post[n], t.Label(n))
+		fmt.Fprintf(&sb, "%d:%d:%s\n", t.Pre(n), t.post[n], t.Label(n))
 	}
 	return sb.String()
 }
@@ -510,10 +553,10 @@ func (t *Tree) Indented() string {
 func (t *Tree) DOT() string {
 	var sb strings.Builder
 	sb.WriteString("digraph tree {\n  node [shape=circle];\n")
-	for _, n := range t.byPre {
+	for n := range NodeID(t.Len()) {
 		fmt.Fprintf(&sb, "  n%d [label=%q];\n", n, t.Label(n))
 	}
-	for _, n := range t.byPre {
+	for n := range NodeID(t.Len()) {
 		if fc := t.firstChild[n]; fc != InvalidNode {
 			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"FirstChild\"];\n", n, fc)
 		}

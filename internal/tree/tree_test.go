@@ -14,6 +14,9 @@ import (
 //	│   ├── n5
 //	│   └── n6
 //	└── n4
+//
+// The nodes are added breadth-first, out of document order, so the returned
+// ids are the construction IDs translated through Builder.Final.
 func figure1Tree(t *testing.T) (*Tree, map[string]NodeID) {
 	t.Helper()
 	b := NewBuilder()
@@ -24,7 +27,11 @@ func figure1Tree(t *testing.T) (*Tree, map[string]NodeID) {
 	ids["n4"] = b.AddChild(ids["n1"], "n4")
 	ids["n5"] = b.AddChild(ids["n3"], "n5")
 	ids["n6"] = b.AddChild(ids["n3"], "n6")
-	return b.MustBuild(), ids
+	tr := b.MustBuild()
+	for name, id := range ids {
+		ids[name] = b.Final(id)
+	}
+	return tr, ids
 }
 
 // figure2Tree builds the 7-node tree of Figure 2 (a): labels with pre:post
@@ -119,15 +126,15 @@ func TestFigure2PrePostIndexes(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
 	}
 	for _, w := range want {
-		n := tr.NodeAtPre(w.pre)
-		if n == InvalidNode {
-			t.Fatalf("no node at pre %d", w.pre)
+		n := NodeID(w.pre - 1)
+		if tr.Pre(n) != w.pre {
+			t.Errorf("pre(%d) = %d, want %d", n, tr.Pre(n), w.pre)
 		}
 		if tr.Post(n) != w.post {
 			t.Errorf("post(%d) = %d, want %d", w.pre, tr.Post(n), w.post)
 		}
-		if tr.parentPre(n) != w.parentPre {
-			t.Errorf("parentPre(%d) = %d, want %d", w.pre, tr.parentPre(n), w.parentPre)
+		if p := tr.Parent(n); p != NodeID(w.parentPre-1) {
+			t.Errorf("parent of pre %d = %d, want pre %d", w.pre, p, w.parentPre)
 		}
 		if tr.Label(n) != w.label {
 			t.Errorf("label(%d) = %q, want %q", w.pre, tr.Label(n), w.label)
@@ -228,11 +235,11 @@ func TestChildrenAndCounts(t *testing.T) {
 
 func TestOrders(t *testing.T) {
 	tr, ids := figure1Tree(t)
-	// Preorder: n1 n2 n3 n5 n6 n4.
+	// Preorder: n1 n2 n3 n5 n6 n4, which is NodeID order.
 	wantPre := []string{"n1", "n2", "n3", "n5", "n6", "n4"}
 	for i, name := range wantPre {
-		if got := tr.NodeAtPre(i + 1); got != ids[name] {
-			t.Errorf("NodeAtPre(%d) = %v, want %s", i+1, got, name)
+		if got := ids[name]; got != NodeID(i) || tr.Pre(got) != i+1 {
+			t.Errorf("%s is node %d with pre %d, want node %d", name, got, tr.Pre(got), i)
 		}
 	}
 	// Postorder: n2 n5 n6 n3 n4 n1.
@@ -248,9 +255,6 @@ func TestOrders(t *testing.T) {
 		if got := tr.NodeAtBFLR(i + 1); got != ids[name] {
 			t.Errorf("NodeAtBFLR(%d) = %v, want %s", i+1, got, name)
 		}
-	}
-	if tr.NodeAtPre(0) != InvalidNode || tr.NodeAtPre(7) != InvalidNode {
-		t.Errorf("NodeAtPre out of range should be invalid")
 	}
 	if tr.NodeAtPost(100) != InvalidNode || tr.NodeAtBFLR(-1) != InvalidNode {
 		t.Errorf("NodeAt* out of range should be invalid")
@@ -385,6 +389,20 @@ func TestValidateRandomTrees(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonPreorderIDs: a tree whose links are consistent but
+// whose NodeIDs are not preorder ranks is reported, since every rank-space
+// reader (Image, the evaluators, the diff) relies on the numbering.
+func TestValidateRejectsNonPreorderIDs(t *testing.T) {
+	tr := MustParseSexpr("a(b c)")
+	// Swap the children's order in the links only: c (node 2) becomes first.
+	tr.firstChild[0], tr.lastChild[0] = 2, 1
+	tr.nextSibling[2], tr.prevSibling[1] = 1, 2
+	tr.nextSibling[1], tr.prevSibling[2] = InvalidNode, InvalidNode
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "document order") {
+		t.Fatalf("Validate = %v, want a document-order error", err)
+	}
+}
+
 func TestDeepTreeNoStackOverflow(t *testing.T) {
 	// A path of 200k nodes: computeOrders must not recurse.
 	b := NewBuilder()
@@ -397,7 +415,7 @@ func TestDeepTreeNoStackOverflow(t *testing.T) {
 	if tr.Height() != n {
 		t.Errorf("Height = %d, want %d", tr.Height(), n)
 	}
-	leaf := tr.NodeAtPre(n)
+	leaf := NodeID(n - 1)
 	if tr.Post(leaf) != 1 {
 		t.Errorf("deep leaf post = %d, want 1", tr.Post(leaf))
 	}

@@ -26,7 +26,7 @@ func (t *Tree) Validate() error {
 
 	// Exactly one root.
 	roots := 0
-	for _, u := range t.byPre {
+	for u := range NodeID(n) {
 		if t.parent[u] == InvalidNode {
 			roots++
 		}
@@ -36,7 +36,7 @@ func (t *Tree) Validate() error {
 	}
 
 	// Parent/child/sibling pointer consistency.
-	for _, u := range t.byPre {
+	for u := range NodeID(n) {
 		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
 			if t.parent[c] != u {
 				return fmt.Errorf("tree: node %d is in child list of %d but has parent %d", c, u, t.parent[c])
@@ -65,7 +65,7 @@ func (t *Tree) Validate() error {
 	// Orders are permutations of 1..n.
 	for _, o := range AllOrders() {
 		seen := make([]bool, n+1)
-		for _, u := range t.byPre {
+		for u := range NodeID(n) {
 			i := t.Index(o, u)
 			if i < 1 || i > n {
 				return fmt.Errorf("tree: %v index %d of node %d out of range", o, i, u)
@@ -78,14 +78,14 @@ func (t *Tree) Validate() error {
 	}
 
 	// Reverse index tables are consistent.
-	for _, u := range t.byPre {
-		if t.NodeAtPre(t.Pre(u)) != u || t.NodeAtPost(t.Post(u)) != u || t.NodeAtBFLR(t.BFLR(u)) != u {
+	for u := range NodeID(n) {
+		if t.NodeAtPost(t.Post(u)) != u || t.NodeAtBFLR(t.BFLR(u)) != u {
 			return fmt.Errorf("tree: reverse order index inconsistent at node %d", u)
 		}
 	}
 
 	// Depth and subtree size.
-	for _, u := range t.byPre {
+	for u := range NodeID(n) {
 		if p := t.parent[u]; p != InvalidNode {
 			if t.depth[u] != t.depth[p]+1 {
 				return fmt.Errorf("tree: depth of %d is %d, parent depth %d", u, t.depth[u], t.depth[p])
@@ -102,15 +102,26 @@ func (t *Tree) Validate() error {
 		}
 	}
 
+	// NodeIDs are preorder ranks: a first child directly follows its parent,
+	// and a next sibling directly follows the subtree before it.
+	for u := range NodeID(n) {
+		if fc := t.firstChild[u]; fc != InvalidNode && fc != u+1 {
+			return fmt.Errorf("tree: first child %d of %d is not the next node in document order", fc, u)
+		}
+		if ns := t.nextSibling[u]; ns != InvalidNode && ns != t.End(u)+1 {
+			return fmt.Errorf("tree: next sibling %d of %d does not follow its subtree", ns, u)
+		}
+	}
+
 	// The pre/post characterizations of Child+ and Following (Section 2).
-	for _, x := range t.byPre {
-		for _, y := range t.byPre {
+	for x := range NodeID(n) {
+		for y := range NodeID(n) {
 			desc := t.isDescendantByWalk(x, y)
 			if desc != t.Holds(Descendant, x, y) {
 				return fmt.Errorf("tree: Child+(%d,%d): pre/post characterization = %v, pointer walk = %v",
 					x, y, t.Holds(Descendant, x, y), desc)
 			}
-			foll := !desc && !t.isDescendantByWalk(y, x) && x != y && t.pre[x] < t.pre[y]
+			foll := !desc && !t.isDescendantByWalk(y, x) && x != y && x < y
 			if foll != t.Holds(Following, x, y) {
 				return fmt.Errorf("tree: Following(%d,%d) mismatch", x, y)
 			}
@@ -136,12 +147,11 @@ func Equal(a, b *Tree) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for i := 0; i < a.Len(); i++ {
-		x, y := a.byPre[i], b.byPre[i]
-		if a.parentPre(x) != b.parentPre(y) {
+	for v := range NodeID(a.Len()) {
+		if a.parent[v] != b.parent[v] {
 			return false
 		}
-		la, lb := a.Labels(x), b.Labels(y)
+		la, lb := a.Labels(v), b.Labels(v)
 		if len(la) != len(lb) {
 			return false
 		}
@@ -152,13 +162,4 @@ func Equal(a, b *Tree) bool {
 		}
 	}
 	return true
-}
-
-// parentPre returns the preorder index of the parent of n, or 0 for the root.
-func (t *Tree) parentPre(n NodeID) int {
-	p := t.parent[n]
-	if p == InvalidNode {
-		return 0
-	}
-	return t.Pre(p)
 }

@@ -115,13 +115,9 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	if oldT == nil || newT == nil {
 		return nil, false
 	}
+	// The splice math identifies row i with NodeID i, the node with preorder
+	// index i+1: tree.Builder numbers every tree that way.
 	n, m := oldT.Len(), newT.Len()
-	// The splice math identifies row i with NodeID i (preorder i+1).  Every
-	// Builder-built tree satisfies this (nodes are added in document order),
-	// but it is a precondition, not a law — verify rather than assume.
-	if !preorderDense(oldT) || !preorderDense(newT) {
-		return nil, false
-	}
 
 	// Longest common prefix of the preorder node sequences: labels, text and
 	// parent must all agree (parents of prefix nodes precede them, so the
@@ -236,18 +232,6 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 		sc.Kind = KindReplace
 	}
 	return sc, true
-}
-
-// preorderDense reports whether NodeID i is the node with preorder i+1 for
-// every node — the identity the splice math (and the XASR row layout) keys
-// on.
-func preorderDense(t *tree.Tree) bool {
-	for i, v := range t.PreOrder() {
-		if int(v) != i {
-			return false
-		}
-	}
-	return true
 }
 
 // sameNode reports label-and-text equality of two nodes.
@@ -468,19 +452,8 @@ func Equal(a, b *tree.Tree) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for i := 0; i < a.Len(); i++ {
-		u := a.NodeAtPre(i + 1)
-		v := b.NodeAtPre(i + 1)
-		if !sameNode(a, u, b, v) {
-			return false
-		}
-		pu, pv := a.Parent(u), b.Parent(v)
-		switch {
-		case pu == tree.InvalidNode || pv == tree.InvalidNode:
-			if pu != pv {
-				return false
-			}
-		case a.Pre(pu) != b.Pre(pv):
+	for v := range tree.NodeID(a.Len()) {
+		if !sameNode(a, v, b, v) || a.Parent(v) != b.Parent(v) {
 			return false
 		}
 	}

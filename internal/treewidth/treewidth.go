@@ -348,10 +348,10 @@ func DataGraph(t *tree.Tree) *Graph {
 	g := NewGraph(t.Len())
 	for _, u := range t.Nodes() {
 		for _, v := range t.Children(u) {
-			g.AddEdge(t.Pre(u)-1, t.Pre(v)-1)
+			g.AddEdge(int(u), int(v))
 		}
 		if s := t.NextSibling(u); s != tree.InvalidNode {
-			g.AddEdge(t.Pre(u)-1, t.Pre(s)-1)
+			g.AddEdge(int(u), int(s))
 		}
 	}
 	return g

@@ -195,7 +195,7 @@ func pathPairs(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, bool) {
 	backing := make([]tree.NodeID, 2*len(fromPre))
 	for k := range fromPre {
 		m := backing[2*k : 2*k+2 : 2*k+2]
-		m[0], m[1] = t.NodeAtPre(int(fromPre[k])), t.NodeAtPre(int(toPre[k]))
+		m[0], m[1] = tree.NodeID(fromPre[k]-1), tree.NodeID(toPre[k]-1)
 		matches = append(matches, m)
 	}
 	sortMatches(t, matches)
@@ -295,7 +295,7 @@ func MatchPathIndexed(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, error) {
 			if pos[i] >= len(streams[i]) {
 				continue
 			}
-			if best == -1 || t.Pre(streams[i][pos[i]]) < t.Pre(streams[best][pos[best]]) {
+			if best == -1 || streams[i][pos[i]] < streams[best][pos[best]] {
 				best = i
 			}
 		}

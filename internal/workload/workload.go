@@ -35,9 +35,10 @@ type TreeSpec struct {
 }
 
 // ScrambledTree builds a random tree whose children are attached to random
-// earlier nodes — so NodeIDs are not preorder ranks — with zero to two of the
-// labels a, b, c per node (unlabeled and multi-labeled nodes included): the
-// document shape of the differential tests.
+// earlier nodes — out of document order, so Build's renumbering into
+// preorder is exercised — with zero to two of the labels a, b, c per node
+// (unlabeled and multi-labeled nodes included): the document shape of the
+// differential tests.
 func ScrambledTree(nodes int, seed int64) *tree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	labels := func() []string {

@@ -120,8 +120,8 @@ func checkAgainstNaive(t *testing.T, text string, e xpath.Expr, tr *tree.Tree) {
 		ix   *index.Index
 	}{{"indexed", ix}, {"indexed again", ix}, {"nil index", nil}} {
 		if got := xpath.QueryIndexed(e, tr, run.ix); !slices.Equal(got, want) {
-			t.Fatalf("%q on %s (%s, identity %v)\nset-at-a-time %v\nnaive         %v",
-				text, tr, run.name, ix.PreView().Identity, got, want)
+			t.Fatalf("%q on %s (%s)\nset-at-a-time %v\nnaive         %v",
+				text, tr, run.name, got, want)
 		}
 	}
 }
@@ -129,8 +129,7 @@ func checkAgainstNaive(t *testing.T, text string, e xpath.Expr, tr *tree.Tree) {
 // TestImageEvaluatorMatchesNaiveRandom is the XPath slice of the
 // cross-technique oracle: random Core XPath — not(), unions, absolute
 // qualifier paths, "//" in every position — on random multi-labeled trees
-// with NodeIDs out of preorder and on their document-order rebuilds, where
-// NodeIDs are ranks.
+// built out of document order.
 func TestImageEvaluatorMatchesNaiveRandom(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,9 +139,7 @@ func TestImageEvaluatorMatchesNaiveRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generated %q does not parse: %v", seed, text, err)
 		}
-		for _, tr := range []*tree.Tree{scrambled, tree.MustParseSexpr(scrambled.String())} {
-			checkAgainstNaive(t, fmt.Sprintf("seed %d: %s", seed, text), e, tr)
-		}
+		checkAgainstNaive(t, fmt.Sprintf("seed %d: %s", seed, text), e, scrambled)
 	}
 }
 

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -10,9 +9,8 @@ import (
 	"repro/internal/tree"
 )
 
-// NodeSet is a set of tree nodes represented as a sorted slice (document
-// order by NodeID, which coincides with preorder for trees built by this
-// repository's builders and parsers).
+// NodeSet is a set of tree nodes represented as a sorted slice: ascending
+// NodeIDs, which is document order.
 type NodeSet []tree.NodeID
 
 // ToSet converts the slice into a membership map.
@@ -146,28 +144,24 @@ func Evaluate(e Expr, t *tree.Tree, context NodeSet) NodeSet {
 }
 
 // EvaluateIndexed is Evaluate over a shared document index, which supplies
-// what the evaluator reads of the document: per-label node masks and the
-// preorder-rank view whose Image maps a set through an axis by range fills
-// and single pointer chases.  A nil index indexes the tree for this call.
+// the per-label node masks; the tree's Image maps a set through an axis by
+// range fills and single pointer chases.  A nil index indexes the tree for
+// this call.
 func EvaluateIndexed(e Expr, t *tree.Tree, context NodeSet, ix *index.Index) NodeSet {
 	if ix == nil {
 		ix = index.New(t)
 	}
-	ev := &evaluator{t: t, ix: ix, pv: ix.PreView(), n: t.Len()}
+	ev := &evaluator{t: t, ix: ix, n: t.Len()}
 	from := bitset.Acquire(ev.n)
 	for _, n := range context {
-		from.Set(t.Pre(n) - 1)
+		from.Set(int(n))
 	}
 	res := ev.exprSet(e, from)
 	out := make(NodeSet, 0, res.Count())
-	nodes := t.PreOrder()
 	for wi, w := range res {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, nodes[wi<<6+bits.TrailingZeros64(w)])
+			out = append(out, tree.NodeID(wi<<6+bits.TrailingZeros64(w)))
 		}
-	}
-	if !ev.pv.Identity {
-		slices.Sort(out)
 	}
 	bitset.Release(from)
 	bitset.Release(res)
@@ -185,9 +179,8 @@ func QueryIndexed(e Expr, t *tree.Tree, ix *index.Index) NodeSet {
 }
 
 // evaluator is the state of one evaluation.  Every set is a bit vector over
-// preorder ranks (rank r is the node with preorder index r+1), the space in
-// which the view's Image works; on a tree built in document order — every
-// parsed document — ranks are NodeIDs and label masks are used as they are.
+// NodeIDs, which are preorder ranks: the space in which tree.Image works and
+// label masks are indexed.
 //
 // Ownership discipline for bit vectors: every evaluator method that returns
 // a set returns one owned by the caller (obtained from the bitset pool and
@@ -197,24 +190,22 @@ func QueryIndexed(e Expr, t *tree.Tree, ix *index.Index) NodeSet {
 type evaluator struct {
 	t  *tree.Tree
 	ix *index.Index
-	pv *index.PreView
 	n  int
 }
 
-// restrictToLabel clears from set every rank whose node does not carry the
-// label.
+// restrictToLabel clears from set every node that does not carry the label.
 func (ev *evaluator) restrictToLabel(set bitset.Bits, label string) {
-	ev.pv.AndNodeMask(ev.t, set, ev.ix.LabelMask(label))
+	set.And(ev.ix.LabelMask(label))
 }
 
 // image returns the image of from under the axis.
 func (ev *evaluator) image(axis tree.Axis, from bitset.Bits) bitset.Bits {
 	out := bitset.Acquire(ev.n)
-	ev.pv.Image(axis, from, out)
+	ev.t.Image(axis, from, out)
 	return out
 }
 
-// restrictToQuals clears from set every rank failing one of the qualifiers.
+// restrictToQuals clears from set every node failing one of the qualifiers.
 func (ev *evaluator) restrictToQuals(set bitset.Bits, quals []Qual) {
 	for _, q := range quals {
 		sat := ev.qualSatSet(q)

@@ -209,7 +209,7 @@ func TestSetMatchesNaiveRandom(t *testing.T) {
 func TestEvaluateFromArbitraryContext(t *testing.T) {
 	tr := paperTree()
 	e := MustParse("following-sibling::*[lab() = a]")
-	b := tr.NodeAtPre(2) // the first b node
+	b := tree.NodeID(1) // the first b node, pre 2
 	naive := EvaluateNaive(e, tr, b)
 	set := Evaluate(e, tr, NodeSet{b})
 	if len(naive) != 1 || len(set) != 1 || naive[0] != set[0] || tr.Pre(naive[0]) != 5 {

@@ -264,7 +264,7 @@ func materialize(q *cq.Query, t *tree.Tree, ix Index) ([]*relstore.Relation, err
 			r = relstore.NewPairs(fmt.Sprintf("atom%d", i), string(a.From), string(a.To))
 			fromPre, toPre, _ := pairs.IntColumns(0, 1)
 			for k := range fromPre {
-				u, v := t.NodeAtPre(int(fromPre[k])), t.NodeAtPre(int(toPre[k]))
+				u, v := tree.NodeID(fromPre[k]-1), tree.NodeID(toPre[k]-1)
 				if filtered && (!matches(u, a.From) || !matches(v, a.To)) {
 					continue
 				}
