@@ -393,9 +393,10 @@ func BenchmarkE14Streaming(b *testing.B) {
 		"path-50k": workload.PathTree(50_000, "item"),
 	}
 	for name, doc := range shapes {
+		ix := index.New(doc)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.RunOnTree(doc); err != nil {
+				if _, _, err := m.RunOnTree(doc, ix.NodesWithLabel); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -318,7 +318,7 @@ func e14Streaming() {
 		{"random (shallow)", workload.RandomTree(workload.TreeSpec{Nodes: 50_000, Seed: 1, Alphabet: []string{"a"}})},
 		{"path (depth = size)", workload.PathTree(50_000, "a")},
 	} {
-		_, stats, err := m.RunOnTree(shape.doc)
+		_, stats, err := m.RunOnTree(shape.doc, shape.doc.NodesWithLabel)
 		must(err)
 		fmt.Printf("  %-22s size %6d  depth %6d  max state cells %7d  matches %d\n",
 			shape.name, shape.doc.Len(), stats.MaxDepth, stats.MaxStateCells, stats.Matches)

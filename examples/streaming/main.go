@@ -33,7 +33,7 @@ func main() {
 		{"deep nested items", deepItems(n)},
 	}
 	for _, d := range docs {
-		_, stats, err := matcher.RunOnTree(d.doc)
+		_, stats, err := matcher.RunOnTree(d.doc, d.doc.NodesWithLabel)
 		if err != nil {
 			log.Fatal(err)
 		}

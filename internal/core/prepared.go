@@ -502,7 +502,8 @@ func (c *Compiled) compileTwig(plan *Plan, t *time.Time) error {
 }
 
 // compileStream compiles the streaming matcher once; each execution walks
-// the document in preorder, driving the matcher as its SAX events would.
+// the document's nodes carrying a query label, merged from the index's
+// per-label lists, driving the matcher as its SAX events would.
 func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 	expr, err := xpath.Parse(c.text)
 	if err != nil {
@@ -518,7 +519,7 @@ func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 	plan.note("compiled %q into a %d-step streaming matcher", c.text, m.Steps())
 	c.labels = xpath.LabelSet(expr)
 	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
-		nodes, stats, err := m.RunOnTree(e.doc)
+		nodes, stats, err := m.RunOnTree(e.doc, e.idx.NodesWithLabel)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,66 @@
+package stream
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/tree"
+	"repro/internal/xmldoc"
+	"repro/internal/xpath"
+)
+
+// fuzzPath renders one downward path step per byte: the low two bits pick
+// the separator ("/", the fusible "//", or an explicit descendant or
+// descendant-or-self axis), the next two the test (a, b, c or "*").
+func fuzzPath(code []byte) string {
+	var sb strings.Builder
+	for _, c := range code {
+		sb.WriteString([]string{"/", "//", "/descendant::", "/descendant-or-self::"}[c&3])
+		sb.WriteString([]string{"a", "b", "c", "*"}[c>>2&3])
+	}
+	return sb.String()
+}
+
+// FuzzStreamVsXPath checks the tree walk on a bounded s-expression tree and a
+// downward path: it selects what xpath.Query selects, and when no node
+// carries a query label beyond its first, it is Run over the tree's events —
+// the same matches and the same Stats.
+func FuzzStreamVsXPath(f *testing.F) {
+	f.Add("a(b+c)", []byte{1<<2 | 2 /* //c */})
+	f.Add("a(x(x(b(c))) b(x) x(a(x(b))))", []byte{0 << 2, 1<<2 | 1, 2<<2 | 0})
+	f.Add("a(b(c a(b)) c+a(b c))", []byte{1, 3<<2 | 0, 2<<2 | 3})
+	f.Add("_(a b+_ c(_(a)))", []byte{3<<2 | 1, 3<<2 | 1, 0<<2 | 3})
+	f.Fuzz(func(t *testing.T, sexpr string, code []byte) {
+		if len(sexpr) > 1000 || len(code) == 0 || len(code) > 12 {
+			return
+		}
+		doc, err := tree.ParseSexpr(sexpr)
+		if err != nil || doc.Len() > 300 {
+			return
+		}
+		q := fuzzPath(code)
+		e := xpath.MustParse(q)
+		m := MustCompile(e)
+		got, stats, err := m.RunOnTree(doc, doc.NodesWithLabel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := xpath.Query(e, doc); !slices.Equal(got, want) {
+			t.Fatalf("%s on %s: stream %v, xpath %v", q, doc, got, want)
+		}
+		for v := range tree.NodeID(doc.Len()) {
+			if ls := doc.Labels(v); len(ls) > 1 && slices.ContainsFunc(ls[1:], func(l string) bool { return slices.Contains(m.tests, l) }) {
+				return
+			}
+		}
+		var fromEvents []tree.NodeID
+		runStats, err := m.Run(xmldoc.Events(doc), func(pre int) { fromEvents = append(fromEvents, tree.NodeID(pre-1)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats != runStats || !slices.Equal(got, fromEvents) {
+			t.Fatalf("%s on %s: walk %v %+v, events %v %+v", q, doc, got, stats, fromEvents, runStats)
+		}
+	})
+}

@@ -61,7 +61,7 @@ func TestMatchesAgainstXPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile(%q): %v", qs, err)
 			}
-			got, stats, err := m.RunOnTree(tr)
+			got, stats, err := m.RunOnTree(tr, tr.NodesWithLabel)
 			if err != nil {
 				t.Fatalf("Run(%q): %v", qs, err)
 			}
@@ -125,12 +125,14 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// randomDoc builds a random document over element names a, b, c in which some
-// nodes also carry an "@id=..." attribute label, a second plain label outside
-// the query alphabet, or text.  With scramble, children are attached to
-// random earlier nodes, out of document order; otherwise they are attached
-// along the rightmost path, in the order a parser adds them.
-func randomDoc(nodes int, seed int64, scramble bool) *tree.Tree {
+// randomDoc builds a random document over element names a, b, c and x (which
+// no query names, so the tree walk skips it) in which some nodes also carry an
+// "@id=..." attribute label, a second plain label outside the query alphabet,
+// or text; with secondary, some nodes carry a second label from a, b, c
+// instead.  With scramble, children are attached to random earlier nodes, out
+// of document order; otherwise they are attached along the rightmost path, in
+// the order a parser adds them.
+func randomDoc(nodes int, seed int64, scramble, secondary bool) *tree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	b := tree.NewBuilder()
 	path := []tree.NodeID{b.AddRoot("a")}
@@ -141,12 +143,19 @@ func randomDoc(nodes int, seed int64, scramble bool) *tree.Tree {
 			parent = path[len(path)-1]
 		}
 		id := b.AddChild(parent, string(rune('a'+rng.Intn(3))))
+		if rng.Intn(4) == 0 {
+			id = b.AddChild(parent, "x")
+		}
 		path = append(path, id)
 		if rng.Intn(3) == 0 {
 			b.AddLabel(id, fmt.Sprintf("@id=%d", rng.Intn(5)))
 		}
 		if rng.Intn(4) == 0 {
-			b.AddLabel(id, "extra")
+			extra := "extra"
+			if secondary {
+				extra = string(rune('a' + rng.Intn(3)))
+			}
+			b.AddLabel(id, extra)
 		}
 		if rng.Intn(4) == 0 {
 			b.SetText(id, "text")
@@ -155,30 +164,61 @@ func randomDoc(nodes int, seed int64, scramble bool) *tree.Tree {
 	return b.MustBuild()
 }
 
+// chainDoc hangs runs of 30 to 50 x levels, a label no query names, between
+// and below named nodes, so that the walk skips the parents of some named
+// nodes and the deepest nodes of the document, under frames whose pending
+// sets are not empty.
+func chainDoc() *tree.Tree {
+	b := tree.NewBuilder()
+	chain := func(from tree.NodeID, levels int) tree.NodeID {
+		for ; levels > 0; levels-- {
+			from = b.AddChild(from, "x")
+		}
+		return from
+	}
+	root := b.AddRoot("a")
+	b.AddChild(b.AddChild(chain(root, 40), "b"), "c")
+	chain(b.AddChild(root, "b"), 50)
+	chain(b.AddChild(chain(b.AddChild(chain(root, 30), "a"), 35), "b"), 45)
+	b.AddChild(b.AddChild(root, "b"), "c")
+	return b.MustBuild()
+}
+
 // TestTreeWalkMatchesEventsAndXPath is the differential test of the two
 // drivers: walking the tree must be indistinguishable — matches and every
 // Stats field — from running the matcher over the tree's SAX events, and both
-// must select what the in-memory XPath evaluator selects.
+// must select what the in-memory XPath evaluator selects.  The documents put
+// unnamed nodes between child steps and long unnamed chains below frames
+// with pending states; the queries include "//" steps that fuse away and "*"
+// tests that survive fusion.  On documents with secondary labels inside the
+// query alphabet the walk, which tests every label of a node, is checked
+// against XPath alone.
 func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 	dos := "/descendant-or-self::*"
 	queries := []string{
 		"//a", "/a", "/*", "/b", "//a/b", "//a//b/c", "/a/b//c", "//*/c", "//*/*", "//a//*",
 		"/descendant::c", "/descendant-or-self::a",
+		"/a/b", "/a/b/c", "//a/b/c", "//a//b//c", "//b//c", "//c", "/a//b/c", // gaps between child steps
+		"//a/*/b", "/a//*/c", "//b/*", // "*" tests that survive fusion
 		dos + dos + "/a",            // several leading descendant-or-self::* steps
 		dos + dos + dos,             // ... and nothing else: selects every element
 		"//a/a//a/a",                // one label on every step
 		"//a/descendant-or-self::a", // self-matching chains
 		"//a/descendant-or-self::a/descendant-or-self::a/b",
 		"//b/descendant-or-self::*/descendant-or-self::b",
-		strings.Repeat(dos, 70) + "/a/b",        // 72 steps: the closure carries across words
+		strings.Repeat(dos, 70) + "/a/b",        // 71 steps: the closure carries across words
 		"//a" + strings.Repeat("/*", 66) + "/a", // 68 steps, the last states in the second word
 		"/a" + strings.Repeat("/descendant-or-self::a/*", 40),
 	}
-	docs := []*tree.Tree{workload.PathTree(90, "a")}
+	docs := []*tree.Tree{workload.PathTree(90, "a"), chainDoc()}
 	for seed := int64(0); seed < 6; seed++ {
-		docs = append(docs, randomDoc(120, seed, false), randomDoc(120, seed, true))
+		docs = append(docs, randomDoc(120, seed, false, false), randomDoc(120, seed, true, false))
 	}
-	multiWordMatches := 0
+	secondary := len(docs)
+	for seed := int64(0); seed < 4; seed++ {
+		docs = append(docs, randomDoc(120, seed, seed%2 == 1, true))
+	}
+	multiWordMatches, fused, starred := 0, 0, 0
 	for di, doc := range docs {
 		events := xmldoc.Events(doc)
 		for _, qs := range queries {
@@ -187,9 +227,22 @@ func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile(%q): %v", qs, err)
 			}
-			got, walkStats, err := m.RunOnTree(doc)
+			if di == 0 {
+				if slices.ContainsFunc(m.star, func(w uint64) bool { return w != 0 }) {
+					starred++
+				} else if m.Steps() < len(e.(*xpath.Path).Steps) {
+					fused++
+				}
+			}
+			got, walkStats, err := m.RunOnTree(doc, doc.NodesWithLabel)
 			if err != nil {
 				t.Fatalf("RunOnTree(%q): %v", qs, err)
+			}
+			if want := xpath.Query(e, doc); !slices.Equal(got, want) {
+				t.Errorf("doc %d %q: stream selects %v, xpath %v", di, qs, got, want)
+			}
+			if di >= secondary {
+				continue
 			}
 			var fromEvents []tree.NodeID
 			runStats, err := m.Run(events, func(pre int) { fromEvents = append(fromEvents, tree.NodeID(pre-1)) })
@@ -213,13 +266,70 @@ func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 			if !slices.Equal(got, fromEvents) {
 				t.Errorf("doc %d %q: tree walk selects %v, event run %v", di, qs, got, fromEvents)
 			}
-			if want := xpath.Query(e, doc); !slices.Equal(got, want) {
-				t.Errorf("doc %d %q: stream selects %v, xpath %v", di, qs, got, want)
-			}
 		}
 	}
 	if multiWordMatches == 0 {
 		t.Error("no query of 64 or more steps selected anything: the multi-word frame is not exercised")
+	}
+	if fused < 10 || starred < 10 {
+		t.Errorf("%d queries lose a \"*\" step to fusion and %d keep one, want both exercised", fused, starred)
+	}
+}
+
+// TestMultiLabelledNodePassesEveryLabel: a node is tested by every label it
+// carries, as by the XPath evaluators.  Run sees the one element name of the
+// node's SAX events and selects nothing here.
+func TestMultiLabelledNodePassesEveryLabel(t *testing.T) {
+	doc := tree.MustParseSexpr("a(b+c)")
+	e := xpath.MustParse("//c")
+	m := MustCompile(e)
+	got, stats, err := m.RunOnTree(doc, doc.NodesWithLabel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := xpath.Query(e, doc); !slices.Equal(got, want) || len(got) != 1 || stats.Matches != 1 {
+		t.Errorf("//c on a(b+c): stream %v (%+v), xpath %v", got, stats, want)
+	}
+	if runStats, err := m.Run(xmldoc.Events(doc), nil); err != nil || runStats.Matches != 0 {
+		t.Errorf("Run: %+v, %v; want no match on the element name b", runStats, err)
+	}
+}
+
+// TestTreeWalkOpensOnlyNamedNodes: the walk opens one frame per node carrying
+// one of the query's labels, not one per node of the document — and one per
+// node when a "*" test survives fusion.
+func TestTreeWalkOpensOnlyNamedNodes(t *testing.T) {
+	doc := workload.SiteDocument(workload.DocSpec{Items: 60, Regions: 4, DescriptionDepth: 2, Seed: 5})
+	for _, c := range []struct {
+		query  string
+		steps  int
+		labels []string // nil: every node
+	}{
+		{"//item//keyword", 2, []string{"item", "keyword"}},
+		{"//region/item/name", 3, []string{"region", "item", "name"}},
+		{"/site/regions//item", 3, []string{"site", "regions", "item"}},
+		{"//item/*", 2, nil},
+	} {
+		m := MustCompile(xpath.MustParse(c.query))
+		if m.Steps() != c.steps {
+			t.Errorf("%s: %d steps after fusion, want %d", c.query, m.Steps(), c.steps)
+		}
+		_, r := m.walk(doc, doc.NodesWithLabel)
+		want := doc.Len()
+		if c.labels != nil {
+			want = 0
+			for v := range tree.NodeID(doc.Len()) {
+				if slices.ContainsFunc(c.labels, func(l string) bool { return doc.HasLabel(v, l) }) {
+					want++
+				}
+			}
+			if 3*want > doc.Len() {
+				t.Fatalf("%s: %d of %d nodes carry a query label; the test needs a sparse query", c.query, want, doc.Len())
+			}
+		}
+		if r.opens != want {
+			t.Errorf("%s: the walk opened %d frames, want %d of %d nodes", c.query, r.opens, want, doc.Len())
+		}
 	}
 }
 
@@ -233,11 +343,11 @@ func TestMemoryProportionalToDepth(t *testing.T) {
 	wide := workload.WideTree(n, "a")
 	m := MustCompile(xpath.MustParse("//a//a"))
 
-	_, deepStats, err := m.RunOnTree(deep)
+	_, deepStats, err := m.RunOnTree(deep, deep.NodesWithLabel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wideStats, err := m.RunOnTree(wide)
+	_, wideStats, err := m.RunOnTree(wide, wide.NodesWithLabel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +368,7 @@ func TestMemoryProportionalToDepth(t *testing.T) {
 	r := b.AddRoot("a")
 	b.SetText(r, "hello")
 	tr := b.MustBuild()
-	_, stats, err := m.RunOnTree(tr)
+	_, stats, err := m.RunOnTree(tr, tr.NodesWithLabel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,10 @@ type Tree struct {
 	depth []int32 // root has depth 0
 	size  []int32 // number of nodes in the subtree rooted at the node
 
+	// Two whole-tree counts, kept so that a walk that skips nodes can still
+	// report them: 1 + the maximum depth, and the nodes with text.
+	height, textNodes int
+
 	byPost []NodeID // byPost[i-1] = node with postorder index i
 	byBFLR []NodeID // byBFLR[i-1] = node with bflr index i
 }
@@ -122,15 +126,11 @@ func (t *Tree) Text(n NodeID) string { return t.text[n] }
 // Depth returns the depth of n; the root has depth 0.
 func (t *Tree) Depth(n NodeID) int { return int(t.depth[n]) }
 
-// Height returns the height of the tree: 1 + max depth, or 0 for the empty
-// tree.
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.depth {
-		h = max(h, int(d)+1)
-	}
-	return h
-}
+// Height returns the height of the tree: 1 + max depth.
+func (t *Tree) Height() int { return t.height }
+
+// TextNodes returns the number of nodes with textual content.
+func (t *Tree) TextNodes() int { return t.textNodes }
 
 // SubtreeSize returns the number of nodes in the subtree rooted at n
 // (including n itself).
@@ -470,12 +470,13 @@ func (b *Builder) MustBuild() *Tree {
 	return t
 }
 
-// computeOrders fills post, bflr, depth, size and the reverse index slices
-// in O(n) on a tree numbered in preorder, without recursion (trees may be
-// deep): a parent precedes its children, so depth is one forward sweep and
-// size one backward sweep, and the nodes of post index at most post(v) are
-// v's pre(v)-1-depth(v) predecessors that are not its ancestors plus its
-// subtree, so post(v) = pre(v) + size(v) - depth(v) - 1.
+// computeOrders fills post, bflr, depth, size, the reverse index slices,
+// the height and the text-node count in O(n) on a tree numbered in
+// preorder, without recursion (trees may be deep): a parent precedes its
+// children, so depth is one forward sweep and size one backward sweep, and
+// the nodes of post index at most post(v) are v's pre(v)-1-depth(v)
+// predecessors that are not its ancestors plus its subtree, so
+// post(v) = pre(v) + size(v) - depth(v) - 1.
 func (t *Tree) computeOrders() {
 	n := t.Len()
 	cols := make([]int32, 4*n) // one allocation, four columns
@@ -483,8 +484,15 @@ func (t *Tree) computeOrders() {
 	t.byPost = make([]NodeID, n)
 	t.byBFLR = make([]NodeID, n)
 
+	t.height = 1
 	for v := NodeID(1); int(v) < n; v++ {
 		t.depth[v] = t.depth[t.parent[v]] + 1
+		t.height = max(t.height, int(t.depth[v])+1)
+	}
+	for _, txt := range t.text {
+		if txt != "" {
+			t.textNodes++
+		}
 	}
 	for v := NodeID(n - 1); v >= 0; v-- {
 		t.size[v]++

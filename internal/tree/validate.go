@@ -102,6 +102,18 @@ func (t *Tree) Validate() error {
 		}
 	}
 
+	// The whole-tree counts.
+	height, texts := 0, 0
+	for u := range NodeID(n) {
+		height = max(height, int(t.depth[u])+1)
+		if t.text[u] != "" {
+			texts++
+		}
+	}
+	if t.height != height || t.textNodes != texts {
+		return fmt.Errorf("tree: height %d and %d text nodes recorded, want %d and %d", t.height, t.textNodes, height, texts)
+	}
+
 	// NodeIDs are preorder ranks: a first child directly follows its parent,
 	// and a next sibling directly follows the subtree before it.
 	for u := range NodeID(n) {
