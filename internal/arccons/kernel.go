@@ -292,8 +292,10 @@ func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool 
 
 // next returns the first rank y of dom with a(x, y) when after is -1, and the
 // one following after otherwise; -1 when there is no more.  Interval axes
-// range-scan dom, the rest follow their column: the cost is the partners
-// found plus what lies between them, never the whole of dom.
+// range-scan dom, Child and the right-sibling axes step across the subtrees
+// that tile their interval, and the upward and leftward axes follow their
+// column: the cost is the partners found plus what lies between them, never
+// the whole of dom.
 func (k *kernel) next(a tree.Axis, x, after int, dom bitset.Bits) int {
 	t := k.t
 	end := func(v int) int { return int(t.End(tree.NodeID(v))) }
@@ -308,6 +310,23 @@ func (k *kernel) next(a tree.Axis, x, after int, dom bitset.Bits) int {
 		for y := dom.NextInRange(after+1, x-1); y >= 0; y = dom.NextInRange(y+1, x-1) {
 			if end(y) < x {
 				return y
+			}
+		}
+		return -1
+	case tree.Child, tree.NextSiblingAxis, tree.FollowingSibling, tree.FollowingSiblingOrSelf:
+		y, hi := t.Tiles(a, tree.NodeID(x))
+		if after >= 0 {
+			if a == tree.NextSiblingAxis {
+				return -1
+			}
+			y = tree.NodeID(end(after) + 1)
+		}
+		for ; y <= hi; y += tree.NodeID(t.SubtreeSize(y)) {
+			if dom.Get(int(y)) {
+				return int(y)
+			}
+			if a == tree.NextSiblingAxis {
+				break
 			}
 		}
 		return -1

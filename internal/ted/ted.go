@@ -22,7 +22,6 @@
 package ted
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/tree"
@@ -142,9 +141,8 @@ func NewPattern(t *tree.Tree) *Pattern {
 		labels: make([]string, n),
 		hist:   make(map[string]int, n),
 	}
-	for i := 1; i <= n; i++ {
-		v := t.NodeAtPost(i)
-		j := int32(i - 1)
+	for i, v := range t.NodesInOrder(tree.PostOrder) {
+		j := int32(i)
 		p.lml[j] = j - int32(t.SubtreeSize(v)) + 1
 		p.labels[j] = t.Label(v)
 		p.hist[t.Label(v)]++
@@ -152,7 +150,6 @@ func NewPattern(t *tree.Tree) *Pattern {
 			p.kr = append(p.kr, j)
 		}
 	}
-	sort.Slice(p.kr, func(a, b int) bool { return p.kr[a] < p.kr[b] })
 	return p
 }
 

@@ -136,8 +136,9 @@ func TestDocFromTree(t *testing.T) {
 		if d.Len() != doc.Len() {
 			t.Fatalf("seed %d: %d positions for %d nodes", seed, d.Len(), doc.Len())
 		}
+		byPost := doc.NodesInOrder(tree.PostOrder)
 		for j := 0; j < d.Len(); j++ {
-			v := doc.NodeAtPost(j + 1)
+			v := byPost[j]
 			leaf := v
 			for !doc.IsLeaf(leaf) {
 				leaf = doc.FirstChild(leaf)
@@ -150,7 +151,7 @@ func TestDocFromTree(t *testing.T) {
 					seed, j+1, d.lml[j], d.size[j], d.node[j], d.lsib[j], doc)
 			}
 			for k := 0; k < d.Len(); k++ {
-				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(doc.NodeAtPost(k+1))) {
+				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(byPost[k])) {
 					t.Fatalf("seed %d: label codes at post %d and %d disagree with the labels of %s", seed, j+1, k+1, doc)
 				}
 			}
@@ -158,7 +159,7 @@ func TestDocFromTree(t *testing.T) {
 		p := NewPattern(pat)
 		codes := d.Codes(p)
 		for j := 0; j < d.Len(); j++ {
-			sub := tree.MustParseSexpr(subtreeSexpr(doc, doc.NodeAtPost(j+1)))
+			sub := tree.MustParseSexpr(subtreeSexpr(doc, byPost[j]))
 			if got, want := Distance(d, j, p, codes), DistanceTrees(pat, sub); got != want {
 				t.Fatalf("seed %d, subtree at post %d: in place %d, standalone %d\n pattern %s\n doc %s", seed, j+1, got, want, pat, doc)
 			}
@@ -179,8 +180,9 @@ func TestDistanceSubtreeRange(t *testing.T) {
 	pat := tree.MustParseSexpr("a(b c)")
 	p := NewPattern(pat)
 	codes := d.Codes(p)
+	byPost := doc.NodesInOrder(tree.PostOrder)
 	for j := 0; j < d.Len(); j++ {
-		sub, err := tree.ParseSexpr(subtreeSexpr(doc, doc.NodeAtPost(j+1)))
+		sub, err := tree.ParseSexpr(subtreeSexpr(doc, byPost[j]))
 		if err != nil {
 			t.Fatalf("subtree at post %d: %v", j+1, err)
 		}

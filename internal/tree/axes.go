@@ -201,10 +201,10 @@ func (a Axis) IsTransitive() bool {
 	return false
 }
 
-// Holds reports whether the axis relation a(x, y) holds in t.  Thanks to the
-// pre/post indexes (the preorder index is the NodeID itself) every test is
-// O(1) except Child and NextSibling-style local axes, which are O(1) by
-// pointer comparison anyway.
+// Holds reports whether the axis relation a(x, y) holds in t.  Every test is
+// O(1): a subtree is the NodeID interval [x, End(x)] (the preorder index is
+// the NodeID itself), so Child+ is x < y <= End(x) and Following is
+// End(x) < y, and the local axes compare parents or sibling links.
 func (t *Tree) Holds(a Axis, x, y NodeID) bool {
 	switch a {
 	case Self:
@@ -215,15 +215,15 @@ func (t *Tree) Holds(a Axis, x, y NodeID) bool {
 		return t.parent[x] == y
 	case Descendant:
 		// x is a proper ancestor of y:  x <pre y  and  y <post x.
-		return x < y && t.post[y] < t.post[x]
+		return x < y && y <= t.End(x)
 	case Ancestor:
-		return y < x && t.post[x] < t.post[y]
+		return y < x && x <= t.End(y)
 	case DescendantOrSelf:
-		return x == y || (x < y && t.post[y] < t.post[x])
+		return x <= y && y <= t.End(x)
 	case AncestorOrSelf:
-		return x == y || (y < x && t.post[x] < t.post[y])
+		return y <= x && x <= t.End(y)
 	case NextSiblingAxis:
-		return t.nextSibling[x] == y
+		return t.NextSibling(x) == y
 	case PrevSiblingAxis:
 		return t.prevSibling[x] == y
 	case FollowingSibling:
@@ -236,9 +236,9 @@ func (t *Tree) Holds(a Axis, x, y NodeID) bool {
 		return x == y || (t.parent[x] != InvalidNode && t.parent[x] == t.parent[y] && y < x)
 	case Following:
 		// x <pre y and x <post y (x entirely precedes y).
-		return x < y && t.post[x] < t.post[y]
+		return t.End(x) < y
 	case Preceding:
-		return y < x && t.post[y] < t.post[x]
+		return t.End(y) < x
 	}
 	panic(fmt.Sprintf("tree: Holds of unknown axis %d", int(a)))
 }
@@ -262,7 +262,7 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	case Self:
 		yield(n)
 	case Child:
-		for c := t.firstChild[n]; c != InvalidNode; c = t.nextSibling[c] {
+		for c := n + 1; c <= t.End(n); c += NodeID(t.size[c]) {
 			if !yield(c) {
 				return
 			}
@@ -297,7 +297,7 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 			yield(n)
 		}
 	case NextSiblingAxis:
-		if s := t.nextSibling[n]; s != InvalidNode {
+		if s := t.NextSibling(n); s != InvalidNode {
 			yield(s)
 		}
 	case PrevSiblingAxis:
@@ -310,21 +310,19 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 				return
 			}
 		}
-		for s := t.nextSibling[n]; s != InvalidNode; s = t.nextSibling[s] {
+		for s := t.NextSibling(n); s != InvalidNode; s = t.NextSibling(s) {
 			if !yield(s) {
 				return
 			}
 		}
 	case PrecedingSibling, PrecedingSiblingOrSelf:
-		// Document order for preceding siblings is left-to-right, i.e. from
-		// the first sibling up to (but excluding) n.
-		var sibs []NodeID
-		for s := t.prevSibling[n]; s != InvalidNode; s = t.prevSibling[s] {
-			sibs = append(sibs, s)
-		}
-		for i := len(sibs) - 1; i >= 0; i-- {
-			if !yield(sibs[i]) {
-				return
+		// Document order for preceding siblings is left-to-right: the
+		// subtrees that tile the parent's interval up to n.
+		if p := t.parent[n]; p != InvalidNode {
+			for s := p + 1; s < n; s += NodeID(t.size[s]) {
+				if !yield(s) {
+					return
+				}
 			}
 		}
 		if a == PrecedingSiblingOrSelf {
@@ -342,7 +340,7 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 		// Nodes y with pre(y) < pre(n) and post(y) < post(n): nodes strictly
 		// before n in document order that are not ancestors of n.
 		for y := range n {
-			if t.post[y] < t.post[n] {
+			if t.End(y) < n {
 				if !yield(y) {
 					return
 				}
@@ -419,38 +417,47 @@ func (o Order) String() string {
 // AllOrders returns the three orders <pre, <post, <bflr.
 func AllOrders() []Order { return []Order{PreOrder, PostOrder, BFLROrder} }
 
-// Index returns the 1-based index of n in order o.
-func (t *Tree) Index(o Order, n NodeID) int {
+// Less reports whether x comes strictly before y in order o.  <post compares
+// Post, and <bflr is (depth, preorder) in lexicographic order.
+func (t *Tree) Less(o Order, x, y NodeID) bool {
 	switch o {
 	case PreOrder:
-		return t.Pre(n)
+		return x < y
 	case PostOrder:
-		return t.Post(n)
+		return t.Post(x) < t.Post(y)
 	case BFLROrder:
-		return t.BFLR(n)
+		return t.depth[x] < t.depth[y] || t.depth[x] == t.depth[y] && x < y
 	}
-	panic(fmt.Sprintf("tree: Index of unknown order %d", int(o)))
+	panic(fmt.Sprintf("tree: Less of unknown order %d", int(o)))
 }
 
-// Less reports whether x comes strictly before y in order o.
-func (t *Tree) Less(o Order, x, y NodeID) bool {
-	return t.Index(o, x) < t.Index(o, y)
-}
-
-// NodesInOrder returns all nodes sorted by order o (ascending).
+// NodesInOrder returns all nodes sorted by order o (ascending), in O(n):
+// postorder places each node at its Post, and breadth-first order is a
+// counting sort on depth that keeps document order within a level.
 func (t *Tree) NodesInOrder(o Order) []NodeID {
-	var src []NodeID
 	switch o {
 	case PreOrder:
 		return t.Nodes()
 	case PostOrder:
-		src = t.byPost
+		out := make([]NodeID, t.Len())
+		for v := range NodeID(t.Len()) {
+			out[t.Post(v)-1] = v
+		}
+		return out
 	case BFLROrder:
-		src = t.byBFLR
-	default:
-		panic(fmt.Sprintf("tree: NodesInOrder of unknown order %d", int(o)))
+		out := make([]NodeID, t.Len())
+		next := make([]int, t.height+1) // next[d]: where the next node of depth d goes
+		for _, d := range t.depth {
+			next[d+1]++
+		}
+		for d := 1; d < len(next); d++ {
+			next[d] += next[d-1]
+		}
+		for v := range NodeID(t.Len()) {
+			out[next[t.depth[v]]] = v
+			next[t.depth[v]]++
+		}
+		return out
 	}
-	out := make([]NodeID, len(src))
-	copy(out, src)
-	return out
+	panic(fmt.Sprintf("tree: NodesInOrder of unknown order %d", int(o)))
 }

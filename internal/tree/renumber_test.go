@@ -232,3 +232,99 @@ func TestImageMatchesStepFunc(t *testing.T) {
 		checkImage(t, "single node", tree.MustParseSexpr("a"), a, []int{0})
 	}
 }
+
+// FuzzBuildOrder checks Build's ranking against the construction it was
+// given.  Byte i adds construction ID i+1 as the next child of an earlier
+// node, chosen by the byte, so children are mostly added out of document
+// order; its top bits pick up to two labels.  The built tree must validate,
+// render as the construction does, map every construction ID through Final
+// to a node with its labels and parent, and agree on the computed links and
+// orders with a reference from the construction's explicit child lists:
+// recursive pre- and postorder walks and a breadth-first queue.
+func FuzzBuildOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 2, 3})
+	f.Add([]byte{0, 0, 0, 1, 1, 2, 5, 3, 0, 7})
+	f.Add([]byte{0x40, 0x81, 0xc2, 0x03, 0x44, 0x85, 0xc6, 0x07, 0x48, 0x89})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 300 {
+			data = data[:300]
+		}
+		b, m := tree.NewBuilder(), model{}
+		m.add(b, tree.InvalidNode, "r")
+		for i, x := range data {
+			m.add(b, tree.NodeID(int(x)%(i+1)), []string{"a", "b"}[:int(x>>6)%3]...)
+		}
+		tr := b.MustBuild()
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+		if got, want := tr.String(), m.sexpr(0); got != want {
+			t.Fatalf("String = %s, construction renders %s", got, want)
+		}
+
+		// The reference orders, over construction IDs.
+		var pre, post []tree.NodeID
+		var walk func(v tree.NodeID)
+		walk = func(v tree.NodeID) {
+			pre = append(pre, v)
+			for _, c := range m.children[v] {
+				walk(c)
+			}
+			post = append(post, v)
+		}
+		walk(0)
+		bflr := []tree.NodeID{0}
+		for i := 0; i < len(bflr); i++ {
+			bflr = append(bflr, m.children[bflr[i]]...)
+		}
+		rank := make([]tree.NodeID, len(pre))
+		for r, id := range pre {
+			rank[id] = tree.NodeID(r)
+		}
+		final := func(id tree.NodeID) tree.NodeID {
+			if id == tree.InvalidNode {
+				return id
+			}
+			return rank[id]
+		}
+		for id := range tree.NodeID(len(pre)) {
+			v := b.Final(id)
+			if v != rank[id] || !slices.Equal(tr.Labels(v), m.labels[id]) || tr.Parent(v) != final(m.parent[id]) {
+				t.Fatalf("construction ID %d went to node %d with labels %v parent %d, want node %d", id, v, tr.Labels(v), tr.Parent(v), rank[id])
+			}
+			first, next, prev := tree.InvalidNode, tree.InvalidNode, tree.InvalidNode
+			if kids := m.children[id]; len(kids) > 0 {
+				first = kids[0]
+			}
+			if p := m.parent[id]; p != tree.InvalidNode {
+				sibs := m.children[p]
+				i := slices.Index(sibs, id)
+				if i > 0 {
+					prev = sibs[i-1]
+				}
+				if i+1 < len(sibs) {
+					next = sibs[i+1]
+				}
+			}
+			if tr.FirstChild(v) != final(first) || tr.NextSibling(v) != final(next) || tr.PrevSibling(v) != final(prev) {
+				t.Fatalf("node %d: first child %d, next %d, prev %d; want %d, %d, %d",
+					v, tr.FirstChild(v), tr.NextSibling(v), tr.PrevSibling(v), final(first), final(next), final(prev))
+			}
+		}
+		for i, id := range post {
+			if v := final(id); tr.Post(v) != i+1 {
+				t.Fatalf("node %d: post %d, want %d", v, tr.Post(v), i+1)
+			}
+		}
+		for o, ids := range map[tree.Order][]tree.NodeID{tree.PostOrder: post, tree.BFLROrder: bflr} {
+			want := make([]tree.NodeID, len(ids))
+			for i, id := range ids {
+				want[i] = final(id)
+			}
+			if got := tr.NodesInOrder(o); !slices.Equal(got, want) {
+				t.Fatalf("NodesInOrder(%v) = %v, want %v", o, got, want)
+			}
+		}
+	})
+}

@@ -16,11 +16,12 @@
 //
 // A node's NodeID is its preorder rank: Builder.Build numbers the nodes in
 // document order whatever order they were added in, so a subtree is the
-// contiguous NodeID interval [v, v+SubtreeSize(v)-1] and the navigation
-// columns themselves are the rank-space view the set-at-a-time evaluators
-// read (Image).  All index computations are performed once, when
-// Builder.Build freezes the tree; afterwards every axis test is O(1) and
-// every axis enumeration is linear in its output.
+// contiguous NodeID interval [v, v+SubtreeSize(v)-1].  The tree stores only
+// parent, subtree size, depth and the left-sibling link per node; the first
+// child, the right sibling, <post and <bflr are arithmetic on them, and the
+// children of a node are the subtrees that tile its interval.  Build computes
+// the columns once, in O(n); afterwards every axis test is O(1) and every
+// axis enumeration is linear in its output.
 package tree
 
 import (
@@ -44,30 +45,27 @@ const InvalidNode NodeID = -1
 // Tree is an immutable unranked ordered labeled tree.  Construct one with a
 // Builder, by parsing an XML document (package xmldoc), or with one of the
 // generators in package workload.
+//
+// The shape is stored as parent, size and depth (the pre|size|level encoding
+// of an XPath accelerator) plus the left-sibling link; every other link,
+// order and axis test is arithmetic on them.  A node's children tile
+// [n+1, End(n)], so its first child is n+1 when it has one and the right
+// sibling of n is End(n)+1 when that lies inside the parent's subtree.
 type Tree struct {
 	parent      []NodeID
-	firstChild  []NodeID
-	lastChild   []NodeID
-	nextSibling []NodeID
 	prevSibling []NodeID
 
 	labels [][]string // each node may carry several labels
 	text   []string   // optional textual content (ignored by Core XPath)
 
-	// The order columns are int32 like NodeID: an index or a size never
-	// exceeds the node count.  The accessors widen to int.  The preorder
-	// index needs no column: it is the NodeID plus one.
-	post  []int32 // 1-based postorder index (<post)
-	bflr  []int32 // 1-based breadth-first left-to-right index (<bflr)
+	// The int32 columns widen to int in the accessors: a depth or a size
+	// never exceeds the node count.
 	depth []int32 // root has depth 0
 	size  []int32 // number of nodes in the subtree rooted at the node
 
 	// Two whole-tree counts, kept so that a walk that skips nodes can still
 	// report them: 1 + the maximum depth, and the nodes with text.
 	height, textNodes int
-
-	byPost []NodeID // byPost[i-1] = node with postorder index i
-	byBFLR []NodeID // byBFLR[i-1] = node with bflr index i
 }
 
 // Len returns the number of nodes in the tree.
@@ -87,14 +85,23 @@ func (t *Tree) valid(n NodeID) bool { return n >= 0 && int(n) < t.Len() }
 // Parent returns the parent of n, or InvalidNode if n is the root.
 func (t *Tree) Parent(n NodeID) NodeID { return t.parent[n] }
 
-// FirstChild returns the first (leftmost) child of n, or InvalidNode.
-func (t *Tree) FirstChild(n NodeID) NodeID { return t.firstChild[n] }
+// FirstChild returns the first (leftmost) child of n, or InvalidNode: the
+// node right after n, when n's subtree has more than n.
+func (t *Tree) FirstChild(n NodeID) NodeID {
+	if t.size[n] == 1 {
+		return InvalidNode
+	}
+	return n + 1
+}
 
-// LastChild returns the last (rightmost) child of n, or InvalidNode.
-func (t *Tree) LastChild(n NodeID) NodeID { return t.lastChild[n] }
-
-// NextSibling returns the right sibling of n, or InvalidNode.
-func (t *Tree) NextSibling(n NodeID) NodeID { return t.nextSibling[n] }
+// NextSibling returns the right sibling of n, or InvalidNode: the node right
+// after n's subtree, when that still lies in the parent's.
+func (t *Tree) NextSibling(n NodeID) NodeID {
+	if p := t.parent[n]; p != InvalidNode && t.End(n) < t.End(p) {
+		return t.End(n) + 1
+	}
+	return InvalidNode
+}
 
 // PrevSibling returns the left sibling of n, or InvalidNode.
 func (t *Tree) PrevSibling(n NodeID) NodeID { return t.prevSibling[n] }
@@ -143,27 +150,10 @@ func (t *Tree) End(n NodeID) NodeID { return n + NodeID(t.size[n]) - 1 }
 // Pre returns the 1-based preorder (document order) index of n: n + 1.
 func (t *Tree) Pre(n NodeID) int { return int(n) + 1 }
 
-// Post returns the 1-based postorder index of n.
-func (t *Tree) Post(n NodeID) int { return int(t.post[n]) }
-
-// BFLR returns the 1-based breadth-first left-to-right index of n.
-func (t *Tree) BFLR(n NodeID) int { return int(t.bflr[n]) }
-
-// NodeAtPost returns the node with postorder index i (1-based), or InvalidNode.
-func (t *Tree) NodeAtPost(i int) NodeID {
-	if i < 1 || i > t.Len() {
-		return InvalidNode
-	}
-	return t.byPost[i-1]
-}
-
-// NodeAtBFLR returns the node with bflr index i (1-based), or InvalidNode.
-func (t *Tree) NodeAtBFLR(i int) NodeID {
-	if i < 1 || i > t.Len() {
-		return InvalidNode
-	}
-	return t.byBFLR[i-1]
-}
+// Post returns the 1-based postorder index of n.  The nodes before n in
+// postorder are its n-depth(n) predecessors in document order that are not
+// its ancestors, and its proper descendants: post(n) = n + size(n) - depth(n).
+func (t *Tree) Post(n NodeID) int { return int(n) + int(t.size[n]) - int(t.depth[n]) }
 
 // Nodes returns all nodes of the tree in document (pre-) order, that is
 // 0..Len()-1.  Loops that need no slice range over NodeID(t.Len()) instead.
@@ -178,7 +168,7 @@ func (t *Tree) Nodes() []NodeID {
 // Children returns the children of n, left to right.
 func (t *Tree) Children(n NodeID) []NodeID {
 	var out []NodeID
-	for c := t.firstChild[n]; c != InvalidNode; c = t.nextSibling[c] {
+	for c := n + 1; c <= t.End(n); c += NodeID(t.size[c]) {
 		out = append(out, c)
 	}
 	return out
@@ -187,7 +177,7 @@ func (t *Tree) Children(n NodeID) []NodeID {
 // NumChildren returns the number of children of n.
 func (t *Tree) NumChildren(n NodeID) int {
 	k := 0
-	for c := t.firstChild[n]; c != InvalidNode; c = t.nextSibling[c] {
+	for c := n + 1; c <= t.End(n); c += NodeID(t.size[c]) {
 		k++
 	}
 	return k
@@ -197,17 +187,21 @@ func (t *Tree) NumChildren(n NodeID) int {
 func (t *Tree) IsRoot(n NodeID) bool { return t.parent[n] == InvalidNode }
 
 // IsLeaf reports whether Leaf(n) holds.
-func (t *Tree) IsLeaf(n NodeID) bool { return t.firstChild[n] == InvalidNode }
+func (t *Tree) IsLeaf(n NodeID) bool { return t.size[n] == 1 }
 
 // IsFirstSibling reports whether FirstSibling(n) holds (n has no left sibling).
 func (t *Tree) IsFirstSibling(n NodeID) bool { return t.prevSibling[n] == InvalidNode }
 
-// IsLastSibling reports whether LastSibling(n) holds (n has no right sibling).
-func (t *Tree) IsLastSibling(n NodeID) bool { return t.nextSibling[n] == InvalidNode }
+// IsLastSibling reports whether LastSibling(n) holds (n has no right sibling):
+// n's subtree closes its parent's.
+func (t *Tree) IsLastSibling(n NodeID) bool {
+	p := t.parent[n]
+	return p == InvalidNode || t.End(n) == t.End(p)
+}
 
 // IsFirstChildOf reports whether FirstChild(u, v) holds: v is the first child
 // of u.
-func (t *Tree) IsFirstChildOf(u, v NodeID) bool { return t.firstChild[u] == v && v != InvalidNode }
+func (t *Tree) IsFirstChildOf(u, v NodeID) bool { return v == u+1 && t.size[u] > 1 }
 
 // LabelAlphabet returns the sorted set of labels occurring in the tree.
 func (t *Tree) LabelAlphabet() []string {
@@ -273,10 +267,6 @@ func (b *Builder) Reserve(n int) {
 	}
 	b.reserved = n
 	t.parent = slices.Grow(t.parent, more)
-	t.firstChild = slices.Grow(t.firstChild, more)
-	t.lastChild = slices.Grow(t.lastChild, more)
-	t.nextSibling = slices.Grow(t.nextSibling, more)
-	t.prevSibling = slices.Grow(t.prevSibling, more)
 	t.labels = slices.Grow(t.labels, more)
 	t.text = slices.Grow(t.text, more)
 }
@@ -333,22 +323,8 @@ func (b *Builder) add(parent NodeID, labels []string) NodeID {
 	}
 	ls := b.carve(labels)
 	t.parent = append(t.parent, parent)
-	t.firstChild = append(t.firstChild, InvalidNode)
-	t.lastChild = append(t.lastChild, InvalidNode)
-	t.nextSibling = append(t.nextSibling, InvalidNode)
-	t.prevSibling = append(t.prevSibling, InvalidNode)
 	t.labels = append(t.labels, ls)
 	t.text = append(t.text, "")
-	if parent != InvalidNode {
-		if t.lastChild[parent] == InvalidNode {
-			t.firstChild[parent] = id
-		} else {
-			prev := t.lastChild[parent]
-			t.nextSibling[prev] = id
-			t.prevSibling[id] = prev
-		}
-		t.lastChild[parent] = id
-	}
 	return id
 }
 
@@ -378,8 +354,8 @@ func (b *Builder) SetText(n NodeID, text string) {
 func (b *Builder) Len() int { return len(b.t.parent) }
 
 // Build freezes the builder, renumbers the nodes into document order,
-// computes all orders and indexes and returns the tree.  Build returns an
-// error for the empty tree (a tree has at least one node).
+// computes the size, depth and left-sibling columns and returns the tree.
+// Build returns an error for the empty tree (a tree has at least one node).
 func (b *Builder) Build() (*Tree, error) {
 	if !b.open {
 		return nil, errors.New("tree: Build called twice")
@@ -388,9 +364,12 @@ func (b *Builder) Build() (*Tree, error) {
 		return nil, errors.New("tree: cannot build an empty tree")
 	}
 	b.open = false
-	b.renumber()
 	t := &b.t
-	t.computeOrders()
+	n := t.Len()
+	cols := make([]int32, 2*n) // one allocation, two columns
+	t.depth, t.size = cols[:n:n], cols[n:]
+	b.rank()
+	t.index()
 	return t, nil
 }
 
@@ -404,51 +383,51 @@ func (b *Builder) Final(id NodeID) NodeID {
 	return b.final[id]
 }
 
-// nextInPreorder returns the node after v in document order, or InvalidNode:
-// v's first child, else the next sibling of v's nearest ancestor-or-self
-// that has one.
-func (t *Tree) nextInPreorder(v NodeID) NodeID {
-	if c := t.firstChild[v]; c != InvalidNode {
-		return c
-	}
-	for ; v != InvalidNode; v = t.parent[v] {
-		if s := t.nextSibling[v]; s != InvalidNode {
-			return s
-		}
-	}
-	return InvalidNode
-}
-
-// renumber makes construction IDs preorder ranks.  Nodes added in document
-// order already are, and are left in place after one walk; otherwise every
-// column moves to the node's rank, and every link is rewritten through the
-// same permutation, which Final then answers from.
-func (b *Builder) renumber() {
+// rank fills the size column and makes construction IDs preorder ranks.  A
+// parent is added before its children, so one backward sweep sums the
+// subtree sizes, and one forward sweep hands each node the next free rank of
+// its parent's interval: a parent's children take consecutive intervals in
+// the order they were added.  Nodes added in document order already hold
+// their ranks and stay in place; otherwise parent, size, labels and text move
+// to the ranks, which Final then answers from.
+func (b *Builder) rank() {
 	t := &b.t
-	rank := NodeID(0)
-	for v := t.Root(); v != InvalidNode && v == rank; v = t.nextInPreorder(v) {
-		rank++
+	n := NodeID(t.Len())
+	for v := n - 1; v > 0; v-- {
+		t.size[v]++
+		t.size[t.parent[v]] += t.size[v]
 	}
-	if int(rank) == t.Len() {
-		return
-	}
-	final := make([]NodeID, t.Len())
-	rank = 0
-	for v := t.Root(); v != InvalidNode; v = t.nextInPreorder(v) {
-		final[v] = rank
-		rank++
-	}
-	for _, col := range []*[]NodeID{&t.parent, &t.firstChild, &t.lastChild, &t.nextSibling, &t.prevSibling} {
-		*col = permute(*col, final)
-		for i, x := range *col {
-			if x != InvalidNode {
-				(*col)[i] = final[x]
+	t.size[0]++
+	next := t.depth // free until index fills it: next[v] is the rank v's next child takes
+	next[0] = 1
+	for v := NodeID(1); v < n; v++ {
+		p := t.parent[v]
+		r := NodeID(next[p])
+		next[p] += t.size[v]
+		next[v] = int32(r) + 1
+		if r != v && b.final == nil { // the first node out of document order
+			b.final = make([]NodeID, n)
+			for u := range v {
+				b.final[u] = u
 			}
 		}
+		if b.final != nil {
+			b.final[v] = r
+		}
 	}
+	if b.final == nil {
+		return
+	}
+	final := b.final
+	t.parent = permute(t.parent, final)
+	for v, p := range t.parent {
+		if p != InvalidNode {
+			t.parent[v] = final[p]
+		}
+	}
+	t.size = permute(t.size, final)
 	t.labels = permute(t.labels, final)
 	t.text = permute(t.text, final)
-	b.final = final
 }
 
 // permute returns col with entry v moved to position final[v].
@@ -470,47 +449,28 @@ func (b *Builder) MustBuild() *Tree {
 	return t
 }
 
-// computeOrders fills post, bflr, depth, size, the reverse index slices,
-// the height and the text-node count in O(n) on a tree numbered in
-// preorder, without recursion (trees may be deep): a parent precedes its
-// children, so depth is one forward sweep and size one backward sweep, and
-// the nodes of post index at most post(v) are v's pre(v)-1-depth(v)
-// predecessors that are not its ancestors plus its subtree, so
-// post(v) = pre(v) + size(v) - depth(v) - 1.
-func (t *Tree) computeOrders() {
-	n := t.Len()
-	cols := make([]int32, 4*n) // one allocation, four columns
-	t.post, t.bflr, t.depth, t.size = cols[:n:n], cols[n:2*n:2*n], cols[2*n:3*n:3*n], cols[3*n:]
-	t.byPost = make([]NodeID, n)
-	t.byBFLR = make([]NodeID, n)
-
+// index fills depth, prevSibling, the height and the text-node count in one
+// forward sweep over a tree numbered in preorder, without recursion (trees
+// may be deep): a parent precedes its children, and the right sibling of u
+// is End(u)+1 when that node shares u's parent.
+func (t *Tree) index() {
+	n := NodeID(t.Len())
+	t.prevSibling = make([]NodeID, n)
+	for v := range t.prevSibling {
+		t.prevSibling[v] = InvalidNode
+	}
+	t.depth[0] = 0
 	t.height = 1
-	for v := NodeID(1); int(v) < n; v++ {
-		t.depth[v] = t.depth[t.parent[v]] + 1
-		t.height = max(t.height, int(t.depth[v])+1)
-	}
-	for _, txt := range t.text {
-		if txt != "" {
+	for u := range n {
+		if p := t.parent[u]; p != InvalidNode {
+			t.depth[u] = t.depth[p] + 1
+			t.height = max(t.height, int(t.depth[u])+1)
+		}
+		if s := t.End(u) + 1; s < n && t.parent[s] == t.parent[u] {
+			t.prevSibling[s] = u
+		}
+		if t.text[u] != "" {
 			t.textNodes++
-		}
-	}
-	for v := NodeID(n - 1); v >= 0; v-- {
-		t.size[v]++
-		if p := t.parent[v]; p != InvalidNode {
-			t.size[p] += t.size[v]
-		}
-		t.post[v] = int32(v) + t.size[v] - t.depth[v]
-		t.byPost[t.post[v]-1] = v
-	}
-
-	// Breadth-first left-to-right order: byBFLR is its own queue.
-	t.byBFLR[0] = t.Root()
-	next := 1
-	for i, u := range t.byBFLR {
-		t.bflr[u] = int32(i + 1)
-		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
-			t.byBFLR[next] = c
-			next++
 		}
 	}
 }
@@ -529,16 +489,14 @@ func (t *Tree) writeNode(sb *strings.Builder, n NodeID) {
 	} else {
 		sb.WriteString(strings.Join(t.labels[n], "+"))
 	}
-	if t.firstChild[n] == InvalidNode {
+	if t.size[n] == 1 {
 		return
 	}
 	sb.WriteString("(")
-	first := true
-	for c := t.firstChild[n]; c != InvalidNode; c = t.nextSibling[c] {
-		if !first {
+	for c := n + 1; c <= t.End(n); c += NodeID(t.size[c]) {
+		if c > n+1 {
 			sb.WriteString(" ")
 		}
-		first = false
 		t.writeNode(sb, c)
 	}
 	sb.WriteString(")")
@@ -551,7 +509,7 @@ func (t *Tree) Indented() string {
 	var sb strings.Builder
 	for n := range NodeID(t.Len()) {
 		sb.WriteString(strings.Repeat("  ", int(t.depth[n])))
-		fmt.Fprintf(&sb, "%d:%d:%s\n", t.Pre(n), t.post[n], t.Label(n))
+		fmt.Fprintf(&sb, "%d:%d:%s\n", t.Pre(n), t.Post(n), t.Label(n))
 	}
 	return sb.String()
 }
@@ -565,10 +523,10 @@ func (t *Tree) DOT() string {
 		fmt.Fprintf(&sb, "  n%d [label=%q];\n", n, t.Label(n))
 	}
 	for n := range NodeID(t.Len()) {
-		if fc := t.firstChild[n]; fc != InvalidNode {
+		if fc := t.FirstChild(n); fc != InvalidNode {
 			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"FirstChild\"];\n", n, fc)
 		}
-		if ns := t.nextSibling[n]; ns != InvalidNode {
+		if ns := t.NextSibling(n); ns != InvalidNode {
 			fmt.Fprintf(&sb, "  n%d -> n%d [style=dashed, label=\"NextSibling\"];\n", n, ns)
 		}
 	}

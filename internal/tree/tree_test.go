@@ -55,8 +55,8 @@ func TestBuilderBasics(t *testing.T) {
 	if tr.FirstChild(ids["n1"]) != ids["n2"] {
 		t.Errorf("FirstChild(n1) = %d, want n2", tr.FirstChild(ids["n1"]))
 	}
-	if tr.LastChild(ids["n1"]) != ids["n4"] {
-		t.Errorf("LastChild(n1) = %d, want n4", tr.LastChild(ids["n1"]))
+	if kids := tr.Children(ids["n1"]); kids[len(kids)-1] != ids["n4"] {
+		t.Errorf("last child of n1 = %d, want n4", kids[len(kids)-1])
 	}
 	if tr.NextSibling(ids["n2"]) != ids["n3"] {
 		t.Errorf("NextSibling(n2) = %d, want n3", tr.NextSibling(ids["n2"]))
@@ -243,21 +243,18 @@ func TestOrders(t *testing.T) {
 		}
 	}
 	// Postorder: n2 n5 n6 n3 n4 n1.
-	wantPost := []string{"n2", "n5", "n6", "n3", "n4", "n1"}
-	for i, name := range wantPost {
-		if got := tr.NodeAtPost(i + 1); got != ids[name] {
-			t.Errorf("NodeAtPost(%d) = %v, want %s", i+1, got, name)
+	byPost := tr.NodesInOrder(PostOrder)
+	for i, name := range []string{"n2", "n5", "n6", "n3", "n4", "n1"} {
+		if got := byPost[i]; got != ids[name] || tr.Post(got) != i+1 {
+			t.Errorf("postorder %d is node %v with post %d, want %s", i+1, got, tr.Post(got), name)
 		}
 	}
 	// BFLR: n1 n2 n3 n4 n5 n6.
-	wantBFLR := []string{"n1", "n2", "n3", "n4", "n5", "n6"}
-	for i, name := range wantBFLR {
-		if got := tr.NodeAtBFLR(i + 1); got != ids[name] {
-			t.Errorf("NodeAtBFLR(%d) = %v, want %s", i+1, got, name)
+	byBFLR := tr.NodesInOrder(BFLROrder)
+	for i, name := range []string{"n1", "n2", "n3", "n4", "n5", "n6"} {
+		if got := byBFLR[i]; got != ids[name] {
+			t.Errorf("bflr %d is node %v, want %s", i+1, got, name)
 		}
-	}
-	if tr.NodeAtPost(100) != InvalidNode || tr.NodeAtBFLR(-1) != InvalidNode {
-		t.Errorf("NodeAt* out of range should be invalid")
 	}
 	if !tr.Less(PreOrder, ids["n3"], ids["n4"]) {
 		t.Errorf("n3 <pre n4 should hold")
@@ -267,10 +264,6 @@ func TestOrders(t *testing.T) {
 	}
 	if !tr.Less(BFLROrder, ids["n4"], ids["n5"]) {
 		t.Errorf("n4 <bflr n5 should hold")
-	}
-	inOrder := tr.NodesInOrder(PostOrder)
-	if inOrder[0] != ids["n2"] || inOrder[5] != ids["n1"] {
-		t.Errorf("NodesInOrder(post) = %v", inOrder)
 	}
 }
 
@@ -389,22 +382,26 @@ func TestValidateRandomTrees(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNonPreorderIDs: a tree whose links are consistent but
-// whose NodeIDs are not preorder ranks is reported, since every rank-space
-// reader (Image, the evaluators, the diff) relies on the numbering.
+// TestValidateRejectsNonPreorderIDs: a parent column whose nodes fall
+// outside their parent's interval, and a size column whose children overrun
+// it, are reported, since every rank-space reader (Image, the evaluators, the
+// diff) relies on the numbering.
 func TestValidateRejectsNonPreorderIDs(t *testing.T) {
-	tr := MustParseSexpr("a(b c)")
-	// Swap the children's order in the links only: c (node 2) becomes first.
-	tr.firstChild[0], tr.lastChild[0] = 2, 1
-	tr.nextSibling[2], tr.prevSibling[1] = 1, 2
-	tr.nextSibling[1], tr.prevSibling[2] = InvalidNode, InvalidNode
+	// a=0 b=1 c=2 d=3: b's subtree is [1, 2].
+	tr := MustParseSexpr("a(b(c) d)")
+	tr.parent[3] = 1
 	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "document order") {
-		t.Fatalf("Validate = %v, want a document-order error", err)
+		t.Errorf("d moved under b: Validate = %v, want a document-order error", err)
+	}
+	tr = MustParseSexpr("a(b(c) d)")
+	tr.size[2] = 2 // c claims d, which lies outside b
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "overrun") {
+		t.Errorf("c sized over d: Validate = %v, want an overrun error", err)
 	}
 }
 
 func TestDeepTreeNoStackOverflow(t *testing.T) {
-	// A path of 200k nodes: computeOrders must not recurse.
+	// A path of 200k nodes: Build must not recurse.
 	b := NewBuilder()
 	prev := b.AddRoot("a")
 	const n = 200_000

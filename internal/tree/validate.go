@@ -2,111 +2,72 @@ package tree
 
 import "fmt"
 
-// Validate checks the structural invariants of the tree and of its
-// precomputed orders.  It returns nil when every invariant holds; the
-// invariants checked are exactly the characterizations used throughout the
-// paper (Section 2), in particular
+// Validate checks the structural invariants of the tree's columns.  It
+// returns nil when every invariant holds:
 //
-//	Child+(x, y)   iff  x <pre y and y <post x
-//	Following(x,y) iff  x <pre y and x <post y
+//   - parent[v] < v for every v > 0, and v lies in its parent's subtree
+//     interval [parent[v], End(parent[v])] — NodeIDs are preorder ranks;
+//   - the children of every node p tile [p+1, End(p)] exactly, which checks
+//     the size column, and prevSibling links each child to the one before;
+//   - depth[v] = depth[parent[v]] + 1, and the whole-tree counts;
 //
-// and the bidirectional functional dependencies of tau+ (each node has at
-// most one first child, is the first child of at most one node, has at most
-// one next sibling and is the next sibling of at most one node) that
-// Theorem 3.2 relies on.  Validate is O(n^2) on the order characterizations
-// and is intended for tests and for property-based checking of generators.
+// and, by comparison with a parent walk, the characterizations of Section 2
+// the axis tests rely on:
+//
+//	Child+(x, y)   iff  x <pre y and y <post x  iff  x < y <= End(x)
+//	Following(x,y) iff  x <pre y and x <post y  iff  End(x) < y
+//
+// Validate is O(n^2) on the characterizations and is intended for tests and
+// for property-based checking of generators.
 func (t *Tree) Validate() error {
-	n := t.Len()
+	n := NodeID(t.Len())
 	if n == 0 {
 		return fmt.Errorf("tree: empty tree")
 	}
-	if !t.IsRoot(t.Root()) {
-		return fmt.Errorf("tree: node 0 is not the root")
-	}
-
-	// Exactly one root.
-	roots := 0
-	for u := range NodeID(n) {
-		if t.parent[u] == InvalidNode {
-			roots++
+	for v := range n {
+		if t.size[v] < 1 || t.End(v) >= n {
+			return fmt.Errorf("tree: subtree size %d of node %d out of range", t.size[v], v)
 		}
 	}
-	if roots != 1 {
-		return fmt.Errorf("tree: %d roots, want 1", roots)
+	if t.parent[0] != InvalidNode || t.End(0) != n-1 {
+		return fmt.Errorf("tree: node 0 is not the root of all %d nodes", n)
 	}
-
-	// Parent/child/sibling pointer consistency.
-	for u := range NodeID(n) {
-		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
-			if t.parent[c] != u {
-				return fmt.Errorf("tree: node %d is in child list of %d but has parent %d", c, u, t.parent[c])
-			}
-		}
-		if fc := t.firstChild[u]; fc != InvalidNode {
-			if t.prevSibling[fc] != InvalidNode {
-				return fmt.Errorf("tree: first child %d of %d has a previous sibling", fc, u)
-			}
-		}
-		if lc := t.lastChild[u]; lc != InvalidNode {
-			if t.nextSibling[lc] != InvalidNode {
-				return fmt.Errorf("tree: last child %d of %d has a next sibling", lc, u)
-			}
-		}
-		if ns := t.nextSibling[u]; ns != InvalidNode {
-			if t.prevSibling[ns] != u {
-				return fmt.Errorf("tree: nextSibling/prevSibling mismatch at %d", u)
-			}
-			if t.parent[ns] != t.parent[u] {
-				return fmt.Errorf("tree: siblings %d and %d have different parents", u, ns)
-			}
+	for v := NodeID(1); v < n; v++ {
+		if p := t.parent[v]; p < 0 || p >= v || v > t.End(p) {
+			return fmt.Errorf("tree: node %d lies outside the subtree of its parent %d: NodeIDs are not in document order", v, p)
 		}
 	}
 
-	// Orders are permutations of 1..n.
-	for _, o := range AllOrders() {
-		seen := make([]bool, n+1)
-		for u := range NodeID(n) {
-			i := t.Index(o, u)
-			if i < 1 || i > n {
-				return fmt.Errorf("tree: %v index %d of node %d out of range", o, i, u)
+	// The children tile the parent's interval, each linked to the one before.
+	if t.prevSibling[0] != InvalidNode {
+		return fmt.Errorf("tree: the root has a previous sibling")
+	}
+	for p := range n {
+		prev, c := InvalidNode, p+1
+		for ; c <= t.End(p); c += NodeID(t.size[c]) {
+			if t.parent[c] != p {
+				return fmt.Errorf("tree: node %d starts a child subtree of %d but has parent %d", c, p, t.parent[c])
 			}
-			if seen[i] {
-				return fmt.Errorf("tree: %v index %d assigned twice", o, i)
+			if t.prevSibling[c] != prev {
+				return fmt.Errorf("tree: previous sibling of %d is %d, want %d", c, t.prevSibling[c], prev)
 			}
-			seen[i] = true
+			prev = c
+		}
+		if c != t.End(p)+1 {
+			return fmt.Errorf("tree: the children of %d overrun its subtree size %d", p, t.size[p])
 		}
 	}
 
-	// Reverse index tables are consistent.
-	for u := range NodeID(n) {
-		if t.NodeAtPost(t.Post(u)) != u || t.NodeAtBFLR(t.BFLR(u)) != u {
-			return fmt.Errorf("tree: reverse order index inconsistent at node %d", u)
-		}
-	}
-
-	// Depth and subtree size.
-	for u := range NodeID(n) {
-		if p := t.parent[u]; p != InvalidNode {
-			if t.depth[u] != t.depth[p]+1 {
-				return fmt.Errorf("tree: depth of %d is %d, parent depth %d", u, t.depth[u], t.depth[p])
-			}
-		} else if t.depth[u] != 0 {
-			return fmt.Errorf("tree: root depth %d, want 0", t.depth[u])
-		}
-		sz := int32(1)
-		for c := t.firstChild[u]; c != InvalidNode; c = t.nextSibling[c] {
-			sz += t.size[c]
-		}
-		if t.size[u] != sz {
-			return fmt.Errorf("tree: subtree size of %d is %d, want %d", u, t.size[u], sz)
-		}
-	}
-
-	// The whole-tree counts.
+	// Depth and the whole-tree counts.
 	height, texts := 0, 0
-	for u := range NodeID(n) {
-		height = max(height, int(t.depth[u])+1)
-		if t.text[u] != "" {
+	for v := range n {
+		if p := t.parent[v]; p != InvalidNode && t.depth[v] != t.depth[p]+1 {
+			return fmt.Errorf("tree: depth of %d is %d, parent depth %d", v, t.depth[v], t.depth[p])
+		} else if p == InvalidNode && t.depth[v] != 0 {
+			return fmt.Errorf("tree: root depth %d, want 0", t.depth[v])
+		}
+		height = max(height, int(t.depth[v])+1)
+		if t.text[v] != "" {
 			texts++
 		}
 	}
@@ -114,23 +75,12 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("tree: height %d and %d text nodes recorded, want %d and %d", t.height, t.textNodes, height, texts)
 	}
 
-	// NodeIDs are preorder ranks: a first child directly follows its parent,
-	// and a next sibling directly follows the subtree before it.
-	for u := range NodeID(n) {
-		if fc := t.firstChild[u]; fc != InvalidNode && fc != u+1 {
-			return fmt.Errorf("tree: first child %d of %d is not the next node in document order", fc, u)
-		}
-		if ns := t.nextSibling[u]; ns != InvalidNode && ns != t.End(u)+1 {
-			return fmt.Errorf("tree: next sibling %d of %d does not follow its subtree", ns, u)
-		}
-	}
-
-	// The pre/post characterizations of Child+ and Following (Section 2).
-	for x := range NodeID(n) {
-		for y := range NodeID(n) {
+	// The interval characterizations of Child+ and Following (Section 2).
+	for x := range n {
+		for y := range n {
 			desc := t.isDescendantByWalk(x, y)
 			if desc != t.Holds(Descendant, x, y) {
-				return fmt.Errorf("tree: Child+(%d,%d): pre/post characterization = %v, pointer walk = %v",
+				return fmt.Errorf("tree: Child+(%d,%d): interval test = %v, parent walk = %v",
 					x, y, t.Holds(Descendant, x, y), desc)
 			}
 			foll := !desc && !t.isDescendantByWalk(y, x) && x != y && x < y
@@ -143,7 +93,7 @@ func (t *Tree) Validate() error {
 }
 
 // isDescendantByWalk checks Child+(x, y) by walking parent pointers from y;
-// used only to cross-validate the pre/post characterization.
+// used only to cross-validate the interval characterization.
 func (t *Tree) isDescendantByWalk(x, y NodeID) bool {
 	for p := t.parent[y]; p != InvalidNode; p = t.parent[p] {
 		if p == x {

@@ -590,9 +590,8 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 			}
 		}
 	}
-	children := t.Children(n)
 	text := t.Text(n)
-	if len(children) == 0 && text == "" {
+	if t.IsLeaf(n) && text == "" {
 		sb.WriteString("/>")
 		return
 	}
@@ -604,10 +603,10 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 	default:
 		textEscaper.WriteString(sb, text)
 	}
-	for _, c := range children {
+	for c := t.FirstChild(n); c != tree.InvalidNode; c = t.NextSibling(c) {
 		serializeNode(sb, t, c, indent, depth+1)
 	}
-	if indent && len(children) > 0 {
+	if indent && !t.IsLeaf(n) {
 		sb.WriteString("\n")
 		sb.WriteString(strings.Repeat("  ", depth))
 	}
@@ -637,7 +636,7 @@ func emitEvents(t *tree.Tree, n tree.NodeID, out *[]Event) {
 	if txt := t.Text(n); txt != "" {
 		*out = append(*out, Event{Kind: Text, Text: txt})
 	}
-	for _, c := range t.Children(n) {
+	for c := t.FirstChild(n); c != tree.InvalidNode; c = t.NextSibling(c) {
 		emitEvents(t, c, out)
 	}
 	*out = append(*out, Event{Kind: EndElement, Name: name})

@@ -30,8 +30,9 @@ func liveHeap() uint64 {
 
 // TestDefaultRoutesBytesPerNode is the memory guard of the default daemon: a
 // scan_mix document (1,000 items, parsed as the daemon parses it) with every
-// route of the workload prepared and run keeps at most 145 live bytes per
-// node — the tree, whose own link columns are the navigation view, and what
+// route of the workload prepared and run keeps at most 110 live bytes per
+// node — the tree (parent, size, depth and left-sibling columns, labels and
+// text; every other link and order is computed), and what
 // the routes read beside it: label masks, the one node list per label and
 // the TED view — and has built no XASR, side relation or pair relation.
 func TestDefaultRoutesBytesPerNode(t *testing.T) {
@@ -57,8 +58,8 @@ func TestDefaultRoutesBytesPerNode(t *testing.T) {
 	perNode := float64(live) / float64(nodes)
 	st := eng.Index().Snapshot()
 	t.Logf("%d nodes, %d live bytes: %.1f B/node; index %+v", nodes, live, perNode, st)
-	if perNode > 145 {
-		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 145", perNode)
+	if perNode > 110 {
+		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 110", perNode)
 	}
 	if st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairBuilds != 0 {
 		t.Errorf("a default route built the relational encoding: %+v", st)
