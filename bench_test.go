@@ -735,8 +735,8 @@ func BenchmarkServerQuery(b *testing.B) {
 }
 
 func BenchmarkServerCorpusQuery(b *testing.B) {
-	// Corpus-wide fan-out with aggregation over HTTP: 8 documents merged,
-	// sorted, and truncated to a 100-match page per request.
+	// Corpus-wide fan-out with aggregation over HTTP: 8 documents merged
+	// and truncated to a 100-match page per request.
 	ts, _ := serverCorpus(b, 8, []service.Option{service.WithWorkers(4)})
 	body := []byte(`{"lang":"xpath","query":"//item[name]/description//keyword","limit":100}`)
 	benchPost(b, ts.URL+"/v1/corpus/query", body)
@@ -774,7 +774,7 @@ func BenchmarkServerPreparedExec(b *testing.B) {
 }
 
 func BenchmarkServerAggregate(b *testing.B) {
-	// Pure aggregation cost: merging, sorting, and limiting the fan-out of a
+	// Pure aggregation cost: merging and limiting the fan-out of a
 	// 32-document corpus without the HTTP layer.
 	svc := serviceCorpus(b, 32, service.WithWorkers(4))
 	ctx := context.Background()

@@ -318,17 +318,21 @@ func printCorpusResults(results []service.DocResult, lang string, run corpusRun)
 		}
 		// Ranked hits come out of the aggregate as the corpus-wide top-k in
 		// (distance, doc, node) order.
+		shown := len(agg.Hits)
 		for _, h := range agg.Hits {
 			fmt.Printf("%s\t%d\t%d\n", h.Doc, h.Node, h.Distance)
 		}
-		for _, n := range agg.Nodes {
-			fmt.Printf("%s\t%d\n", n.Doc, n.Node)
-		}
-		for _, a := range agg.Answers {
-			fmt.Printf("%s\t%v\n", a.Doc, a.Answer)
+		for _, p := range agg.Parts {
+			for _, n := range p.Nodes {
+				fmt.Printf("%s\t%d\n", p.Doc, n)
+			}
+			for _, a := range p.Answers {
+				fmt.Printf("%s\t%v\n", p.Doc, a)
+			}
+			shown += len(p.Nodes) + len(p.Answers)
 		}
 		fmt.Fprintf(os.Stderr, "%d documents, %d failed, %d matches (%d shown, truncated=%v)\n",
-			agg.Docs, failed, agg.Total, len(agg.Hits)+len(agg.Nodes)+len(agg.Answers), agg.Truncated)
+			agg.Docs, failed, agg.Total, shown, agg.Truncated)
 		return failed
 	}
 	for _, r := range results {

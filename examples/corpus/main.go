@@ -73,11 +73,15 @@ func main() {
 	fmt.Println("\naggregated //keyword across the corpus (first 8 of the merge):")
 	agg := svc.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 8,
 		service.WithDocTimeout(2*time.Second))
-	for _, n := range agg.Nodes {
-		fmt.Printf("  %s node %d\n", n.Doc, n.Node)
+	shown := 0
+	for _, p := range agg.Parts {
+		for _, n := range p.Nodes {
+			fmt.Printf("  %s node %d\n", p.Doc, n)
+		}
+		shown += len(p.Nodes)
 	}
 	fmt.Printf("  (%d of %d matches shown, truncated=%v, %d failed docs)\n",
-		len(agg.Nodes), agg.Total, agg.Truncated, len(agg.Failed))
+		shown, agg.Total, agg.Truncated, len(agg.Failed))
 
 	st := svc.Stats()
 	fmt.Printf("\nservice: %d docs, %d queries, plan cache %d/%d (hits=%d misses=%d evictions=%d skips=%d)\n",

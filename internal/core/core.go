@@ -122,11 +122,15 @@ func (p *Plan) lap(name string, t *time.Time) {
 	*t = now
 }
 
-// clone copies the plan so each execution can annotate its own.
+// clone copies the plan so each execution can annotate its own.  Notes and
+// Phases stay shared with p; treat their elements as read-only.
 func (p *Plan) clone() *Plan {
 	c := *p
-	c.Notes = append([]string(nil), p.Notes...)
-	c.Phases = append([]Phase(nil), p.Phases...)
+	// The copy shares the base's slices; capping their capacity makes an
+	// execution-time note or phase append copy instead of writing into the
+	// base's backing array.
+	c.Notes = p.Notes[:len(p.Notes):len(p.Notes)]
+	c.Phases = p.Phases[:len(p.Phases):len(p.Phases)]
 	return &c
 }
 

@@ -49,10 +49,16 @@ var ErrUnknownLanguage = errors.New("core: unknown query language")
 // fields is populated, matching the query language: Nodes for xpath, datalog
 // and stream queries, Answers for cq and twig queries, Hits for similarity
 // queries.
+//
+// Every route keeps one order contract, which the corpus aggregation relies
+// on to merge documents by concatenation: Nodes are in document order
+// (ascending NodeID) without duplicates, and Answers are sorted
+// lexicographically and deduplicated.
 type Result struct {
 	// Nodes are the selected nodes in document order.
 	Nodes []tree.NodeID
-	// Answers are the answer tuples (one node per head variable).
+	// Answers are the answer tuples (one node per head variable), in
+	// lexicographic order without duplicates.
 	Answers []cq.Answer
 	// Hits are the ranked similarity answers, ordered by (distance, pre).
 	Hits []Hit
@@ -127,7 +133,9 @@ func (c *Compiled) Clauses() int { return c.clauses }
 // query depends on every label).  The slice is shared; treat it as read-only.
 func (c *Compiled) Labels() []string { return c.labels }
 
-// Plan returns a copy of the compile-time plan (no execution timings).
+// Plan returns a copy of the compile-time plan (no execution timings).  Its
+// Notes and Phases share the compiled plan's storage; treat them as
+// read-only.
 func (c *Compiled) Plan() *Plan {
 	plan := c.base.clone()
 	plan.PrepareDuration = c.prepareTime

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -278,3 +279,63 @@ func TestExecBatchAndQueryAll(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCloneIsolatesExecNotes: executions share the compiled plan's notes
+// without copying them, so a note one execution adds (here a naiveFallback)
+// must land in that execution's plan only — not in the compiled base, whose
+// spare capacity stays untouched, and not in any concurrent execution's plan.
+func TestPlanCloneIsolatesExecNotes(t *testing.T) {
+	const q = "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."
+	c, err := Compile(LangCQ, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spare capacity is where an append through a shared slice would write.
+	n := len(c.base.Notes)
+	c.base.Notes = append(make([]string, 0, n+4), c.base.Notes...)
+	base := append([]string(nil), c.base.Notes[:n+4]...)
+	run, parsed := c.run, cq.MustParse(q)
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		if reason, ok := ctx.Value(fallbackKey{}).(string); ok {
+			return naiveFallback(ctx, e, parsed, p, reason, fmt.Errorf("injected"))
+		}
+		return run(ctx, e, p)
+	}
+	e := preparedDoc()
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := context.Background()
+			reason := fmt.Sprintf("route-%d", i)
+			if i%2 == 0 {
+				ctx = context.WithValue(ctx, fallbackKey{}, reason)
+			}
+			_, plan, err := c.Exec(ctx, e)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want := n
+			if i%2 == 0 {
+				want++
+				if last := plan.Notes[len(plan.Notes)-1]; !strings.HasPrefix(last, reason+" route failed") {
+					t.Errorf("exec %d: last note %q, want its own fallback", i, last)
+				}
+			}
+			if len(plan.Notes) != want {
+				t.Errorf("exec %d: %d notes, want %d: %q", i, len(plan.Notes), want, plan.Notes)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := c.base.Notes[:cap(c.base.Notes)]; !reflect.DeepEqual(got, base) {
+		t.Errorf("compiled notes (to capacity) = %q, want %q", got, base)
+	}
+	if got := c.Plan().Notes; !reflect.DeepEqual(got, base[:n]) {
+		t.Errorf("Plan().Notes = %q, want %q", got, base[:n])
+	}
+}
+
+type fallbackKey struct{}

@@ -22,13 +22,19 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/cq"
 	"repro/internal/obsv"
 	"repro/internal/service"
+	"repro/internal/tree"
 )
 
 // APIVersion is the version tag stamped into every /v1 response envelope.
@@ -70,37 +76,130 @@ func errorCode(status int) string {
 	}
 }
 
-// resultEntryJSON is one element of the envelope's results array.
-type resultEntryJSON struct {
-	Doc        string  `json:"doc"`
-	DocVersion uint64  `json:"doc_version"`
-	Node       int32   `json:"node"`
-	Answer     []int32 `json:"answer,omitempty"`
-	Score      *int    `json:"score,omitempty"`
+// envelope is the unified /v1 ranked-result envelope apart from its results
+// array, which the handlers append straight into an envWriter.  The fields
+// follow "results" on the wire in this order, with "version" between
+// Truncated and RequestID; the route-specific extras after RequestID are
+// omitted when zero.
+type envelope struct {
+	Total     int            // "total": results before any limit cut
+	Truncated bool           // "truncated": a limit dropped results
+	RequestID string         // "request_id": the X-Request-ID echo
+	ID        string         // "id": prepared-query id
+	Docs      int            // "docs": corpus fan-out width
+	Plan      *core.Plan     // "plan": on request / prepared
+	Failed    []docErrorJSON // "failed": corpus partial failures
+	Timings   map[string]any // "timings": ?debug=timings echo
 }
 
-// envelopeJSON is the unified /v1 ranked-result envelope.
-type envelopeJSON struct {
-	Results   []resultEntryJSON `json:"results"`
-	Total     int               `json:"total"`
-	Truncated bool              `json:"truncated"`
-	Version   string            `json:"version"`
-	RequestID string            `json:"request_id"`
-	// Route-specific extras.
-	ID      string         `json:"id,omitempty"`      // prepared-query id
-	Docs    int            `json:"docs,omitempty"`    // corpus fan-out width
-	Plan    *planJSON      `json:"plan,omitempty"`    // on request / prepared
-	Failed  []docErrorJSON `json:"failed,omitempty"`  // corpus partial failures
-	Timings map[string]any `json:"timings,omitempty"` // ?debug=timings echo
+// envWriter appends one /v1 envelope into a reused buffer: the results
+// entries straight from the documents' own results, then the envelope's
+// fields.  Only the failures and the debug timings go through encoding/json.
+// The bytes are those encoding/json produces for the same envelope with HTML
+// escaping off (FuzzEnvelopeEncoding holds the two equal).
+type envWriter struct{ buf []byte }
+
+// envWriters holds pointers, so Put does not box; a buffer grown past
+// maxPooledEnvelope by one large answer is dropped instead of pinned.
+var envWriters = sync.Pool{New: func() any { return new(envWriter) }}
+
+const maxPooledEnvelope = 1 << 20
+
+// newEnvWriter takes a writer from the pool with the results array opened.
+func newEnvWriter() *envWriter {
+	w := envWriters.Get().(*envWriter)
+	w.reset()
+	return w
 }
 
-// fillEnvelope flattens one document's core.Result into the envelope: ranked
-// hits carry a score, node lists are bare, answer tuples carry the full tuple
-// with the head as the selected node.  Only the first limit entries (all of
-// them when limit is 0) are built; total counts every match regardless.
-func fillEnvelope(env *envelopeJSON, doc string, version uint64, res *core.Result, limit int) {
-	env.Version = APIVersion
-	env.Results = []resultEntryJSON{} // the envelope's results is never null
+// reset starts a new envelope in w's buffer.
+func (w *envWriter) reset() {
+	w.buf = append(w.buf[:0], `{"results":[`...)
+}
+
+func (w *envWriter) release() {
+	if cap(w.buf) <= maxPooledEnvelope {
+		envWriters.Put(w)
+	}
+}
+
+// Write appends p, so encoding/json can encode into the buffer.
+func (w *envWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// entry opens one results element, {"doc":…,"doc_version":…,"node":, and
+// returns the span of that prefix in the buffer, so later entries of the
+// same document can copy it instead of escaping the name again.
+func (w *envWriter) entry(doc string, version uint64) (start, end int) {
+	if w.buf[len(w.buf)-1] != '[' {
+		w.buf = append(w.buf, ',')
+	}
+	start = len(w.buf)
+	w.buf = append(w.buf, `{"doc":`...)
+	w.buf = appendString(w.buf, doc)
+	w.buf = append(w.buf, `,"doc_version":`...)
+	w.buf = strconv.AppendUint(w.buf, version, 10)
+	w.buf = append(w.buf, `,"node":`...)
+	return start, len(w.buf)
+}
+
+// again opens the next element of the document whose prefix is buf[start:end].
+func (w *envWriter) again(start, end int) {
+	w.buf = append(w.buf, ',')
+	w.buf = append(w.buf, w.buf[start:end]...)
+}
+
+// hit appends one ranked match; score is the tree edit distance.
+func (w *envWriter) hit(doc string, version uint64, node tree.NodeID, score int) {
+	w.entry(doc, version)
+	w.buf = strconv.AppendInt(w.buf, int64(node), 10)
+	w.buf = append(w.buf, `,"score":`...)
+	w.buf = strconv.AppendInt(w.buf, int64(score), 10)
+	w.buf = append(w.buf, '}')
+}
+
+// matches appends one document's node matches, bare, and its answer tuples,
+// each with its head as the selected node (0 for the empty tuple of a
+// Boolean query, which carries no "answer").
+func (w *envWriter) matches(doc string, version uint64, nodes []tree.NodeID, answers []cq.Answer) {
+	if len(nodes)+len(answers) == 0 {
+		return
+	}
+	start, end := w.entry(doc, version)
+	for i, n := range nodes {
+		if i > 0 {
+			w.again(start, end)
+		}
+		w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+		w.buf = append(w.buf, '}')
+	}
+	for i, a := range answers {
+		if i > 0 || len(nodes) > 0 {
+			w.again(start, end)
+		}
+		if len(a) == 0 {
+			w.buf = append(w.buf, "0}"...)
+			continue
+		}
+		w.buf = strconv.AppendInt(w.buf, int64(a[0]), 10)
+		w.buf = append(w.buf, `,"answer":[`...)
+		for j, n := range a {
+			if j > 0 {
+				w.buf = append(w.buf, ',')
+			}
+			w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+		}
+		w.buf = append(w.buf, "]}"...)
+	}
+}
+
+// result appends one document's core.Result: ranked hits carry a score, node
+// lists are bare, answer tuples carry the full tuple.  Only the first limit
+// entries (all of them when limit is 0) are written; env.Total counts every
+// match regardless.
+func (w *envWriter) result(env *envelope, doc string, version uint64, res *core.Result, limit int) {
 	if res == nil {
 		return
 	}
@@ -110,34 +209,155 @@ func fillEnvelope(env *envelopeJSON, doc string, version uint64, res *core.Resul
 		keep = limit
 		env.Truncated = true
 	}
-	if keep == 0 {
-		return
-	}
 	hits := res.Hits[:min(keep, len(res.Hits))]
 	nodes := res.Nodes[:min(keep-len(hits), len(res.Nodes))]
 	answers := res.Answers[:min(keep-len(hits)-len(nodes), len(res.Answers))]
-	out := make([]resultEntryJSON, 0, keep)
 	for _, h := range hits {
-		score := h.Distance
-		out = append(out, resultEntryJSON{
-			Doc: doc, DocVersion: version, Node: int32(h.Node), Score: &score,
-		})
+		w.hit(doc, version, h.Node, h.Distance)
 	}
-	for _, n := range nodes {
-		out = append(out, resultEntryJSON{Doc: doc, DocVersion: version, Node: int32(n)})
+	w.matches(doc, version, nodes, answers)
+}
+
+// corpus appends an aggregated fan-out: the ranked hits first, already
+// interleaved in (distance, doc, node) order, so a similar query's results
+// are globally ranked, not grouped by document; then the node and answer
+// matches document by document.  Every entry is labelled with the version its
+// document was executed against.
+func (w *envWriter) corpus(agg *service.CorpusResult) {
+	for _, h := range agg.Hits {
+		w.hit(h.Doc, h.Version, h.Node, h.Distance)
 	}
-	for _, a := range answers {
-		tuple := make([]int32, len(a))
-		for i, n := range a {
-			tuple[i] = int32(n)
+	for _, p := range agg.Parts {
+		w.matches(p.Doc, p.Version, p.Nodes, p.Answers)
+	}
+}
+
+// finish closes the results array and appends env's fields and the newline
+// json.Encoder ends a value with.
+func (w *envWriter) finish(env *envelope) {
+	w.buf = append(w.buf, `],"total":`...)
+	w.buf = strconv.AppendInt(w.buf, int64(env.Total), 10)
+	w.buf = append(w.buf, `,"truncated":`...)
+	w.buf = strconv.AppendBool(w.buf, env.Truncated)
+	w.buf = append(w.buf, `,"version":"`+APIVersion+`","request_id":`...)
+	w.buf = appendString(w.buf, env.RequestID)
+	if env.ID != "" {
+		w.buf = append(w.buf, `,"id":`...)
+		w.buf = appendString(w.buf, env.ID)
+	}
+	if env.Docs != 0 {
+		w.buf = append(w.buf, `,"docs":`...)
+		w.buf = strconv.AppendInt(w.buf, int64(env.Docs), 10)
+	}
+	if env.Plan != nil {
+		w.buf = append(w.buf, `,"plan":`...)
+		w.plan(env.Plan)
+	}
+	if len(env.Failed) > 0 {
+		w.buf = append(w.buf, `,"failed":`...)
+		w.json(env.Failed)
+	}
+	if len(env.Timings) > 0 {
+		w.buf = append(w.buf, `,"timings":`...)
+		w.json(env.Timings)
+	}
+	w.buf = append(w.buf, "}\n"...)
+}
+
+// plan appends p in its planJSON wire form.
+func (w *envWriter) plan(p *core.Plan) {
+	w.buf = append(w.buf, `{"language":`...)
+	w.buf = appendString(w.buf, p.Language)
+	w.buf = append(w.buf, `,"technique":`...)
+	w.buf = appendString(w.buf, p.Technique)
+	if len(p.Notes) > 0 {
+		w.buf = append(w.buf, `,"notes":[`...)
+		for i, n := range p.Notes {
+			if i > 0 {
+				w.buf = append(w.buf, ',')
+			}
+			w.buf = appendString(w.buf, n)
 		}
-		e := resultEntryJSON{Doc: doc, DocVersion: version, Answer: tuple}
-		if len(tuple) > 0 {
-			e.Node = tuple[0]
-		}
-		out = append(out, e)
+		w.buf = append(w.buf, ']')
 	}
-	env.Results = out
+	w.buf = append(w.buf, `,"prepare_ns":`...)
+	w.buf = strconv.AppendInt(w.buf, int64(p.PrepareDuration), 10)
+	w.buf = append(w.buf, `,"exec_ns":`...)
+	w.buf = strconv.AppendInt(w.buf, int64(p.ExecDuration), 10)
+	w.buf = append(w.buf, '}')
+}
+
+// json appends v through encoding/json, without the trailing newline.
+func (w *envWriter) json(v any) {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		panic(fmt.Sprintf("server: encoding %T: %v", v, err)) // only plain data reaches here
+	}
+	w.buf = w.buf[:len(w.buf)-1]
+}
+
+// appendString appends s as a JSON string, byte for byte as encoding/json
+// writes it with HTML escaping off: '"', '\\' and control bytes escaped,
+// each invalid UTF-8 byte replaced by \ufffd, U+2028 and U+2029 escaped.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			i++
+			if c >= 0x20 && c != '"' && c != '\\' {
+				continue
+			}
+			b = append(b, s[start:i-1]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// writeEnvelope finishes env in ew, sends it with status 200, and returns ew
+// to the pool.
+func (s *Server) writeEnvelope(w http.ResponseWriter, ew *envWriter, env *envelope) {
+	ew.finish(env)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(ew.buf)
+	ew.release()
 }
 
 // handleQueryV1 is POST /v1/query: one document, any language, envelope out.
@@ -157,21 +377,20 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	env := envelopeJSON{RequestID: tr.ID()}
-	fillEnvelope(&env, req.Doc, version, res, req.Limit)
+	env := envelope{RequestID: tr.ID()}
+	ew := newEnvWriter()
+	ew.result(&env, req.Doc, version, res, req.Limit)
 	if req.Plan {
-		env.Plan = toPlanJSON(plan)
+		env.Plan = plan
 	}
 	if debugTimings(r) {
 		env.Timings = timingsJSON(tr)
 	}
-	s.writeJSON(w, http.StatusOK, env)
+	s.writeEnvelope(w, ew, &env)
 }
 
-// handleCorpusQueryV1 is POST /v1/corpus/query: the fan-out route.  Ranked
-// (similar) queries merge per-document k-heaps into a corpus-wide top-k —
-// the Aggregate already interleaves hits in (distance, doc, node) order, so
-// the envelope's results are globally ranked, not grouped by document.
+// handleCorpusQueryV1 is POST /v1/corpus/query: the fan-out route, one
+// Aggregate written out in its own order (see envWriter.corpus).
 func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 	tr := obsv.TraceFrom(r.Context())
 	start := time.Now()
@@ -196,49 +415,19 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 	s.fanoutDocs.Observe(float64(agg.Docs))
 	s.observeQuery(tr, "corpus", req.Lang, req.Query, start, nil)
 
-	versions := s.svc.Versions()
-	entries := make([]resultEntryJSON, 0, len(agg.Hits)+len(agg.Nodes)+len(agg.Answers))
-	for _, h := range agg.Hits {
-		score := h.Distance
-		entries = append(entries, resultEntryJSON{
-			Doc: h.Doc, DocVersion: versions[h.Doc], Node: int32(h.Node), Score: &score,
-		})
-	}
-	for _, n := range agg.Nodes {
-		entries = append(entries, resultEntryJSON{Doc: n.Doc, DocVersion: versions[n.Doc], Node: int32(n.Node)})
-	}
-	for _, a := range agg.Answers {
-		tuple := make([]int32, len(a.Answer))
-		for i, n := range a.Answer {
-			tuple[i] = int32(n)
-		}
-		e := resultEntryJSON{Doc: a.Doc, DocVersion: versions[a.Doc], Answer: tuple}
-		if len(tuple) > 0 {
-			e.Node = tuple[0]
-		}
-		entries = append(entries, e)
-	}
-	env := envelopeJSON{RequestID: tr.ID(), Docs: agg.Docs}
-	// Aggregate already applied the limit per kind; recompute nothing, just
-	// carry its accounting through.
-	env.Results = entries
-	env.Total = agg.Total
-	env.Truncated = agg.Truncated
-	env.Version = APIVersion
-	if env.Results == nil {
-		env.Results = []resultEntryJSON{}
-	}
+	env := envelope{RequestID: tr.ID(), Docs: agg.Docs, Total: agg.Total, Truncated: agg.Truncated}
+	ew := newEnvWriter()
+	ew.corpus(agg)
 	if len(agg.Failed) > 0 {
-		failed := make([]docErrorJSON, len(agg.Failed))
+		env.Failed = make([]docErrorJSON, len(agg.Failed))
 		for i, f := range agg.Failed {
-			failed[i] = docErrorJSON{Doc: f.Doc, Error: fmt.Sprintf("%s (request_id=%s)", f.Err.Error(), tr.ID())}
+			env.Failed[i] = docErrorJSON{Doc: f.Doc, Error: fmt.Sprintf("%s (request_id=%s)", f.Err.Error(), tr.ID())}
 		}
-		env.Failed = failed
 	}
 	if debugTimings(r) {
 		env.Timings = timingsJSON(tr)
 	}
-	s.writeJSON(w, http.StatusOK, env)
+	s.writeEnvelope(w, ew, &env)
 }
 
 // handleExecPreparedV1 is POST /v1/prepared/{id}: execute a registered
@@ -268,12 +457,13 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	env := envelopeJSON{RequestID: tr.ID(), ID: e.id, Plan: toPlanJSON(plan)}
-	fillEnvelope(&env, e.doc, version, res, queryLimit(r))
+	env := envelope{RequestID: tr.ID(), ID: e.id, Plan: plan}
+	ew := newEnvWriter()
+	ew.result(&env, e.doc, version, res, queryLimit(r))
 	if debugTimings(r) {
 		env.Timings = timingsJSON(tr)
 	}
-	s.writeJSON(w, http.StatusOK, env)
+	s.writeEnvelope(w, ew, &env)
 }
 
 // queryLimit reads the optional ?limit parameter of GET-parameterized routes.

@@ -1,29 +1,26 @@
 package service
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/tree"
 )
 
-// CorpusNode is one matched node of an aggregated corpus result, qualified by
-// the document it was found in.
-type CorpusNode struct {
+// DocPart is one document's share of an aggregated corpus result: sub-slices
+// of that document's own core.Result, already cut at the aggregation limit.
+// The slices are shared with the Result; treat them as read-only.
+type DocPart struct {
 	// Doc is the document name.
 	Doc string
-	// Node is the matched node in that document.
-	Node tree.NodeID
-}
-
-// CorpusAnswer is one answer tuple of an aggregated corpus result, qualified
-// by the document it was found in.
-type CorpusAnswer struct {
-	// Doc is the document name.
-	Doc string
-	// Answer is the tuple (one node per head variable).
-	Answer cq.Answer
+	// Version is the document version the query executed against.
+	Version uint64
+	// Nodes are the document's matched nodes, in document order.
+	Nodes []tree.NodeID
+	// Answers are the document's answer tuples, sorted and deduplicated.
+	Answers []cq.Answer
 }
 
 // CorpusHit is one ranked similarity match of an aggregated corpus result:
@@ -31,6 +28,8 @@ type CorpusAnswer struct {
 type CorpusHit struct {
 	// Doc is the document name.
 	Doc string
+	// Version is the document version the query executed against.
+	Version uint64
 	// Node is the root of the matched subtree in that document.
 	Node tree.NodeID
 	// Distance is the tree edit distance between the pattern and the subtree.
@@ -45,9 +44,9 @@ type DocError struct {
 	Err error
 }
 
-// CorpusResult is the merged, directly-consumable view of a corpus fan-out:
-// one flat match list instead of a slice of per-document results.  Exactly
-// one of Nodes, Answers and Hits is populated, matching the query language.
+// CorpusResult is the merged, directly-consumable view of a corpus fan-out.
+// Parts carry the node and answer matches, Hits the ranked similarity
+// matches; a query populates one of the two, matching its language.
 type CorpusResult struct {
 	// Docs is the number of documents the query fanned out to.
 	Docs int
@@ -55,35 +54,38 @@ type CorpusResult struct {
 	// prepare failure), in document-name order.  Successful documents still
 	// contribute matches: corpus results are partial under failure.
 	Failed []DocError
-	// Nodes are the merged matches in (document name, node id) order,
-	// truncated to the aggregation limit.
-	Nodes []CorpusNode
-	// Answers are the merged answer tuples in (document name, tuple) order,
-	// truncated to the aggregation limit.
-	Answers []CorpusAnswer
+	// Parts are the documents' node and answer matches in document-name
+	// order, one per document that contributes any; read in sequence they
+	// are the corpus's matches in (document name, node id or answer tuple)
+	// order, truncated to the aggregation limit.
+	Parts []DocPart
 	// Hits are the merged ranked similarity matches in (distance, document
 	// name, node id) order — the corpus-wide top-k assembled from the
 	// per-document k-heaps — truncated to the aggregation limit.
 	Hits []CorpusHit
 	// Total counts all matches across the corpus before the limit was
-	// applied; Total > len(Nodes)+len(Answers) means truncation happened.
+	// applied.
 	Total int
 	// Truncated reports whether the limit dropped any matches.
 	Truncated bool
 }
 
-// Aggregate merges per-document fan-out results into one CorpusResult with a
-// stable total order: matches are sorted by document name first, node id (or
-// answer tuple, for cq/twig queries) second, so equal corpora always produce
-// byte-identical aggregates regardless of worker scheduling.  Ranked
-// similarity results instead merge by (distance, document name, node id) —
-// each document contributed its own k-heap, so cutting the merged list at
-// the limit yields the corpus-wide top-k under the same deterministic
-// order.  limit bounds the number of merged matches kept (<= 0 means
-// unlimited); Total still counts everything, so callers can report
-// "showing N of M".
+// Aggregate merges per-document fan-out results, given in document-name
+// order as QueryCorpus returns them, into one CorpusResult with a stable
+// total order, so equal corpora always produce identical aggregates
+// regardless of worker scheduling.  Node and answer matches are ordered by
+// document name, then node id (or answer tuple): since each core.Result
+// holds its nodes in document order and its answers sorted, that order is
+// the documents' own lists read in sequence, and Parts shares them rather
+// than copying.  Ranked similarity results instead merge by (distance,
+// document name, node id) — each document contributed its own k-heap, so
+// cutting the merged list at the limit yields the corpus-wide top-k under
+// the same deterministic order.  limit bounds the number of merged matches
+// kept (<= 0 means unlimited); Total still counts everything, so callers can
+// report "showing N of M".
 func Aggregate(results []DocResult, limit int) *CorpusResult {
 	agg := &CorpusResult{Docs: len(results)}
+	kept := 0 // node and answer matches in Parts
 	for _, r := range results {
 		if r.Err != nil {
 			agg.Failed = append(agg.Failed, DocError{Doc: r.Doc, Err: r.Err})
@@ -92,70 +94,48 @@ func Aggregate(results []DocResult, limit int) *CorpusResult {
 		if r.Result == nil {
 			continue
 		}
-		for _, n := range r.Result.Nodes {
-			agg.Nodes = append(agg.Nodes, CorpusNode{Doc: r.Doc, Node: n})
+		res := r.Result
+		agg.Total += len(res.Nodes) + len(res.Answers) + len(res.Hits)
+		if agg.Hits == nil && len(res.Hits) > 0 {
+			agg.Hits = make([]CorpusHit, 0, len(res.Hits)*len(results)) // k per document
 		}
-		for _, a := range r.Result.Answers {
-			agg.Answers = append(agg.Answers, CorpusAnswer{Doc: r.Doc, Answer: a})
+		for _, h := range res.Hits {
+			agg.Hits = append(agg.Hits, CorpusHit{Doc: r.Doc, Version: r.Version, Node: h.Node, Distance: h.Distance})
 		}
-		for _, h := range r.Result.Hits {
-			agg.Hits = append(agg.Hits, CorpusHit{Doc: r.Doc, Node: h.Node, Distance: h.Distance})
+		part := DocPart{Doc: r.Doc, Version: r.Version, Nodes: res.Nodes, Answers: res.Answers}
+		if limit > 0 {
+			room := limit - kept
+			part.Nodes = part.Nodes[:min(room, len(part.Nodes))]
+			part.Answers = part.Answers[:min(room-len(part.Nodes), len(part.Answers))]
 		}
-	}
-	sort.Slice(agg.Failed, func(i, j int) bool { return agg.Failed[i].Doc < agg.Failed[j].Doc })
-	sort.Slice(agg.Nodes, func(i, j int) bool {
-		if agg.Nodes[i].Doc != agg.Nodes[j].Doc {
-			return agg.Nodes[i].Doc < agg.Nodes[j].Doc
-		}
-		return agg.Nodes[i].Node < agg.Nodes[j].Node
-	})
-	sort.Slice(agg.Answers, func(i, j int) bool {
-		if agg.Answers[i].Doc != agg.Answers[j].Doc {
-			return agg.Answers[i].Doc < agg.Answers[j].Doc
-		}
-		return lessAnswer(agg.Answers[i].Answer, agg.Answers[j].Answer)
-	})
-	sort.Slice(agg.Hits, func(i, j int) bool {
-		if agg.Hits[i].Distance != agg.Hits[j].Distance {
-			return agg.Hits[i].Distance < agg.Hits[j].Distance
-		}
-		if agg.Hits[i].Doc != agg.Hits[j].Doc {
-			return agg.Hits[i].Doc < agg.Hits[j].Doc
-		}
-		return agg.Hits[i].Node < agg.Hits[j].Node
-	})
-	agg.Total = len(agg.Nodes) + len(agg.Answers) + len(agg.Hits)
-	if limit > 0 {
-		if len(agg.Nodes) > limit {
-			agg.Nodes = agg.Nodes[:limit]
-			agg.Truncated = true
-		}
-		if len(agg.Answers) > limit {
-			agg.Answers = agg.Answers[:limit]
-			agg.Truncated = true
-		}
-		if len(agg.Hits) > limit {
-			agg.Hits = agg.Hits[:limit]
-			agg.Truncated = true
+		if n := len(part.Nodes) + len(part.Answers); n > 0 {
+			if agg.Parts == nil {
+				agg.Parts = make([]DocPart, 0, len(results))
+			}
+			agg.Parts = append(agg.Parts, part)
+			kept += n
 		}
 	}
+	slices.SortFunc(agg.Hits, func(a, b CorpusHit) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Doc, b.Doc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Node, b.Node)
+	})
+	if limit > 0 && len(agg.Hits) > limit {
+		agg.Hits = agg.Hits[:limit]
+	}
+	agg.Truncated = kept+len(agg.Hits) < agg.Total
 	return agg
-}
-
-// lessAnswer orders answer tuples lexicographically.
-func lessAnswer(a, b cq.Answer) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // QueryCorpusAggregated runs QueryCorpus and merges the per-document results
 // into one CorpusResult (see Aggregate).  This is the form the HTTP front-end
-// serves: a flat, stably-ordered, limit-bounded match list plus the
-// per-document failures.
+// serves: a stably-ordered, limit-bounded match list plus the per-document
+// failures.
 func (s *Service) QueryCorpusAggregated(ctx context.Context, lang, text string, limit int, opts ...CorpusOption) *CorpusResult {
 	return Aggregate(s.QueryCorpus(ctx, lang, text, opts...), limit)
 }

@@ -12,35 +12,71 @@ import (
 	"repro/internal/tree"
 )
 
-// TestAggregateOrderingAndLimit feeds Aggregate hand-built, deliberately
-// shuffled fan-out results and checks the stable (doc, node) total order, the
-// limit, and the failure accounting.
+// docNode is one (document, node) match of a flattened aggregate.
+type docNode struct {
+	Doc  string
+	Node tree.NodeID
+}
+
+// docAnswer is one (document, tuple) match of a flattened aggregate.
+type docAnswer struct {
+	Doc    string
+	Answer cq.Answer
+}
+
+// flatten reads an aggregate's Parts in sequence, the order the envelope
+// writes them in.
+func flatten(agg *CorpusResult) (nodes []docNode, answers []docAnswer) {
+	for _, p := range agg.Parts {
+		for _, n := range p.Nodes {
+			nodes = append(nodes, docNode{p.Doc, n})
+		}
+		for _, a := range p.Answers {
+			answers = append(answers, docAnswer{p.Doc, a})
+		}
+	}
+	return nodes, answers
+}
+
+// TestAggregateOrderingAndLimit feeds Aggregate hand-built fan-out results in
+// QueryCorpus's order (document names ascending, each document's nodes in
+// document order) and checks the (doc, node) total order, the limit cutting
+// inside a document, and the failure accounting.
 func TestAggregateOrderingAndLimit(t *testing.T) {
 	results := []DocResult{
-		{Doc: "c", Result: &core.Result{Nodes: []tree.NodeID{5, 1}}},
-		{Doc: "a", Result: &core.Result{Nodes: []tree.NodeID{9, 2}}},
+		{Doc: "a", Version: 3, Result: &core.Result{Nodes: []tree.NodeID{2, 9}}},
+		{Doc: "b", Version: 1, Result: &core.Result{Nodes: []tree.NodeID{7}}},
+		{Doc: "c", Version: 2, Result: &core.Result{Nodes: []tree.NodeID{1, 5}}},
 		{Doc: "d", Err: errors.New("boom")},
-		{Doc: "b", Result: &core.Result{Nodes: []tree.NodeID{7}}},
 	}
 	agg := Aggregate(results, 0)
 	if agg.Docs != 4 || agg.Total != 5 || agg.Truncated {
 		t.Fatalf("docs=%d total=%d truncated=%v", agg.Docs, agg.Total, agg.Truncated)
 	}
-	want := []CorpusNode{{"a", 2}, {"a", 9}, {"b", 7}, {"c", 1}, {"c", 5}}
-	if fmt.Sprint(agg.Nodes) != fmt.Sprint(want) {
-		t.Errorf("nodes = %v, want %v", agg.Nodes, want)
+	want := []docNode{{"a", 2}, {"a", 9}, {"b", 7}, {"c", 1}, {"c", 5}}
+	if nodes, _ := flatten(agg); fmt.Sprint(nodes) != fmt.Sprint(want) {
+		t.Errorf("nodes = %v, want %v", nodes, want)
+	}
+	for _, p := range agg.Parts {
+		if want := map[string]uint64{"a": 3, "b": 1, "c": 2}[p.Doc]; p.Version != want {
+			t.Errorf("part %s: version %d, want %d", p.Doc, p.Version, want)
+		}
 	}
 	if len(agg.Failed) != 1 || agg.Failed[0].Doc != "d" {
 		t.Errorf("failed = %v", agg.Failed)
 	}
 
 	limited := Aggregate(results, 3)
-	if len(limited.Nodes) != 3 || !limited.Truncated || limited.Total != 5 {
+	nodes, _ := flatten(limited)
+	if len(nodes) != 3 || !limited.Truncated || limited.Total != 5 {
 		t.Errorf("limit=3: nodes=%d truncated=%v total=%d",
-			len(limited.Nodes), limited.Truncated, limited.Total)
+			len(nodes), limited.Truncated, limited.Total)
 	}
-	if fmt.Sprint(limited.Nodes) != fmt.Sprint(want[:3]) {
-		t.Errorf("limited nodes = %v, want %v", limited.Nodes, want[:3])
+	if fmt.Sprint(nodes) != fmt.Sprint(want[:3]) {
+		t.Errorf("limited nodes = %v, want %v", nodes, want[:3])
+	}
+	if len(limited.Parts) != 2 {
+		t.Errorf("limit=3: %d parts, want 2 (document c contributes nothing)", len(limited.Parts))
 	}
 }
 
@@ -48,17 +84,17 @@ func TestAggregateOrderingAndLimit(t *testing.T) {
 // document name first, lexicographic tuple order second.
 func TestAggregateAnswersOrdering(t *testing.T) {
 	results := []DocResult{
-		{Doc: "b", Result: &core.Result{Answers: []cq.Answer{{3, 1}, {2, 9}}}},
 		{Doc: "a", Result: &core.Result{Answers: []cq.Answer{{5, 5}}}},
+		{Doc: "b", Result: &core.Result{Answers: []cq.Answer{{2, 9}, {3, 1}}}},
 	}
 	agg := Aggregate(results, 0)
-	want := []CorpusAnswer{
+	want := []docAnswer{
 		{Doc: "a", Answer: cq.Answer{5, 5}},
 		{Doc: "b", Answer: cq.Answer{2, 9}},
 		{Doc: "b", Answer: cq.Answer{3, 1}},
 	}
-	if fmt.Sprint(agg.Answers) != fmt.Sprint(want) {
-		t.Errorf("answers = %v, want %v", agg.Answers, want)
+	if _, answers := flatten(agg); fmt.Sprint(answers) != fmt.Sprint(want) {
+		t.Errorf("answers = %v, want %v", answers, want)
 	}
 	if agg.Total != 3 {
 		t.Errorf("total = %d, want 3", agg.Total)
@@ -74,27 +110,29 @@ func TestQueryCorpusAggregated(t *testing.T) {
 	if agg.Docs != 5 || len(agg.Failed) != 0 {
 		t.Fatalf("docs=%d failed=%v", agg.Docs, agg.Failed)
 	}
-	if agg.Total == 0 || agg.Total != len(agg.Nodes) {
-		t.Fatalf("total=%d nodes=%d", agg.Total, len(agg.Nodes))
+	nodes, _ := flatten(agg)
+	if agg.Total == 0 || agg.Total != len(nodes) {
+		t.Fatalf("total=%d nodes=%d", agg.Total, len(nodes))
 	}
-	if !sort.SliceIsSorted(agg.Nodes, func(i, j int) bool {
-		if agg.Nodes[i].Doc != agg.Nodes[j].Doc {
-			return agg.Nodes[i].Doc < agg.Nodes[j].Doc
+	if !sort.SliceIsSorted(nodes, func(i, j int) bool {
+		if nodes[i].Doc != nodes[j].Doc {
+			return nodes[i].Doc < nodes[j].Doc
 		}
-		return agg.Nodes[i].Node < agg.Nodes[j].Node
+		return nodes[i].Node < nodes[j].Node
 	}) {
 		t.Error("aggregated nodes not in (doc, node) order")
 	}
 	// Repeat with a different worker width: byte-identical aggregate.
 	s2 := corpusService(t, 5, WithWorkers(1))
-	agg2 := s2.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 0)
-	if fmt.Sprint(agg.Nodes) != fmt.Sprint(agg2.Nodes) {
+	nodes2, _ := flatten(s2.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 0))
+	if fmt.Sprint(nodes) != fmt.Sprint(nodes2) {
 		t.Error("aggregate depends on worker scheduling")
 	}
 
 	limited := s.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 3)
-	if len(limited.Nodes) != 3 || !limited.Truncated || limited.Total != agg.Total {
+	kept, _ := flatten(limited)
+	if len(kept) != 3 || !limited.Truncated || limited.Total != agg.Total {
 		t.Errorf("limit=3: nodes=%d truncated=%v total=%d (full total %d)",
-			len(limited.Nodes), limited.Truncated, limited.Total, agg.Total)
+			len(kept), limited.Truncated, limited.Total, agg.Total)
 	}
 }

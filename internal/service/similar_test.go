@@ -10,17 +10,17 @@ import (
 )
 
 // TestAggregateRankedMerge feeds hand-built per-document k-heap outputs and
-// checks the corpus-wide (distance, doc, node) merge order, the top-k cut,
-// and the Total/Truncated accounting.
+// checks the corpus-wide (distance, doc, node) merge order, each hit's
+// document version, the top-k cut, and the Total/Truncated accounting.
 func TestAggregateRankedMerge(t *testing.T) {
 	results := []DocResult{
-		{Doc: "b", Result: &core.Result{Hits: []core.Hit{{Node: 4, Distance: 0}, {Node: 9, Distance: 2}}}},
-		{Doc: "a", Result: &core.Result{Hits: []core.Hit{{Node: 7, Distance: 1}, {Node: 2, Distance: 2}}}},
-		{Doc: "c", Result: &core.Result{Hits: []core.Hit{{Node: 1, Distance: 0}}}},
+		{Doc: "a", Version: 1, Result: &core.Result{Hits: []core.Hit{{Node: 7, Distance: 1}, {Node: 2, Distance: 2}}}},
+		{Doc: "b", Version: 2, Result: &core.Result{Hits: []core.Hit{{Node: 4, Distance: 0}, {Node: 9, Distance: 2}}}},
+		{Doc: "c", Version: 3, Result: &core.Result{Hits: []core.Hit{{Node: 1, Distance: 0}}}},
 	}
 	agg := Aggregate(results, 0)
 	want := []CorpusHit{
-		{"b", 4, 0}, {"c", 1, 0}, {"a", 7, 1}, {"a", 2, 2}, {"b", 9, 2},
+		{"b", 2, 4, 0}, {"c", 3, 1, 0}, {"a", 1, 7, 1}, {"a", 1, 2, 2}, {"b", 2, 9, 2},
 	}
 	if fmt.Sprint(agg.Hits) != fmt.Sprint(want) {
 		t.Errorf("hits = %v, want %v", agg.Hits, want)
