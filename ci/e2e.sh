@@ -132,6 +132,21 @@ assert_json "$resp" "r['total'] == 3 and r['results'][0]['doc_version'] == 2"
 resp="$(curl -sf "$BASE/v1/statusz")"
 assert_json "$resp" "r['service']['updates'] == 1 and r['updates']['plans_carried'] >= 1"
 assert_json "$resp" "r['service']['doc_versions']['upd.xml'] == 2 and 'reprepare' not in r['updates']['phase_totals_ns']"
+
+echo "== a malformed character reference is a 400 and leaves the version as it was"
+code="$(curl -s -o /tmp/e2e-charref.json -w '%{http_code}' -X PUT --data-binary '<site><item><name>&#65abc;</name></item></site>' "$BASE/v1/docs/upd.xml")"
+[ "$code" = 400 ] || { echo "PUT with &#65abc; answered $code, want 400" >&2; exit 1; }
+assert_json "$(cat /tmp/e2e-charref.json)" "r['code'] == 'bad_request' and 'character reference' in r['error']"
+resp="$(curl -sf "$BASE/v1/statusz")"
+assert_json "$resp" "r['service']['doc_versions']['upd.xml'] == 2"
+
+echo "== a label no version carried: the PUT bumps the version and //thatlabel answers the node"
+# The third keyword (node 6 in preorder) becomes <neverseen>: the body is
+# parsed against v2's label dictionary, which gains the new label's code.
+resp="$(curl -sf -X PUT --data-binary '<site><item><name>a</name><description><keyword>k1</keyword><keyword>k2</keyword><neverseen>k3</neverseen></description></item></site>' "$BASE/v1/docs/upd.xml")"
+assert_json "$resp" "r['doc'] == 'upd.xml' and r['version'] == 3"
+resp="$(curl -sf -X POST -d '{"doc":"upd.xml","lang":"xpath","query":"//neverseen"}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 1 and r['results'][0]['node'] == 6 and r['results'][0]['doc_version'] == 3"
 resp="$(curl -sf -X DELETE "$BASE/v1/docs/upd.xml")"
 assert_json "$resp" "r['docs'] == 3"
 

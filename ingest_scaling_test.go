@@ -9,12 +9,17 @@ import (
 // TestIngestScalingLinear pins the constants of the write path's parse on
 // counts that do not depend on the machine: xmldoc.Parse scans the document
 // once into a tree whose columns were sized up front, so what it allocates per
-// node is the attribute labels and a share of the label chunks — under half an
+// node is the dictionary entries of the labels it meets first — under half an
 // object per node on an update_churn document (400 items), and no faster than
 // the document grows.  The event buffer and per-element builders this ingest
 // replaced allocated 1.7 objects per node.
+//
+// A PUT parses against the dictionary of the version it replaces
+// (xmldoc.ParseDict), where every label already has a code: then the parse
+// allocates the columns and a few buffers, at most 64 objects whatever the
+// document's size.
 func TestIngestScalingLinear(t *testing.T) {
-	measure := func(items int) (allocs float64, nodes int) {
+	measure := func(items int) (allocs, heirAllocs float64, nodes int) {
 		doc, _ := joinMixDocument(items)
 		src := xmldoc.Serialize(doc, false)
 		allocs = testing.AllocsPerRun(5, func() {
@@ -22,12 +27,23 @@ func TestIngestScalingLinear(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return allocs, doc.Len()
+		prev := xmldoc.MustParse(src).NextDict()
+		heirAllocs = testing.AllocsPerRun(5, func() {
+			if _, err := xmldoc.ParseDict(src, prev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, heirAllocs, doc.Len()
 	}
-	small, smallNodes := measure(400)
-	big, bigNodes := measure(4000)
+	small, smallHeir, smallNodes := measure(400)
+	big, bigHeir, bigNodes := measure(4000)
 	t.Logf("Parse allocs %.0f for %d nodes (%.2f per node) -> %.0f for %d nodes (%.2f per node)",
 		small, smallNodes, small/float64(smallNodes), big, bigNodes, big/float64(bigNodes))
+	t.Logf("ParseDict against the predecessor's dictionary: %.0f -> %.0f allocs", smallHeir, bigHeir)
+	if smallHeir > 64 || bigHeir > 64 {
+		t.Errorf("ParseDict allocates %.0f and %.0f objects at %d and %d nodes, want at most 64 at both",
+			smallHeir, bigHeir, smallNodes, bigNodes)
+	}
 	if bigNodes < 5*smallNodes {
 		t.Errorf("%d -> %d nodes: the documents do not scale the input", smallNodes, bigNodes)
 	}

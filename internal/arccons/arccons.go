@@ -87,9 +87,9 @@ func MaxPreValuation(q *cq.Query, t *tree.Tree) (PreValuation, bool, error) {
 // return masks that are stable and safe for concurrent readers (this package
 // never mutates or releases them); package index provides one.
 type LabelIndex interface {
-	// LabelMask returns the bit vector with bit n set iff node n carries the
-	// label.
-	LabelMask(label string) bitset.Bits
+	// CodeMask returns the bit vector with bit n set iff node n carries the
+	// label of code c, a code of the tree's dictionary.
+	CodeMask(c tree.Code) bitset.Bits
 }
 
 // MaxPreValuationIndexed is MaxPreValuation with label tests answered by a
@@ -127,8 +127,12 @@ func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, i
 			// Exclude every node missing one of the labels: OR the complement
 			// of each cached mask word-at-a-time, then walk only the set bits.
 			excluded := bitset.Acquire(n)
-			for _, l := range labels {
-				excluded.OrNot(ix.LabelMask(l), n)
+			for _, c := range t.Dict().Codes(labels) {
+				if c == tree.NoCode { // a label the tree lacks excludes every node
+					excluded.SetAll(n)
+					break
+				}
+				excluded.OrNot(ix.CodeMask(c), n)
 			}
 			excluded.ForEach(func(i int) {
 				p.AddFact(out(v, tree.NodeID(i)))
@@ -136,12 +140,10 @@ func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, i
 			bitset.Release(excluded)
 			continue
 		}
-		for _, node := range t.Nodes() {
-			for _, l := range labels {
-				if !t.HasLabel(node, l) {
-					p.AddFact(out(v, node))
-					break
-				}
+		codes := t.Dict().Codes(labels)
+		for node := range tree.NodeID(n) {
+			if !t.HasCodes(node, codes) {
+				p.AddFact(out(v, node))
 			}
 		}
 	}
@@ -205,17 +207,10 @@ func MaxPreValuationPropagateCtx(ctx context.Context, q *cq.Query, t *tree.Tree)
 	vars := q.Variables()
 	pv := PreValuation{}
 	for _, v := range vars {
-		labels := q.LabelsOf(v)
+		codes := t.Dict().Codes(q.LabelsOf(v))
 		var dom []tree.NodeID
-		for _, node := range t.Nodes() {
-			ok := true
-			for _, l := range labels {
-				if !t.HasLabel(node, l) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+		for node := range tree.NodeID(t.Len()) {
+			if t.HasCodes(node, codes) {
 				dom = append(dom, node)
 			}
 		}

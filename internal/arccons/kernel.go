@@ -200,7 +200,7 @@ func (c *Compiled) newKernel(t *tree.Tree, ix LabelIndex) *kernel {
 		dom: make([]bitset.Bits, len(c.order)), assign: make([]int, len(c.order)),
 	}
 	for v := range k.dom {
-		k.dom[v] = k.domain(ix, c.labels[v])
+		k.dom[v] = k.domain(t, ix, c.labels[v])
 	}
 	return k
 }
@@ -214,12 +214,18 @@ func (k *kernel) release() {
 }
 
 // domain returns the nodes carrying every one of the labels (all nodes when
-// there is none).
-func (k *kernel) domain(ix LabelIndex, labels []string) bitset.Bits {
+// there is none).  Each label is resolved to its code in t's dictionary once;
+// one the tree lacks empties the domain without touching the index.
+func (k *kernel) domain(t *tree.Tree, ix LabelIndex, labels []string) bitset.Bits {
 	d := bitset.Acquire(k.n)
 	d.SetAll(k.n)
 	for _, l := range labels {
-		d.And(ix.LabelMask(l))
+		c := t.Dict().Code(l)
+		if c == tree.NoCode {
+			d.Reset()
+			break
+		}
+		d.And(ix.CodeMask(c))
 	}
 	return d
 }

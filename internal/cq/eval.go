@@ -52,17 +52,10 @@ func EvaluateNaiveCtx(ctx context.Context, q *Query, t *tree.Tree) ([]Answer, er
 	// Candidate domains from unary atoms.
 	domains := make(map[Variable][]tree.NodeID, len(vars))
 	for _, v := range vars {
-		labels := q.LabelsOf(v)
+		codes := t.Dict().Codes(q.LabelsOf(v))
 		var dom []tree.NodeID
-		for _, n := range t.Nodes() {
-			ok := true
-			for _, l := range labels {
-				if !t.HasLabel(n, l) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+		for n := range tree.NodeID(t.Len()) {
+			if t.HasCodes(n, codes) {
 				dom = append(dom, n)
 			}
 		}

@@ -131,16 +131,12 @@ type Index struct {
 	// region labels) share one RWMutex with a build-outside-the-lock,
 	// double-check-on-publish discipline, so Release can drop them all and a
 	// later request simply rebuilds (a sync.Once could not be re-armed).
-	mu         sync.RWMutex
-	xasr       *labeling.XASR
-	regions    []labeling.RegionLabel
-	labelNodes map[string][]tree.NodeID
-	labelMasks map[string]bitset.Bits
-	// labelRows are the label-complete XASR side relations: one XASR-schema
-	// relation per label holding the rows of every node carrying that label —
-	// under any position, not just the primary lab column — so structural
-	// joins restricted through them are sound on multi-labeled trees.
-	labelRows map[string]*relstore.Relation
+	mu      sync.RWMutex
+	xasr    *labeling.XASR
+	regions []labeling.RegionLabel
+	// labels holds the per-label caches, indexed by label code in the tree's
+	// dictionary: nil until one of a label's artifacts is built.
+	labels []*labelArtifacts
 	// tedDoc is the postorder view driving the tree-edit-distance kernel of
 	// the similarity route: built lazily, dropped by Release.
 	tedDoc *ted.Doc
@@ -160,6 +156,35 @@ type Index struct {
 	pairBuilds, pairHitsCounters atomic.Uint64
 	tedBuilds                    atomic.Uint64
 	releases                     atomic.Uint64
+}
+
+// labelArtifacts are the cached artifacts of one label, each nil until
+// built.  rows is the label-complete XASR side relation: one XASR-schema
+// relation holding the rows of every node carrying the label — under any
+// position, not just the primary lab column — so structural joins restricted
+// through it are sound on multi-labeled trees.
+type labelArtifacts struct {
+	nodes []tree.NodeID
+	mask  bitset.Bits
+	rows  *relstore.Relation
+}
+
+// cached returns the artifacts of code c, or an empty set.  The caller holds
+// ix.mu.
+func (ix *Index) cached(c tree.Code) labelArtifacts {
+	if a := ix.labels[c]; a != nil {
+		return *a
+	}
+	return labelArtifacts{}
+}
+
+// slot returns the artifacts of code c for writing.  The caller holds ix.mu
+// for writing.
+func (ix *Index) slot(c tree.Code) *labelArtifacts {
+	if ix.labels[c] == nil {
+		ix.labels[c] = &labelArtifacts{}
+	}
+	return ix.labels[c]
 }
 
 // Option configures an Index.
@@ -183,21 +208,28 @@ func New(t *tree.Tree, opts ...Option) *Index {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	multi := false
-	for n := range tree.NodeID(t.Len()) {
-		if len(t.Labels(n)) > 1 {
-			multi = true
-			break
+	return newIndex(t, multiLabeled(t, 0, t.Len()), cfg)
+}
+
+// newIndex returns an Index over t with empty caches.
+func newIndex(t *tree.Tree, multi bool, cfg config) *Index {
+	return &Index{
+		t:      t,
+		multi:  multi,
+		labels: make([]*labelArtifacts, t.Dict().Len()),
+		pairs:  lru.New[pairKey, *relstore.Relation](cfg.pairCap),
+	}
+}
+
+// multiLabeled reports whether one of the nodes [from, to) of t carries
+// more than one label.
+func multiLabeled(t *tree.Tree, from, to int) bool {
+	for n := tree.NodeID(from); int(n) < to; n++ {
+		if len(t.LabelCodes(n)) > 1 {
+			return true
 		}
 	}
-	return &Index{
-		t:          t,
-		multi:      multi,
-		labelNodes: map[string][]tree.NodeID{},
-		labelMasks: map[string]bitset.Bits{},
-		labelRows:  map[string]*relstore.Relation{},
-		pairs:      lru.New[pairKey, *relstore.Relation](cfg.pairCap),
-	}
+	return false
 }
 
 // Tree returns the indexed tree.
@@ -263,9 +295,7 @@ func (ix *Index) Release() {
 	ix.mu.Lock()
 	ix.xasr = nil
 	ix.regions = nil
-	ix.labelNodes = map[string][]tree.NodeID{}
-	ix.labelMasks = map[string]bitset.Bits{}
-	ix.labelRows = map[string]*relstore.Relation{}
+	clear(ix.labels)
 	ix.tedDoc = nil
 	ix.mu.Unlock()
 	// The pair cache is cleared in place, never re-pointed: StructuralPairs
@@ -285,58 +315,83 @@ func (ix *Index) Release() {
 func (ix *Index) MultiLabeled() bool { return ix.multi }
 
 // NodesWithLabel returns, in document order, the nodes carrying the label in
-// any label position.  NodeIDs are preorder ranks, so the list is sorted and
-// is the label's posting list too: the occurrences inside a subtree [v,
+// any label position, and nil, without touching a cache, for a label the
+// tree's dictionary lacks.  NodeIDs are preorder ranks, so the list is sorted
+// and is the label's posting list too: the occurrences inside a subtree [v,
 // End(v)] are two binary searches away.  The returned slice is shared:
 // callers must not mutate it.
 func (ix *Index) NodesWithLabel(label string) []tree.NodeID {
+	c := ix.t.Dict().Code(label)
+	if c == tree.NoCode {
+		return nil
+	}
+	return ix.nodesWithCode(c)
+}
+
+// nodesWithCode returns the cached node list of code c, building it first
+// when it is cold.
+func (ix *Index) nodesWithCode(c tree.Code) []tree.NodeID {
 	ix.mu.RLock()
-	ns, ok := ix.labelNodes[label]
+	ns := ix.cached(c).nodes
 	ix.mu.RUnlock()
-	if ok {
+	if ns != nil {
 		ix.listHits.Add(1)
 		return ns
 	}
-	built := ix.t.NodesWithLabel(label)
+	built := ix.t.NodesWithCode(c)
+	if built == nil {
+		built = []tree.NodeID{} // built, and empty: a label the tree no longer carries
+	}
 	ix.mu.Lock()
-	if cached, ok := ix.labelNodes[label]; ok {
+	if cached := ix.cached(c).nodes; cached != nil {
 		// Another goroutine raced us to it; keep the published copy.
 		ix.mu.Unlock()
 		ix.listHits.Add(1)
 		return cached
 	}
-	ix.labelNodes[label] = built
+	ix.slot(c).nodes = built
 	ix.mu.Unlock()
 	ix.listBuilds.Add(1)
 	return built
 }
 
 // LabelMask returns a bit vector over NodeIDs: bit n reports whether node n
-// carries the label.  The returned vector is shared: callers must not mutate
-// or Release it (clone first if a scratch mask is needed).  Lookups of labels
-// absent from the tree are memoized too — the first miss builds and caches an
-// empty vector, so repeated misses stop re-scanning the tree.
+// carries the label.  It is CodeMask of the label's code, and a fresh empty
+// vector, without touching a cache, for a label the tree's dictionary lacks.
 func (ix *Index) LabelMask(label string) bitset.Bits {
+	c := ix.t.Dict().Code(label)
+	if c == tree.NoCode {
+		return bitset.New(ix.t.Len())
+	}
+	return ix.CodeMask(c)
+}
+
+// CodeMask returns a bit vector over NodeIDs: bit n reports whether node n
+// carries the label of code c, which must be a code of the tree's
+// dictionary.  The returned vector is shared: callers must not mutate or
+// Release it (clone first if a scratch mask is needed).  A code no node
+// carries gets its empty vector memoized too.
+func (ix *Index) CodeMask(c tree.Code) bitset.Bits {
 	ix.mu.RLock()
-	m, ok := ix.labelMasks[label]
+	m := ix.cached(c).mask
 	ix.mu.RUnlock()
-	if ok {
+	if m != nil {
 		ix.maskHits.Add(1)
 		return m
 	}
 	built := bitset.New(ix.t.Len())
 	for n := range tree.NodeID(ix.t.Len()) {
-		if ix.t.HasLabel(n, label) {
+		if ix.t.HasCode(n, c) {
 			built.Set(int(n))
 		}
 	}
 	ix.mu.Lock()
-	if cached, ok := ix.labelMasks[label]; ok {
+	if cached := ix.cached(c).mask; cached != nil {
 		ix.mu.Unlock()
 		ix.maskHits.Add(1)
 		return cached
 	}
-	ix.labelMasks[label] = built
+	ix.slot(c).mask = built
 	ix.mu.Unlock()
 	ix.maskBuilds.Add(1)
 	return built
@@ -352,22 +407,26 @@ func (ix *Index) LabelRows(label string) *relstore.Relation {
 	if label == "" {
 		return ix.XASR().Relation()
 	}
+	c := ix.t.Dict().Code(label)
+	if c == tree.NoCode {
+		return ix.XASR().SubRelation("R_"+label, nil)
+	}
 	ix.mu.RLock()
-	r, ok := ix.labelRows[label]
+	r := ix.cached(c).rows
 	ix.mu.RUnlock()
-	if ok {
+	if r != nil {
 		ix.rowHits.Add(1)
 		return r
 	}
-	built := ix.XASR().SubRelation("R_"+label, ix.NodesWithLabel(label))
+	built := ix.XASR().SubRelation("R_"+label, ix.nodesWithCode(c))
 	ix.mu.Lock()
-	if cached, ok := ix.labelRows[label]; ok {
+	if cached := ix.cached(c).rows; cached != nil {
 		// Another goroutine raced us to it; keep the published copy.
 		ix.mu.Unlock()
 		ix.rowHits.Add(1)
 		return cached
 	}
-	ix.labelRows[label] = built
+	ix.slot(c).rows = built
 	ix.mu.Unlock()
 	ix.rowBuilds.Add(1)
 	return built

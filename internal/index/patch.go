@@ -3,7 +3,6 @@ package index
 import (
 	"repro/internal/bitset"
 	"repro/internal/labeling"
-	"repro/internal/lru"
 	"repro/internal/relstore"
 	"repro/internal/tree"
 )
@@ -73,103 +72,43 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		touched[l] = true
 	}
 	unseen := spec.unseen()
-
-	nix := &Index{
-		t:          nt,
-		multi:      patchedMulti(old, nt, spec),
-		labelNodes: map[string][]tree.NodeID{},
-		labelMasks: map[string]bitset.Bits{},
-		labelRows:  map[string]*relstore.Relation{},
-		pairs:      lru.New[pairKey, *relstore.Relation](cfg.pairCap),
+	// Artifacts move by code.  A tree parsed against its predecessor's
+	// dictionary keeps every code (remap is nil); otherwise each old code is
+	// translated by name, and one the new dictionary lacks has no artifact to
+	// carry.
+	oldDict := old.t.Dict()
+	remap := tree.Translate(oldDict, nt.Dict())
+	carried := func(c int) (tree.Code, bool) {
+		if touched[oldDict.Name(tree.Code(c))] {
+			return tree.NoCode, false
+		}
+		if remap == nil {
+			return tree.Code(c), true
+		}
+		return remap[c], remap[c] != tree.NoCode
 	}
+
+	nix := newIndex(nt, patchedMulti(old, nt, spec), cfg)
 
 	old.mu.RLock()
 	oldXASR, oldTED := old.xasr, old.tedDoc
-	oldNodes := make(map[string][]tree.NodeID, len(old.labelNodes))
-	for l, ns := range old.labelNodes {
-		oldNodes[l] = ns
-	}
-	oldMasks := make(map[string]bitset.Bits, len(old.labelMasks))
-	for l, m := range old.labelMasks {
-		oldMasks[l] = m
-	}
-	oldRows := make(map[string]*relstore.Relation, len(old.labelRows))
-	for l, r := range old.labelRows {
-		oldRows[l] = r
-	}
-	old.mu.RUnlock()
-
 	if oldXASR != nil {
 		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
 		nix.xasrBuilds.Add(1)
 	}
-	if unseen {
-		// The view is a function of the tree's shape and primary labels, and
-		// its label codes follow document order: all unchanged.
+	if unseen && remap == nil {
+		// The view is a function of the tree's shape and primary label codes:
+		// both unchanged.
 		nix.tedDoc = oldTED
 	}
-
-	// Survivor remap: node ids at or past the removed region shift by delta;
-	// ids inside the region cannot occur for untouched labels (when
-	// delta != 0, Touched covers every region label).
-	for l, ns := range oldNodes {
-		if touched[l] {
+	for c, a := range old.labels {
+		nc, ok := carried(c)
+		if a == nil || !ok {
 			continue
 		}
-		moved := ns
-		if delta != 0 {
-			moved = make([]tree.NodeID, len(ns))
-			for i, n := range ns {
-				if int(n) >= spec.Start+spec.OldLen {
-					n += tree.NodeID(delta)
-				}
-				moved[i] = n
-			}
-		}
-		nix.labelNodes[l] = moved
-		if nix.xasr != nil && delta != 0 {
-			nix.labelRows[l] = nix.xasr.SubRelation("R_"+l, moved)
-		}
+		nix.labels[nc] = carry(*a, old.t.Len(), nt.Len(), spec, nix.xasr, oldDict.Name(tree.Code(c)))
 	}
-	// Masks are remapped from their own bits, not from labelNodes: LabelMask
-	// caches a mask without materializing the node list, so an untouched
-	// label may be warm in oldMasks only.  Under a shift, region bits cannot be
-	// set for an untouched label (Touched covers every region label), so every
-	// set bit is a survivor: before the region it stays, at or past the
-	// region's end it shifts by delta.
-	oldN := old.t.Len()
-	for l, m := range oldMasks {
-		if touched[l] {
-			continue
-		}
-		if delta == 0 {
-			nix.labelMasks[l] = m
-			continue
-		}
-		nm := bitset.New(nt.Len())
-		for i := 0; i < oldN; i++ {
-			if !m.Get(i) {
-				continue
-			}
-			if i < spec.Start+spec.OldLen {
-				nm.Set(i)
-			} else {
-				nm.Set(i + delta)
-			}
-		}
-		nix.labelMasks[l] = nm
-	}
-	if delta == 0 {
-		// Without a shift every untouched label's rows are bit-identical (its
-		// nodes kept their label lists, so even the lab codes agree): the
-		// cached side relations are shared as they are, whether or not the
-		// XASR itself was materialized, and none is rebuilt ahead of use.
-		for l, r := range oldRows {
-			if !touched[l] {
-				nix.labelRows[l] = r
-			}
-		}
-	}
+	old.mu.RUnlock()
 
 	// Pair relations: a cached (axis, from, to) closure survives iff both
 	// sides are untouched labels.  An empty side ranges over the whole
@@ -209,6 +148,52 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	return nix
 }
 
+// carry returns an untouched label's artifacts in the patched index.
+// Survivor remap: node ids at or past the removed region shift by delta; ids
+// inside the region cannot occur for an untouched label (when delta != 0,
+// Touched covers every region label).  Without a shift every artifact is
+// shared as it is — even the side relation's rows, whose lab codes agree
+// because the label's nodes kept their label lists — and none is rebuilt
+// ahead of use.
+func carry(a labelArtifacts, oldN, newN int, spec PatchSpec, xasr *labeling.XASR, name string) *labelArtifacts {
+	delta := spec.Delta()
+	if delta == 0 {
+		return &a
+	}
+	end := spec.Start + spec.OldLen
+	out := &labelArtifacts{}
+	if a.nodes != nil {
+		out.nodes = make([]tree.NodeID, len(a.nodes))
+		for i, n := range a.nodes {
+			if int(n) >= end {
+				n += tree.NodeID(delta)
+			}
+			out.nodes[i] = n
+		}
+		if xasr != nil {
+			out.rows = xasr.SubRelation("R_"+name, out.nodes)
+		}
+	}
+	// A mask is remapped from its own bits, not from the node list: CodeMask
+	// caches a mask without materializing the list, so a label may be warm
+	// in its mask only.  Under a shift every set bit is a survivor: before
+	// the region it stays, at or past the region's end it shifts by delta.
+	if a.mask != nil {
+		out.mask = bitset.New(newN)
+		for i := 0; i < oldN; i++ {
+			if !a.mask.Get(i) {
+				continue
+			}
+			if i < end {
+				out.mask.Set(i)
+			} else {
+				out.mask.Set(i + delta)
+			}
+		}
+	}
+	return out
+}
+
 // patchedMulti recomputes the multi-label classification after a splice.  If
 // the old tree was single-labeled, only the inserted region can introduce a
 // multi-labeled node; if it was multi-labeled, the witness may have lived in
@@ -219,19 +204,9 @@ func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
 		return old.multi
 	}
 	if !old.multi {
-		for v := tree.NodeID(spec.Start); int(v) < min(spec.Start+spec.NewLen, nt.Len()); v++ {
-			if len(nt.Labels(v)) > 1 {
-				return true
-			}
-		}
-		return false
+		return multiLabeled(nt, spec.Start, min(spec.Start+spec.NewLen, nt.Len()))
 	}
-	for n := range tree.NodeID(nt.Len()) {
-		if len(nt.Labels(n)) > 1 {
-			return true
-		}
-	}
-	return false
+	return multiLabeled(nt, 0, nt.Len())
 }
 
 // ReleaseLabels drops every cached artifact keyed by one of the given labels
@@ -249,11 +224,12 @@ func (ix *Index) ReleaseLabels(labels ...string) {
 	for _, l := range labels {
 		drop[l] = true
 	}
+	d := ix.t.Dict()
 	ix.mu.Lock()
 	for l := range drop {
-		delete(ix.labelNodes, l)
-		delete(ix.labelMasks, l)
-		delete(ix.labelRows, l)
+		if c := d.Code(l); c != tree.NoCode {
+			ix.labels[c] = nil
+		}
 	}
 	ix.tedDoc = nil
 	ix.mu.Unlock()

@@ -31,17 +31,9 @@ func (ix *Index) Validate() error {
 	}
 
 	ix.mu.RLock()
-	labelNodes := make(map[string][]tree.NodeID, len(ix.labelNodes))
-	for l, ns := range ix.labelNodes {
-		labelNodes[l] = ns
-	}
-	labelMasks := make(map[string]bitset.Bits, len(ix.labelMasks))
-	for l, mk := range ix.labelMasks {
-		labelMasks[l] = mk
-	}
-	labelRows := make(map[string]*relstore.Relation, len(ix.labelRows))
-	for l, r := range ix.labelRows {
-		labelRows[l] = r
+	labels := make([]labelArtifacts, len(ix.labels))
+	for c := range ix.labels {
+		labels[c] = ix.cached(tree.Code(c))
 	}
 	tedDoc := ix.tedDoc
 	ix.mu.RUnlock()
@@ -50,36 +42,39 @@ func (ix *Index) Validate() error {
 		return fmt.Errorf("ted: cached postorder view differs from one cut from the tree")
 	}
 
-	for l, ns := range labelNodes {
-		want := t.NodesWithLabel(l)
-		if len(ns) != len(want) {
-			return fmt.Errorf("label %q: %d cached nodes, want %d", l, len(ns), len(want))
-		}
-		for i := range ns {
-			if ns[i] != want[i] {
-				return fmt.Errorf("label %q: cached node[%d] = %d, want %d", l, i, ns[i], want[i])
+	d := t.Dict()
+	for c, a := range labels {
+		l := d.Name(tree.Code(c))
+		want := t.NodesWithCode(tree.Code(c))
+		if ns := a.nodes; ns != nil {
+			if len(ns) != len(want) {
+				return fmt.Errorf("label %q: %d cached nodes, want %d", l, len(ns), len(want))
+			}
+			for i := range ns {
+				if ns[i] != want[i] {
+					return fmt.Errorf("label %q: cached node[%d] = %d, want %d", l, i, ns[i], want[i])
+				}
 			}
 		}
-	}
-	for l, mk := range labelMasks {
-		for i := 0; i < m; i++ {
-			if mk.Get(i) != t.HasLabel(tree.NodeID(i), l) {
-				return fmt.Errorf("label %q: mask bit %d = %v, disagrees with tree", l, i, mk.Get(i))
+		if mk := a.mask; mk != nil {
+			for i := 0; i < m; i++ {
+				if mk.Get(i) != t.HasCode(tree.NodeID(i), tree.Code(c)) {
+					return fmt.Errorf("label %q: mask bit %d = %v, disagrees with tree", l, i, mk.Get(i))
+				}
 			}
 		}
-	}
-	for l, r := range labelRows {
-		want := t.NodesWithLabel(l)
-		tuples := r.Tuples()
-		if len(tuples) != len(want) {
-			return fmt.Errorf("label rows %q: %d rows, want %d", l, len(tuples), len(want))
-		}
-		for i, row := range tuples {
-			if row[0] != int64(t.Pre(want[i])) {
-				return fmt.Errorf("label rows %q[%d]: pre %d, want %d", l, i, row[0], t.Pre(want[i]))
+		if r := a.rows; r != nil {
+			tuples := r.Tuples()
+			if len(tuples) != len(want) {
+				return fmt.Errorf("label rows %q: %d rows, want %d", l, len(tuples), len(want))
 			}
-			if row[1] != int64(t.Post(want[i])) {
-				return fmt.Errorf("label rows %q[%d]: post %d, want %d", l, i, row[1], t.Post(want[i]))
+			for i, row := range tuples {
+				if row[0] != int64(t.Pre(want[i])) {
+					return fmt.Errorf("label rows %q[%d]: pre %d, want %d", l, i, row[0], t.Pre(want[i]))
+				}
+				if row[1] != int64(t.Post(want[i])) {
+					return fmt.Errorf("label rows %q[%d]: post %d, want %d", l, i, row[1], t.Post(want[i]))
+				}
 			}
 		}
 	}

@@ -286,7 +286,9 @@ func tidy(rules []crule) []crule {
 // LabelMasks supplies shared per-label node masks (bit n set iff node n
 // carries the label), read-only to the solver; package index provides one.
 type LabelMasks interface {
-	LabelMask(label string) bitset.Bits
+	// CodeMask returns the mask of the label of code c, a code of the tree's
+	// dictionary.
+	CodeMask(c tree.Code) bitset.Bits
 }
 
 type atom struct {
@@ -327,13 +329,20 @@ func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 	}
 	s.ext = slices.Grow(s.ext[:0], len(c.exts))[:len(c.exts)]
 	for i, e := range c.exts {
-		if e.kind == extLabel && masks != nil {
-			s.ext[i] = masks.LabelMask(e.label)
+		// Each label is resolved to its code once; a label the tree lacks
+		// holds nowhere, and its scratch vector stays empty.
+		code := t.Dict().Code(e.label)
+		if e.kind == extLabel && masks != nil && code != tree.NoCode {
+			s.ext[i] = masks.CodeMask(code)
 			continue
 		}
 		m := s.vector(int32(len(c.preds) + i))
+		if e.kind == extLabel && code == tree.NoCode {
+			s.ext[i] = m
+			continue
+		}
 		for v := tree.NodeID(0); int(v) < n; v++ {
-			if holdsExt(t, e, v) {
+			if holdsExt(t, e, code, v) {
 				m.Set(int(v))
 			}
 		}
@@ -342,7 +351,9 @@ func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 	return s
 }
 
-func holdsExt(t *tree.Tree, e extLit, v tree.NodeID) bool {
+// holdsExt reports whether e holds at v; code is the tree's code of e's
+// label.
+func holdsExt(t *tree.Tree, e extLit, code tree.Code, v tree.NodeID) bool {
 	switch e.kind {
 	case extRoot:
 		return t.IsRoot(v)
@@ -353,7 +364,7 @@ func holdsExt(t *tree.Tree, e extLit, v tree.NodeID) bool {
 	case extLastSibling:
 		return t.IsLastSibling(v)
 	}
-	return t.HasLabel(v, e.label)
+	return t.HasCode(v, code)
 }
 
 // release books the work done, drops what the solve borrowed and returns the

@@ -40,7 +40,8 @@ func (g *GroundProgram) resolveUnary(t *tree.Tree, pred string) unaryRef {
 		return unaryRef{base: hornsat.Pred(i * g.n)}
 	}
 	if l, ok := labelPred(pred); ok {
-		return unaryRef{holds: func(n tree.NodeID) bool { return t.HasLabel(n, l) }}
+		c := t.Dict().Code(l)
+		return unaryRef{holds: func(n tree.NodeID) bool { return t.HasCode(n, c) }}
 	}
 	switch pred {
 	case PredRoot:

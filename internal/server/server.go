@@ -41,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/service"
-	"repro/internal/xmldoc"
 )
 
 // Default tuning; all overridable through options.
@@ -463,12 +462,12 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// readBody reads the request body whole into the one buffer the parsed
-// document's labels and text will point into.  The buffer is sized up front
-// from Content-Length when the client declared one — never beyond the body
-// limit, which the MaxBytesReader installed by ServeHTTP enforces whatever was
-// declared — so the upload is neither regrown while it arrives nor copied
-// again on its way to the parser.
+// readBody reads the request body whole into one buffer, which the parser
+// scans in place: the parsed tree copies its labels and text out and keeps no
+// reference to it.  The buffer is sized up front from Content-Length when the
+// client declared one — never beyond the body limit, which the MaxBytesReader
+// installed by ServeHTTP enforces whatever was declared — so the upload is
+// neither regrown while it arrives nor copied again on its way to the parser.
 func (s *Server) readBody(r *http.Request) (string, error) {
 	var sb strings.Builder
 	if n := r.ContentLength; n > 0 {
@@ -484,10 +483,13 @@ func (s *Server) readBody(r *http.Request) (string, error) {
 	return sb.String(), err
 }
 
-// handlePutDoc upserts document {name} from the XML request body: a new name
-// is added at version 1 (201 Created); a live name is updated in place (200
-// OK) — the service swaps in a fresh engine under a bumped version, and
-// every cached plan and registered prepared query answers over it as it is.
+// handlePutDoc upserts document {name} from the XML request body through
+// service.PutXML: a new name is added at version 1 (201 Created); a live name
+// is updated in place (200 OK) — the body is parsed against the live
+// version's label dictionary, the service swaps in a fresh engine under a
+// bumped version, and every cached plan and registered prepared query
+// answers over it as it is.  A body that does not parse is a 400 and leaves
+// the document as it was.
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	src, err := s.readBody(r)
@@ -500,26 +502,18 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	doc, err := xmldoc.Parse(src)
+	o, created, err := s.svc.PutXML(name, src)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("server: document %q: %w", name, err))
-		return
-	}
-	if err := s.svc.Add(name, doc); err == nil {
-		s.writeJSON(w, http.StatusCreated, map[string]any{"doc": name, "version": 1, "docs": s.svc.Len()})
-		return
-	} else if !errors.Is(err, service.ErrDuplicateDocument) {
+		// A syntax error is a 400; a document removed between the lookup and
+		// the update surfaces as 404 rather than retrying into a livelock.
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	o, err := s.svc.UpdateDoc(name, doc)
-	if err != nil {
-		// The document was removed between the duplicate check and the update;
-		// surface the race as 404 rather than retrying into a livelock.
-		s.writeError(w, errorStatus(err), err)
-		return
+	status := http.StatusOK
+	if created {
+		status = http.StatusCreated
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"doc": name, "version": o.Version, "docs": s.svc.Len()})
+	s.writeJSON(w, status, map[string]any{"doc": name, "version": o.Version, "docs": s.svc.Len()})
 }
 
 func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {

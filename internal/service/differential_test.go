@@ -79,9 +79,33 @@ func renderResult(res *core.Result) string {
 // both services serve oldT, warm the full query battery, update to newT (one
 // patching when it can, one always rebuilding), and must agree byte for byte
 // on every query before and after — and the patched service's index must pass
-// the structural invariant check.  Shared by the property test below and by
+// the structural invariant check.  It runs twice: once with newT's own label
+// dictionary, whose codes the diff and the patch translate by name, and once
+// with newT rebuilt on oldT's dictionary, as a PUT parses it, whose codes
+// they use as they are.  Shared by the property test below and by
 // FuzzDiffPatchEquivalence.
 func assertPatchEquivalence(t testing.TB, oldT, newT *tree.Tree) {
+	t.Helper()
+	assertPatchEquivalenceOnce(t, oldT, newT)
+	assertPatchEquivalenceOnce(t, oldT, onDict(newT, oldT.Dict()))
+}
+
+// onDict returns a copy of t whose label codes are drawn from d.
+func onDict(t *tree.Tree, d *tree.Dict) *tree.Tree {
+	b := tree.NewBuilderDict(d)
+	for v := range tree.NodeID(t.Len()) {
+		id := b.AddCoded(t.Parent(v))
+		for _, l := range t.Labels(v) {
+			b.AddCode(id, b.Code(l))
+		}
+		if txt := t.Text(v); txt != "" {
+			b.SetText(id, txt)
+		}
+	}
+	return b.MustBuild()
+}
+
+func assertPatchEquivalenceOnce(t testing.TB, oldT, newT *tree.Tree) {
 	t.Helper()
 	queries := equivalenceQueries(oldT, newT)
 	patched := New(WithPatchRatio(1))

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -227,14 +228,62 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 	return out, nil
 }
 
-// UpdateDocXML parses src and updates the named document with the result,
-// returning the full outcome report (see UpdateDoc).
+// UpdateDocXML parses src against the named document's label dictionary and
+// updates the document with the result, returning the full outcome report
+// (see UpdateDoc).
 func (s *Service) UpdateDocXML(name, src string) (UpdateOutcome, error) {
-	doc, err := xmldoc.Parse(src)
+	cur, err := s.entry(name)
 	if err != nil {
-		return UpdateOutcome{}, fmt.Errorf("service: document %q: %w", name, err)
+		return UpdateOutcome{}, err
+	}
+	doc, err := parseAfter(name, src, cur)
+	if err != nil {
+		return UpdateOutcome{}, err
 	}
 	return s.UpdateDoc(name, doc)
+}
+
+// PutXML is the write path of a PUT: it parses src and adds the result
+// under name at version 1 (created is true), or, when name is live, updates
+// the document with it (see UpdateDoc).  An update's src is parsed against
+// the live version's label dictionary (tree.Tree.NextDict), so the labels the
+// two versions share keep their codes: parsing them allocates nothing, and
+// the diff and the index splice compare and carry them by code.  A src that
+// does not parse returns the *xmldoc.SyntaxError, wrapped, and changes
+// nothing.
+func (s *Service) PutXML(name, src string) (out UpdateOutcome, created bool, err error) {
+	// Only ErrUnknownDocument can fail the lookup: a new name, whose
+	// document starts a dictionary of its own (cur is nil).
+	cur, _ := s.entry(name)
+	doc, err := parseAfter(name, src, cur)
+	if err != nil {
+		return UpdateOutcome{}, false, err
+	}
+	if cur == nil {
+		err := s.Add(name, doc)
+		if err == nil {
+			return UpdateOutcome{Version: 1}, true, nil
+		}
+		if !errors.Is(err, ErrDuplicateDocument) {
+			return UpdateOutcome{}, false, err
+		}
+		// A concurrent PUT added the name first: update its version.
+	}
+	out, err = s.UpdateDoc(name, doc)
+	return out, false, err
+}
+
+// parseAfter parses src as the successor of the entry cur (nil for none).
+func parseAfter(name, src string, cur *docEntry) (*tree.Tree, error) {
+	var d *tree.Dict
+	if cur != nil {
+		d = cur.eng.Document().NextDict()
+	}
+	doc, err := xmldoc.ParseDict(src, d)
+	if err != nil {
+		return nil, fmt.Errorf("service: document %q: %w", name, err)
+	}
+	return doc, nil
 }
 
 // UpdatePhaseTotals returns the cumulative wall time spent in each update

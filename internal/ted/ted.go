@@ -12,7 +12,8 @@
 // postorder range, so every candidate shares the same arrays and no
 // per-candidate tree is materialized.  The query side (Pattern) is decomposed
 // once at compile time and reused across documents and their revisions; only
-// the translation of its labels into a document's label codes is per-document.
+// the translation of its labels into the document's label codes (those of the
+// tree's dictionary) is per-document.
 //
 // DP scratch is pooled with the same size-bucketed sync.Pool idiom as
 // package bitset (power-of-two buckets keyed on slice length, hit/miss
@@ -29,51 +30,50 @@ import (
 
 // Doc is the postorder view of one document.  All slices are indexed by
 // 0-based postorder position; a subtree rooted at postorder position j spans
-// exactly the positions [lml[j], j].  A Doc is immutable and safe for
+// exactly the positions [lml(j), j], lml(j) = j - size[j] + 1 being its
+// leftmost leaf.  A Doc is immutable and safe for
 // concurrent use.
 type Doc struct {
 	n    int
-	lml  []int32 // leftmost-leaf postorder position per postorder position
-	lsib []bool  // whether the node has a left sibling (keyroot test)
-	lab  []int32 // code of the node's primary label per postorder position
-	size []int32 // subtree size per postorder position
-	node []int32 // the node (its NodeID, a preorder rank) per postorder position
+	lsib []bool      // whether the node has a left sibling (keyroot test)
+	lab  []tree.Code // tree code of the node's primary label per postorder position
+	size []int32     // subtree size per postorder position
+	node []int32     // the node (its NodeID, a preorder rank) per postorder position
 	// bySize lists postorder positions ordered by (subtree size, postorder),
 	// so the similarity search can walk candidates in increasing size
 	// distance from the pattern and stop at the first unreachable band.
 	bySize []int32
-	// codes numbers the primary labels in order of first occurrence in
-	// document order, so two trees with the same labels in the same places
-	// get equal views.
-	codes map[string]int32
+	// dict is the tree's dictionary, which Codes translates pattern labels
+	// through.
+	dict *tree.Dict
 }
+
+// unlabeled is the code of an unlabeled node, and of a pattern's unlabeled
+// node, when the dictionary holds no "" label they could share instead: an
+// unlabeled node matches exactly what a "" label would.
+const unlabeled tree.Code = -2
 
 // NewDoc cuts the postorder view from the tree in O(n) time — one sweep in
 // document order and a counting sort for the size ordering — into a single
-// allocation for the five integer columns.
+// allocation for the integer columns and one for the label codes.
 func NewDoc(t *tree.Tree) *Doc {
 	n := t.Len()
-	cols := make([]int32, 5*n)
+	cols := make([]int32, 3*n)
 	d := &Doc{
-		n:   n,
-		lml: cols[:n:n], lab: cols[n : 2*n : 2*n], size: cols[2*n : 3*n : 3*n],
-		node: cols[3*n : 4*n : 4*n], bySize: cols[4*n:],
-		lsib:  make([]bool, n),
-		codes: map[string]int32{},
+		n:    n,
+		size: cols[:n:n], node: cols[n : 2*n : 2*n], bySize: cols[2*n:],
+		lab:  make([]tree.Code, n),
+		lsib: make([]bool, n),
+		dict: t.Dict(),
 	}
 	for v := range tree.NodeID(n) {
 		j := int32(t.Post(v) - 1)
 		size := int32(t.SubtreeSize(v))
-		label := t.Label(v)
-		code, ok := d.codes[label]
-		if !ok {
-			code = int32(len(d.codes))
-			d.codes[label] = code
+		code := d.code("")
+		if ls := t.LabelCodes(v); len(ls) > 0 {
+			code = ls[0]
 		}
 		d.node[j], d.lab[j], d.size[j] = int32(v), code, size
-		// A subtree is a contiguous postorder range ending at its root, and
-		// the first position of that range is the leftmost leaf.
-		d.lml[j] = j - size + 1
 		d.lsib[j] = t.PrevSibling(v) != tree.InvalidNode
 	}
 	// Counting sort on subtree size (1..n), stable over ascending postorder
@@ -92,6 +92,11 @@ func NewDoc(t *tree.Tree) *Doc {
 	return d
 }
 
+// lml returns the leftmost leaf of the subtree rooted at postorder position
+// j: a subtree is a contiguous postorder range ending at its root, and the
+// first position of that range is the leftmost leaf.
+func (d *Doc) lml(j int) int { return j - int(d.size[j]) + 1 }
+
 // Len returns the number of nodes.
 func (d *Doc) Len() int { return d.n }
 
@@ -106,18 +111,24 @@ func (d *Doc) Node(j int) tree.NodeID { return tree.NodeID(d.node[j]) }
 func (d *Doc) BySize() []int32 { return d.bySize }
 
 // Codes translates the pattern's labels into the document's label codes, one
-// per pattern postorder position, -1 for labels no node of the document has
-// as its primary label.  O(|P|).
-func (d *Doc) Codes(p *Pattern) []int32 {
-	codes := make([]int32, p.n)
+// per pattern postorder position, tree.NoCode for labels the document's
+// dictionary lacks.  O(|P|).
+func (d *Doc) Codes(p *Pattern) []tree.Code {
+	codes := make([]tree.Code, p.n)
 	for j, l := range p.labels {
-		if c, ok := d.codes[l]; ok {
-			codes[j] = c
-		} else {
-			codes[j] = -1
-		}
+		codes[j] = d.code(l)
 	}
 	return codes
+}
+
+// code returns the code of a primary label, "" standing for an unlabeled
+// node.
+func (d *Doc) code(label string) tree.Code {
+	c := d.dict.Code(label)
+	if c == tree.NoCode && label == "" {
+		return unlabeled
+	}
+	return c
 }
 
 // Pattern is the prepare-time decomposition of a query tree: postorder label
@@ -173,9 +184,9 @@ func KernelCalls() uint64 { return tedCalls.Load() }
 // Distance returns the tree edit distance between the pattern and the
 // document subtree rooted at postorder position root.  codes must come from
 // d.Codes(p).
-func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
+func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
 	tedCalls.Add(1)
-	lo := int(d.lml[root])
+	lo := d.lml(root)
 	n2 := root - lo + 1
 	m := p.n
 	if m == 0 {
@@ -201,7 +212,7 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 	for _, i := range p.kr {
 		li := int(p.lml[i])
 		for _, jg := range kr2 {
-			lj := int(d.lml[jg]) - lo // local coordinates within the subtree
+			lj := d.lml(int(jg)) - lo // local coordinates within the subtree
 			ie := int(i) - li + 1     // pattern forest extent
 			je := int(jg) - lo - lj + 1
 			fd[0] = 0
@@ -216,10 +227,10 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 				for dj := 1; dj <= je; dj++ {
 					j1 := lj + dj - 1 // local doc postorder position
 					jg1 := lo + j1    // global doc postorder position
-					if int(p.lml[i1]) == li && int(d.lml[jg1])-lo == lj {
+					if int(p.lml[i1]) == li && d.lml(jg1)-lo == lj {
 						// Both forests are whole trees: record a tree distance.
 						cost := int32(1)
-						if codes[i1] >= 0 && codes[i1] == d.lab[jg1] {
+						if codes[i1] != tree.NoCode && codes[i1] == d.lab[jg1] {
 							cost = 0
 						}
 						v := min3(
@@ -233,7 +244,7 @@ func Distance(d *Doc, root int, p *Pattern, codes []int32) int {
 						fd[di*w+dj] = min3(
 							fd[(di-1)*w+dj]+1,
 							fd[di*w+dj-1]+1,
-							fd[(int(p.lml[i1])-li)*w+(int(d.lml[jg1])-lo-lj)]+td[i1*n2+j1],
+							fd[(int(p.lml[i1])-li)*w+(d.lml(jg1)-lo-lj)]+td[i1*n2+j1],
 						)
 					}
 				}

@@ -145,10 +145,10 @@ func TestDocFromTree(t *testing.T) {
 			}
 			size := 0
 			doc.StepFunc(tree.DescendantOrSelf, v, func(tree.NodeID) bool { size++; return true })
-			if int(d.lml[j]) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.Node(j) != v ||
+			if d.lml(j) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.Node(j) != v ||
 				d.lsib[j] != (doc.PrevSibling(v) != tree.InvalidNode) {
 				t.Fatalf("seed %d, post %d: view (lml %d, size %d, node %d, lsib %v) disagrees with the tree %s",
-					seed, j+1, d.lml[j], d.size[j], d.node[j], d.lsib[j], doc)
+					seed, j+1, d.lml(j), d.size[j], d.node[j], d.lsib[j], doc)
 			}
 			for k := 0; k < d.Len(); k++ {
 				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(byPost[k])) {
@@ -165,7 +165,7 @@ func TestDocFromTree(t *testing.T) {
 			}
 		}
 		// A label the document lacks translates to -1, never to a code in use.
-		if c := d.Codes(NewPattern(tree.MustParseSexpr("nope")))[0]; c != -1 {
+		if c := d.Codes(NewPattern(tree.MustParseSexpr("nope")))[0]; c != tree.NoCode {
 			t.Fatalf("seed %d: absent label got code %d", seed, c)
 		}
 	}

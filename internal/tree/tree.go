@@ -12,16 +12,18 @@
 //     binary relations FirstChild and NextSibling used by monadic datalog
 //     (Section 3),
 //   - multiple labels per node (the tractability results of the paper allow
-//     multi-labeled nodes).
+//     multi-labeled nodes), drawn from the integers: each label is a code of
+//     the tree's Dict, so a label test compares integers.
 //
 // A node's NodeID is its preorder rank: Builder.Build numbers the nodes in
 // document order whatever order they were added in, so a subtree is the
-// contiguous NodeID interval [v, v+SubtreeSize(v)-1].  The tree stores only
-// parent, subtree size, depth and the left-sibling link per node; the first
-// child, the right sibling, <post and <bflr are arithmetic on them, and the
-// children of a node are the subtrees that tile its interval.  Build computes
-// the columns once, in O(n); afterwards every axis test is O(1) and every
-// axis enumeration is linear in its output.
+// contiguous NodeID interval [v, v+SubtreeSize(v)-1].  Beside the label codes
+// and the text the tree stores only parent, subtree size, depth and the
+// left-sibling link per node; the first child, the right sibling, <post and
+// <bflr are arithmetic on them, and the children of a node are the subtrees
+// that tile its interval.  Build computes the columns once, in O(n);
+// afterwards every axis test is O(1) and every axis enumeration is linear in
+// its output.
 package tree
 
 import (
@@ -51,21 +53,34 @@ const InvalidNode NodeID = -1
 // order and axis test is arithmetic on them.  A node's children tile
 // [n+1, End(n)], so its first child is n+1 when it has one and the right
 // sibling of n is End(n)+1 when that lies inside the parent's subtree.
+//
+// Labels are integer codes of the tree's Dict and text is one string; both
+// are laid out in preorder behind offset columns, so no column holds a
+// pointer per node.
 type Tree struct {
 	parent      []NodeID
 	prevSibling []NodeID
-
-	labels [][]string // each node may carry several labels
-	text   []string   // optional textual content (ignored by Core XPath)
 
 	// The int32 columns widen to int in the accessors: a depth or a size
 	// never exceeds the node count.
 	depth []int32 // root has depth 0
 	size  []int32 // number of nodes in the subtree rooted at the node
 
-	// Two whole-tree counts, kept so that a walk that skips nodes can still
-	// report them: 1 + the maximum depth, and the nodes with text.
-	height, textNodes int
+	// labelCode[labelOff[n]:labelOff[n+1]] are the codes of n's labels in
+	// dict, primary label first; each node may carry several.
+	labelOff  []int32
+	labelCode []Code
+	dict      *Dict
+
+	// text[textOff[n]:textOff[n+1]] is n's textual content (ignored by Core
+	// XPath).
+	text    string
+	textOff []int32
+
+	// Whole-tree counts, kept so that a walk that skips nodes can still
+	// report them: 1 + the maximum depth, the nodes with text, and the
+	// distinct labels the nodes carry.
+	height, textNodes, alphabet int
 }
 
 // Len returns the number of nodes in the tree.
@@ -106,29 +121,73 @@ func (t *Tree) NextSibling(n NodeID) NodeID {
 // PrevSibling returns the left sibling of n, or InvalidNode.
 func (t *Tree) PrevSibling(n NodeID) NodeID { return t.prevSibling[n] }
 
-// Labels returns the labels of n.  The returned slice must not be modified.
-func (t *Tree) Labels(n NodeID) []string { return t.labels[n] }
+// Dict returns the dictionary the tree's label codes are drawn from.  It may
+// hold names no node of the tree carries.
+func (t *Tree) Dict() *Dict { return t.dict }
 
-// Label returns the first (primary) label of n, or "" if n is unlabeled.
-func (t *Tree) Label(n NodeID) string {
-	if len(t.labels[n]) == 0 {
-		return ""
+// NextDict returns the dictionary the next version of the tree should be
+// parsed against: the tree's own, so that codes stay stable across versions,
+// unless it holds more than twice the labels the tree carries — then nil, a
+// fresh start, so that a run of relabels cannot grow it without bound.
+func (t *Tree) NextDict() *Dict {
+	if t.dict.Len() > 2*t.alphabet {
+		return nil
 	}
-	return t.labels[n][0]
+	return t.dict
 }
 
-// HasLabel reports whether Lab_a(n) holds, i.e. node n carries label a.
-func (t *Tree) HasLabel(n NodeID, a string) bool {
-	for _, l := range t.labels[n] {
-		if l == a {
+// LabelCodes returns the codes of n's labels, primary label first.  The
+// returned slice is shared and must not be modified.
+func (t *Tree) LabelCodes(n NodeID) []Code {
+	return t.labelCode[t.labelOff[n]:t.labelOff[n+1]:t.labelOff[n+1]]
+}
+
+// HasCode reports whether node n carries the label of code c.
+func (t *Tree) HasCode(n NodeID, c Code) bool {
+	for _, l := range t.LabelCodes(n) {
+		if l == c {
 			return true
 		}
 	}
 	return false
 }
 
+// HasCodes reports whether node n carries the label of every code in codes.
+func (t *Tree) HasCodes(n NodeID, codes []Code) bool {
+	for _, c := range codes {
+		if !t.HasCode(n, c) {
+			return false
+		}
+	}
+	return true
+}
+
+// Labels returns the names of n's labels in a new slice.  It allocates; label
+// tests resolve a name once with Dict().Code and compare codes instead.
+func (t *Tree) Labels(n NodeID) []string {
+	codes := t.LabelCodes(n)
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		out[i] = t.dict.Name(c)
+	}
+	return out
+}
+
+// Label returns the first (primary) label of n, or "" if n is unlabeled.
+func (t *Tree) Label(n NodeID) string {
+	if t.labelOff[n] == t.labelOff[n+1] {
+		return ""
+	}
+	return t.dict.Name(t.labelCode[t.labelOff[n]])
+}
+
+// HasLabel reports whether Lab_a(n) holds, i.e. node n carries label a.  It
+// looks a up in the dictionary on every call; loops over nodes resolve the
+// code once and call HasCode.
+func (t *Tree) HasLabel(n NodeID, a string) bool { return t.HasCode(n, t.dict.Code(a)) }
+
 // Text returns the textual content attached to n ("" if none).
-func (t *Tree) Text(n NodeID) string { return t.text[n] }
+func (t *Tree) Text(n NodeID) string { return t.text[t.textOff[n]:t.textOff[n+1]] }
 
 // Depth returns the depth of n; the root has depth 0.
 func (t *Tree) Depth(n NodeID) int { return int(t.depth[n]) }
@@ -205,25 +264,30 @@ func (t *Tree) IsFirstChildOf(u, v NodeID) bool { return v == u+1 && t.size[u] >
 
 // LabelAlphabet returns the sorted set of labels occurring in the tree.
 func (t *Tree) LabelAlphabet() []string {
-	set := map[string]bool{}
-	for _, ls := range t.labels {
-		for _, l := range ls {
-			set[l] = true
+	seen := make([]bool, t.dict.Len())
+	out := make([]string, 0, t.alphabet)
+	for _, c := range t.labelCode {
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, t.dict.Name(c))
 		}
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // NodesWithLabel returns, in document order, all nodes carrying label a.
-func (t *Tree) NodesWithLabel(a string) []NodeID {
+func (t *Tree) NodesWithLabel(a string) []NodeID { return t.NodesWithCode(t.dict.Code(a)) }
+
+// NodesWithCode returns, in document order, all nodes carrying the label of
+// code c.
+func (t *Tree) NodesWithCode(c Code) []NodeID {
+	if c == NoCode {
+		return nil
+	}
 	var out []NodeID
 	for n := range NodeID(t.Len()) {
-		if t.HasLabel(n, a) {
+		if t.HasCode(n, c) {
 			out = append(out, n)
 		}
 	}
@@ -235,6 +299,10 @@ func (t *Tree) NodesWithLabel(a string) []NodeID {
 // child may be appended to any earlier node — and Build renumbers them into
 // document order.  Until Build, a node is known by the construction ID its
 // Add call returned; Final translates one into the built tree's NodeID.
+//
+// Labels are given as names (AddRoot, AddChild, AddLabel) or as codes of the
+// builder's dictionary (Code, AddCoded, AddCode); the built tree shares that
+// dictionary.
 type Builder struct {
 	t    Tree
 	open bool
@@ -242,18 +310,34 @@ type Builder struct {
 	// the nodes were added in document order (every parsed document), which
 	// Build then keeps as it is.
 	final []NodeID
-	// arena is the label chunk being filled: every node's label slice is
-	// carved off its end, capacity-clipped, so adding a node costs no
-	// allocation of its own and a later AddLabel copies out instead of
-	// running into the next node's labels.
-	arena []string
-	// reserved is the node count of the last Reserve, which sizes the label
-	// chunks too.
-	reserved int
+	// owned reports that t.dict is this builder's own, which it may extend;
+	// an inherited dictionary is copied before the first name it lacks.
+	owned bool
+	// Until Build, node v's labels are t.labelCode[t.labelOff[v]:labelEnd[v]]
+	// and its text is textBuf[textAt[v]:textEnd[v]].  A node's run is extended
+	// in place while it ends its column and moved to the end otherwise, so
+	// Build lays both columns out in preorder.  labelEnd is nil until a label
+	// run first moves: before that, each run ends where the next one starts.
+	labelEnd        []int32
+	textBuf         []byte
+	textAt, textEnd []int32
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{open: true} }
+// NewBuilder returns an empty Builder with a fresh dictionary.
+func NewBuilder() *Builder { return NewBuilderDict(nil) }
+
+// NewBuilderDict returns an empty Builder that draws codes from d, the
+// dictionary of an earlier tree (nil for a fresh one).  Names d holds keep
+// their codes; d itself is never written.
+func NewBuilderDict(d *Dict) *Builder {
+	b := &Builder{open: true}
+	if d == nil {
+		b.t.dict, b.owned = NewDict(), true
+	} else {
+		b.t.dict = d
+	}
+	return b
+}
 
 // Reserve sizes the per-node columns for n nodes in total, so that adding
 // them grows nothing.  A caller that knows the node count (or a tight upper
@@ -265,51 +349,67 @@ func (b *Builder) Reserve(n int) {
 	if more <= 0 {
 		return
 	}
-	b.reserved = n
 	t.parent = slices.Grow(t.parent, more)
-	t.labels = slices.Grow(t.labels, more)
-	t.text = slices.Grow(t.text, more)
+	// One more offset than nodes: Build appends the closing one.
+	t.labelOff = slices.Grow(t.labelOff, more+1)
+	t.labelCode = slices.Grow(t.labelCode, more)
+	b.textAt = slices.Grow(b.textAt, more)
+	b.textEnd = slices.Grow(b.textEnd, more)
 }
 
-// A reserved builder sizes each label chunk to the nodes still to come — one
-// slot each, so a tree whose nodes average under two labels needs O(log n)
-// chunks and keeps next to no slack; beyond (or without) a reservation chunks
-// double from minLabelChunk to maxLabelChunk strings.
-const (
-	minLabelChunk = 16
-	maxLabelChunk = 4096
-)
+// ReserveText sizes the text buffer for n bytes of text in total.
+func (b *Builder) ReserveText(n int) { b.textBuf = slices.Grow(b.textBuf, n-len(b.textBuf)) }
 
-// carve copies labels into the arena and returns the copy.
-func (b *Builder) carve(labels []string) []string {
-	k := len(labels)
-	if k == 0 {
-		return []string{}
+// Code returns the code of the label name, adding it to the builder's
+// dictionary when it is new.  The dictionary keeps a copy of a new name, so
+// the tree never holds on to the caller's string.
+func (b *Builder) Code(name string) Code {
+	if c, ok := b.t.dict.codes[name]; ok {
+		return c
 	}
-	if len(b.arena)+k > cap(b.arena) {
-		size := b.reserved - len(b.t.parent)
-		if size <= 0 {
-			size = min(2*cap(b.arena), maxLabelChunk)
-		}
-		b.arena = make([]string, 0, max(size, minLabelChunk, k))
+	return b.own().add(strings.Clone(name))
+}
+
+// CodeBytes is Code for a name in a byte slice, which may be reused after
+// the call.
+func (b *Builder) CodeBytes(name []byte) Code {
+	if c, ok := b.t.dict.codes[string(name)]; ok {
+		return c
 	}
-	start := len(b.arena)
-	b.arena = append(b.arena, labels...)
-	return b.arena[start:len(b.arena):len(b.arena)]
+	return b.own().add(string(name))
+}
+
+// own returns the builder's dictionary, copying an inherited one first.
+func (b *Builder) own() *Dict {
+	if !b.owned {
+		b.t.dict, b.owned = b.t.dict.clone(), true
+	}
+	return b.t.dict
 }
 
 // AddRoot adds the root node and returns its id.  It must be the first node
 // added.
 func (b *Builder) AddRoot(labels ...string) NodeID {
-	return b.add(InvalidNode, labels)
+	id := b.AddCoded(InvalidNode)
+	for _, l := range labels {
+		b.AddCode(id, b.Code(l))
+	}
+	return id
 }
 
 // AddChild adds a new rightmost child of parent and returns its id.
 func (b *Builder) AddChild(parent NodeID, labels ...string) NodeID {
-	return b.add(parent, labels)
+	id := b.AddCoded(parent)
+	for _, l := range labels {
+		b.AddCode(id, b.Code(l))
+	}
+	return id
 }
 
-func (b *Builder) add(parent NodeID, labels []string) NodeID {
+// AddCoded adds a node with the labels of the given codes (from Code) and
+// returns its id: the root when parent is InvalidNode, which must then be
+// the first node added, and otherwise a new rightmost child of parent.
+func (b *Builder) AddCoded(parent NodeID, codes ...Code) NodeID {
 	if !b.open {
 		panic("tree: Builder used after Build")
 	}
@@ -321,41 +421,110 @@ func (b *Builder) add(parent NodeID, labels []string) NodeID {
 	if parent != InvalidNode && !t.valid(parent) {
 		panic(fmt.Sprintf("tree: AddChild of unknown parent %d", parent))
 	}
-	ls := b.carve(labels)
 	t.parent = append(t.parent, parent)
-	t.labels = append(t.labels, ls)
-	t.text = append(t.text, "")
+	t.labelOff = append(t.labelOff, int32(len(t.labelCode)))
+	for _, c := range codes {
+		if c < 0 || int(c) >= t.dict.Len() {
+			panic(fmt.Sprintf("tree: label code %d not in the dictionary", c))
+		}
+		t.labelCode = append(t.labelCode, c)
+	}
+	if b.labelEnd != nil {
+		b.labelEnd = append(b.labelEnd, int32(len(t.labelCode)))
+	}
+	b.textAt = append(b.textAt, 0)
+	b.textEnd = append(b.textEnd, 0)
 	return id
+}
+
+// ends returns labelEnd, first deriving it from the offsets when no run has
+// moved yet: then the runs tile the column in construction order.
+func (b *Builder) ends() []int32 {
+	if b.labelEnd == nil {
+		t := &b.t
+		n := len(t.parent)
+		b.labelEnd = make([]int32, n, cap(t.parent))
+		copy(b.labelEnd, t.labelOff[1:])
+		b.labelEnd[n-1] = int32(len(t.labelCode))
+	}
+	return b.labelEnd
+}
+
+// check panics unless n is a node added so far.
+func (b *Builder) check(n NodeID, what string) {
+	if !b.open {
+		panic("tree: Builder used after Build")
+	}
+	if !b.t.valid(n) {
+		panic(fmt.Sprintf("tree: %s %d", what, n))
+	}
 }
 
 // AddLabel attaches an additional label to an existing node.
 func (b *Builder) AddLabel(n NodeID, label string) {
-	if !b.open {
-		panic("tree: Builder used after Build")
-	}
-	if !b.t.valid(n) {
-		panic(fmt.Sprintf("tree: AddLabel of unknown node %d", n))
-	}
-	b.t.labels[n] = append(b.t.labels[n], label)
+	b.check(n, "AddLabel of unknown node")
+	b.AddCode(n, b.Code(label))
 }
 
-// SetText attaches textual content to an existing node.
+// AddCode attaches an additional label, by its code, to an existing node.
+func (b *Builder) AddCode(n NodeID, c Code) {
+	b.check(n, "AddLabel of unknown node")
+	t := &b.t
+	if c < 0 || int(c) >= t.dict.Len() {
+		panic(fmt.Sprintf("tree: label code %d not in the dictionary", c))
+	}
+	if int(n) == len(t.parent)-1 && b.labelEnd == nil {
+		t.labelCode = append(t.labelCode, c)
+		return
+	}
+	end := b.ends()
+	if int(end[n]) != len(t.labelCode) {
+		// Another node's labels follow n's: move n's run to the end.
+		start := len(t.labelCode)
+		t.labelCode = append(t.labelCode, t.labelCode[t.labelOff[n]:end[n]]...)
+		t.labelOff[n] = int32(start)
+	}
+	t.labelCode = append(t.labelCode, c)
+	end[n] = int32(len(t.labelCode))
+}
+
+// SetText attaches textual content to an existing node, replacing any.
 func (b *Builder) SetText(n NodeID, text string) {
-	if !b.open {
-		panic("tree: Builder used after Build")
+	b.check(n, "SetText of unknown node")
+	b.textAt[n], b.textEnd[n] = 0, 0
+	b.AppendText(n, text)
+}
+
+// AppendText appends s to the textual content of an existing node.
+func (b *Builder) AppendText(n NodeID, s string) {
+	b.check(n, "SetText of unknown node")
+	b.moveText(n)
+	b.textBuf = append(b.textBuf, s...)
+	b.textEnd[n] = int32(len(b.textBuf))
+}
+
+// moveText makes n's text run end the text buffer, so that appending extends
+// it: a run some other text follows is copied to the end first.
+func (b *Builder) moveText(n NodeID) {
+	at, end := b.textAt[n], b.textEnd[n]
+	if at == end {
+		b.textAt[n], b.textEnd[n] = int32(len(b.textBuf)), int32(len(b.textBuf))
+		return
 	}
-	if !b.t.valid(n) {
-		panic(fmt.Sprintf("tree: SetText of unknown node %d", n))
+	if int(end) != len(b.textBuf) {
+		b.textAt[n] = int32(len(b.textBuf))
+		b.textBuf = append(b.textBuf, b.textBuf[at:end]...)
+		b.textEnd[n] = int32(len(b.textBuf))
 	}
-	b.t.text[n] = text
 }
 
 // Len returns the number of nodes added so far.
 func (b *Builder) Len() int { return len(b.t.parent) }
 
-// Build freezes the builder, renumbers the nodes into document order,
-// computes the size, depth and left-sibling columns and returns the tree.
-// Build returns an error for the empty tree (a tree has at least one node).
+// Build freezes the builder, renumbers the nodes into document order, lays
+// the label and text columns out in preorder, computes the size, depth and
+// left-sibling columns and returns the tree.  Build returns an error for the
+// empty tree (a tree has at least one node).
 func (b *Builder) Build() (*Tree, error) {
 	if !b.open {
 		return nil, errors.New("tree: Build called twice")
@@ -369,6 +538,7 @@ func (b *Builder) Build() (*Tree, error) {
 	cols := make([]int32, 2*n) // one allocation, two columns
 	t.depth, t.size = cols[:n:n], cols[n:]
 	b.rank()
+	b.layout()
 	t.index()
 	return t, nil
 }
@@ -388,8 +558,8 @@ func (b *Builder) Final(id NodeID) NodeID {
 // subtree sizes, and one forward sweep hands each node the next free rank of
 // its parent's interval: a parent's children take consecutive intervals in
 // the order they were added.  Nodes added in document order already hold
-// their ranks and stay in place; otherwise parent, size, labels and text move
-// to the ranks, which Final then answers from.
+// their ranks and stay in place; otherwise parent, size and the label and
+// text runs move to the ranks, which Final then answers from.
 func (b *Builder) rank() {
 	t := &b.t
 	n := NodeID(t.Len())
@@ -426,8 +596,9 @@ func (b *Builder) rank() {
 		}
 	}
 	t.size = permute(t.size, final)
-	t.labels = permute(t.labels, final)
-	t.text = permute(t.text, final)
+	t.labelOff, b.labelEnd = permute(t.labelOff, final), permute(b.ends(), final)
+	b.textAt = permute(b.textAt, final)
+	b.textEnd = permute(b.textEnd, final)
 }
 
 // permute returns col with entry v moved to position final[v].
@@ -437,6 +608,61 @@ func permute[E any](col []E, final []NodeID) []E {
 		out[final[v]] = x
 	}
 	return out
+}
+
+// layout closes the label offsets, compacting the label runs into preorder
+// when some run moved or the nodes were renumbered, and copies the text runs
+// into one string in preorder.
+func (b *Builder) layout() {
+	t := &b.t
+	n := t.Len()
+	if b.labelEnd == nil {
+		t.labelOff = trim(append(t.labelOff, int32(len(t.labelCode))))
+		t.labelCode = trim(t.labelCode)
+	} else {
+		off := make([]int32, n+1)
+		codes := make([]Code, 0, len(t.labelCode))
+		for v := range n {
+			off[v] = int32(len(codes))
+			codes = append(codes, t.labelCode[t.labelOff[v]:b.labelEnd[v]]...)
+		}
+		off[n] = int32(len(codes))
+		t.labelOff, t.labelCode = off, codes
+	}
+
+	// A parse appends the text of a document without mixed content in
+	// preorder, run after run: then the buffer is the text as it stands.
+	t.textOff = make([]int32, n+1)
+	inOrder, size := true, int32(0)
+	for v := range n {
+		t.textOff[v] = size
+		if at, end := b.textAt[v], b.textEnd[v]; at != end {
+			inOrder = inOrder && at == size
+			size += end - at
+		}
+	}
+	t.textOff[n] = size
+	if inOrder {
+		t.text = string(b.textBuf[:size])
+	} else {
+		var sb strings.Builder
+		sb.Grow(int(size))
+		for v := range n {
+			sb.Write(b.textBuf[b.textAt[v]:b.textEnd[v]])
+		}
+		t.text = sb.String()
+	}
+	t.parent = trim(t.parent)
+	b.labelEnd, b.textBuf, b.textAt, b.textEnd = nil, nil, nil, nil
+}
+
+// trim returns col in an allocation of its own length when a reservation or
+// amortized growth left more than an eighth of it unused.
+func trim[E any](col []E) []E {
+	if cap(col)-len(col) <= len(col)/8 {
+		return col
+	}
+	return slices.Clone(col)
 }
 
 // MustBuild is like Build but panics on error; intended for tests and
@@ -449,10 +675,10 @@ func (b *Builder) MustBuild() *Tree {
 	return t
 }
 
-// index fills depth, prevSibling, the height and the text-node count in one
-// forward sweep over a tree numbered in preorder, without recursion (trees
-// may be deep): a parent precedes its children, and the right sibling of u
-// is End(u)+1 when that node shares u's parent.
+// index fills depth, prevSibling and the whole-tree counts in one forward
+// sweep over a tree numbered in preorder, without recursion (trees may be
+// deep): a parent precedes its children, and the right sibling of u is
+// End(u)+1 when that node shares u's parent.
 func (t *Tree) index() {
 	n := NodeID(t.Len())
 	t.prevSibling = make([]NodeID, n)
@@ -469,8 +695,15 @@ func (t *Tree) index() {
 		if s := t.End(u) + 1; s < n && t.parent[s] == t.parent[u] {
 			t.prevSibling[s] = u
 		}
-		if t.text[u] != "" {
+		if t.textOff[u] != t.textOff[u+1] {
 			t.textNodes++
+		}
+	}
+	seen := make([]bool, t.dict.Len())
+	for _, c := range t.labelCode {
+		if !seen[c] {
+			seen[c] = true
+			t.alphabet++
 		}
 	}
 }
@@ -484,10 +717,10 @@ func (t *Tree) String() string {
 }
 
 func (t *Tree) writeNode(sb *strings.Builder, n NodeID) {
-	if len(t.labels[n]) == 0 {
+	if t.labelOff[n] == t.labelOff[n+1] {
 		sb.WriteString("_")
 	} else {
-		sb.WriteString(strings.Join(t.labels[n], "+"))
+		sb.WriteString(strings.Join(t.Labels(n), "+"))
 	}
 	if t.size[n] == 1 {
 		return

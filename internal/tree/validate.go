@@ -58,6 +58,33 @@ func (t *Tree) Validate() error {
 		}
 	}
 
+	// The label and text runs: offsets climb from 0 to the column's end, and
+	// every code names a dictionary entry.
+	for _, col := range [][]int32{t.labelOff, t.textOff} {
+		if len(col) != int(n)+1 || col[0] != 0 {
+			return fmt.Errorf("tree: %d offsets for %d nodes, first %d", len(col), n, col[0])
+		}
+		for v := range n {
+			if col[v] > col[v+1] {
+				return fmt.Errorf("tree: offsets of node %d run backwards", v)
+			}
+		}
+	}
+	if int(t.labelOff[n]) != len(t.labelCode) || int(t.textOff[n]) != len(t.text) {
+		return fmt.Errorf("tree: offsets end at %d and %d, columns hold %d codes and %d text bytes",
+			t.labelOff[n], t.textOff[n], len(t.labelCode), len(t.text))
+	}
+	alphabet := map[Code]bool{}
+	for _, c := range t.labelCode {
+		if c < 0 || int(c) >= t.dict.Len() {
+			return fmt.Errorf("tree: label code %d outside the dictionary of %d names", c, t.dict.Len())
+		}
+		alphabet[c] = true
+	}
+	if len(alphabet) != t.alphabet {
+		return fmt.Errorf("tree: %d distinct labels recorded, want %d", t.alphabet, len(alphabet))
+	}
+
 	// Depth and the whole-tree counts.
 	height, texts := 0, 0
 	for v := range n {
@@ -67,7 +94,7 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("tree: root depth %d, want 0", t.depth[v])
 		}
 		height = max(height, int(t.depth[v])+1)
-		if t.text[v] != "" {
+		if t.Text(v) != "" {
 			texts++
 		}
 	}
@@ -113,12 +140,12 @@ func Equal(a, b *Tree) bool {
 		if a.parent[v] != b.parent[v] {
 			return false
 		}
-		la, lb := a.Labels(v), b.Labels(v)
+		la, lb := a.LabelCodes(v), b.LabelCodes(v)
 		if len(la) != len(lb) {
 			return false
 		}
 		for j := range la {
-			if la[j] != lb[j] {
+			if a.dict.Name(la[j]) != b.dict.Name(lb[j]) {
 				return false
 			}
 		}

@@ -20,7 +20,6 @@ package treediff
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,6 +117,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	// The splice math identifies row i with NodeID i, the node with preorder
 	// index i+1: tree.Builder numbers every tree that way.
 	n, m := oldT.Len(), newT.Len()
+	c := newComparer(oldT, newT)
 
 	// Longest common prefix of the preorder node sequences: labels, text and
 	// parent must all agree (parents of prefix nodes precede them, so the
@@ -125,7 +125,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	p := 0
 	for p < n && p < m {
 		u := tree.NodeID(p)
-		if !sameNode(oldT, u, newT, u) || oldT.Parent(u) != newT.Parent(u) {
+		if !c.same(u, u) || oldT.Parent(u) != newT.Parent(u) {
 			break
 		}
 		p++
@@ -152,7 +152,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 		}
 		if structural {
 			last := n - 1
-			for last >= p && sameNode(oldT, tree.NodeID(last), newT, tree.NodeID(last)) {
+			for last >= p && c.same(tree.NodeID(last), tree.NodeID(last)) {
 				last--
 			}
 			sc := &Script{
@@ -160,7 +160,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 				Start: p, OldLen: last + 1 - p, NewLen: last + 1 - p,
 				ShapePreserving: true,
 			}
-			sc.Touched = relabeled(oldT, newT, p, sc.OldLen)
+			sc.Touched = c.relabeled(p, sc.OldLen)
 			return sc, true
 		}
 	}
@@ -169,7 +169,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	// text; structural agreement is verified against the shift rule below.
 	s := 0
 	for s < n-p && s < m-p {
-		if !sameNode(oldT, tree.NodeID(n-1-s), newT, tree.NodeID(m-1-s)) {
+		if !c.same(tree.NodeID(n-1-s), tree.NodeID(m-1-s)) {
 			break
 		}
 		s++
@@ -217,7 +217,7 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	}
 
 	sc := &Script{Old: oldT, New: newT, Start: p, OldLen: oldLen, NewLen: newLen}
-	sc.Touched = regionLabels(oldT, newT, p, oldLen, newLen)
+	sc.Touched = c.regionLabels(p, oldLen, newLen)
 	switch {
 	case oldLen == 0 && newLen == 0:
 		sc.Kind, sc.ShapePreserving = KindNone, true
@@ -234,9 +234,40 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	return sc, true
 }
 
-// sameNode reports label-and-text equality of two nodes.
-func sameNode(a *tree.Tree, u tree.NodeID, b *tree.Tree, v tree.NodeID) bool {
-	return slices.Equal(a.Labels(u), b.Labels(v)) && a.Text(u) == b.Text(v)
+// comparer tests nodes of two trees for equal labels and text.  Labels are
+// compared by code: directly when the second tree's dictionary extends the
+// first's, as it does for a revision parsed against its predecessor's, and
+// through a translation of the first tree's codes otherwise.
+type comparer struct {
+	a, b  *tree.Tree
+	remap []tree.Code // nil: codes translate to themselves
+}
+
+func newComparer(a, b *tree.Tree) comparer {
+	return comparer{a: a, b: b, remap: tree.Translate(a.Dict(), b.Dict())}
+}
+
+// sameLabels reports whether node u of a and node v of b carry the same
+// labels in the same order.
+func (c comparer) sameLabels(u, v tree.NodeID) bool {
+	lu, lv := c.a.LabelCodes(u), c.b.LabelCodes(v)
+	if len(lu) != len(lv) {
+		return false
+	}
+	for i, code := range lu {
+		if c.remap != nil {
+			code = c.remap[code]
+		}
+		if code != lv[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// same reports label-and-text equality of node u of a and node v of b.
+func (c comparer) same(u, v tree.NodeID) bool {
+	return c.sameLabels(u, v) && c.a.Text(u) == c.b.Text(v)
 }
 
 // regionParent verifies that rows [start, start+length) of t form a forest
@@ -263,41 +294,39 @@ func regionParent(t *tree.Tree, start, length int) (tree.NodeID, bool) {
 }
 
 // regionLabels collects the sorted distinct labels occurring on any node of
-// either splice region.
-func regionLabels(oldT, newT *tree.Tree, start, oldLen, newLen int) []string {
+// either splice region: rows [start, start+oldLen) of a and [start,
+// start+newLen) of b.
+func (c comparer) regionLabels(start, oldLen, newLen int) []string {
 	set := map[string]bool{}
-	for i := start; i < start+oldLen; i++ {
-		for _, l := range oldT.Labels(tree.NodeID(i)) {
-			set[l] = true
-		}
-	}
-	for i := start; i < start+newLen; i++ {
-		for _, l := range newT.Labels(tree.NodeID(i)) {
-			set[l] = true
-		}
-	}
+	addLabels(set, c.a, start, start+oldLen)
+	addLabels(set, c.b, start, start+newLen)
 	return sortedLabels(set)
+}
+
+// addLabels adds to set the names of the labels of nodes [from, to) of t.
+func addLabels(set map[string]bool, t *tree.Tree, from, to int) {
+	d := t.Dict()
+	for v := tree.NodeID(from); int(v) < to; v++ {
+		for _, c := range t.LabelCodes(v) {
+			set[d.Name(c)] = true
+		}
+	}
 }
 
 // relabeled collects the sorted distinct old and new labels of the nodes in
 // rows [start, start+length) whose label list differs between the two trees,
 // which must agree in shape over those rows.
-func relabeled(oldT, newT *tree.Tree, start, length int) []string {
+func (c comparer) relabeled(start, length int) []string {
 	var set map[string]bool
 	for i := start; i < start+length; i++ {
-		lo, ln := oldT.Labels(tree.NodeID(i)), newT.Labels(tree.NodeID(i))
-		if slices.Equal(lo, ln) {
+		if c.sameLabels(tree.NodeID(i), tree.NodeID(i)) {
 			continue
 		}
 		if set == nil {
 			set = map[string]bool{}
 		}
-		for _, l := range lo {
-			set[l] = true
-		}
-		for _, l := range ln {
-			set[l] = true
-		}
+		addLabels(set, c.a, i, i+1)
+		addLabels(set, c.b, i, i+1)
 	}
 	return sortedLabels(set)
 }
@@ -331,8 +360,8 @@ func Canonical(t *tree.Tree) string {
 
 func writeCanonical(sb *strings.Builder, t *tree.Tree, n tree.NodeID) {
 	sb.WriteByte('(')
-	for _, l := range t.Labels(n) {
-		sb.WriteString(strconv.Quote(l))
+	for _, c := range t.LabelCodes(n) {
+		sb.WriteString(strconv.Quote(t.Dict().Name(c)))
 	}
 	if txt := t.Text(n); txt != "" {
 		sb.WriteByte('=')
@@ -452,8 +481,9 @@ func Equal(a, b *tree.Tree) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
+	c := newComparer(a, b)
 	for v := range tree.NodeID(a.Len()) {
-		if !sameNode(a, v, b, v) || a.Parent(v) != b.Parent(v) {
+		if !c.same(v, v) || a.Parent(v) != b.Parent(v) {
 			return false
 		}
 	}

@@ -13,8 +13,7 @@ package xmldoc
 
 import (
 	"fmt"
-	"io"
-	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/tree"
@@ -77,11 +76,18 @@ func (e *SyntaxError) Error() string {
 // attributes); character data is concatenated into the node text.
 //
 // Parse is one left-to-right scan: the scanner feeds every element straight
-// into a tree.Builder sized from a count of the document's start tags, and
-// the labels and text of the tree are substrings of src wherever src spells
-// them literally.
-func Parse(src string) (*tree.Tree, error) {
-	ts := newTreeSink(countStartTags(src))
+// into a tree.Builder sized from a count of the document's tags, which
+// codes each label as it arrives and copies the text into the tree's one text
+// string.  The tree holds no reference to src.
+func Parse(src string) (*tree.Tree, error) { return ParseDict(src, nil) }
+
+// ParseDict is Parse against the label dictionary d of an earlier tree —
+// usually tree.NextDict of the document's previous version — so that labels
+// the earlier tree knew keep their codes and parsing them allocates nothing.
+// d itself is never written: the first new label copies it.  A nil d starts a
+// fresh dictionary.
+func ParseDict(src string, d *tree.Dict) (*tree.Tree, error) {
+	ts := newTreeSink(d, src)
 	if err := scan(src, ts); err != nil {
 		return nil, err
 	}
@@ -97,15 +103,6 @@ func MustParse(src string) *tree.Tree {
 	return t
 }
 
-// ParseReader parses an XML document from r.
-func ParseReader(r io.Reader) (*tree.Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Parse(string(data))
-}
-
 // FromEvents builds a tree from a well-formed event stream.
 func FromEvents(events []Event) (*tree.Tree, error) {
 	elements := 0
@@ -114,7 +111,8 @@ func FromEvents(events []Event) (*tree.Tree, error) {
 			elements++
 		}
 	}
-	ts := newTreeSink(elements)
+	ts := &treeSink{b: tree.NewBuilder()}
+	ts.b.Reserve(elements)
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
@@ -122,7 +120,10 @@ func FromEvents(events []Event) (*tree.Tree, error) {
 			if len(ts.open) == 0 && ts.b.Len() > 0 {
 				return nil, &SyntaxError{Offset: i, Msg: "multiple root elements"}
 			}
-			ts.start(ev.Name, ev.Attrs)
+			ts.start(ev.Name)
+			for _, a := range ev.Attrs {
+				ts.attr(a.Name, a.Value)
+			}
 		case EndElement:
 			if len(ts.open) == 0 {
 				return nil, &SyntaxError{Offset: i, Msg: "unmatched end element " + ev.Name}
@@ -156,9 +157,10 @@ func Tokenize(src string) ([]Event, error) {
 // scanner has already checked well-formedness: start and end nest, text
 // arrives only inside an open element, and there is exactly one root.
 type sink interface {
-	// start opens an element; attrs is scratch the scanner reuses, valid only
-	// during the call.
-	start(name string, attrs []Attr)
+	// start opens an element, whose attributes follow one attr call each.
+	start(name string)
+	// attr adds an attribute to the element start opened last.
+	attr(name, value string)
 	// text delivers one chunk of character data of the innermost open element.
 	text(s string)
 	// end closes the innermost open element.
@@ -171,13 +173,14 @@ type eventSink struct {
 	names  []string // open element names, for the EndElement events
 }
 
-func (es *eventSink) start(name string, attrs []Attr) {
-	var own []Attr // nil for an element without attributes
-	if len(attrs) > 0 {
-		own = slices.Clone(attrs)
-	}
-	es.events = append(es.events, Event{Kind: StartElement, Name: name, Attrs: own})
+func (es *eventSink) start(name string) {
+	es.events = append(es.events, Event{Kind: StartElement, Name: name})
 	es.names = append(es.names, name)
+}
+
+func (es *eventSink) attr(name, value string) {
+	ev := &es.events[len(es.events)-1]
+	ev.Attrs = append(ev.Attrs, Attr{Name: name, Value: value})
 }
 
 func (es *eventSink) text(s string) {
@@ -190,103 +193,73 @@ func (es *eventSink) end() {
 	es.names = es.names[:last]
 }
 
-// treeSink adds the document to a tree.Builder, element by element.
+// treeSink adds the document to a tree.Builder, element by element: names
+// and attribute labels become codes on arrival, and text goes into the
+// builder's text buffer.
 type treeSink struct {
-	b      *tree.Builder
-	open   []openElement
-	labels []string // scratch: the labels of the element being opened
-	// names is a direct-mapped cache of the element names seen last: nodes of
-	// one name share one string, so a label scan over the tree compares
-	// against a few hot cache lines, not one per node scattered over the
-	// source.  A collision only costs some of that sharing.
-	names [64]string
+	b    *tree.Builder
+	open []tree.NodeID // the elements whose end tag is still to come
+	buf  []byte        // scratch: the attribute label being coded
+	// names is a direct-mapped cache of the element names coded last: a hit
+	// costs one short string comparison instead of a dictionary lookup, and
+	// a collision only costs the lookup.
+	names [256]struct {
+		name string
+		code tree.Code
+	}
 }
 
-// openElement is an element whose end tag is still to come.
-type openElement struct {
-	id tree.NodeID
-	// text is the first chunk of the element's character data as it arrived —
-	// in all but mixed content, the only one.
-	text string
-	// mixed is the concatenation of the chunks so far, once a second arrived.
-	mixed []byte
-}
-
-// newTreeSink returns a sink whose builder is sized for the given number of
-// elements.
-func newTreeSink(elements int) *treeSink {
-	b := tree.NewBuilder()
-	b.Reserve(elements)
+// newTreeSink returns a sink whose builder draws codes from d and is sized
+// for the document src.  An element opens with one '<' and closes with at
+// most one more, so the elements number between half and all of the '<'
+// (comments and the like aside): the builder is sized for five eighths,
+// which covers a document whose elements are self-closing one time in four,
+// and grows, or Build trims, in the rarer cases.  The text buffer starts at
+// an eighth of src (a site document's text is about a twelfth of it) and
+// grows by doubling beyond.
+func newTreeSink(d *tree.Dict, src string) *treeSink {
+	b := tree.NewBuilderDict(d)
+	lt := strings.Count(src, "<")
+	b.Reserve((lt+1)/2 + lt/8)
+	b.ReserveText(len(src) / 8)
 	return &treeSink{b: b}
 }
 
-func (ts *treeSink) intern(name string) string {
-	h := len(name)
-	if h > 0 {
-		h = h*31 + int(name[0]) + int(name[h-1])<<3
+func (ts *treeSink) start(name string) {
+	parent := tree.InvalidNode
+	if len(ts.open) > 0 {
+		parent = ts.open[len(ts.open)-1]
 	}
-	slot := &ts.names[h%len(ts.names)]
-	if *slot != name {
-		*slot = name
-	}
-	return *slot
+	ts.open = append(ts.open, ts.b.AddCoded(parent, ts.code(name)))
 }
 
-func (ts *treeSink) start(name string, attrs []Attr) {
-	ts.labels = append(ts.labels[:0], ts.intern(name))
-	for _, a := range attrs {
-		ts.labels = append(ts.labels, "@"+a.Name+"="+a.Value)
+// code returns the code of an element name, from the cache when it holds it.
+func (ts *treeSink) code(name string) tree.Code {
+	// Hash the length and the first, middle and last bytes (Fibonacci
+	// hashing: the top byte of the product picks the slot).
+	h := uint32(len(name)) << 16
+	if len(name) > 0 {
+		h |= uint32(name[0])<<8 | uint32(name[len(name)-1]) | uint32(name[len(name)/2])<<24
 	}
-	var id tree.NodeID
-	if len(ts.open) == 0 {
-		id = ts.b.AddRoot(ts.labels...)
-	} else {
-		id = ts.b.AddChild(ts.open[len(ts.open)-1].id, ts.labels...)
+	slot := &ts.names[(h*0x9E3779B1)>>24]
+	if slot.name != name || slot.name == "" {
+		slot.name, slot.code = name, ts.b.Code(name)
 	}
-	ts.open = append(ts.open, openElement{id: id})
+	return slot.code
 }
 
-func (ts *treeSink) text(s string) {
-	e := &ts.open[len(ts.open)-1]
-	if e.text == "" {
-		e.text = s
-		return
-	}
-	if e.mixed == nil {
-		e.mixed = append(make([]byte, 0, 2*(len(e.text)+len(s))), e.text...)
-	}
-	e.mixed = append(e.mixed, s...)
+func (ts *treeSink) attr(name, value string) {
+	ts.buf = ts.buf[:0]
+	ts.buf = append(ts.buf, '@')
+	ts.buf = append(ts.buf, name...)
+	ts.buf = append(ts.buf, '=')
+	ts.buf = append(ts.buf, value...)
+	ts.b.AddCode(ts.open[len(ts.open)-1], ts.b.CodeBytes(ts.buf))
 }
 
-func (ts *treeSink) end() {
-	e := ts.open[len(ts.open)-1]
-	ts.open = ts.open[:len(ts.open)-1]
-	if e.text == "" {
-		return
-	}
-	if e.mixed != nil {
-		e.text = string(e.mixed)
-	}
-	ts.b.SetText(e.id, e.text)
-}
+func (ts *treeSink) text(s string) { ts.b.AppendText(ts.open[len(ts.open)-1], s) }
 
-// countStartTags returns the number of '<' in src that a name character
-// follows.  Every element has one, so the count bounds the node count from
-// above, and it is exact unless a comment, a CDATA section or an attribute
-// value contains such a pair.
-func countStartTags(src string) int {
-	n := 0
-	for i := 0; ; {
-		j := strings.IndexByte(src[i:], '<')
-		if j < 0 || i+j+1 >= len(src) {
-			return n
-		}
-		i += j + 1
-		if isNameChar(src[i]) {
-			n++
-		}
-	}
-}
+func (ts *treeSink) end() { ts.open = ts.open[:len(ts.open)-1] }
 
 // scanner is the one XML scanner: it checks well-formedness and hands the
 // document to a sink.
@@ -294,10 +267,13 @@ type scanner struct {
 	src      string
 	pos      int
 	out      sink
-	stack    []string // names of the open elements
+	stack    []span // names of the open elements, as spans of src
 	rootSeen bool
-	attrs    []Attr // scratch handed to sink.start
 }
+
+// span is the substring src[start:end] of the scanned document; the stack
+// of open names holds no pointer for the collector to trace.
+type span struct{ start, end int }
 
 // scan runs the scanner over src.
 func scan(src string, out sink) error {
@@ -314,7 +290,7 @@ func scan(src string, out sink) error {
 		}
 	}
 	if len(t.stack) != 0 {
-		return t.errf("unclosed element <%s>", t.stack[len(t.stack)-1])
+		return t.errf("unclosed element <%s>", t.open())
 	}
 	if !t.rootSeen {
 		return t.errf("document has no root element")
@@ -348,79 +324,102 @@ func (t *scanner) scanText() error {
 }
 
 func (t *scanner) scanMarkup() error {
-	// t.src[t.pos] == '<'
-	if strings.HasPrefix(t.src[t.pos:], "<!--") {
-		end := strings.Index(t.src[t.pos+4:], "-->")
-		if end < 0 {
-			return t.errf("unterminated comment")
-		}
-		t.pos += 4 + end + 3
-		return nil
+	// t.src[t.pos] == '<': the byte after it tells the markup apart.
+	var next byte
+	if t.pos+1 < len(t.src) {
+		next = t.src[t.pos+1]
 	}
-	if strings.HasPrefix(t.src[t.pos:], "<?") {
+	switch next {
+	case '!':
+		switch {
+		case strings.HasPrefix(t.src[t.pos:], "<!--"):
+			end := strings.Index(t.src[t.pos+4:], "-->")
+			if end < 0 {
+				return t.errf("unterminated comment")
+			}
+			t.pos += 4 + end + 3
+		case strings.HasPrefix(t.src[t.pos:], "<![CDATA["):
+			end := strings.Index(t.src[t.pos+9:], "]]>")
+			if end < 0 {
+				return t.errf("unterminated CDATA section")
+			}
+			data := t.src[t.pos+9 : t.pos+9+end]
+			if len(t.stack) == 0 {
+				return t.errf("CDATA outside the root element")
+			}
+			if data != "" {
+				t.out.text(data)
+			}
+			t.pos += 9 + end + 3
+		default:
+			// DOCTYPE or similar: skip to the matching '>'.
+			end := strings.IndexByte(t.src[t.pos:], '>')
+			if end < 0 {
+				return t.errf("unterminated <! declaration")
+			}
+			t.pos += end + 1
+		}
+		return nil
+	case '?':
 		end := strings.Index(t.src[t.pos+2:], "?>")
 		if end < 0 {
 			return t.errf("unterminated processing instruction")
 		}
 		t.pos += 2 + end + 2
 		return nil
+	case '/':
+		return t.scanEndTag()
 	}
-	if strings.HasPrefix(t.src[t.pos:], "<![CDATA[") {
-		end := strings.Index(t.src[t.pos+9:], "]]>")
-		if end < 0 {
-			return t.errf("unterminated CDATA section")
+	return t.scanStartTag()
+}
+
+// scanEndTag scans "</name>" at t.pos.  The name is matched against the
+// innermost open element's directly; only a mismatch scans it on its own.
+func (t *scanner) scanEndTag() error {
+	t.pos += 2
+	var name string
+	if len(t.stack) > 0 {
+		open := t.open()
+		if end := t.pos + len(open); strings.HasPrefix(t.src[t.pos:], open) && (end == len(t.src) || !nameChar[t.src[end]]) {
+			name, t.pos = open, end
 		}
-		data := t.src[t.pos+9 : t.pos+9+end]
-		if len(t.stack) == 0 {
-			return t.errf("CDATA outside the root element")
-		}
-		if data != "" {
-			t.out.text(data)
-		}
-		t.pos += 9 + end + 3
-		return nil
 	}
-	if strings.HasPrefix(t.src[t.pos:], "<!") {
-		// DOCTYPE or similar: skip to the matching '>'.
-		end := strings.IndexByte(t.src[t.pos:], '>')
-		if end < 0 {
-			return t.errf("unterminated <! declaration")
-		}
-		t.pos += end + 1
-		return nil
-	}
-	if strings.HasPrefix(t.src[t.pos:], "</") {
-		t.pos += 2
-		name, err := t.scanName()
-		if err != nil {
+	matched := name != ""
+	if !matched {
+		var err error
+		if name, err = t.scanName(); err != nil {
 			return err
 		}
-		t.skipSpace()
-		if t.pos >= len(t.src) || t.src[t.pos] != '>' {
-			return t.errf("expected '>' after closing tag name %q", name)
-		}
-		t.pos++
-		if len(t.stack) == 0 {
-			return t.errf("closing tag </%s> without matching opening tag", name)
-		}
-		open := t.stack[len(t.stack)-1]
-		if open != name {
-			return t.errf("closing tag </%s> does not match <%s>", name, open)
-		}
-		t.stack = t.stack[:len(t.stack)-1]
-		t.out.end()
-		return nil
 	}
-	// Opening or self-closing tag.
+	t.skipSpace()
+	if t.pos >= len(t.src) || t.src[t.pos] != '>' {
+		return t.errf("expected '>' after closing tag name %q", name)
+	}
+	t.pos++
+	if len(t.stack) == 0 {
+		return t.errf("closing tag </%s> without matching opening tag", name)
+	}
+	if !matched {
+		return t.errf("closing tag </%s> does not match <%s>", name, t.open())
+	}
+	t.stack = t.stack[:len(t.stack)-1]
+	t.out.end()
+	return nil
+}
+
+// scanStartTag scans an opening or self-closing tag at t.pos.
+func (t *scanner) scanStartTag() error {
 	t.pos++ // consume '<'
 	if len(t.stack) == 0 && t.rootSeen {
 		return t.errf("multiple root elements")
 	}
+	start := t.pos
 	name, err := t.scanName()
 	if err != nil {
 		return err
 	}
-	t.attrs = t.attrs[:0]
+	t.rootSeen = true
+	t.out.start(name)
 	for {
 		t.skipSpace()
 		if t.pos >= len(t.src) {
@@ -428,15 +427,11 @@ func (t *scanner) scanMarkup() error {
 		}
 		if t.src[t.pos] == '>' {
 			t.pos++
-			t.rootSeen = true
-			t.out.start(name, t.attrs)
-			t.stack = append(t.stack, name)
+			t.stack = append(t.stack, span{start, start + len(name)})
 			return nil
 		}
 		if strings.HasPrefix(t.src[t.pos:], "/>") {
 			t.pos += 2
-			t.rootSeen = true
-			t.out.start(name, t.attrs)
 			t.out.end()
 			return nil
 		}
@@ -467,36 +462,45 @@ func (t *scanner) scanMarkup() error {
 			return t.errf("%v", err)
 		}
 		t.pos++
-		t.attrs = append(t.attrs, Attr{Name: attrName, Value: val})
+		t.out.attr(attrName, val)
 	}
+}
+
+// open returns the name of the innermost open element.
+func (t *scanner) open() string {
+	sp := t.stack[len(t.stack)-1]
+	return t.src[sp.start:sp.end]
 }
 
 func (t *scanner) scanName() (string, error) {
-	start := t.pos
-	for t.pos < len(t.src) && isNameChar(t.src[t.pos]) {
-		t.pos++
+	src, start, end := t.src, t.pos, t.pos
+	for end < len(src) && nameChar[src[end]] {
+		end++
 	}
-	if t.pos == start {
+	if end == start {
 		return "", t.errf("expected a name")
 	}
-	return t.src[start:t.pos], nil
+	t.pos = end
+	return src[start:end], nil
 }
 
 func (t *scanner) skipSpace() {
-	for t.pos < len(t.src) {
-		switch t.src[t.pos] {
-		case ' ', '\t', '\n', '\r':
-			t.pos++
-		default:
-			return
-		}
+	src, i := t.src, t.pos
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
 	}
+	t.pos = i
 }
 
-func isNameChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-		c == '_' || c == '-' || c == '.' || c == ':'
-}
+// nameChar reports the bytes a name may contain: ASCII letters and digits,
+// '_', '-', '.' and ':'.
+var nameChar = func() (tab [256]bool) {
+	for c := range 256 {
+		tab[c] = c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+			c == '_' || c == '-' || c == '.' || c == ':'
+	}
+	return tab
+}()
 
 // unescape resolves the five predefined XML entities and numeric character
 // references.
@@ -527,15 +531,9 @@ func unescape(s string) (string, error) {
 			sb.WriteByte('\'')
 		case ent == "quot":
 			sb.WriteByte('"')
-		case strings.HasPrefix(ent, "#x") || strings.HasPrefix(ent, "#X"):
-			var r rune
-			if _, err := fmt.Sscanf(ent[2:], "%x", &r); err != nil {
-				return "", fmt.Errorf("bad numeric character reference &%s;", ent)
-			}
-			sb.WriteRune(r)
 		case strings.HasPrefix(ent, "#"):
-			var r rune
-			if _, err := fmt.Sscanf(ent[1:], "%d", &r); err != nil {
+			r, ok := charRef(ent[1:])
+			if !ok {
 				return "", fmt.Errorf("bad numeric character reference &%s;", ent)
 			}
 			sb.WriteRune(r)
@@ -545,6 +543,28 @@ func unescape(s string) (string, error) {
 		i += end + 1
 	}
 	return sb.String(), nil
+}
+
+// charRef decodes the digits of a numeric character reference, "65" or
+// "x41" for 'A': decimal or hexadecimal digits only — no sign, space or
+// trailing byte — naming a character of XML 1.0's Char production.
+func charRef(digits string) (rune, bool) {
+	base := 10
+	if len(digits) > 0 && (digits[0] == 'x' || digits[0] == 'X') {
+		digits, base = digits[1:], 16
+	}
+	v, err := strconv.ParseUint(digits, base, 32)
+	if err != nil {
+		return 0, false
+	}
+	switch r := rune(v); {
+	case r == 0x9 || r == 0xA || r == 0xD,
+		r >= 0x20 && r <= 0xD7FF,
+		r >= 0xE000 && r <= 0xFFFD,
+		r >= 0x10000 && r <= 0x10FFFF:
+		return r, true
+	}
+	return 0, false
 }
 
 // The escapers are the inverse of unescape for the characters that must be
@@ -581,8 +601,9 @@ func serializeNode(sb *strings.Builder, t *tree.Tree, n tree.NodeID, indent bool
 		name = "node"
 	}
 	sb.WriteString("<" + name)
-	for _, l := range t.Labels(n)[min(1, len(t.Labels(n))):] {
-		if strings.HasPrefix(l, "@") {
+	codes := t.LabelCodes(n)
+	for _, c := range codes[min(1, len(codes)):] {
+		if l := t.Dict().Name(c); strings.HasPrefix(l, "@") {
 			if eq := strings.IndexByte(l, '='); eq > 0 {
 				sb.WriteString(" " + l[1:eq] + "=\"")
 				attrEscaper.WriteString(sb, l[eq+1:])
@@ -625,8 +646,8 @@ func Events(t *tree.Tree) []Event {
 func emitEvents(t *tree.Tree, n tree.NodeID, out *[]Event) {
 	name := t.Label(n)
 	var attrs []Attr
-	for _, l := range t.Labels(n) {
-		if strings.HasPrefix(l, "@") {
+	for _, c := range t.LabelCodes(n) {
+		if l := t.Dict().Name(c); strings.HasPrefix(l, "@") {
 			if eq := strings.IndexByte(l, '='); eq > 0 {
 				attrs = append(attrs, Attr{Name: l[1:eq], Value: l[eq+1:]})
 			}

@@ -128,6 +128,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNumericCharRefs: a numeric character reference is "&#" decimal digits
+// ";" or "&#x" hexadecimal digits ";" naming a character of XML 1.0's Char
+// production — nothing before, between or after the digits, no NUL, no
+// surrogate and nothing past U+10FFFF.  Anything else is a *SyntaxError, in
+// text and in attribute values alike.
+func TestNumericCharRefs(t *testing.T) {
+	for _, tc := range []struct{ ref, want string }{
+		{"&#65;", "A"}, {"&#x41;", "A"}, {"&#X41;", "A"}, {"&#x6a;", "j"},
+		{"x&#9;", "x\t"}, {"x&#10;", "x\n"}, {"x&#13;", "x\r"}, {"&#32;x", " x"},
+		{"&#xD7FF;", "\uD7FF"}, {"&#xE000;", "\uE000"}, {"&#xFFFD;", "\uFFFD"},
+		{"&#x10000;", "\U00010000"}, {"&#x10FFFF;", "\U0010FFFF"}, {"&#0065;", "A"},
+	} {
+		tr, err := Parse("<a>" + tc.ref + "</a>")
+		if err != nil {
+			t.Errorf("Parse(<a>%s</a>): %v", tc.ref, err)
+			continue
+		}
+		if got := tr.Text(tr.Root()); got != tc.want {
+			t.Errorf("Parse(<a>%s</a>): text %q, want %q", tc.ref, got, tc.want)
+		}
+	}
+	for _, ref := range []string{
+		"&#65abc;", "&# 65;", "&#+66;", "&#-5;", "&#x41zz;", "&#x;", "&#;", "&#x 41;",
+		"&#x110000;", "&#xD800;", "&#xDFFF;", "&#0;", "&#8;", "&#x1F;", "&#xFFFE;",
+		"&#99999999999;", "&#x_41;", "&#0x41;",
+	} {
+		for _, doc := range []string{"<a>" + ref + "</a>", `<a b="` + ref + `"/>`} {
+			_, err := Parse(doc)
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Errorf("Parse(%q) = %v, want a *SyntaxError", doc, err)
+			}
+		}
+	}
+}
+
 // TestParseMixedContent: character data before and after a child element
 // concatenates into the parent's text (the per-element strings.Builder stack
 // this ingest replaced panicked on exactly these documents).
@@ -305,13 +341,6 @@ func TestEventKindString(t *testing.T) {
 	}
 	if EventKind(99).String() == "" {
 		t.Errorf("unknown kind should still render")
-	}
-}
-
-func TestParseReader(t *testing.T) {
-	tr, err := ParseReader(strings.NewReader(`<a><b/></a>`))
-	if err != nil || tr.Len() != 2 {
-		t.Fatalf("ParseReader: %v, len %d", err, tr.Len())
 	}
 }
 

@@ -193,9 +193,15 @@ type evaluator struct {
 	n  int
 }
 
-// restrictToLabel clears from set every node that does not carry the label.
+// restrictToLabel clears from set every node that does not carry the label:
+// every node, without touching the index, when the tree's dictionary lacks it.
 func (ev *evaluator) restrictToLabel(set bitset.Bits, label string) {
-	set.And(ev.ix.LabelMask(label))
+	c := ev.t.Dict().Code(label)
+	if c == tree.NoCode {
+		set.Reset()
+		return
+	}
+	set.And(ev.ix.CodeMask(c))
 }
 
 // image returns the image of from under the axis.

@@ -218,17 +218,12 @@ func evaluateWithStats(q *cq.Query, t *tree.Tree, ix Index) ([]cq.Answer, Stats,
 // semijoins align automatically.
 func materialize(q *cq.Query, t *tree.Tree, ix Index) ([]*relstore.Relation, error) {
 	labelsOf := map[cq.Variable][]string{}
+	codesOf := map[cq.Variable][]tree.Code{}
 	for _, v := range q.Variables() {
 		labelsOf[v] = q.LabelsOf(v)
+		codesOf[v] = t.Dict().Codes(labelsOf[v])
 	}
-	matches := func(n tree.NodeID, v cq.Variable) bool {
-		for _, l := range labelsOf[v] {
-			if !t.HasLabel(n, l) {
-				return false
-			}
-		}
-		return true
-	}
+	matches := func(n tree.NodeID, v cq.Variable) bool { return t.HasCodes(n, codesOf[v]) }
 	// candidates returns the nodes that can possibly bind v, served from the
 	// index's per-label lists when available.
 	candidates := func(v cq.Variable) []tree.NodeID {

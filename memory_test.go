@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/tree"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 )
@@ -30,17 +32,29 @@ func liveHeap() uint64 {
 
 // TestDefaultRoutesBytesPerNode is the memory guard of the default daemon: a
 // scan_mix document (1,000 items, parsed as the daemon parses it) with every
-// route of the workload prepared and run keeps at most 110 live bytes per
-// node — the tree (parent, size, depth and left-sibling columns, labels and
-// text; every other link and order is computed), and what
-// the routes read beside it: label masks, the one node list per label and
-// the TED view — and has built no XASR, side relation or pair relation.
+// route of the workload prepared and run keeps at most 71 live bytes per node
+// (68.4 measured on linux/amd64, go1.24) — the tree and what the routes read
+// beside it — and has built no XASR, side relation or pair relation.  It logs
+// the bytes of each owner:
+//
+//   - columns: parent, prevSibling, depth, size and the label and text
+//     offsets (six int32 per node), and one int32 per label code;
+//   - text: the one preorder text string;
+//   - dictionary: the label names and their codes, what the tree weighs
+//     beyond its columns and text;
+//   - TED view: the similarity route's postorder view;
+//   - masks: one bit per node for every label mask built;
+//   - lists: the per-label node lists, and the plans, which are small.
 func TestDefaultRoutesBytesPerNode(t *testing.T) {
 	src := xmldoc.Serialize(workload.SiteDocument(workload.DocSpec{Items: 1000, Regions: 6, DescriptionDepth: 2, Seed: 1}), false)
 	ctx := context.Background()
 	base := liveHeap()
 
-	eng := core.New(xmldoc.MustParse(src))
+	doc := xmldoc.MustParse(src)
+	treeBytes := liveHeap() - base
+	eng := core.New(doc)
+	eng.Index().TED()
+	tedBytes := liveHeap() - base - treeBytes
 	plans := make([]*core.PreparedQuery, 0, len(scanMixAll))
 	for _, q := range scanMixAll {
 		pq, err := eng.Prepare(q.lang, q.text)
@@ -54,12 +68,23 @@ func TestDefaultRoutesBytesPerNode(t *testing.T) {
 	}
 
 	live := liveHeap() - base
-	nodes := eng.Document().Len()
-	perNode := float64(live) / float64(nodes)
+	nodes := doc.Len()
 	st := eng.Index().Snapshot()
-	t.Logf("%d nodes, %d live bytes: %.1f B/node; index %+v", nodes, live, perNode, st)
-	if perNode > 110 {
-		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 110", perNode)
+	codes, text := 0, 0
+	for v := range tree.NodeID(nodes) {
+		codes += len(doc.LabelCodes(v))
+		text += len(doc.Text(v))
+	}
+	columns := 4 * (6*nodes + codes)
+	masks := int(st.LabelMaskBuilds) * 8 * bitset.WordsFor(nodes)
+	perNode := func(b int) float64 { return float64(b) / float64(nodes) }
+	t.Logf("%d nodes, %d labels in the dictionary, %d live bytes: %.1f B/node", nodes, doc.Dict().Len(), live, perNode(int(live)))
+	t.Logf("columns %.1f, text %.1f, dictionary %.1f, TED view %.1f, masks %.1f, lists and plans %.1f B/node",
+		perNode(columns), perNode(text), perNode(int(treeBytes)-columns-text), perNode(int(tedBytes)),
+		perNode(masks), perNode(int(live-treeBytes-tedBytes)-masks))
+	t.Logf("index %+v", st)
+	if perNode(int(live)) > 71 {
+		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 71", perNode(int(live)))
 	}
 	if st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairBuilds != 0 {
 		t.Errorf("a default route built the relational encoding: %+v", st)
