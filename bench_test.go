@@ -314,11 +314,12 @@ func BenchmarkJoinKernel(b *testing.B) {
 
 // BenchmarkScanRoutes times the linear-scan routes of scan_mix at 150 and
 // 1,500 items, on parsed documents as the daemon holds them: a warm Exec of
-// the streaming plan //item//keyword, a warm Exec of the ancestor datalog plan
-// (one unit propagation over the tree), that plan's Prepare (parse + TMNF +
-// compile: no document is read, so the two sizes cost the same), and a warm
-// Exec of the XPath plan //item[name]/description//keyword (axis images on
-// the preorder-rank view).  TestScanScalingLinear enforces the counts.
+// the stream plan //item//keyword (axis images, as XPath runs it), a warm
+// Exec of the ancestor datalog plan (one unit propagation over the tree),
+// that plan's Prepare (parse + TMNF + compile: no document is read, so the
+// two sizes cost the same), and a warm Exec of the XPath plan
+// //item[name]/description//keyword (axis images on the preorder-rank view).
+// TestScanScalingLinear enforces the counts.
 func BenchmarkScanRoutes(b *testing.B) {
 	ctx := context.Background()
 	stream, datalog, xp := scanMixQueries[0], scanMixQueries[2], scanMixQueries[3]
@@ -393,10 +394,10 @@ func BenchmarkE14Streaming(b *testing.B) {
 		"path-50k": workload.PathTree(50_000, "item"),
 	}
 	for name, doc := range shapes {
-		ix := index.New(doc)
+		events := xmldoc.Events(doc)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := m.RunOnTree(doc, ix.NodesWithLabel); err != nil {
+				if _, err := m.Run(events, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -678,8 +679,8 @@ func BenchmarkServiceQueryCorpus(b *testing.B) {
 }
 
 func BenchmarkServiceStreamCorpus(b *testing.B) {
-	// Prepared streaming through the service: the transducer compiles once for
-	// the corpus, and each fan-out walks every document's tree with it.
+	// The stream language through the service: the path compiles once for
+	// the corpus, and each fan-out runs it on every document's axis images.
 	svc := serviceCorpus(b, 8, service.WithWorkers(4))
 	ctx := context.Background()
 	for _, r := range svc.QueryCorpus(ctx, core.LangStream, "//item//keyword") {

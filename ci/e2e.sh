@@ -52,9 +52,9 @@ echo "== datalog: keyword-reachability program"
 resp="$(curl -sf -X POST -d '{"doc":"books.xml","lang":"datalog","query":"P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."}' "$BASE/v1/query")"
 assert_json "$resp" "r['total'] == 4"
 
-echo "== stream: the streaming transducer route"
-resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"stream","query":"//item//keyword"}' "$BASE/v1/query")"
-assert_json "$resp" "r['total'] == 4"
+echo "== stream: a streamable path, run set-at-a-time on the stored document"
+resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"stream","query":"//item//keyword","plan":true}' "$BASE/v1/query")"
+assert_json "$resp" "r['total'] == 4 and r['plan']['language'] == 'stream' and 'set-at-a-time evaluation' in r['plan']['technique']"
 
 echo "== similar: ranked top-k through the /v1 envelope"
 resp="$(curl -sf -X POST -d '{"doc":"auctions.xml","lang":"similar","query":"k=3 description(keyword)","plan":true}' "$BASE/v1/query")"

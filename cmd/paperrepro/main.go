@@ -24,6 +24,7 @@ import (
 	"repro/internal/treewidth"
 	"repro/internal/twigjoin"
 	"repro/internal/workload"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 	"repro/internal/yannakakis"
 )
@@ -318,7 +319,7 @@ func e14Streaming() {
 		{"random (shallow)", workload.RandomTree(workload.TreeSpec{Nodes: 50_000, Seed: 1, Alphabet: []string{"a"}})},
 		{"path (depth = size)", workload.PathTree(50_000, "a")},
 	} {
-		_, stats, err := m.RunOnTree(shape.doc, shape.doc.NodesWithLabel)
+		stats, err := m.Run(xmldoc.Events(shape.doc), nil)
 		must(err)
 		fmt.Printf("  %-22s size %6d  depth %6d  max state cells %7d  matches %d\n",
 			shape.name, shape.doc.Len(), stats.MaxDepth, stats.MaxStateCells, stats.Matches)

@@ -64,7 +64,7 @@ func main() {
 		cqQ      = flag.String("cq", "", "conjunctive query (datalog syntax) to evaluate")
 		datalogF = flag.String("datalog", "", "file containing a monadic datalog program")
 		twigQ    = flag.String("twig", "", "conjunctive //-rooted XPath to run through the twig route")
-		streamQ  = flag.String("stream", "", "downward path query to run through the streaming transducer")
+		streamQ  = flag.String("stream", "", "downward path query of the streamable fragment (run set-at-a-time on the stored document)")
 		similarQ = flag.String("similar", "", "s-expression pattern for top-k subtree similarity search (tree edit distance)")
 		topK     = flag.Int("k", 0, "similarity mode: number of ranked results (0 = language default)")
 		strategy = flag.String("strategy", "auto", "strategy: auto, naive, yannakakis, arc-consistency, rewrite")

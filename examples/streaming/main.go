@@ -11,6 +11,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/tree"
 	"repro/internal/workload"
+	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
@@ -33,7 +34,7 @@ func main() {
 		{"deep nested items", deepItems(n)},
 	}
 	for _, d := range docs {
-		_, stats, err := matcher.RunOnTree(d.doc, d.doc.NodesWithLabel)
+		stats, err := matcher.Run(xmldoc.Events(d.doc), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

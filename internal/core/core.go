@@ -67,8 +67,8 @@ func (s Strategy) String() string {
 }
 
 // Phase is one timed stage of query compilation: "parse" (source text to
-// AST), "translate" (twig-to-CQ conversion), "compile" (streaming matcher
-// construction; datalog TMNF conversion and rule compilation), "ted"
+// AST), "translate" (twig-to-CQ conversion), "compile" (the streamable-fragment
+// check; datalog TMNF conversion and rule compilation), "ted"
 // (similarity-pattern decomposition), "build" (classification, planning, and
 // run-closure binding).  Routes record only the phases they perform.
 type Phase struct {
@@ -82,7 +82,8 @@ type Phase struct {
 // through the prepare/execute pipeline -- the compile-vs-run timings and a
 // snapshot of the engine's shared index-cache counters.
 type Plan struct {
-	// Language is the query language ("xpath", "cq", "datalog", "stream").
+	// Language is the query language ("xpath", "cq", "xpath-twig",
+	// "datalog", "stream", "similar").
 	Language string
 	// Technique is the technique family finally used.
 	Technique string
@@ -255,8 +256,8 @@ func (e *Engine) XPath(query string) (xpath.NodeSet, *Plan, error) {
 // stream without materializing the document; it reports the matches'
 // preorder indexes and the streaming statistics.  Like the other routes, the
 // returned Plan carries the prepare (parse + compile) and exec (stream run)
-// timings.  For repeated streaming over the engine's own document, prepare
-// with LangStream instead and Exec the compiled matcher many times.
+// timings.  The engine's own document is stored: to query it repeatedly,
+// prepare with LangStream, which runs the same path set-at-a-time.
 func (e *Engine) StreamXPath(query string, events []xmldoc.Event) ([]int, stream.Stats, *Plan, error) {
 	plan := &Plan{Language: "stream", Technique: "streaming transducer (memory O(depth*|Q|))"}
 	prepStart := time.Now()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cq"
@@ -139,6 +140,30 @@ func TestMultiLabelDifferential(t *testing.T) {
 				t.Errorf("%q: stream %v, naive %v", q, got.Nodes, want)
 			}
 		}
+		// Documents whose nodes carry a second label from the queries'
+		// alphabet: every label of a node passes a step test.
+		queries := []string{
+			"//a", "/a", "/*", "//a/b", "//a//b/c", "/a/b//c", "//*/c", "//a//*",
+			"/a/b/c", "//b//c", "//a/*/b", "/a//*/c",
+			"//a/descendant-or-self::a", "//b/descendant-or-self::*/descendant-or-self::b",
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			sd := secondaryLabelDoc(120, seed, seed%2 == 1)
+			se := New(sd)
+			for _, q := range queries {
+				pq, err := se.Prepare(LangStream, q)
+				if err != nil {
+					t.Fatalf("%q: prepare: %v", q, err)
+				}
+				res, _, err := pq.Exec(ctx)
+				if err != nil {
+					t.Fatalf("%q: exec: %v", q, err)
+				}
+				if want := xpath.QueryNaive(xpath.MustParse(q), sd); fmt.Sprint(res.Nodes) != fmt.Sprint([]tree.NodeID(want)) {
+					t.Errorf("seed %d %q: stream %v, naive %v", seed, q, res.Nodes, want)
+				}
+			}
+		}
 	})
 
 	t.Run("similar", func(t *testing.T) {
@@ -160,5 +185,51 @@ func TestMultiLabelDifferential(t *testing.T) {
 	}
 	if st.LabelMaskBuilds == 0 || st.LabelMaskHits == 0 || st.TEDBuilds != 1 {
 		t.Errorf("the default routes should share label masks and one TED view: %+v", st)
+	}
+}
+
+// secondaryLabelDoc builds a random document over element names a, b, c and x
+// in which some nodes carry an "@id=..." attribute label and some a second
+// label from a, b and c.  With scramble, children are attached to random
+// earlier nodes, out of document order; otherwise along the rightmost path.
+func secondaryLabelDoc(nodes int, seed int64, scramble bool) *tree.Tree {
+	rng := rand.New(rand.NewSource(seed))
+	b := tree.NewBuilder()
+	path := []tree.NodeID{b.AddRoot("a")}
+	for i := 1; i < nodes; i++ {
+		parent := tree.NodeID(rng.Intn(i))
+		if !scramble {
+			path = path[:1+rng.Intn(len(path))]
+			parent = path[len(path)-1]
+		}
+		id := b.AddChild(parent, string("abcx"[rng.Intn(4)]))
+		path = append(path, id)
+		if rng.Intn(3) == 0 {
+			b.AddLabel(id, fmt.Sprintf("@id=%d", rng.Intn(5)))
+		}
+		if rng.Intn(4) == 0 {
+			b.AddLabel(id, string(rune('a'+rng.Intn(3))))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestMultiLabelledNodePassesEveryLabel: a node is tested by every label it
+// carries, on the stream route as on the XPath route — //c on a(b+c) selects
+// the b+c node, though its element name is b.
+func TestMultiLabelledNodePassesEveryLabel(t *testing.T) {
+	e := New(tree.MustParseSexpr("a(b+c)"))
+	for _, lang := range []string{LangStream, LangXPath} {
+		pq, err := e.Prepare(lang, "//c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := pq.Exec(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(res.Nodes) != "[1]" {
+			t.Errorf("%s //c on a(b+c): %v, want [1]", lang, res.Nodes)
+		}
 	}
 }

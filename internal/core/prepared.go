@@ -32,9 +32,11 @@ const (
 	// LangTwig prepares a conjunctive //-rooted Core XPath expression through
 	// the twig route (translate to CQ + holistic evaluation).
 	LangTwig = "twig"
-	// LangStream prepares a forward downward path expression for the
-	// streaming transducer (stream.Compile); each execution walks the
-	// document in preorder, driving the matcher as its SAX events would.
+	// LangStream prepares a forward downward path expression of the
+	// streamable fragment (stream.Compile refuses any other).  On a stored
+	// document a streaming pass has no memory to save, so each execution
+	// runs the path set-at-a-time, as LangXPath does; Engine.StreamXPath
+	// streams a SAX event sequence instead.
 	LangStream = "stream"
 	// LangSimilar prepares a top-k subtree similarity query: a pattern tree
 	// in the ParseSexpr syntax with optional k=N / maxdist=N directives,
@@ -84,10 +86,10 @@ func (s ExecStats) AvgExec() time.Duration {
 
 // Compiled is a query parsed, classified and planned once by Compile, with
 // every artifact its route needs (rewritten disjunct unions, compiled datalog
-// programs, streaming matchers, decomposed similarity patterns) already
-// built.  Every one of them is a function of the query alone: a Compiled
-// holds no document, tree or index, and reads all of them from the engine it
-// is executed on.  One Compiled therefore serves any number of documents and
+// programs, decomposed similarity patterns) already built.  Every one of
+// them is a function of the query alone: a Compiled holds no document, tree
+// or index, and reads all of them from the engine it is executed on.  One
+// Compiled therefore serves any number of documents and
 // every revision of each; Exec may be called repeatedly and from concurrent
 // goroutines, on the same engine or on different ones.
 type Compiled struct {
@@ -509,9 +511,10 @@ func (c *Compiled) compileTwig(plan *Plan, t *time.Time) error {
 	return nil
 }
 
-// compileStream compiles the streaming matcher once; each execution walks
-// the document's nodes carrying a query label, merged from the index's
-// per-label lists, driving the matcher as its SAX events would.
+// compileStream checks that the expression is in the streamable fragment and
+// runs it on the axis images, the call compileXPath makes: the streaming
+// automaton earns its keep on input that is not stored, and the image
+// evaluator fuses "//" as stream.Compile does.
 func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 	expr, err := xpath.Parse(c.text)
 	if err != nil {
@@ -523,17 +526,11 @@ func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 		return err
 	}
 	plan.lap("compile", t)
-	plan.Technique = "streaming transducer (memory O(depth*|Q|))"
-	plan.note("compiled %q into a %d-step streaming matcher", c.text, m.Steps())
+	plan.Technique = "streamable path, set-at-a-time evaluation (O(|D|*|Q|))"
+	plan.note("%q is a %d-step streamable path; on a stored document it runs as axis images, not as a streaming pass", c.text, m.Steps())
 	c.labels = xpath.LabelSet(expr)
 	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
-		nodes, stats, err := m.RunOnTree(e.doc, e.idx.NodesWithLabel)
-		if err != nil {
-			return nil, err
-		}
-		p.note("stream run: %d events, max depth %d, max state cells %d",
-			stats.Events, stats.MaxDepth, stats.MaxStateCells)
-		return &Result{Nodes: nodes}, nil
+		return &Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
 	}
 	return nil
 }
@@ -570,7 +567,8 @@ func ExecBatch(ctx context.Context, queries []*PreparedQuery, workers int) []Bat
 
 // QueryRequest names one query of a QueryAll batch.
 type QueryRequest struct {
-	// Lang is the query language (LangXPath, LangCQ, LangDatalog, LangTwig).
+	// Lang is the query language (LangXPath, LangCQ, LangDatalog, LangTwig,
+	// LangStream, LangSimilar).
 	Lang string
 	// Text is the query source.
 	Text string

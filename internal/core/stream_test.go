@@ -67,7 +67,7 @@ func TestPreparedStreamRejectsUnstreamable(t *testing.T) {
 	}
 }
 
-// TestPreparedStreamConcurrentExec runs one compiled matcher from many
+// TestPreparedStreamConcurrentExec runs one compiled stream plan from many
 // goroutines (meaningful under -race): a run keeps all its state to itself.
 func TestPreparedStreamConcurrentExec(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 30, Regions: 3, DescriptionDepth: 2, Seed: 33})

@@ -22,10 +22,10 @@ func fuzzPath(code []byte) string {
 	return sb.String()
 }
 
-// FuzzStreamVsXPath checks the tree walk on a bounded s-expression tree and a
-// downward path: it selects what xpath.Query selects, and when no node
-// carries a query label beyond its first, it is Run over the tree's events —
-// the same matches and the same Stats.
+// FuzzStreamVsXPath checks Run over the events of a bounded s-expression
+// tree on a downward path: when no node carries a query label beyond its
+// first (its element name), it selects what xpath.Query selects, and it
+// reports the Stats of the one-state-at-a-time reference run.
 func FuzzStreamVsXPath(f *testing.F) {
 	f.Add("a(b+c)", []byte{1<<2 | 2 /* //c */})
 	f.Add("a(x(x(b(c))) b(x) x(a(x(b))))", []byte{0 << 2, 1<<2 | 1, 2<<2 | 0})
@@ -42,25 +42,21 @@ func FuzzStreamVsXPath(f *testing.F) {
 		q := fuzzPath(code)
 		e := xpath.MustParse(q)
 		m := MustCompile(e)
-		got, stats, err := m.RunOnTree(doc, doc.NodesWithLabel)
+		for v := range tree.NodeID(doc.Len()) {
+			if ls := doc.Labels(v); len(ls) > 1 && slices.ContainsFunc(ls[1:], func(l string) bool { return slices.Contains(m.tests, l) }) {
+				return
+			}
+		}
+		events := xmldoc.Events(doc)
+		got, stats, err := runNodes(m, events)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := xpath.Query(e, doc); !slices.Equal(got, want) {
 			t.Fatalf("%s on %s: stream %v, xpath %v", q, doc, got, want)
 		}
-		for v := range tree.NodeID(doc.Len()) {
-			if ls := doc.Labels(v); len(ls) > 1 && slices.ContainsFunc(ls[1:], func(l string) bool { return slices.Contains(m.tests, l) }) {
-				return
-			}
-		}
-		var fromEvents []tree.NodeID
-		runStats, err := m.Run(xmldoc.Events(doc), func(pre int) { fromEvents = append(fromEvents, tree.NodeID(pre-1)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats != runStats || !slices.Equal(got, fromEvents) {
-			t.Fatalf("%s on %s: walk %v %+v, events %v %+v", q, doc, got, stats, fromEvents, runStats)
+		if refNodes, refStats := reference(m, events); stats != refStats || !slices.Equal(got, refNodes) {
+			t.Fatalf("%s on %s: Run %v %+v, reference %v %+v", q, doc, got, stats, refNodes, refStats)
 		}
 	})
 }

@@ -61,7 +61,7 @@ func TestMatchesAgainstXPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile(%q): %v", qs, err)
 			}
-			got, stats, err := m.RunOnTree(tr, tr.NodesWithLabel)
+			got, stats, err := runNodes(m, xmldoc.Events(tr))
 			if err != nil {
 				t.Fatalf("Run(%q): %v", qs, err)
 			}
@@ -125,14 +125,85 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// runNodes runs m over events and returns the selected elements as NodeIDs
+// (preorder rank - 1), in the order Run reports them.
+func runNodes(m *Matcher, events []xmldoc.Event) ([]tree.NodeID, Stats, error) {
+	var out []tree.NodeID
+	stats, err := m.Run(events, func(pre int) { out = append(out, tree.NodeID(pre-1)) })
+	return out, stats, err
+}
+
+// reference runs m's automaton over well-formed events one state at a time,
+// with a pair of boolean sets per open element in place of Run's bit-parallel
+// frames, and returns the selections and the Stats Run must report.
+func reference(m *Matcher, events []xmldoc.Event) ([]tree.NodeID, Stats) {
+	k := m.Steps()
+	has := func(mask []uint64, i int) bool { return mask[i/64]>>(i%64)&1 == 1 }
+	type frame struct{ states, pending []bool }
+	var stack []frame
+	var out []tree.NodeID
+	stats := Stats{Events: len(events)}
+	cells, pre := 0, 0
+	// push settles f for a node passing the steps in pass and pushes it.
+	push := func(f frame, pass []uint64) {
+		for i := 0; i < k; i++ { // a descendant-or-self step fires on the node itself
+			if f.states[i] && has(m.dos, i) && has(pass, i) {
+				f.states[i+1] = true
+			}
+		}
+		for i := 0; i <= k; i++ {
+			if i < k && f.states[i] && has(m.deep, i) {
+				f.pending[i] = true
+			}
+			for _, in := range []bool{f.states[i], f.pending[i]} {
+				if in {
+					cells++
+				}
+			}
+		}
+		stats.MaxStateCells = max(stats.MaxStateCells, cells)
+		stack = append(stack, f)
+	}
+	root := frame{make([]bool, k+1), make([]bool, k+1)}
+	root.states[0] = true
+	push(root, m.star)
+	for _, ev := range events {
+		switch ev.Kind {
+		case xmldoc.StartElement:
+			pre++
+			parent, pass := stack[len(stack)-1], m.pass(ev.Name)
+			f := frame{make([]bool, k+1), slices.Clone(parent.pending)}
+			for i := 0; i < k; i++ {
+				f.states[i+1] = (parent.pending[i] || parent.states[i] && has(m.child, i)) && has(pass, i)
+			}
+			push(f, pass)
+			stats.MaxDepth = max(stats.MaxDepth, len(stack)-1)
+			if f.states[k] {
+				stats.Matches++
+				out = append(out, tree.NodeID(pre-1))
+			}
+		case xmldoc.EndElement:
+			top := stack[len(stack)-1]
+			for i := 0; i <= k; i++ {
+				for _, in := range []bool{top.states[i], top.pending[i]} {
+					if in {
+						cells--
+					}
+				}
+			}
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return out, stats
+}
+
 // randomDoc builds a random document over element names a, b, c and x (which
-// no query names, so the tree walk skips it) in which some nodes also carry an
-// "@id=..." attribute label, a second plain label outside the query alphabet,
-// or text; with secondary, some nodes carry a second label from a, b, c
-// instead.  With scramble, children are attached to random earlier nodes, out
-// of document order; otherwise they are attached along the rightmost path, in
-// the order a parser adds them.
-func randomDoc(nodes int, seed int64, scramble, secondary bool) *tree.Tree {
+// no query names) in which some nodes also carry an "@id=..." attribute
+// label, a second plain label outside the query alphabet, or text.  With
+// scramble, children are attached to random earlier nodes, out of document
+// order; otherwise they are attached along the rightmost path, in the order a
+// parser adds them.
+func randomDoc(nodes int, seed int64, scramble bool) *tree.Tree {
 	rng := rand.New(rand.NewSource(seed))
 	b := tree.NewBuilder()
 	path := []tree.NodeID{b.AddRoot("a")}
@@ -151,11 +222,7 @@ func randomDoc(nodes int, seed int64, scramble, secondary bool) *tree.Tree {
 			b.AddLabel(id, fmt.Sprintf("@id=%d", rng.Intn(5)))
 		}
 		if rng.Intn(4) == 0 {
-			extra := "extra"
-			if secondary {
-				extra = string(rune('a' + rng.Intn(3)))
-			}
-			b.AddLabel(id, extra)
+			b.AddLabel(id, "extra")
 		}
 		if rng.Intn(4) == 0 {
 			b.SetText(id, "text")
@@ -165,9 +232,9 @@ func randomDoc(nodes int, seed int64, scramble, secondary bool) *tree.Tree {
 }
 
 // chainDoc hangs runs of 30 to 50 x levels, a label no query names, between
-// and below named nodes, so that the walk skips the parents of some named
-// nodes and the deepest nodes of the document, under frames whose pending
-// sets are not empty.
+// and below named nodes, so that child steps meet unnamed parents and the
+// deepest nodes of the document sit under frames whose pending sets are not
+// empty.
 func chainDoc() *tree.Tree {
 	b := tree.NewBuilder()
 	chain := func(from tree.NodeID, levels int) tree.NodeID {
@@ -184,16 +251,14 @@ func chainDoc() *tree.Tree {
 	return b.MustBuild()
 }
 
-// TestTreeWalkMatchesEventsAndXPath is the differential test of the two
-// drivers: walking the tree must be indistinguishable — matches and every
-// Stats field — from running the matcher over the tree's SAX events, and both
-// must select what the in-memory XPath evaluator selects.  The documents put
-// unnamed nodes between child steps and long unnamed chains below frames
-// with pending states; the queries include "//" steps that fuse away and "*"
-// tests that survive fusion.  On documents with secondary labels inside the
-// query alphabet the walk, which tests every label of a node, is checked
-// against XPath alone.
-func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
+// TestRunMatchesXPath is the differential test of the event automaton: Run
+// over a tree's SAX events must select what the in-memory XPath evaluator
+// selects, in document order, and report the Stats of a one-state-at-a-time
+// reference run.  The documents put unnamed nodes between child steps and
+// long unnamed chains below frames with pending states; the queries include
+// "//" steps that fuse away, "*" tests that survive fusion, and queries of 64
+// or more steps, whose frames span two words.
+func TestRunMatchesXPath(t *testing.T) {
 	dos := "/descendant-or-self::*"
 	queries := []string{
 		"//a", "/a", "/*", "/b", "//a/b", "//a//b/c", "/a/b//c", "//*/c", "//*/*", "//a//*",
@@ -212,11 +277,7 @@ func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 	}
 	docs := []*tree.Tree{workload.PathTree(90, "a"), chainDoc()}
 	for seed := int64(0); seed < 6; seed++ {
-		docs = append(docs, randomDoc(120, seed, false, false), randomDoc(120, seed, true, false))
-	}
-	secondary := len(docs)
-	for seed := int64(0); seed < 4; seed++ {
-		docs = append(docs, randomDoc(120, seed, seed%2 == 1, true))
+		docs = append(docs, randomDoc(120, seed, false), randomDoc(120, seed, true))
 	}
 	multiWordMatches, fused, starred := 0, 0, 0
 	for di, doc := range docs {
@@ -234,37 +295,23 @@ func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 					fused++
 				}
 			}
-			got, walkStats, err := m.RunOnTree(doc, doc.NodesWithLabel)
-			if err != nil {
-				t.Fatalf("RunOnTree(%q): %v", qs, err)
-			}
-			if want := xpath.Query(e, doc); !slices.Equal(got, want) {
-				t.Errorf("doc %d %q: stream selects %v, xpath %v", di, qs, got, want)
-			}
-			if di >= secondary {
-				continue
-			}
-			var fromEvents []tree.NodeID
-			runStats, err := m.Run(events, func(pre int) { fromEvents = append(fromEvents, tree.NodeID(pre-1)) })
+			got, stats, err := runNodes(m, events)
 			if err != nil {
 				t.Fatalf("Run(%q): %v", qs, err)
 			}
-			if !slices.IsSorted(fromEvents) {
+			if want := xpath.Query(e, doc); !slices.Equal(got, want) {
 				// Documents built out of order are numbered in preorder, so
 				// document order is NodeID order.
-				t.Errorf("doc %d %q: event run reports %v, not in NodeID order", di, qs, fromEvents)
+				t.Errorf("doc %d %q: stream selects %v, xpath %v", di, qs, got, want)
 			}
 			if m.w > 1 {
 				multiWordMatches += len(got)
 			}
-			if walkStats != runStats {
-				t.Errorf("doc %d %q: tree walk stats %+v, event run stats %+v", di, qs, walkStats, runStats)
+			if _, want := reference(m, events); stats != want {
+				t.Errorf("doc %d %q: Run stats %+v, reference stats %+v", di, qs, stats, want)
 			}
-			if walkStats.Events != len(events) || walkStats.Matches != len(got) {
-				t.Errorf("doc %d %q: stats %+v for %d events and %d matches", di, qs, walkStats, len(events), len(got))
-			}
-			if !slices.Equal(got, fromEvents) {
-				t.Errorf("doc %d %q: tree walk selects %v, event run %v", di, qs, got, fromEvents)
+			if stats.Events != len(events) || stats.Matches != len(got) || stats.MaxDepth != doc.Height() {
+				t.Errorf("doc %d %q: stats %+v for %d events, %d matches and height %d", di, qs, stats, len(events), len(got), doc.Height())
 			}
 		}
 	}
@@ -276,60 +323,17 @@ func TestTreeWalkMatchesEventsAndXPath(t *testing.T) {
 	}
 }
 
-// TestMultiLabelledNodePassesEveryLabel: a node is tested by every label it
-// carries, as by the XPath evaluators.  Run sees the one element name of the
-// node's SAX events and selects nothing here.
-func TestMultiLabelledNodePassesEveryLabel(t *testing.T) {
+// TestRunTestsTheElementNameOnly: a SAX event carries one element name, so
+// Run tests a node by its first label alone.  //c on a(b+c) selects nothing
+// here; the stored-document route, which tests every label, selects the b+c
+// node (core's TestMultiLabelledNodePassesEveryLabel).
+func TestRunTestsTheElementNameOnly(t *testing.T) {
 	doc := tree.MustParseSexpr("a(b+c)")
-	e := xpath.MustParse("//c")
-	m := MustCompile(e)
-	got, stats, err := m.RunOnTree(doc, doc.NodesWithLabel)
-	if err != nil {
-		t.Fatal(err)
+	if stats, err := MustCompile(xpath.MustParse("//c")).Run(xmldoc.Events(doc), nil); err != nil || stats.Matches != 0 {
+		t.Errorf("Run: %+v, %v; want no match on the element name b", stats, err)
 	}
-	if want := xpath.Query(e, doc); !slices.Equal(got, want) || len(got) != 1 || stats.Matches != 1 {
-		t.Errorf("//c on a(b+c): stream %v (%+v), xpath %v", got, stats, want)
-	}
-	if runStats, err := m.Run(xmldoc.Events(doc), nil); err != nil || runStats.Matches != 0 {
-		t.Errorf("Run: %+v, %v; want no match on the element name b", runStats, err)
-	}
-}
-
-// TestTreeWalkOpensOnlyNamedNodes: the walk opens one frame per node carrying
-// one of the query's labels, not one per node of the document — and one per
-// node when a "*" test survives fusion.
-func TestTreeWalkOpensOnlyNamedNodes(t *testing.T) {
-	doc := workload.SiteDocument(workload.DocSpec{Items: 60, Regions: 4, DescriptionDepth: 2, Seed: 5})
-	for _, c := range []struct {
-		query  string
-		steps  int
-		labels []string // nil: every node
-	}{
-		{"//item//keyword", 2, []string{"item", "keyword"}},
-		{"//region/item/name", 3, []string{"region", "item", "name"}},
-		{"/site/regions//item", 3, []string{"site", "regions", "item"}},
-		{"//item/*", 2, nil},
-	} {
-		m := MustCompile(xpath.MustParse(c.query))
-		if m.Steps() != c.steps {
-			t.Errorf("%s: %d steps after fusion, want %d", c.query, m.Steps(), c.steps)
-		}
-		_, r := m.walk(doc, doc.NodesWithLabel)
-		want := doc.Len()
-		if c.labels != nil {
-			want = 0
-			for v := range tree.NodeID(doc.Len()) {
-				if slices.ContainsFunc(c.labels, func(l string) bool { return doc.HasLabel(v, l) }) {
-					want++
-				}
-			}
-			if 3*want > doc.Len() {
-				t.Fatalf("%s: %d of %d nodes carry a query label; the test needs a sparse query", c.query, want, doc.Len())
-			}
-		}
-		if r.opens != want {
-			t.Errorf("%s: the walk opened %d frames, want %d of %d nodes", c.query, r.opens, want, doc.Len())
-		}
+	if stats, err := MustCompile(xpath.MustParse("//b")).Run(xmldoc.Events(doc), nil); err != nil || stats.Matches != 1 {
+		t.Errorf("Run: %+v, %v; want the element named b", stats, err)
 	}
 }
 
@@ -343,11 +347,11 @@ func TestMemoryProportionalToDepth(t *testing.T) {
 	wide := workload.WideTree(n, "a")
 	m := MustCompile(xpath.MustParse("//a//a"))
 
-	_, deepStats, err := m.RunOnTree(deep, deep.NodesWithLabel)
+	deepStats, err := m.Run(xmldoc.Events(deep), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wideStats, err := m.RunOnTree(wide, wide.NodesWithLabel)
+	wideStats, err := m.Run(xmldoc.Events(wide), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,8 +371,7 @@ func TestMemoryProportionalToDepth(t *testing.T) {
 	b := tree.NewBuilder()
 	r := b.AddRoot("a")
 	b.SetText(r, "hello")
-	tr := b.MustBuild()
-	_, stats, err := m.RunOnTree(tr, tr.NodesWithLabel)
+	stats, err := m.Run(xmldoc.Events(b.MustBuild()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,9 @@ type Tree struct {
 	text    string
 	textOff []int32
 
-	// Whole-tree counts, kept so that a walk that skips nodes can still
-	// report them: 1 + the maximum depth, the nodes with text, and the
-	// distinct labels the nodes carry.
-	height, textNodes, alphabet int
+	// Whole-tree counts: 1 + the maximum depth, and the distinct labels the
+	// nodes carry.
+	height, alphabet int
 }
 
 // Len returns the number of nodes in the tree.
@@ -194,9 +193,6 @@ func (t *Tree) Depth(n NodeID) int { return int(t.depth[n]) }
 
 // Height returns the height of the tree: 1 + max depth.
 func (t *Tree) Height() int { return t.height }
-
-// TextNodes returns the number of nodes with textual content.
-func (t *Tree) TextNodes() int { return t.textNodes }
 
 // SubtreeSize returns the number of nodes in the subtree rooted at n
 // (including n itself).
@@ -694,9 +690,6 @@ func (t *Tree) index() {
 		}
 		if s := t.End(u) + 1; s < n && t.parent[s] == t.parent[u] {
 			t.prevSibling[s] = u
-		}
-		if t.textOff[u] != t.textOff[u+1] {
-			t.textNodes++
 		}
 	}
 	seen := make([]bool, t.dict.Len())

@@ -9,7 +9,7 @@ import "fmt"
 //     interval [parent[v], End(parent[v])] — NodeIDs are preorder ranks;
 //   - the children of every node p tile [p+1, End(p)] exactly, which checks
 //     the size column, and prevSibling links each child to the one before;
-//   - depth[v] = depth[parent[v]] + 1, and the whole-tree counts;
+//   - depth[v] = depth[parent[v]] + 1, and the recorded height and label count;
 //
 // and, by comparison with a parent walk, the characterizations of Section 2
 // the axis tests rely on:
@@ -85,8 +85,8 @@ func (t *Tree) Validate() error {
 		return fmt.Errorf("tree: %d distinct labels recorded, want %d", t.alphabet, len(alphabet))
 	}
 
-	// Depth and the whole-tree counts.
-	height, texts := 0, 0
+	// Depth and the height.
+	height := 0
 	for v := range n {
 		if p := t.parent[v]; p != InvalidNode && t.depth[v] != t.depth[p]+1 {
 			return fmt.Errorf("tree: depth of %d is %d, parent depth %d", v, t.depth[v], t.depth[p])
@@ -94,12 +94,9 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("tree: root depth %d, want 0", t.depth[v])
 		}
 		height = max(height, int(t.depth[v])+1)
-		if t.Text(v) != "" {
-			texts++
-		}
 	}
-	if t.height != height || t.textNodes != texts {
-		return fmt.Errorf("tree: height %d and %d text nodes recorded, want %d and %d", t.height, t.textNodes, height, texts)
+	if t.height != height {
+		return fmt.Errorf("tree: height %d recorded, want %d", t.height, height)
 	}
 
 	// The interval characterizations of Child+ and Following (Section 2).

@@ -9,11 +9,11 @@ import (
 	"repro/internal/mdatalog"
 )
 
-// scanMixQueries are the two streaming queries, the datalog program and the
-// first XPath query of the scan_mix benchmark workload
+// scanMixQueries are the two stream-language queries, the datalog program and
+// the first XPath query of the scan_mix benchmark workload
 // (bench/treeload/workload.go): the linear-scan routes, whose cost is one pass
-// over the document — for XPath, a few word-parallel passes over rank sets —
-// per execution.
+// over the document — for XPath and stream, a few word-parallel passes over
+// rank sets — per execution.
 var scanMixQueries = []struct{ name, lang, text string }{
 	{"stream-item-keyword", core.LangStream, "//item//keyword"},
 	{"stream-region-item-name", core.LangStream, "//region/item/name"},
@@ -48,11 +48,11 @@ func datalogDerivations(t *testing.T, items int, text string) int64 {
 }
 
 // TestScanScalingLinear pins the constants of the linear-scan routes on
-// counts that do not depend on the machine: a warm Exec of a streaming or a
-// datalog plan allocates O(1) objects whatever the document size (streaming
-// sizes its result once, from the last step's label list; datalog
-// allocates its answer once, and so does XPath, whose sets are pooled bit
-// vectors: 12 objects at either size), preparing a datalog plan allocates the
+// counts that do not depend on the machine: a warm Exec of a stream, XPath or
+// datalog plan allocates O(1) objects whatever the document size (stream
+// plans run on the XPath image evaluator, whose sets are pooled bit vectors
+// and which allocates its answer once: 7 to 10 objects at either size;
+// datalog allocates its answer once too), preparing a datalog plan allocates the
 // same at any size because it reads no document, and the datalog solver
 // derives at most twelve times the atoms for ten times the items.  The
 // map-per-element matcher and the slice-per-clause Horn store these routes
@@ -89,8 +89,9 @@ func TestScanScalingLinear(t *testing.T) {
 		if small.exec > 32 || big.exec > 32 {
 			t.Errorf("%s: a warm Exec allocates %.0f / %.0f objects at 150 / 1,500 items, want at most 32", q.name, small.exec, big.exec)
 		}
-		// 12 and 12 for XPath and 9 and 9 for streaming without the race
-		// detector, under which sync.Pool drops a released vector now and then.
+		// 10 and 10 for XPath, 7 and 7 for //item//keyword and 8 and 8 for
+		// //region/item/name without the race detector, under which
+		// sync.Pool drops a released vector now and then.
 		if (q.lang == core.LangXPath || q.lang == core.LangStream) && (math.Abs(small.exec-big.exec) > 4 || big.exec > 16) {
 			t.Errorf("%s: a warm Exec allocates %.0f objects at 150 items and %.0f at 1,500, want the same dozen", q.name, small.exec, big.exec)
 		}
