@@ -225,8 +225,8 @@ const similarCheckpoint = 256
 // the root, one that exceeds it ends the walk, and the keyroots kernel runs
 // only on what is left — about k times once the k-th answer is decided.
 func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
-	d := e.idx.TED()
-	codes := d.Codes(pat)
+	t := e.doc
+	codes := pat.Codes(t.Dict())
 	m := pat.Size()
 
 	// Posting lists for the pattern's distinct labels, fetched once per
@@ -240,9 +240,9 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 		labels = append(labels, labelCount{posting: e.idx.NodesWithLabel(l), count: c})
 	}
 
-	bySize := d.BySize()
+	bySize := e.idx.TED().BySize()
 	n := len(bySize)
-	sizeAt := func(i int) int { return d.SubtreeSize(int(bySize[i])) }
+	sizeAt := func(i int) int { return t.SubtreeSize(tree.NodeID(bySize[i])) }
 	// The bands below the pattern's size are bySize[:down], taken from the
 	// largest size downward; those at or above it are bySize[up:], upward.
 	up := sort.Search(n, func(i int) bool { return sizeAt(i) >= m })
@@ -288,8 +288,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 				}
 			}
 			examined++
-			j := int(bySize[i])
-			v := d.Node(j)
+			v := tree.NodeID(bySize[i])
 			if hits.bars(k, maxDist, diff, v) {
 				// The size bound alone bars this node, and every later band
 				// member comes later in document order.
@@ -304,7 +303,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 			// equal-labeled node costs at least one edit, so
 			// ted >= max(|T|, |P|) - sum_l min(count_T(l), count_P(l)).
 			// The subtree of v is the NodeID interval [v, v+size).
-			size := d.SubtreeSize(j)
+			size := t.SubtreeSize(v)
 			overlap := 0
 			for _, lc := range labels {
 				from, _ := slices.BinarySearch(lc.posting, v)
@@ -316,7 +315,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 				continue
 			}
 
-			dist := ted.Distance(d, j, pat, codes)
+			dist := ted.Distance(t, v, pat, codes)
 			if maxDist >= 0 && dist > maxDist {
 				continue
 			}
@@ -330,22 +329,22 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 // bounds — the Naive-strategy baseline the pruned path is benchmarked and
 // differentially tested against.
 func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
-	d := e.idx.TED()
-	codes := d.Codes(pat)
+	t := e.doc
+	codes := pat.Codes(t.Dict())
 	var hits hitHeap
 	var candidates uint64
-	for j := 0; j < d.Len(); j++ {
+	for v := range tree.NodeID(t.Len()) {
 		if candidates%similarCheckpoint == similarCheckpoint-1 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		candidates++
-		dist := ted.Distance(d, j, pat, codes)
+		dist := ted.Distance(t, v, pat, codes)
 		if maxDist >= 0 && dist > maxDist {
 			continue
 		}
-		hits = hits.offer(k, Hit{Node: d.Node(j), Distance: dist})
+		hits = hits.offer(k, Hit{Node: v, Distance: dist})
 	}
 	similarCandidates.Add(candidates)
 	p.note("similar: exhaustive over %d subtrees", candidates)

@@ -67,8 +67,9 @@ type Stats struct {
 	PairEvictions uint64
 	// PairEntries is the number of pair relations currently cached.
 	PairEntries uint64
-	// TEDBuilds counts constructions of the tree-edit-distance postorder view
-	// (the ted.Doc behind the similarity route), rebuilds after Release included.
+	// TEDBuilds counts constructions of the tree-edit-distance view (the
+	// ted.Doc behind the similarity route: the nodes ordered by subtree size),
+	// rebuilds after Release included.
 	TEDBuilds uint64
 	// Releases counts Release calls (cache drops after a document swap).
 	Releases uint64
@@ -137,8 +138,8 @@ type Index struct {
 	// labels holds the per-label caches, indexed by label code in the tree's
 	// dictionary: nil until one of a label's artifacts is built.
 	labels []*labelArtifacts
-	// tedDoc is the postorder view driving the tree-edit-distance kernel of
-	// the similarity route: built lazily, dropped by Release.
+	// tedDoc is the size-ordered candidate walk of the similarity route:
+	// built lazily, dropped by Release, carried by a shape-preserving Patch.
 	tedDoc *ted.Doc
 
 	// Pair relations are the one unbounded-growth artifact (one entry per
@@ -432,10 +433,10 @@ func (ix *Index) LabelRows(label string) *relstore.Relation {
 	return built
 }
 
-// TED returns the shared tree-edit-distance postorder view of the tree
-// (leftmost-leaf array, keyroot flags, label codes, subtree sizes, and the
-// size-ordered candidate walk), cut from the tree on first use and again
-// after a Release dropped it.  The returned view is immutable and shared.
+// TED returns the shared tree-edit-distance view of the tree — its nodes
+// ordered by subtree size, the similarity search's candidate walk — built on
+// first use and again after a Release dropped it.  The returned view is
+// immutable and shared.
 func (ix *Index) TED() *ted.Doc {
 	ix.mu.RLock()
 	d := ix.tedDoc

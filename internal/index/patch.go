@@ -50,10 +50,11 @@ func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) ==
 //   - cached structural-join pair relations whose (from, to) labels are both
 //     non-empty and untouched are carried over with both pre columns
 //     remapped;
-//   - whole-document artifacts that see labels — pair relations with a ""
-//     side and the TED view, whose label codes cover every node — survive
+//   - pair relations with a "" side, which see every node's labels, survive
 //     only an edit the index cannot see, a shape-preserving one that touched
 //     no label;
+//   - the TED view, the nodes ordered by subtree size, depends on the shape
+//     alone and is shared by every shape-preserving edit, relabels included;
 //   - everything else (touched labels, region labels) is dropped and rebuilt
 //     lazily on first use, exactly as after a Release.
 //
@@ -96,9 +97,8 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
 		nix.xasrBuilds.Add(1)
 	}
-	if unseen && remap == nil {
-		// The view is a function of the tree's shape and primary label codes:
-		// both unchanged.
+	if spec.ShapePreserving {
+		// The view is a function of the tree's shape: unchanged.
 		nix.tedDoc = oldTED
 	}
 	for c, a := range old.labels {
@@ -211,9 +211,9 @@ func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
 
 // ReleaseLabels drops every cached artifact keyed by one of the given labels
 // — node lists, masks, side relations, and any structural-join
-// pair relation with a matching or empty ("whole document") side — plus the
-// TED postorder view, whose label codes embed the dropped labels.  Unlike
-// Release it leaves all other labels' artifacts in place.  It is the
+// pair relation with a matching or empty ("whole document") side.  Unlike
+// Release it leaves all other labels' artifacts in place, and the TED view,
+// which sees no label.  It is the
 // targeted-invalidation primitive behind Patch: labels removed by a diff must
 // not leak cached state into the patched index.  Safe for concurrent use.
 func (ix *Index) ReleaseLabels(labels ...string) {
@@ -231,7 +231,6 @@ func (ix *Index) ReleaseLabels(labels ...string) {
 			ix.labels[c] = nil
 		}
 	}
-	ix.tedDoc = nil
 	ix.mu.Unlock()
 	ix.pairMu.Lock()
 	ix.pairs.RemoveFunc(func(k pairKey) bool {

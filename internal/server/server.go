@@ -462,22 +462,27 @@ func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// bodyReserve caps what readBody reserves before the body arrives: a client
+// may declare any length up to the body limit, and a reservation sized from
+// the declaration alone would pin that much per request for a body that
+// never comes.  Past it the buffer grows with the bytes that do arrive.
+const bodyReserve = 1 << 20
+
 // readBody reads the request body whole into one buffer, which the parser
 // scans in place: the parsed tree copies its labels and text out and keeps no
 // reference to it.  The buffer is sized up front from Content-Length when the
-// client declared one — never beyond the body limit, which the MaxBytesReader
-// installed by ServeHTTP enforces whatever was declared — so the upload is
-// neither regrown while it arrives nor copied again on its way to the parser.
+// client declared one, up to bodyReserve and never beyond the body limit,
+// which the MaxBytesReader installed by ServeHTTP enforces whatever was
+// declared — so an upload of up to a mebibyte is neither regrown while it
+// arrives nor copied again on its way to the parser.
 func (s *Server) readBody(r *http.Request) (string, error) {
 	var sb strings.Builder
 	if n := r.ContentLength; n > 0 {
-		limit := s.maxBody
-		if limit <= 0 {
-			// No body limit: still reserve no more than the default one on a
-			// client's say-so.
-			limit = DefaultMaxBodyBytes
+		reserve := int64(bodyReserve)
+		if s.maxBody > 0 {
+			reserve = min(reserve, s.maxBody)
 		}
-		sb.Grow(int(min(n, limit)))
+		sb.Grow(int(min(n, reserve)))
 	}
 	_, err := io.Copy(&sb, r.Body)
 	return sb.String(), err

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -654,6 +655,30 @@ func TestPutDocBody(t *testing.T) {
 	}
 	if code := put("big.xml", io.MultiReader(strings.NewReader(big))); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("chunked %d-byte upload: status %d, want 413", len(big), code)
+	}
+}
+
+// TestPutDocReservesWhatArrives: a PUT that declares the largest length the
+// body limit allows but sends four bytes costs the server what arrives, not
+// what was declared: four such requests allocate far less than one declared
+// body.
+func TestPutDocReservesWhatArrives(t *testing.T) {
+	svc := service.New()
+	srv := New(svc)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range 4 {
+		req := httptest.NewRequest(http.MethodPut, fmt.Sprintf("/v1/docs/x%d", i), strings.NewReader("<a/>"))
+		req.ContentLength = DefaultMaxBodyBytes
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("PUT %d: status %d (%s), want 201", i, rec.Code, rec.Body)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("four 4-byte PUTs declaring %d bytes each allocated %d bytes, want at most %d", DefaultMaxBodyBytes, got, 8<<20)
 	}
 }
 

@@ -7,12 +7,13 @@
 // bottom-up, so the answer for the two roots falls out of the last keyroot
 // pair.  Unit costs: insert 1, delete 1, rename 1 (0 when the labels match).
 //
-// The document side is cut once per document straight from the tree (Doc)
-// and cached in the shared index; a subtree of the document is a contiguous
-// postorder range, so every candidate shares the same arrays and no
-// per-candidate tree is materialized.  The query side (Pattern) is decomposed
-// once at compile time and reused across documents and their revisions; only
-// the translation of its labels into the document's label codes (those of the
+// The document side is the tree itself: a candidate subtree is a NodeID
+// interval, which each kernel call projects into postorder scratch, so no
+// per-document postorder copy is kept and no per-candidate tree is
+// materialized.  What is cached per document (Doc) is only the size-ordered
+// candidate walk.  The query side (Pattern) is decomposed once at compile
+// time and reused across documents and their revisions; only the
+// translation of its labels into the document's label codes (those of the
 // tree's dictionary) is per-document.
 //
 // DP scratch is pooled with the same size-bucketed sync.Pool idiom as
@@ -28,24 +29,15 @@ import (
 	"repro/internal/tree"
 )
 
-// Doc is the postorder view of one document.  All slices are indexed by
-// 0-based postorder position; a subtree rooted at postorder position j spans
-// exactly the positions [lml(j), j], lml(j) = j - size[j] + 1 being its
-// leftmost leaf.  A Doc is immutable and safe for
-// concurrent use.
+// Doc is the similarity search's view of one document: bySize lists the
+// NodeIDs ordered by (subtree size, NodeID), so the search can walk
+// candidates in increasing size distance from the pattern and stop at the
+// first unreachable band.  Two subtrees of equal size never nest, so within
+// one size preorder is postorder too.  The view depends on the tree's shape
+// alone — an edit that moves no node keeps it — and is immutable and safe
+// for concurrent use.
 type Doc struct {
-	n    int
-	lsib []bool      // whether the node has a left sibling (keyroot test)
-	lab  []tree.Code // tree code of the node's primary label per postorder position
-	size []int32     // subtree size per postorder position
-	node []int32     // the node (its NodeID, a preorder rank) per postorder position
-	// bySize lists postorder positions ordered by (subtree size, postorder),
-	// so the similarity search can walk candidates in increasing size
-	// distance from the pattern and stop at the first unreachable band.
 	bySize []int32
-	// dict is the tree's dictionary, which Codes translates pattern labels
-	// through.
-	dict *tree.Dict
 }
 
 // unlabeled is the code of an unlabeled node, and of a pattern's unlabeled
@@ -53,78 +45,38 @@ type Doc struct {
 // unlabeled node matches exactly what a "" label would.
 const unlabeled tree.Code = -2
 
-// NewDoc cuts the postorder view from the tree in O(n) time — one sweep in
-// document order and a counting sort for the size ordering — into a single
-// allocation for the integer columns and one for the label codes.
+// NewDoc orders the tree's nodes by subtree size in O(n) time: a counting
+// sort on size (1..n), stable over ascending NodeIDs.
 func NewDoc(t *tree.Tree) *Doc {
 	n := t.Len()
-	cols := make([]int32, 3*n)
-	d := &Doc{
-		n:    n,
-		size: cols[:n:n], node: cols[n : 2*n : 2*n], bySize: cols[2*n:],
-		lab:  make([]tree.Code, n),
-		lsib: make([]bool, n),
-		dict: t.Dict(),
-	}
-	for v := range tree.NodeID(n) {
-		j := int32(t.Post(v) - 1)
-		size := int32(t.SubtreeSize(v))
-		code := d.code("")
-		if ls := t.LabelCodes(v); len(ls) > 0 {
-			code = ls[0]
-		}
-		d.node[j], d.lab[j], d.size[j] = int32(v), code, size
-		d.lsib[j] = t.PrevSibling(v) != tree.InvalidNode
-	}
-	// Counting sort on subtree size (1..n), stable over ascending postorder
-	// positions: next[s] is the slot of the next position of size s.
+	// next[s] is the slot of the next node of size s.
 	next := make([]int32, n+2)
-	for _, s := range d.size {
-		next[s+1]++
+	for v := range tree.NodeID(n) {
+		next[t.SubtreeSize(v)+1]++
 	}
 	for s := 1; s < len(next); s++ {
 		next[s] += next[s-1]
 	}
-	for j, s := range d.size {
-		d.bySize[next[s]] = int32(j)
+	d := &Doc{bySize: make([]int32, n)}
+	for v := range tree.NodeID(n) {
+		s := t.SubtreeSize(v)
+		d.bySize[next[s]] = int32(v)
 		next[s]++
 	}
 	return d
 }
 
-// lml returns the leftmost leaf of the subtree rooted at postorder position
-// j: a subtree is a contiguous postorder range ending at its root, and the
-// first position of that range is the leftmost leaf.
-func (d *Doc) lml(j int) int { return j - int(d.size[j]) + 1 }
-
 // Len returns the number of nodes.
-func (d *Doc) Len() int { return d.n }
+func (d *Doc) Len() int { return len(d.bySize) }
 
-// SubtreeSize returns the size of the subtree rooted at postorder position j.
-func (d *Doc) SubtreeSize(j int) int { return int(d.size[j]) }
-
-// Node returns the node at postorder position j.
-func (d *Doc) Node(j int) tree.NodeID { return tree.NodeID(d.node[j]) }
-
-// BySize returns the postorder positions ordered by (subtree size,
-// postorder).  Shared; callers must not mutate.
+// BySize returns the NodeIDs ordered by (subtree size, NodeID).  Shared;
+// callers must not mutate.
 func (d *Doc) BySize() []int32 { return d.bySize }
 
-// Codes translates the pattern's labels into the document's label codes, one
-// per pattern postorder position, tree.NoCode for labels the document's
-// dictionary lacks.  O(|P|).
-func (d *Doc) Codes(p *Pattern) []tree.Code {
-	codes := make([]tree.Code, p.n)
-	for j, l := range p.labels {
-		codes[j] = d.code(l)
-	}
-	return codes
-}
-
-// code returns the code of a primary label, "" standing for an unlabeled
-// node.
-func (d *Doc) code(label string) tree.Code {
-	c := d.dict.Code(label)
+// code returns the code in dict of a primary label, "" standing for an
+// unlabeled node.
+func code(dict *tree.Dict, label string) tree.Code {
+	c := dict.Code(label)
 	if c == tree.NoCode && label == "" {
 		return unlabeled
 	}
@@ -174,6 +126,17 @@ func (p *Pattern) Hist() map[string]int { return p.hist }
 // Shared; read-only.
 func (p *Pattern) Keyroots() []int32 { return p.kr }
 
+// Codes translates the pattern's labels into the label codes of a document's
+// dictionary, one per pattern postorder position, tree.NoCode for labels the
+// dictionary lacks.  O(|P|).
+func (p *Pattern) Codes(dict *tree.Dict) []tree.Code {
+	codes := make([]tree.Code, p.n)
+	for j, l := range p.labels {
+		codes[j] = code(dict, l)
+	}
+	return codes
+}
+
 // tedCalls counts full kernel invocations; the similarity search's pruning
 // effectiveness is (candidates - tedCalls) / candidates.
 var tedCalls atomic.Uint64
@@ -182,27 +145,48 @@ var tedCalls atomic.Uint64
 func KernelCalls() uint64 { return tedCalls.Load() }
 
 // Distance returns the tree edit distance between the pattern and the
-// document subtree rooted at postorder position root.  codes must come from
-// d.Codes(p).
-func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
+// subtree of t rooted at v.  codes must come from p.Codes(t.Dict()).
+//
+// The subtree is the NodeID interval [v, End(v)].  It is first projected into
+// pooled postorder scratch — each node's primary label code and leftmost
+// leaf, and the keyroots — at local position Post(u) - Post(v) + size(v) - 1;
+// that costs O(|subtree|) against the DP's O(|P|·|subtree|).
+func Distance(t *tree.Tree, v tree.NodeID, p *Pattern, codes []tree.Code) int {
 	tedCalls.Add(1)
-	lo := d.lml(root)
-	n2 := root - lo + 1
+	n2 := t.SubtreeSize(v)
 	m := p.n
 	if m == 0 {
 		return n2
 	}
 
-	// Keyroots of the candidate subtree: every in-range node with a left
-	// sibling, plus the subtree root itself (whether or not it has one).
-	kr2Buf := acquire(n2)
-	kr2 := (*kr2Buf)[:0]
-	for g := lo; g < root; g++ {
-		if d.lsib[g] {
-			kr2 = append(kr2, int32(g))
+	projBuf := acquire(3 * n2)
+	proj := *projBuf
+	lab, lml, kr2 := proj[:n2:n2], proj[n2:2*n2:2*n2], proj[2*n2:]
+	blank := code(t.Dict(), "")
+	base := t.Post(v) - n2
+	for u, last := v, t.End(v); u <= last; u++ {
+		j := t.Post(u) - base - 1
+		lab[j] = int32(blank)
+		if ls := t.LabelCodes(u); len(ls) > 0 {
+			lab[j] = int32(ls[0])
+		}
+		lml[j] = int32(j - t.SubtreeSize(u) + 1)
+		// Keyroots: every node with a left sibling, plus the subtree root
+		// itself.  A flag per position first, then compacted in place into
+		// ascending positions.
+		kr2[j] = 0
+		if u == v || t.PrevSibling(u) != tree.InvalidNode {
+			kr2[j] = 1
 		}
 	}
-	kr2 = append(kr2, int32(root))
+	k := 0
+	for j, isKR := range kr2 {
+		if isKR != 0 {
+			kr2[k] = int32(j)
+			k++
+		}
+	}
+	kr2 = kr2[:k]
 
 	tdBuf := acquire(m * n2)             // permanent tree-distance table
 	fdBuf := acquire((m + 1) * (n2 + 1)) // per-keyroot-pair forest-distance table
@@ -211,10 +195,10 @@ func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
 
 	for _, i := range p.kr {
 		li := int(p.lml[i])
-		for _, jg := range kr2 {
-			lj := d.lml(int(jg)) - lo // local coordinates within the subtree
-			ie := int(i) - li + 1     // pattern forest extent
-			je := int(jg) - lo - lj + 1
+		for _, jr := range kr2 {
+			lj := int(lml[jr])
+			ie := int(i) - li + 1 // pattern forest extent
+			je := int(jr) - lj + 1
 			fd[0] = 0
 			for di := 1; di <= ie; di++ {
 				fd[di*w] = fd[(di-1)*w] + 1
@@ -225,26 +209,25 @@ func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
 			for di := 1; di <= ie; di++ {
 				i1 := li + di - 1 // pattern postorder position
 				for dj := 1; dj <= je; dj++ {
-					j1 := lj + dj - 1 // local doc postorder position
-					jg1 := lo + j1    // global doc postorder position
-					if int(p.lml[i1]) == li && d.lml(jg1)-lo == lj {
+					j1 := lj + dj - 1 // subtree postorder position
+					if int(p.lml[i1]) == li && int(lml[j1]) == lj {
 						// Both forests are whole trees: record a tree distance.
 						cost := int32(1)
-						if codes[i1] != tree.NoCode && codes[i1] == d.lab[jg1] {
+						if codes[i1] != tree.NoCode && int32(codes[i1]) == lab[j1] {
 							cost = 0
 						}
-						v := min3(
+						dist := min3(
 							fd[(di-1)*w+dj]+1,
 							fd[di*w+dj-1]+1,
 							fd[(di-1)*w+dj-1]+cost,
 						)
-						fd[di*w+dj] = v
-						td[i1*n2+j1] = v
+						fd[di*w+dj] = dist
+						td[i1*n2+j1] = dist
 					} else {
 						fd[di*w+dj] = min3(
 							fd[(di-1)*w+dj]+1,
 							fd[di*w+dj-1]+1,
-							fd[(int(p.lml[i1])-li)*w+(d.lml(jg1)-lo-lj)]+td[i1*n2+j1],
+							fd[(int(p.lml[i1])-li)*w+(int(lml[j1])-lj)]+td[i1*n2+j1],
 						)
 					}
 				}
@@ -254,7 +237,7 @@ func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
 	out := int(td[(m-1)*n2+(n2-1)])
 	release(tdBuf)
 	release(fdBuf)
-	release(kr2Buf)
+	release(projBuf)
 	return out
 }
 
@@ -262,9 +245,8 @@ func Distance(d *Doc, root int, p *Pattern, codes []tree.Code) int {
 // the whole of b).  It is the reference entry point used by the property
 // tests and the single-document CLI path.
 func DistanceTrees(a, b *tree.Tree) int {
-	d := NewDoc(b)
 	p := NewPattern(a)
-	return Distance(d, d.Len()-1, p, d.Codes(p))
+	return Distance(b, b.Root(), p, p.Codes(b.Dict()))
 }
 
 func min3(a, b, c int32) int32 {

@@ -123,72 +123,68 @@ func TestDistanceMetricProperties(t *testing.T) {
 	}
 }
 
-// TestDocFromTree checks the view cut from the tree, on the property-test
-// corpus (random trees, built out of document order): every column
-// equals a recomputation by pointer walks, label codes identify exactly the
-// primary labels, and Distance through the view — against every subtree, in
-// place — equals DistanceTrees against that subtree as a tree of its own.
+// TestDocFromTree checks the kernel on the tree in place, on the
+// property-test corpus (random trees, built out of document order): Distance
+// against every subtree, projected from the document's own columns, equals
+// DistanceTrees against that subtree as a tree of its own.
 func TestDocFromTree(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		pat := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int(seed%7), Seed: seed, Alphabet: []string{"a", "b", "c"}})
 		doc := workload.RandomTree(workload.TreeSpec{Nodes: 2 + int((seed*3)%8), Seed: seed + 1000, Alphabet: []string{"a", "b", "c"}})
-		d := NewDoc(doc)
-		if d.Len() != doc.Len() {
-			t.Fatalf("seed %d: %d positions for %d nodes", seed, d.Len(), doc.Len())
-		}
-		byPost := doc.NodesInOrder(tree.PostOrder)
-		for j := 0; j < d.Len(); j++ {
-			v := byPost[j]
-			leaf := v
-			for !doc.IsLeaf(leaf) {
-				leaf = doc.FirstChild(leaf)
-			}
-			size := 0
-			doc.StepFunc(tree.DescendantOrSelf, v, func(tree.NodeID) bool { size++; return true })
-			if d.lml(j) != doc.Post(leaf)-1 || d.SubtreeSize(j) != size || d.Node(j) != v ||
-				d.lsib[j] != (doc.PrevSibling(v) != tree.InvalidNode) {
-				t.Fatalf("seed %d, post %d: view (lml %d, size %d, node %d, lsib %v) disagrees with the tree %s",
-					seed, j+1, d.lml(j), d.size[j], d.node[j], d.lsib[j], doc)
-			}
-			for k := 0; k < d.Len(); k++ {
-				if (d.lab[j] == d.lab[k]) != (doc.Label(v) == doc.Label(byPost[k])) {
-					t.Fatalf("seed %d: label codes at post %d and %d disagree with the labels of %s", seed, j+1, k+1, doc)
-				}
-			}
+		if d := NewDoc(doc); d.Len() != doc.Len() {
+			t.Fatalf("seed %d: %d candidates for %d nodes", seed, d.Len(), doc.Len())
 		}
 		p := NewPattern(pat)
-		codes := d.Codes(p)
-		for j := 0; j < d.Len(); j++ {
-			sub := tree.MustParseSexpr(subtreeSexpr(doc, byPost[j]))
-			if got, want := Distance(d, j, p, codes), DistanceTrees(pat, sub); got != want {
-				t.Fatalf("seed %d, subtree at post %d: in place %d, standalone %d\n pattern %s\n doc %s", seed, j+1, got, want, pat, doc)
+		codes := p.Codes(doc.Dict())
+		for v := range tree.NodeID(doc.Len()) {
+			sub := tree.MustParseSexpr(subtreeSexpr(doc, v))
+			if got, want := Distance(doc, v, p, codes), DistanceTrees(pat, sub); got != want {
+				t.Fatalf("seed %d, subtree at node %d: in place %d, standalone %d\n pattern %s\n doc %s", seed, v, got, want, pat, doc)
 			}
 		}
 		// A label the document lacks translates to -1, never to a code in use.
-		if c := d.Codes(NewPattern(tree.MustParseSexpr("nope")))[0]; c != tree.NoCode {
+		if c := NewPattern(tree.MustParseSexpr("nope")).Codes(doc.Dict())[0]; c != tree.NoCode {
 			t.Fatalf("seed %d: absent label got code %d", seed, c)
 		}
 	}
 }
 
+// TestDistanceUnlabeled: an unlabeled pattern node matches an unlabeled
+// document node at no cost, and a labeled one at a rename.
+func TestDistanceUnlabeled(t *testing.T) {
+	b := tree.NewBuilder()
+	r := b.AddRoot()
+	b.AddChild(r, "a")
+	b.AddChild(r)
+	doc := b.MustBuild()
+	for _, c := range []struct {
+		pat  string
+		want int
+	}{{"_(a _)", 0}, {"x(a _)", 1}, {"_(a b)", 1}, {"_(_ _)", 1}} {
+		pat := tree.MustParseSexpr(c.pat)
+		if got := DistanceTrees(pat, doc); got != c.want {
+			t.Errorf("Distance(%s, unlabeled root with a and an unlabeled leaf) = %d, want %d", c.pat, got, c.want)
+		}
+	}
+}
+
 // TestDistanceSubtreeRange exercises the in-place candidate path: distances
-// computed against subtrees of one shared Doc must agree with distances
-// against the same subtrees materialized as standalone trees.
+// computed against the subtrees of one document, addressed by NodeID, must
+// agree with the brute force on the same subtrees materialized as
+// standalone trees.
 func TestDistanceSubtreeRange(t *testing.T) {
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 40, Seed: 7, Alphabet: []string{"a", "b", "c", "d"}})
-	d := NewDoc(doc)
 	pat := tree.MustParseSexpr("a(b c)")
 	p := NewPattern(pat)
-	codes := d.Codes(p)
-	byPost := doc.NodesInOrder(tree.PostOrder)
-	for j := 0; j < d.Len(); j++ {
-		sub, err := tree.ParseSexpr(subtreeSexpr(doc, byPost[j]))
+	codes := p.Codes(doc.Dict())
+	for v := range tree.NodeID(doc.Len()) {
+		sub, err := tree.ParseSexpr(subtreeSexpr(doc, v))
 		if err != nil {
-			t.Fatalf("subtree at post %d: %v", j+1, err)
+			t.Fatalf("subtree at node %d: %v", v, err)
 		}
 		want := bruteTED(pat, sub)
-		if got := Distance(d, j, p, codes); got != want {
-			t.Fatalf("subtree at post %d: kernel %d, brute force %d (subtree %s)", j+1, got, want, sub)
+		if got := Distance(doc, v, p, codes); got != want {
+			t.Fatalf("subtree at node %d: kernel %d, brute force %d (subtree %s)", v, got, want, sub)
 		}
 	}
 }
@@ -214,7 +210,7 @@ func subtreeSexpr(t *tree.Tree, v tree.NodeID) string {
 }
 
 // TestBySizeOrder: the counting sort behind Doc.BySize yields exactly the
-// (subtree size, postorder) order a comparison sort does.
+// (subtree size, NodeID) order a comparison sort does.
 func TestBySizeOrder(t *testing.T) {
 	docs := []*tree.Tree{
 		tree.MustParseSexpr("a"),
@@ -232,15 +228,16 @@ func TestBySizeOrder(t *testing.T) {
 		for j := range want {
 			want[j] = int32(j)
 		}
+		size := func(v int32) int { return doc.SubtreeSize(tree.NodeID(v)) }
 		sort.Slice(want, func(a, b int) bool {
-			ja, jb := want[a], want[b]
-			if d.size[ja] != d.size[jb] {
-				return d.size[ja] < d.size[jb]
+			va, vb := want[a], want[b]
+			if size(va) != size(vb) {
+				return size(va) < size(vb)
 			}
-			return ja < jb
+			return va < vb
 		})
 		if !slices.Equal(d.BySize(), want) {
-			t.Fatalf("%d-node tree: BySize differs from the (size, postorder) sort", d.Len())
+			t.Fatalf("%d-node tree: BySize differs from the (size, NodeID) sort", d.Len())
 		}
 	}
 }

@@ -29,6 +29,7 @@ package tree
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -360,19 +361,21 @@ func (b *Builder) ReserveText(n int) { b.textBuf = slices.Grow(b.textBuf, n-len(
 // dictionary when it is new.  The dictionary keeps a copy of a new name, so
 // the tree never holds on to the caller's string.
 func (b *Builder) Code(name string) Code {
-	if c, ok := b.t.dict.codes[name]; ok {
+	h := maphash.String(seed, name)
+	if c := lookup(b.t.dict, h, name); c != NoCode {
 		return c
 	}
-	return b.own().add(strings.Clone(name))
+	return add(b.own(), h, name)
 }
 
 // CodeBytes is Code for a name in a byte slice, which may be reused after
 // the call.
 func (b *Builder) CodeBytes(name []byte) Code {
-	if c, ok := b.t.dict.codes[string(name)]; ok {
+	h := maphash.Bytes(seed, name)
+	if c := lookup(b.t.dict, h, name); c != NoCode {
 		return c
 	}
-	return b.own().add(string(name))
+	return add(b.own(), h, name)
 }
 
 // own returns the builder's dictionary, copying an inherited one first.
@@ -536,6 +539,9 @@ func (b *Builder) Build() (*Tree, error) {
 	b.rank()
 	b.layout()
 	t.index()
+	if b.owned {
+		t.dict.commit()
+	}
 	return t, nil
 }
 

@@ -207,6 +207,10 @@ type treeSink struct {
 		name string
 		code tree.Code
 	}
+	// openBuf and bufBuf back open and buf until a document nests deeper or
+	// an attribute label runs longer, so neither grows on a typical parse.
+	openBuf [32]tree.NodeID
+	bufBuf  [64]byte
 }
 
 // newTreeSink returns a sink whose builder draws codes from d and is sized
@@ -222,7 +226,9 @@ func newTreeSink(d *tree.Dict, src string) *treeSink {
 	lt := strings.Count(src, "<")
 	b.Reserve((lt+1)/2 + lt/8)
 	b.ReserveText(len(src) / 8)
-	return &treeSink{b: b}
+	ts := &treeSink{b: b}
+	ts.open, ts.buf = ts.openBuf[:0], ts.bufBuf[:0]
+	return ts
 }
 
 func (ts *treeSink) start(name string) {
@@ -267,7 +273,8 @@ type scanner struct {
 	src      string
 	pos      int
 	out      sink
-	stack    []span // names of the open elements, as spans of src
+	stack    []span   // names of the open elements, as spans of src
+	stackBuf [32]span // backs stack until a document nests deeper
 	rootSeen bool
 }
 
@@ -278,6 +285,7 @@ type span struct{ start, end int }
 // scan runs the scanner over src.
 func scan(src string, out sink) error {
 	t := &scanner{src: src, out: out}
+	t.stack = t.stackBuf[:0]
 	for t.pos < len(t.src) {
 		if t.src[t.pos] == '<' {
 			if err := t.scanMarkup(); err != nil {

@@ -32,17 +32,19 @@ func liveHeap() uint64 {
 
 // TestDefaultRoutesBytesPerNode is the memory guard of the default daemon: a
 // scan_mix document (1,000 items, parsed as the daemon parses it) with every
-// route of the workload prepared and run keeps at most 71 live bytes per node
-// (68.4 measured on linux/amd64, go1.24) — the tree and what the routes read
+// route of the workload prepared and run keeps at most 47 live bytes per node
+// (45.4 measured on linux/amd64, go1.24) — the tree and what the routes read
 // beside it — and has built no XASR, side relation or pair relation.  It logs
 // the bytes of each owner:
 //
 //   - columns: parent, prevSibling, depth, size and the label and text
 //     offsets (six int32 per node), and one int32 per label code;
 //   - text: the one preorder text string;
-//   - dictionary: the label names and their codes, what the tree weighs
-//     beyond its columns and text;
-//   - TED view: the similarity route's postorder view;
+//   - dictionary: the label names (one string), their end offsets and the
+//     hash table of their codes, what the tree weighs beyond its columns and
+//     text;
+//   - engine: what core.New allocates, the index skeleton;
+//   - TED view: the similarity route's size-ordered node column;
 //   - masks: one bit per node for every label mask built;
 //   - lists: the per-label node lists, and the plans, which are small.
 func TestDefaultRoutesBytesPerNode(t *testing.T) {
@@ -53,8 +55,9 @@ func TestDefaultRoutesBytesPerNode(t *testing.T) {
 	doc := xmldoc.MustParse(src)
 	treeBytes := liveHeap() - base
 	eng := core.New(doc)
+	engineBytes := liveHeap() - base - treeBytes
 	eng.Index().TED()
-	tedBytes := liveHeap() - base - treeBytes
+	tedBytes := liveHeap() - base - treeBytes - engineBytes
 	plans := make([]*core.PreparedQuery, 0, len(scanMixAll))
 	for _, q := range scanMixAll {
 		pq, err := eng.Prepare(q.lang, q.text)
@@ -79,12 +82,12 @@ func TestDefaultRoutesBytesPerNode(t *testing.T) {
 	masks := int(st.LabelMaskBuilds) * 8 * bitset.WordsFor(nodes)
 	perNode := func(b int) float64 { return float64(b) / float64(nodes) }
 	t.Logf("%d nodes, %d labels in the dictionary, %d live bytes: %.1f B/node", nodes, doc.Dict().Len(), live, perNode(int(live)))
-	t.Logf("columns %.1f, text %.1f, dictionary %.1f, TED view %.1f, masks %.1f, lists and plans %.1f B/node",
-		perNode(columns), perNode(text), perNode(int(treeBytes)-columns-text), perNode(int(tedBytes)),
-		perNode(masks), perNode(int(live-treeBytes-tedBytes)-masks))
+	t.Logf("columns %.1f, text %.1f, dictionary %.1f, engine %.1f, TED view %.1f, masks %.1f, lists and plans %.1f B/node",
+		perNode(columns), perNode(text), perNode(int(treeBytes)-columns-text), perNode(int(engineBytes)),
+		perNode(int(tedBytes)), perNode(masks), perNode(int(live-treeBytes-engineBytes-tedBytes)-masks))
 	t.Logf("index %+v", st)
-	if perNode(int(live)) > 71 {
-		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 71", perNode(int(live)))
+	if perNode(int(live)) > 47 {
+		t.Errorf("%.1f live bytes per node with the six scan_mix routes warm, want at most 47", perNode(int(live)))
 	}
 	if st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairBuilds != 0 {
 		t.Errorf("a default route built the relational encoding: %+v", st)
