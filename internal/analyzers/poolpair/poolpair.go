@@ -7,9 +7,12 @@
 // comments ("the caller owns the vector until Release").  A missed release
 // on an error branch silently degrades the pool hit rate (the pairs-pointer
 // race in PR 4 was first noticed that way); a double release poisons the pool
-// with an aliased buffer.  This analyzer machine-checks the discipline for
-// the common ownership shape: a pooled value acquired into a local variable
-// and consumed in the same function.
+// with an aliased buffer.  A missed release also costs an allocation on the
+// next acquire, which on the XPath and stream routes — whose warm
+// executions otherwise allocate only their exec block and their answer —
+// fails the exact allocation pins.  This analyzer machine-checks the
+// discipline for the common ownership shape: a pooled value acquired into a
+// local variable and consumed in the same function.
 //
 // Ownership transfer is out of scope by design: a value that escapes — is
 // returned, stored into a struct, slice, map, or channel, captured by a

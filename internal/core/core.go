@@ -79,8 +79,8 @@ type Phase struct {
 }
 
 // Plan records the planner's decision for one query, and -- for queries run
-// through the prepare/execute pipeline -- the compile-vs-run timings and a
-// snapshot of the engine's shared index-cache counters.
+// through the prepare/execute pipeline -- the compile-vs-run timings.  The
+// engine's index-cache counters are read from Engine.Index().Snapshot().
 type Plan struct {
 	// Language is the query language ("xpath", "cq", "xpath-twig",
 	// "datalog", "stream", "similar").
@@ -98,9 +98,6 @@ type Plan struct {
 	PrepareDuration time.Duration
 	// ExecDuration is the wall time of the execution that produced this Plan.
 	ExecDuration time.Duration
-	// IndexStats snapshots the engine's shared index cache counters right
-	// after the execution (cache hits mean work the pipeline amortized).
-	IndexStats index.Stats
 }
 
 func (p *Plan) note(format string, args ...any) {
@@ -125,14 +122,14 @@ func (p *Plan) lap(name string, t *time.Time) {
 
 // clone copies the plan so each execution can annotate its own.  Notes and
 // Phases stay shared with p; treat their elements as read-only.
-func (p *Plan) clone() *Plan {
+func (p *Plan) clone() Plan {
 	c := *p
 	// The copy shares the base's slices; capping their capacity makes an
 	// execution-time note or phase append copy instead of writing into the
 	// base's backing array.
 	c.Notes = p.Notes[:len(p.Notes):len(p.Notes)]
 	c.Phases = p.Phases[:len(p.Phases):len(p.Phases)]
-	return &c
+	return c
 }
 
 // String renders the plan for logging.
@@ -274,7 +271,6 @@ func (e *Engine) StreamXPath(query string, events []xmldoc.Event) ([]int, stream
 	execStart := time.Now()
 	stats, err := m.Run(events, func(pre int) { pres = append(pres, pre) })
 	plan.ExecDuration = time.Since(execStart)
-	plan.IndexStats = e.idx.Snapshot()
 	return pres, stats, plan, err
 }
 

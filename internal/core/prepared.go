@@ -96,9 +96,8 @@ type Compiled struct {
 	lang string
 	text string
 
-	base        Plan // immutable after Compile; cloned per execution
-	prepareTime time.Duration
-	clauses     int // size of the plan's largest artifact, in clauses (see Clauses)
+	base    Plan // immutable after Compile, PrepareDuration included; cloned per execution
+	clauses int  // size of the plan's largest artifact, in clauses (see Clauses)
 
 	// labels is the sorted set of document labels the query mentions (node
 	// tests, lab() qualifiers, Lab[...] atoms, pattern-tree labels).  nil
@@ -108,8 +107,8 @@ type Compiled struct {
 
 	// run executes the compiled plan over e's document and index.  It must be
 	// safe for concurrent calls: everything it closes over is immutable, and
-	// plan is execution-local.
-	run func(ctx context.Context, e *Engine, plan *Plan) (*Result, error)
+	// plan is execution-local.  Exec discards the Result of a failed run.
+	run func(ctx context.Context, e *Engine, plan *Plan) (Result, error)
 
 	execs     atomic.Uint64
 	execNanos atomic.Int64
@@ -140,8 +139,7 @@ func (c *Compiled) Labels() []string { return c.labels }
 // read-only.
 func (c *Compiled) Plan() *Plan {
 	plan := c.base.clone()
-	plan.PrepareDuration = c.prepareTime
-	return plan
+	return &plan
 }
 
 // Phases returns the per-stage compile timings (see Phase).  The slice is a
@@ -155,16 +153,23 @@ func (c *Compiled) Stats() ExecStats {
 	return ExecStats{
 		Execs:       c.execs.Load(),
 		TotalExec:   time.Duration(c.execNanos.Load()),
-		PrepareTime: c.prepareTime,
+		PrepareTime: c.base.PrepareDuration,
 	}
 }
 
+// execBlock is the one object an execution allocates besides its answer:
+// the Result and the per-execution Plan that Exec hands out pointers to.
+type execBlock struct {
+	res  Result
+	plan Plan
+}
+
 // Exec runs the compiled plan once over e's document and returns the result
-// together with a per-execution Plan annotated with timings and e's
-// index-cache counters.
+// together with a per-execution Plan annotated with timings.  Both live in
+// one allocation; the result is nil on error.
 func (c *Compiled) Exec(ctx context.Context, e *Engine) (*Result, *Plan, error) {
-	plan := c.base.clone()
-	plan.PrepareDuration = c.prepareTime
+	b := &execBlock{plan: c.base.clone()}
+	plan := &b.plan
 	if err := ctx.Err(); err != nil {
 		return nil, plan, err
 	}
@@ -174,8 +179,11 @@ func (c *Compiled) Exec(ctx context.Context, e *Engine) (*Result, *Plan, error) 
 	c.execs.Add(1)
 	c.execNanos.Add(int64(elapsed))
 	plan.ExecDuration = elapsed
-	plan.IndexStats = e.idx.Snapshot()
-	return res, plan, err
+	if err != nil {
+		return nil, plan, err
+	}
+	b.res = res
+	return &b.res, plan, nil
 }
 
 // Compile parses, classifies and plans a query once, returning an immutable
@@ -271,8 +279,8 @@ func (c *Compiled) finish(plan *Plan, err error, start time.Time, t *time.Time) 
 		return nil, plan, err
 	}
 	plan.lap("build", t)
+	plan.PrepareDuration = time.Since(start)
 	c.base = *plan
-	c.prepareTime = time.Since(start)
 	return c, plan, nil
 }
 
@@ -289,15 +297,15 @@ func (c *Compiled) compileXPath(plan *Plan, s Strategy, t *time.Time) error {
 	c.labels = xpath.LabelSet(expr)
 	if s == Naive {
 		plan.Technique = "naive top-down semantics"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
-			return &Result{Nodes: xpath.QueryNaive(expr, e.doc)}, nil
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+			return Result{Nodes: xpath.QueryNaive(expr, e.doc)}, nil
 		}
 		return nil
 	}
 	plan.Technique = "set-at-a-time evaluation (O(|D|*|Q|))"
 	plan.note("steps are axis images on the preorder-rank view: a range fill or one pointer chase per context node")
-	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
-		return &Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+		return Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
 	}
 	return nil
 }
@@ -318,20 +326,17 @@ func cqLabelSet(q *cq.Query) []string {
 }
 
 // answers wraps an evaluator's answer tuples as a Result.
-func answers(ans []cq.Answer, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Answers: ans}, nil
+func answers(ans []cq.Answer, err error) (Result, error) {
+	return Result{Answers: ans}, err
 }
 
 // naiveFallback keeps the naive search as the Auto routes' safety net, so a
 // failing route still returns correct answers (with a note) rather than an
 // error — but a context expiry is not a route failure: it aborts the
 // execution instead of demoting it to the exponential search.
-func naiveFallback(ctx context.Context, e *Engine, q *cq.Query, p *Plan, reason string, err error) (*Result, error) {
+func naiveFallback(ctx context.Context, e *Engine, q *cq.Query, p *Plan, reason string, err error) (Result, error) {
 	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+		return Result{}, cerr
 	}
 	p.note("%s route failed (%v), falling back to naive search", reason, err)
 	return answers(cq.EvaluateNaiveCtx(ctx, q, e.doc))
@@ -340,7 +345,7 @@ func naiveFallback(ctx context.Context, e *Engine, q *cq.Query, p *Plan, reason 
 func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 	plan.note("query %s with %d atoms over axes %v", q, q.NumAtoms(), q.AxisSet())
 	c.labels = cqLabelSet(q)
-	naive := func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+	naive := func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		return answers(cq.EvaluateNaiveCtx(ctx, q, e.doc))
 	}
 
@@ -351,25 +356,25 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 		return nil
 	case Yannakakis:
 		plan.Technique = "Yannakakis full reducer"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 			ans, err := yannakakis.EvaluateIndexed(q, e.doc, e.idx)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrNoStrategy, err)
+				return Result{}, fmt.Errorf("%w: %v", ErrNoStrategy, err)
 			}
-			return &Result{Answers: ans}, nil
+			return Result{Answers: ans}, nil
 		}
 		return nil
 	case ArcConsistency:
 		plan.Technique = "arc-consistency + backtrack-free enumeration"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 			ans, err := arccons.EnumerateAcyclicIndexedCtx(ctx, q, e.doc, e.idx)
 			if err != nil {
 				if ctx.Err() != nil {
-					return nil, err
+					return Result{}, err
 				}
-				return nil, fmt.Errorf("%w: %v", ErrNoStrategy, err)
+				return Result{}, fmt.Errorf("%w: %v", ErrNoStrategy, err)
 			}
-			return &Result{Answers: ans}, nil
+			return Result{Answers: ans}, nil
 		}
 		return nil
 	case RewriteFirst:
@@ -380,7 +385,7 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 		}
 		plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
 		c.clauses = len(union)
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 			return answers(union.EvaluateCtx(ctx, e.doc, e.idx))
 		}
 		return nil
@@ -392,12 +397,12 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 	if compiled, err := arccons.Compile(q); err == nil {
 		plan.note("query is acyclic: holistic evaluation is output-sensitive (Prop. 6.10)")
 		plan.Technique = "arc-consistency + backtrack-free enumeration"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 			ans, err := compiled.EnumerateCtx(ctx, e.doc, e.idx)
 			if err != nil {
 				return naiveFallback(ctx, e, q, p, "arc-consistency", err)
 			}
-			return &Result{Answers: ans}, nil
+			return Result{Answers: ans}, nil
 		}
 		return nil
 	}
@@ -405,15 +410,15 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 		if sig, _ := arccons.ClassifySignature(q.AxisSet()); sig != arccons.SignatureNone {
 			plan.note("Boolean query over tractable signature %v (Theorem 6.8)", sig)
 			plan.Technique = "X-property arc-consistency (Theorem 6.5)"
-			c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+			c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 				sat, err := arccons.SatisfiableXIndexedCtx(ctx, q, e.doc, e.idx)
 				if err != nil {
 					return naiveFallback(ctx, e, q, p, "X-property", err)
 				}
 				if sat {
-					return &Result{Answers: []cq.Answer{{}}}, nil
+					return Result{Answers: []cq.Answer{{}}}, nil
 				}
-				return &Result{}, nil
+				return Result{}, nil
 			}
 			return nil
 		}
@@ -425,12 +430,12 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 			plan.Technique = "rewrite to acyclic union + Yannakakis"
 			plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
 			c.clauses = len(union)
-			c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+			c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 				ans, err := union.EvaluateCtx(ctx, e.doc, e.idx)
 				if err != nil {
 					return naiveFallback(ctx, e, q, p, "rewrite", err)
 				}
-				return &Result{Answers: ans}, nil
+				return Result{Answers: ans}, nil
 			}
 			return nil
 		}
@@ -452,12 +457,9 @@ func (c *Compiled) compileDatalog(plan *Plan, s Strategy, t *time.Time) error {
 	c.labels = p.LabelSet()
 	if s == Naive {
 		plan.Technique = "naive fixpoint"
-		c.run = func(ctx context.Context, e *Engine, pl *Plan) (*Result, error) {
+		c.run = func(ctx context.Context, e *Engine, pl *Plan) (Result, error) {
 			nodes, err := mdatalog.EvaluateNaive(p, e.doc)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Nodes: nodes}, nil
+			return Result{Nodes: nodes}, err
 		}
 		return nil
 	}
@@ -472,14 +474,11 @@ func (c *Compiled) compileDatalog(plan *Plan, s Strategy, t *time.Time) error {
 	}
 	plan.lap("compile", t)
 	plan.note("TMNF-compiled to %d rules over %d predicates; propagated on the tree, no ground program", prog.NumRules(), prog.NumPredicates())
-	c.run = func(ctx context.Context, e *Engine, pl *Plan) (*Result, error) {
+	c.run = func(ctx context.Context, e *Engine, pl *Plan) (Result, error) {
 		// The solver checkpoints ctx every hornsat.CheckpointInterval unit
 		// propagations, so a mid-solve expiry aborts within one interval.
 		nodes, err := prog.SolveCtx(ctx, e.doc, e.idx)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Nodes: nodes}, nil
+		return Result{Nodes: nodes}, err
 	}
 	return nil
 }
@@ -505,7 +504,7 @@ func (c *Compiled) compileTwig(plan *Plan, t *time.Time) error {
 	plan.Technique = "translate to CQ + arc-consistency"
 	plan.note("translated to %s", q)
 	c.labels = cqLabelSet(q)
-	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		return answers(compiled.EnumerateCtx(ctx, e.doc, e.idx))
 	}
 	return nil
@@ -529,8 +528,8 @@ func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 	plan.Technique = "streamable path, set-at-a-time evaluation (O(|D|*|Q|))"
 	plan.note("%q is a %d-step streamable path; on a stored document it runs as axis images, not as a streaming pass", c.text, m.Steps())
 	c.labels = xpath.LabelSet(expr)
-	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
-		return &Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+		return Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
 	}
 	return nil
 }

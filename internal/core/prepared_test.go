@@ -295,7 +295,7 @@ func TestPlanCloneIsolatesExecNotes(t *testing.T) {
 	c.base.Notes = append(make([]string, 0, n+4), c.base.Notes...)
 	base := append([]string(nil), c.base.Notes[:n+4]...)
 	run, parsed := c.run, cq.MustParse(q)
-	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		if reason, ok := ctx.Value(fallbackKey{}).(string); ok {
 			return naiveFallback(ctx, e, parsed, p, reason, fmt.Errorf("injected"))
 		}

@@ -123,12 +123,9 @@ func (c *Compiled) compileSimilar(plan *Plan, s Strategy, t *time.Time) error {
 		plan.Technique = "top-k tree edit distance (posting-list lower bounds + keyroots kernel)"
 		plan.note("candidates walked band by band in size distance, each band in document order; size and label-histogram bounds prune against the (distance, pre) result order before any kernel call")
 	}
-	c.run = func(ctx context.Context, e *Engine, p *Plan) (*Result, error) {
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		hits, err := search(e, ctx, pat, k, maxDist, p)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Hits: hits}, nil
+		return Result{Hits: hits}, err
 	}
 	return nil
 }
@@ -137,6 +134,16 @@ func (c *Compiled) compileSimilar(plan *Plan, s Strategy, t *time.Time) error {
 // root is the worst retained hit, so a full heap admits a candidate exactly
 // when the candidate precedes the root in result order.
 type hitHeap []Hit
+
+// newHitHeap returns an empty heap sized for the at most min(k, candidates)
+// hits a search can retain.  k comes from the query text, so it never sizes
+// the heap alone; an unbounded search (k = 0) grows the heap as it goes.
+func newHitHeap(k, candidates int) hitHeap {
+	if k <= 0 {
+		return nil
+	}
+	return make(hitHeap, 0, min(k, candidates))
+}
 
 func hitWorse(a, b Hit) bool {
 	if a.Distance != b.Distance {
@@ -248,7 +255,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 	up := sort.Search(n, func(i int) bool { return sizeAt(i) >= m })
 	down := up
 
-	var hits hitHeap
+	hits := newHitHeap(k, n)
 	var candidates, sizePruned, histPruned uint64
 	defer func() {
 		similarCandidates.Add(candidates)
@@ -331,7 +338,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	t := e.doc
 	codes := pat.Codes(t.Dict())
-	var hits hitHeap
+	hits := newHitHeap(k, t.Len())
 	var candidates uint64
 	for v := range tree.NodeID(t.Len()) {
 		if candidates%similarCheckpoint == similarCheckpoint-1 {

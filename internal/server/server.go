@@ -364,16 +364,18 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	return context.WithTimeout(r.Context(), d)
 }
 
-func queryTimeoutMS(r *http.Request) int64 {
-	v := r.URL.Query().Get("timeout_ms")
+// queryParam reads the optional non-negative integer query parameter name:
+// 0 when absent, an error when present but not a non-negative integer.
+func queryParam(r *http.Request, name string) (int, error) {
+	v := r.URL.Query().Get(name)
 	if v == "" {
-		return 0
+		return 0, nil
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms < 0 {
-		return 0
+	n, err := parseNonNegativeInt(v)
+	if err != nil {
+		return 0, fmt.Errorf("server: ?%s must be a non-negative integer: %w", name, err)
 	}
-	return ms
+	return n, nil
 }
 
 // --- JSON shapes -----------------------------------------------------------
@@ -448,6 +450,21 @@ func decodeJSONBody(r *http.Request, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
+	}
+	if c, ok := v.(interface{ check() error }); ok {
+		if err := c.check(); err != nil {
+			return fmt.Errorf("server: bad request body: %w", err)
+		}
+	}
+	return nil
+}
+
+// nonNegative rejects a negative count or duration in a request: a negative
+// limit would otherwise read as "every match" and a negative timeout as "the
+// server default".
+func nonNegative(name string, v int64) error {
+	if v < 0 {
+		return fmt.Errorf("%s must be a non-negative integer, got %d", name, v)
 	}
 	return nil
 }
@@ -551,6 +568,10 @@ type queryRequest struct {
 	Plan      bool   `json:"plan,omitempty"`
 }
 
+func (q *queryRequest) check() error {
+	return errors.Join(nonNegative("limit", int64(q.Limit)), nonNegative("timeout_ms", q.TimeoutMS))
+}
+
 // corpusQueryRequest is the body of POST /v1/corpus/query.
 type corpusQueryRequest struct {
 	Lang         string `json:"lang"`
@@ -558,6 +579,11 @@ type corpusQueryRequest struct {
 	Limit        int    `json:"limit,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
 	DocTimeoutMS int64  `json:"doc_timeout_ms,omitempty"`
+}
+
+func (q *corpusQueryRequest) check() error {
+	return errors.Join(nonNegative("limit", int64(q.Limit)), nonNegative("timeout_ms", q.TimeoutMS),
+		nonNegative("doc_timeout_ms", q.DocTimeoutMS))
 }
 
 // docErrorJSON is the wire form of one failed document of a fan-out.
@@ -575,6 +601,8 @@ type prepareRequest struct {
 	Query     string `json:"query"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
+
+func (q *prepareRequest) check() error { return nonNegative("timeout_ms", q.TimeoutMS) }
 
 // handleRegisterPrepared compiles a query once for one document, under the
 // service's strategy, and registers it: every later execution runs the

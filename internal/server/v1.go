@@ -442,12 +442,22 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown prepared query %q", id))
 		return
 	}
+	limit, err := queryParam(r, "limit")
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	timeoutMS, err := queryParam(r, "timeout_ms")
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	eng, version, err := s.svc.EngineVersion(e.doc)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, queryTimeoutMS(r))
+	ctx, cancel := s.requestContext(r, int64(timeoutMS))
 	defer cancel()
 	execStart := time.Now()
 	res, plan, err := e.c.Exec(ctx, eng)
@@ -459,26 +469,14 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 	}
 	env := envelope{RequestID: tr.ID(), ID: e.id, Plan: plan}
 	ew := newEnvWriter()
-	ew.result(&env, e.doc, version, res, queryLimit(r))
+	ew.result(&env, e.doc, version, res, limit)
 	if debugTimings(r) {
 		env.Timings = timingsJSON(tr)
 	}
 	s.writeEnvelope(w, ew, &env)
 }
 
-// queryLimit reads the optional ?limit parameter of GET-parameterized routes.
-func queryLimit(r *http.Request) int {
-	v := r.URL.Query().Get("limit")
-	if v == "" {
-		return 0
-	}
-	n, err := parseNonNegativeInt(v)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
+// parseNonNegativeInt parses a string of decimal digits, saturating at 1<<30.
 func parseNonNegativeInt(s string) (int, error) {
 	n := 0
 	if s == "" {
@@ -488,10 +486,7 @@ func parseNonNegativeInt(s string) (int, error) {
 		if s[i] < '0' || s[i] > '9' {
 			return 0, fmt.Errorf("not a number: %q", s)
 		}
-		n = n*10 + int(s[i]-'0')
-		if n > 1<<30 {
-			return 1 << 30, nil
-		}
+		n = min(n*10+int(s[i]-'0'), 1<<30)
 	}
 	return n, nil
 }

@@ -285,6 +285,69 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestV1NegativeOrMalformedBoundsRejected: a negative limit or timeout in a
+// body, and a ?limit= or ?timeout_ms= that is not a non-negative integer,
+// are a 400 bad_request naming the field.  A negative or unparsable limit
+// used to read as 0, "every match", and return the whole answer with 200.
+func TestV1NegativeOrMalformedBoundsRejected(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	putDoc(t, ts.URL, "doc.xml", siteXML(3))
+	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/prepared", map[string]any{
+		"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword",
+	})
+	if code != http.StatusCreated {
+		t.Fatalf("register: status %d (%v)", code, body)
+	}
+	exec := "/v1/prepared/" + body["id"].(string)
+
+	query := func(extra map[string]any) map[string]any {
+		req := map[string]any{"doc": "doc.xml", "lang": core.LangXPath, "query": "//keyword"}
+		for k, v := range extra {
+			req[k] = v
+		}
+		return req
+	}
+	corpus := func(extra map[string]any) map[string]any {
+		req := query(extra)
+		delete(req, "doc")
+		return req
+	}
+	cases := []struct {
+		path  string
+		req   map[string]any
+		field string
+	}{
+		{"/v1/query", query(map[string]any{"limit": -1}), "limit"},
+		{"/v1/query", query(map[string]any{"timeout_ms": -5}), "timeout_ms"},
+		{"/v1/corpus/query", corpus(map[string]any{"limit": -1}), "limit"},
+		{"/v1/corpus/query", corpus(map[string]any{"timeout_ms": -1}), "timeout_ms"},
+		{"/v1/corpus/query", corpus(map[string]any{"doc_timeout_ms": -1}), "doc_timeout_ms"},
+		{"/v1/prepared", query(map[string]any{"timeout_ms": -1}), "timeout_ms"},
+		{exec + "?limit=-1", nil, "limit"},
+		{exec + "?limit=abc", nil, "limit"},
+		{exec + "?limit=", nil, ""}, // empty: absent
+		{exec + "?timeout_ms=-1", nil, "timeout_ms"},
+		{exec + "?timeout_ms=1s", nil, "timeout_ms"},
+		{exec + "?limit=2&timeout_ms=1000", nil, ""},
+	}
+	for _, tc := range cases {
+		code, body := doJSON(t, http.MethodPost, ts.URL+tc.path, tc.req)
+		if tc.field == "" {
+			if code != http.StatusOK {
+				t.Errorf("%s: status %d, want 200 (%v)", tc.path, code, body)
+			}
+			continue
+		}
+		if code != http.StatusBadRequest || body["code"] != CodeBadRequest {
+			t.Errorf("%s %v: status %d code %v, want 400 bad_request", tc.path, tc.req, code, body["code"])
+			continue
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, tc.field) {
+			t.Errorf("%s %v: error %q does not name %s", tc.path, tc.req, msg, tc.field)
+		}
+	}
+}
+
 // TestV1DeepQueryTextRejected: a similarity pattern or an XPath text nested a
 // quarter of a million levels deep is a 400 bad_request, and the daemon goes
 // on answering.  The goroutine stack is capped at 16 MiB for the test, so a

@@ -1,0 +1,51 @@
+package service
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/race"
+	"repro/internal/workload"
+)
+
+// TestCorpusFanoutAllocs pins what one warm corpus query allocates in
+// process, fan-out and aggregation, over 32 documents of 100 items: the
+// shape of the corpus_fanout benchmark workload, whose queries these are.
+// Each document's XPath exec allocates its exec block and its answer (64 of
+// the 74), a similarity exec eight objects; the other ten are per request:
+// the name snapshot, the result slice, the worker pool and the aggregate.
+func TestCorpusFanoutAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("exact allocation counts: the race detector allocates, and sync.Pool drops items under it")
+	}
+	s := New(WithWorkers(2))
+	for i := range 32 {
+		doc := workload.SiteDocument(workload.DocSpec{Items: 100, Regions: 6, DescriptionDepth: 2, Seed: int64(i + 1)})
+		if err := s.Add(fmt.Sprintf("d%02d", i), doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for _, q := range []struct {
+		lang, text string
+		limit      int
+		allocs     float64
+	}{
+		{core.LangXPath, "//item[name]/description//keyword", 100, 74},
+		{core.LangXPath, "//keyword", 0, 74},
+		{core.LangXPath, "//region//item[name]", 20, 74},
+		{core.LangSimilar, "k=5 description(parlist(listitem(keyword text)))", 5, 266},
+	} {
+		run := func() *CorpusResult { return Aggregate(s.QueryCorpus(ctx, q.lang, q.text), q.limit) }
+		if agg := run(); agg.Docs != 32 || len(agg.Failed) != 0 || agg.Total == 0 {
+			t.Fatalf("%s: docs %d, failed %v, total %d", q.text, agg.Docs, agg.Failed, agg.Total)
+		}
+		got := testing.AllocsPerRun(20, func() { run() })
+		t.Logf("%-8s %-52q %4.0f allocs per corpus query", q.lang, q.text, got)
+		if got > q.allocs {
+			t.Errorf("%s %q over 32 documents allocates %.0f objects, want at most %.0f", q.lang, q.text, got, q.allocs)
+		}
+	}
+}

@@ -27,7 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,7 +334,10 @@ func (s *Service) Len() int { return int(s.docsCount.Load()) }
 
 // Names returns the sorted names of the corpus documents.
 func (s *Service) Names() []string {
-	var names []string
+	var names []string // nil for an empty corpus, as GET /v1/docs renders it
+	if n := s.docsCount.Load(); n > 0 {
+		names = make([]string, 0, n)
+	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for name := range sh.entries {
@@ -342,7 +345,7 @@ func (s *Service) Names() []string {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 

@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// The DP scratch pool mirrors the bitset pool: power-of-two size buckets,
-// one sync.Pool per bucket, and process-wide hit/miss counters surfaced
-// through obsv.PoolCounters.  The kernel runs once per surviving candidate,
+// The DP scratch pool has the bitset pool's shape: a fixed array of
+// power-of-two size buckets, one sync.Pool per bucket holding pointers so
+// that nothing boxes, and process-wide hit/miss counters surfaced through
+// obsv.PoolCounters.  The kernel runs once per surviving candidate,
 // so without pooling the td/fd matrices would dominate the allocation
 // profile of every similarity query.
 const maxBucket = 24 // slices up to 2^24 int32s (64 MiB) are pooled
