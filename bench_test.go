@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/arccons"
+	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/cq"
@@ -523,7 +524,7 @@ func BenchmarkPreparedYannakakisIndexed(b *testing.B) {
 	// Single-labeled tree, so repeated executions reuse the cached XASR
 	// structural joins instead of re-materializing atom relations.
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 4000, Seed: 23, Alphabet: []string{"a", "b", "c", "d", "e"}})
-	eng := core.New(doc, core.WithStrategy(core.Yannakakis))
+	eng := core.New(doc, core.WithStrategy(baseline.Yannakakis))
 	q := cq.MustParse("Q(x, y) :- Lab[a](x), Child+(x, y), Lab[b](y).")
 	ctx := context.Background()
 	b.Run("prepared", func(b *testing.B) {
@@ -548,41 +549,6 @@ func BenchmarkPreparedYannakakisIndexed(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkPreparedBatch(b *testing.B) {
-	// A mixed pool of prepared queries executed through the worker-pool batch
-	// API at increasing parallelism over one shared engine.
-	doc := workload.SiteDocument(workload.DocSpec{Items: 300, Regions: 6, DescriptionDepth: 2, Seed: 24})
-	eng := core.New(doc)
-	texts := []string{
-		"//item[name]/description//keyword",
-		"//item[not(mailbox)]/name",
-		"//keyword | //emailaddress",
-		"//region//item[name]",
-	}
-	var pool []*core.PreparedQuery
-	for _, t := range texts {
-		for i := 0; i < 4; i++ {
-			pq, err := eng.Prepare(core.LangXPath, t)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool = append(pool, pq)
-		}
-	}
-	ctx := context.Background()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, br := range core.ExecBatch(ctx, pool, workers) {
-					if br.Err != nil {
-						b.Fatal(br.Err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // --- Corpus query service: sharded engine pool + plan cache -------------------
@@ -922,7 +888,7 @@ func BenchmarkMultiLabelPrepared(b *testing.B) {
 	// attribute label on the from side — a restriction the primary-only XASR
 	// could never serve.
 	doc := multiLabelSite()
-	eng := core.New(doc, core.WithStrategy(core.Yannakakis))
+	eng := core.New(doc, core.WithStrategy(baseline.Yannakakis))
 	q := cq.MustParse("Q(k) :- Lab[@name=africa](r), Child+(r, k), Lab[keyword](k).")
 	ctx := context.Background()
 	b.Run("prepared", func(b *testing.B) {

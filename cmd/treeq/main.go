@@ -50,11 +50,20 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/service"
 	"repro/internal/tree"
 )
+
+// strategies are the forced -strategy values, by name.
+var strategies = map[string]core.Strategy{
+	"naive":           core.Naive,
+	"yannakakis":      baseline.Yannakakis,
+	"arc-consistency": core.ArcConsistency,
+	"rewrite":         core.RewriteFirst,
+}
 
 func main() {
 	var (
@@ -79,19 +88,13 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []core.Option{}
-	switch *strategy {
-	case "auto":
-	case "naive":
-		opts = append(opts, core.WithStrategy(core.Naive))
-	case "yannakakis":
-		opts = append(opts, core.WithStrategy(core.Yannakakis))
-	case "arc-consistency":
-		opts = append(opts, core.WithStrategy(core.ArcConsistency))
-	case "rewrite":
-		opts = append(opts, core.WithStrategy(core.RewriteFirst))
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	var opts []core.Option
+	if *strategy != "auto" {
+		s, ok := strategies[*strategy]
+		if !ok {
+			fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		}
+		opts = append(opts, core.WithStrategy(s))
 	}
 
 	lang, text := "", ""

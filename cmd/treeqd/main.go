@@ -69,7 +69,6 @@ import (
 
 	"log/slog"
 
-	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/server"
 	"repro/internal/service"
@@ -83,7 +82,6 @@ func main() {
 		workers       = flag.Int("workers", 0, "fan-out worker-pool width (0 = GOMAXPROCS)")
 		planCache     = flag.Int("plan-cache", 512, "plan-cache capacity in compiled plans (0 = unbounded)")
 		planClauseCap = flag.Int("plan-clause-cap", 2_000_000, "deny plan-cache admission above this many clauses (0 = admit all)")
-		pairCache     = flag.Int("pair-cache", 256, "per-engine structural-join pair-cache cap (0 = unbounded)")
 		maxInFlight   = flag.Int("max-inflight", server.DefaultMaxInFlight, "admission gate width; excess requests get 429 (0 = unbounded)")
 		timeout       = flag.Duration("timeout", server.DefaultTimeout, "default per-request deadline")
 		maxTimeout    = flag.Duration("max-timeout", server.DefaultMaxTimeout, "clamp on request-supplied deadlines")
@@ -104,7 +102,6 @@ func main() {
 		service.WithWorkers(*workers),
 		service.WithPlanCacheSize(*planCache),
 		service.WithPlanClauseCap(*planClauseCap),
-		service.WithEngineOptions(core.WithPairCacheCap(*pairCache)),
 		service.WithMetrics(reg),
 	)
 	if *load != "" {

@@ -1,7 +1,8 @@
 // Package core is the top-level query engine of the library: it wraps a
 // tree-structured document and evaluates queries written in the languages
 // surveyed by the paper (Core XPath, conjunctive queries, monadic datalog,
-// first-order logic), choosing among the paper's five technique families
+// twig patterns, streamable paths, subtree similarity).  It holds three
+// things.  The Auto planner picks among the paper's technique families
 //
 //  1. node orders / labeling schemes and structural joins (Section 2),
 //  2. linear-time Horn-SAT evaluation of monadic datalog (Section 3),
@@ -9,8 +10,14 @@
 //  4. query rewriting into acyclic positive queries (Section 5),
 //  5. arc-consistency / X-underbar holistic evaluation (Section 6),
 //
-// exactly as the survey prescribes, and reporting which technique it picked
-// and why in a Plan the caller can inspect.
+// as the survey prescribes, and reports which technique it picked and why in
+// a Plan the caller can inspect.  The dispatch binds each route once, at
+// Compile.  The Compile/Exec pipeline runs it.  The paper's baselines stay
+// beside the planner as ablations: a forced strategy carries its own route
+// (see Strategy), and Yannakakis is declared in package baseline, next to its
+// evaluator, so a program that never forces it does not link it.  Package
+// stream runs the streamable fragment over SAX events; LangStream shares only
+// its fragment check, xpath.StreamableSteps.
 package core
 
 import (
@@ -20,50 +27,73 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/arccons"
 	"repro/internal/cq"
 	"repro/internal/index"
-	"repro/internal/stream"
 	"repro/internal/tree"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
 
-// Strategy selects how queries are evaluated.
-type Strategy int
+// Strategy selects how queries are evaluated.  The zero value is Auto, the
+// planner.  Every other strategy forces a route: Naive forces the baseline
+// evaluator of every language, and a strategy made by ForceCQ (ArcConsistency
+// here; Yannakakis in package baseline, beside its evaluator) forces one
+// conjunctive-query route and leaves every other language to Auto.
+// Strategies compare with ==.
+type Strategy struct {
+	forced *strategy // nil for Auto
+}
 
-const (
+type strategy struct {
+	name string
+	// cq binds the forced route of a conjunctive query, or fails with
+	// ErrNoStrategy.
+	cq func(c *Compiled, plan *Plan, q *cq.Query) error
+}
+
+var (
 	// Auto lets the planner pick the technique (the default).
-	Auto Strategy = iota
+	Auto Strategy
 	// Naive forces the baseline evaluators (per-node XPath semantics,
 	// backtracking CQ search).  Useful for the ablation benchmarks.
-	Naive
-	// SetAtATime forces the set-at-a-time XPath evaluator.
-	SetAtATime
-	// Yannakakis forces full-reducer evaluation for acyclic CQs.
-	Yannakakis
+	Naive = Strategy{&strategy{name: "naive", cq: compileNaiveCQ}}
 	// ArcConsistency forces the Section-6 holistic evaluator for acyclic CQs.
-	ArcConsistency
+	ArcConsistency = ForceCQ("arc-consistency", "arc-consistency + backtrack-free enumeration",
+		func(ctx context.Context, q *cq.Query, doc *tree.Tree, idx *index.Index) ([]cq.Answer, error) {
+			return arccons.EnumerateAcyclicIndexedCtx(ctx, q, doc, idx)
+		})
 	// RewriteFirst forces the Theorem-5.1 rewriting for CQs.
-	RewriteFirst
+	RewriteFirst = Strategy{&strategy{name: "rewrite", cq: compileRewriteCQ}}
 )
+
+// ForceCQ returns the strategy named name that evaluates every conjunctive
+// query with eval and reports technique as its plan's technique; the other
+// languages run as under Auto.  An eval error is wrapped in ErrNoStrategy
+// unless the context expired.
+func ForceCQ(name, technique string, eval func(ctx context.Context, q *cq.Query, doc *tree.Tree, idx *index.Index) ([]cq.Answer, error)) Strategy {
+	return Strategy{&strategy{name: name, cq: func(c *Compiled, plan *Plan, q *cq.Query) error {
+		plan.Technique = technique
+		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+			ans, err := eval(ctx, q, e.doc, e.idx)
+			if err != nil {
+				if ctx.Err() != nil {
+					return Result{}, err
+				}
+				return Result{}, fmt.Errorf("%w: %v", ErrNoStrategy, err)
+			}
+			return Result{Answers: ans}, nil
+		}
+		return nil
+	}}}
+}
 
 // String names the strategy.
 func (s Strategy) String() string {
-	switch s {
-	case Auto:
+	if s.forced == nil {
 		return "auto"
-	case Naive:
-		return "naive"
-	case SetAtATime:
-		return "set-at-a-time"
-	case Yannakakis:
-		return "yannakakis"
-	case ArcConsistency:
-		return "arc-consistency"
-	case RewriteFirst:
-		return "rewrite"
 	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
+	return s.forced.name
 }
 
 // Phase is one timed stage of query compilation: "parse" (source text to
@@ -142,8 +172,9 @@ func (p *Plan) String() string {
 // An Engine is safe for concurrent use by multiple goroutines: the document
 // and strategy are immutable after New, and the shared index cache guards
 // all lazily-built artifacts internally.  The intended usage for repeated
-// or multi-query workloads is Prepare once, then Exec (or ExecBatch) from as
-// many goroutines as desired.
+// or multi-query workloads is Prepare once, then Exec from as many
+// goroutines as desired; package service fans one query out over many
+// engines.
 type Engine struct {
 	doc      *tree.Tree
 	strategy Strategy
@@ -247,31 +278,6 @@ func (e *Engine) XPath(query string) (xpath.NodeSet, *Plan, error) {
 		return nil, plan, err
 	}
 	return xpath.NodeSet(res.Nodes), plan, nil
-}
-
-// StreamXPath evaluates a forward downward path query over a SAX event
-// stream without materializing the document; it reports the matches'
-// preorder indexes and the streaming statistics.  Like the other routes, the
-// returned Plan carries the prepare (parse + compile) and exec (stream run)
-// timings.  The engine's own document is stored: to query it repeatedly,
-// prepare with LangStream, which runs the same path set-at-a-time.
-func (e *Engine) StreamXPath(query string, events []xmldoc.Event) ([]int, stream.Stats, *Plan, error) {
-	plan := &Plan{Language: "stream", Technique: "streaming transducer (memory O(depth*|Q|))"}
-	prepStart := time.Now()
-	expr, err := xpath.Parse(query)
-	if err != nil {
-		return nil, stream.Stats{}, plan, err
-	}
-	m, err := stream.Compile(expr)
-	if err != nil {
-		return nil, stream.Stats{}, plan, err
-	}
-	plan.PrepareDuration = time.Since(prepStart)
-	var pres []int
-	execStart := time.Now()
-	stats, err := m.Run(events, func(pre int) { pres = append(pres, pre) })
-	plan.ExecDuration = time.Since(execStart)
-	return pres, stats, plan, err
 }
 
 // ErrNoStrategy is returned when the forced strategy cannot evaluate the

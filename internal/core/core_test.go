@@ -1,13 +1,9 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/cq"
-	"repro/internal/tree"
-	"repro/internal/workload"
-	"repro/internal/xmldoc"
 )
 
 const sampleXML = `<site><regions><region><item id="1"><name>n1</name><description><keyword/></description></item>
@@ -94,37 +90,6 @@ func TestCQPlanning(t *testing.T) {
 	}
 }
 
-func TestCQStrategyAgreement(t *testing.T) {
-	doc := workload.SiteDocument(workload.DocSpec{Items: 15, Regions: 2, DescriptionDepth: 1, Seed: 3})
-	query := "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."
-	var results [][]cq.Answer
-	for _, s := range []Strategy{Auto, Naive, Yannakakis, ArcConsistency, RewriteFirst} {
-		e := New(doc, WithStrategy(s))
-		ans, _, err := e.CQ(query)
-		if err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
-		}
-		results = append(results, ans)
-	}
-	for i := 1; i < len(results); i++ {
-		if !cq.AnswersEqual(results[0], results[i]) {
-			t.Errorf("strategy %d disagrees with Auto", i)
-		}
-	}
-}
-
-func TestForcedStrategyErrors(t *testing.T) {
-	e := newEngine(t, WithStrategy(Yannakakis))
-	// Cyclic query cannot be evaluated by Yannakakis directly.
-	if _, _, err := e.CQ("Q :- Child(x, y), Child(y, z), Child+(x, z)."); err == nil {
-		t.Errorf("forced Yannakakis on a cyclic query should fail")
-	}
-	e2 := newEngine(t, WithStrategy(ArcConsistency))
-	if _, _, err := e2.CQ("Q :- Child(x, y), Child(y, z), Child+(x, z)."); err == nil {
-		t.Errorf("forced arc-consistency on a cyclic query should fail")
-	}
-}
-
 func TestDatalog(t *testing.T) {
 	e := newEngine(t)
 	prog := `P0(x) :- Lab[keyword](x).
@@ -167,30 +132,21 @@ func TestTwigAndStream(t *testing.T) {
 		t.Errorf("non-conjunctive twig should fail")
 	}
 
-	events := xmldoc.Events(e.Document())
-	pres, stats, _, err := e.StreamXPath("//item/name", events)
+	pq, err := e.Prepare(LangStream, "//item/name")
 	if err != nil {
-		t.Fatalf("StreamXPath: %v", err)
+		t.Fatalf("stream: %v", err)
 	}
-	if len(pres) != 2 || stats.Matches != 2 {
-		t.Errorf("stream matches = %v, stats %+v", pres, stats)
+	res, _, err := pq.Exec(context.Background())
+	if err != nil {
+		t.Fatalf("stream: %v", err)
 	}
-	if _, _, _, err := e.StreamXPath("//item[name]", events); err == nil {
+	if len(res.Nodes) != 2 {
+		t.Errorf("stream matches = %v", res.Nodes)
+	}
+	if _, err := e.Prepare(LangStream, "//item[name]"); err == nil {
 		t.Errorf("unsupported streaming query should fail")
 	}
-	if _, _, _, err := e.StreamXPath("//[", events); err == nil {
+	if _, err := e.Prepare(LangStream, "//["); err == nil {
 		t.Errorf("parse error should propagate")
 	}
-}
-
-func TestStrategyString(t *testing.T) {
-	for _, s := range []Strategy{Auto, Naive, SetAtATime, Yannakakis, ArcConsistency, RewriteFirst} {
-		if s.String() == "" {
-			t.Errorf("empty name for %d", s)
-		}
-	}
-	if Strategy(99).String() == "" {
-		t.Errorf("unknown strategy should render")
-	}
-	_ = tree.InvalidNode
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/mdatalog"
 	"repro/internal/tree"
@@ -22,13 +24,13 @@ import (
 // forced Yannakakis baseline still builds it and hits it on repeat.
 func TestMultiLabelDifferential(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 14, Regions: 3, DescriptionDepth: 2, Seed: 61})
-	eng := New(doc)
+	eng := core.New(doc)
 	if !eng.Index().MultiLabeled() {
 		t.Fatal("site documents should be multi-labeled")
 	}
 	ctx := context.Background()
 
-	exec := func(lang, text string) *Result {
+	exec := func(lang, text string) *core.Result {
 		t.Helper()
 		pq, err := eng.Prepare(lang, text)
 		if err != nil {
@@ -48,7 +50,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 			"//region[lab() = @name=africa]/item",
 			"//item[lab() = @id=item0]/description//keyword",
 		} {
-			got := exec(LangXPath, q)
+			got := exec(core.LangXPath, q)
 			want := xpath.QueryNaive(xpath.MustParse(q), doc)
 			if fmt.Sprint(got.Nodes) != fmt.Sprint([]tree.NodeID(want)) {
 				t.Errorf("%q: indexed %v, naive %v", q, got.Nodes, want)
@@ -62,7 +64,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 			"Q(i) :- Lab[region](r), Lab[@name=africa](r), Child(r, i), Lab[item](i).",
 			"Q(k) :- Lab[item](i), Lab[@id=item0](i), Child+(i, k), Lab[keyword](k).",
 		} {
-			got := exec(LangCQ, q)
+			got := exec(core.LangCQ, q)
 			want := cq.EvaluateNaive(cq.MustParse(q), doc)
 			if !cq.AnswersEqual(got.Answers, want) {
 				t.Errorf("%q: indexed answers diverge from naive search", q)
@@ -75,9 +77,9 @@ func TestMultiLabelDifferential(t *testing.T) {
 		// yannakakis and rewrite consume the pair cache directly.
 		q := "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."
 		want := cq.EvaluateNaive(cq.MustParse(q), doc)
-		for _, s := range []Strategy{Yannakakis, ArcConsistency, RewriteFirst} {
-			se := New(doc, WithStrategy(s))
-			pq, err := se.Prepare(LangCQ, q)
+		for _, s := range []core.Strategy{baseline.Yannakakis, core.ArcConsistency, core.RewriteFirst} {
+			se := core.New(doc, core.WithStrategy(s))
+			pq, err := se.Prepare(core.LangCQ, q)
 			if err != nil {
 				t.Fatalf("%v: %v", s, err)
 			}
@@ -88,7 +90,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 			if !cq.AnswersEqual(res.Answers, want) {
 				t.Errorf("%v: answers diverge on multi-labeled doc", s)
 			}
-			if s == Yannakakis {
+			if s == baseline.Yannakakis {
 				if _, _, err := pq.Exec(ctx); err != nil {
 					t.Fatalf("%v: repeat: %v", s, err)
 				}
@@ -104,7 +106,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 			"//item[name]/description//keyword",
 			"//region/item[quantity]",
 		} {
-			got := exec(LangTwig, q)
+			got := exec(core.LangTwig, q)
 			tq, err := xpath.ToCQ(xpath.MustParse(q))
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +120,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 
 	t.Run("datalog", func(t *testing.T) {
 		prog := "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."
-		got := exec(LangDatalog, prog)
+		got := exec(core.LangDatalog, prog)
 		p, err := mdatalog.Parse(prog)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +136,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 
 	t.Run("stream", func(t *testing.T) {
 		for _, q := range []string{"//item//keyword", "//region/item/name"} {
-			got := exec(LangStream, q)
+			got := exec(core.LangStream, q)
 			want := xpath.QueryNaive(xpath.MustParse(q), doc)
 			if fmt.Sprint(got.Nodes) != fmt.Sprint([]tree.NodeID(want)) {
 				t.Errorf("%q: stream %v, naive %v", q, got.Nodes, want)
@@ -149,9 +151,9 @@ func TestMultiLabelDifferential(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			sd := secondaryLabelDoc(120, seed, seed%2 == 1)
-			se := New(sd)
+			se := core.New(sd)
 			for _, q := range queries {
-				pq, err := se.Prepare(LangStream, q)
+				pq, err := se.Prepare(core.LangStream, q)
 				if err != nil {
 					t.Fatalf("%q: prepare: %v", q, err)
 				}
@@ -168,8 +170,8 @@ func TestMultiLabelDifferential(t *testing.T) {
 
 	t.Run("similar", func(t *testing.T) {
 		q := "k=5 item(name description)"
-		got := exec(LangSimilar, q)
-		want, _, err := New(doc, WithStrategy(Naive)).Similar(q)
+		got := exec(core.LangSimilar, q)
+		want, _, err := core.New(doc, core.WithStrategy(core.Naive)).Similar(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,8 +220,8 @@ func secondaryLabelDoc(nodes int, seed int64, scramble bool) *tree.Tree {
 // carries, on the stream route as on the XPath route — //c on a(b+c) selects
 // the b+c node, though its element name is b.
 func TestMultiLabelledNodePassesEveryLabel(t *testing.T) {
-	e := New(tree.MustParseSexpr("a(b+c)"))
-	for _, lang := range []string{LangStream, LangXPath} {
+	e := core.New(tree.MustParseSexpr("a(b+c)"))
+	for _, lang := range []string{core.LangStream, core.LangXPath} {
 		pq, err := e.Prepare(lang, "//c")
 		if err != nil {
 			t.Fatal(err)

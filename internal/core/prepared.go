@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,10 +12,8 @@ import (
 	"repro/internal/cq"
 	"repro/internal/mdatalog"
 	"repro/internal/rewrite"
-	"repro/internal/stream"
 	"repro/internal/tree"
 	"repro/internal/xpath"
-	"repro/internal/yannakakis"
 )
 
 // Query languages accepted by Compile and Engine.Prepare.
@@ -33,10 +29,10 @@ const (
 	// the twig route (translate to CQ + holistic evaluation).
 	LangTwig = "twig"
 	// LangStream prepares a forward downward path expression of the
-	// streamable fragment (stream.Compile refuses any other).  On a stored
-	// document a streaming pass has no memory to save, so each execution
-	// runs the path set-at-a-time, as LangXPath does; Engine.StreamXPath
-	// streams a SAX event sequence instead.
+	// streamable fragment (xpath.StreamableSteps refuses any other).  On a
+	// stored document a streaming pass has no memory to save, so each
+	// execution runs the path set-at-a-time, as LangXPath does; package
+	// stream runs the same fragment over a SAX event sequence instead.
 	LangStream = "stream"
 	// LangSimilar prepares a top-k subtree similarity query: a pattern tree
 	// in the ParseSexpr syntax with optional k=N / maxdist=N directives,
@@ -342,53 +338,37 @@ func naiveFallback(ctx context.Context, e *Engine, q *cq.Query, p *Plan, reason 
 	return answers(cq.EvaluateNaiveCtx(ctx, q, e.doc))
 }
 
+// compileNaiveCQ binds the backtracking search: Naive's conjunctive-query
+// route, and Auto's for the queries no other route takes.
+func compileNaiveCQ(c *Compiled, plan *Plan, q *cq.Query) error {
+	plan.Technique = "naive backtracking search"
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+		return answers(cq.EvaluateNaiveCtx(ctx, q, e.doc))
+	}
+	return nil
+}
+
+// compileRewriteCQ binds RewriteFirst's route: the Theorem-5.1 union, built
+// here once and run on every execution.
+func compileRewriteCQ(c *Compiled, plan *Plan, q *cq.Query) error {
+	plan.Technique = "rewrite to acyclic union + Yannakakis"
+	union, err := rewrite.Compile(q)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrNoStrategy, err)
+	}
+	plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
+	c.clauses = len(union)
+	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
+		return answers(union.EvaluateCtx(ctx, e.doc, e.idx))
+	}
+	return nil
+}
+
 func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 	plan.note("query %s with %d atoms over axes %v", q, q.NumAtoms(), q.AxisSet())
 	c.labels = cqLabelSet(q)
-	naive := func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-		return answers(cq.EvaluateNaiveCtx(ctx, q, e.doc))
-	}
-
-	switch s {
-	case Naive:
-		plan.Technique = "naive backtracking search"
-		c.run = naive
-		return nil
-	case Yannakakis:
-		plan.Technique = "Yannakakis full reducer"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-			ans, err := yannakakis.EvaluateIndexed(q, e.doc, e.idx)
-			if err != nil {
-				return Result{}, fmt.Errorf("%w: %v", ErrNoStrategy, err)
-			}
-			return Result{Answers: ans}, nil
-		}
-		return nil
-	case ArcConsistency:
-		plan.Technique = "arc-consistency + backtrack-free enumeration"
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-			ans, err := arccons.EnumerateAcyclicIndexedCtx(ctx, q, e.doc, e.idx)
-			if err != nil {
-				if ctx.Err() != nil {
-					return Result{}, err
-				}
-				return Result{}, fmt.Errorf("%w: %v", ErrNoStrategy, err)
-			}
-			return Result{Answers: ans}, nil
-		}
-		return nil
-	case RewriteFirst:
-		plan.Technique = "rewrite to acyclic union + Yannakakis"
-		union, err := rewrite.Compile(q)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrNoStrategy, err)
-		}
-		plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
-		c.clauses = len(union)
-		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-			return answers(union.EvaluateCtx(ctx, e.doc, e.idx))
-		}
-		return nil
+	if s.forced != nil {
+		return s.forced.cq(c, plan, q)
 	}
 
 	// Auto planning: classify once, at compile time; the route conditions
@@ -442,9 +422,7 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 		plan.note("rewriting failed (%v), falling back", err)
 	}
 	plan.note("falling back to the NP-complete general case (Theorem 6.8)")
-	plan.Technique = "naive backtracking search"
-	c.run = naive
-	return nil
+	return compileNaiveCQ(c, plan, q)
 }
 
 func (c *Compiled) compileDatalog(plan *Plan, s Strategy, t *time.Time) error {
@@ -510,114 +488,26 @@ func (c *Compiled) compileTwig(plan *Plan, t *time.Time) error {
 	return nil
 }
 
-// compileStream checks that the expression is in the streamable fragment and
-// runs it on the axis images, the call compileXPath makes: the streaming
-// automaton earns its keep on input that is not stored, and the image
-// evaluator fuses "//" as stream.Compile does.
+// compileStream checks that the expression is in the streamable fragment, the
+// check stream.Compile makes, and runs it on the axis images, the call
+// compileXPath makes: the streaming automaton earns its keep on input that is
+// not stored, and the image evaluator fuses "//" as the automaton does.
 func (c *Compiled) compileStream(plan *Plan, t *time.Time) error {
 	expr, err := xpath.Parse(c.text)
 	if err != nil {
 		return err
 	}
 	plan.lap("parse", t)
-	m, err := stream.Compile(expr)
+	steps, err := xpath.StreamableSteps(expr)
 	if err != nil {
 		return err
 	}
 	plan.lap("compile", t)
 	plan.Technique = "streamable path, set-at-a-time evaluation (O(|D|*|Q|))"
-	plan.note("%q is a %d-step streamable path; on a stored document it runs as axis images, not as a streaming pass", c.text, m.Steps())
+	plan.note("%q is a %d-step streamable path; on a stored document it runs as axis images, not as a streaming pass", c.text, len(steps))
 	c.labels = xpath.LabelSet(expr)
 	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		return Result{Nodes: xpath.QueryIndexed(expr, e.doc, e.idx)}, nil
 	}
 	return nil
-}
-
-// BatchResult pairs the outcome of one query of a batch with its position in
-// the input slice.
-type BatchResult struct {
-	// Index is the query's position in the batch.
-	Index int
-	// Result is the execution result (nil on error).
-	Result *Result
-	// Plan is the per-execution plan (nil only when the query never ran).
-	Plan *Plan
-	// Err is the prepare or execution error, if any.
-	Err error
-}
-
-// ExecBatch executes the prepared queries on a pool of workers goroutines
-// (GOMAXPROCS when workers <= 0) and returns one BatchResult per query, in
-// input order.  The queries may share an Engine; a cancelled context aborts
-// queries that have not started yet.
-func ExecBatch(ctx context.Context, queries []*PreparedQuery, workers int) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	RunPool(len(queries), workers, func(i int) {
-		out[i] = BatchResult{Index: i}
-		if queries[i] == nil {
-			out[i].Err = errors.New("core: nil PreparedQuery in batch")
-			return
-		}
-		out[i].Result, out[i].Plan, out[i].Err = queries[i].Exec(ctx)
-	})
-	return out
-}
-
-// QueryRequest names one query of a QueryAll batch.
-type QueryRequest struct {
-	// Lang is the query language (LangXPath, LangCQ, LangDatalog, LangTwig,
-	// LangStream, LangSimilar).
-	Lang string
-	// Text is the query source.
-	Text string
-}
-
-// QueryAll prepares and executes a mixed-language batch of queries on a pool
-// of workers goroutines (GOMAXPROCS when workers <= 0), returning one
-// BatchResult per request, in input order.  Each worker prepares and runs
-// its own queries, so both compilation and execution parallelize.
-func (e *Engine) QueryAll(ctx context.Context, reqs []QueryRequest, workers int) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	RunPool(len(reqs), workers, func(i int) {
-		out[i] = BatchResult{Index: i}
-		pq, err := e.Prepare(reqs[i].Lang, reqs[i].Text)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		out[i].Result, out[i].Plan, out[i].Err = pq.Exec(ctx)
-	})
-	return out
-}
-
-// RunPool runs do(0..n-1) on min(workers, n) goroutines (GOMAXPROCS when
-// workers <= 0) and waits for them.  It is the worker pool behind ExecBatch,
-// QueryAll, and the corpus service's fan-out.
-func RunPool(n, workers int, do func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -180,106 +180,6 @@ P0(x) :- P(x).
 	}
 }
 
-// TestXASRBuiltOnce asserts that the shared XASR is materialized exactly once
-// across many (including concurrent) executions that route through the
-// structural-join path.
-func TestXASRBuiltOnce(t *testing.T) {
-	// RandomTree gives single-labeled nodes, so the XASR structural-join
-	// shortcut is sound and the planner's yannakakis route uses it.
-	e := New(workload.RandomTree(workload.TreeSpec{Nodes: 300, Seed: 12, Alphabet: []string{"a", "b", "c"}}),
-		WithStrategy(Yannakakis))
-	pq, err := e.Prepare(LangCQ, "Q(x, y) :- Lab[a](x), Child+(x, y), Lab[b](y).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				if _, _, err := pq.Exec(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	stats := e.Index().Snapshot()
-	if stats.XASRBuilds != 1 {
-		t.Errorf("XASR built %d times, want exactly 1", stats.XASRBuilds)
-	}
-	if stats.PairBuilds == 0 {
-		t.Errorf("structural-join pairs were never cached (the XASR path did not run)")
-	}
-	if stats.PairHits == 0 {
-		t.Errorf("repeated executions should hit the pair cache, got %+v", stats)
-	}
-}
-
-func TestExecBatchAndQueryAll(t *testing.T) {
-	e := preparedDoc()
-	ctx := context.Background()
-
-	var queries []*PreparedQuery
-	texts := []string{"//item", "//keyword", "//region//item[name]", "//item[not(name)]"}
-	for _, q := range texts {
-		pq, err := e.Prepare(LangXPath, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, pq)
-	}
-	batch := ExecBatch(ctx, queries, 3)
-	if len(batch) != len(queries) {
-		t.Fatalf("batch size %d, want %d", len(batch), len(queries))
-	}
-	for i, br := range batch {
-		if br.Index != i || br.Err != nil || br.Result == nil {
-			t.Fatalf("batch[%d] = %+v", i, br)
-		}
-		want, _, err := e.XPath(texts[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(br.Result.Nodes) != len(want) {
-			t.Errorf("batch[%d]: %d nodes, want %d", i, len(br.Result.Nodes), len(want))
-		}
-	}
-
-	reqs := []QueryRequest{
-		{Lang: LangXPath, Text: "//item"},
-		{Lang: LangCQ, Text: "Q(k) :- Lab[keyword](k)."},
-		{Lang: LangXPath, Text: "//["}, // parse error: only this entry errors
-		{Lang: LangTwig, Text: "//item[name]"},
-	}
-	all := e.QueryAll(ctx, reqs, 0)
-	if len(all) != len(reqs) {
-		t.Fatalf("QueryAll returned %d results", len(all))
-	}
-	for i, br := range all {
-		if i == 2 {
-			if br.Err == nil {
-				t.Errorf("request %d should fail to parse", i)
-			}
-			continue
-		}
-		if br.Err != nil {
-			t.Errorf("request %d: %v", i, br.Err)
-		}
-	}
-
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	for _, br := range ExecBatch(cancelled, queries, 2) {
-		if br.Err == nil {
-			t.Errorf("cancelled context should abort execution")
-		}
-	}
-}
-
 // TestPlanCloneIsolatesExecNotes: executions share the compiled plan's notes
 // without copying them, so a note one execution adds (here a naiveFallback)
 // must land in that execution's plan only — not in the compiled base, whose

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -17,33 +18,32 @@ import (
 // strategy; a strategy that cannot evaluate a query is skipped.
 func TestResultOrderContract(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 30, Regions: 3, DescriptionDepth: 2, Seed: 5})
-	eng := New(doc)
+	eng := core.New(doc)
 	queries := []struct{ lang, text string }{
-		{LangCQ, "Q(i, k) :- Lab[item](i), Child(i, d), Lab[description](d), Child+(d, k), Lab[keyword](k)."},
-		{LangCQ, "Q(k) :- Lab[@name=africa](r), Child+(r, k), Lab[keyword](k)."},
-		{LangCQ, "Q(i, n) :- Lab[item](i), Child(i, n), Lab[name](n), Child(i, m), Lab[mailbox](m)."},
-		{LangCQ, "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k), Child+(i, t), Lab[text](t), Following(k, t)."},
-		{LangCQ, "Q :- Lab[item](i), Child(i, m), Lab[mailbox](m)."},
-		{LangTwig, "//item[name]/description//keyword"},
-		{LangTwig, "//region//item[mailbox]//keyword"},
-		{LangXPath, "//item[name]/description//keyword"},
-		{LangXPath, "//item[not(mailbox)]/name"},
-		{LangDatalog, "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."},
-		{LangStream, "//item//keyword"},
-		{LangStream, "//region/item/name"},
+		{core.LangCQ, "Q(i, k) :- Lab[item](i), Child(i, d), Lab[description](d), Child+(d, k), Lab[keyword](k)."},
+		{core.LangCQ, "Q(k) :- Lab[@name=africa](r), Child+(r, k), Lab[keyword](k)."},
+		{core.LangCQ, "Q(i, n) :- Lab[item](i), Child(i, n), Lab[name](n), Child(i, m), Lab[mailbox](m)."},
+		{core.LangCQ, "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k), Child+(i, t), Lab[text](t), Following(k, t)."},
+		{core.LangCQ, "Q :- Lab[item](i), Child(i, m), Lab[mailbox](m)."},
+		{core.LangTwig, "//item[name]/description//keyword"},
+		{core.LangTwig, "//region//item[mailbox]//keyword"},
+		{core.LangXPath, "//item[name]/description//keyword"},
+		{core.LangXPath, "//item[not(mailbox)]/name"},
+		{core.LangDatalog, "P0(x) :- Lab[keyword](x).\nP0(x) :- NextSibling(x, y), P0(y).\nP(x) :- FirstChild(x, y), P0(y).\nP0(x) :- P(x).\n?- P."},
+		{core.LangStream, "//item//keyword"},
+		{core.LangStream, "//region/item/name"},
 	}
-	strategies := []Strategy{Auto, Naive, SetAtATime, Yannakakis, ArcConsistency, RewriteFirst}
 	for _, q := range queries {
 		for _, s := range strategies {
-			c, err := Compile(q.lang, q.text, WithStrategy(s))
-			if errors.Is(err, ErrNoStrategy) {
+			c, err := core.Compile(q.lang, q.text, core.WithStrategy(s))
+			if errors.Is(err, core.ErrNoStrategy) {
 				continue
 			}
 			if err != nil {
 				t.Fatalf("%s %q under %v: compile: %v", q.lang, q.text, s, err)
 			}
 			res, _, err := c.Exec(context.Background(), eng)
-			if errors.Is(err, ErrNoStrategy) {
+			if errors.Is(err, core.ErrNoStrategy) {
 				continue
 			}
 			if err != nil {

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/stream"
 	"repro/internal/tree"
 	"repro/internal/workload"
-	"repro/internal/xmldoc"
 )
 
 // TestPreparedStreamMatchesTreeXPath is the stream/tree equivalence check:
@@ -102,30 +100,5 @@ func TestPreparedStreamConcurrentExec(t *testing.T) {
 	wg.Wait()
 	if st := pq.Stats(); st.Execs != 1+8*25 {
 		t.Errorf("Execs = %d, want %d", st.Execs, 1+8*25)
-	}
-}
-
-// TestStreamXPathPlanTimings: the one-shot streaming route must report
-// prepare/exec timings like the other routes (regression for the route that
-// used to leave them zero).
-func TestStreamXPathPlanTimings(t *testing.T) {
-	doc := workload.SiteDocument(workload.DocSpec{Items: 20, Regions: 3, DescriptionDepth: 2, Seed: 34})
-	e := New(doc)
-	events := xmldoc.Events(doc)
-	pres, stats, plan, err := e.StreamXPath("//item//keyword", events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pres) == 0 || stats.Matches != len(pres) {
-		t.Fatalf("matches=%d pres=%d", stats.Matches, len(pres))
-	}
-	if plan.PrepareDuration <= 0 {
-		t.Error("StreamXPath plan has no PrepareDuration")
-	}
-	if plan.ExecDuration <= 0 {
-		t.Error("StreamXPath plan has no ExecDuration")
-	}
-	if !strings.Contains(plan.Technique, "streaming") {
-		t.Errorf("plan technique = %q", plan.Technique)
 	}
 }

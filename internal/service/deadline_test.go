@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -17,6 +16,22 @@ P0(x) :- NextSibling(x, y), P0(y).
 P(x)  :- FirstChild(x, y), P0(y).
 P0(x) :- P(x).
 ?- P.`
+
+// cancelAtQuery is a context that cancels itself when asked for its error
+// once the service has started its n-th query.
+type cancelAtQuery struct {
+	context.Context
+	cancel context.CancelFunc
+	s      *Service
+	n      uint64
+}
+
+func (c cancelAtQuery) Err() error {
+	if c.s.Stats().Queries >= c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
 
 // TestQueryCorpusCancelMidFanOut cancels the caller's context while a
 // single-worker fan-out is in flight and checks partial-failure reporting:
@@ -36,17 +51,10 @@ func TestQueryCorpusCancelMidFanOut(t *testing.T) {
 	// Cancel as soon as the second document's query has started: the Queries
 	// counter ticks just before each Exec, and the worker is sequential, so
 	// Queries == 2 proves the first document already finished (and keeps its
-	// result even under the evaluators' in-loop ctx checkpoints).  The single
-	// worker still has ~22 cold datalog prepares (milliseconds each) ahead of
-	// it, so the cancellation lands mid-fan-out.
-	go func() {
-		for s.Stats().Queries < 2 {
-			runtime.Gosched()
-		}
-		cancel()
-	}()
-
-	results := s.QueryCorpus(ctx, core.LangDatalog, keywordReachProgram)
+	// result even under the evaluators' in-loop ctx checkpoints).  The cancel
+	// happens inside the fan-out, on the context's own Err call, so no
+	// scheduling of a second goroutine can let the fan-out finish first.
+	results := s.QueryCorpus(cancelAtQuery{ctx, cancel, s, 2}, core.LangDatalog, keywordReachProgram)
 	if len(results) != 24 {
 		t.Fatalf("got %d results, want 24", len(results))
 	}

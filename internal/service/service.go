@@ -2,8 +2,7 @@
 // core engine: a concurrency-safe pool of named documents, sharded across
 // independent engine maps so corpus mutation and lookup never contend on one
 // lock, with an LRU plan cache so even one-shot Query calls hit compiled
-// plans, and fan-out batch routing (QueryCorpus) built on the prepare/execute
-// worker pools.
+// plans, and corpus-wide fan-out (QueryCorpus) on a worker pool.
 //
 // The paper's pipeline (conf_pods_Koch06) compiles a tree query once and runs
 // it many times; every compilation it describes is a function of the query
@@ -27,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -186,8 +186,8 @@ func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithWorkers sets the worker-pool width used by QueryAll and QueryCorpus
-// (default GOMAXPROCS; values < 1 mean GOMAXPROCS at call time).
+// WithWorkers sets the worker-pool width of QueryCorpus's fan-out (default
+// GOMAXPROCS; values < 1 mean GOMAXPROCS at call time).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -476,28 +476,6 @@ func (s *Service) QueryVersioned(ctx context.Context, doc, lang, text string) (*
 	return res, plan, ent.version, err
 }
 
-// QueryAll prepares (through the plan cache) and executes a mixed-language
-// batch against the named document on the service's worker pool, returning
-// one BatchResult per request in input order.
-func (s *Service) QueryAll(ctx context.Context, doc string, reqs []core.QueryRequest) ([]core.BatchResult, error) {
-	ent, err := s.entry(doc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.BatchResult, len(reqs))
-	core.RunPool(len(reqs), s.workers, func(i int) {
-		out[i] = core.BatchResult{Index: i}
-		c, err := s.plan(reqs[i].Lang, reqs[i].Text)
-		if err != nil {
-			out[i].Err = err
-			return
-		}
-		s.queries.Add(1)
-		out[i].Result, out[i].Plan, out[i].Err = c.Exec(ctx, ent.eng)
-	})
-	return out, nil
-}
-
 // DocResult is the outcome of one document of a corpus fan-out.
 type DocResult struct {
 	// Doc is the document name.
@@ -548,7 +526,7 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 		return out
 	}
 	c, planErr := s.plan(lang, text)
-	core.RunPool(len(names), s.workers, func(i int) {
+	runPool(len(names), s.workers, func(i int) {
 		out[i] = DocResult{Doc: names[i]}
 		if err := ctx.Err(); err != nil {
 			out[i].Err = err
@@ -622,4 +600,34 @@ func (s *Service) Stats() Stats {
 		RebuildUpdates:         s.rebuildUpdates.Load(),
 		PlansSkippedByLabelSet: s.planLabelSkips.Load(),
 	}
+}
+
+// runPool runs do(0..n-1) on min(workers, n) goroutines (GOMAXPROCS when
+// workers <= 0) and waits for them: QueryCorpus's fan-out pool.
+func runPool(n, workers int, do func(i int)) {
+	if n == 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -243,32 +243,3 @@ func TestConcurrentCorpusUse(t *testing.T) {
 		t.Errorf("plan cache exceeded its cap: %d > 16", st.PlanCacheSize)
 	}
 }
-
-func TestQueryAllMixedLanguages(t *testing.T) {
-	s := corpusService(t, 1)
-	ctx := context.Background()
-	reqs := []core.QueryRequest{
-		{Lang: core.LangXPath, Text: "//item"},
-		{Lang: core.LangCQ, Text: "Q(k) :- Lab[keyword](k)."},
-		{Lang: core.LangStream, Text: "//item//keyword"},
-		{Lang: core.LangXPath, Text: "///broken("},
-	}
-	out, err := s.QueryAll(ctx, "doc00", reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("got %d results", len(out))
-	}
-	for i, br := range out[:3] {
-		if br.Err != nil {
-			t.Errorf("request %d: %v", i, br.Err)
-		}
-	}
-	if out[3].Err == nil {
-		t.Error("broken query should error")
-	}
-	if len(out[0].Result.Nodes) == 0 || len(out[1].Result.Answers) == 0 || len(out[2].Result.Nodes) == 0 {
-		t.Error("mixed-language batch returned empty results")
-	}
-}

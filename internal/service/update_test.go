@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/tree"
@@ -542,7 +543,7 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 // pair relations on a multi-labeled document, hits them on repeat, and a small
 // edit elsewhere carries them into the patched index instead of rebuilding.
 func TestUpdateYannakakisCarriesPairs(t *testing.T) {
-	s := New(WithEngineOptions(core.WithStrategy(core.Yannakakis)))
+	s := New(WithEngineOptions(core.WithStrategy(baseline.Yannakakis)))
 	if err := s.AddXML("d", multiKeywordXML(3)); err != nil {
 		t.Fatal(err)
 	}

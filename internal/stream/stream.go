@@ -46,28 +46,19 @@ type Matcher struct {
 
 // ErrUnsupported is returned by Compile for expressions outside the
 // streamable fragment (qualifiers, unions, non-downward axes, relative
-// paths).
-var ErrUnsupported = errors.New("stream: expression is outside the streamable downward-path fragment")
+// paths).  It is the fragment check's xpath.ErrNotStreamable, so core's
+// LangStream route refuses the same texts with the same error.
+var ErrUnsupported = xpath.ErrNotStreamable
 
 // Compile compiles an absolute, qualifier-free downward path expression
 // (steps over child, descendant, and descendant-or-self only) into a
-// streaming matcher.  Every "//" is fused first (xpath.Fuse), as the image
-// evaluator fuses it: //item//keyword compiles to two descendant steps, not
-// to four steps of which two test "*".
+// streaming matcher.  Every "//" is fused first (xpath.StreamableSteps), as
+// the image evaluator fuses it: //item//keyword compiles to two descendant
+// steps, not to four steps of which two test "*".
 func Compile(e xpath.Expr) (*Matcher, error) {
-	path, ok := e.(*xpath.Path)
-	if !ok || !path.Absolute || len(path.Steps) == 0 {
-		return nil, ErrUnsupported
-	}
-	steps := make([]xpath.Step, 0, len(path.Steps))
-	for i := 0; i < len(path.Steps); i++ {
-		s := path.Steps[i]
-		if i+1 < len(path.Steps) {
-			if f, ok := xpath.Fuse(s, path.Steps[i+1]); ok {
-				s, i = f, i+1
-			}
-		}
-		steps = append(steps, s)
+	steps, err := xpath.StreamableSteps(e)
+	if err != nil {
+		return nil, err
 	}
 	k := len(steps)
 	w := k/64 + 1 // states 0..k
@@ -76,9 +67,6 @@ func Compile(e xpath.Expr) (*Matcher, error) {
 		child: make([]uint64, w), deep: make([]uint64, w), dos: make([]uint64, w), star: make([]uint64, w),
 	}
 	for i, s := range steps {
-		if len(s.Quals) > 0 {
-			return nil, ErrUnsupported
-		}
 		word, bit := i/64, uint64(1)<<(i%64)
 		switch s.Axis {
 		case tree.Child:
@@ -88,8 +76,6 @@ func Compile(e xpath.Expr) (*Matcher, error) {
 		case tree.DescendantOrSelf:
 			m.deep[word] |= bit
 			m.dos[word] |= bit
-		default:
-			return nil, ErrUnsupported
 		}
 		if s.Test == "*" {
 			m.star[word] |= bit

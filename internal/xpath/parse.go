@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -43,6 +44,42 @@ func MustParse(input string) Expr {
 		panic(err)
 	}
 	return e
+}
+
+// ErrNotStreamable is returned by StreamableSteps for an expression outside
+// the streamable fragment.  Package stream reports it as stream.ErrUnsupported,
+// whose "stream:" text it keeps.
+var ErrNotStreamable = errors.New("stream: expression is outside the streamable downward-path fragment")
+
+// StreamableSteps checks that e is in the streamable fragment — an absolute,
+// qualifier-free path of child, descendant and descendant-or-self steps — and
+// returns its steps with every "//" fused (see Fuse): //item//keyword is two
+// descendant steps, not four.  Qualifiers, unions, reverse and sibling axes
+// and relative paths fail with ErrNotStreamable.
+func StreamableSteps(e Expr) ([]Step, error) {
+	path, ok := e.(*Path)
+	if !ok || !path.Absolute || len(path.Steps) == 0 {
+		return nil, ErrNotStreamable
+	}
+	steps := make([]Step, 0, len(path.Steps))
+	for i := 0; i < len(path.Steps); i++ {
+		s := path.Steps[i]
+		if i+1 < len(path.Steps) {
+			if f, ok := Fuse(s, path.Steps[i+1]); ok {
+				s, i = f, i+1
+			}
+		}
+		if len(s.Quals) > 0 {
+			return nil, ErrNotStreamable
+		}
+		switch s.Axis {
+		case tree.Child, tree.Descendant, tree.DescendantOrSelf:
+		default:
+			return nil, ErrNotStreamable
+		}
+		steps = append(steps, s)
+	}
+	return steps, nil
 }
 
 type parser struct {
