@@ -18,9 +18,10 @@ import (
 // Three baseline packages stay linked, and the test allows them:
 //   - labeling and relstore come in through index, which still carries the
 //     XASR, label rows and the pair cache of the relational baselines;
-//   - hornsat runs on the Auto X-property route (Theorem 6.5):
-//     arccons.SatisfiableXIndexedCtx calls MaxPreValuationIndexedCtx, which
-//     solves with hornsat.SolveCtx.
+//   - hornsat runs on no Auto route.  It is linked because mdatalog keeps
+//     the ground Evaluate ablation (Theorem 3.2 as written) in the package
+//     whose compiled solver treeqd runs, and arccons keeps the Prop. 6.2
+//     reference MaxPreValuation beside the kernel in the same way.
 func TestDaemonDeps(t *testing.T) {
 	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	out, err := exec.Command(goBin, "list", "-deps", "./cmd/treeqd").Output()

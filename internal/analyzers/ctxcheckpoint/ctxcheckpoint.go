@@ -14,8 +14,9 @@
 // checkpoints live: a modulo-interval ctx.Err() in the main loop
 // (hornsat.SolveCtx, mdatalog's compiled SolveCtx), a checkpoint inside the
 // backtracking recursion closure (cq.EvalCtx, arccons.EnumerateCtx), or
-// delegation by passing ctx to the callee that does the solving (arccons
-// building a Horn program and handing it to SolveCtx).  Requiring a
+// delegation by passing ctx to the callee that does the solving
+// (arccons.SatisfiableXIndexedCtx handing it to the arc-consistency
+// fixpoint, which polls it after every revision).  Requiring a
 // checkpoint in every loop would outlaw the setup loops, so the analyzer
 // checks the shape itself:
 //

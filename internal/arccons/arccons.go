@@ -1,19 +1,21 @@
 // Package arccons implements Section 6 of the paper: evaluating conjunctive
 // queries over trees through arc-consistency and the X-underbar property.
 //
-//   - MaxPreValuation computes the unique subset-maximal arc-consistent
-//     pre-valuation of a query on a tree with the Horn-SAT encoding of
-//     Proposition 6.2 (solved by Minoux' algorithm, package hornsat); a
-//     simple AC-style propagation (MaxPreValuationPropagate) is provided as
-//     a cross-check and ablation baseline.
+//   - SatisfiableX evaluates Boolean conjunctive queries over a tractable
+//     signature in O(||A||·|Q|) via Theorem 6.5: the subset-maximal
+//     arc-consistent pre-valuation, then the minimum valuation of Lemma 6.4.
+//     CheckTuple is the same with the head variables pinned to a tuple.  Both
+//     compute the pre-valuation as a fixpoint of the interval-join kernel's
+//     image semi-joins (one tree.Image call per revision of an atom).
+//   - MaxPreValuation computes the same pre-valuation with the Horn-SAT
+//     encoding of Proposition 6.2, solved by Minoux' algorithm (package
+//     hornsat).  It is the paper's construction as stated and the reference
+//     the fixpoint is tested against; no engine route calls it.
 //   - HasXProperty checks Definition 6.3 for a relation/order pair, and
 //     XPropertyOrder implements Proposition 6.6 (which axes have the
 //     X-property with respect to which of <pre, <post, <bflr).
 //   - ClassifySignature is the dichotomy classifier of Theorem 6.8: a set of
 //     axes is tractable iff it fits one of the signatures tau1, tau2, tau3.
-//   - SatisfiableX evaluates Boolean conjunctive queries over a tractable
-//     signature in O(||A||·|Q|) via Theorem 6.5 (arc-consistency plus the
-//     minimum valuation of Lemma 6.4).
 //   - Compile and Compiled.EnumerateCtx (kernel.go) are the interval-join
 //     kernel every relational route of the engine executes on: the full
 //     reducer computes the maximal arc-consistent pre-valuation of an
@@ -21,10 +23,6 @@
 //     are enumerated from it without backtracking (Figure 6, Propositions
 //     6.9 and 6.10) -- the generalization of holistic twig joins.
 //     EnumerateAcyclic is the compile-and-run-once wrapper.
-//
-// MaxPreValuation, SatisfiableX and CheckTuple stay on the Horn-SAT encoding:
-// they are the paper's Section-6 algorithms as stated, and the oracles the
-// kernel's differential tests compare against.
 package arccons
 
 import (
@@ -38,27 +36,23 @@ import (
 	"repro/internal/tree"
 )
 
-// PreValuation maps every query variable to a set of candidate nodes
-// (Section 6).  A pre-valuation is total: every variable of the query must
-// be present with a non-empty set; the constructors below return ok=false
-// instead of producing a partial one.
-type PreValuation map[cq.Variable][]tree.NodeID
+// PreValuation maps every query variable to its set of candidate nodes, a bit
+// vector over NodeIDs (Section 6).  A pre-valuation is total: every variable
+// of the query is present with a non-empty set; the functions below return
+// ok=false instead of producing a partial one.
+type PreValuation map[cq.Variable]bitset.Bits
 
 // Contains reports whether node n is in the candidate set of variable v.
 func (p PreValuation) Contains(v cq.Variable, n tree.NodeID) bool {
-	for _, m := range p[v] {
-		if m == n {
-			return true
-		}
-	}
-	return false
+	s := p[v]
+	return n >= 0 && int(n) < s.Len() && s.Get(int(n))
 }
 
 // Size returns the total number of (variable, node) pairs.
 func (p PreValuation) Size() int {
 	s := 0
-	for _, ns := range p {
-		s += len(ns)
+	for _, b := range p {
+		s += b.Count()
 	}
 	return s
 }
@@ -78,31 +72,11 @@ var ErrOrderAtoms = errors.New("arccons: query contains order atoms")
 // solved with Minoux' linear-time algorithm.  It returns ok=false if some
 // variable ends up with an empty candidate set (no arc-consistent
 // pre-valuation exists, hence the query is unsatisfiable).
+//
+// The clauses list every node's whole axis image, Theta(n^2) literals for
+// Following, so this is the reference construction, not an engine route:
+// SatisfiableX computes the same pre-valuation from axis images.
 func MaxPreValuation(q *cq.Query, t *tree.Tree) (PreValuation, bool, error) {
-	return MaxPreValuationIndexed(q, t, nil)
-}
-
-// LabelIndex supplies shared per-label node masks so repeated evaluations
-// over the same tree skip the per-call label scans.  Implementations must
-// return masks that are stable and safe for concurrent readers (this package
-// never mutates or releases them); package index provides one.
-type LabelIndex interface {
-	// CodeMask returns the bit vector with bit n set iff node n carries the
-	// label of code c, a code of the tree's dictionary.
-	CodeMask(c tree.Code) bitset.Bits
-}
-
-// MaxPreValuationIndexed is MaxPreValuation with label tests answered by a
-// shared index (may be nil, in which case labels are scanned per call).
-func MaxPreValuationIndexed(q *cq.Query, t *tree.Tree, ix LabelIndex) (PreValuation, bool, error) {
-	return MaxPreValuationIndexedCtx(context.Background(), q, t, ix)
-}
-
-// MaxPreValuationIndexedCtx is MaxPreValuationIndexed under a context: the
-// Horn-SAT solve checkpoints ctx periodically (hornsat.CheckpointInterval
-// unit propagations), so a per-document budget cancels a runaway encoding
-// within one checkpoint interval.  Returns ctx.Err() when cancelled.
-func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, ix LabelIndex) (PreValuation, bool, error) {
 	if len(q.Orders) > 0 {
 		return nil, false, ErrOrderAtoms
 	}
@@ -121,23 +95,6 @@ func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, i
 	for _, v := range vars {
 		labels := q.LabelsOf(v)
 		if len(labels) == 0 {
-			continue
-		}
-		if ix != nil {
-			// Exclude every node missing one of the labels: OR the complement
-			// of each cached mask word-at-a-time, then walk only the set bits.
-			excluded := bitset.Acquire(n)
-			for _, c := range t.Dict().Codes(labels) {
-				if c == tree.NoCode { // a label the tree lacks excludes every node
-					excluded.SetAll(n)
-					break
-				}
-				excluded.OrNot(ix.CodeMask(c), n)
-			}
-			excluded.ForEach(func(i int) {
-				p.AddFact(out(v, tree.NodeID(i)))
-			})
-			bitset.Release(excluded)
 			continue
 		}
 		codes := t.Dict().Codes(labels)
@@ -169,19 +126,16 @@ func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, i
 		}
 	}
 
-	model, err := p.SolveCtx(ctx)
-	if err != nil {
-		return nil, false, err
-	}
+	model := p.Solve()
 	pv := PreValuation{}
 	for _, v := range vars {
-		var keep []tree.NodeID
+		keep := bitset.New(n)
 		for _, node := range t.Nodes() {
 			if !model.True(out(v, node)) {
-				keep = append(keep, node)
+				keep.Set(int(node))
 			}
 		}
-		if len(keep) == 0 {
+		if !keep.Any() {
 			return nil, false, nil
 		}
 		pv[v] = keep
@@ -189,107 +143,61 @@ func MaxPreValuationIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, i
 	return pv, true, nil
 }
 
-// MaxPreValuationPropagate computes the same maximal arc-consistent
-// pre-valuation by straightforward constraint propagation (repeatedly remove
-// candidates without a support on some atom until a fixpoint); worst-case
-// slower than the Horn-SAT route but simpler.  Used as a cross-check.
-func MaxPreValuationPropagate(q *cq.Query, t *tree.Tree) (PreValuation, bool, error) {
-	return MaxPreValuationPropagateCtx(context.Background(), q, t)
-}
-
-// MaxPreValuationPropagateCtx is MaxPreValuationPropagate under a context:
-// every axis revision of the fixpoint loop checkpoints ctx, so cancellation
-// takes effect within one revision pass.  Returns ctx.Err() when cancelled.
-func MaxPreValuationPropagateCtx(ctx context.Context, q *cq.Query, t *tree.Tree) (PreValuation, bool, error) {
-	if len(q.Orders) > 0 {
-		return nil, false, ErrOrderAtoms
-	}
-	vars := q.Variables()
-	pv := PreValuation{}
-	for _, v := range vars {
-		codes := t.Dict().Codes(q.LabelsOf(v))
-		var dom []tree.NodeID
-		for node := range tree.NodeID(t.Len()) {
-			if t.HasCodes(node, codes) {
-				dom = append(dom, node)
-			}
-		}
-		if len(dom) == 0 {
-			return nil, false, nil
-		}
-		pv[v] = dom
-	}
-	return repropagate(ctx, q, t, pv)
-}
-
-func toSet(ns []tree.NodeID) map[tree.NodeID]bool {
-	m := make(map[tree.NodeID]bool, len(ns))
-	for _, n := range ns {
-		m[n] = true
-	}
-	return m
+// LabelIndex supplies shared per-label node masks so repeated evaluations
+// over the same tree skip the per-call label scans.  Implementations must
+// return masks that are stable and safe for concurrent readers (this package
+// never mutates or releases them); package index provides one.
+type LabelIndex interface {
+	// CodeMask returns the bit vector with bit n set iff node n carries the
+	// label of code c, a code of the tree's dictionary.
+	CodeMask(c tree.Code) bitset.Bits
 }
 
 // IsArcConsistent verifies the two conditions of arc-consistency of pv for q
-// on t (used by tests and by the property-based checks).
+// on t node by node, from the definition (the oracle of the tests).
 func IsArcConsistent(q *cq.Query, t *tree.Tree, pv PreValuation) bool {
 	for _, v := range q.Variables() {
-		if len(pv[v]) == 0 {
+		if !pv[v].Any() {
 			return false
 		}
 	}
+	ok := true
 	for _, la := range q.Labels {
-		for _, n := range pv[la.Var] {
-			if !t.HasLabel(n, la.Label) {
-				return false
-			}
-		}
+		pv[la.Var].ForEach(func(n int) {
+			ok = ok && t.HasLabel(tree.NodeID(n), la.Label)
+		})
+	}
+	// supported reports whether every node of from has an a-partner in to.
+	supported := func(a tree.Axis, from, to bitset.Bits) bool {
+		all := true
+		from.ForEach(func(v int) {
+			found := false
+			t.StepFunc(a, tree.NodeID(v), func(w tree.NodeID) bool {
+				found = to.Get(int(w))
+				return !found
+			})
+			all = all && found
+		})
+		return all
 	}
 	for _, a := range q.Axes {
-		inTo := toSet(pv[a.To])
-		inFrom := toSet(pv[a.From])
-		for _, v := range pv[a.From] {
-			ok := false
-			t.StepFunc(a.Axis, v, func(w tree.NodeID) bool {
-				if inTo[w] {
-					ok = true
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
-		}
-		for _, w := range pv[a.To] {
-			ok := false
-			t.StepFunc(a.Axis.Inverse(), w, func(v tree.NodeID) bool {
-				if inFrom[v] {
-					ok = true
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return false
-			}
-		}
+		ok = ok && supported(a.Axis, pv[a.From], pv[a.To]) && supported(a.Axis.Inverse(), pv[a.To], pv[a.From])
 	}
-	return true
+	return ok
 }
 
 // MinimumValuation returns the valuation that maps every variable to the
 // smallest node of its candidate set with respect to the given order
 // (Lemma 6.4's minimum valuation).
 func MinimumValuation(t *tree.Tree, pv PreValuation, o tree.Order) map[cq.Variable]tree.NodeID {
-	out := map[cq.Variable]tree.NodeID{}
+	out := make(map[cq.Variable]tree.NodeID, len(pv))
 	for v, ns := range pv {
-		best := ns[0]
-		for _, n := range ns[1:] {
-			if t.Less(o, n, best) {
-				best = n
+		best := tree.NodeID(-1)
+		ns.ForEach(func(n int) {
+			if best < 0 || t.Less(o, tree.NodeID(n), best) {
+				best = tree.NodeID(n)
 			}
-		}
+		})
 		out[v] = best
 	}
 	return out
@@ -423,18 +331,32 @@ var ErrIntractableSignature = errors.New("arccons: axis set fits no tractable si
 // then the minimum valuation with respect to the signature's order is a
 // witness, which the function double-checks).
 func SatisfiableX(q *cq.Query, t *tree.Tree) (bool, error) {
-	return SatisfiableXIndexed(q, t, nil)
+	return SatisfiableXIndexedCtx(context.Background(), q, t, nil)
 }
 
-// SatisfiableXIndexed is SatisfiableX with label tests answered by a shared
-// index (may be nil, in which case labels are scanned per call).
-func SatisfiableXIndexed(q *cq.Query, t *tree.Tree, ix LabelIndex) (bool, error) {
-	return SatisfiableXIndexedCtx(context.Background(), q, t, ix)
-}
-
-// SatisfiableXIndexedCtx is SatisfiableXIndexed under a context (see
-// MaxPreValuationIndexedCtx for checkpoint granularity).
+// SatisfiableXIndexedCtx is SatisfiableX with label tests answered by a shared
+// index (nil indexes t for this call only), under a context that is polled
+// after every revision of the fixpoint (one axis image).  Returns ctx.Err()
+// when cancelled.
 func SatisfiableXIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, ix LabelIndex) (bool, error) {
+	return satisfiable(ctx, q, t, ix, nil)
+}
+
+// CheckTuple decides whether a given tuple of nodes (one per head variable)
+// belongs to the answer of a k-ary conjunctive query over a tractable
+// signature, in time O(||A||·|Q|), by the standard reduction described after
+// Theorem 6.5: add the singleton unary relations X_i = {a_i}, that is, pin
+// every head variable to its node, and test Boolean satisfiability.
+func CheckTuple(q *cq.Query, t *tree.Tree, tuple []tree.NodeID) (bool, error) {
+	if len(tuple) != len(q.Head) {
+		return false, fmt.Errorf("arccons: tuple arity %d, query arity %d", len(tuple), len(q.Head))
+	}
+	return satisfiable(context.Background(), q, t, nil, tuple)
+}
+
+// satisfiable is Theorem 6.5 for q with its head variables pinned to the
+// nodes of tuple (none when tuple is nil).
+func satisfiable(ctx context.Context, q *cq.Query, t *tree.Tree, ix LabelIndex, tuple []tree.NodeID) (bool, error) {
 	if len(q.Orders) > 0 {
 		return false, ErrOrderAtoms
 	}
@@ -442,15 +364,17 @@ func SatisfiableXIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, ix L
 	if sig == SignatureNone {
 		return false, ErrIntractableSignature
 	}
-	pv, ok, err := MaxPreValuationIndexedCtx(ctx, q, t, ix)
-	if err != nil {
-		return false, err
-	}
+	vars := q.Variables()
+	k, ok := arcConsistency(ctx, q, vars, t, ix, tuple)
+	defer k.release()
 	if !ok {
-		return false, nil
+		return false, k.err
 	}
-	val := MinimumValuation(t, pv, order)
-	if !IsConsistent(q, t, val) {
+	pv := make(PreValuation, len(vars))
+	for i, v := range vars {
+		pv[v] = k.dom[i]
+	}
+	if !IsConsistent(q, t, MinimumValuation(t, pv, order)) {
 		// Theorem 6.5 guarantees consistency; reaching this point would mean a
 		// bug in the X-property machinery, so surface it loudly.
 		return false, fmt.Errorf("arccons: minimum valuation of an arc-consistent pre-valuation is inconsistent for %v", q)
@@ -458,105 +382,79 @@ func SatisfiableXIndexedCtx(ctx context.Context, q *cq.Query, t *tree.Tree, ix L
 	return true, nil
 }
 
-// CheckTuple decides whether a given tuple of nodes (one per head variable)
-// belongs to the answer of a k-ary conjunctive query over a tractable
-// signature, in time O(||A||·|Q|), by the standard reduction described after
-// Theorem 6.5: pin every head variable to its node with a singleton
-// candidate restriction and test Boolean satisfiability.
-func CheckTuple(q *cq.Query, t *tree.Tree, tuple []tree.NodeID) (bool, error) {
-	if len(tuple) != len(q.Head) {
-		return false, fmt.Errorf("arccons: tuple arity %d, query arity %d", len(tuple), len(q.Head))
+// arcConsistency leaves in k.dom[i] the candidate set of vars[i] (q's
+// variables) in the subset-maximal arc-consistent pre-valuation of q on t,
+// with the head variables first intersected with the nodes of tuple.  Every
+// atom R(x, y) is revised as Theta(x) &= Image(R^-1, Theta(y)) and
+// Theta(y) &= Image(R, Theta(x)), one kernel semi-join each, over a worklist
+// of the atoms with an endpoint whose set shrank, until nothing changes.  The
+// second revision removes only nodes with no partner left in Theta(x), which
+// supported nothing there, so a revised atom stays settled until a neighbour
+// shrinks one of its sets.  ok is false when a set empties, or when ctx is
+// cancelled (k.err is then set).  The caller must release k.
+func arcConsistency(ctx context.Context, q *cq.Query, vars []cq.Variable, t *tree.Tree, ix LabelIndex, tuple []tree.NodeID) (k *kernel, ok bool) {
+	id := make(map[cq.Variable]int, len(vars))
+	labels := make([][]string, len(vars))
+	for i, v := range vars {
+		id[v], labels[i] = i, q.LabelsOf(v)
 	}
-	pinned := q.Clone()
-	pinned.Head = nil
-	sig, order := ClassifySignature(q.AxisSet())
-	if sig == SignatureNone {
-		return false, ErrIntractableSignature
-	}
-	// The paper's reduction adds singleton unary relations X_i = {a_i}; the
-	// equivalent operation here is to intersect the maximal arc-consistent
-	// pre-valuation with the pinned nodes and re-establish arc-consistency by
-	// propagation (which can only shrink candidate sets further).
-	pv, ok, err := MaxPreValuation(pinned, t)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, nil
-	}
-	for i, v := range q.Head {
-		if !pv.Contains(v, tuple[i]) {
-			return false, nil
-		}
-		pv[v] = []tree.NodeID{tuple[i]}
-	}
-	pv, ok, err = repropagate(context.Background(), pinned, t, pv)
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, nil
-	}
-	val := MinimumValuation(t, pv, order)
-	return IsConsistent(pinned, t, val), nil
-}
-
-// repropagate removes unsupported candidates from pv until arc-consistency
-// is restored; returns ok=false if a candidate set empties.  Every axis
-// revision checkpoints ctx.
-func repropagate(ctx context.Context, q *cq.Query, t *tree.Tree, pv PreValuation) (PreValuation, bool, error) {
-	changed := true
-	for changed {
-		changed = false
-		for _, a := range q.Axes {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
-			inTo := toSet(pv[a.To])
-			inFrom := toSet(pv[a.From])
-			var keepFrom []tree.NodeID
-			for _, v := range pv[a.From] {
-				ok := false
-				t.StepFunc(a.Axis, v, func(w tree.NodeID) bool {
-					if inTo[w] {
-						ok = true
-						return false
-					}
-					return true
-				})
-				if ok {
-					keepFrom = append(keepFrom, v)
-				}
-			}
-			if len(keepFrom) != len(pv[a.From]) {
-				pv[a.From] = keepFrom
-				changed = true
-			}
-			if len(keepFrom) == 0 {
-				return nil, false, nil
-			}
-			var keepTo []tree.NodeID
-			for _, w := range pv[a.To] {
-				ok := false
-				t.StepFunc(a.Axis.Inverse(), w, func(v tree.NodeID) bool {
-					if inFrom[v] {
-						ok = true
-						return false
-					}
-					return true
-				})
-				if ok {
-					keepTo = append(keepTo, w)
-				}
-			}
-			if len(keepTo) != len(pv[a.To]) {
-				pv[a.To] = keepTo
-				changed = true
-			}
-			if len(keepTo) == 0 {
-				return nil, false, nil
-			}
+	k = newKernel(t, ix, labels)
+	for i, n := range tuple {
+		d := k.dom[id[q.Head[i]]]
+		in := n >= 0 && int(n) < k.n && d.Get(int(n))
+		d.Reset()
+		if in {
+			d.Set(int(n))
 		}
 	}
-	return pv, true, nil
+	for _, d := range k.dom {
+		if !d.Any() {
+			return k, false
+		}
+	}
+	type atom struct {
+		x, y int
+		axis tree.Axis
+	}
+	atoms := make([]atom, 0, len(q.Axes))
+	for _, a := range q.Axes {
+		x, y := id[a.From], id[a.To]
+		if x == y {
+			// R(x, x) holds at every node or at none.
+			if !a.Axis.IsReflexive() {
+				return k, false
+			}
+			continue
+		}
+		atoms = append(atoms, atom{x, y, a.Axis})
+	}
+	work, queued := make([]int, len(atoms)), make([]bool, len(atoms))
+	for i := range atoms {
+		work[i], queued[i] = i, true
+	}
+	// step revises x against y under a(x, y), atom i's axis one way round,
+	// and queues the other atoms on x if its set shrank.
+	step := func(i, x, y int, a tree.Axis) bool {
+		before := k.dom[x].Count()
+		if !k.revise(ctx, x, y, a) {
+			return false
+		}
+		if k.dom[x].Count() < before {
+			for j, b := range atoms {
+				if j != i && !queued[j] && (b.x == x || b.y == x) {
+					work, queued[j] = append(work, j), true
+				}
+			}
+		}
+		return true
+	}
+	for len(work) > 0 {
+		i := work[len(work)-1]
+		work, queued[i] = work[:len(work)-1], false
+		a := atoms[i]
+		if !step(i, a.x, a.y, a.axis) || !step(i, a.y, a.x, a.axis.Inverse()) {
+			return k, false
+		}
+	}
+	return k, true
 }

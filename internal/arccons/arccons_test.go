@@ -1,6 +1,8 @@
 package arccons
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/cq"
@@ -21,11 +23,11 @@ func TestMaxPreValuationSimple(t *testing.T) {
 		t.Fatalf("result is not arc-consistent: %v", pv)
 	}
 	// x candidates: the a-nodes with a b-descendant = pre 1 and pre 5.
-	if len(pv["x"]) != 2 {
+	if pv["x"].Count() != 2 {
 		t.Errorf("candidates for x = %v", pv["x"])
 	}
 	// y candidates: b nodes below some a = pre 2 and pre 6.
-	if len(pv["y"]) != 2 {
+	if pv["y"].Count() != 2 {
 		t.Errorf("candidates for y = %v", pv["y"])
 	}
 	if pv.Size() != 4 {
@@ -59,39 +61,69 @@ func TestMaxPreValuationUnsatisfiable(t *testing.T) {
 	}
 }
 
-// TestHornSATMatchesPropagation cross-checks the two arc-consistency
-// implementations on random queries and trees.
+// fixpoint runs arcConsistency on q and returns an owned copy of its
+// pre-valuation and the number of revisions it took.
+func fixpoint(t *testing.T, q *cq.Query, tr *tree.Tree, ix LabelIndex) (PreValuation, bool, int) {
+	t.Helper()
+	vars := q.Variables()
+	k, ok := arcConsistency(context.Background(), q, vars, tr, ix, nil)
+	defer k.release()
+	if k.err != nil {
+		t.Fatalf("arcConsistency(%s): %v", q, k.err)
+	}
+	pv := PreValuation{}
+	for i, v := range vars {
+		pv[v] = k.dom[i].Clone()
+	}
+	return pv, ok, k.revisions
+}
+
+// sameAsHorn asserts that the image fixpoint and the Horn-SAT encoding of
+// Prop. 6.2 agree on existence and on every variable's set, and that the set
+// is arc-consistent by the definition.  It returns the fixpoint's revisions.
+func sameAsHorn(t *testing.T, name string, q *cq.Query, tr *tree.Tree, ix LabelIndex) int {
+	t.Helper()
+	want, wok, err := MaxPreValuation(q, tr)
+	if err != nil {
+		t.Fatalf("%s: MaxPreValuation(%s): %v", name, q, err)
+	}
+	got, ok, revisions := fixpoint(t, q, tr, ix)
+	if ok != wok {
+		t.Fatalf("%s: existence disagrees: fixpoint=%v hornsat=%v (query %s)", name, ok, wok, q)
+	}
+	if !ok {
+		return revisions
+	}
+	for _, v := range q.Variables() {
+		if !got[v].Equal(want[v]) {
+			t.Fatalf("%s: candidate sets for %s differ (query %s)\nfixpoint %v\nhornsat  %v", name, v, q, got[v], want[v])
+		}
+	}
+	if !IsArcConsistent(q, tr, got) {
+		t.Fatalf("%s: fixpoint result not arc-consistent (query %s)", name, q)
+	}
+	return revisions
+}
+
+// TestHornSATMatchesPropagation cross-checks the image fixpoint behind
+// SatisfiableX and CheckTuple against the Horn-SAT reference on random
+// queries and trees: a mixed axis set and each tractable signature, with
+// extra edges, so cyclic queries are covered.
 func TestHornSATMatchesPropagation(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		tr := workload.RandomTree(workload.TreeSpec{Nodes: 30, Seed: seed, Alphabet: []string{"a", "b", "c"}})
-		q := cq.RandomTwig(cq.GenSpec{
-			Vars: 2 + int(seed%3), Alphabet: []string{"a", "b", "c"}, LabelProb: 0.6,
-			Axes: []tree.Axis{tree.Child, tree.Descendant, tree.FollowingSibling},
-			Seed: seed, ExtraEdges: int(seed % 2),
-		})
-		pv1, ok1, err1 := MaxPreValuation(q, tr)
-		pv2, ok2, err2 := MaxPreValuationPropagate(q, tr)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("seed %d: errors %v %v", seed, err1, err2)
-		}
-		if ok1 != ok2 {
-			t.Fatalf("seed %d: existence disagrees: hornsat=%v propagate=%v (query %s)", seed, ok1, ok2, q)
-		}
-		if !ok1 {
-			continue
-		}
-		for _, v := range q.Variables() {
-			if len(pv1[v]) != len(pv2[v]) {
-				t.Fatalf("seed %d: candidate sets for %s differ: %v vs %v", seed, v, pv1[v], pv2[v])
-			}
-			for _, n := range pv1[v] {
-				if !pv2.Contains(v, n) {
-					t.Fatalf("seed %d: node %d for %s missing from propagate result", seed, n, v)
-				}
-			}
-		}
-		if !IsArcConsistent(q, tr, pv1) {
-			t.Fatalf("seed %d: hornsat result not arc-consistent", seed)
+	axisSets := [][]tree.Axis{
+		{tree.Child, tree.Descendant, tree.FollowingSibling},
+		{tree.Descendant, tree.DescendantOrSelf},
+		{tree.Following},
+		{tree.Child, tree.NextSiblingAxis, tree.FollowingSibling, tree.FollowingSiblingOrSelf},
+	}
+	for _, axes := range axisSets {
+		for seed := int64(0); seed < 30; seed++ {
+			tr := workload.RandomTree(workload.TreeSpec{Nodes: 30, Seed: seed, Alphabet: []string{"a", "b", "c"}})
+			q := cq.RandomTwig(cq.GenSpec{
+				Vars: 2 + int(seed%3), Alphabet: []string{"a", "b", "c"}, LabelProb: 0.6,
+				Axes: axes, Seed: seed, ExtraEdges: int(seed % 3),
+			})
+			sameAsHorn(t, fmt.Sprintf("%v seed %d", axes, seed), q, tr, nil)
 		}
 	}
 }

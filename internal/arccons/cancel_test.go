@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cq"
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -18,17 +19,41 @@ func TestCtxVariantsHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, _, err := MaxPreValuationIndexedCtx(ctx, q, tr, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxPreValuationIndexedCtx err = %v, want context.Canceled", err)
-	}
-	if _, _, err := MaxPreValuationPropagateCtx(ctx, q, tr); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxPreValuationPropagateCtx err = %v, want context.Canceled", err)
-	}
 	if _, err := EnumerateAcyclicIndexedCtx(ctx, q, tr, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("EnumerateAcyclicIndexedCtx err = %v, want context.Canceled", err)
 	}
 	if _, err := SatisfiableXIndexedCtx(ctx, cq.MustParse("Q :- Lab[a](x), Child+(x, y), Lab[b](y)."), tr, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("SatisfiableXIndexedCtx err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFixpointCheckpointCadence proves that the arc-consistency fixpoint
+// behind SatisfiableXIndexedCtx polls ctx once per revision (one axis image),
+// and that a cancelled run stops at the first poll that fails, without
+// asking ctx again.
+func TestFixpointCheckpointCadence(t *testing.T) {
+	doc := workload.SiteDocument(workload.DocSpec{Items: 50, Regions: 6, DescriptionDepth: 2, Seed: 1})
+	ix := index.New(doc)
+	for _, tri := range triangles {
+		q := cq.MustParse(tri.text)
+		_, _, revisions := fixpoint(t, q, doc, ix)
+		if revisions < 2*len(q.Axes) {
+			t.Fatalf("%s: %d revisions, want at least two per atom", tri.name, revisions)
+		}
+		ctx := &countingCtx{Context: context.Background()}
+		if sat, err := SatisfiableXIndexedCtx(ctx, q, doc, ix); err != nil || !sat {
+			t.Fatalf("%s: SatisfiableXIndexedCtx = %v, %v; want true", tri.name, sat, err)
+		}
+		if ctx.calls < revisions {
+			t.Errorf("%s: ctx.Err called %d times over %d revisions, want at least one per revision", tri.name, ctx.calls, revisions)
+		}
+		ctx = &countingCtx{Context: context.Background(), failAfter: 2}
+		if _, err := SatisfiableXIndexedCtx(ctx, q, doc, ix); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tri.name, err)
+		}
+		if ctx.calls != 2 {
+			t.Errorf("%s: ctx.Err called %d times, want 2: the abort must land on the second revision", tri.name, ctx.calls)
+		}
 	}
 }
 
@@ -51,7 +76,7 @@ func TestEnumerateCtxCancelsMidEnumeration(t *testing.T) {
 		t.Fatalf("want an answer set spanning several checkpoint intervals, got %d", len(full))
 	}
 
-	ctx := &expireAfterCtx{Context: context.Background(), failAfter: 3}
+	ctx := &countingCtx{Context: context.Background(), failAfter: 3}
 	if _, err := EnumerateAcyclicIndexedCtx(ctx, q, tr, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -63,16 +88,17 @@ func TestEnumerateCtxCancelsMidEnumeration(t *testing.T) {
 	}
 }
 
-// expireAfterCtx reports cancellation from its failAfter-th Err call onward.
-type expireAfterCtx struct {
+// countingCtx counts its Err calls, each one checkpoint, and reports
+// cancellation from the failAfter-th call onward (never when failAfter is 0).
+type countingCtx struct {
 	context.Context
 	calls     int
 	failAfter int
 }
 
-func (c *expireAfterCtx) Err() error {
+func (c *countingCtx) Err() error {
 	c.calls++
-	if c.calls >= c.failAfter {
+	if c.failAfter > 0 && c.calls >= c.failAfter {
 		return context.Canceled
 	}
 	return nil

@@ -134,10 +134,10 @@ func TestProposition69NoBacktracking(t *testing.T) {
 		full.Head = q.Variables()
 		solutions := cq.EvaluateNaive(full, tr)
 		for vi, v := range full.Head {
-			for _, cand := range pv[v] {
+			pv[v].ForEach(func(cand int) {
 				found := false
 				for _, sol := range solutions {
-					if sol[vi] == cand {
+					if sol[vi] == tree.NodeID(cand) {
 						found = true
 						break
 					}
@@ -145,7 +145,7 @@ func TestProposition69NoBacktracking(t *testing.T) {
 				if !found {
 					t.Errorf("seed %d: candidate %d of %s participates in no solution (query %s)", seed, cand, v, q)
 				}
-			}
+			})
 		}
 	}
 }

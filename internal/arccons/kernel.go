@@ -127,14 +127,15 @@ func (c *Compiled) Visits() int64 { return c.visits.Load() }
 // space, which is NodeID space: a candidate domain is a bitset over NodeIDs
 // and a subtree is the interval [r, End(r)].
 type kernel struct {
-	c      *Compiled
-	t      *tree.Tree
-	n      int
-	dom    []bitset.Bits // per variable
-	assign []int         // per variable: the node enumeration currently binds it to
-	rows   []tree.NodeID // the answers so far, len(c.head) nodes each
-	visits int
-	err    error
+	c         *Compiled // nil for arcConsistency's fixpoint
+	t         *tree.Tree
+	n         int
+	dom       []bitset.Bits // per variable
+	assign    []int         // per variable: the node enumeration currently binds it to
+	rows      []tree.NodeID // the answers so far, len(c.head) nodes each
+	visits    int
+	revisions int // single-axis semi-joins: one image and one poll of ctx each
+	err       error
 }
 
 // EnumerateCtx evaluates the compiled query on t.  It is Yannakakis'
@@ -157,7 +158,8 @@ func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex
 	if len(c.order) == 0 {
 		return []cq.Answer{{}}, nil
 	}
-	k := c.newKernel(t, ix)
+	k := newKernel(t, ix, c.labels)
+	k.c, k.assign = c, make([]int, len(c.order))
 	defer k.release()
 	if !k.reduce(ctx) {
 		return nil, k.err
@@ -188,29 +190,29 @@ func (k *kernel) answers() []cq.Answer {
 	return out
 }
 
-// newKernel binds c to a document and fills the label domains.  The caller
-// must release the kernel.  A nil ix indexes the tree's labels for this call
-// only.
-func (c *Compiled) newKernel(t *tree.Tree, ix LabelIndex) *kernel {
+// newKernel binds a document and fills one domain per variable from its
+// label atoms.  The caller must release the kernel.  A nil ix indexes the
+// tree's labels for this call only.
+func newKernel(t *tree.Tree, ix LabelIndex, labels [][]string) *kernel {
 	if ix == nil {
 		ix = index.New(t)
 	}
-	k := &kernel{
-		c: c, t: t, n: t.Len(),
-		dom: make([]bitset.Bits, len(c.order)), assign: make([]int, len(c.order)),
-	}
+	k := &kernel{t: t, n: t.Len(), dom: make([]bitset.Bits, len(labels))}
 	for v := range k.dom {
-		k.dom[v] = k.domain(t, ix, c.labels[v])
+		k.dom[v] = k.domain(t, ix, labels[v])
 	}
 	return k
 }
 
-// release returns the domains to the pool and books the visits.
+// release returns the domains to the pool and books the visits with the
+// compiled query, if any.
 func (k *kernel) release() {
 	for _, d := range k.dom {
 		bitset.Release(d)
 	}
-	k.c.visits.Add(int64(k.visits))
+	if k.c != nil {
+		k.c.visits.Add(int64(k.visits))
+	}
 }
 
 // domain returns the nodes carrying every one of the labels (all nodes when
@@ -274,25 +276,32 @@ func (k *kernel) reduce(ctx context.Context) bool {
 }
 
 // semijoin keeps in dom[x] the ranks with a partner in dom[y] under every
-// axis of axes (given as a(x, y)).  One axis is a set operation: intersect
-// with the image of dom[y] under the inverse axis.  Parallel atoms need one
-// partner satisfying all of them, so each candidate is probed on its own.
+// axis of axes (given as a(x, y)).  Parallel atoms need one partner
+// satisfying all of them, so each candidate is probed on its own.
 func (k *kernel) semijoin(ctx context.Context, x, y int, axes []tree.Axis) bool {
-	dx, dy := k.dom[x], k.dom[y]
 	if len(axes) == 1 {
-		// The image takes no ctx: its visits are booked, and ctx polled, here.
-		img := bitset.Acquire(k.n)
-		k.visits += k.t.Image(axes[0].Inverse(), dy, img)
-		dx.And(img)
-		bitset.Release(img)
-		k.err = ctx.Err()
-	} else {
-		k.each(ctx, dx, func(r int) {
-			if k.partner(axes, r, -1, dy) < 0 {
-				dx.Clear(r)
-			}
-		})
+		return k.revise(ctx, x, y, axes[0])
 	}
+	dx, dy := k.dom[x], k.dom[y]
+	k.each(ctx, dx, func(r int) {
+		if k.partner(axes, r, -1, dy) < 0 {
+			dx.Clear(r)
+		}
+	})
+	return k.err == nil && dx.Any()
+}
+
+// revise is the semi-join over one axis a (given as a(x, y)), a set
+// operation: intersect dom[x] with the image of dom[y] under the inverse
+// axis.  The image takes no ctx: its visits are booked, and ctx polled, here.
+func (k *kernel) revise(ctx context.Context, x, y int, a tree.Axis) bool {
+	dx := k.dom[x]
+	img := bitset.Acquire(k.n)
+	k.visits += k.t.Image(a.Inverse(), k.dom[y], img)
+	dx.And(img)
+	bitset.Release(img)
+	k.revisions++
+	k.err = ctx.Err()
 	return k.err == nil && dx.Any()
 }
 

@@ -15,21 +15,22 @@ import (
 )
 
 // reducedDomains runs only the full reducer and returns its domains as a
-// pre-valuation over NodeIDs; ok is false when some domain emptied.
+// pre-valuation; ok is false when some domain emptied.
 func reducedDomains(t *testing.T, q *cq.Query, tr *tree.Tree) (PreValuation, bool) {
 	t.Helper()
 	c, err := Compile(q)
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", q, err)
 	}
-	k := c.newKernel(tr, nil)
+	k := newKernel(tr, nil, c.labels)
+	k.c = c
 	defer k.release()
 	if !k.reduce(context.Background()) {
 		return nil, false
 	}
 	pv := PreValuation{}
 	for i, v := range q.Variables() {
-		k.dom[i].ForEach(func(r int) { pv[v] = append(pv[v], tree.NodeID(r)) })
+		pv[v] = k.dom[i].Clone()
 	}
 	return pv, true
 }
@@ -83,7 +84,7 @@ func checkAgainstOracles(t *testing.T, name string, q *cq.Query, tr *tree.Tree) 
 		t.Fatalf("%s: %s on %s: reducer ok=%v, MaxPreValuation ok=%v", name, q, tr, rok, ok)
 	}
 	for _, v := range q.Variables() {
-		if ok && !slices.Equal(red[v], pv[v]) {
+		if ok && !red[v].Equal(pv[v]) {
 			t.Fatalf("%s: %s on %s: variable %s\nreduced          %v\nmax prevaluation %v", name, q, tr, v, red[v], pv[v])
 		}
 	}
@@ -174,7 +175,7 @@ func TestKernelCheckpointCadence(t *testing.T) {
 			t.Fatalf("%s: only %d visits, want several checkpoint intervals and more than %d", tc.name, full, tc.aborted)
 		}
 		// Err call 1 is the entry guard; calls 2 and 3 are the first two polls.
-		ctx := &expireAfterCtx{Context: context.Background(), failAfter: 3}
+		ctx := &countingCtx{Context: context.Background(), failAfter: 3}
 		if _, err := c.EnumerateCtx(ctx, tr, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
 		}

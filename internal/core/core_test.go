@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/cq"
 )
 
 const sampleXML = `<site><regions><region><item id="1"><name>n1</name><description><keyword/></description></item>
@@ -68,13 +70,23 @@ func TestCQPlanning(t *testing.T) {
 	if !strings.Contains(plan.Technique, "arc-consistency") {
 		t.Errorf("acyclic query should use arc-consistency, got %q", plan.Technique)
 	}
-	// Cyclic Boolean query over tau1 -> X-property.
-	_, plan, err = e.CQ("Q :- Child+(x, y), Child+(y, z), Child+(x, z), Lab[keyword](z).")
-	if err != nil {
-		t.Fatalf("CQ: %v", err)
-	}
-	if !strings.Contains(plan.Technique, "X-property") {
-		t.Errorf("cyclic tau1 Boolean query should use the X-property route, got %q (%s)", plan.Technique, plan)
+	// Cyclic Boolean queries over tau1, tau2 and tau3 -> X-property, with the
+	// naive answer.
+	for _, text := range []string{
+		"Q :- Child+(x, y), Child+(y, z), Child+(x, z), Lab[keyword](z).",
+		"Q :- Lab[keyword](a), Lab[keyword](b), Lab[name](c), Following(a, b), Following(b, c), Following(a, c).",
+		"Q :- Lab[item](a), Lab[name](b), Lab[description](c), Child(a, b), NextSibling+(b, c), Child(a, c).",
+	} {
+		ans, plan, err = e.CQ(text)
+		if err != nil {
+			t.Fatalf("CQ: %v", err)
+		}
+		if plan.Technique != "X-property arc-consistency (Theorem 6.5)" {
+			t.Errorf("%s: cyclic Boolean query should use the X-property route, got %q (%s)", text, plan.Technique, plan)
+		}
+		if want := cq.Satisfiable(cq.MustParse(text), e.Document()); (len(ans) == 1) != want {
+			t.Errorf("%s: %d answers, naive satisfiable = %v", text, len(ans), want)
+		}
 	}
 	// Cyclic non-Boolean query -> rewrite route.
 	_, plan, err = e.CQ("Q(z) :- Child(x, y), Child+(y, z), Child+(x, z), Lab[item](y).")

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -277,16 +276,6 @@ func (m *Model) Count() int {
 // check off the per-literal fast path.
 const CheckpointInterval = 1024
 
-// solveScratch pools the per-solve working arrays of Minoux' algorithm (the
-// clause counters and the derivation queue).  Neither escapes a solve — only
-// the model does — so repeated solves reuse one allocation set.
-type solveScratch struct {
-	size  []int32
-	queue []Pred
-}
-
-var scratchPool = sync.Pool{New: func() any { return &solveScratch{} }}
-
 // Solve computes the minimal model of the program with Minoux' algorithm
 // (Figure 3 of the paper): every clause keeps a counter of unsatisfied body
 // atoms; an index "rules[p]" lists the clauses in whose body p occurs; a
@@ -308,12 +297,8 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 	}
 	ix := p.index()
 	m := &Model{true_: make([]bool, p.numPreds)}
-
-	sc := scratchPool.Get().(*solveScratch)
-	defer scratchPool.Put(sc)
-	sc.size = append(sc.size[:0], ix.bodyLen...)
-	size, occ, ruleIdx := sc.size, ix.occ, ix.ruleIdx
-	queue := sc.queue[:0]
+	size, occ, ruleIdx := slices.Clone(ix.bodyLen), ix.occ, ix.ruleIdx
+	var queue []Pred
 	for _, h := range ix.facts {
 		if !m.true_[h] {
 			m.true_[h] = true
@@ -324,7 +309,6 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 	for qi := 0; qi < len(queue); qi++ {
 		if qi%CheckpointInterval == CheckpointInterval-1 {
 			if err := ctx.Err(); err != nil {
-				sc.queue = queue
 				return nil, err
 			}
 		}
@@ -341,10 +325,9 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 			}
 		}
 	}
-	sc.queue = queue
 	// The queue is the derivation order: every atom enters it once, when it
 	// is derived, and is popped in that order.
-	m.Derived = append([]Pred(nil), queue...)
+	m.Derived = queue
 	return m, nil
 }
 
