@@ -130,7 +130,7 @@ func BenchmarkE4MonadicDatalog(b *testing.B) {
 		})
 	}
 	// The same theorem without the ground program: the TMNF rules compiled
-	// once, propagated on the tree (what treeqd executes).
+	// once, solved on the tree by per-component sweeps (what treeqd executes).
 	tm, err := prog.ToTMNF()
 	if err != nil {
 		b.Fatal(err)
@@ -316,9 +316,9 @@ func BenchmarkJoinKernel(b *testing.B) {
 // BenchmarkScanRoutes times the linear-scan routes of scan_mix at 150 and
 // 1,500 items, on parsed documents as the daemon holds them: a warm Exec of
 // the stream plan //item//keyword (axis images, as XPath runs it), a warm
-// Exec of the ancestor datalog plan (one unit propagation over the tree),
-// that plan's Prepare (parse + TMNF + compile: no document is read, so the
-// two sizes cost the same), and a warm Exec of the XPath plan
+// Exec of the ancestor datalog plan (one backward sweep over the preorder
+// ranks), that plan's Prepare (parse + TMNF + compile: no document is read,
+// so the two sizes cost the same), and a warm Exec of the XPath plan
 // //item[name]/description//keyword (axis images on the preorder-rank view).
 // TestScanScalingLinear enforces the counts.
 func BenchmarkScanRoutes(b *testing.B) {

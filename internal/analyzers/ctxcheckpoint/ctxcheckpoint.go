@@ -12,13 +12,14 @@
 // (building occurrence indexes, candidate domains, encodings), then the
 // dominant — often superlinear — work, which is where the cancellation
 // checkpoints live: a modulo-interval ctx.Err() in the main loop
-// (hornsat.SolveCtx, mdatalog's compiled SolveCtx), a checkpoint inside the
-// backtracking recursion closure (cq.EvalCtx, arccons.EnumerateCtx), or
-// delegation by passing ctx to the callee that does the solving
-// (arccons.SatisfiableXIndexedCtx handing it to the arc-consistency
-// fixpoint, which polls it after every revision).  Requiring a
-// checkpoint in every loop would outlaw the setup loops, so the analyzer
-// checks the shape itself:
+// (hornsat.SolveCtx), a checkpoint inside the backtracking recursion closure
+// (cq.EvalCtx, arccons.EnumerateCtx), or delegation by passing ctx to the
+// callee that does the solving (arccons.SatisfiableXIndexedCtx handing it to
+// the arc-consistency fixpoint, which polls it after every revision;
+// mdatalog's compiled SolveCtx handing it to each component's step, sweep or
+// queue, which poll it every mdatalog.CheckpointInterval nodes or atoms).
+// Requiring a checkpoint in every loop would outlaw the setup loops, so the
+// analyzer checks the shape itself:
 //
 // In the solver packages (hornsat, cq, arccons, rewrite, mdatalog), every
 // exported function whose name ends in "Ctx" and takes a context.Context

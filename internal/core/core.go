@@ -5,7 +5,7 @@
 // things.  The Auto planner picks among the paper's technique families
 //
 //  1. node orders / labeling schemes and structural joins (Section 2),
-//  2. linear-time Horn-SAT evaluation of monadic datalog (Section 3),
+//  2. linear-time evaluation of monadic datalog in TMNF (Section 3),
 //  3. structural decomposition -- acyclicity and Yannakakis (Section 4),
 //  4. query rewriting into acyclic positive queries (Section 5),
 //  5. arc-consistency / X-underbar holistic evaluation (Section 6),

@@ -113,7 +113,7 @@ P0(x) :- P(x).
 	if err != nil {
 		t.Fatalf("Datalog: %v", err)
 	}
-	if !strings.Contains(plan.Technique, "Horn-SAT") {
+	if !strings.Contains(plan.Technique, "TMNF sweeps") || !strings.Contains(plan.String(), "components in order: backward sweep") {
 		t.Errorf("plan = %s", plan)
 	}
 	slow, _, err := New(e.Document(), WithStrategy(Naive)).Datalog(prog)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -441,7 +442,7 @@ func (c *Compiled) compileDatalog(plan *Plan, s Strategy, t *time.Time) error {
 		}
 		return nil
 	}
-	plan.Technique = "TMNF grounding + Minoux Horn-SAT (Theorem 3.2)"
+	plan.Technique = "TMNF sweeps over preorder ranks (Theorem 3.2)"
 	tm, err := p.ToTMNF()
 	if err != nil {
 		return err
@@ -451,10 +452,11 @@ func (c *Compiled) compileDatalog(plan *Plan, s Strategy, t *time.Time) error {
 		return err
 	}
 	plan.lap("compile", t)
-	plan.note("TMNF-compiled to %d rules over %d predicates; propagated on the tree, no ground program", prog.NumRules(), prog.NumPredicates())
+	plan.note("TMNF-compiled to %d rules over %d predicates; components in order: %s", prog.NumRules(), prog.NumPredicates(), strings.Join(prog.Schedules(), ", "))
 	c.run = func(ctx context.Context, e *Engine, pl *Plan) (Result, error) {
-		// The solver checkpoints ctx every hornsat.CheckpointInterval unit
-		// propagations, so a mid-solve expiry aborts within one interval.
+		// The solver checkpoints ctx every mdatalog.CheckpointInterval nodes
+		// stepped or swept or atoms popped, so a mid-solve expiry aborts
+		// within one interval.
 		nodes, err := prog.SolveCtx(ctx, e.doc, e.idx)
 		return Result{Nodes: nodes}, err
 	}

@@ -298,7 +298,8 @@ func (p *Program) SolveCtx(ctx context.Context) (*Model, error) {
 	ix := p.index()
 	m := &Model{true_: make([]bool, p.numPreds)}
 	size, occ, ruleIdx := slices.Clone(ix.bodyLen), ix.occ, ix.ruleIdx
-	var queue []Pred
+	// Every atom enters the queue at most once: one allocation holds it.
+	queue := make([]Pred, 0, p.numPreds)
 	for _, h := range ix.facts {
 		if !m.true_[h] {
 			m.true_[h] = true

@@ -1,6 +1,7 @@
 package mdatalog
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -9,16 +10,22 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
-	"repro/internal/hornsat"
 	"repro/internal/tree"
 )
+
+// CheckpointInterval is how many nodes an image step or a sweep covers, or
+// how many atoms a queue pops, between two ctx.Err() polls of SolveCtx: a
+// cancelled solve stops within one interval of work.  It is a multiple of
+// 64, so steps and sweeps poll on word boundaries.
+const CheckpointInterval = 1024
 
 // hop is where a rule derives its head relative to the node u its body holds
 // at: at u itself (TMNF forms 1 and 3) or across one tau+ edge (form 2).
 type hop uint8
 
 // The three inverse hops follow the three forward ones in the same order
-// (hopOf relies on it).
+// (hopOf relies on it).  The forward hops derive at a larger preorder rank
+// than u, the inverse ones at a smaller rank (backward relies on it).
 const (
 	hopSelf         hop = iota
 	hopFirstChild       // FirstChild(u, v)
@@ -44,6 +51,10 @@ func hopOf(pred string) hop {
 	}
 	return h
 }
+
+// backward reports whether h derives its head at a smaller rank than the
+// node its body holds at.
+func (h hop) backward() bool { return h >= hopFirstChildOf }
 
 // extKind is one of the five unary tau+ predicates.
 type extKind uint8
@@ -95,17 +106,57 @@ func (r *crule) normalize() {
 	}
 }
 
+// rule is a compiled rule over vector indices — the intensional predicates,
+// then the extensional literals: head holds at hop(u) when vectors body[0]
+// and body[1] hold at u.  A one-literal body names its literal twice.
+type rule struct {
+	head int32
+	body [2]int32
+	hop  hop
+}
+
+// schedule is how SolveCtx evaluates one strongly connected component of the
+// predicate graph.
+type schedule uint8
+
+const (
+	// scheduleImage is a non-recursive component: each rule reads only
+	// earlier components and the masks, and is applied to all nodes at once.
+	scheduleImage schedule = iota
+	// scheduleBackward is a recursive component whose recursive rules stay
+	// at their node or derive at a smaller rank: one sweep from rank n-1 to 0.
+	scheduleBackward
+	// scheduleForward is the mirror image: one sweep from rank 0 to n-1.
+	scheduleForward
+	// scheduleQueue is a component whose recursive rules point both ways:
+	// unit propagation from the atoms its non-recursive rules derive.
+	scheduleQueue
+)
+
+var scheduleNames = [...]string{"image step", "backward sweep", "forward sweep", "queue"}
+
+func (k schedule) String() string { return scheduleNames[k] }
+
+// component is one strongly connected component of the predicate graph and
+// the rules deriving its predicates: step rules read only earlier components
+// and the masks; self and cross rules read the component itself, at their
+// node (self) or across a hop (cross).
+type component struct {
+	kind              schedule
+	step, self, cross []rule
+}
+
 // Compiled is a TMNF program resolved for evaluation on any tree: what
 // Ground would instantiate once per node or edge is kept once per rule, and
-// SolveCtx enumerates the instances a derived atom fires from the tree's own
-// links.  It holds no document state and is safe for concurrent solves.
+// SolveCtx derives the instances from the tree's own links.  It holds no
+// document state and is safe for concurrent solves.
 type Compiled struct {
 	preds   []string // surviving intensional predicates, by index
 	query   int32
 	exts    []extLit
-	rules   []crule
-	occ     [][]int32 // per predicate, the rules it is a body literal of
-	seeds   []int32   // the rules with no intensional body literal
+	rules   []rule      // grouped by component, each group step, self, cross
+	comps   []component // in evaluation order: each reads itself and earlier ones
+	occ     [][]int32   // per predicate of a queue component, the recursive rules it is a body literal of
 	derived atomic.Int64
 }
 
@@ -115,6 +166,17 @@ func (c *Compiled) NumRules() int { return len(c.rules) }
 // NumPredicates returns the number of intensional predicates left after copy
 // elimination; a solve keeps one bit per predicate and node.
 func (c *Compiled) NumPredicates() int { return len(c.preds) }
+
+// Schedules names the schedule of each strongly connected component of the
+// predicate graph — "image step", "backward sweep", "forward sweep" or
+// "queue" — in the order SolveCtx evaluates them.
+func (c *Compiled) Schedules() []string {
+	out := make([]string, len(c.comps))
+	for i, k := range c.comps {
+		out[i] = k.kind.String()
+	}
+	return out
+}
 
 // Derived returns the number of atoms derived over all solves so far: a
 // deterministic measure of work for scaling tests, like arccons' Visits.
@@ -127,7 +189,8 @@ func (c *Compiled) Derived() int64 { return c.derived.Load() }
 // predicate B read only by one copy rule A(x) :- B(x) need not exist — its
 // rules can derive A directly.  ToTMNF introduces such predicates for every
 // rule it decomposes, and each one costs a bit vector and a derivation per
-// node it holds of.
+// node it holds of.  What is left is scheduled component by component (see
+// schedule).
 func (p *Program) Compile() (*Compiled, error) {
 	if !p.IsTMNF() {
 		return nil, fmt.Errorf("mdatalog: Compile requires a TMNF program; call ToTMNF first")
@@ -238,24 +301,153 @@ func (p *Program) Compile() (*Compiled, error) {
 		}
 	}
 	c.query = dense[query]
-	c.rules = rules
-	c.occ = make([][]int32, len(c.preds))
 	for i := range rules {
 		r := &rules[i]
 		r.head = dense[r.head]
-		seed := true
 		for k, l := range r.body[:r.n] {
 			if l >= 0 {
 				r.body[k] = lit(dense[l])
-				c.occ[r.body[k]] = append(c.occ[r.body[k]], int32(i))
-				seed = false
 			}
 		}
-		if seed {
-			c.seeds = append(c.seeds, int32(i))
+	}
+	c.schedule(rules)
+	return c, nil
+}
+
+// schedule condenses the predicate graph — an edge from each rule's head to
+// each intensional literal of its body — into strongly connected components
+// in evaluation order, and gives each component its schedule.  Every cross
+// hop points one way in preorder, so a component whose recursive rules all
+// point the same way is settled by one sweep over the ranks in that
+// direction; one with no recursive rule is a single image step; only one
+// whose rules point both ways needs a queue.
+func (c *Compiled) schedule(rules []crule) {
+	np := len(c.preds)
+	deps := make([][]int32, np)
+	for _, r := range rules {
+		for _, l := range r.body[:r.n] {
+			if l >= 0 {
+				deps[r.head] = append(deps[r.head], int32(l))
+			}
 		}
 	}
-	return c, nil
+	comp, ncomp := components(deps)
+
+	// class is 0 for a step rule, 1 for a self rule and 2 for a cross rule.
+	class := func(r *crule) int {
+		for _, l := range r.body[:r.n] {
+			if l >= 0 && comp[l] == comp[r.head] {
+				if r.hop == hopSelf {
+					return 1
+				}
+				return 2
+			}
+		}
+		return 0
+	}
+	slices.SortStableFunc(rules, func(a, b crule) int {
+		return cmp.Or(cmp.Compare(comp[a.head], comp[b.head]), cmp.Compare(class(&a), class(&b)))
+	})
+	vector := func(l lit) int32 {
+		if l >= 0 {
+			return int32(l)
+		}
+		return int32(np) + int32(^l)
+	}
+	c.rules = make([]rule, len(rules))
+	counts := make([][3]int, ncomp)
+	for i := range rules {
+		r := &rules[i]
+		c.rules[i] = rule{head: r.head, body: [2]int32{vector(r.body[0]), vector(r.body[r.n-1])}, hop: r.hop}
+		counts[comp[r.head]][class(r)]++
+	}
+
+	c.comps = make([]component, ncomp)
+	off := 0
+	for ci := range c.comps {
+		k := &c.comps[ci]
+		for cls, part := range [...]*[]rule{&k.step, &k.self, &k.cross} {
+			*part = c.rules[off : off+counts[ci][cls] : off+counts[ci][cls]]
+			off += counts[ci][cls]
+		}
+		forward, backward := false, false
+		for _, r := range k.cross {
+			backward = backward || r.hop.backward()
+			forward = forward || !r.hop.backward()
+		}
+		switch {
+		case len(k.self)+len(k.cross) == 0:
+			k.kind = scheduleImage
+		case forward && backward:
+			k.kind = scheduleQueue
+		case forward:
+			k.kind = scheduleForward
+		default:
+			k.kind = scheduleBackward
+		}
+		if k.kind != scheduleQueue {
+			continue
+		}
+		if c.occ == nil {
+			c.occ = make([][]int32, np)
+		}
+		for ri := off - len(k.self) - len(k.cross); ri < off; ri++ {
+			b := c.rules[ri].body
+			for j, v := range b {
+				if int(v) < np && comp[v] == int32(ci) && (j == 0 || v != b[0]) {
+					c.occ[v] = append(c.occ[v], int32(ri))
+				}
+			}
+		}
+	}
+}
+
+// components numbers the strongly connected components of the graph with an
+// edge from p to each q in deps[p] (Tarjan's algorithm), so that every edge
+// leads to the same or a smaller number: in ascending order, each component
+// comes after every component it reads.  It returns each node's component
+// and the number of components.
+func components(deps [][]int32) (comp []int32, n int32) {
+	order := make([]int32, len(deps)) // 1 + DFS visit order; 0 = unvisited
+	low := make([]int32, len(deps))
+	comp = make([]int32, len(deps))
+	onStack := make([]bool, len(deps))
+	var stack []int32
+	visited := int32(0)
+	var visit func(p int32)
+	visit = func(p int32) {
+		visited++
+		order[p], low[p] = visited, visited
+		stack = append(stack, p)
+		onStack[p] = true
+		for _, q := range deps[p] {
+			if order[q] == 0 {
+				visit(q)
+				low[p] = min(low[p], low[q])
+			} else if onStack[q] {
+				low[p] = min(low[p], order[q])
+			}
+		}
+		if low[p] != order[p] {
+			return
+		}
+		for {
+			q := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[q] = false
+			comp[q] = n
+			if q == p {
+				break
+			}
+		}
+		n++
+	}
+	for p := range deps {
+		if order[p] == 0 {
+			visit(int32(p))
+		}
+	}
+	return comp, n
 }
 
 // rename replaces the body literal from by to.
@@ -299,16 +491,17 @@ type atom struct {
 // solver is the pooled state of one solve: words holds one NodeID-indexed
 // bit vector per intensional predicate, followed by room for one per
 // extensional literal, used by those whose mask the solve has to build
-// itself; ext is the mask of every extensional literal; queue the atoms
-// derived but not yet propagated.
+// itself; vec is every vector a rule names, by vector index — the
+// predicates', then each extensional literal's mask; queue holds the atoms a
+// queue component derived but has not propagated yet.
 type solver struct {
-	c       *Compiled
-	t       *tree.Tree
-	stride  int // words per vector
-	words   []uint64
-	ext     []bitset.Bits
-	queue   []atom
-	derived int
+	c      *Compiled
+	t      *tree.Tree
+	stride int // words per vector
+	words  []uint64
+	vec    []bitset.Bits
+	queue  []atom
+	fired  []uint64 // per cross rule, the nodes of the swept word it fired at
 }
 
 var solverPool = sync.Pool{New: func() any { return &solver{} }}
@@ -319,7 +512,7 @@ var solverPool = sync.Pool{New: func() any { return &solver{} }}
 func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 	n := t.Len()
 	s := solverPool.Get().(*solver)
-	s.c, s.t, s.stride, s.derived = c, t, bitset.WordsFor(n), 0
+	s.c, s.t, s.stride = c, t, bitset.WordsFor(n)
 	s.queue = s.queue[:0]
 	if need := (len(c.preds) + len(c.exts)) * s.stride; cap(s.words) < need {
 		s.words = make([]uint64, need)
@@ -327,28 +520,36 @@ func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 		s.words = s.words[:need]
 		clear(s.words)
 	}
-	s.ext = slices.Grow(s.ext[:0], len(c.exts))[:len(c.exts)]
+	s.vec = slices.Grow(s.vec[:0], len(c.preds)+len(c.exts))[:len(c.preds)+len(c.exts)]
+	for i := range c.preds {
+		s.vec[i] = s.scratch(i)
+	}
 	for i, e := range c.exts {
 		// Each label is resolved to its code once; a label the tree lacks
 		// holds nowhere, and its scratch vector stays empty.
+		v := len(c.preds) + i
 		code := t.Dict().Code(e.label)
 		if e.kind == extLabel && masks != nil && code != tree.NoCode {
-			s.ext[i] = masks.CodeMask(code)
+			s.vec[v] = masks.CodeMask(code)
 			continue
 		}
-		m := s.vector(int32(len(c.preds) + i))
+		m := s.scratch(v)
+		s.vec[v] = m
 		if e.kind == extLabel && code == tree.NoCode {
-			s.ext[i] = m
 			continue
 		}
-		for v := tree.NodeID(0); int(v) < n; v++ {
-			if holdsExt(t, e, code, v) {
-				m.Set(int(v))
+		for u := tree.NodeID(0); int(u) < n; u++ {
+			if holdsExt(t, e, code, u) {
+				m.Set(int(u))
 			}
 		}
-		s.ext[i] = m
 	}
 	return s
+}
+
+// scratch returns the i-th vector of the pooled words.
+func (s *solver) scratch(i int) bitset.Bits {
+	return s.words[i*s.stride:][:s.stride]
 }
 
 // holdsExt reports whether e holds at v; code is the tree's code of e's
@@ -367,37 +568,32 @@ func holdsExt(t *tree.Tree, e extLit, code tree.Code, v tree.NodeID) bool {
 	return t.HasCode(v, code)
 }
 
-// release books the work done, drops what the solve borrowed and returns the
-// scratch to the pool.
+// release books the atoms derived — the bits set in the predicates' vectors,
+// each derived once — drops what the solve borrowed and returns the scratch
+// to the pool.
 func (s *solver) release() {
-	s.c.derived.Add(int64(s.derived))
-	clear(s.ext)
+	derived := 0
+	for _, m := range s.vec[:len(s.c.preds)] {
+		derived += m.Count()
+	}
+	s.c.derived.Add(int64(derived))
+	clear(s.vec)
 	s.c, s.t = nil, nil
 	solverPool.Put(s)
 }
 
-func (s *solver) vector(i int32) bitset.Bits {
-	return s.words[int(i)*s.stride:][:s.stride]
-}
-
-func (s *solver) holds(l lit, u tree.NodeID) bool {
-	if l >= 0 {
-		return s.vector(int32(l)).Get(int(u))
-	}
-	return s.ext[^l].Get(int(u))
-}
-
-// derive marks pred(v) true and queues it, unless it is already.
-func (s *solver) derive(pred int32, v tree.NodeID) {
-	if m := s.vector(pred); !m.Get(int(v)) {
-		m.Set(int(v))
+// mark derives pred(v) in a queue component: it queues the atom unless it
+// holds already.
+func (s *solver) mark(pred int32, v tree.NodeID) {
+	if m, bit := s.vec[pred], uint64(1)<<uint(v&63); m[v>>6]&bit == 0 {
+		m[v>>6] |= bit
 		s.queue = append(s.queue, atom{pred, v})
-		s.derived++
 	}
 }
 
-// fire derives r's head from the node u its body holds at.
-func (s *solver) fire(r *crule, u tree.NodeID) {
+// fire derives r's head from the node u its body holds at, in a queue
+// component.
+func (s *solver) fire(r *rule, u tree.NodeID) {
 	t, v := s.t, u
 	switch r.hop {
 	case hopFirstChild:
@@ -406,10 +602,10 @@ func (s *solver) fire(r *crule, u tree.NodeID) {
 		v = t.NextSibling(u)
 	case hopChild:
 		for v = t.FirstChild(u); v != tree.InvalidNode; v = t.NextSibling(v) {
-			s.derive(r.head, v)
+			s.mark(r.head, v)
 		}
 	case hopFirstChildOf:
-		if v = t.Parent(u); !t.IsFirstSibling(u) {
+		if v = t.Parent(u); v != u-1 {
 			v = tree.InvalidNode
 		}
 	case hopPrevSibling:
@@ -418,62 +614,117 @@ func (s *solver) fire(r *crule, u tree.NodeID) {
 		v = t.Parent(u)
 	}
 	if v != tree.InvalidNode {
-		s.derive(r.head, v)
+		s.mark(r.head, v)
 	}
 }
 
+// fireWord derives r's head, without queueing it, from the nodes of word wi
+// whose bits are set in w.  The heads that land in word wi itself — most of
+// a sweep's — are gathered in a register and stored once, so that they do
+// not chain a store and a load per head through one word.
+func (s *solver) fireWord(r *rule, wi int, w uint64) {
+	t, head := s.t, s.vec[r.head]
+	near := uint64(0)
+	switch r.hop {
+	case hopSelf:
+		near = w
+	case hopFirstChild:
+		// A word shift: u+1 is u's first child when u has children.
+		parents := uint64(0)
+		for x := w; x != 0; x &= x - 1 {
+			if u := wi<<6 | bits.TrailingZeros64(x); t.SubtreeSize(tree.NodeID(u)) > 1 {
+				parents |= 1 << uint(u&63)
+			}
+		}
+		near = parents << 1
+		if parents>>63 != 0 {
+			head[wi+1] |= 1
+		}
+	case hopFirstChildOf:
+		// The other way: u-1 is u's parent when it has children.
+		firsts := uint64(0)
+		for x := w; x != 0; x &= x - 1 {
+			if u := wi<<6 | bits.TrailingZeros64(x); u > 0 && t.SubtreeSize(tree.NodeID(u-1)) > 1 {
+				firsts |= 1 << uint(u&63)
+			}
+		}
+		near = firsts >> 1
+		if firsts&1 != 0 {
+			head[wi-1] |= 1 << 63
+		}
+	case hopChild:
+		for ; w != 0; w &= w - 1 {
+			u := tree.NodeID(wi<<6 | bits.TrailingZeros64(w))
+			for v := t.FirstChild(u); v != tree.InvalidNode; v = t.NextSibling(v) {
+				if int(v>>6) == wi {
+					near |= 1 << uint(v&63)
+				} else {
+					head[v>>6] |= 1 << uint(v&63)
+				}
+			}
+		}
+	default:
+		// One link each: the next or previous sibling or the parent.
+		var col []tree.NodeID
+		switch r.hop {
+		case hopPrevSibling:
+			col, _ = t.Hops(tree.PrevSiblingAxis)
+		case hopParent:
+			col, _ = t.Hops(tree.Parent)
+		}
+		for ; w != 0; w &= w - 1 {
+			u := tree.NodeID(wi<<6 | bits.TrailingZeros64(w))
+			var v tree.NodeID
+			if col != nil {
+				v = col[u]
+			} else {
+				v = t.NextSibling(u)
+			}
+			if int(v>>6) == wi {
+				near |= 1 << uint(v&63)
+			} else if v != tree.InvalidNode {
+				head[v>>6] |= 1 << uint(v&63)
+			}
+		}
+	}
+	head[wi] |= near
+}
+
+// holds reports whether r's body holds at u.
+func (s *solver) holds(r *rule, u tree.NodeID) bool {
+	w := u >> 6
+	return s.vec[r.body[0]][w]&s.vec[r.body[1]][w]&(1<<uint(u&63)) != 0
+}
+
 // SolveCtx evaluates the compiled program on t and returns the nodes the
-// query predicate holds of, in ascending NodeID order.  It is Minoux' unit
-// propagation on the ground program without the ground program: the rules
-// with extensional bodies seed the queue from their masks, and popping p(u)
-// fires the rules p occurs in whose other literal holds at u, across the
-// rule's hop.  Every atom is derived once and popped once, and a pop costs
-// the rules of its predicate plus, for Child, the children of u — Theorem
-// 3.2's O(|P| * |Dom|) with one bit per predicate and node as the only
+// query predicate holds of, in ascending NodeID order.  It settles the
+// strongly connected components of the predicate graph one after another,
+// each by its schedule: the rules that read only earlier components and the
+// masks are one image step over all nodes; then a component whose recursive
+// rules point to smaller preorder ranks is one backward sweep, one whose
+// rules point to larger ranks one forward sweep, and one whose rules point
+// both ways runs Minoux' unit propagation from the atoms its step derived.
+// A step costs a word operation per rule and word plus a hop per node a
+// body holds at, a sweep settles a word in at most two rounds more than the
+// atoms derived in it, and a queue pops each atom once: linear in the tree
+// for a fixed program, and Theorem 3.2's O(|P| * |Dom|) for components of
+// one predicate, with one bit per predicate and node as the only
 // per-document state.  masks may be nil (labels are then scanned off the
-// tree).  ctx is checked on entry and every hornsat.CheckpointInterval pops.
+// tree).  ctx is checked on entry and every CheckpointInterval nodes stepped
+// or swept or atoms popped.
 func (c *Compiled) SolveCtx(ctx context.Context, t *tree.Tree, masks LabelMasks) ([]tree.NodeID, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s := c.newSolver(t, masks)
 	defer s.release()
-
-	for _, ri := range c.seeds {
-		r := &c.rules[ri]
-		for wi, w := range s.ext[^r.body[0]] {
-			if r.n == 2 {
-				w &= s.ext[^r.body[1]][wi]
-			}
-			for ; w != 0; w &= w - 1 {
-				s.fire(r, tree.NodeID(wi<<6|bits.TrailingZeros64(w)))
-			}
-		}
-	}
-	for pops := 1; len(s.queue) > 0; pops++ {
-		if pops%hornsat.CheckpointInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		a := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		for _, ri := range c.occ[a.pred] {
-			r := &c.rules[ri]
-			if r.n == 2 {
-				other := r.body[0]
-				if other == lit(a.pred) {
-					other = r.body[1]
-				}
-				if !s.holds(other, a.node) {
-					continue
-				}
-			}
-			s.fire(r, a.node)
+	for i := range c.comps {
+		if err := s.solve(ctx, &c.comps[i]); err != nil {
+			return nil, err
 		}
 	}
 
-	m := s.vector(c.query)
+	m := s.vec[c.query]
 	k := m.Count()
 	if k == 0 {
 		return nil, nil
@@ -485,4 +736,118 @@ func (c *Compiled) SolveCtx(ctx context.Context, t *tree.Tree, masks LabelMasks)
 		}
 	}
 	return out, nil
+}
+
+// solve settles component k, whose reads of earlier components are settled.
+func (s *solver) solve(ctx context.Context, k *component) error {
+	if err := s.step(ctx, k.step, k.kind == scheduleQueue); err != nil {
+		return err
+	}
+	switch k.kind {
+	case scheduleBackward, scheduleForward:
+		return s.sweep(ctx, k)
+	case scheduleQueue:
+		return s.propagate(ctx)
+	}
+	return nil
+}
+
+// step applies rules, whose bodies are settled, at every node, a word at a
+// time: the nodes of a word their body holds at are two word ANDs, and
+// their heads one word OR for a rule at the node, a word shift for a
+// first-child hop, and one link per node for the others.  When queue is set
+// it queues each atom it derives instead.  It polls ctx every
+// CheckpointInterval nodes.
+func (s *solver) step(ctx context.Context, rules []rule, queue bool) error {
+	const chunk = CheckpointInterval / 64
+	for lo := 0; lo < s.stride && len(rules) > 0; lo += chunk {
+		for wi := lo; wi < min(lo+chunk, s.stride); wi++ {
+			for i := range rules {
+				r := &rules[i]
+				w := s.vec[r.body[0]][wi] & s.vec[r.body[1]][wi]
+				if w == 0 {
+					continue
+				}
+				if !queue {
+					s.fireWord(r, wi, w)
+					continue
+				}
+				for ; w != 0; w &= w - 1 {
+					s.fire(r, tree.NodeID(wi<<6|bits.TrailingZeros64(w)))
+				}
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweep settles a backward or forward component in one pass over the words
+// of 64 ranks in its direction.  Its cross rules derive heads only in the
+// direction of the pass, so when the pass reaches a word, every atom a node
+// outside the word derives in it is there, and the word is settled to a
+// fixpoint on its own: rounds of the self rules, as word operations, and of
+// the cross rules, fired at the nodes of the word their body newly holds at,
+// until a round adds nothing.  A word where no recursive rule's body holds
+// costs one round.  It polls ctx every CheckpointInterval nodes.
+func (s *solver) sweep(ctx context.Context, k *component) error {
+	const chunk = CheckpointInterval / 64
+	vec, self, cross := s.vec, k.self, k.cross
+	fired := slices.Grow(s.fired[:0], len(cross))[:len(cross)]
+	s.fired = fired
+	for lo := 0; lo < s.stride; lo += chunk {
+		for i := lo; i < min(lo+chunk, s.stride); i++ {
+			wi := i
+			if k.kind == scheduleBackward {
+				wi = s.stride - 1 - i
+			}
+			clear(fired)
+			for progress := true; progress; {
+				progress = false
+				for j := range self {
+					r := &self[j]
+					h := vec[r.head]
+					if add := vec[r.body[0]][wi] & vec[r.body[1]][wi] &^ h[wi]; add != 0 {
+						h[wi] |= add
+						progress = true
+					}
+				}
+				for j := range cross {
+					r := &cross[j]
+					if w := vec[r.body[0]][wi] & vec[r.body[1]][wi] &^ fired[j]; w != 0 {
+						fired[j] |= w
+						s.fireWord(r, wi, w)
+						progress = true
+					}
+				}
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// propagate is a queue component's unit propagation: popping p(u) fires the
+// component's rules p occurs in whose body holds at u, across the rule's
+// hop.  It polls ctx every CheckpointInterval pops.
+func (s *solver) propagate(ctx context.Context) error {
+	for pops := 1; len(s.queue) > 0; pops++ {
+		if pops%CheckpointInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		a := s.queue[len(s.queue)-1]
+		s.queue = s.queue[:len(s.queue)-1]
+		for _, ri := range s.c.occ[a.pred] {
+			if r := &s.c.rules[ri]; s.holds(r, a.node) {
+				s.fire(r, a.node)
+			}
+		}
+	}
+	return nil
 }

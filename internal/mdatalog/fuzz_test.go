@@ -18,6 +18,9 @@ func FuzzCompiledVsGround(f *testing.F) {
 	for _, tc := range handCases {
 		f.Add(tc.text, handTree)
 	}
+	for _, tc := range scheduleCases { // one program per schedule
+		f.Add(tc.text, "a(a(a b+c) b(a c(a)) a)")
+	}
 	f.Add("P(x) :- Lab[a](y), Child^-1(x, y), NextSibling(y, z), Leaf(z).\n?- P.", "a+b(_ a(b) b+c)")
 	f.Add("% comment\nP(x) :- Q(x).\nQ(x) :- P(y), FirstChild^-1(y, x).\nQ(x) :- LastSibling(x), FirstSibling(x).", "a")
 	f.Add("P(x) :- Child(x, y), Child(y, x).", handTree)

@@ -12,9 +12,12 @@
 // in time O(|P| * |Dom|), and the resulting propositional Horn program is
 // solved with Minoux' linear-time algorithm (package hornsat).  Evaluate does
 // exactly that, and is the paper's construction as written.  Compile +
-// SolveCtx run the same unit propagation without materializing the ground
-// program — every TMNF clause an atom fires can be read off the tree's links
-// — and are what the query engine executes; Ground is their oracle.
+// SolveCtx reach the same least model without materializing the ground
+// program, and are what the query engine executes: every TMNF hop points one
+// way in preorder, so each strongly connected component of the predicate
+// graph is settled by an image step, one sweep over the ranks, or — only
+// when its rules point both ways — unit propagation.  Ground is their
+// oracle.
 package mdatalog
 
 import (
