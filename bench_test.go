@@ -223,7 +223,7 @@ func BenchmarkE8Rewrite(b *testing.B) {
 		q := starQuery(k)
 		b.Run(fmt.Sprintf("toAcyclicUnion/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.ToAcyclicUnion(q); err != nil {
+				if _, _, err := rewrite.ToAcyclicUnion(q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -47,8 +47,8 @@ type Strategy struct {
 
 type strategy struct {
 	name string
-	// cq binds the forced route of a conjunctive query, or fails with
-	// ErrNoStrategy.
+	// cq binds the forced route of a conjunctive query, or fails; compileCQ
+	// wraps the failure in ErrNoStrategy.
 	cq func(c *Compiled, plan *Plan, q *cq.Query) error
 }
 

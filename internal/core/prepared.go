@@ -327,9 +327,9 @@ func answers(ans []cq.Answer, err error) (Result, error) {
 	return Result{Answers: ans}, err
 }
 
-// naiveFallback keeps the naive search as the Auto routes' safety net, so a
-// failing route still returns correct answers (with a note) rather than an
-// error — but a context expiry is not a route failure: it aborts the
+// naiveFallback keeps the naive search as the X-property route's safety net,
+// so a query its Theorem 6.5 check refuses still gets correct answers (with
+// a note) — but a context expiry is not a route failure: it aborts the
 // execution instead of demoting it to the exponential search.
 func naiveFallback(ctx context.Context, e *Engine, q *cq.Query, p *Plan, reason string, err error) (Result, error) {
 	if cerr := ctx.Err(); cerr != nil {
@@ -349,15 +349,15 @@ func compileNaiveCQ(c *Compiled, plan *Plan, q *cq.Query) error {
 	return nil
 }
 
-// compileRewriteCQ binds RewriteFirst's route: the Theorem-5.1 union, built
-// here once and run on every execution.
+// compileRewriteCQ binds the Theorem-5.1 union, built here once and run on
+// every execution: RewriteFirst's route, and Auto's for cyclic queries.
 func compileRewriteCQ(c *Compiled, plan *Plan, q *cq.Query) error {
 	plan.Technique = "rewrite to acyclic union + Yannakakis"
-	union, err := rewrite.Compile(q)
+	union, placements, err := rewrite.Compile(q)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoStrategy, err)
+		return err
 	}
-	plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
+	plan.note("%d acyclic disjuncts from %d placements searched (rewritten and compiled once at prepare time)", len(union), placements)
 	c.clauses = len(union)
 	c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
 		return answers(union.EvaluateCtx(ctx, e.doc, e.idx))
@@ -369,7 +369,10 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 	plan.note("query %s with %d atoms over axes %v", q, q.NumAtoms(), q.AxisSet())
 	c.labels = cqLabelSet(q)
 	if s.forced != nil {
-		return s.forced.cq(c, plan, q)
+		if err := s.forced.cq(c, plan, q); err != nil {
+			return fmt.Errorf("%w: %v", ErrNoStrategy, err)
+		}
+		return nil
 	}
 
 	// Auto planning: classify once, at compile time; the route conditions
@@ -379,11 +382,7 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 		plan.note("query is acyclic: holistic evaluation is output-sensitive (Prop. 6.10)")
 		plan.Technique = "arc-consistency + backtrack-free enumeration"
 		c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-			ans, err := compiled.EnumerateCtx(ctx, e.doc, e.idx)
-			if err != nil {
-				return naiveFallback(ctx, e, q, p, "arc-consistency", err)
-			}
-			return Result{Answers: ans}, nil
+			return answers(compiled.EnumerateCtx(ctx, e.doc, e.idx))
 		}
 		return nil
 	}
@@ -404,20 +403,10 @@ func (c *Compiled) compileCQ(plan *Plan, s Strategy, q *cq.Query) error {
 			return nil
 		}
 	}
-	if len(q.Orders) == 0 && len(q.Variables()) <= rewrite.MaxVariables {
+	if len(q.Orders) == 0 {
 		plan.note("cyclic query with %d variables: rewriting into an acyclic union (Theorem 5.1)", len(q.Variables()))
-		union, err := rewrite.Compile(q)
+		err := compileRewriteCQ(c, plan, q)
 		if err == nil {
-			plan.Technique = "rewrite to acyclic union + Yannakakis"
-			plan.note("%d acyclic disjuncts (rewritten and compiled once at prepare time)", len(union))
-			c.clauses = len(union)
-			c.run = func(ctx context.Context, e *Engine, p *Plan) (Result, error) {
-				ans, err := union.EvaluateCtx(ctx, e.doc, e.idx)
-				if err != nil {
-					return naiveFallback(ctx, e, q, p, "rewrite", err)
-				}
-				return Result{Answers: ans}, nil
-			}
 			return nil
 		}
 		plan.note("rewriting failed (%v), falling back", err)

@@ -381,11 +381,7 @@ func (ix *Index) CodeMask(c tree.Code) bitset.Bits {
 		return m
 	}
 	built := bitset.New(ix.t.Len())
-	for n := range tree.NodeID(ix.t.Len()) {
-		if ix.t.HasCode(n, c) {
-			built.Set(int(n))
-		}
-	}
+	ix.t.MarkCode(c, built)
 	ix.mu.Lock()
 	if cached := ix.cached(c).mask; cached != nil {
 		ix.mu.Unlock()

@@ -535,13 +535,31 @@ func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 		}
 		m := s.scratch(v)
 		s.vec[v] = m
-		if e.kind == extLabel && code == tree.NoCode {
-			continue
-		}
-		for u := tree.NodeID(0); int(u) < n; u++ {
-			if holdsExt(t, e, code, u) {
-				m.Set(int(u))
+		switch e.kind {
+		case extRoot:
+			m.Set(0)
+		case extLeaf:
+			for u := range tree.NodeID(n) {
+				if t.IsLeaf(u) {
+					m.Set(int(u))
+				}
 			}
+		case extFirstSibling:
+			for u := range tree.NodeID(n) {
+				if t.IsFirstSibling(u) {
+					m.Set(int(u))
+				}
+			}
+		case extLastSibling:
+			// A node is a last sibling unless it is some node's left sibling.
+			m.SetAll(n)
+			for u := range tree.NodeID(n) {
+				if p := t.PrevSibling(u); p != tree.InvalidNode {
+					m.Clear(int(p))
+				}
+			}
+		default:
+			t.MarkCode(code, m)
 		}
 	}
 	return s
@@ -550,22 +568,6 @@ func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 // scratch returns the i-th vector of the pooled words.
 func (s *solver) scratch(i int) bitset.Bits {
 	return s.words[i*s.stride:][:s.stride]
-}
-
-// holdsExt reports whether e holds at v; code is the tree's code of e's
-// label.
-func holdsExt(t *tree.Tree, e extLit, code tree.Code, v tree.NodeID) bool {
-	switch e.kind {
-	case extRoot:
-		return t.IsRoot(v)
-	case extLeaf:
-		return t.IsLeaf(v)
-	case extFirstSibling:
-		return t.IsFirstSibling(v)
-	case extLastSibling:
-		return t.IsLastSibling(v)
-	}
-	return t.HasCode(v, code)
 }
 
 // release books the atoms derived — the bits set in the predicates' vectors,

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,7 +20,8 @@ import (
 //  2. Following-atoms are eliminated using the definition
 //     Following(x,y) ⇔ ∃x0 ∃y0 NextSibling+(x0,y0) ∧ Child*(x0,x) ∧ Child*(y0,y),
 //  3. the query is split into one disjunct per ordered partition of its
-//     variables (every way the variables can coincide / be <pre-ordered),
+//     variables (every way the variables can coincide / be <pre-ordered)
+//     that respects the order its atoms imply (searchPartitions),
 //  4. within each disjunct, reflexive-transitive atoms are strengthened to
 //     transitive ones, trivially unsatisfiable combinations are pruned, and
 //     the Table-1 rewriting loop re-targets atoms R(x,z), S(y,z) sharing
@@ -30,35 +32,26 @@ import (
 // The head of every returned disjunct equals the head of the input query, so
 // the union of the disjuncts' answer sets equals the input query's answer
 // set.  The blow-up is exponential in the number of variables, which is
-// unavoidable (Section 5); MaxVariables guards against runaway inputs.
-func ToAcyclicUnion(q *cq.Query) ([]*cq.Query, error) {
+// unavoidable (Section 5): a split that would search more than SearchBudget
+// placements fails with ErrSearchBudget.
+func ToAcyclicUnion(q *cq.Query) (disjuncts []*cq.Query, placements int, err error) {
 	if len(q.Orders) > 0 {
-		return nil, fmt.Errorf("rewrite: input query must not contain order atoms")
+		return nil, 0, fmt.Errorf("rewrite: input query must not contain order atoms")
 	}
-	work := MakeForward(q)
-	work = eliminateFollowing(work)
-	vars := work.Variables()
-	if len(vars) > MaxVariables {
-		return nil, ErrTooManyVariables
-	}
-	if len(vars) == 0 {
-		return []*cq.Query{work.Clone()}, nil
-	}
-
-	var result []*cq.Query
+	work := eliminateFollowing(MakeForward(q))
 	seen := map[string]bool{}
-	for _, partition := range orderedPartitions(vars) {
-		d, ok := rewriteDisjunct(work, partition)
-		if !ok {
-			continue
+	placements, ok := searchPartitions(work, work.Variables(), func(partition [][]cq.Variable) {
+		if d, ok := rewriteDisjunct(work, partition); ok {
+			if key := canonicalKey(d); !seen[key] {
+				seen[key] = true
+				disjuncts = append(disjuncts, d)
+			}
 		}
-		key := canonicalKey(d)
-		if !seen[key] {
-			seen[key] = true
-			result = append(result, d)
-		}
+	})
+	if !ok {
+		return nil, placements, ErrSearchBudget
 	}
-	return result, nil
+	return disjuncts, placements, nil
 }
 
 // eliminateFollowing replaces every Following(x, y) atom by
@@ -87,39 +80,80 @@ func eliminateFollowing(q *cq.Query) *cq.Query {
 	return out
 }
 
-// orderedPartitions enumerates all ordered set partitions of vars: every way
-// to group the variables into equality classes and totally order the classes
-// by <pre.  The count is the ordered Bell number of len(vars).
-func orderedPartitions(vars []cq.Variable) [][][]cq.Variable {
-	var out [][][]cq.Variable
-	var rec func(i int, blocks [][]cq.Variable)
-	rec = func(i int, blocks [][]cq.Variable) {
-		if i == len(vars) {
-			cp := make([][]cq.Variable, len(blocks))
-			for j, b := range blocks {
-				cp[j] = append([]cq.Variable{}, b...)
+// searchPartitions hands yield, depth first, every ordered set partition of
+// vars that respects the order q's atoms imply (see ordered).  vars[i] joins
+// each block in turn, then opens a new block at each position; either keeps
+// the relative order of the variables already placed, so a placement an
+// atom refutes is cut with all its completions.  yield must not keep the
+// partition.  It returns the placements searched, and false when they would
+// exceed SearchBudget.
+func searchPartitions(q *cq.Query, vars []cq.Variable, yield func([][]cq.Variable)) (placements int, ok bool) {
+	var rec func(i int, blocks [][]cq.Variable) bool
+	rec = func(i int, blocks [][]cq.Variable) bool {
+		if i > 0 {
+			if !ordered(q, blocks, vars[i-1]) {
+				return true
 			}
-			out = append(out, cp)
-			return
+			if placements++; placements > SearchBudget {
+				return false
+			}
+		}
+		if i == len(vars) {
+			yield(blocks)
+			return true
 		}
 		v := vars[i]
-		// Join an existing block.
 		for j := range blocks {
 			blocks[j] = append(blocks[j], v)
-			rec(i+1, blocks)
+			ok := rec(i+1, blocks)
 			blocks[j] = blocks[j][:len(blocks[j])-1]
+			if !ok {
+				return false
+			}
 		}
-		// Or open a new block at any position.
 		for pos := 0; pos <= len(blocks); pos++ {
-			nb := make([][]cq.Variable, 0, len(blocks)+1)
-			nb = append(nb, blocks[:pos]...)
-			nb = append(nb, []cq.Variable{v})
-			nb = append(nb, blocks[pos:]...)
-			rec(i+1, nb)
+			if !rec(i+1, slices.Insert(slices.Clip(blocks), pos, []cq.Variable{v})) {
+				return false
+			}
+		}
+		return true
+	}
+	ok = rec(0, nil)
+	return placements, ok
+}
+
+// ordered reports whether every atom of q between v and a placed variable
+// keeps the order its axis implies: Child, Child+, NextSibling and
+// NextSibling+ need from's block strictly before to's, Child* and
+// NextSibling* no later than it, Self the same block.
+func ordered(q *cq.Query, blocks [][]cq.Variable, v cq.Variable) bool {
+	rank := func(u cq.Variable) int {
+		return slices.IndexFunc(blocks, func(b []cq.Variable) bool { return slices.Contains(b, u) })
+	}
+	for _, a := range q.Axes {
+		if a.From != v && a.To != v {
+			continue
+		}
+		from, to := rank(a.From), rank(a.To)
+		if from < 0 || to < 0 {
+			continue
+		}
+		switch a.Axis {
+		case tree.Self:
+			if from != to {
+				return false
+			}
+		case tree.DescendantOrSelf, tree.FollowingSiblingOrSelf:
+			if from > to {
+				return false
+			}
+		case tree.Child, tree.Descendant, tree.NextSiblingAxis, tree.FollowingSibling:
+			if from >= to {
+				return false
+			}
 		}
 	}
-	rec(0, nil)
-	return out
+	return true
 }
 
 // rewriteDisjunct specializes q to one ordered partition of its variables
@@ -150,63 +184,37 @@ func rewriteDisjunct(q *cq.Query, partition [][]cq.Variable) (*cq.Query, bool) {
 		axis     tree.Axis
 		from, to cq.Variable
 	}
-	var atoms []batom
-	for _, a := range q.Axes {
-		atoms = append(atoms, batom{a.Axis, rep[a.From], rep[a.To]})
-	}
-
 	rankOf := func(v cq.Variable) int { return rank[v] }
 
 	// Step 2 of the proof: handle reflexive-transitive closures and equality.
-	var norm []batom
-	for _, a := range atoms {
-		switch a.axis {
+	// The partition respects every atom's order (searchPartitions cuts the
+	// others), so Self and R*(x,x) atoms hold, and every other atom runs from
+	// an earlier block to a later one.
+	var atoms []batom
+	for _, a := range q.Axes {
+		from, to := rep[a.From], rep[a.To]
+		switch a.Axis {
 		case tree.Self:
-			if a.from != a.to {
-				return nil, false // Self(x,y) with x,y forced distinct
-			}
-			continue
 		case tree.DescendantOrSelf, tree.FollowingSiblingOrSelf:
-			if a.from == a.to {
+			if from == to {
 				continue // R*(x,x) is true
 			}
-			// x and y are distinct, so R*(x,y) becomes R+(x,y); but only the
-			// order from <pre to is consistent (both Child+ and NextSibling+
-			// imply from <pre to).
-			if rankOf(a.from) >= rankOf(a.to) {
-				return nil, false
-			}
+			// x and y are distinct, so R*(x,y) becomes R+(x,y).
 			plus := tree.Descendant
-			if a.axis == tree.FollowingSiblingOrSelf {
+			if a.Axis == tree.FollowingSiblingOrSelf {
 				plus = tree.FollowingSibling
 			}
-			norm = append(norm, batom{plus, a.from, a.to})
+			atoms = append(atoms, batom{plus, from, to})
 		case tree.Child, tree.Descendant, tree.NextSiblingAxis, tree.FollowingSibling:
-			if a.from == a.to {
-				return nil, false // irreflexive axes
-			}
-			if rankOf(a.from) >= rankOf(a.to) {
-				return nil, false // all four axes imply from <pre to
-			}
-			norm = append(norm, batom{a.axis, a.from, a.to})
+			atoms = append(atoms, batom{a.Axis, from, to})
 		default:
 			// Following was eliminated and reverse axes flipped earlier;
 			// anything else is a bug.
-			panic(fmt.Sprintf("rewrite: unexpected axis %v in disjunct", a.axis))
+			panic(fmt.Sprintf("rewrite: unexpected axis %v in disjunct", a.Axis))
 		}
 	}
-	atoms = norm
-
-	// Step 3: if both R(x,y) and R+(x,y) are present, drop R+(x,y); also drop
-	// exact duplicates.
+	// Step 3: drop exact duplicates.
 	atoms = dedupAtoms(atoms)
-
-	// NextSibling is a partial function towards both sides: two distinct
-	// NextSibling atoms into (or out of) the same variable with distinct
-	// other endpoints are unsatisfiable.  (These cases are subsumed by the
-	// Table-1 loop below for shared targets but checking here also covers
-	// shared sources cheaply.)
-	// -- handled within the main loop via Table 1; no extra code needed.
 
 	// Main rewriting loop: while some variable z is the target of two atoms
 	// R(x,z), S(y,z) with x != y, use Table 1 (relative to the <pre order
@@ -260,13 +268,9 @@ func rewriteDisjunct(q *cq.Query, partition [][]cq.Variable) (*cq.Query, bool) {
 		if !PairSatisfiable(r.axis, s.axis) {
 			return nil, false
 		}
-		// Replace R(x, z) by R(x, y) where y = s.from.
+		// Replace R(x, z) by R(x, y) where y = s.from; x <pre y by the pair's
+		// orientation.
 		atoms[best.i] = batom{r.axis, r.from, s.from}
-		if rankOf(r.from) >= rankOf(s.from) {
-			// Cannot happen given the pair orientation, but keep the guard: the
-			// re-targeted atom must still respect the order.
-			return nil, false
-		}
 		atoms = dedupAtoms(atoms)
 	}
 
@@ -302,11 +306,9 @@ func rewriteDisjunct(q *cq.Query, partition [][]cq.Variable) (*cq.Query, bool) {
 }
 
 func dedupAtoms[T comparable](atoms []T) []T {
-	seen := map[T]bool{}
 	out := atoms[:0]
 	for _, a := range atoms {
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
@@ -336,7 +338,7 @@ func canonicalKey(q *cq.Query) string {
 // sets (sorted, de-duplicated) together with the number of disjuncts
 // evaluated.
 func EvaluateViaRewrite(q *cq.Query, t *tree.Tree) ([]cq.Answer, int, error) {
-	u, err := Compile(q)
+	u, _, err := Compile(q)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -352,27 +354,23 @@ func EvaluateViaRewrite(q *cq.Query, t *tree.Tree) ([]cq.Answer, int, error) {
 // on every execution.
 type Union []*arccons.Compiled
 
-// Compile rewrites q (ToAcyclicUnion) and compiles the disjuncts.
-func Compile(q *cq.Query) (Union, error) {
-	disjuncts, err := ToAcyclicUnion(q)
+// Compile rewrites q (ToAcyclicUnion) and compiles every disjunct; a
+// disjunct the kernel rejects (a cyclic one) would indicate a rewriting bug,
+// so the error is propagated.
+func Compile(q *cq.Query) (Union, int, error) {
+	disjuncts, placements, err := ToAcyclicUnion(q)
 	if err != nil {
-		return nil, err
+		return nil, placements, err
 	}
-	return CompileUnion(disjuncts)
-}
-
-// CompileUnion compiles every disjunct.  A disjunct the kernel rejects (a
-// cyclic one) would indicate a rewriting bug, so the error is propagated.
-func CompileUnion(disjuncts []*cq.Query) (Union, error) {
 	u := make(Union, len(disjuncts))
 	for i, d := range disjuncts {
 		c, err := arccons.Compile(d)
 		if err != nil {
-			return nil, fmt.Errorf("rewrite: compiling disjunct %v: %w", d, err)
+			return nil, placements, fmt.Errorf("rewrite: compiling disjunct %v: %w", d, err)
 		}
 		u[i] = c
 	}
-	return u, nil
+	return u, placements, nil
 }
 
 // EvaluateCtx returns the union of the disjuncts' answer sets on t, sorted
@@ -389,19 +387,4 @@ func (u Union) EvaluateCtx(ctx context.Context, t *tree.Tree, ix arccons.LabelIn
 		answers = append(answers, ans...)
 	}
 	return cq.SortDedupAnswers(answers), nil
-}
-
-// EvaluateDisjuncts compiles and evaluates a rewritten union once; ix may be
-// nil.  Callers that execute repeatedly should hold the Union instead.
-func EvaluateDisjuncts(disjuncts []*cq.Query, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
-	return EvaluateDisjunctsCtx(context.Background(), disjuncts, t, ix)
-}
-
-// EvaluateDisjunctsCtx is EvaluateDisjuncts under a context.
-func EvaluateDisjunctsCtx(ctx context.Context, disjuncts []*cq.Query, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
-	u, err := CompileUnion(disjuncts)
-	if err != nil {
-		return nil, err
-	}
-	return u.EvaluateCtx(ctx, t, ix)
 }

@@ -10,33 +10,34 @@
 //     NextSibling+}, both as the closed-form table and recomputed by
 //     exhaustive search over all small trees (experiment E7),
 //   - ToAcyclicUnion, the rewriting procedure of the proof of Theorem 5.1:
-//     split on the possible <pre-orders of the query variables, simplify
-//     each disjunct with the Table-1 rules until it becomes acyclic, and
-//     drop the unsatisfiable disjuncts,
+//     search the <pre-orders of the query variables that no atom refutes
+//     (at most SearchBudget placements), simplify each disjunct with the
+//     Table-1 rules until it becomes acyclic, and drop the unsatisfiable
+//     disjuncts,
 //   - MakeForward, the elimination of reverse axes from conjunctive queries
 //     (the CQ analogue of the "XPath: Looking Forward" rewriting), and
-//   - EvaluateViaRewrite, which rewrites and then evaluates every disjunct
-//     with Yannakakis' algorithm (the interval-join kernel of package
-//     arccons), unioning the answers; CompileUnion keeps the compiled
-//     disjuncts for repeated execution.
+//   - Compile, which rewrites and compiles every disjunct for Yannakakis'
+//     algorithm (the interval-join kernel of package arccons) once, for
+//     repeated execution; EvaluateViaRewrite rewrites and evaluates in one
+//     call, unioning the answers.
 package rewrite
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cq"
 	"repro/internal/tree"
 )
 
-// MaxVariables bounds the number of variables ToAcyclicUnion accepts; the
-// order-split step enumerates ordered set partitions of the variables, which
-// is exponential (this is unavoidable: the translation of CQs to acyclic
-// positive queries is necessarily exponential, Section 5).
-const MaxVariables = 9
+// SearchBudget bounds the placements (partial orders of the variables no
+// atom refutes) the order split of ToAcyclicUnion may search; the split is
+// exponential, which is unavoidable (Section 5).  The Following triangle, 9
+// variables after elimination, searches 50,992.
+const SearchBudget = 1 << 16
 
-// ErrTooManyVariables is returned when the query exceeds MaxVariables.
-var ErrTooManyVariables = errors.New("rewrite: too many variables for the order-split rewriting")
+// ErrSearchBudget is returned when the order split would visit more than
+// SearchBudget placements.
+var ErrSearchBudget = fmt.Errorf("rewrite: the order split exceeds its budget of %d placements", SearchBudget)
 
 // PairSatisfiable reports whether R(x,z) ∧ S(y,z) ∧ x <pre y is satisfiable
 // over trees, for R, S ∈ {Child, Child+, NextSibling, NextSibling+}; this is

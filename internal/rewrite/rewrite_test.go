@@ -97,7 +97,7 @@ func TestMakeForward(t *testing.T) {
 func TestToAcyclicUnionSimpleCases(t *testing.T) {
 	// Already-acyclic query: at least one disjunct, all acyclic.
 	q := cq.MustParse("Q(x) :- Lab[a](x), Child+(x, y), Lab[b](y).")
-	ds, err := ToAcyclicUnion(q)
+	ds, _, err := ToAcyclicUnion(q)
 	if err != nil {
 		t.Fatalf("ToAcyclicUnion: %v", err)
 	}
@@ -112,18 +112,19 @@ func TestToAcyclicUnionSimpleCases(t *testing.T) {
 			t.Errorf("disjunct %v still has order atoms", d)
 		}
 	}
-	// Query with too many variables is rejected.
-	big := cq.RandomTwig(cq.GenSpec{Vars: MaxVariables + 1, Seed: 1})
-	if _, err := ToAcyclicUnion(big); err != ErrTooManyVariables {
-		t.Errorf("error = %v, want ErrTooManyVariables", err)
+	// A query whose consistent orders are too many is refused: ten
+	// variables, one more than the old fixed variable cap admitted.
+	big := cq.RandomTwig(cq.GenSpec{Vars: 10, Seed: 1})
+	if _, n, err := ToAcyclicUnion(big); err != ErrSearchBudget || n != SearchBudget+1 {
+		t.Errorf("error = %v after %d placements, want ErrSearchBudget after %d", err, n, SearchBudget+1)
 	}
 	// Order atoms in the input are rejected.
 	withOrder := cq.MustParse("Q :- Lab[a](x), Lab[a](y), x <pre y.")
-	if _, err := ToAcyclicUnion(withOrder); err == nil {
+	if _, _, err := ToAcyclicUnion(withOrder); err == nil {
 		t.Errorf("order atoms should be rejected")
 	}
 	// Empty-body query passes through.
-	ds, err = ToAcyclicUnion(cq.MustParse("Q :- true."))
+	ds, _, err = ToAcyclicUnion(cq.MustParse("Q :- true."))
 	if err != nil || len(ds) != 1 {
 		t.Errorf("true query rewriting: %v %v", ds, err)
 	}
@@ -205,7 +206,7 @@ func TestRewriteDescendantStarGrowth(t *testing.T) {
 			q.Labels = append(q.Labels, cq.LabelAtom{Var: v, Label: labels[i%3]})
 			q.Axes = append(q.Axes, cq.AxisAtom{Axis: tree.Descendant, From: v, To: "z"})
 		}
-		ds, err := ToAcyclicUnion(q)
+		ds, _, err := ToAcyclicUnion(q)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -33,6 +33,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/bitset"
 )
 
 // NodeID identifies a node of a Tree.  NodeIDs are dense preorder ranks: a
@@ -275,6 +277,20 @@ func (t *Tree) LabelAlphabet() []string {
 
 // NodesWithLabel returns, in document order, all nodes carrying label a.
 func (t *Tree) NodesWithLabel(a string) []NodeID { return t.NodesWithCode(t.dict.Code(a)) }
+
+// MarkCode sets in out the bit of every node that carries the label of code
+// c, in one pass over the code column; NoCode marks nothing.
+func (t *Tree) MarkCode(c Code, out bitset.Bits) {
+	n := 0
+	for i, l := range t.labelCode {
+		if l == c {
+			for int(t.labelOff[n+1]) <= i {
+				n++
+			}
+			out.Set(n)
+		}
+	}
+}
 
 // NodesWithCode returns, in document order, all nodes carrying the label of
 // code c.

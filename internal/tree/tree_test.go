@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/bitset"
 )
 
 // figure1Tree builds the 6-node tree of Figure 1 of the paper:
@@ -418,5 +420,20 @@ func TestDeepTreeNoStackOverflow(t *testing.T) {
 	}
 	if tr.StepCount(Ancestor, leaf) != n-1 {
 		t.Errorf("ancestor count = %d", tr.StepCount(Ancestor, leaf))
+	}
+}
+
+// TestMarkCode holds the one-pass scan of the code column to HasCode on a
+// tree with multi-labeled nodes, for every code and NoCode.
+func TestMarkCode(t *testing.T) {
+	tr := MustParseSexpr("a+b(b(a+c c) a b+a+c(c))")
+	for c := NoCode; int(c) < tr.Dict().Len(); c++ {
+		m := bitset.New(tr.Len())
+		tr.MarkCode(c, m)
+		for v := range NodeID(tr.Len()) {
+			if m.Get(int(v)) != tr.HasCode(v, c) {
+				t.Errorf("code %d, node %d: marked %v, HasCode %v", c, v, m.Get(int(v)), tr.HasCode(v, c))
+			}
+		}
 	}
 }

@@ -47,7 +47,7 @@ func joinMixUnion(tb testing.TB, lang, text string) rewrite.Union {
 	if c, err := arccons.Compile(q); err == nil {
 		return rewrite.Union{c}
 	}
-	u, err := rewrite.Compile(q)
+	u, _, err := rewrite.Compile(q)
 	if err != nil {
 		tb.Fatal(err)
 	}
