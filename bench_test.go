@@ -7,7 +7,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/arccons"
-	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/cq"
@@ -423,143 +421,12 @@ func BenchmarkE12Classify(b *testing.B) {
 	}
 }
 
-// --- Prepared-query pipeline: compile once, execute many ---------------------
-//
-// The BenchmarkPrepared* family measures the repeated-query workload that the
-// prepare/execute refactor targets: "prepared" compiles once (outside the
-// timed loop) and only executes; "reparse" pays parse + plan + derived
-// structures on every call, which is what the legacy one-shot API does.
-// These numbers are the perf-trajectory baseline for future scaling PRs.
+// --- Corpus and HTTP fixtures ------------------------------------------------
 
-func BenchmarkPreparedXPath(b *testing.B) {
-	doc := workload.SiteDocument(workload.DocSpec{Items: 500, Regions: 6, DescriptionDepth: 2, Seed: 20})
-	eng := core.New(doc)
-	const q = "//item[name]/description//keyword"
-	ctx := context.Background()
-	b.Run("prepared", func(b *testing.B) {
-		pq, err := eng.Prepare(core.LangXPath, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := pq.Exec(ctx); err != nil { // warm the index cache
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pq.Exec(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.XPath(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkPreparedCQRewrite(b *testing.B) {
-	// A cyclic star query routed through Theorem 5.1: the acyclic-union
-	// rewriting dominates the per-call cost, so preparing once (the union is
-	// rewritten at prepare time) must beat re-planning per call by a wide
-	// margin on this repeated-query workload.
-	doc := workload.RandomTree(workload.TreeSpec{Nodes: 60, Seed: 21, Alphabet: []string{"a", "b", "c", "d", "e"}})
-	eng := core.New(doc, core.WithStrategy(core.RewriteFirst))
-	q := starQuery(4)
-	ctx := context.Background()
-	b.Run("prepared", func(b *testing.B) {
-		pq, err := eng.PrepareCQ(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := pq.Exec(ctx); err != nil { // warm the index cache
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pq.Exec(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.EvaluateCQ(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkPreparedDatalog(b *testing.B) {
-	// Prepared datalog converts to TMNF and compiles once; each execution only
-	// propagates the compiled rules on the document.
-	doc := workload.RandomTree(workload.TreeSpec{Nodes: 20_000, Seed: 22, Alphabet: []string{"a", "b", "L"}})
-	eng := core.New(doc)
-	ctx := context.Background()
-	b.Run("prepared", func(b *testing.B) {
-		pq, err := eng.Prepare(core.LangDatalog, ancestorProgram)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pq.Exec(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.Datalog(ancestorProgram); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkPreparedYannakakisIndexed(b *testing.B) {
-	// Single-labeled tree, so repeated executions reuse the cached XASR
-	// structural joins instead of re-materializing atom relations.
-	doc := workload.RandomTree(workload.TreeSpec{Nodes: 4000, Seed: 23, Alphabet: []string{"a", "b", "c", "d", "e"}})
-	eng := core.New(doc, core.WithStrategy(baseline.Yannakakis))
-	q := cq.MustParse("Q(x, y) :- Lab[a](x), Child+(x, y), Lab[b](y).")
-	ctx := context.Background()
-	b.Run("prepared", func(b *testing.B) {
-		pq, err := eng.PrepareCQ(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := pq.Exec(ctx); err != nil { // warm the index cache
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pq.Exec(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := yannakakis.Evaluate(q, doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Corpus query service: sharded engine pool + plan cache -------------------
-//
-// The BenchmarkService* family measures the multi-document service layer:
-// plan-cache hits must beat cold parse-plan-exec on repeated one-shot calls,
-// and the corpus fan-out must scale with the shard/worker count.
-
-func serviceCorpus(b *testing.B, docs int, opts ...service.Option) *service.Service {
+// serviceCorpus is a corpus of docs small site documents (doc00, doc01, ...).
+func serviceCorpus(b *testing.B, docs int) *service.Service {
 	b.Helper()
-	svc := service.New(opts...)
+	svc := service.New()
 	for i := 0; i < docs; i++ {
 		doc := workload.SiteDocument(workload.DocSpec{Items: 150, Regions: 6, DescriptionDepth: 2, Seed: int64(30 + i)})
 		if err := svc.Add(fmt.Sprintf("doc%02d", i), doc); err != nil {
@@ -569,110 +436,12 @@ func serviceCorpus(b *testing.B, docs int, opts ...service.Option) *service.Serv
 	return svc
 }
 
-func BenchmarkServicePlanCache(b *testing.B) {
-	// Repeated one-shot Query calls: "cached" goes through the service's plan
-	// cache (compile once, execute thereafter), "cold" pays parse + classify +
-	// plan + compile on every call like the pre-service one-shot API.  The
-	// cache's margin tracks the route's compilation cost: roughly break-even
-	// on cheap-to-parse XPath, a win on datalog (TMNF conversion + compile)
-	// and the rewrite route (acyclic-union construction).
-	svc := serviceCorpus(b, 1)
-	if err := svc.Add("tree00", workload.RandomTree(workload.TreeSpec{Nodes: 5000, Seed: 35, Alphabet: []string{"a", "b", "L"}})); err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	cases := []struct {
-		name, doc, lang, text string
-	}{
-		{"xpath", "doc00", core.LangXPath, "//item[name]/description//keyword"},
-		{"datalog", "tree00", core.LangDatalog, ancestorProgram},
-	}
-	for _, c := range cases {
-		eng, err := svc.Engine(c.doc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name+"/cached", func(b *testing.B) {
-			if _, _, err := svc.Query(ctx, c.doc, c.lang, c.text); err != nil { // warm cache + index
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := svc.Query(ctx, c.doc, c.lang, c.text); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(c.name+"/cold", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pq, err := eng.Prepare(c.lang, c.text)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := pq.Exec(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkServiceQueryCorpus(b *testing.B) {
-	// One query fanned out to a 16-document corpus at increasing shard /
-	// worker counts over one shared service configuration per run.  Wall
-	// clock shrinks with min(workers, GOMAXPROCS, docs): on a single-core
-	// box the sub-benchmarks converge, on N cores the fan-out spreads.
-	ctx := context.Background()
-	const q = "//item[name]/description//keyword"
-	for _, n := range []int{1, 2, 4, 8} {
-		svc := serviceCorpus(b, 16, service.WithShards(n), service.WithWorkers(n))
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			for _, r := range svc.QueryCorpus(ctx, core.LangXPath, q) { // warm plans + indexes
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range svc.QueryCorpus(ctx, core.LangXPath, q) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkServiceStreamCorpus(b *testing.B) {
-	// The stream language through the service: the path compiles once for
-	// the corpus, and each fan-out runs it on every document's axis images.
-	svc := serviceCorpus(b, 8, service.WithWorkers(4))
-	ctx := context.Background()
-	for _, r := range svc.QueryCorpus(ctx, core.LangStream, "//item//keyword") {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range svc.QueryCorpus(ctx, core.LangStream, "//item//keyword") {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
-// --- Server: the HTTP/JSON front-end ---------------------------------------
-
-// serverCorpus stands up the HTTP front-end over a warm corpus service.
-func serverCorpus(b *testing.B, docs int, svcOpts []service.Option, srvOpts ...server.Option) (*httptest.Server, *service.Service) {
+// serverCorpus stands up the HTTP front-end over serviceCorpus(b, docs).
+func serverCorpus(b *testing.B, docs int) *httptest.Server {
 	b.Helper()
-	svc := serviceCorpus(b, docs, svcOpts...)
-	ts := httptest.NewServer(server.New(svc, srvOpts...))
+	ts := httptest.NewServer(server.New(serviceCorpus(b, docs)))
 	b.Cleanup(ts.Close)
-	return ts, svc
+	return ts
 }
 
 func benchPost(b *testing.B, url string, body []byte) {
@@ -685,78 +454,6 @@ func benchPost(b *testing.B, url string, body []byte) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("status %d", resp.StatusCode)
-	}
-}
-
-func BenchmarkServerQuery(b *testing.B) {
-	// One plan-cache-warm single-document query through the full HTTP stack
-	// (connection reuse, JSON decode/encode, admission gate).  The margin over
-	// BenchmarkServicePlanCache/xpath/cached is the transport overhead.
-	ts, _ := serverCorpus(b, 1, nil)
-	body := []byte(`{"doc":"doc00","lang":"xpath","query":"//item[name]/description//keyword"}`)
-	benchPost(b, ts.URL+"/v1/query", body) // warm the plan cache + index
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/v1/query", body)
-	}
-}
-
-func BenchmarkServerCorpusQuery(b *testing.B) {
-	// Corpus-wide fan-out with aggregation over HTTP: 8 documents merged
-	// and truncated to a 100-match page per request.
-	ts, _ := serverCorpus(b, 8, []service.Option{service.WithWorkers(4)})
-	body := []byte(`{"lang":"xpath","query":"//item[name]/description//keyword","limit":100}`)
-	benchPost(b, ts.URL+"/v1/corpus/query", body)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPost(b, ts.URL+"/v1/corpus/query", body)
-	}
-}
-
-func BenchmarkServerPreparedExec(b *testing.B) {
-	// Executing a server-registered prepared query: the HTTP analogue of
-	// PreparedQuery.Exec, with zero per-request compilation.
-	ts, _ := serverCorpus(b, 1, nil)
-	resp, err := http.Post(ts.URL+"/v1/prepared", "application/json",
-		bytes.NewReader([]byte(`{"doc":"doc00","lang":"xpath","query":"//item[name]/description//keyword"}`)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reg struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reg); err != nil {
-		b.Fatal(err)
-	}
-	resp.Body.Close()
-	if reg.ID == "" {
-		b.Fatal("prepared registration returned no id")
-	}
-	url := ts.URL + "/v1/prepared/" + reg.ID
-	benchPost(b, url, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchPost(b, url, nil)
-	}
-}
-
-func BenchmarkServerAggregate(b *testing.B) {
-	// Pure aggregation cost: merging and limiting the fan-out of a
-	// 32-document corpus without the HTTP layer.
-	svc := serviceCorpus(b, 32, service.WithWorkers(4))
-	ctx := context.Background()
-	results := svc.QueryCorpus(ctx, core.LangXPath, "//item[name]/description//keyword")
-	for _, r := range results {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := service.Aggregate(results, 100)
-		if agg.Total == 0 {
-			b.Fatal("empty aggregate")
-		}
 	}
 }
 
@@ -881,41 +578,6 @@ func BenchmarkMultiLabelTwigPath(b *testing.B) {
 	})
 }
 
-func BenchmarkMultiLabelPrepared(b *testing.B) {
-	// The full pipeline on a multi-labeled document: prepared CQ execution
-	// over the engine's shared (label-complete) index, against the same
-	// evaluator demoted to the pre-PR labels-only index.  The query uses an
-	// attribute label on the from side — a restriction the primary-only XASR
-	// could never serve.
-	doc := multiLabelSite()
-	eng := core.New(doc, core.WithStrategy(baseline.Yannakakis))
-	q := cq.MustParse("Q(k) :- Lab[@name=africa](r), Child+(r, k), Lab[keyword](k).")
-	ctx := context.Background()
-	b.Run("prepared", func(b *testing.B) {
-		pq, err := eng.PrepareCQ(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := pq.Exec(ctx); err != nil { // warm the index cache
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pq.Exec(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fallback", func(b *testing.B) {
-		fb := labelsOnlyIndex{ix: index.New(doc)}
-		for i := 0; i < b.N; i++ {
-			if _, err := yannakakis.EvaluateIndexed(q, doc, fb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- Similarity: top-k subtree search (LangSimilar, PR 8) -------------------
 
 func BenchmarkSimilarTopK(b *testing.B) {
@@ -981,10 +643,9 @@ func BenchmarkUpdateSmallEdit(b *testing.B) {
 	// the warm query battery against the new revision.  Engine construction
 	// and index caches are lazy, so a bare rebuild only defers its cost to
 	// the next query; timing update+query charges each arm what a client
-	// actually waits.  "patched" (ratio 1) splices the columnar index and
-	// rebinds the warm plans over the carried label artifacts; "rebuild" (ratio 0)
-	// starts from a cold index and re-prepares every plan.  The patched arm
-	// must win by >=5x.
+	// actually waits.  "patched" (ratio 1) carries the untouched label
+	// artifacts into the new index and keeps every cached plan; "rebuild"
+	// (ratio 0) starts from a cold index.
 	revs := [2]*tree.Tree{updateBenchRev(0), updateBenchRev(1)}
 	ctx := context.Background()
 	warm := []struct{ lang, text string }{
@@ -1035,8 +696,7 @@ func BenchmarkUpdateSmallEdit(b *testing.B) {
 func BenchmarkSimilarCorpusRanked(b *testing.B) {
 	// Corpus-wide ranked fan-out through the /v1 envelope: per-document
 	// k-heaps merged into one globally ordered top-k, end to end over HTTP.
-	ts, _ := serverCorpus(b, 8, nil)
-	defer ts.Close()
+	ts := serverCorpus(b, 8)
 	body := []byte(`{"lang":"similar","query":"k=5 description(keyword)","limit":5}`)
 	benchPost(b, ts.URL+"/v1/corpus/query", body) // warm per-doc plans
 	b.ResetTimer()

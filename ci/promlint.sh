@@ -2,8 +2,8 @@
 # Lints the /v1/metrics exposition for structural and naming problems, with no
 # dependency beyond the repo itself.  Two layers:
 #
-#   1. `benchjson -metrics-url` round-trips the payload through
-#      internal/obsv.ParseExposition, which rejects missing # HELP/# TYPE
+#   1. internal/obsv/expocheck pipes the payload through
+#      obsv.ValidateExposition, which rejects missing # HELP/# TYPE
 #      lines, bad metric/label charsets, duplicate series, and torn
 #      histograms (non-cumulative buckets, +Inf bucket != _count).
 #   2. awk checks the Prometheus naming conventions the parser does not
@@ -34,7 +34,7 @@ if [[ -z "$URL" ]]; then
 fi
 
 echo "promlint: structural validation of $URL"
-go run ./cmd/benchjson -metrics-url "$URL" >/dev/null
+curl -sf "$URL" | go run ./internal/obsv/expocheck
 
 echo "promlint: naming conventions"
 curl -sf "$URL" | awk '

@@ -9,10 +9,10 @@
 // the relational kernel.  The relational
 // encoding of Section 2 — the XASR labeling relation, label-complete XASR
 // side relations (one per label, covering every label a node carries, so the
-// structural-join shortcut is sound on multi-labeled trees), region
-// (interval) labels, and memoized structural-join pair relations ("axis
-// closures") — is built only for those who ask for it by name: the forced
-// Yannakakis baseline, the indexed twig path merge, the experiments.
+// structural-join shortcut is sound on multi-labeled trees), and memoized
+// structural-join pair relations ("axis closures") — is built only for those
+// who ask for it by name: the forced Yannakakis baseline, the indexed twig
+// path merge, the experiments.
 //
 // An Index is safe for concurrent use by multiple goroutines: every artifact
 // is built at most once (double-checked locking under a shared mutex) and is
@@ -49,9 +49,6 @@ type Stats struct {
 	// XASRBuilds counts XASR materializations: 1 after first use, plus one
 	// per rebuild forced by a Release.
 	XASRBuilds uint64
-	// RegionBuilds counts region-label computations (again, rebuilds after a
-	// Release included).
-	RegionBuilds uint64
 	// LabelListBuilds / LabelListHits count cache misses/hits of the one
 	// per-label node list (NodesWithLabel, alias PostingList).
 	LabelListBuilds, LabelListHits uint64
@@ -86,7 +83,7 @@ func (s Stats) Hits() uint64 {
 
 // Builds returns the total number of artifact constructions.
 func (s Stats) Builds() uint64 {
-	return s.XASRBuilds + s.RegionBuilds + s.LabelListBuilds + s.LabelMaskBuilds +
+	return s.XASRBuilds + s.LabelListBuilds + s.LabelMaskBuilds +
 		s.LabelRowBuilds + s.PairBuilds + s.TEDBuilds
 }
 
@@ -95,7 +92,6 @@ func (s Stats) Builds() uint64 {
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		XASRBuilds:      s.XASRBuilds + o.XASRBuilds,
-		RegionBuilds:    s.RegionBuilds + o.RegionBuilds,
 		LabelListBuilds: s.LabelListBuilds + o.LabelListBuilds,
 		LabelListHits:   s.LabelListHits + o.LabelListHits,
 		LabelMaskBuilds: s.LabelMaskBuilds + o.LabelMaskBuilds,
@@ -128,13 +124,12 @@ type Index struct {
 	// the structural-join shortcut is label-complete either way.
 	multi bool
 
-	// The label-keyed caches and the two whole-document artifacts (XASR,
-	// region labels) share one RWMutex with a build-outside-the-lock,
+	// The label-keyed caches and the whole-document artifacts (XASR, TED
+	// view) share one RWMutex with a build-outside-the-lock,
 	// double-check-on-publish discipline, so Release can drop them all and a
 	// later request simply rebuilds (a sync.Once could not be re-armed).
-	mu      sync.RWMutex
-	xasr    *labeling.XASR
-	regions []labeling.RegionLabel
+	mu   sync.RWMutex
+	xasr *labeling.XASR
 	// labels holds the per-label caches, indexed by label code in the tree's
 	// dictionary: nil until one of a label's artifacts is built.
 	labels []*labelArtifacts
@@ -150,7 +145,7 @@ type Index struct {
 	pairMu sync.RWMutex
 	pairs  *lru.Cache[pairKey, *relstore.Relation]
 
-	xasrBuilds, regionBuilds     atomic.Uint64
+	xasrBuilds                   atomic.Uint64
 	listBuilds, listHits         atomic.Uint64
 	maskBuilds, maskHits         atomic.Uint64
 	rowBuilds, rowHits           atomic.Uint64
@@ -259,30 +254,8 @@ func (ix *Index) XASR() *labeling.XASR {
 	return built
 }
 
-// Regions returns the shared region (interval) labels of the tree,
-// materializing them on first use (and again after a Release dropped them).
-func (ix *Index) Regions() []labeling.RegionLabel {
-	ix.mu.RLock()
-	r := ix.regions
-	ix.mu.RUnlock()
-	if r != nil {
-		return r
-	}
-	built := labeling.RegionLabels(ix.t)
-	ix.mu.Lock()
-	if ix.regions != nil {
-		built = ix.regions
-		ix.mu.Unlock()
-		return built
-	}
-	ix.regions = built
-	ix.mu.Unlock()
-	ix.regionBuilds.Add(1)
-	return built
-}
-
-// Release drops every cached artifact — the XASR, region labels, label
-// lists and masks, the TED view, and all structural-join pair relations —
+// Release drops every cached artifact — the XASR, label lists, masks and
+// side relations, the TED view, and all structural-join pair relations —
 // returning their memory to the collector while the Index stays fully
 // usable: a later request simply rebuilds what it needs.
 //
@@ -295,7 +268,6 @@ func (ix *Index) Regions() []labeling.RegionLabel {
 func (ix *Index) Release() {
 	ix.mu.Lock()
 	ix.xasr = nil
-	ix.regions = nil
 	clear(ix.labels)
 	ix.tedDoc = nil
 	ix.mu.Unlock()
@@ -512,7 +484,6 @@ func (ix *Index) Snapshot() Stats {
 	ix.pairMu.RUnlock()
 	return Stats{
 		XASRBuilds:      ix.xasrBuilds.Load(),
-		RegionBuilds:    ix.regionBuilds.Load(),
 		LabelListBuilds: ix.listBuilds.Load(),
 		LabelListHits:   ix.listHits.Load(),
 		LabelMaskBuilds: ix.maskBuilds.Load(),

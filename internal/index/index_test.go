@@ -47,9 +47,6 @@ func TestLazyBuildAndCounters(t *testing.T) {
 	if s := ix.Snapshot(); s.XASRBuilds != 1 {
 		t.Errorf("XASR builds = %d", s.XASRBuilds)
 	}
-	if len(ix.Regions()) != doc.Len() {
-		t.Errorf("regions length %d, want %d", len(ix.Regions()), doc.Len())
-	}
 }
 
 func TestStructuralPairsSoundness(t *testing.T) {

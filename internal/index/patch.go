@@ -2,8 +2,6 @@ package index
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/labeling"
-	"repro/internal/relstore"
 	"repro/internal/tree"
 )
 
@@ -18,9 +16,7 @@ import (
 //
 //   - ShapePreserving: no node moves, so an untouched label's artifacts are
 //     shared as they are.  That is sound iff Touched holds every old and new
-//     label of every node whose label list changed (a side relation's rows
-//     carry the node's primary-label code, so a node contributes its whole
-//     list, not only the labels it gained or lost).  An edit of text alone
+//     label of every node whose label list changed.  An edit of text alone
 //     has an empty Touched and invalidates nothing.
 //   - otherwise survivors past the splice are renumbered by Delta, and the
 //     remap of an untouched label's artifacts assumes none of its nodes lies
@@ -38,41 +34,31 @@ func (s PatchSpec) Delta() int { return s.NewLen - s.OldLen }
 // list on every node, that is, an edit of text alone.
 func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) == 0 }
 
-// Patch derives the index of nt from an existing index by splicing, instead
-// of rebuilding from scratch:
+// Patch derives the index of nt from an existing index by carrying what the
+// default routes read across the edit, instead of rebuilding it:
 //
-//   - the columnar XASR is patched (labeling.PatchXASR) when the old index
-//     had materialized one — only region rows are recomputed, survivors are
-//     shifted, and only new labels are re-interned into a cloned dictionary;
-//   - label node lists, masks and rows for labels NOT in spec.Touched are
-//     carried over, remapping node ids past the splice by Delta (shared
-//     outright when Delta is 0);
-//   - cached structural-join pair relations whose (from, to) labels are both
-//     non-empty and untouched are carried over with both pre columns
-//     remapped;
-//   - pair relations with a "" side, which see every node's labels, survive
-//     only an edit the index cannot see, a shape-preserving one that touched
-//     no label;
+//   - label node lists and masks for labels NOT in spec.Touched are carried
+//     over, remapping node ids past the splice by Delta (shared outright when
+//     Delta is 0);
 //   - the TED view, the nodes ordered by subtree size, depends on the shape
 //     alone and is shared by every shape-preserving edit, relabels included;
-//   - everything else (touched labels, region labels) is dropped and rebuilt
-//     lazily on first use, exactly as after a Release.
+//   - everything else — touched labels, and the whole relational encoding
+//     (XASR, label rows, pair relations), which no default route reads — is
+//     dropped and rebuilt lazily on first use, exactly as after a Release.
 //
 // The old index is never mutated: readers still running against it see a
 // fully consistent document.  The result is a brand-new Index over nt with
 // its own pair-relation LRU (inheriting the old cap unless opts override it)
-// and fresh counters, except XASRBuilds which records the patched build.
+// and fresh counters.
 func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	cfg := config{pairCap: old.PairCap()}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	delta := spec.Delta()
 	touched := make(map[string]bool, len(spec.Touched))
 	for _, l := range spec.Touched {
 		touched[l] = true
 	}
-	unseen := spec.unseen()
 	// Artifacts move by code.  A tree parsed against its predecessor's
 	// dictionary keeps every code (remap is nil); otherwise each old code is
 	// translated by name, and one the new dictionary lacks has no artifact to
@@ -92,54 +78,18 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	nix := newIndex(nt, patchedMulti(old, nt, spec), cfg)
 
 	old.mu.RLock()
-	oldXASR, oldTED := old.xasr, old.tedDoc
-	if oldXASR != nil {
-		nix.xasr = labeling.PatchXASR(oldXASR, nt, spec.Start, spec.OldLen, spec.NewLen)
-		nix.xasrBuilds.Add(1)
-	}
 	if spec.ShapePreserving {
 		// The view is a function of the tree's shape: unchanged.
-		nix.tedDoc = oldTED
+		nix.tedDoc = old.tedDoc
 	}
 	for c, a := range old.labels {
 		nc, ok := carried(c)
 		if a == nil || !ok {
 			continue
 		}
-		nix.labels[nc] = carry(*a, old.t.Len(), nt.Len(), spec, nix.xasr, oldDict.Name(tree.Code(c)))
+		nix.labels[nc] = carry(*a, old.t.Len(), nt.Len(), spec)
 	}
 	old.mu.RUnlock()
-
-	// Pair relations: a cached (axis, from, to) closure survives iff both
-	// sides are untouched labels.  An empty side ranges over the whole
-	// document, so it counts as touched by every edit the index can see.
-	old.pairMu.RLock()
-	old.pairs.Each(func(k pairKey, r *relstore.Relation) bool {
-		if touched[k.from] || touched[k.to] || ((k.from == "" || k.to == "") && !unseen) {
-			return true
-		}
-		if delta == 0 {
-			nix.pairs.Add(k, r)
-			return true
-		}
-		a, b, ok := r.IntColumns(0, 1)
-		if !ok {
-			return true
-		}
-		moved := relstore.NewPairs("pairs", "from_pre", "to_pre")
-		shift := func(v int64) int64 {
-			if int(v) > spec.Start+spec.OldLen {
-				return v + int64(delta)
-			}
-			return v
-		}
-		for i := range a {
-			moved.AppendPair(shift(a[i]), shift(b[i]))
-		}
-		nix.pairs.Add(k, moved)
-		return true
-	})
-	old.pairMu.RUnlock()
 
 	// Enforcement point for the carry-over rules above: even if a future
 	// change accidentally copies a touched-label artifact, it is dropped here
@@ -148,17 +98,16 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	return nix
 }
 
-// carry returns an untouched label's artifacts in the patched index.
+// carry returns an untouched label's node list and mask in the patched index;
+// its side relation is left to be rebuilt against the new tree's XASR.
 // Survivor remap: node ids at or past the removed region shift by delta; ids
 // inside the region cannot occur for an untouched label (when delta != 0,
-// Touched covers every region label).  Without a shift every artifact is
-// shared as it is — even the side relation's rows, whose lab codes agree
-// because the label's nodes kept their label lists — and none is rebuilt
-// ahead of use.
-func carry(a labelArtifacts, oldN, newN int, spec PatchSpec, xasr *labeling.XASR, name string) *labelArtifacts {
+// Touched covers every region label).  Without a shift both are shared as
+// they are.
+func carry(a labelArtifacts, oldN, newN int, spec PatchSpec) *labelArtifacts {
 	delta := spec.Delta()
 	if delta == 0 {
-		return &a
+		return &labelArtifacts{nodes: a.nodes, mask: a.mask}
 	}
 	end := spec.Start + spec.OldLen
 	out := &labelArtifacts{}
@@ -169,9 +118,6 @@ func carry(a labelArtifacts, oldN, newN int, spec PatchSpec, xasr *labeling.XASR
 				n += tree.NodeID(delta)
 			}
 			out.nodes[i] = n
-		}
-		if xasr != nil {
-			out.rows = xasr.SubRelation("R_"+name, out.nodes)
 		}
 	}
 	// A mask is remapped from its own bits, not from the node list: CodeMask

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/labeling"
 	"repro/internal/tree"
 	"repro/internal/treediff"
 )
@@ -10,7 +12,6 @@ import (
 // warm touches every artifact family so Patch has something to carry over.
 func warm(ix *Index, labels ...string) {
 	ix.XASR()
-	ix.Regions()
 	ix.TED()
 	for _, l := range labels {
 		ix.NodesWithLabel(l)
@@ -66,8 +67,21 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 			if err := old.Validate(); err != nil {
 				t.Fatalf("old index corrupted by patch: %v", err)
 			}
-			if got, want := patched.Snapshot().XASRBuilds, uint64(1); got != want {
-				t.Fatalf("patched XASRBuilds = %d, want %d (spliced, not rebuilt)", got, want)
+			// The relational encoding is not carried: the patched index
+			// starts without it and builds it from its own tree on first use.
+			if s := patched.Snapshot(); s.XASRBuilds != 0 || s.LabelRowBuilds != 0 || s.PairEntries != 0 {
+				t.Fatalf("patched index carried relational state: %+v", s)
+			}
+			if patched.XASR().Tree() != newT {
+				t.Fatal("patched index rebuilt its XASR from the old tree")
+			}
+			pairs, _ := patched.StructuralPairs(tree.Descendant, "", "item")
+			want := labeling.BuildXASR(newT).StructuralJoin(tree.Descendant, "", "item")
+			if fmt.Sprint(pairs.Tuples()) != fmt.Sprint(want.Tuples()) {
+				t.Fatalf("rebuilt pairs %v, want %v", pairs.Tuples(), want.Tuples())
+			}
+			if s := patched.Snapshot(); s.XASRBuilds != 1 || s.PairBuilds != 1 {
+				t.Fatalf("relational state not rebuilt lazily: %+v", s)
 			}
 			// "item" is untouched in every case: its artifacts must have been
 			// carried over, not rebuilt.

@@ -17,7 +17,6 @@ func TestReleaseDropsAndRebuilds(t *testing.T) {
 
 	// Warm every artifact family.
 	xasr := ix.XASR()
-	regions := ix.Regions()
 	list := ix.NodesWithLabel("a")
 	mask := ix.LabelMask("b")
 	for _, to := range []string{"a", "b", "c"} {
@@ -34,7 +33,7 @@ func TestReleaseDropsAndRebuilds(t *testing.T) {
 	}
 
 	// Artifacts handed out before the release stay valid (immutable)...
-	if xasr.Tree() != doc || len(regions) != doc.Len() || len(list) == 0 || mask.Len() < doc.Len() {
+	if xasr.Tree() != doc || len(list) == 0 || mask.Len() < doc.Len() {
 		t.Fatal("released artifacts were mutated")
 	}
 	// ...and re-requests rebuild identical content.

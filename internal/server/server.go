@@ -733,7 +733,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		"index": map[string]any{
 			"multi_labeled_docs": st.MultiLabeledDocs,
 			"xasr_builds":        st.Index.XASRBuilds,
-			"region_builds":      st.Index.RegionBuilds,
 			"label_list_builds":  st.Index.LabelListBuilds,
 			"label_list_hits":    st.Index.LabelListHits,
 			"label_mask_builds":  st.Index.LabelMaskBuilds,

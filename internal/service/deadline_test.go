@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cq"
+	"repro/internal/index"
+	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
@@ -127,6 +131,29 @@ const cyclicKeywordPairs = "Q(k, l) :- Lab[item](i), Child+(i, k), Lab[keyword](
 // TestWithPlanClauseCap checks plan-cache admission control: a rewritten
 // disjunct union above the clause cap executes but is never cached, while
 // ordinary plans keep caching normally.
+// TestQueryCorpusPanicFailsTheDocument: an evaluator that panics on a
+// fan-out worker fails its document, not the process, and leaves the service
+// serving.
+func TestQueryCorpusPanicFailsTheDocument(t *testing.T) {
+	boom := core.ForceCQ("boom", "panics",
+		func(context.Context, *cq.Query, *tree.Tree, *index.Index) ([]cq.Answer, error) {
+			panic("evaluator bug")
+		})
+	s := corpusService(t, 2, WithWorkers(2), WithEngineOptions(core.WithStrategy(boom)))
+	ctx := context.Background()
+	for _, r := range s.QueryCorpus(ctx, core.LangCQ, "Q(k) :- Lab[keyword](k).") {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "evaluator bug") || r.Result != nil {
+			t.Fatalf("%s: want the panic as the document's error, got %+v", r.Doc, r)
+		}
+	}
+	// The strategy forces only CQs: XPath still runs on both documents.
+	for _, r := range s.QueryCorpus(ctx, core.LangXPath, "//keyword") {
+		if r.Err != nil || len(r.Result.Nodes) == 0 {
+			t.Fatalf("%s after the panic: %+v", r.Doc, r)
+		}
+	}
+}
+
 func TestWithPlanClauseCap(t *testing.T) {
 	s := corpusService(t, 1, WithPlanClauseCap(3))
 	ctx := context.Background()

@@ -514,7 +514,8 @@ func WithDocTimeout(d time.Duration) CorpusOption {
 // document, so a fan-out compiles at most once.  A cancelled context aborts
 // documents that have not started, reporting the context error in their
 // DocResult (partial-failure semantics: completed documents keep their
-// results).  WithDocTimeout adds a per-document bound derived from ctx.
+// results), and so does a panic in one document's evaluation.  WithDocTimeout
+// adds a per-document bound derived from ctx.
 func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...CorpusOption) []DocResult {
 	var cfg corpusConfig
 	for _, o := range opts {
@@ -544,7 +545,15 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 			return
 		}
 		s.queries.Add(1)
-		out[i].Result, out[i].Plan, out[i].Err = func() (*core.Result, *core.Plan, error) {
+		out[i].Result, out[i].Plan, out[i].Err = func() (res *core.Result, plan *core.Plan, err error) {
+			// The pool's goroutines are its own, out of reach of net/http's
+			// per-handler recovery: a panicking evaluator fails its document
+			// instead of the process.
+			defer func() {
+				if p := recover(); p != nil {
+					res, plan, err = nil, nil, fmt.Errorf("service: query panicked on %s: %v", names[i], p)
+				}
+			}()
 			if cfg.docTimeout <= 0 {
 				return c.Exec(ctx, ent.eng)
 			}

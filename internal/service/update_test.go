@@ -540,8 +540,9 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 
 // TestUpdateYannakakisCarriesPairs is the converse: the forced Yannakakis
 // baseline still builds the XASR, the label-complete side relations and the
-// pair relations on a multi-labeled document, hits them on repeat, and a small
-// edit elsewhere carries them into the patched index instead of rebuilding.
+// pair relations on a multi-labeled document and hits them on repeat.  A
+// patch carries none of them: the patched index starts without a relational
+// encoding and the next query rebuilds it, once, from the new tree.
 func TestUpdateYannakakisCarriesPairs(t *testing.T) {
 	s := New(WithEngineOptions(core.WithStrategy(baseline.Yannakakis)))
 	if err := s.AddXML("d", multiKeywordXML(3)); err != nil {
@@ -570,12 +571,16 @@ func TestUpdateYannakakisCarriesPairs(t *testing.T) {
 	if err != nil || !o.Patched {
 		t.Fatalf("update: %+v, %v; want a patched index", o, err)
 	}
-	carried := s.Stats().Index
-	if carried.PairEntries == 0 || carried.PairBuilds != 0 {
-		t.Fatalf("patched index should carry the pair relations unbuilt: %+v", carried)
+	if st := s.Stats().Index; st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairEntries != 0 {
+		t.Fatalf("patched index should carry no relational state: %+v", st)
 	}
 	query(3)
-	if st := s.Stats().Index; st.PairBuilds != 0 || st.PairHits == 0 {
-		t.Errorf("post-patch query should hit the carried relations: %+v", st)
+	rebuilt := s.Stats().Index
+	if rebuilt.XASRBuilds != 1 || rebuilt.LabelRowBuilds == 0 || rebuilt.PairBuilds == 0 {
+		t.Fatalf("post-patch query should rebuild the relational encoding once: %+v", rebuilt)
+	}
+	query(3)
+	if st := s.Stats().Index; st.XASRBuilds != 1 || st.PairBuilds != rebuilt.PairBuilds || st.PairHits == rebuilt.PairHits {
+		t.Errorf("a repeat should hit the rebuilt relations: %+v -> %+v", rebuilt, st)
 	}
 }

@@ -9,9 +9,9 @@
 // everything outside the interval unchanged up to a uniform pre/post shift.
 // That shape covers the edits incremental maintenance cares about (subtree
 // insert, subtree delete, subtree replace, label rename, text edit) and is
-// exactly the shape the columnar XASR can absorb by shifting its pre, post
-// and parent_pre columns over the affected suffix instead of recomputing
-// them (labeling.PatchXASR, index.Patch).  Edits that do not reduce to a
+// exactly the shape index.Patch can absorb: it carries an untouched label's
+// node list and mask by shifting the ids past the splice by one delta
+// instead of rebuilding them.  Edits that do not reduce to a
 // single splice — or that Diff cannot verify as one — report ok=false, and
 // the caller falls back to a full rebuild; a missed patch opportunity is
 // always safe, a wrong splice never is, so every structural precondition of
