@@ -47,7 +47,8 @@ const obsvPkg = "repro/internal/obsv"
 
 // labelAllowlist is the closed set of label names the exposition may carry.
 // Every entry is known-bounded: handler/route/lang/outcome/code enumerate
-// small static sets, pool/phase/mode/bound enumerate engine internals.
+// small static sets, pool/phase/mode/bound enumerate engine internals, and
+// scope is where a panic was recovered (request or document).
 // Adding a label means extending this list in the same commit that
 // registers it — which is the review point the allowlist exists to create.
 var labelAllowlist = map[string]bool{
@@ -60,6 +61,7 @@ var labelAllowlist = map[string]bool{
 	"phase":   true,
 	"pool":    true,
 	"bound":   true,
+	"scope":   true,
 }
 
 // maxLabels caps the per-family label count; 3 is the current widest family

@@ -177,21 +177,33 @@ func TestValidateExpositionRejectsMalformed(t *testing.T) {
 }
 
 func TestTraceSpansAndContext(t *testing.T) {
-	tr := NewTrace("deadbeef01234567")
-	ctx := WithTrace(context.Background(), tr)
-	got := TraceFrom(ctx)
-	if got != tr {
-		t.Fatalf("TraceFrom returned %v, want the original trace", got)
+	rc := new(RequestContext)
+	rc.Init(context.Background(), "deadbeef01234567")
+	defer rc.End()
+	tr := rc.Trace()
+	type key struct{}
+	if TraceFrom(rc) != tr || TraceFrom(context.WithValue(rc, key{}, 1)) != tr {
+		t.Fatal("TraceFrom does not find the request's trace, directly or through a derived context")
 	}
 	if TraceFrom(context.Background()) != nil {
 		t.Fatal("TraceFrom on an empty context should be nil")
 	}
-	got.Observe("plan", 2*time.Millisecond)
-	got.Observe("exec", 5*time.Millisecond)
-	got.SetQuery("query", "xpath", "//a")
-	got.SetDocs(3)
+	if tr.ID() != "deadbeef01234567" {
+		t.Fatalf("ID() = %q", tr.ID())
+	}
+	if route, _, hash := tr.Query(); route != "" || hash != "" {
+		t.Fatal("Query() before SetQuery is not empty")
+	}
+	// Spans past the inline array are kept, in order.
+	for i := 0; i < inlineSpans; i++ {
+		tr.Observe("gate", time.Duration(i))
+	}
+	tr.Observe("plan", 2*time.Millisecond)
+	tr.Observe("exec", 5*time.Millisecond)
+	tr.SetQuery("query", "xpath", "//a")
+	tr.SetDocs(3)
 	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Name != "plan" || spans[1].Name != "exec" {
+	if n := len(spans); n != inlineSpans+2 || spans[n-2].Name != "plan" || spans[n-1].Name != "exec" || spans[1].Duration != 1 {
 		t.Fatalf("spans = %v", spans)
 	}
 	route, lang, hash := tr.Query()

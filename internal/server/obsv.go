@@ -8,11 +8,17 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"log/slog"
 
@@ -65,6 +71,11 @@ func (s *Server) registerMetrics() {
 		obsv.DurationBuckets, "lang", "route", "outcome")
 	s.fanoutDocs = reg.NewHistogramVec("treeqd_corpus_fanout_docs",
 		"Documents per corpus fan-out.", obsv.CountBuckets).With()
+	panics := reg.NewCounterVec("treeqd_panics_recovered_total",
+		"Panics recovered: a handler's (answered 500) or one document's in a corpus fan-out (failed that document).", "scope")
+	for i, scope := range scopeLabels {
+		s.panics[i] = panics.With(scope)
+	}
 
 	reg.OnScrape(s.snapshotForScrape)
 
@@ -203,44 +214,178 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-// statusWriter captures the response code and byte count for the access log
-// and the treeqd_http_requests_total counter.
-type statusWriter struct {
+// exchange is the state of one request in one allocation: the
+// ResponseWriter wrapper that records the status and byte count for the
+// access log and treeqd_http_requests_total, the request's context (its trace
+// and deadline), its ID and the URL query, parsed on first use.  ServeHTTP
+// hands it to the mux as the ResponseWriter, so a handler recovers it with
+// exchangeOf.
+type exchange struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+
+	ctx   obsv.RequestContext
+	id    [1]string // the request ID, as the X-Request-Id header value
+	idBuf [16]byte  // a generated ID's digits
+	query url.Values
+	body  limitedBody
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
+// limitedBody bounds a request body at limit bytes, as http.MaxBytesReader
+// does: a read past the bound fails with *http.MaxBytesError.  It lives in
+// the exchange, so bounding a body allocates nothing, where MaxBytesReader
+// allocates a reader per request.  (MaxBytesReader's other duty, telling
+// net/http's response to close the connection after an oversized body, never
+// reached that response through the exchange's wrapper either.)
+type limitedBody struct {
+	rc    io.ReadCloser
+	n     int64 // bytes left
+	limit int64
+	err   error
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+func (b *limitedBody) Read(p []byte) (int, error) {
+	if b.err != nil {
+		return 0, b.err
 	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
+	if len(p) == 0 {
+		return 0, nil
+	}
+	// One byte past what is left tells a body at the bound from one over it.
+	if int64(len(p))-1 > b.n {
+		p = p[:b.n+1]
+	}
+	n, err := b.rc.Read(p)
+	if int64(n) <= b.n {
+		b.n -= int64(n)
+		b.err = err
+		return n, err
+	}
+	n, b.n = int(b.n), 0
+	b.err = &http.MaxBytesError{Limit: b.limit}
+	return n, b.err
+}
+
+func (b *limitedBody) Close() error { return b.rc.Close() }
+
+// exchangeOf returns the exchange ServeHTTP wrapped the handler's
+// ResponseWriter in.
+func exchangeOf(w http.ResponseWriter) *exchange { return w.(*exchange) }
+
+func (x *exchange) WriteHeader(code int) {
+	if x.status == 0 {
+		x.status = code
+	}
+	x.ResponseWriter.WriteHeader(code)
+}
+
+func (x *exchange) Write(b []byte) (int, error) {
+	if x.status == 0 {
+		x.status = http.StatusOK
+	}
+	n, err := x.ResponseWriter.Write(b)
+	x.bytes += int64(n)
 	return n, err
 }
 
-// requestID returns the client-supplied X-Request-ID when it is usable
+// setRequestID takes the client-supplied X-Request-ID when it is usable
 // (non-empty, bounded, printable ASCII — it is echoed into headers and logs),
-// or a fresh one.
-func requestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
+// or generates one into x.idBuf, and returns it as a header value.
+func (x *exchange) setRequestID(r *http.Request) []string {
+	if v := r.Header["X-Request-Id"]; len(v) > 0 && usableRequestID(v[0]) {
+		x.id[0] = v[0]
+	} else {
+		b := obsv.AppendRequestID(x.idBuf[:0])
+		x.id[0] = unsafe.String(&b[0], len(b))
+	}
+	return x.id[:]
+}
+
+func usableRequestID(id string) bool {
 	if id == "" || len(id) > 128 {
-		return obsv.NewRequestID()
+		return false
 	}
 	for i := 0; i < len(id); i++ {
 		if id[i] <= ' ' || id[i] > '~' {
-			return obsv.NewRequestID()
+			return false
 		}
 	}
-	return id
+	return true
+}
+
+// queryValue returns the URL query parameter name, parsing the query string
+// at most once per request and not at all when it is empty.
+func (x *exchange) queryValue(r *http.Request, name string) string {
+	if r.URL.RawQuery == "" {
+		return ""
+	}
+	if x.query == nil {
+		x.query = r.URL.Query()
+	}
+	return x.query.Get(name)
+}
+
+// The closed label sets of the hot-path families.  Each (handler, code) and
+// (lang, route, outcome) child is resolved on its first observation and kept
+// in a fixed table, so observing costs no key join and no allocation, and the
+// exposition lists only the series that were observed.
+var (
+	handlerLabels = [...]string{"healthz", "statusz", "metrics", "query", "corpus_query", "docs", "prepared", "other"}
+	// codeLabels are the statuses the server and its mux answer with; any
+	// other code is counted through the family's own lookup.
+	codeLabels = [...]int{200, 201, 301, 307, 308, 400, 404, 405, 409, 413, 429, 499, 500, 504}
+	// langLabels are the query languages, then "other" for every language
+	// the service does not know, so a client cannot mint series.
+	langLabels    = [...]string{core.LangXPath, core.LangCQ, core.LangDatalog, core.LangTwig, core.LangStream, core.LangSimilar, "other"}
+	routeLabels   = [...]string{"query", "corpus", "prepared"}
+	outcomeLabels = [...]string{"ok", "timeout", "canceled", "error"}
+	scopeLabels   = [...]string{"request", "document"}
+)
+
+// Indexes of scopeLabels.
+const (
+	panicRequest  = iota // a handler's panic, recovered by ServeHTTP
+	panicDocument        // one document's panic in a corpus fan-out
+)
+
+// metricTables holds the resolved hot-path children.
+type metricTables struct {
+	http  [len(handlerLabels)][len(codeLabels)]atomic.Pointer[obsv.Counter]
+	query [len(langLabels)][len(routeLabels)][len(outcomeLabels)]atomic.Pointer[obsv.Histogram]
+}
+
+// countRequest counts one response in treeqd_http_requests_total.
+func (s *Server) countRequest(handler string, code int) {
+	ci := slices.Index(codeLabels[:], code)
+	if ci < 0 {
+		s.httpReqs.With(handler, strconv.Itoa(code)).Inc()
+		return
+	}
+	slot := &s.series.http[slices.Index(handlerLabels[:], handler)][ci]
+	c := slot.Load()
+	if c == nil {
+		c = s.httpReqs.With(handler, strconv.Itoa(code))
+		slot.Store(c)
+	}
+	c.Inc()
+}
+
+// queryHistogram returns the treeqd_query_duration_seconds child of (lang,
+// route, outcome), counting a language the service does not know as
+// "other".
+func (s *Server) queryHistogram(lang, route, outcome string) *obsv.Histogram {
+	li := slices.Index(langLabels[:], lang)
+	if li < 0 {
+		li = len(langLabels) - 1
+	}
+	slot := &s.series.query[li][slices.Index(routeLabels[:], route)][slices.Index(outcomeLabels[:], outcome)]
+	h := slot.Load()
+	if h == nil {
+		h = s.queryDur.With(langLabels[li], route, outcome)
+		slot.Store(h)
+	}
+	return h
 }
 
 // handlerLabel maps the request path onto the bounded handler-label set of
@@ -287,10 +432,12 @@ func outcomeLabel(err error) string {
 
 // observeQuery finishes the instrumentation of one query-route request: it
 // records the end-to-end latency histogram sample, stamps the query identity
-// onto the trace, and emits at most one slow-query log line.
+// onto the trace, and emits at most one slow-query log line — the one place
+// the query text is hashed.
 func (s *Server) observeQuery(tr *obsv.Trace, route, lang, text string, start time.Time, err error) {
 	elapsed := time.Since(start)
-	s.queryDur.With(lang, route, outcomeLabel(err)).ObserveDuration(elapsed)
+	outcome := outcomeLabel(err)
+	s.queryHistogram(lang, route, outcome).ObserveDuration(elapsed)
 	tr.SetQuery(route, lang, text)
 	if s.slowQuery > 0 && elapsed >= s.slowQuery && s.slowLog != nil {
 		s.slowLog.Warn("slow query",
@@ -299,7 +446,7 @@ func (s *Server) observeQuery(tr *obsv.Trace, route, lang, text string, start ti
 			"lang", lang,
 			"query_hash", obsv.QueryHash(text),
 			"duration_ms", float64(elapsed)/float64(time.Millisecond),
-			"outcome", outcomeLabel(err),
+			"outcome", outcome,
 			"stages", stageBreakdown(tr),
 		)
 	}
@@ -318,8 +465,8 @@ func stageBreakdown(tr *obsv.Trace) string {
 
 // debugTimings reports whether the request asked for the per-stage timing
 // echo (?debug=timings).
-func debugTimings(r *http.Request) bool {
-	return r.URL.Query().Get("debug") == "timings"
+func debugTimings(x *exchange, r *http.Request) bool {
+	return x.queryValue(r, "debug") == "timings"
 }
 
 // timingsJSON renders the trace for the ?debug=timings response field.

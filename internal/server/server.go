@@ -28,7 +28,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,7 +96,9 @@ type Server struct {
 	reg        *obsv.Registry
 	httpReqs   *obsv.CounterVec
 	queryDur   *obsv.HistogramVec
+	series     metricTables
 	fanoutDocs *obsv.Histogram
+	panics     [len(scopeLabels)]*obsv.Counter
 	scrape     atomic.Pointer[scrapeSnapshot]
 	accessLog  *slog.Logger
 	slowLog    *slog.Logger
@@ -210,36 +214,59 @@ func New(svc *service.Service, opts ...Option) *Server {
 
 // ServeHTTP implements http.Handler.  Every request gets a request ID
 // (accepted from the client's X-Request-ID or generated), echoed in the
-// response header and carried in the context as an obsv.Trace so the layers
+// response header and carried by the request's context (an
+// obsv.RequestContext, which also holds its trace and deadline) so the layers
 // below can record per-stage spans.  The response code and duration feed the
-// treeqd_http_requests_total counter and the access log.
+// treeqd_http_requests_total counter and the access log.  A handler that
+// panics answers 500 with the internal error envelope, when nothing of its
+// response has been sent yet.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	id := requestID(r)
-	w.Header().Set("X-Request-ID", id)
-	r = r.WithContext(obsv.WithTrace(r.Context(), obsv.NewTrace(id)))
-	sw := &statusWriter{ResponseWriter: w}
+	x := &exchange{ResponseWriter: w}
+	w.Header()["X-Request-Id"] = x.setRequestID(r)
+	x.ctx.Init(r.Context(), x.id[0])
 	if s.maxBody > 0 && r.Body != nil {
-		r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
+		x.body = limitedBody{rc: r.Body, n: s.maxBody, limit: s.maxBody}
+		r.Body = &x.body
 	}
-	start := time.Now()
-	s.mux.ServeHTTP(sw, r)
+	defer s.finish(x, r, time.Now())
+	s.mux.ServeHTTP(x, r)
+}
+
+// finish ends the request started at start: it recovers a handler panic,
+// then counts the response and writes its access-log line.
+func (s *Server) finish(x *exchange, r *http.Request, start time.Time) {
+	p := recover()
+	if p != nil && p != http.ErrAbortHandler {
+		s.panics[panicRequest].Inc()
+		log.Printf("server: panic serving %s %s (request_id=%s): %v\n%s", r.Method, r.URL.Path, x.id[0], p, debug.Stack())
+		if x.status == 0 {
+			s.writeError(x, http.StatusInternalServerError, fmt.Errorf("server: internal error: %v", p))
+			p = nil
+		}
+	}
+	x.ctx.End()
 	elapsed := time.Since(start)
-	if sw.status == 0 {
-		sw.status = http.StatusOK
+	if x.status == 0 {
+		x.status = http.StatusOK
 	}
 	handler := handlerLabel(r)
-	s.httpReqs.With(handler, strconv.Itoa(sw.status)).Inc()
+	s.countRequest(handler, x.status)
 	if s.accessLog != nil {
-		s.accessLog.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"handler", handler,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"duration_ms", float64(elapsed)/float64(time.Millisecond),
-			"request_id", id,
+		s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.String("handler", handler),
+			slog.Int("status", x.status),
+			slog.Int64("bytes", x.bytes),
+			slog.Float64("duration_ms", float64(elapsed)/float64(time.Millisecond)),
+			slog.String("request_id", x.id[0]),
 		)
+	}
+	if p != nil {
+		// The response is partly sent: abort it, so the client sees a broken
+		// response rather than a short one.
+		panic(http.ErrAbortHandler)
 	}
 }
 
@@ -289,7 +316,7 @@ func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 			s.writeError(w, http.StatusTooManyRequests, errors.New("server: saturated, retry later"))
 			return
 		}
-		obsv.TraceFrom(r.Context()).Observe("gate", time.Since(gateStart))
+		exchangeOf(w).ctx.Trace().Observe("gate", time.Since(gateStart))
 		s.inflight.Add(1)
 		start := time.Now()
 		defer func() {
@@ -346,11 +373,10 @@ func (s *Server) retryAfterSeconds() int64 {
 	return secs
 }
 
-// requestContext derives the handler context: the client connection's context
-// (cancelled on disconnect) bounded by the request timeout.  timeoutMS comes
+// setTimeout bounds the request's context by its timeout: timeoutMS comes
 // from the request body or the "timeout_ms" query parameter; zero means the
 // server default, and every value is clamped to the server maximum.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+func (s *Server) setTimeout(x *exchange, timeoutMS int64) {
 	d := s.defaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -358,16 +384,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 	if s.maxTimeout > 0 && (d <= 0 || d > s.maxTimeout) {
 		d = s.maxTimeout
 	}
-	if d <= 0 {
-		return context.WithCancel(r.Context())
-	}
-	return context.WithTimeout(r.Context(), d)
+	x.ctx.SetTimeout(d)
 }
 
 // queryParam reads the optional non-negative integer query parameter name:
 // 0 when absent, an error when present but not a non-negative integer.
-func queryParam(r *http.Request, name string) (int, error) {
-	v := r.URL.Query().Get(name)
+func queryParam(x *exchange, r *http.Request, name string) (int, error) {
+	v := x.queryValue(r, name)
 	if v == "" {
 		return 0, nil
 	}
@@ -402,8 +425,12 @@ func toPlanJSON(p *core.Plan) *planJSON {
 	}
 }
 
+// jsonContentType is the Content-Type header value of every JSON response,
+// shared read-only so setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -415,10 +442,14 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // back-off hint in both the Retry-After header and the body, derived from the
 // gate's observed load, whether the gate or a later stage gave up.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+	var id string
+	if v := w.Header()["X-Request-Id"]; len(v) > 0 {
+		id = v[0]
+	}
 	body := map[string]any{
 		"error":      err.Error(),
 		"code":       errorCode(status),
-		"request_id": w.Header().Get("X-Request-ID"),
+		"request_id": id,
 	}
 	switch status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -445,18 +476,30 @@ func errorStatus(err error) int {
 	}
 }
 
-func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeBody reads r's body, decodes it with unmarshal (see body.go), then
+// runs check on the result.
+func decodeBody(r *http.Request, unmarshal func(string) error, check func() error) error {
+	body, err := readQueryBody(r)
+	if err == nil {
+		err = unmarshal(body)
+	}
+	if err == nil {
+		err = check()
+	}
+	if err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
 	}
-	if c, ok := v.(interface{ check() error }); ok {
-		if err := c.check(); err != nil {
-			return fmt.Errorf("server: bad request body: %w", err)
-		}
-	}
 	return nil
+}
+
+// bodyStatus is the status of a request body decodeBody refused: 413 for a
+// body over the server's limit, 400 for anything else.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // nonNegative rejects a negative count or duration in a request: a negative
@@ -558,31 +601,61 @@ func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {
 
 // --- queries ---------------------------------------------------------------
 
-// queryRequest is the body of POST /v1/query.
+// queryRequest is the body of POST /v1/query.  The json tags describe the
+// wire form; decode reads it (see body.go).
 type queryRequest struct {
 	Doc       string `json:"doc"`
 	Lang      string `json:"lang"`
 	Query     string `json:"query"`
-	Limit     int    `json:"limit,omitempty"`
+	Limit     int64  `json:"limit,omitempty"`
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 	Plan      bool   `json:"plan,omitempty"`
 }
 
+func (q *queryRequest) decode(r *http.Request) error {
+	return decodeBody(r, q.unmarshal, q.check)
+}
+
+func (q *queryRequest) unmarshal(body string) error {
+	return decodeObject(body, []bodyField{
+		{name: "doc", str: &q.Doc},
+		{name: "lang", str: &q.Lang},
+		{name: "query", str: &q.Query},
+		{name: "limit", num: &q.Limit},
+		{name: "timeout_ms", num: &q.TimeoutMS},
+		{name: "plan", flag: &q.Plan},
+	})
+}
+
 func (q *queryRequest) check() error {
-	return errors.Join(nonNegative("limit", int64(q.Limit)), nonNegative("timeout_ms", q.TimeoutMS))
+	return errors.Join(nonNegative("limit", q.Limit), nonNegative("timeout_ms", q.TimeoutMS))
 }
 
 // corpusQueryRequest is the body of POST /v1/corpus/query.
 type corpusQueryRequest struct {
 	Lang         string `json:"lang"`
 	Query        string `json:"query"`
-	Limit        int    `json:"limit,omitempty"`
+	Limit        int64  `json:"limit,omitempty"`
 	TimeoutMS    int64  `json:"timeout_ms,omitempty"`
 	DocTimeoutMS int64  `json:"doc_timeout_ms,omitempty"`
 }
 
+func (q *corpusQueryRequest) decode(r *http.Request) error {
+	return decodeBody(r, q.unmarshal, q.check)
+}
+
+func (q *corpusQueryRequest) unmarshal(body string) error {
+	return decodeObject(body, []bodyField{
+		{name: "lang", str: &q.Lang},
+		{name: "query", str: &q.Query},
+		{name: "limit", num: &q.Limit},
+		{name: "timeout_ms", num: &q.TimeoutMS},
+		{name: "doc_timeout_ms", num: &q.DocTimeoutMS},
+	})
+}
+
 func (q *corpusQueryRequest) check() error {
-	return errors.Join(nonNegative("limit", int64(q.Limit)), nonNegative("timeout_ms", q.TimeoutMS),
+	return errors.Join(nonNegative("limit", q.Limit), nonNegative("timeout_ms", q.TimeoutMS),
 		nonNegative("doc_timeout_ms", q.DocTimeoutMS))
 }
 
@@ -602,6 +675,19 @@ type prepareRequest struct {
 	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
+func (q *prepareRequest) decode(r *http.Request) error {
+	return decodeBody(r, q.unmarshal, q.check)
+}
+
+func (q *prepareRequest) unmarshal(body string) error {
+	return decodeObject(body, []bodyField{
+		{name: "doc", str: &q.Doc},
+		{name: "lang", str: &q.Lang},
+		{name: "query", str: &q.Query},
+		{name: "timeout_ms", num: &q.TimeoutMS},
+	})
+}
+
 func (q *prepareRequest) check() error { return nonNegative("timeout_ms", q.TimeoutMS) }
 
 // handleRegisterPrepared compiles a query once for one document, under the
@@ -609,8 +695,8 @@ func (q *prepareRequest) check() error { return nonNegative("timeout_ms", q.Time
 // compiled plan on the document's current engine.
 func (s *Server) handleRegisterPrepared(w http.ResponseWriter, r *http.Request) {
 	var req prepareRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := req.decode(r); err != nil {
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
 	eng, version, err := s.svc.EngineVersion(req.Doc)

@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -32,7 +33,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cq"
-	"repro/internal/obsv"
 	"repro/internal/service"
 	"repro/internal/tree"
 )
@@ -354,7 +354,7 @@ func appendString(b []byte, s string) []byte {
 // to the pool.
 func (s *Server) writeEnvelope(w http.ResponseWriter, ew *envWriter, env *envelope) {
 	ew.finish(env)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ew.buf)
 	ew.release()
@@ -362,16 +362,16 @@ func (s *Server) writeEnvelope(w http.ResponseWriter, ew *envWriter, env *envelo
 
 // handleQueryV1 is POST /v1/query: one document, any language, envelope out.
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
+	x := exchangeOf(w)
+	tr := x.ctx.Trace()
 	start := time.Now()
 	var req queryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := req.decode(r); err != nil {
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	res, plan, version, err := s.svc.QueryVersioned(ctx, req.Doc, req.Lang, req.Query)
+	s.setTimeout(x, req.TimeoutMS)
+	res, plan, version, err := s.svc.QueryVersioned(&x.ctx, req.Doc, req.Lang, req.Query)
 	s.observeQuery(tr, "query", req.Lang, req.Query, start, err)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
@@ -379,11 +379,11 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	}
 	env := envelope{RequestID: tr.ID()}
 	ew := newEnvWriter()
-	ew.result(&env, req.Doc, version, res, req.Limit)
+	ew.result(&env, req.Doc, version, res, int(req.Limit))
 	if req.Plan {
 		env.Plan = plan
 	}
-	if debugTimings(r) {
+	if debugTimings(x, r) {
 		env.Timings = timingsJSON(tr)
 	}
 	s.writeEnvelope(w, ew, &env)
@@ -392,24 +392,24 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 // handleCorpusQueryV1 is POST /v1/corpus/query: the fan-out route, one
 // Aggregate written out in its own order (see envWriter.corpus).
 func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
+	x := exchangeOf(w)
+	tr := x.ctx.Trace()
 	start := time.Now()
 	var req corpusQueryRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := req.decode(r); err != nil {
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	s.setTimeout(x, req.TimeoutMS)
 	var opts []service.CorpusOption
 	if req.DocTimeoutMS > 0 {
 		opts = append(opts, service.WithDocTimeout(time.Duration(req.DocTimeoutMS)*time.Millisecond))
 	}
 	execStart := time.Now()
-	results := s.svc.QueryCorpus(ctx, req.Lang, req.Query, opts...)
+	results := s.svc.QueryCorpus(&x.ctx, req.Lang, req.Query, opts...)
 	tr.Observe("exec", time.Since(execStart))
 	aggStart := time.Now()
-	agg := service.Aggregate(results, req.Limit)
+	agg := service.Aggregate(results, int(req.Limit))
 	tr.Observe("aggregate", time.Since(aggStart))
 	tr.SetDocs(agg.Docs)
 	s.fanoutDocs.Observe(float64(agg.Docs))
@@ -421,10 +421,13 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 	if len(agg.Failed) > 0 {
 		env.Failed = make([]docErrorJSON, len(agg.Failed))
 		for i, f := range agg.Failed {
+			if errors.Is(f.Err, service.ErrPanic) {
+				s.panics[panicDocument].Inc()
+			}
 			env.Failed[i] = docErrorJSON{Doc: f.Doc, Error: fmt.Sprintf("%s (request_id=%s)", f.Err.Error(), tr.ID())}
 		}
 	}
-	if debugTimings(r) {
+	if debugTimings(x, r) {
 		env.Timings = timingsJSON(tr)
 	}
 	s.writeEnvelope(w, ew, &env)
@@ -434,7 +437,8 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 // prepared query on its document's current revision, envelope out (limit via
 // the ?limit query parameter).
 func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
-	tr := obsv.TraceFrom(r.Context())
+	x := exchangeOf(w)
+	tr := x.ctx.Trace()
 	start := time.Now()
 	id := r.PathValue("id")
 	e, ok := s.lookupPrepared(id)
@@ -442,12 +446,12 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, fmt.Errorf("server: unknown prepared query %q", id))
 		return
 	}
-	limit, err := queryParam(r, "limit")
+	limit, err := queryParam(x, r, "limit")
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	timeoutMS, err := queryParam(r, "timeout_ms")
+	timeoutMS, err := queryParam(x, r, "timeout_ms")
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -457,10 +461,9 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errorStatus(err), err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, int64(timeoutMS))
-	defer cancel()
+	s.setTimeout(x, int64(timeoutMS))
 	execStart := time.Now()
-	res, plan, err := e.c.Exec(ctx, eng)
+	res, plan, err := e.c.Exec(&x.ctx, eng)
 	tr.Observe("exec", time.Since(execStart))
 	s.observeQuery(tr, "prepared", e.c.Language(), e.c.Text(), start, err)
 	if err != nil {
@@ -470,7 +473,7 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 	env := envelope{RequestID: tr.ID(), ID: e.id, Plan: plan}
 	ew := newEnvWriter()
 	ew.result(&env, e.doc, version, res, limit)
-	if debugTimings(r) {
+	if debugTimings(x, r) {
 		env.Timings = timingsJSON(tr)
 	}
 	s.writeEnvelope(w, ew, &env)

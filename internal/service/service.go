@@ -47,6 +47,9 @@ var (
 	ErrUnknownDocument = errors.New("service: unknown document")
 	// ErrDuplicateDocument is returned by Add for a name already in use.
 	ErrDuplicateDocument = errors.New("service: document already in corpus")
+	// ErrPanic is wrapped by the error of a corpus fan-out document whose
+	// evaluation panicked (QueryCorpus recovers it).
+	ErrPanic = errors.New("query panicked")
 )
 
 // planKey identifies one compiled plan in the cache.  A core.Compiled reads
@@ -551,7 +554,7 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 			// instead of the process.
 			defer func() {
 				if p := recover(); p != nil {
-					res, plan, err = nil, nil, fmt.Errorf("service: query panicked on %s: %v", names[i], p)
+					res, plan, err = nil, nil, fmt.Errorf("service: %w on %s: %v", ErrPanic, names[i], p)
 				}
 			}()
 			if cfg.docTimeout <= 0 {
