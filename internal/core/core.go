@@ -128,6 +128,33 @@ type Plan struct {
 	PrepareDuration time.Duration
 	// ExecDuration is the wall time of the execution that produced this Plan.
 	ExecDuration time.Duration
+	// Similar is the candidate funnel of the similarity execution that
+	// produced this Plan, kept as counts; AllNotes renders it.  Zero on every
+	// other plan.
+	Similar SimilarFunnel
+}
+
+// SimilarFunnel counts the candidate subtrees of one similarity execution.
+type SimilarFunnel struct {
+	// Searched is set by every similarity execution; Exhaustive by the Naive
+	// route's, which prunes nothing and runs the kernel on every candidate.
+	Searched, Exhaustive bool
+	// Candidates is the number of candidate subtrees considered; SizePruned
+	// and HistPruned are those the subtree-size and label-histogram lower
+	// bounds eliminated before any kernel call.  The rest reached the kernel.
+	Candidates, SizePruned, HistPruned uint64
+}
+
+// note renders the funnel as its plan note, "" when no search ran.
+func (f SimilarFunnel) note() string {
+	switch {
+	case !f.Searched:
+		return ""
+	case f.Exhaustive:
+		return fmt.Sprintf("similar: exhaustive over %d subtrees", f.Candidates)
+	}
+	return fmt.Sprintf("similar: %d candidates, %d size-pruned, %d histogram-pruned, %d kernel calls",
+		f.Candidates, f.SizePruned, f.HistPruned, f.Candidates-f.SizePruned-f.HistPruned)
 }
 
 func (p *Plan) note(format string, args ...any) {
@@ -162,9 +189,20 @@ func (p *Plan) clone() Plan {
 	return c
 }
 
+// AllNotes returns the notes a written plan shows: Notes, then the
+// execution's counts (Similar) rendered as a sentence.  A plan without such
+// counts returns Notes itself; otherwise the slice is new.
+func (p *Plan) AllNotes() []string {
+	n := p.Similar.note()
+	if n == "" {
+		return p.Notes
+	}
+	return append(p.Notes[:len(p.Notes):len(p.Notes)], n)
+}
+
 // String renders the plan for logging.
 func (p *Plan) String() string {
-	return fmt.Sprintf("[%s via %s] %s", p.Language, p.Technique, strings.Join(p.Notes, "; "))
+	return fmt.Sprintf("[%s via %s] %s", p.Language, p.Technique, strings.Join(p.AllNotes(), "; "))
 }
 
 // Engine evaluates queries over one document.

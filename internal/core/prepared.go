@@ -154,33 +154,46 @@ func (c *Compiled) Stats() ExecStats {
 	}
 }
 
-// execBlock is the one object an execution allocates besides its answer:
-// the Result and the per-execution Plan that Exec hands out pointers to.
-type execBlock struct {
-	res  Result
-	plan Plan
+// Execution is the output of one execution: its Result and its
+// per-execution Plan.  ExecInto fills one the caller owns, so a caller
+// running many executions (the corpus fan-out) can allocate their blocks
+// together; Exec allocates one per call.
+type Execution struct {
+	Result Result
+	Plan   Plan
 }
 
 // Exec runs the compiled plan once over e's document and returns the result
 // together with a per-execution Plan annotated with timings.  Both live in
-// one allocation; the result is nil on error.
+// one new Execution (see ExecInto); the result is nil on error.
 func (c *Compiled) Exec(ctx context.Context, e *Engine) (*Result, *Plan, error) {
-	b := &execBlock{plan: c.base.clone()}
-	plan := &b.plan
+	x := new(Execution)
+	if err := c.ExecInto(ctx, e, x); err != nil {
+		return nil, &x.Plan, err
+	}
+	return &x.Result, &x.Plan, nil
+}
+
+// ExecInto runs the compiled plan once over e's document into x, overwriting
+// it: x.Plan is the per-execution plan annotated with timings, and x.Result
+// the result, left zero on error.  It allocates only what the route's answer
+// and its evaluation need.
+func (c *Compiled) ExecInto(ctx context.Context, e *Engine, x *Execution) error {
+	x.Result, x.Plan = Result{}, c.base.clone()
 	if err := ctx.Err(); err != nil {
-		return nil, plan, err
+		return err
 	}
 	start := time.Now()
-	res, err := c.run(ctx, e, plan)
+	res, err := c.run(ctx, e, &x.Plan)
 	elapsed := time.Since(start)
 	c.execs.Add(1)
 	c.execNanos.Add(int64(elapsed))
-	plan.ExecDuration = elapsed
+	x.Plan.ExecDuration = elapsed
 	if err != nil {
-		return nil, plan, err
+		return err
 	}
-	b.res = res
-	return &b.res, plan, nil
+	x.Result = res
+	return nil
 }
 
 // Compile parses, classifies and plans a query once, returning an immutable

@@ -220,6 +220,11 @@ func (h hitHeap) finish() []Hit {
 // similarCheckpoint is how many candidates are examined between ctx checks.
 const similarCheckpoint = 256
 
+// similarScratch is how many pattern nodes and distinct pattern labels an
+// execution's scratch arrays hold on the stack; a larger pattern's spill to
+// the heap.
+const similarScratch = 32
+
 // similarTopK is the pruned similarity search.  Candidates are walked band by
 // band — a band is the run of BySize with one subtree size — in increasing
 // size distance from the pattern, ties toward the smaller size, and each band
@@ -233,7 +238,8 @@ const similarCheckpoint = 256
 // only on what is left — about k times once the k-th answer is decided.
 func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	t := e.doc
-	codes := pat.Codes(t.Dict())
+	var codeBuf [similarScratch]tree.Code
+	codes := pat.AppendCodes(codeBuf[:0], t.Dict())
 	m := pat.Size()
 
 	// Posting lists for the pattern's distinct labels, fetched once per
@@ -242,7 +248,8 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 		posting []tree.NodeID
 		count   int
 	}
-	labels := make([]labelCount, 0, len(pat.Hist()))
+	var labelBuf [similarScratch]labelCount
+	labels := labelBuf[:0]
 	for l, c := range pat.Hist() {
 		labels = append(labels, labelCount{posting: e.idx.NodesWithLabel(l), count: c})
 	}
@@ -261,8 +268,7 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 		similarCandidates.Add(candidates)
 		similarSizePruned.Add(sizePruned)
 		similarHistPruned.Add(histPruned)
-		p.note("similar: %d candidates, %d size-pruned, %d histogram-pruned, %d kernel calls",
-			candidates, sizePruned, histPruned, candidates-sizePruned-histPruned)
+		p.Similar = SimilarFunnel{Searched: true, Candidates: candidates, SizePruned: sizePruned, HistPruned: histPruned}
 	}()
 
 	for examined := 0; down > 0 || up < n; {
@@ -337,7 +343,8 @@ func (e *Engine) similarTopK(ctx context.Context, pat *ted.Pattern, k, maxDist i
 // differentially tested against.
 func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, maxDist int, p *Plan) ([]Hit, error) {
 	t := e.doc
-	codes := pat.Codes(t.Dict())
+	var codeBuf [similarScratch]tree.Code
+	codes := pat.AppendCodes(codeBuf[:0], t.Dict())
 	hits := newHitHeap(k, t.Len())
 	var candidates uint64
 	for v := range tree.NodeID(t.Len()) {
@@ -354,7 +361,7 @@ func (e *Engine) similarExhaustive(ctx context.Context, pat *ted.Pattern, k, max
 		hits = hits.offer(k, Hit{Node: v, Distance: dist})
 	}
 	similarCandidates.Add(candidates)
-	p.note("similar: exhaustive over %d subtrees", candidates)
+	p.Similar = SimilarFunnel{Searched: true, Exhaustive: true, Candidates: candidates}
 	return hits.finish(), nil
 }
 

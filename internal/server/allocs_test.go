@@ -49,7 +49,8 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 //     record's attributes past slog's inline five, and the exec block and
 //     answer of the warm XPath exec.
 //   - /v1/corpus/query over 4 documents: the same server share, the
-//     fan-out's per-request objects and two allocations per document.
+//     fan-out's per-request objects (one exec block for every document
+//     among them) and each document's answer.
 func TestRequestPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("exact allocation counts: the race detector allocates, and sync.Pool drops items under it")
@@ -66,7 +67,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		allocs     float64
 	}{
 		{"/v1/query", `{"doc":"a.xml","lang":"xpath","query":"//item//keyword","limit":2}`, 8},
-		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 23},
+		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 19},
 	} {
 		body := &replayBody{s: c.body}
 		req := httptest.NewRequest(http.MethodPost, c.path, body)

@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/xmldoc"
 )
 
 // decoderSeeds are bodies aimed at the edges of the hand-written body
@@ -204,6 +207,95 @@ func FuzzV1PreparedBody(f *testing.F) {
 			if del.Code != http.StatusOK {
 				t.Fatalf("deleting %s: status %d", reg.ID, del.Code)
 			}
+		}
+	})
+}
+
+// FuzzPutDocBody sends arbitrary bodies to PUT /v1/docs/doc.xml beside a
+// fixed document, so one input adds the document and the next updates it.
+// The handler must not panic or answer 5xx.  A 2xx must leave the document
+// listed by GET /v1/docs and answering a corpus query at the version the PUT
+// reported; any other answer must leave the corpus as it was.  The seeds are
+// FuzzParse's documents and documents at and past xmldoc.MaxDepth.
+func FuzzPutDocBody(f *testing.F) {
+	for _, s := range []string{
+		siteXML(3),
+		multiSiteXML(2),
+		`<a>x<b/>z</a>`,
+		`<a>x &amp; y<b>q</b>z<c/>w</a>`,
+		`<?xml version="1.0"?><!DOCTYPE r><r a="1" b='&lt;"'><!-- c --><s/><![CDATA[ x ]]></r>`,
+		`<r path="c:\dir" v="a&#10;b&#9;c"><s><![CDATA[ ]]></s>&#65;&#x42;</r>`,
+		`<a><b></a></b>`,
+		`<a id="3></a>`,
+		`<a>&#65abc;</a>`,
+		`<a>&#xD800;</a>`,
+		`<a/><b/>`,
+		`text only`,
+		strings.Repeat("<a>", xmldoc.MaxDepth) + strings.Repeat("</a>", xmldoc.MaxDepth),
+		strings.Repeat("<a>", xmldoc.MaxDepth+1) + strings.Repeat("</a>", xmldoc.MaxDepth+1),
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	svc := service.New()
+	if err := svc.AddXML("base.xml", siteXML(1)); err != nil {
+		f.Fatal(err)
+	}
+	srv := New(svc, WithDefaultTimeout(time.Second), WithMaxTimeout(time.Second))
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<17 {
+			t.Skip("oversized input")
+		}
+		before := svc.Versions()
+		rec := serve(http.MethodPut, "/v1/docs/doc.xml", body)
+		if rec.Code >= 500 {
+			t.Fatalf("PUT %q: status %d: %s", body, rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code/100 != 2 {
+			if after := svc.Versions(); !maps.Equal(after, before) {
+				t.Fatalf("PUT %q: status %d changed the corpus from %v to %v", body, rec.Code, before, after)
+			}
+			return
+		}
+		var put struct{ Version uint64 }
+		if err := json.Unmarshal(rec.Body.Bytes(), &put); err != nil || put.Version == 0 {
+			t.Fatalf("PUT %q: status %d without a version: %s", body, rec.Code, rec.Body.Bytes())
+		}
+
+		var list struct{ Docs []string }
+		if rec := serve(http.MethodGet, "/v1/docs", nil); rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &list) != nil ||
+			!slices.Equal(list.Docs, []string{"base.xml", "doc.xml"}) {
+			t.Fatalf("PUT %q: GET /v1/docs answers %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+
+		rec = serve(http.MethodPost, "/v1/corpus/query", []byte(`{"lang":"xpath","query":"//*"}`))
+		var env struct {
+			Docs    int
+			Failed  []any
+			Results []struct {
+				Doc        string
+				DocVersion uint64 `json:"doc_version"`
+			}
+		}
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Docs != 2 || len(env.Failed) != 0 {
+			t.Fatalf("PUT %q: corpus query answers %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+		answered := false
+		for _, r := range env.Results {
+			if r.Doc == "doc.xml" {
+				answered = true
+				if r.DocVersion != put.Version {
+					t.Fatalf("PUT %q made version %d; the corpus query answers from version %d", body, put.Version, r.DocVersion)
+				}
+			}
+		}
+		if !answered {
+			t.Fatalf("PUT %q: the corpus query has no answer from doc.xml: %s", body, rec.Body.Bytes())
 		}
 	})
 }

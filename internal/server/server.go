@@ -43,6 +43,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/service"
+	"repro/internal/xmldoc"
 )
 
 // Default tuning; all overridable through options.
@@ -419,7 +420,7 @@ func toPlanJSON(p *core.Plan) *planJSON {
 	return &planJSON{
 		Language:  p.Language,
 		Technique: p.Technique,
-		Notes:     p.Notes,
+		Notes:     p.AllNotes(),
 		PrepareNS: int64(p.PrepareDuration),
 		ExecNS:    int64(p.ExecDuration),
 	}
@@ -467,6 +468,8 @@ func errorStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, service.ErrDuplicateDocument):
 		return http.StatusConflict
+	case errors.Is(err, xmldoc.ErrTooDeep):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -553,8 +556,9 @@ func (s *Server) readBody(r *http.Request) (string, error) {
 // is updated in place (200 OK) — the body is parsed against the live
 // version's label dictionary, the service swaps in a fresh engine under a
 // bumped version, and every cached plan and registered prepared query
-// answers over it as it is.  A body that does not parse is a 400 and leaves
-// the document as it was.
+// answers over it as it is.  A body that does not parse is a 400, and one
+// nested deeper than xmldoc.MaxDepth a 413; either leaves the document as it
+// was.
 func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	src, err := s.readBody(r)

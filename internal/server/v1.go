@@ -270,9 +270,9 @@ func (w *envWriter) plan(p *core.Plan) {
 	w.buf = appendString(w.buf, p.Language)
 	w.buf = append(w.buf, `,"technique":`...)
 	w.buf = appendString(w.buf, p.Technique)
-	if len(p.Notes) > 0 {
+	if notes := p.AllNotes(); len(notes) > 0 {
 		w.buf = append(w.buf, `,"notes":[`...)
-		for i, n := range p.Notes {
+		for i, n := range notes {
 			if i > 0 {
 				w.buf = append(w.buf, ',')
 			}

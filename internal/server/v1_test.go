@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
@@ -172,6 +173,62 @@ func TestV1SimilarQuery(t *testing.T) {
 	}
 	if plan, _ := body["plan"].(map[string]any); plan == nil || plan["language"] != core.LangSimilar {
 		t.Errorf("plan echo: %v", body["plan"])
+	}
+}
+
+// TestV1SimilarPlanNotes: a similarity execution keeps its candidate funnel
+// as counts and renders it only when the plan is written.  The sentences
+// must stay byte for byte what the routes wrote as notes when they formatted
+// at execution time, in Plan.String and in the envelope's "plan", on the
+// pruned route and on the exhaustive one (Naive).
+func TestV1SimilarPlanNotes(t *testing.T) {
+	const query = "k=2 item(zz yy(keyword))"
+	const pattern = "pattern with 4 nodes, 2 keyroots, 4 distinct labels; k=2 maxdist=-1"
+	const walk = "candidates walked band by band in size distance, each band in document order; size and label-histogram bounds prune against the (distance, pre) result order before any kernel call"
+	for _, c := range []struct {
+		strategy  core.Strategy
+		technique string
+		notes     []string
+		funnel    core.SimilarFunnel
+	}{
+		{core.Auto, "top-k tree edit distance (posting-list lower bounds + keyroots kernel)",
+			[]string{pattern, walk, "similar: 22 candidates, 16 size-pruned, 4 histogram-pruned, 2 kernel calls"},
+			core.SimilarFunnel{Searched: true, Candidates: 22, SizePruned: 16, HistPruned: 4}},
+		{core.Naive, "exhaustive tree edit distance (keyroots kernel, no pruning)",
+			[]string{pattern, "similar: exhaustive over 22 subtrees"},
+			core.SimilarFunnel{Searched: true, Exhaustive: true, Candidates: 22}},
+	} {
+		eng, err := core.FromXML(siteXML(5), core.WithStrategy(c.strategy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, plan, err := eng.Similar(query)
+		if err != nil || len(hits) != 2 {
+			t.Fatalf("%v: %d hits, %v", c.strategy, len(hits), err)
+		}
+		if plan.Similar != c.funnel {
+			t.Errorf("%v: funnel %+v, want %+v", c.strategy, plan.Similar, c.funnel)
+		}
+		if want := "[similar via " + c.technique + "] " + strings.Join(c.notes, "; "); plan.String() != want {
+			t.Errorf("%v: Plan.String() =\n%s\nwant\n%s", c.strategy, plan.String(), want)
+		}
+
+		ts, _ := newTestServer(t, []service.Option{service.WithEngineOptions(core.WithStrategy(c.strategy))})
+		putDoc(t, ts.URL, "doc.xml", siteXML(5))
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+			strings.NewReader(`{"doc":"doc.xml","lang":"similar","query":"`+query+`","plan":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: status %d, %v", c.strategy, resp.StatusCode, err)
+		}
+		want := `"technique":"` + c.technique + `","notes":["` + strings.Join(c.notes, `","`) + `"],"prepare_ns":`
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("%v: envelope plan\n%s\nlacks\n%s", c.strategy, body, want)
+		}
 	}
 }
 
@@ -467,5 +524,19 @@ func TestV1MetricsFamilies(t *testing.T) {
 	// /v1/query is counted under the "query" handler label.
 	if !strings.Contains(out, `treeqd_http_requests_total{handler="query",code="200"}`) {
 		t.Error("v1 request not counted under the query handler label")
+	}
+}
+
+// TestV1PutTooDeep: a PUT of a document nested a million levels deep is a
+// 413 too_large, refused while scanning, and leaves the corpus as it was.
+func TestV1PutTooDeep(t *testing.T) {
+	ts, svc := newTestServer(t, nil)
+	const depth = 1_000_000
+	code, body := putDoc(t, ts.URL, "deep.xml", strings.Repeat("<a>", depth)+strings.Repeat("</a>", depth))
+	if code != http.StatusRequestEntityTooLarge || body["code"] != CodeTooLarge {
+		t.Fatalf("PUT of a %d-deep document: status %d, body %v; want 413 too_large", depth, code, body)
+	}
+	if svc.Len() != 0 {
+		t.Errorf("the refused document is in the corpus: %v", svc.Names())
 	}
 }

@@ -100,6 +100,12 @@ type Service struct {
 	queries   atomic.Uint64
 	docsCount atomic.Int64
 
+	// namesGen counts the Add and Remove calls that changed the corpus;
+	// names caches the sorted document names as of one generation, and the
+	// first reader that finds it older than namesGen rebuilds it.
+	namesGen atomic.Uint64
+	names    atomic.Pointer[nameSnapshot]
+
 	updates      atomic.Uint64
 	plansCarried atomic.Uint64
 
@@ -121,6 +127,14 @@ type Service struct {
 	// (treeqd_update_duration_seconds{phase}), nil unless WithMetrics was
 	// given; one sample per phase per UpdateDoc call.
 	updDur *obsv.HistogramVec
+}
+
+// nameSnapshot is the sorted list of corpus document names as of one
+// generation of Service.namesGen.  It is shared by every reader and never
+// written after publication.
+type nameSnapshot struct {
+	gen   uint64
+	names []string
 }
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -306,6 +320,7 @@ func (s *Service) Add(name string, doc *tree.Tree) error {
 	}
 	sh.entries[name] = &docEntry{eng: eng, version: 1}
 	s.docsCount.Add(1)
+	s.namesGen.Add(1)
 	return nil
 }
 
@@ -328,6 +343,7 @@ func (s *Service) Remove(name string) bool {
 	sh.mu.Unlock()
 	if ok {
 		s.docsCount.Add(-1)
+		s.namesGen.Add(1)
 	}
 	return ok
 }
@@ -335,8 +351,23 @@ func (s *Service) Remove(name string) bool {
 // Len returns the number of documents in the corpus.
 func (s *Service) Len() int { return int(s.docsCount.Load()) }
 
-// Names returns the sorted names of the corpus documents.
+// Names returns the sorted names of the corpus documents.  The slice is the
+// caller's.
 func (s *Service) Names() []string {
+	return slices.Clone(s.sortedNames())
+}
+
+// sortedNames returns the sorted names of the corpus documents, shared and
+// read-only: the cached snapshot when no Add or Remove has changed the
+// corpus since it was taken, and a fresh one otherwise.  Each Add and Remove
+// bumps namesGen after its shard write, and a snapshot is tagged with the
+// generation read before its shards were scanned, so a snapshot that could
+// have missed a write is never taken as current.
+func (s *Service) sortedNames() []string {
+	gen := s.namesGen.Load()
+	if snap := s.names.Load(); snap != nil && snap.gen == gen {
+		return snap.names
+	}
 	var names []string // nil for an empty corpus, as GET /v1/docs renders it
 	if n := s.docsCount.Load(); n > 0 {
 		names = make([]string, 0, n)
@@ -349,6 +380,7 @@ func (s *Service) Names() []string {
 		sh.mu.RUnlock()
 	}
 	slices.Sort(names)
+	s.names.Store(&nameSnapshot{gen: gen, names: names})
 	return names
 }
 
@@ -524,11 +556,13 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 	for _, o := range opts {
 		o(&cfg)
 	}
-	names := s.Names()
+	names := s.sortedNames()
 	out := make([]DocResult, len(names))
 	if len(names) == 0 {
 		return out
 	}
+	// Every document's Result and Plan live in one block per request.
+	execs := make([]core.Execution, len(names))
 	c, planErr := s.plan(lang, text)
 	runPool(len(names), s.workers, func(i int) {
 		out[i] = DocResult{Doc: names[i]}
@@ -548,24 +582,30 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 			return
 		}
 		s.queries.Add(1)
-		out[i].Result, out[i].Plan, out[i].Err = func() (res *core.Result, plan *core.Plan, err error) {
-			// The pool's goroutines are its own, out of reach of net/http's
-			// per-handler recovery: a panicking evaluator fails its document
-			// instead of the process.
-			defer func() {
-				if p := recover(); p != nil {
-					res, plan, err = nil, nil, fmt.Errorf("service: %w on %s: %v", ErrPanic, names[i], p)
-				}
-			}()
-			if cfg.docTimeout <= 0 {
-				return c.Exec(ctx, ent.eng)
-			}
-			docCtx, cancel := context.WithTimeout(ctx, cfg.docTimeout)
-			defer cancel()
-			return c.Exec(docCtx, ent.eng)
-		}()
+		out[i].Result, out[i].Plan, out[i].Err = execDoc(ctx, c, ent.eng, &execs[i], cfg.docTimeout, names[i])
 	})
 	return out
+}
+
+// execDoc runs one document of a corpus fan-out into x, under the
+// per-document timeout when one is set.  The pool's goroutines are its own,
+// out of reach of net/http's per-handler recovery: a panicking evaluator
+// fails its document instead of the process.
+func execDoc(ctx context.Context, c *core.Compiled, eng *core.Engine, x *core.Execution, timeout time.Duration, doc string) (res *core.Result, plan *core.Plan, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, plan, err = nil, nil, fmt.Errorf("service: %w on %s: %v", ErrPanic, doc, p)
+		}
+	}()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	if err := c.ExecInto(ctx, eng, x); err != nil {
+		return nil, &x.Plan, err
+	}
+	return &x.Result, &x.Plan, nil
 }
 
 // IndexStats aggregates the index-cache counters of every engine currently

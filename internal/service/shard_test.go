@@ -154,3 +154,123 @@ func TestPlanCacheShardedConcurrent(t *testing.T) {
 		t.Errorf("queries = %d, want 200", st.Queries)
 	}
 }
+
+// TestCorpusNameSnapshotUnderChurn: the sorted name snapshot a fan-out reads
+// persists across requests, and every Add and Remove retires it.  Churners
+// each add and remove a name of their own while updaters rewrite the stable
+// documents and readers fan out: a churner's fan-out right after its Add
+// must answer its document, one right after its Remove must not list it, and
+// every fan-out lists each stable document once, in order, and only names
+// that were ever in the corpus.
+func TestCorpusNameSnapshotUnderChurn(t *testing.T) {
+	s := New(WithWorkers(2), WithShards(4))
+	stable := []string{"s0", "s1", "s2"}
+	for _, name := range stable {
+		if err := s.AddXML(name, "<a><b/></a>"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := s.Names(); len(names) != 3 {
+		t.Fatalf("Names() = %v", names)
+	} else {
+		names[0] = "mutated"
+		if s.Names()[0] != "s0" {
+			t.Fatal("Names() hands out the shared snapshot")
+		}
+	}
+
+	const churners, rounds = 3, 150
+	ctx := context.Background()
+	known := map[string]bool{}
+	for _, name := range stable {
+		known[name] = true
+	}
+	for c := range churners {
+		known[fmt.Sprintf("c%d", c)] = true
+	}
+	// check verifies one fan-out and returns its result for the named
+	// document, nil when it is not listed.
+	check := func(results []DocResult, name string) *DocResult {
+		var own *DocResult
+		seen := 0
+		for i, r := range results {
+			if !known[r.Doc] || (i > 0 && results[i-1].Doc >= r.Doc) {
+				t.Errorf("fan-out lists %q out of order or unknown: %v", r.Doc, results)
+				return nil
+			}
+			if r.Doc[0] == 's' {
+				seen++
+				if r.Err != nil {
+					t.Errorf("stable document %s: %v", r.Doc, r.Err)
+				}
+			}
+			if r.Doc == name {
+				own = &results[i]
+			}
+		}
+		if seen != len(stable) {
+			t.Errorf("fan-out lists %d of the %d stable documents", seen, len(stable))
+		}
+		return own
+	}
+
+	var churn, background sync.WaitGroup
+	stop := make(chan struct{})
+	for c := range churners {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			name := fmt.Sprintf("c%d", c)
+			for range rounds {
+				if err := s.AddXML(name, "<a><b/><b/></a>"); err != nil {
+					t.Error(err)
+					return
+				}
+				if r := check(s.QueryCorpus(ctx, core.LangXPath, "//b"), name); r == nil || r.Err != nil || len(r.Result.Nodes) != 2 {
+					t.Errorf("fan-out after Add(%s): %+v", name, r)
+					return
+				}
+				if !s.Remove(name) {
+					t.Errorf("Remove(%s) found nothing", name)
+					return
+				}
+				if r := check(s.QueryCorpus(ctx, core.LangXPath, "//b"), name); r != nil {
+					t.Errorf("fan-out after Remove(%s) lists it: %v", name, r.Err)
+					return
+				}
+			}
+		}()
+	}
+	background.Add(2)
+	go func() { // updater
+		defer background.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.UpdateDocXML(stable[i%len(stable)], fmt.Sprintf("<a><b/><c n='%d'/></a>", i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // reader
+		defer background.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			check(s.QueryCorpus(ctx, core.LangXPath, "//b"), "")
+		}
+	}()
+	churn.Wait()
+	close(stop)
+	background.Wait()
+	if names := s.Names(); len(names) != len(stable) {
+		t.Errorf("after the churn Names() = %v, want the stable documents", names)
+	}
+}

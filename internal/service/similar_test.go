@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // TestAggregateRankedMerge feeds hand-built per-document k-heap outputs and
@@ -110,5 +111,47 @@ func TestSimilarSurvivesUpdate(t *testing.T) {
 	}
 	if st := s.Stats(); st.PlanReprepares == 0 || st.PlanCacheMisses != 1 {
 		t.Fatalf("stats = %+v, want the similarity plan carried and compiled once", st)
+	}
+}
+
+// TestCorpusSimilarPlansPerDocument: the documents of one fan-out share one
+// block of executions, yet each keeps its own plan, with its own execution
+// time and candidate funnel, equal to what the document reports run alone.
+func TestCorpusSimilarPlansPerDocument(t *testing.T) {
+	s := New(WithWorkers(2))
+	sizes := map[string]int{"a": 3, "b": 40}
+	for name, items := range sizes {
+		if err := s.Add(name, workload.SiteDocument(workload.DocSpec{Items: items, Regions: 2, DescriptionDepth: 2, Seed: 7})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const query = "k=3 description(parlist(listitem(keyword text)))"
+	ctx := context.Background()
+	results := s.QueryCorpus(ctx, core.LangSimilar, query)
+	if len(results) != 2 || results[0].Plan == results[1].Plan {
+		t.Fatalf("want two documents with a plan each: %+v", results)
+	}
+	for _, r := range results {
+		if r.Err != nil || r.Plan == nil {
+			t.Fatalf("%s: %v", r.Doc, r.Err)
+		}
+		eng, _ := s.Engine(r.Doc)
+		f := r.Plan.Similar
+		if !f.Searched || f.Candidates != uint64(eng.Document().Len()) {
+			t.Errorf("%s: funnel %+v over %d nodes", r.Doc, f, eng.Document().Len())
+		}
+		if r.Plan.ExecDuration <= 0 {
+			t.Errorf("%s: exec duration %v", r.Doc, r.Plan.ExecDuration)
+		}
+		_, alone, err := s.Query(ctx, r.Doc, core.LangSimilar, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone.Similar != f {
+			t.Errorf("%s: fan-out funnel %+v, alone %+v", r.Doc, f, alone.Similar)
+		}
+	}
+	if results[0].Plan.Similar == results[1].Plan.Similar {
+		t.Errorf("documents of %d and %d items report one funnel: %+v", sizes["a"], sizes["b"], results[0].Plan.Similar)
 	}
 }

@@ -249,8 +249,8 @@ func (s *Service) UpdateDocXML(name, src string) (UpdateOutcome, error) {
 // the live version's label dictionary (tree.Tree.NextDict), so the labels the
 // two versions share keep their codes: parsing them allocates nothing, and
 // the diff and the index splice compare and carry them by code.  A src that
-// does not parse returns the *xmldoc.SyntaxError, wrapped, and changes
-// nothing.
+// does not parse returns the *xmldoc.SyntaxError, or xmldoc.ErrTooDeep,
+// wrapped, and changes nothing.
 func (s *Service) PutXML(name, src string) (out UpdateOutcome, created bool, err error) {
 	// Only ErrUnknownDocument can fail the lookup: a new name, whose
 	// document starts a dictionary of its own (cur is nil).

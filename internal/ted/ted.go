@@ -130,11 +130,16 @@ func (p *Pattern) Keyroots() []int32 { return p.kr }
 // dictionary, one per pattern postorder position, tree.NoCode for labels the
 // dictionary lacks.  O(|P|).
 func (p *Pattern) Codes(dict *tree.Dict) []tree.Code {
-	codes := make([]tree.Code, p.n)
-	for j, l := range p.labels {
-		codes[j] = code(dict, l)
+	return p.AppendCodes(make([]tree.Code, 0, p.n), dict)
+}
+
+// AppendCodes is Codes appending to dst, so a caller can keep the codes in
+// storage of its own.
+func (p *Pattern) AppendCodes(dst []tree.Code, dict *tree.Dict) []tree.Code {
+	for _, l := range p.labels {
+		dst = append(dst, code(dict, l))
 	}
-	return codes
+	return dst
 }
 
 // tedCalls counts full kernel invocations; the similarity search's pruning

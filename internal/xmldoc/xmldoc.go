@@ -12,6 +12,7 @@
 package xmldoc
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -60,6 +61,15 @@ type Event struct {
 	Attrs []Attr // attributes for StartElement events
 }
 
+// MaxDepth is the deepest element nesting the scanner accepts, a root
+// element being at depth 1: the limit encoding/xml's Unmarshal keeps.  It
+// bounds the stack of open elements and every recursion over a parsed tree.
+const MaxDepth = 10000
+
+// ErrTooDeep is wrapped by the error of a document nested deeper than
+// MaxDepth.
+var ErrTooDeep = errors.New("xmldoc: document nests too deep")
+
 // SyntaxError describes a parse failure with its byte offset.
 type SyntaxError struct {
 	Offset int
@@ -78,7 +88,8 @@ func (e *SyntaxError) Error() string {
 // Parse is one left-to-right scan: the scanner feeds every element straight
 // into a tree.Builder sized from a count of the document's tags, which
 // codes each label as it arrives and copies the text into the tree's one text
-// string.  The tree holds no reference to src.
+// string.  The tree holds no reference to src.  A document nested deeper
+// than MaxDepth is refused with ErrTooDeep.
 func Parse(src string) (*tree.Tree, error) { return ParseDict(src, nil) }
 
 // ParseDict is Parse against the label dictionary d of an earlier tree —
@@ -420,6 +431,9 @@ func (t *scanner) scanStartTag() error {
 	t.pos++ // consume '<'
 	if len(t.stack) == 0 && t.rootSeen {
 		return t.errf("multiple root elements")
+	}
+	if len(t.stack) >= MaxDepth {
+		return fmt.Errorf("%w: the element at offset %d is deeper than %d levels", ErrTooDeep, t.pos-1, MaxDepth)
 	}
 	start := t.pos
 	name, err := t.scanName()

@@ -352,3 +352,30 @@ func TestMustParsePanics(t *testing.T) {
 	}()
 	MustParse(`<a>`)
 }
+
+// nested returns a document of depth elements, each the only child of the
+// one before.
+func nested(depth int) string {
+	return strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth)
+}
+
+// TestParseDepthBound: nesting up to MaxDepth parses, and one level more is
+// ErrTooDeep, from Parse and Tokenize alike, before the scanner's stack of
+// open elements grows past the bound.
+func TestParseDepthBound(t *testing.T) {
+	tr, err := Parse(nested(MaxDepth))
+	if err != nil || tr.Len() != MaxDepth {
+		t.Fatalf("depth %d: %v", MaxDepth, err)
+	}
+	if Serialize(tr, false) != strings.Repeat("<a>", MaxDepth-1)+"<a/>"+strings.Repeat("</a>", MaxDepth-1) {
+		t.Error("a document at the depth bound does not serialize back")
+	}
+	for _, src := range []string{nested(MaxDepth + 1), strings.Repeat("<a>", MaxDepth) + "<b/>" + strings.Repeat("</a>", MaxDepth)} {
+		if _, err := Parse(src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("depth %d: Parse error %v, want ErrTooDeep", MaxDepth+1, err)
+		}
+		if _, err := Tokenize(src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("depth %d: Tokenize error %v, want ErrTooDeep", MaxDepth+1, err)
+		}
+	}
+}
