@@ -27,6 +27,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/stream"
 	"repro/internal/tree"
+	"repro/internal/treediff"
 	"repro/internal/treewidth"
 	"repro/internal/twigjoin"
 	"repro/internal/workload"
@@ -741,11 +742,13 @@ func withText(t *tree.Tree, n tree.NodeID, text string) *tree.Tree {
 
 func BenchmarkIngest(b *testing.B) {
 	// What a PUT pays before and around the index splice.  "parse" is
-	// xmldoc.Parse alone on an update_churn document; "update-text-edit" is the
-	// whole service-side write (parse, diff, patch, warm-plan rebind) of an edit
-	// that changes one keyword's text and no label, with the workload's five
-	// plans warm — the edit every plan mentions and none has to be re-prepared
-	// for.
+	// xmldoc.Parse alone on an update_churn document; "parse-dict" is the
+	// parse a PUT makes, against the previous version's dictionary;
+	// "diff-text-edit" is treediff.Diff between two such versions, one
+	// keyword's text apart; "update-text-edit" is the whole service-side write
+	// (parse, diff, patch, warm-plan rebind) of that edit, with the workload's
+	// five plans warm — the edit every plan mentions and none has to be
+	// re-prepared for.
 	ctx := context.Background()
 	for _, items := range []int{400, 1000} {
 		doc, _ := joinMixDocument(items)
@@ -772,6 +775,19 @@ func BenchmarkIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := xmldoc.ParseDict(revs[1], prev); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("diff-text-edit/items=%d", items), func(b *testing.B) {
+			prev := xmldoc.MustParse(revs[0])
+			next, err := xmldoc.ParseDict(revs[1], prev.NextDict())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sc, ok := treediff.Diff(prev, next); !ok || sc.Kind != treediff.KindRelabel || sc.OldLen != 1 {
+					b.Fatalf("diff of a text edit: %+v, %v", sc, ok)
 				}
 			}
 		})

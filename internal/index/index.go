@@ -142,8 +142,12 @@ type Index struct {
 	// label-keyed caches they sit behind a size-capped LRU.  When capped,
 	// hits move entries and must hold the write lock; when unbounded (the
 	// default) Get is a pure read and hits stay on the shared read lock.
-	pairMu sync.RWMutex
-	pairs  *lru.Cache[pairKey, *relstore.Relation]
+	// No default route joins pairs, so the cache is made on the first build
+	// of one, under pairMu like every other access to it; until then it is
+	// nil and holds nothing.
+	pairMu  sync.RWMutex
+	pairs   *lru.Cache[pairKey, *relstore.Relation]
+	pairCap int
 
 	xasrBuilds                   atomic.Uint64
 	listBuilds, listHits         atomic.Uint64
@@ -210,10 +214,10 @@ func New(t *tree.Tree, opts ...Option) *Index {
 // newIndex returns an Index over t with empty caches.
 func newIndex(t *tree.Tree, multi bool, cfg config) *Index {
 	return &Index{
-		t:      t,
-		multi:  multi,
-		labels: make([]*labelArtifacts, t.Dict().Len()),
-		pairs:  lru.New[pairKey, *relstore.Relation](cfg.pairCap),
+		t:       t,
+		multi:   multi,
+		labels:  make([]*labelArtifacts, t.Dict().Len()),
+		pairCap: cfg.pairCap,
 	}
 }
 
@@ -271,12 +275,12 @@ func (ix *Index) Release() {
 	clear(ix.labels)
 	ix.tedDoc = nil
 	ix.mu.Unlock()
-	// The pair cache is cleared in place, never re-pointed: StructuralPairs
-	// reads ix.pairs (and its immutable Cap) outside pairMu, which is only
-	// safe while the pointer itself never changes.  Explicit removals do not
-	// count as evictions, so the eviction counter stays monotonic.
+	// The pair cache is cleared in place, not dropped: explicit removals do
+	// not count as evictions, so the eviction counter stays monotonic.
 	ix.pairMu.Lock()
-	ix.pairs.RemoveFunc(func(pairKey) bool { return true })
+	if ix.pairs != nil {
+		ix.pairs.RemoveFunc(func(pairKey) bool { return true })
+	}
 	ix.pairMu.Unlock()
 	ix.releases.Add(1)
 }
@@ -444,13 +448,17 @@ func (ix *Index) StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*re
 		return nil, false
 	}
 	k := pairKey{axis: axis, from: fromLabel, to: toLabel}
-	capped := ix.pairs.Cap() > 0
+	capped := ix.pairCap > 0
 	if capped {
 		ix.pairMu.Lock()
 	} else {
 		ix.pairMu.RLock()
 	}
-	r, ok := ix.pairs.Get(k)
+	var r *relstore.Relation
+	ok := false
+	if ix.pairs != nil {
+		r, ok = ix.pairs.Get(k)
+	}
 	if capped {
 		ix.pairMu.Unlock()
 	} else {
@@ -462,6 +470,9 @@ func (ix *Index) StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*re
 	}
 	built := ix.XASR().StructuralJoinSides(axis, ix.LabelRows(fromLabel), ix.LabelRows(toLabel))
 	ix.pairMu.Lock()
+	if ix.pairs == nil {
+		ix.pairs = lru.New[pairKey, *relstore.Relation](ix.pairCap)
+	}
 	if cached, ok := ix.pairs.Get(k); ok {
 		// Another goroutine raced us to it; keep the published copy.
 		ix.pairMu.Unlock()
@@ -475,12 +486,15 @@ func (ix *Index) StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*re
 }
 
 // PairCap returns the configured cap on cached pair relations (0 = unbounded).
-func (ix *Index) PairCap() int { return ix.pairs.Cap() }
+func (ix *Index) PairCap() int { return ix.pairCap }
 
 // Snapshot returns the current cache counters.
 func (ix *Index) Snapshot() Stats {
+	var pairEntries, pairEvictions uint64
 	ix.pairMu.RLock()
-	pairEntries, pairEvictions := uint64(ix.pairs.Len()), ix.pairs.Evictions()
+	if ix.pairs != nil {
+		pairEntries, pairEvictions = uint64(ix.pairs.Len()), ix.pairs.Evictions()
+	}
 	ix.pairMu.RUnlock()
 	return Stats{
 		XASRBuilds:      ix.xasrBuilds.Load(),

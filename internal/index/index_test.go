@@ -49,6 +49,29 @@ func TestLazyBuildAndCounters(t *testing.T) {
 	}
 }
 
+// TestPairCacheMadeOnFirstUse: a new index makes no pair cache — no default
+// route joins pairs — and reads, releases and patches one it has not made
+// as an empty cache; the first pair relation built makes it, with the cap
+// the index was configured with.
+func TestPairCacheMadeOnFirstUse(t *testing.T) {
+	doc := workload.RandomTree(workload.TreeSpec{Nodes: 50, Seed: 2, Alphabet: []string{"a", "b"}})
+	ix := New(doc, WithPairCap(3))
+	if ix.pairs != nil {
+		t.Fatal("New made a pair cache")
+	}
+	ix.Release()
+	ix.ReleaseLabels("a")
+	if s := ix.Snapshot(); s.PairEntries != 0 || s.PairEvictions != 0 || ix.PairCap() != 3 {
+		t.Fatalf("before the first pair: %+v, cap %d", s, ix.PairCap())
+	}
+	if _, ok := ix.StructuralPairs(tree.Child, "a", "b"); !ok || ix.pairs == nil || ix.pairs.Cap() != 3 {
+		t.Fatalf("the first pair relation made no cache of cap 3 (ok=%v)", ok)
+	}
+	if s := ix.Snapshot(); s.PairEntries != 1 || s.PairBuilds != 1 {
+		t.Fatalf("after the first pair: %+v", s)
+	}
+}
+
 func TestStructuralPairsSoundness(t *testing.T) {
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 300, Seed: 2, Alphabet: []string{"a", "b"}})
 	ix := New(doc)

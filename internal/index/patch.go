@@ -82,12 +82,21 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		// The view is a function of the tree's shape: unchanged.
 		nix.tedDoc = old.tedDoc
 	}
+	// The carried labels' artifacts share one block.
+	warm := 0
+	for _, a := range old.labels {
+		if a != nil {
+			warm++
+		}
+	}
+	block := make([]labelArtifacts, 0, warm)
 	for c, a := range old.labels {
 		nc, ok := carried(c)
 		if a == nil || !ok {
 			continue
 		}
-		nix.labels[nc] = carry(*a, old.t.Len(), nt.Len(), spec)
+		block = append(block, carry(*a, old.t.Len(), nt.Len(), spec))
+		nix.labels[nc] = &block[len(block)-1]
 	}
 	old.mu.RUnlock()
 
@@ -104,13 +113,13 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 // inside the region cannot occur for an untouched label (when delta != 0,
 // Touched covers every region label).  Without a shift both are shared as
 // they are.
-func carry(a labelArtifacts, oldN, newN int, spec PatchSpec) *labelArtifacts {
+func carry(a labelArtifacts, oldN, newN int, spec PatchSpec) labelArtifacts {
 	delta := spec.Delta()
 	if delta == 0 {
-		return &labelArtifacts{nodes: a.nodes, mask: a.mask}
+		return labelArtifacts{nodes: a.nodes, mask: a.mask}
 	}
 	end := spec.Start + spec.OldLen
-	out := &labelArtifacts{}
+	var out labelArtifacts
 	if a.nodes != nil {
 		out.nodes = make([]tree.NodeID, len(a.nodes))
 		for i, n := range a.nodes {
@@ -179,8 +188,10 @@ func (ix *Index) ReleaseLabels(labels ...string) {
 	}
 	ix.mu.Unlock()
 	ix.pairMu.Lock()
-	ix.pairs.RemoveFunc(func(k pairKey) bool {
-		return k.from == "" || k.to == "" || drop[k.from] || drop[k.to]
-	})
+	if ix.pairs != nil {
+		ix.pairs.RemoveFunc(func(k pairKey) bool {
+			return k.from == "" || k.to == "" || drop[k.from] || drop[k.to]
+		})
+	}
 	ix.pairMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -8,8 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/race"
 	"repro/internal/service"
+	"repro/internal/workload"
+	"repro/internal/xmldoc"
 )
 
 // replayBody is a request body that can be rewound, so one *http.Request can
@@ -67,7 +71,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		allocs     float64
 	}{
 		{"/v1/query", `{"doc":"a.xml","lang":"xpath","query":"//item//keyword","limit":2}`, 8},
-		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 19},
+		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 18},
 	} {
 		body := &replayBody{s: c.body}
 		req := httptest.NewRequest(http.MethodPost, c.path, body)
@@ -87,5 +91,60 @@ func TestRequestPathAllocs(t *testing.T) {
 		if got > c.allocs {
 			t.Errorf("%s: a warm request allocates %.0f objects, want at most %.0f", c.path, got, c.allocs)
 		}
+	}
+}
+
+// TestPutPathAllocs pins what Server.ServeHTTP allocates for a warm PUT of
+// an update_churn document (400 items, one keyword's text toggled from one
+// PUT to the next, the workload's reads warm), configured as treeqd is by
+// default, the JSON access log included.  What it allocates is the new
+// version: its tree (the tree, one block of int32 columns, the text, the
+// scanner), the body it was read from, the diff's script, the patched index
+// and engine and the swap; beside them the request's exchange, the access
+// log and the service's outcome.  The reply is appended into a pooled
+// buffer.
+func TestPutPathAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("exact allocation counts: the race detector allocates, and sync.Pool drops items under it")
+	}
+	src := xmldoc.Serialize(workload.SiteDocument(workload.DocSpec{Items: 400, Regions: 6, DescriptionDepth: 2, Seed: 1}), false)
+	mid := strings.Index(src[len(src)/2:], "<keyword>") + len(src)/2 + len("<keyword>")
+	revs := [2]string{src, src[:mid] + "edited " + src[mid:]}
+	svc := service.New(service.WithWorkers(1))
+	if err := svc.AddXML("doc", revs[0]); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []struct{ lang, text string }{
+		{core.LangXPath, "//item[name]/description//keyword"},
+		{core.LangStream, "//item//keyword"},
+		{core.LangSimilar, "k=10 description(parlist(listitem(keyword text)))"},
+	} {
+		if _, _, err := svc.Query(ctx, "doc", q.lang, q.text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(svc, WithAccessLog(slog.New(slog.NewJSONHandler(io.Discard, nil))))
+	bodies := [2]*replayBody{{s: revs[0]}, {s: revs[1]}}
+	req := httptest.NewRequest(http.MethodPut, "/v1/docs/doc", nil)
+	w := &discardWriter{h: http.Header{}}
+	next := 1
+	put := func() {
+		body := bodies[next]
+		body.rewind()
+		req.Body, req.ContentLength = body, int64(len(body.s))
+		clear(w.h)
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			t.Fatalf("PUT: status %d", w.code)
+		}
+		next = 1 - next
+	}
+	put()
+	put()
+	got := testing.AllocsPerRun(50, put)
+	t.Logf("PUT of a %d-byte document: %.0f allocs per request", len(src), got)
+	if got > 22 {
+		t.Errorf("a warm PUT allocates %.0f objects, want at most 22", got)
 	}
 }

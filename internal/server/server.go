@@ -31,12 +31,13 @@ import (
 	"log"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"log/slog"
 
@@ -536,19 +537,33 @@ const bodyReserve = 1 << 20
 // reference to it.  The buffer is sized up front from Content-Length when the
 // client declared one, up to bodyReserve and never beyond the body limit,
 // which the MaxBytesReader installed by ServeHTTP enforces whatever was
-// declared — so an upload of up to a mebibyte is neither regrown while it
-// arrives nor copied again on its way to the parser.
+// declared — so an upload of up to a mebibyte is read straight into its one
+// buffer, neither regrown while it arrives nor copied again on its way to
+// the parser.
 func (s *Server) readBody(r *http.Request) (string, error) {
-	var sb strings.Builder
+	var b []byte
 	if n := r.ContentLength; n > 0 {
 		reserve := int64(bodyReserve)
 		if s.maxBody > 0 {
 			reserve = min(reserve, s.maxBody)
 		}
-		sb.Grow(int(min(n, reserve)))
+		b = make([]byte, 0, min(n, reserve)+1) // +1: the read that sees EOF needs room
 	}
-	_, err := io.Copy(&sb, r.Body)
-	return sb.String(), err
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return "", err
+		}
+	}
+	// Nothing writes b again: the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
 }
 
 // handlePutDoc upserts document {name} from the XML request body through
@@ -582,7 +597,20 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	s.writeJSON(w, status, map[string]any{"doc": name, "version": o.Version, "docs": s.svc.Len()})
+	// {"doc":…,"docs":…,"version":…}: the bytes writeJSON writes for the map
+	// of these three, whose keys encoding/json sorts.
+	ew := envWriters.Get().(*envWriter)
+	ew.buf = append(ew.buf[:0], `{"doc":`...)
+	ew.buf = appendString(ew.buf, name)
+	ew.buf = append(ew.buf, `,"docs":`...)
+	ew.buf = strconv.AppendInt(ew.buf, int64(s.svc.Len()), 10)
+	ew.buf = append(ew.buf, `,"version":`...)
+	ew.buf = strconv.AppendUint(ew.buf, o.Version, 10)
+	ew.buf = append(ew.buf, "}\n"...)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(ew.buf)
+	ew.release()
 }
 
 func (s *Server) handleRemoveDoc(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sort"
 	"strings"
@@ -679,6 +680,38 @@ func TestPutDocReservesWhatArrives(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Errorf("four 4-byte PUTs declaring %d bytes each allocated %d bytes, want at most %d", DefaultMaxBodyBytes, got, 8<<20)
+	}
+}
+
+// TestPutReplyMatchesEncodingJSON: the PUT reply, appended by hand, is byte
+// for byte what encoding/json writes for the map {doc, docs, version} with
+// HTML escaping off — for a created and an updated document, and for names
+// that need escaping: quotes, backslashes, control bytes, HTML characters,
+// U+2028 and bytes that are not UTF-8.
+func TestPutReplyMatchesEncodingJSON(t *testing.T) {
+	svc := service.New()
+	srv := New(svc)
+	for i, name := range []string{"doc.xml", `q"uote`, `back\slash`, "<b>&amp;</b>", "tab\tnl\ncr\r", "line\u2028sep", "bad\xff\xfeutf8", "ümlaut €"} {
+		for version := uint64(1); version <= 2; version++ {
+			req := httptest.NewRequest(http.MethodPut, "/v1/docs/"+url.PathEscape(name), strings.NewReader(siteXML(i+1)))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusCreated && rec.Code != http.StatusOK {
+				t.Fatalf("PUT %q: status %d (%s)", name, rec.Code, rec.Body)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetEscapeHTML(false)
+			if err := enc.Encode(map[string]any{"doc": name, "version": version, "docs": svc.Len()}); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Body.String(); got != want.String() {
+				t.Errorf("PUT %q (version %d) replied %q, encoding/json writes %q", name, version, got, want.String())
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("PUT %q: Content-Type %q", name, ct)
+			}
+		}
 	}
 }
 

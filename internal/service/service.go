@@ -552,9 +552,15 @@ func WithDocTimeout(d time.Duration) CorpusOption {
 // results), and so does a panic in one document's evaluation.  WithDocTimeout
 // adds a per-document bound derived from ctx.
 func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...CorpusOption) []DocResult {
-	var cfg corpusConfig
-	for _, o := range opts {
-		o(&cfg)
+	// The options write through a pointer, which moves what it points to to
+	// the heap: only a call that passes some pays for that.
+	var docTimeout time.Duration
+	if len(opts) > 0 {
+		cfg := new(corpusConfig)
+		for _, o := range opts {
+			o(cfg)
+		}
+		docTimeout = cfg.docTimeout
 	}
 	names := s.sortedNames()
 	out := make([]DocResult, len(names))
@@ -582,7 +588,7 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 			return
 		}
 		s.queries.Add(1)
-		out[i].Result, out[i].Plan, out[i].Err = execDoc(ctx, c, ent.eng, &execs[i], cfg.docTimeout, names[i])
+		out[i].Result, out[i].Plan, out[i].Err = execDoc(ctx, c, ent.eng, &execs[i], docTimeout, names[i])
 	})
 	return out
 }

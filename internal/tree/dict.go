@@ -88,18 +88,26 @@ func lookup[S string | []byte](d *Dict, h uint64, name S) Code {
 		if c == NoCode {
 			return NoCode
 		}
-		s, e := d.span(c)
-		if e-s != len(name) {
-			continue
-		}
-		if n := len(d.names); e <= n {
-			if d.names[s:e] == string(name) {
-				return c
-			}
-		} else if string(d.tail[s-n:e-n]) == string(name) {
+		if named(d, c, name) {
 			return c
 		}
 	}
+}
+
+// named reports whether code c of d names name.
+func named[S string | []byte](d *Dict, c Code, name S) bool {
+	if c < 0 || int(c) >= len(d.end) {
+		return false
+	}
+	s, e := d.span(c)
+	if e-s != len(name) {
+		return false
+	}
+	n := len(d.names)
+	if e <= n {
+		return d.names[s:e] == string(name)
+	}
+	return string(d.tail[s-n:e-n]) == string(name)
 }
 
 // Extends reports whether every name of old has the same code in d: d is old

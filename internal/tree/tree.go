@@ -15,15 +15,16 @@
 //     multi-labeled nodes), drawn from the integers: each label is a code of
 //     the tree's Dict, so a label test compares integers.
 //
-// A node's NodeID is its preorder rank: Builder.Build numbers the nodes in
-// document order whatever order they were added in, so a subtree is the
-// contiguous NodeID interval [v, v+SubtreeSize(v)-1].  Beside the label codes
-// and the text the tree stores only parent, subtree size, depth and the
-// left-sibling link per node; the first child, the right sibling, <post and
-// <bflr are arithmetic on them, and the children of a node are the subtrees
-// that tile its interval.  Build computes the columns once, in O(n);
-// afterwards every axis test is O(1) and every axis enumeration is linear in
-// its output.
+// A node's NodeID is its preorder rank: a Preorder takes the nodes in
+// document order, as a parser reads them, and Builder.Build numbers the
+// nodes in document order whatever order they were added in, so a subtree
+// is the contiguous NodeID interval [v, v+SubtreeSize(v)-1].  Beside the
+// label codes and the text the tree stores only parent, subtree size, depth
+// and the left-sibling link per node; the first child, the right sibling,
+// <post and <bflr are arithmetic on them, and the children of a node are
+// the subtrees that tile its interval.  Either constructor computes the
+// columns once, in O(n); afterwards every axis test is O(1) and every axis
+// enumeration is linear in its output.
 package tree
 
 import (
@@ -122,6 +123,24 @@ func (t *Tree) NextSibling(n NodeID) NodeID {
 
 // PrevSibling returns the left sibling of n, or InvalidNode.
 func (t *Tree) PrevSibling(n NodeID) NodeID { return t.prevSibling[n] }
+
+// Columns is a read-only view of a tree's preorder columns, for comparing
+// trees in bulk rather than node by node.  Node v's labels are
+// LabelCode[LabelOff[v]:LabelOff[v+1]] and its text is
+// Text[TextOff[v]:TextOff[v+1]]; both offset columns have Len()+1 entries.
+// The slices are the tree's own and must not be modified.
+type Columns struct {
+	Parent    []NodeID
+	LabelOff  []int32
+	LabelCode []Code
+	TextOff   []int32
+	Text      string
+}
+
+// Columns returns the tree's columns.
+func (t *Tree) Columns() Columns {
+	return Columns{Parent: t.parent, LabelOff: t.labelOff, LabelCode: t.labelCode, TextOff: t.textOff, Text: t.text}
+}
 
 // Dict returns the dictionary the tree's label codes are drawn from.  It may
 // hold names no node of the tree carries.
@@ -312,20 +331,19 @@ func (t *Tree) NodesWithCode(c Code) []NodeID {
 // child may be appended to any earlier node — and Build renumbers them into
 // document order.  Until Build, a node is known by the construction ID its
 // Add call returned; Final translates one into the built tree's NodeID.
+// Nodes that arrive in document order, as a parser reads them, build faster
+// through a Preorder.
 //
 // Labels are given as names (AddRoot, AddChild, AddLabel) or as codes of the
 // builder's dictionary (Code, AddCoded, AddCode); the built tree shares that
 // dictionary.
 type Builder struct {
-	t    Tree
+	coder
 	open bool
 	// final[id] is the built tree's NodeID of construction ID id; nil when
-	// the nodes were added in document order (every parsed document), which
-	// Build then keeps as it is.
+	// the nodes were added in document order, which Build then keeps as it
+	// is.
 	final []NodeID
-	// owned reports that t.dict is this builder's own, which it may extend;
-	// an inherited dictionary is copied before the first name it lacks.
-	owned bool
 	// Until Build, node v's labels are t.labelCode[t.labelOff[v]:labelEnd[v]]
 	// and its text is textBuf[textAt[v]:textEnd[v]].  A node's run is extended
 	// in place while it ends its column and moved to the end otherwise, so
@@ -336,6 +354,31 @@ type Builder struct {
 	textAt, textEnd []int32
 }
 
+// coder holds a tree under construction and codes its labels in the tree's
+// dictionary: a Builder and a Preorder both embed one.
+type coder struct {
+	t Tree
+	// owned reports that t.dict is this constructor's own, which it may
+	// extend; an inherited dictionary is copied before the first name it
+	// lacks.
+	owned bool
+	// next is one past the highest code met so far.  A document parsed
+	// against the dictionary of an earlier version of itself meets the first
+	// occurrences of its labels in the order that version coded them, so a
+	// name not met yet is likely code next: comparing one name is cheaper
+	// than hashing it.
+	next Code
+}
+
+// init starts the dictionary: d shared, or a fresh one when d is nil.
+func (c *coder) init(d *Dict) {
+	if d == nil {
+		c.t.dict, c.owned = NewDict(), true
+	} else {
+		c.t.dict = d
+	}
+}
+
 // NewBuilder returns an empty Builder with a fresh dictionary.
 func NewBuilder() *Builder { return NewBuilderDict(nil) }
 
@@ -344,11 +387,7 @@ func NewBuilder() *Builder { return NewBuilderDict(nil) }
 // their codes; d itself is never written.
 func NewBuilderDict(d *Dict) *Builder {
 	b := &Builder{open: true}
-	if d == nil {
-		b.t.dict, b.owned = NewDict(), true
-	} else {
-		b.t.dict = d
-	}
+	b.init(d)
 	return b
 }
 
@@ -370,36 +409,41 @@ func (b *Builder) Reserve(n int) {
 	b.textEnd = slices.Grow(b.textEnd, more)
 }
 
-// ReserveText sizes the text buffer for n bytes of text in total.
-func (b *Builder) ReserveText(n int) { b.textBuf = slices.Grow(b.textBuf, n-len(b.textBuf)) }
-
-// Code returns the code of the label name, adding it to the builder's
+// Code returns the code of the label name, adding it to the tree's
 // dictionary when it is new.  The dictionary keeps a copy of a new name, so
 // the tree never holds on to the caller's string.
-func (b *Builder) Code(name string) Code {
-	h := maphash.String(seed, name)
-	if c := lookup(b.t.dict, h, name); c != NoCode {
-		return c
+func (c *coder) Code(name string) Code {
+	code := c.next
+	if !named(c.t.dict, code, name) {
+		h := maphash.String(seed, name)
+		if code = lookup(c.t.dict, h, name); code == NoCode {
+			code = add(c.own(), h, name)
+		}
 	}
-	return add(b.own(), h, name)
+	c.next = max(c.next, code+1)
+	return code
 }
 
 // CodeBytes is Code for a name in a byte slice, which may be reused after
 // the call.
-func (b *Builder) CodeBytes(name []byte) Code {
-	h := maphash.Bytes(seed, name)
-	if c := lookup(b.t.dict, h, name); c != NoCode {
-		return c
+func (c *coder) CodeBytes(name []byte) Code {
+	code := c.next
+	if !named(c.t.dict, code, name) {
+		h := maphash.Bytes(seed, name)
+		if code = lookup(c.t.dict, h, name); code == NoCode {
+			code = add(c.own(), h, name)
+		}
 	}
-	return add(b.own(), h, name)
+	c.next = max(c.next, code+1)
+	return code
 }
 
-// own returns the builder's dictionary, copying an inherited one first.
-func (b *Builder) own() *Dict {
-	if !b.owned {
-		b.t.dict, b.owned = b.t.dict.clone(), true
+// own returns the tree's dictionary, copying an inherited one first.
+func (c *coder) own() *Dict {
+	if !c.owned {
+		c.t.dict, c.owned = c.t.dict.clone(), true
 	}
-	return b.t.dict
+	return c.t.dict
 }
 
 // AddRoot adds the root node and returns its id.  It must be the first node
@@ -554,10 +598,7 @@ func (b *Builder) Build() (*Tree, error) {
 	t.depth, t.size = cols[:n:n], cols[n:]
 	b.rank()
 	b.layout()
-	t.index()
-	if b.owned {
-		t.dict.commit()
-	}
+	t.finish(t.index(), b.owned)
 	return t, nil
 }
 
@@ -648,8 +689,9 @@ func (b *Builder) layout() {
 		t.labelOff, t.labelCode = off, codes
 	}
 
-	// A parse appends the text of a document without mixed content in
-	// preorder, run after run: then the buffer is the text as it stands.
+	// Nodes added in document order, each with its text before its first
+	// child's, append their text in preorder, run after run: then the buffer
+	// is the text as it stands.
 	t.textOff = make([]int32, n+1)
 	inOrder, size := true, int32(0)
 	for v := range n {
@@ -693,33 +735,54 @@ func (b *Builder) MustBuild() *Tree {
 	return t
 }
 
-// index fills depth, prevSibling and the whole-tree counts in one forward
-// sweep over a tree numbered in preorder, without recursion (trees may be
-// deep): a parent precedes its children, and the right sibling of u is
-// End(u)+1 when that node shares u's parent.
-func (t *Tree) index() {
+// index fills depth and prevSibling in one forward sweep over a tree
+// numbered in preorder, without recursion (trees may be deep): a parent
+// precedes its children, and the right sibling of u is End(u)+1 when that
+// node shares u's parent.  It returns the height.
+func (t *Tree) index() (height int) {
 	n := NodeID(t.Len())
 	t.prevSibling = make([]NodeID, n)
 	for v := range t.prevSibling {
 		t.prevSibling[v] = InvalidNode
 	}
 	t.depth[0] = 0
-	t.height = 1
 	for u := range n {
 		if p := t.parent[u]; p != InvalidNode {
 			t.depth[u] = t.depth[p] + 1
-			t.height = max(t.height, int(t.depth[u])+1)
+			height = max(height, int(t.depth[u]))
 		}
 		if s := t.End(u) + 1; s < n && t.parent[s] == t.parent[u] {
 			t.prevSibling[s] = u
 		}
 	}
-	seen := make([]bool, t.dict.Len())
+	return height + 1
+}
+
+// finish is the last step of every constructor, Builder and Preorder alike:
+// it sets the whole-tree counts, the height given and the alphabet from the
+// code column, and commits a dictionary the constructor owns.
+func (t *Tree) finish(height int, ownedDict bool) {
+	t.height = height
+	// The codes seen, on the stack for up to 4,096 codes: plain stores, so
+	// that a run of one code is no chain of read-modify-writes.
+	var buf [4096]bool
+	seen := buf[:0]
+	if d := t.dict.Len(); d <= len(buf) {
+		seen = buf[:d]
+	} else {
+		seen = make([]bool, d)
+	}
 	for _, c := range t.labelCode {
-		if !seen[c] {
-			seen[c] = true
+		seen[c] = true
+	}
+	t.alphabet = 0
+	for _, s := range seen {
+		if s {
 			t.alphabet++
 		}
+	}
+	if ownedDict {
+		t.dict.commit()
 	}
 }
 

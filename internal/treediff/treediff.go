@@ -16,13 +16,26 @@
 // the caller falls back to a full rebuild; a missed patch opportunity is
 // always safe, a wrong splice never is, so every structural precondition of
 // the shift rules is checked explicitly rather than assumed.
+//
+// Diff finds the common prefix and suffix on the trees' preorder columns
+// (tree.Columns), not node by node.  Nodes agree in labels and text up to a
+// point exactly when both label-offset columns, the codes before that point
+// and, likewise, the text offsets and bytes agree; so the prefix is the
+// first place any of the parent, offset, code or text columns differ, found
+// by comparing blocks of memory and then the one block that differs, and
+// turned into a node by a binary search of the offsets.  The suffix is the
+// same comparison from the columns' ends, where the offsets of equal runs
+// lie a constant apart.  When the new tree's dictionary does not extend the
+// old one's, the old codes are translated through one table (remap) first.
 package treediff
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/tree"
 )
@@ -110,26 +123,25 @@ func (s *Script) Delta() int { return s.NewLen - s.OldLen }
 // proves every precondition of the XASR shift rules — both regions are
 // forests of consecutive siblings under one common parent that precedes the
 // splice, and no surviving node is parented inside a region.
+//
+// Prefix and suffix are found on the trees' columns in bulk (see the
+// package comment), not node by node.
 func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	if oldT == nil || newT == nil {
 		return nil, false
 	}
 	// The splice math identifies row i with NodeID i, the node with preorder
-	// index i+1: tree.Builder numbers every tree that way.
+	// index i+1: every tree is numbered that way.
 	n, m := oldT.Len(), newT.Len()
 	c := newComparer(oldT, newT)
+	a, b := c.ac, c.bc
 
 	// Longest common prefix of the preorder node sequences: labels, text and
 	// parent must all agree (parents of prefix nodes precede them, so the
 	// prefix is structurally identical in both trees).
-	p := 0
-	for p < n && p < m {
-		u := tree.NodeID(p)
-		if !c.same(u, u) || oldT.Parent(u) != newT.Parent(u) {
-			break
-		}
-		p++
-	}
+	k := min(n, m)
+	parents := mismatch(a.Parent[:k], b.Parent[:k])
+	p := c.prefix(parents)
 	if p == n && n == m {
 		sc := &Script{Old: oldT, New: newT, Kind: KindNone, Start: n, ShapePreserving: true}
 		return sc, true
@@ -142,38 +154,20 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	// sibling-forest precondition of the general path is not needed (and a
 	// root rename, which can never be a complete-subtree splice, still
 	// patches instead of rebuilding).
-	if n == m {
-		structural := true
-		for i := 0; i < n; i++ {
-			if oldT.Parent(tree.NodeID(i)) != newT.Parent(tree.NodeID(i)) {
-				structural = false
-				break
-			}
+	if n == m && parents == n {
+		last := n - 1 - c.suffix(n-p)
+		sc := &Script{
+			Old: oldT, New: newT, Kind: KindRelabel,
+			Start: p, OldLen: last + 1 - p, NewLen: last + 1 - p,
+			ShapePreserving: true,
 		}
-		if structural {
-			last := n - 1
-			for last >= p && c.same(tree.NodeID(last), tree.NodeID(last)) {
-				last--
-			}
-			sc := &Script{
-				Old: oldT, New: newT, Kind: KindRelabel,
-				Start: p, OldLen: last + 1 - p, NewLen: last + 1 - p,
-				ShapePreserving: true,
-			}
-			sc.Touched = c.relabeled(p, sc.OldLen)
-			return sc, true
-		}
+		sc.Touched = c.relabeled(p, sc.OldLen)
+		return sc, true
 	}
 
 	// Longest common suffix that does not overlap the prefix, by labels and
 	// text; structural agreement is verified against the shift rule below.
-	s := 0
-	for s < n-p && s < m-p {
-		if !c.same(tree.NodeID(n-1-s), tree.NodeID(m-1-s)) {
-			break
-		}
-		s++
-	}
+	s := c.suffix(min(n-p, m-p))
 	oldLen, newLen := n-p-s, m-p-s
 	delta := newLen - oldLen
 
@@ -181,9 +175,8 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	// before the splice is unchanged, a parent at or after the old region's
 	// end shifts by delta, and a parent inside the region is impossible (the
 	// regions must be complete subtree forests).
-	for i := p + oldLen; i < n; i++ {
-		po := oldT.Parent(tree.NodeID(i))
-		pn := newT.Parent(tree.NodeID(i + delta))
+	for i, po := range a.Parent[p+oldLen:] {
+		pn := b.Parent[p+newLen+i]
 		switch {
 		case int(po) < p: // includes InvalidNode for the root
 			if pn != po {
@@ -204,11 +197,11 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 	// top-level nodes must share it.  (Consecutiveness is automatic: the
 	// region is a contiguous preorder interval, so nothing can sit between
 	// two of its top-level siblings.)
-	parOld, okOld := regionParent(oldT, p, oldLen)
+	parOld, okOld := regionParent(a.Parent, p, oldLen)
 	if !okOld {
 		return nil, false
 	}
-	parNew, okNew := regionParent(newT, p, newLen)
+	parNew, okNew := regionParent(b.Parent, p, newLen)
 	if !okNew {
 		return nil, false
 	}
@@ -239,12 +232,13 @@ func Diff(oldT, newT *tree.Tree) (*Script, bool) {
 // first's, as it does for a revision parsed against its predecessor's, and
 // through a translation of the first tree's codes otherwise.
 type comparer struct {
-	a, b  *tree.Tree
-	remap []tree.Code // nil: codes translate to themselves
+	a, b   *tree.Tree
+	ac, bc tree.Columns
+	remap  []tree.Code // nil: codes translate to themselves
 }
 
 func newComparer(a, b *tree.Tree) comparer {
-	return comparer{a: a, b: b, remap: tree.Translate(a.Dict(), b.Dict())}
+	return comparer{a: a, b: b, ac: a.Columns(), bc: b.Columns(), remap: tree.Translate(a.Dict(), b.Dict())}
 }
 
 // sameLabels reports whether node u of a and node v of b carry the same
@@ -270,14 +264,187 @@ func (c comparer) same(u, v tree.NodeID) bool {
 	return c.sameLabels(u, v) && c.a.Text(u) == c.b.Text(v)
 }
 
-// regionParent verifies that rows [start, start+length) of t form a forest
-// of complete sibling subtrees whose top-level nodes share one parent before
-// row start, returning that parent (InvalidNode for an empty region or a
-// region of root-level... the root itself).
-func regionParent(t *tree.Tree, start, length int) (tree.NodeID, bool) {
+// prefix returns the largest q <= k such that nodes [0, q) carry the same
+// labels and text in both trees.  Equal runs start at equal offsets, so the
+// offset columns agree up to q, and the codes and the text bytes before
+// node q's runs agree: q is the first node whose run ends elsewhere or
+// holds the first differing code or byte.
+func (c comparer) prefix(k int) int {
+	a, b := c.ac, c.bc
+	q := mismatch(a.LabelOff[:k+1], b.LabelOff[:k+1]) - 1
+	if end := int(a.LabelOff[q]); end > 0 {
+		if i := c.codesFrom(0, 0, end); i < end {
+			q = nodeAt(a.LabelOff, i)
+		}
+	}
+	q = mismatch(a.TextOff[:q+1], b.TextOff[:q+1]) - 1
+	if end := int(a.TextOff[q]); end > 0 {
+		if i := textMismatch(a.Text[:end], b.Text[:end]); i < end {
+			q = nodeAt(a.TextOff, i)
+		}
+	}
+	return q
+}
+
+// suffix returns the largest s <= limit such that the last s nodes of a and
+// of b carry the same labels and text, node for node: prefix run backwards.
+// Equal runs at the ends start at offsets a constant apart, the difference
+// of the columns' lengths.
+func (c comparer) suffix(limit int) int {
+	a, b := c.ac, c.bc
+	n, m := len(a.Parent), len(b.Parent)
+	ea, eb := a.LabelOff[n], b.LabelOff[m]
+	s := trailingShifted(a.LabelOff[n-limit:n], b.LabelOff[m-limit:m], eb-ea)
+	if span := int(ea - a.LabelOff[n-s]); span > 0 {
+		if i := c.codesBack(int(ea)-span, int(eb)-span, span); i >= 0 {
+			s = n - 1 - nodeAt(a.LabelOff, int(ea)-span+i)
+		}
+	}
+	ta, tb := a.TextOff[n], b.TextOff[m]
+	s = trailingShifted(a.TextOff[n-s:n], b.TextOff[m-s:m], tb-ta)
+	if span := int(ta - a.TextOff[n-s]); span > 0 {
+		if i := textMismatchBack(a.Text[int(ta)-span:ta], b.Text[int(tb)-span:tb]); i >= 0 {
+			s = n - 1 - nodeAt(a.TextOff, int(ta)-span+i)
+		}
+	}
+	return s
+}
+
+// codesFrom returns the first i < count at which the codes a.LabelCode[fa+i]
+// (translated) and b.LabelCode[fb+i] differ, or count.
+func (c comparer) codesFrom(fa, fb, count int) int {
+	la, lb := c.ac.LabelCode[fa:fa+count], c.bc.LabelCode[fb:fb+count]
+	if c.remap == nil {
+		return mismatch(la, lb)
+	}
+	for i, code := range la {
+		if c.remap[code] != lb[i] {
+			return i
+		}
+	}
+	return count
+}
+
+// codesBack is codesFrom from the other end: the last i < count at which the
+// codes differ, or -1.
+func (c comparer) codesBack(fa, fb, count int) int {
+	la, lb := c.ac.LabelCode[fa:fa+count], c.bc.LabelCode[fb:fb+count]
+	if c.remap == nil {
+		return mismatchBack(la, lb)
+	}
+	for i := count - 1; i >= 0; i-- {
+		if c.remap[la[i]] != lb[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// nodeAt returns the node whose run, in a column with offsets off, holds
+// position i.
+func nodeAt(off []int32, i int) int {
+	return sort.Search(len(off), func(v int) bool { return int(off[v]) > i }) - 1
+}
+
+// block is how many elements mismatch compares at once.
+const block = 64
+
+// mismatch returns the first index at which a and b differ, or len(a) when
+// b starts with a.  It compares whole blocks as memory first, then the
+// block that differs element by element.
+func mismatch[E ~int32](a, b []E) int {
+	b = b[:len(a)]
+	i := 0
+	for ; i+block <= len(a); i += block {
+		if !bytes.Equal(asBytes(a[i:i+block]), asBytes(b[i:i+block])) {
+			break
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// mismatchBack returns the last index at which a and b, of one length,
+// differ, or -1: mismatch from the other end.
+func mismatchBack[E ~int32](a, b []E) int {
+	b = b[:len(a)]
+	i := len(a)
+	for ; i >= block; i -= block {
+		if !bytes.Equal(asBytes(a[i-block:i]), asBytes(b[i-block:i])) {
+			break
+		}
+	}
+	for i--; i >= 0; i-- {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// trailingShifted returns how many of the last elements of a and b, of one
+// length, lie k apart: b[i] == a[i]+k.  It tests eight at a time with no
+// branch between them, then the eight that break the run one by one.
+func trailingShifted(a, b []int32, k int32) int {
+	b = b[:len(a)]
+	i := len(a)
+	for ; i >= 8; i -= 8 {
+		x, y := a[i-8:i:i], b[i-8:i:i]
+		if (y[0]-x[0]-k)|(y[1]-x[1]-k)|(y[2]-x[2]-k)|(y[3]-x[3]-k)|
+			(y[4]-x[4]-k)|(y[5]-x[5]-k)|(y[6]-x[6]-k)|(y[7]-x[7]-k) != 0 {
+			break
+		}
+	}
+	for ; i > 0 && b[i-1]-a[i-1] == k; i-- {
+	}
+	return len(a) - i
+}
+
+// asBytes views an int32 column as its bytes.
+func asBytes[E ~int32](col []E) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(col))), 4*len(col))
+}
+
+// textMismatch returns the first index at which two texts of one length
+// differ, or their length.
+func textMismatch(a, b string) int {
+	i := 0
+	for ; i+4*block <= len(a) && a[i:i+4*block] == b[i:i+4*block]; i += 4 * block {
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// textMismatchBack returns the last index at which two texts of one length
+// differ, or -1.
+func textMismatchBack(a, b string) int {
+	i := len(a)
+	for ; i >= 4*block && a[i-4*block:i] == b[i-4*block:i]; i -= 4 * block {
+	}
+	for i--; i >= 0; i-- {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// regionParent verifies that rows [start, start+length) of a tree with the
+// parent column parent form a forest of complete sibling subtrees whose
+// top-level nodes share one parent before row start, returning that parent
+// (InvalidNode for an empty region or a region of root-level... the root
+// itself).
+func regionParent(parent []tree.NodeID, start, length int) (tree.NodeID, bool) {
 	par := tree.NodeID(-2) // unset marker, distinct from InvalidNode
-	for i := start; i < start+length; i++ {
-		q := t.Parent(tree.NodeID(i))
+	for _, q := range parent[start : start+length] {
 		if int(q) >= start { // region-internal edge (parents precede children)
 			continue
 		}

@@ -9,7 +9,8 @@ import (
 
 // FuzzParse: Parse is the first thing that touches the body of a PUT, so for
 // ANY input it must return — a tree or a *SyntaxError, never a panic — and a
-// tree it accepts must survive Serialize and a second Parse node for node,
+// tree it accepts must equal what tree.Builder builds from a replay of
+// Tokenize's events, and survive Serialize and a second Parse node for node,
 // label for label, text for text.
 //
 // A PUT parses against the dictionary of the version it replaces, so the
@@ -41,6 +42,15 @@ func FuzzParse(f *testing.F) {
 		inheritsDict(t, tr, src2)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("Parse(%q) built an invalid tree: %v", src, err)
+		}
+		evs, err := Tokenize(src)
+		if err != nil {
+			t.Fatalf("Parse(%q) succeeded but Tokenize failed: %v", src, err)
+		}
+		ref, err := replay(evs)
+		if err != nil || !treediff.Equal(tr, ref) || tr.Height() != ref.Height() {
+			t.Fatalf("Parse(%q) and tree.Builder's replay of its events disagree (%v):\n%s\n%s",
+				src, err, treediff.Canonical(tr), treediff.Canonical(ref))
 		}
 		out := Serialize(tr, false)
 		back, err := Parse(out)

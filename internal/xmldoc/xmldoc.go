@@ -12,10 +12,12 @@
 package xmldoc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/tree"
 )
@@ -85,11 +87,12 @@ func (e *SyntaxError) Error() string {
 // becomes a label "@name=value" (so Core XPath label tests can address
 // attributes); character data is concatenated into the node text.
 //
-// Parse is one left-to-right scan: the scanner feeds every element straight
-// into a tree.Builder sized from a count of the document's tags, which
-// codes each label as it arrives and copies the text into the tree's one text
-// string.  The tree holds no reference to src.  A document nested deeper
-// than MaxDepth is refused with ErrTooDeep.
+// Parse is one left-to-right scan that writes the tree's final preorder
+// columns as it reads, through a tree.Preorder: a node's parent, depth and
+// left sibling when its tag opens, its size when the tag closes, its labels
+// as codes and its text into the tree's one text string on arrival.  The
+// tree holds no reference to src.  A document nested deeper than MaxDepth
+// is refused with ErrTooDeep.
 func Parse(src string) (*tree.Tree, error) { return ParseDict(src, nil) }
 
 // ParseDict is Parse against the label dictionary d of an earlier tree —
@@ -97,12 +100,21 @@ func Parse(src string) (*tree.Tree, error) { return ParseDict(src, nil) }
 // the earlier tree knew keep their codes and parsing them allocates nothing.
 // d itself is never written: the first new label copies it.  A nil d starts a
 // fresh dictionary.
+//
+// The tree is sized from two byte counts, which bound the document's
+// elements and labels and meet them on a typical document: an element
+// closes with exactly one '/', in its end tag or in the "/>" of a
+// self-closing tag, and a label is an element name or an attribute, which
+// has exactly one '='.  The text starts at an eighth of src (a site
+// document's text is about a twelfth of it) and grows by doubling beyond.
 func ParseDict(src string, d *tree.Dict) (*tree.Tree, error) {
-	ts := newTreeSink(d, src)
-	if err := scan(src, ts); err != nil {
+	var t scanner
+	nodes := strings.Count(src, "/")
+	t.b.Init(d, nodes, nodes+strings.Count(src, "="), len(src)/8)
+	if err := t.run(src); err != nil {
 		return nil, err
 	}
-	return ts.b.Build()
+	return t.b.Build()
 }
 
 // MustParse is like Parse but panics on error; for tests and examples.
@@ -114,377 +126,463 @@ func MustParse(src string) *tree.Tree {
 	return t
 }
 
-// FromEvents builds a tree from a well-formed event stream.
+// FromEvents builds a tree from a well-formed event stream, through the same
+// preorder constructor as Parse.
 func FromEvents(events []Event) (*tree.Tree, error) {
-	elements := 0
+	nodes, labels, text := 0, 0, 0
 	for i := range events {
-		if events[i].Kind == StartElement {
-			elements++
+		switch ev := &events[i]; ev.Kind {
+		case StartElement:
+			nodes++
+			labels += 1 + len(ev.Attrs)
+		case Text:
+			text += len(ev.Text)
 		}
 	}
-	ts := &treeSink{b: tree.NewBuilder()}
-	ts.b.Reserve(elements)
+	var b tree.Preorder
+	b.Init(nil, nodes, labels, text)
+	var buf []byte
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case StartElement:
-			if len(ts.open) == 0 && ts.b.Len() > 0 {
+			if !b.Open() && b.Len() > 0 {
 				return nil, &SyntaxError{Offset: i, Msg: "multiple root elements"}
 			}
-			ts.start(ev.Name)
+			b.Start(b.Code(ev.Name))
 			for _, a := range ev.Attrs {
-				ts.attr(a.Name, a.Value)
+				buf = attrLabel(buf, a.Name, a.Value)
+				b.AddCode(b.CodeBytes(buf))
 			}
 		case EndElement:
-			if len(ts.open) == 0 {
+			if !b.Open() {
 				return nil, &SyntaxError{Offset: i, Msg: "unmatched end element " + ev.Name}
 			}
-			ts.end()
+			b.End()
 		case Text:
-			if len(ts.open) == 0 {
+			if !b.Open() {
 				return nil, &SyntaxError{Offset: i, Msg: "character data outside the root element"}
 			}
-			ts.text(ev.Text)
+			b.AppendText(ev.Text)
 		}
 	}
-	if len(ts.open) != 0 {
+	if b.Open() {
 		return nil, &SyntaxError{Offset: len(events), Msg: "unclosed elements at end of document"}
 	}
-	return ts.b.Build()
+	return b.Build()
+}
+
+// attrLabel returns buf[:0] holding the label "@name=value".
+func attrLabel(buf []byte, name, value string) []byte {
+	buf = append(buf[:0], '@')
+	buf = append(buf, name...)
+	buf = append(buf, '=')
+	return append(buf, value...)
 }
 
 // Tokenize scans src and returns the SAX-style event stream.  It validates
 // well-formedness of tag nesting (every EndElement matches the innermost
 // open StartElement).
 func Tokenize(src string) ([]Event, error) {
-	var es eventSink
-	if err := scan(src, &es); err != nil {
+	t := scanner{events: []Event{}}
+	if err := t.run(src); err != nil {
 		return nil, err
 	}
-	return es.events, nil
+	return t.events, nil
 }
-
-// sink receives the document from the scanner, in document order.  The
-// scanner has already checked well-formedness: start and end nest, text
-// arrives only inside an open element, and there is exactly one root.
-type sink interface {
-	// start opens an element, whose attributes follow one attr call each.
-	start(name string)
-	// attr adds an attribute to the element start opened last.
-	attr(name, value string)
-	// text delivers one chunk of character data of the innermost open element.
-	text(s string)
-	// end closes the innermost open element.
-	end()
-}
-
-// eventSink appends the document to an event slice.
-type eventSink struct {
-	events []Event
-	names  []string // open element names, for the EndElement events
-}
-
-func (es *eventSink) start(name string) {
-	es.events = append(es.events, Event{Kind: StartElement, Name: name})
-	es.names = append(es.names, name)
-}
-
-func (es *eventSink) attr(name, value string) {
-	ev := &es.events[len(es.events)-1]
-	ev.Attrs = append(ev.Attrs, Attr{Name: name, Value: value})
-}
-
-func (es *eventSink) text(s string) {
-	es.events = append(es.events, Event{Kind: Text, Text: s})
-}
-
-func (es *eventSink) end() {
-	last := len(es.names) - 1
-	es.events = append(es.events, Event{Kind: EndElement, Name: es.names[last]})
-	es.names = es.names[:last]
-}
-
-// treeSink adds the document to a tree.Builder, element by element: names
-// and attribute labels become codes on arrival, and text goes into the
-// builder's text buffer.
-type treeSink struct {
-	b    *tree.Builder
-	open []tree.NodeID // the elements whose end tag is still to come
-	buf  []byte        // scratch: the attribute label being coded
-	// names is a direct-mapped cache of the element names coded last: a hit
-	// costs one short string comparison instead of a dictionary lookup, and
-	// a collision only costs the lookup.
-	names [256]struct {
-		name string
-		code tree.Code
-	}
-	// openBuf and bufBuf back open and buf until a document nests deeper or
-	// an attribute label runs longer, so neither grows on a typical parse.
-	openBuf [32]tree.NodeID
-	bufBuf  [64]byte
-}
-
-// newTreeSink returns a sink whose builder draws codes from d and is sized
-// for the document src.  An element opens with one '<' and closes with at
-// most one more, so the elements number between half and all of the '<'
-// (comments and the like aside): the builder is sized for five eighths,
-// which covers a document whose elements are self-closing one time in four,
-// and grows, or Build trims, in the rarer cases.  The text buffer starts at
-// an eighth of src (a site document's text is about a twelfth of it) and
-// grows by doubling beyond.
-func newTreeSink(d *tree.Dict, src string) *treeSink {
-	b := tree.NewBuilderDict(d)
-	lt := strings.Count(src, "<")
-	b.Reserve((lt+1)/2 + lt/8)
-	b.ReserveText(len(src) / 8)
-	ts := &treeSink{b: b}
-	ts.open, ts.buf = ts.openBuf[:0], ts.bufBuf[:0]
-	return ts
-}
-
-func (ts *treeSink) start(name string) {
-	parent := tree.InvalidNode
-	if len(ts.open) > 0 {
-		parent = ts.open[len(ts.open)-1]
-	}
-	ts.open = append(ts.open, ts.b.AddCoded(parent, ts.code(name)))
-}
-
-// code returns the code of an element name, from the cache when it holds it.
-func (ts *treeSink) code(name string) tree.Code {
-	// Hash the length and the first, middle and last bytes (Fibonacci
-	// hashing: the top byte of the product picks the slot).
-	h := uint32(len(name)) << 16
-	if len(name) > 0 {
-		h |= uint32(name[0])<<8 | uint32(name[len(name)-1]) | uint32(name[len(name)/2])<<24
-	}
-	slot := &ts.names[(h*0x9E3779B1)>>24]
-	if slot.name != name || slot.name == "" {
-		slot.name, slot.code = name, ts.b.Code(name)
-	}
-	return slot.code
-}
-
-func (ts *treeSink) attr(name, value string) {
-	ts.buf = ts.buf[:0]
-	ts.buf = append(ts.buf, '@')
-	ts.buf = append(ts.buf, name...)
-	ts.buf = append(ts.buf, '=')
-	ts.buf = append(ts.buf, value...)
-	ts.b.AddCode(ts.open[len(ts.open)-1], ts.b.CodeBytes(ts.buf))
-}
-
-func (ts *treeSink) text(s string) { ts.b.AppendText(ts.open[len(ts.open)-1], s) }
-
-func (ts *treeSink) end() { ts.open = ts.open[:len(ts.open)-1] }
 
 // scanner is the one XML scanner: it checks well-formedness and hands the
-// document to a sink.
+// document, in document order, to the tree under construction — or, when
+// events is not nil, appends it to the event stream instead.  By the time
+// it hands anything over it has checked that start and end tags nest, that
+// text lies inside an open element, and that there is exactly one root.
+//
+// The scan methods take the offset they start at and return the offset
+// after what they scanned.
 type scanner struct {
 	src      string
-	pos      int
-	out      sink
 	stack    []span   // names of the open elements, as spans of src
 	stackBuf [32]span // backs stack until a document nests deeper
 	rootSeen bool
+
+	events []Event // the Tokenize stream; nil on the tree path
+
+	// The tree path.  buf is scratch for an attribute label or an unescaped
+	// text run, backed by bufBuf until one runs longer.
+	b      tree.Preorder
+	buf    []byte
+	bufBuf [64]byte
+	// names is a direct-mapped cache of the element names coded last, by
+	// their first three bytes: a hit costs one short string comparison
+	// instead of scanning the name and looking it up in the dictionary, and
+	// a collision only costs the scan and the lookup.
+	names [256]nameSlot
 }
 
-// span is the substring src[start:end] of the scanned document; the stack
-// of open names holds no pointer for the collector to trace.
-type span struct{ start, end int }
+// nameSlot is one entry of the names cache: a name, where the scanner met it
+// last, and its code.  An empty span is an empty slot.
+type nameSlot struct {
+	span
+	code tree.Code
+}
 
-// scan runs the scanner over src.
-func scan(src string, out sink) error {
-	t := &scanner{src: src, out: out}
-	t.stack = t.stackBuf[:0]
-	for t.pos < len(t.src) {
-		if t.src[t.pos] == '<' {
-			if err := t.scanMarkup(); err != nil {
-				return err
+// span is the substring src[start:end] of the scanned document, so the
+// stack of open names holds no pointer for the collector to trace.  word
+// holds the substring's first eight bytes (prefix): comparing a name of up
+// to eight bytes with it is one load and one comparison.
+type span struct {
+	start, end int
+	word       uint64
+}
+
+// prefix returns the first eight bytes of s as a little-endian integer,
+// zero beyond the end of a shorter s.
+func prefix(s string) uint64 {
+	if len(s) >= 8 {
+		return load8(s)
+	}
+	var w uint64
+	for i := len(s) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(s[i])
+	}
+	return w
+}
+
+// load8 returns the first eight bytes of s, which has at least eight, as a
+// little-endian integer: one load.
+func load8(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// lowBytes[n] masks the first n bytes of a little-endian word.
+var lowBytes = [9]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1, ^uint64(0)}
+
+// at reports whether the name sp spans starts src[pos:].
+func (t *scanner) at(pos int, sp span) bool {
+	n, src := sp.end-sp.start, t.src
+	if pos+8 > len(src) {
+		return strings.HasPrefix(src[pos:], src[sp.start:sp.end])
+	}
+	w := load8(src[pos:])
+	if n <= 8 {
+		return w&lowBytes[n] == sp.word
+	}
+	return w == sp.word && pos+n <= len(src) && src[pos+8:pos+n] == src[sp.start+8:sp.end]
+}
+
+// run scans src.
+func (t *scanner) run(src string) error {
+	t.src = src
+	t.stack, t.buf = t.stackBuf[:0], t.bufBuf[:0]
+	pos := 0
+	for pos < len(src) {
+		var err error
+		switch {
+		case src[pos] != '<':
+			pos, err = t.scanText(pos)
+		case pos+1 < len(src) && src[pos+1] == '/':
+			// The common end tag: the open name and '>'.
+			if n := len(t.stack); n > 0 {
+				top := t.stack[n-1]
+				if end := pos + 2 + top.end - top.start; end < len(src) && src[end] == '>' && t.at(pos+2, top) {
+					t.stack = t.stack[:n-1]
+					t.end(src[top.start:top.end])
+					pos = end + 1
+					continue
+				}
 			}
-			continue
+			pos, err = t.scanEndTag(pos + 2)
+		case pos+1 < len(src) && (src[pos+1] == '!' || src[pos+1] == '?'):
+			pos, err = t.scanDecl(pos)
+		default:
+			// The common start tag, on the tree path: a cached name below
+			// the root and the depth bound.
+			if n := len(t.stack); n > 0 && n < MaxDepth && t.events == nil {
+				if open := t.cached(pos + 1); open.end != pos+1 {
+					if open.end < len(src) && src[open.end] == '>' {
+						t.stack = append(t.stack, open)
+						pos = open.end + 1
+						continue
+					}
+					pos, err = t.scanAttrs(open)
+					break
+				}
+			}
+			pos, err = t.scanStartTag(pos + 1)
 		}
-		if err := t.scanText(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	if len(t.stack) != 0 {
-		return t.errf("unclosed element <%s>", t.open())
+		return t.errAt(pos, "unclosed element <%s>", t.open())
 	}
 	if !t.rootSeen {
-		return t.errf("document has no root element")
+		return t.errAt(pos, "document has no root element")
 	}
 	return nil
 }
 
-func (t *scanner) errf(format string, args ...any) error {
-	return &SyntaxError{Offset: t.pos, Msg: fmt.Sprintf(format, args...)}
+// start opens the element whose name is src[start:end], whose attributes
+// follow one attr call each.
+func (t *scanner) start(start, end int) {
+	name := t.src[start:end]
+	if t.events != nil {
+		t.events = append(t.events, Event{Kind: StartElement, Name: name})
+		return
+	}
+	code := t.b.Code(name)
+	if start+8 <= len(t.src) {
+		t.names[slotOf(load8(t.src[start:]))] = nameSlot{span{start, end, prefix(name)}, code}
+	}
+	t.b.Start(code)
 }
 
-func (t *scanner) scanText() error {
-	start := t.pos
-	if end := strings.IndexByte(t.src[start:], '<'); end >= 0 {
-		t.pos = start + end
-	} else {
-		t.pos = len(t.src)
+// slotOf returns the slot of the names cache for the name that starts where
+// src reads w, its next eight bytes: the first three pick it.
+func slotOf(w uint64) uint8 { return uint8((uint32(w&(1<<24-1)) * 0x9E3779B1) >> 24) }
+
+// cached opens the element whose name starts src[pos:] when the names cache
+// holds that name, and returns the name's span; its end is pos when the
+// cache does not hold it.
+func (t *scanner) cached(pos int) span {
+	src := t.src
+	if pos+8 > len(src) {
+		return span{start: pos, end: pos}
 	}
-	unescaped, err := unescape(t.src[start:t.pos])
-	if err != nil {
-		return t.errf("%v", err)
+	slot := &t.names[slotOf(load8(src[pos:]))]
+	end := pos + slot.end - slot.start
+	if end == pos || !t.at(pos, slot.span) || end < len(src) && nameChar[src[end]] {
+		return span{start: pos, end: pos}
 	}
-	if strings.TrimSpace(unescaped) == "" {
+	t.b.Start(slot.code)
+	return span{pos, end, slot.word}
+}
+
+// attr adds an attribute to the element start opened last.  Its value is
+// raw, as it stands in src before the offset pos.
+func (t *scanner) attr(pos int, name, raw string) error {
+	if t.events != nil {
+		val, err := unescape(raw)
+		if err != nil {
+			return t.errAt(pos, "%v", err)
+		}
+		ev := &t.events[len(t.events)-1]
+		ev.Attrs = append(ev.Attrs, Attr{Name: name, Value: val})
 		return nil
+	}
+	t.buf = attrLabel(t.buf, name, "")
+	var err error
+	if t.buf, err = appendUnescaped(t.buf, raw); err != nil {
+		return t.errAt(pos, "%v", err)
+	}
+	t.b.AddCode(t.b.CodeBytes(t.buf))
+	return nil
+}
+
+// text delivers one chunk of character data of the innermost open element.
+func (t *scanner) text(s string) {
+	if t.events != nil {
+		t.events = append(t.events, Event{Kind: Text, Text: s})
+		return
+	}
+	t.b.AppendText(s)
+}
+
+// end closes the innermost open element, whose name is given.
+func (t *scanner) end(name string) {
+	if t.events != nil {
+		t.events = append(t.events, Event{Kind: EndElement, Name: name})
+		return
+	}
+	t.b.End()
+}
+
+// errAt returns a *SyntaxError at offset pos.
+func (t *scanner) errAt(pos int, format string, args ...any) error {
+	return &SyntaxError{Offset: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// scanText scans character data up to the next '<'.  A run that is blank
+// once unescaped is dropped.
+func (t *scanner) scanText(start int) (int, error) {
+	pos := len(t.src)
+	if end := strings.IndexByte(t.src[start:], '<'); end >= 0 {
+		pos = start + end
+	}
+	raw := t.src[start:pos]
+	if strings.IndexByte(raw, '&') < 0 || t.events != nil {
+		s, err := unescape(raw)
+		if err != nil {
+			return pos, t.errAt(pos, "%v", err)
+		}
+		if strings.TrimSpace(s) == "" {
+			return pos, nil
+		}
+		if len(t.stack) == 0 {
+			return pos, t.errAt(pos, "character data outside the root element")
+		}
+		t.text(s)
+		return pos, nil
+	}
+	var err error
+	if t.buf, err = appendUnescaped(t.buf[:0], raw); err != nil {
+		return pos, t.errAt(pos, "%v", err)
+	}
+	if len(bytes.TrimSpace(t.buf)) == 0 {
+		return pos, nil
 	}
 	if len(t.stack) == 0 {
-		return t.errf("character data outside the root element")
+		return pos, t.errAt(pos, "character data outside the root element")
 	}
-	t.out.text(unescaped)
-	return nil
+	t.b.AppendTextBytes(t.buf)
+	return pos, nil
 }
 
-func (t *scanner) scanMarkup() error {
-	// t.src[t.pos] == '<': the byte after it tells the markup apart.
-	var next byte
-	if t.pos+1 < len(t.src) {
-		next = t.src[t.pos+1]
-	}
-	switch next {
-	case '!':
-		switch {
-		case strings.HasPrefix(t.src[t.pos:], "<!--"):
-			end := strings.Index(t.src[t.pos+4:], "-->")
-			if end < 0 {
-				return t.errf("unterminated comment")
-			}
-			t.pos += 4 + end + 3
-		case strings.HasPrefix(t.src[t.pos:], "<![CDATA["):
-			end := strings.Index(t.src[t.pos+9:], "]]>")
-			if end < 0 {
-				return t.errf("unterminated CDATA section")
-			}
-			data := t.src[t.pos+9 : t.pos+9+end]
-			if len(t.stack) == 0 {
-				return t.errf("CDATA outside the root element")
-			}
-			if data != "" {
-				t.out.text(data)
-			}
-			t.pos += 9 + end + 3
-		default:
-			// DOCTYPE or similar: skip to the matching '>'.
-			end := strings.IndexByte(t.src[t.pos:], '>')
-			if end < 0 {
-				return t.errf("unterminated <! declaration")
-			}
-			t.pos += end + 1
-		}
-		return nil
-	case '?':
-		end := strings.Index(t.src[t.pos+2:], "?>")
+// scanDecl scans the markup at pos that starts "<!" or "<?": a comment, a
+// CDATA section, a DOCTYPE or the like, or a processing instruction.
+func (t *scanner) scanDecl(pos int) (int, error) {
+	src := t.src
+	switch {
+	case src[pos+1] == '?':
+		end := strings.Index(src[pos+2:], "?>")
 		if end < 0 {
-			return t.errf("unterminated processing instruction")
+			return pos, t.errAt(pos, "unterminated processing instruction")
 		}
-		t.pos += 2 + end + 2
-		return nil
-	case '/':
-		return t.scanEndTag()
+		return pos + 2 + end + 2, nil
+	case strings.HasPrefix(src[pos:], "<!--"):
+		end := strings.Index(src[pos+4:], "-->")
+		if end < 0 {
+			return pos, t.errAt(pos, "unterminated comment")
+		}
+		return pos + 4 + end + 3, nil
+	case strings.HasPrefix(src[pos:], "<![CDATA["):
+		end := strings.Index(src[pos+9:], "]]>")
+		if end < 0 {
+			return pos, t.errAt(pos, "unterminated CDATA section")
+		}
+		if len(t.stack) == 0 {
+			return pos, t.errAt(pos, "CDATA outside the root element")
+		}
+		if data := src[pos+9 : pos+9+end]; data != "" {
+			t.text(data)
+		}
+		return pos + 9 + end + 3, nil
 	}
-	return t.scanStartTag()
+	// DOCTYPE or similar: skip to the matching '>'.
+	end := strings.IndexByte(src[pos:], '>')
+	if end < 0 {
+		return pos, t.errAt(pos, "unterminated <! declaration")
+	}
+	return pos + end + 1, nil
 }
 
-// scanEndTag scans "</name>" at t.pos.  The name is matched against the
-// innermost open element's directly; only a mismatch scans it on its own.
-func (t *scanner) scanEndTag() error {
-	t.pos += 2
+// scanEndTag scans the rest of "</name>" from pos, just after the "</", when
+// run's fast path did not.  The name is matched against the innermost open
+// element's directly; only a mismatch scans it on its own.
+func (t *scanner) scanEndTag(pos int) (int, error) {
+	src := t.src
 	var name string
 	if len(t.stack) > 0 {
 		open := t.open()
-		if end := t.pos + len(open); strings.HasPrefix(t.src[t.pos:], open) && (end == len(t.src) || !nameChar[t.src[end]]) {
-			name, t.pos = open, end
+		if end := pos + len(open); strings.HasPrefix(src[pos:], open) && (end == len(src) || !nameChar[src[end]]) {
+			name, pos = open, end
 		}
 	}
 	matched := name != ""
 	if !matched {
-		var err error
-		if name, err = t.scanName(); err != nil {
-			return err
+		end := scanName(src, pos)
+		if end == pos {
+			return pos, t.errAt(pos, "expected a name")
 		}
+		name, pos = src[pos:end], end
 	}
-	t.skipSpace()
-	if t.pos >= len(t.src) || t.src[t.pos] != '>' {
-		return t.errf("expected '>' after closing tag name %q", name)
+	pos = skipSpace(src, pos)
+	if pos >= len(src) || src[pos] != '>' {
+		return pos, t.errAt(pos, "expected '>' after closing tag name %q", name)
 	}
-	t.pos++
+	pos++
 	if len(t.stack) == 0 {
-		return t.errf("closing tag </%s> without matching opening tag", name)
+		return pos, t.errAt(pos, "closing tag </%s> without matching opening tag", name)
 	}
 	if !matched {
-		return t.errf("closing tag </%s> does not match <%s>", name, t.open())
+		return pos, t.errAt(pos, "closing tag </%s> does not match <%s>", name, t.open())
 	}
 	t.stack = t.stack[:len(t.stack)-1]
-	t.out.end()
-	return nil
+	t.end(name)
+	return pos, nil
 }
 
-// scanStartTag scans an opening or self-closing tag at t.pos.
-func (t *scanner) scanStartTag() error {
-	t.pos++ // consume '<'
+// scanStartTag scans the rest of an opening or self-closing tag from pos,
+// just after the '<'.
+func (t *scanner) scanStartTag(pos int) (int, error) {
+	src := t.src
 	if len(t.stack) == 0 && t.rootSeen {
-		return t.errf("multiple root elements")
+		return pos, t.errAt(pos, "multiple root elements")
 	}
 	if len(t.stack) >= MaxDepth {
-		return fmt.Errorf("%w: the element at offset %d is deeper than %d levels", ErrTooDeep, t.pos-1, MaxDepth)
+		return pos, fmt.Errorf("%w: the element at offset %d is deeper than %d levels", ErrTooDeep, pos-1, MaxDepth)
 	}
-	start := t.pos
-	name, err := t.scanName()
-	if err != nil {
-		return err
+	open := span{start: pos, end: pos}
+	if t.events == nil {
+		open = t.cached(pos)
+	}
+	if open.end == pos {
+		if open.end = scanName(src, pos); open.end == pos {
+			return pos, t.errAt(pos, "expected a name")
+		}
+		open.word = prefix(src[pos:open.end])
+		t.start(pos, open.end)
 	}
 	t.rootSeen = true
-	t.out.start(name)
+	return t.scanAttrs(open)
+}
+
+// scanAttrs scans the rest of a start tag after its name, which open spans
+// and which start has opened: the attributes, then '>' or "/>".
+func (t *scanner) scanAttrs(open span) (int, error) {
+	src, pos := t.src, open.end
+	name := src[open.start:open.end]
 	for {
-		t.skipSpace()
-		if t.pos >= len(t.src) {
-			return t.errf("unterminated tag <%s", name)
+		pos = skipSpace(src, pos)
+		if pos >= len(src) {
+			return pos, t.errAt(pos, "unterminated tag <%s", name)
 		}
-		if t.src[t.pos] == '>' {
-			t.pos++
-			t.stack = append(t.stack, span{start, start + len(name)})
-			return nil
+		switch src[pos] {
+		case '>':
+			t.stack = append(t.stack, open)
+			return pos + 1, nil
+		case '/':
+			if pos+1 < len(src) && src[pos+1] == '>' {
+				t.end(name)
+				return pos + 2, nil
+			}
 		}
-		if strings.HasPrefix(t.src[t.pos:], "/>") {
-			t.pos += 2
-			t.out.end()
-			return nil
+		attrStart := pos
+		if pos = scanName(src, attrStart); pos == attrStart {
+			return pos, t.errAt(pos, "expected a name")
 		}
-		attrName, err := t.scanName()
-		if err != nil {
-			return err
+		attrName := src[attrStart:pos]
+		pos = skipSpace(src, pos)
+		if pos >= len(src) || src[pos] != '=' {
+			return pos, t.errAt(pos, "expected '=' after attribute name %q", attrName)
 		}
-		t.skipSpace()
-		if t.pos >= len(t.src) || t.src[t.pos] != '=' {
-			return t.errf("expected '=' after attribute name %q", attrName)
+		pos = skipSpace(src, pos+1)
+		if pos >= len(src) || (src[pos] != '"' && src[pos] != '\'') {
+			return pos, t.errAt(pos, "expected quoted attribute value for %q", attrName)
 		}
-		t.pos++
-		t.skipSpace()
-		if t.pos >= len(t.src) || (t.src[t.pos] != '"' && t.src[t.pos] != '\'') {
-			return t.errf("expected quoted attribute value for %q", attrName)
-		}
-		quote := t.src[t.pos]
-		t.pos++
-		start := t.pos
-		end := strings.IndexByte(t.src[start:], quote)
+		quote := src[pos]
+		pos++
+		end := strings.IndexByte(src[pos:], quote)
 		if end < 0 {
-			t.pos = len(t.src)
-			return t.errf("unterminated attribute value for %q", attrName)
+			return len(src), t.errAt(len(src), "unterminated attribute value for %q", attrName)
 		}
-		t.pos = start + end
-		val, err := unescape(t.src[start:t.pos])
-		if err != nil {
-			return t.errf("%v", err)
+		if err := t.attr(pos+end, attrName, src[pos:pos+end]); err != nil {
+			return pos + end, err
 		}
-		t.pos++
-		t.out.attr(attrName, val)
+		pos += end + 1
 	}
 }
 
@@ -494,24 +592,22 @@ func (t *scanner) open() string {
 	return t.src[sp.start:sp.end]
 }
 
-func (t *scanner) scanName() (string, error) {
-	src, start, end := t.src, t.pos, t.pos
-	for end < len(src) && nameChar[src[end]] {
-		end++
+// scanName returns the end of the name that starts at pos in src: pos itself
+// when none does.
+func scanName(src string, pos int) int {
+	for pos < len(src) && nameChar[src[pos]] {
+		pos++
 	}
-	if end == start {
-		return "", t.errf("expected a name")
-	}
-	t.pos = end
-	return src[start:end], nil
+	return pos
 }
 
-func (t *scanner) skipSpace() {
-	src, i := t.src, t.pos
-	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
-		i++
+// skipSpace returns the offset of the first byte at or after pos in src that
+// is not XML white space.
+func skipSpace(src string, pos int) int {
+	for pos < len(src) && (src[pos] == ' ' || src[pos] == '\t' || src[pos] == '\n' || src[pos] == '\r') {
+		pos++
 	}
-	t.pos = i
+	return pos
 }
 
 // nameChar reports the bytes a name may contain: ASCII letters and digits,
@@ -527,44 +623,49 @@ var nameChar = func() (tab [256]bool) {
 // unescape resolves the five predefined XML entities and numeric character
 // references.
 func unescape(s string) (string, error) {
-	if !strings.Contains(s, "&") {
+	if strings.IndexByte(s, '&') < 0 {
 		return s, nil
 	}
-	var sb strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '&' {
-			sb.WriteByte(s[i])
-			i++
-			continue
+	b, err := appendUnescaped(nil, s)
+	return string(b), err
+}
+
+// appendUnescaped appends s to dst with its entities and character
+// references resolved.
+func appendUnescaped(dst []byte, s string) ([]byte, error) {
+	for {
+		amp := strings.IndexByte(s, '&')
+		if amp < 0 {
+			return append(dst, s...), nil
 		}
-		end := strings.IndexByte(s[i:], ';')
+		dst = append(dst, s[:amp]...)
+		s = s[amp:]
+		end := strings.IndexByte(s, ';')
 		if end < 0 {
-			return "", fmt.Errorf("unterminated entity reference")
+			return dst, fmt.Errorf("unterminated entity reference")
 		}
-		ent := s[i+1 : i+end]
-		switch {
+		switch ent := s[1:end]; {
 		case ent == "lt":
-			sb.WriteByte('<')
+			dst = append(dst, '<')
 		case ent == "gt":
-			sb.WriteByte('>')
+			dst = append(dst, '>')
 		case ent == "amp":
-			sb.WriteByte('&')
+			dst = append(dst, '&')
 		case ent == "apos":
-			sb.WriteByte('\'')
+			dst = append(dst, '\'')
 		case ent == "quot":
-			sb.WriteByte('"')
+			dst = append(dst, '"')
 		case strings.HasPrefix(ent, "#"):
 			r, ok := charRef(ent[1:])
 			if !ok {
-				return "", fmt.Errorf("bad numeric character reference &%s;", ent)
+				return dst, fmt.Errorf("bad numeric character reference &%s;", ent)
 			}
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		default:
-			return "", fmt.Errorf("unknown entity &%s;", ent)
+			return dst, fmt.Errorf("unknown entity &%s;", ent)
 		}
-		i += end + 1
+		s = s[end+1:]
 	}
-	return sb.String(), nil
 }
 
 // charRef decodes the digits of a numeric character reference, "65" or

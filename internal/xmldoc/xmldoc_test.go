@@ -194,9 +194,37 @@ func TestParseMixedContent(t *testing.T) {
 	}
 }
 
-// TestParseMatchesEventPath: the scanner builds the same tree through the
-// tree sink as through the event sink and a replay of its events, and rejects
-// a malformed document identically on both.
+// replay builds the tree of a Tokenize event stream through tree.Builder,
+// the constructor that takes nodes in any order and ranks them at Build: the
+// reference the preorder constructor of Parse and FromEvents is held to.
+func replay(events []Event) (*tree.Tree, error) {
+	b := tree.NewBuilder()
+	var open []tree.NodeID
+	for _, ev := range events {
+		switch ev.Kind {
+		case StartElement:
+			parent := tree.InvalidNode
+			if len(open) > 0 {
+				parent = open[len(open)-1]
+			}
+			id := b.AddCoded(parent, b.Code(ev.Name))
+			for _, a := range ev.Attrs {
+				b.AddCode(id, b.Code("@"+a.Name+"="+a.Value))
+			}
+			open = append(open, id)
+		case EndElement:
+			open = open[:len(open)-1]
+		case Text:
+			b.AppendText(open[len(open)-1], ev.Text)
+		}
+	}
+	return b.Build()
+}
+
+// TestParseMatchesEventPath: the scanner builds the same tree in preorder as
+// tree.Builder does from a replay of its events, and as FromEvents does from
+// them; and it rejects a malformed document identically on the tree path and
+// the event path.
 func TestParseMatchesEventPath(t *testing.T) {
 	docs := []string{
 		Serialize(workload.SiteDocument(workload.DocSpec{Items: 40, Regions: 6, DescriptionDepth: 2, Seed: 7}), false),
@@ -209,6 +237,8 @@ func TestParseMatchesEventPath(t *testing.T) {
 		`<a>x<b/>z</a>`,
 		`<a>x &amp; y<b>q</b>z<c/>w</a>`,
 		`<a> <b> </b> lead<c/>trail </a>`,
+		`<a>1<b>2<c>3</c>4<c/>5</b>6<![CDATA[7]]></a>`,
+		`<region><regions/><region/><r/><re/><regionx>t</regionx></region>`,
 	}
 	for _, doc := range docs {
 		direct, err := Parse(doc)
@@ -219,16 +249,22 @@ func TestParseMatchesEventPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Tokenize(%q): %v", doc, err)
 		}
-		replayed, err := FromEvents(evs)
+		replayed, err := replay(evs)
+		if err != nil {
+			t.Fatalf("replay(Tokenize(%q)): %v", doc, err)
+		}
+		fromEvents, err := FromEvents(evs)
 		if err != nil {
 			t.Fatalf("FromEvents(Tokenize(%q)): %v", doc, err)
 		}
-		if !treediff.Equal(direct, replayed) {
-			t.Errorf("Parse and FromEvents(Tokenize) disagree on %q:\n%s\n%s",
-				doc, treediff.Canonical(direct), treediff.Canonical(replayed))
-		}
-		if err := direct.Validate(); err != nil {
-			t.Errorf("Parse(%q): %v", doc, err)
+		for _, got := range []*tree.Tree{direct, fromEvents} {
+			if !treediff.Equal(got, replayed) || got.Height() != replayed.Height() {
+				t.Errorf("the preorder constructor and tree.Builder disagree on %q:\n%s\n%s",
+					doc, treediff.Canonical(got), treediff.Canonical(replayed))
+			}
+			if err := got.Validate(); err != nil {
+				t.Errorf("%q: %v", doc, err)
+			}
 		}
 	}
 	for _, tc := range malformed {

@@ -33,7 +33,7 @@ func liveHeap() uint64 {
 // TestDefaultRoutesBytesPerNode is the memory guard of the default daemon: a
 // scan_mix document (1,000 items, parsed as the daemon parses it) with every
 // route of the workload prepared and run keeps at most 47 live bytes per node
-// (45.4 measured on linux/amd64, go1.24) — the tree and what the routes read
+// (43.5 measured on linux/amd64, go1.24) — the tree and what the routes read
 // beside it — and has built no XASR, side relation or pair relation.  It logs
 // the bytes of each owner:
 //
