@@ -9,10 +9,10 @@
 // observable.
 //
 // With -corpus DIR the command switches to corpus mode: every *.xml file in
-// the directory is loaded into the sharded corpus query service and the query
-// fans out to all documents through the service's plan cache, printing one
-// match-count line per document.  -shards and -workers size the service;
-// -repeat repeats the fan-out, so -timing shows the plan cache converting
+// the directory is loaded into the corpus query service and the query fans
+// out to all documents through the service's plan cache, printing one
+// match-count line per document.  -workers sizes the fan-out pool; -repeat
+// repeats the fan-out, so -timing shows the plan cache converting
 // repeated one-shot calls into pure executions.
 //
 // In corpus mode, -update FILE demonstrates the live-update path: after the
@@ -35,7 +35,7 @@
 //	treeq -file doc.xml -datalog program.dl
 //	treeq -file doc.xml -stream '//item//keyword' -repeat 100 -timing
 //	treeq -file doc.xml -similar 'description(keyword)' -k 5
-//	treeq -corpus docs/ -xpath '//keyword' -shards 8 -workers 4 -timing
+//	treeq -corpus docs/ -xpath '//keyword' -workers 4 -timing
 //	treeq -corpus docs/ -similar 'item(name description)' -k 3 -limit 10
 //	treeq -corpus docs/ -xpath '//keyword' -update new/books.xml -timing
 //	cat doc.xml | treeq -xpath '//a' -strategy naive
@@ -80,7 +80,6 @@ func main() {
 		showPlan = flag.Bool("plan", false, "print the evaluation plan")
 		repeat   = flag.Int("repeat", 1, "execute the prepared query N times (compile once)")
 		timing   = flag.Bool("timing", false, "print prepare/exec timings and cache statistics")
-		shards   = flag.Int("shards", 8, "corpus mode: number of engine-pool shards")
 		workers  = flag.Int("workers", 0, "corpus mode: fan-out worker-pool width (0 = GOMAXPROCS)")
 		docTO    = flag.Duration("doc-timeout", 0, "corpus mode: per-document execution budget (0 = none)")
 		aggLimit = flag.Int("limit", 0, "corpus mode: print the merged (doc, node) aggregate capped at N matches (0 = per-document counts)")
@@ -129,7 +128,7 @@ func main() {
 
 	if *corpus != "" {
 		runCorpus(*corpus, lang, text, opts, corpusRun{
-			shards: *shards, workers: *workers, repeat: *repeat,
+			workers: *workers, repeat: *repeat,
 			showPlan: *showPlan, timing: *timing,
 			docTimeout: *docTO, aggLimit: *aggLimit,
 			updateFile: *updateF,
@@ -229,11 +228,11 @@ func printPoolStats() {
 
 // corpusRun bundles the corpus-mode knobs.
 type corpusRun struct {
-	shards, workers, repeat int
-	showPlan, timing        bool
-	docTimeout              time.Duration
-	aggLimit                int
-	updateFile              string
+	workers, repeat  int
+	showPlan, timing bool
+	docTimeout       time.Duration
+	aggLimit         int
+	updateFile       string
 }
 
 // runCorpus loads every *.xml file under dir into a corpus service and fans
@@ -249,7 +248,6 @@ func runCorpus(dir, lang, text string, engOpts []core.Option, run corpusRun) {
 		fatal(fmt.Errorf("no *.xml documents under %q", dir))
 	}
 	svc := service.New(
-		service.WithShards(run.shards),
 		service.WithWorkers(run.workers),
 		service.WithEngineOptions(engOpts...),
 	)

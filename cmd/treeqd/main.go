@@ -78,7 +78,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		load          = flag.String("load", "", "directory of *.xml documents to preload")
-		shards        = flag.Int("shards", 8, "engine-pool shards")
 		workers       = flag.Int("workers", 0, "fan-out worker-pool width (0 = GOMAXPROCS)")
 		planCache     = flag.Int("plan-cache", 512, "plan-cache capacity in compiled plans (0 = unbounded)")
 		planClauseCap = flag.Int("plan-clause-cap", 2_000_000, "deny plan-cache admission above this many clauses (0 = admit all)")
@@ -98,7 +97,6 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 
 	svc := service.New(
-		service.WithShards(*shards),
 		service.WithWorkers(*workers),
 		service.WithPlanCacheSize(*planCache),
 		service.WithPlanClauseCap(*planClauseCap),
@@ -146,8 +144,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("treeqd: serving on %s (shards=%d, max-inflight=%d, timeout=%v, slow-query=%v)",
-		*addr, *shards, *maxInFlight, *timeout, *slowQuery)
+	log.Printf("treeqd: serving on %s (max-inflight=%d, timeout=%v, slow-query=%v)",
+		*addr, *maxInFlight, *timeout, *slowQuery)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

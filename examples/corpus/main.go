@@ -1,5 +1,5 @@
 // Corpus: serve queries over many documents at once through the corpus query
-// service — a sharded pool of per-document engines with an LRU plan cache, so
+// service — a map of per-document engines with an LRU plan cache, so
 // repeated one-shot queries run compile-free, plus a corpus-wide fan-out and
 // prepared streaming XPath.
 package main
@@ -16,10 +16,10 @@ import (
 )
 
 func main() {
-	// A corpus of synthetic auction-site documents of growing size, sharded
-	// 4 ways; every engine caps its structural-join cache at 64 relations.
+	// A corpus of synthetic auction-site documents of growing size, fanned
+	// out on 4 workers; every engine caps its structural-join cache at 64
+	// relations.
 	svc := service.New(
-		service.WithShards(4),
 		service.WithWorkers(4),
 		service.WithPlanCacheSize(128),
 		service.WithEngineOptions(core.WithPairCacheCap(64)),
@@ -71,8 +71,8 @@ func main() {
 	// the shape the treeqd HTTP front-end serves — under a per-document
 	// execution budget so one slow document cannot stall the fan-out.
 	fmt.Println("\naggregated //keyword across the corpus (first 8 of the merge):")
-	agg := svc.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 8,
-		service.WithDocTimeout(2*time.Second))
+	agg := service.Aggregate(svc.QueryCorpus(ctx, core.LangXPath, "//keyword",
+		service.WithDocTimeout(2*time.Second)), 8)
 	shown := 0
 	for _, p := range agg.Parts {
 		for _, n := range p.Nodes {

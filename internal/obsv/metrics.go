@@ -135,7 +135,7 @@ func (r *Registry) register(f *family) {
 // RegisterFunc registers a scrape-time family: collect is called on every
 // scrape and emits the family's current samples.  typ is TypeCounter or
 // TypeGauge — this is how the existing Stats counters (plan cache, pair
-// cache, pools, shard sizes) surface without double bookkeeping.
+// cache, pools, corpus size) surface without double bookkeeping.
 func (r *Registry) RegisterFunc(name, typ, help string, labelNames []string, collect func(Emit)) {
 	if r == nil {
 		return

@@ -518,11 +518,22 @@ func nonNegative(name string, v int64) error {
 
 // --- document management ---------------------------------------------------
 
+// handleListDocs lists the corpus from one read of it, so the names, the
+// count and the versions agree under concurrent PUTs and DELETEs.
 func (s *Server) handleListDocs(w http.ResponseWriter, r *http.Request) {
+	versions := s.svc.Versions()
+	var docs []string // null for an empty corpus
+	if len(versions) > 0 {
+		docs = make([]string, 0, len(versions))
+	}
+	for name := range versions {
+		docs = append(docs, name)
+	}
+	slices.Sort(docs)
 	s.writeJSON(w, http.StatusOK, map[string]any{
-		"docs":     s.svc.Names(),
-		"count":    s.svc.Len(),
-		"versions": s.svc.Versions(),
+		"docs":     docs,
+		"count":    len(versions),
+		"versions": versions,
 	})
 }
 
@@ -838,6 +849,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	preparedCount := len(s.prepared)
 	s.prepMu.Unlock()
 	candidates, sizePruned, histPruned, kernelCalls := core.SimilarCounters()
+	versions := s.svc.Versions() // one read: docs is its size
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s": int64(time.Since(s.started).Seconds()),
 		"server": map[string]any{
@@ -873,8 +885,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"ted_kernel_calls": kernelCalls,
 		},
 		"service": map[string]any{
-			"docs":                 st.Docs,
-			"doc_versions":         s.svc.Versions(),
+			"docs":                 len(versions),
+			"doc_versions":         versions,
 			"queries":              st.Queries,
 			"updates":              st.Updates,
 			"plan_cache_hits":      st.PlanCacheHits,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,6 +139,65 @@ func TestDocumentLifecycle(t *testing.T) {
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/docs/a.xml", nil); code != http.StatusNotFound {
 		t.Errorf("double remove: status %d, want 404", code)
 	}
+}
+
+// TestListDocsUnderChurn: GET /v1/docs reads the corpus once, so on every
+// reply count is the length of docs and the versions' keys are docs, while
+// PUTs and DELETEs of one name run beside it.
+func TestListDocsUnderChurn(t *testing.T) {
+	svc := service.New()
+	for _, name := range []string{"a.xml", "b.xml"} {
+		if err := svc.AddXML(name, siteXML(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(svc)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			req := httptest.NewRequest(http.MethodDelete, "/v1/docs/churn.xml", nil)
+			if i%2 == 0 {
+				req = httptest.NewRequest(http.MethodPut, "/v1/docs/churn.xml", strings.NewReader("<a><b/></a>"))
+			}
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, req)
+			if w.Code != http.StatusCreated && w.Code != http.StatusOK {
+				t.Errorf("%s churn.xml: status %d", req.Method, w.Code)
+				return
+			}
+		}
+	}()
+	for range 2000 {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/docs", nil))
+		var body struct {
+			Docs     []string          `json:"docs"`
+			Count    int               `json:"count"`
+			Versions map[string]uint64 `json:"versions"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for name := range body.Versions {
+			keys = append(keys, name)
+		}
+		slices.Sort(keys)
+		if body.Count != len(body.Docs) || !slices.Equal(keys, body.Docs) {
+			t.Errorf("one reply disagrees with itself: docs %v, count %d, versions %v", body.Docs, body.Count, body.Versions)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestQueryEveryLanguage exercises POST /v1/query across all five languages
@@ -558,7 +618,7 @@ func TestRetryAfterHeader(t *testing.T) {
 // transport layer's concurrency contract test.
 func TestServerConcurrency(t *testing.T) {
 	ts, _ := newTestServer(t,
-		[]service.Option{service.WithShards(4), service.WithWorkers(2), service.WithPlanCacheSize(32)},
+		[]service.Option{service.WithWorkers(2), service.WithPlanCacheSize(32)},
 		WithMaxInFlight(0), // no shedding: this test wants every request executed
 	)
 	for i := 0; i < 4; i++ {

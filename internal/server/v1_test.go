@@ -537,6 +537,6 @@ func TestV1PutTooDeep(t *testing.T) {
 		t.Fatalf("PUT of a %d-deep document: status %d, body %v; want 413 too_large", depth, code, body)
 	}
 	if svc.Len() != 0 {
-		t.Errorf("the refused document is in the corpus: %v", svc.Names())
+		t.Errorf("the refused document is in the corpus: %v", svc.Versions())
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"cmp"
-	"context"
 	"slices"
 
 	"repro/internal/cq"
@@ -72,8 +71,7 @@ type CorpusResult struct {
 
 // Aggregate merges per-document fan-out results, given in document-name
 // order as QueryCorpus returns them, into one CorpusResult with a stable
-// total order, so equal corpora always produce identical aggregates
-// regardless of worker scheduling.  Node and answer matches are ordered by
+// total order, so equal corpora always produce identical aggregates.  Node and answer matches are ordered by
 // document name, then node id (or answer tuple): since each core.Result
 // holds its nodes in document order and its answers sorted, that order is
 // the documents' own lists read in sequence, and Parts shares them rather
@@ -130,12 +128,4 @@ func Aggregate(results []DocResult, limit int) *CorpusResult {
 	}
 	agg.Truncated = kept+len(agg.Hits) < agg.Total
 	return agg
-}
-
-// QueryCorpusAggregated runs QueryCorpus and merges the per-document results
-// into one CorpusResult (see Aggregate).  This is the form the HTTP front-end
-// serves: a stably-ordered, limit-bounded match list plus the per-document
-// failures.
-func (s *Service) QueryCorpusAggregated(ctx context.Context, lang, text string, limit int, opts ...CorpusOption) *CorpusResult {
-	return Aggregate(s.QueryCorpus(ctx, lang, text, opts...), limit)
 }

@@ -106,7 +106,7 @@ func TestAggregateAnswersOrdering(t *testing.T) {
 func TestQueryCorpusAggregated(t *testing.T) {
 	s := corpusService(t, 5, WithWorkers(4))
 	ctx := context.Background()
-	agg := s.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 0)
+	agg := Aggregate(s.QueryCorpus(ctx, core.LangXPath, "//keyword"), 0)
 	if agg.Docs != 5 || len(agg.Failed) != 0 {
 		t.Fatalf("docs=%d failed=%v", agg.Docs, agg.Failed)
 	}
@@ -124,12 +124,12 @@ func TestQueryCorpusAggregated(t *testing.T) {
 	}
 	// Repeat with a different worker width: byte-identical aggregate.
 	s2 := corpusService(t, 5, WithWorkers(1))
-	nodes2, _ := flatten(s2.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 0))
+	nodes2, _ := flatten(Aggregate(s2.QueryCorpus(ctx, core.LangXPath, "//keyword"), 0))
 	if fmt.Sprint(nodes) != fmt.Sprint(nodes2) {
 		t.Error("aggregate depends on worker scheduling")
 	}
 
-	limited := s.QueryCorpusAggregated(ctx, core.LangXPath, "//keyword", 3)
+	limited := Aggregate(s.QueryCorpus(ctx, core.LangXPath, "//keyword"), 3)
 	kept, _ := flatten(limited)
 	if len(kept) != 3 || !limited.Truncated || limited.Total != agg.Total {
 		t.Errorf("limit=3: nodes=%d truncated=%v total=%d (full total %d)",

@@ -18,8 +18,8 @@ import (
 // similarity exec keeps its scratch on the stack and its funnel as counts.
 // The other nine are per request: that block, the result slice, the worker
 // pool and the aggregate; a call without options keeps its configuration
-// off the heap.  The sorted name snapshot persists across requests until an
-// Add or Remove.
+// off the heap.  The sorted names are the corpus's own, which only Add and
+// Remove replace.
 func TestCorpusFanoutAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("exact allocation counts: the race detector allocates, and sync.Pool drops items under it")

@@ -36,13 +36,13 @@ func TestPlanCacheSharedAcrossDocuments(t *testing.T) {
 	}
 }
 
-// TestPlanCacheShardCapAccounting pins the plan cache's counters exactly,
-// across many documents on several shards: five texts cycled through an LRU
-// of three miss on every lookup, so 60 queries are 60 misses, 57 evictions,
-// no hits, and a cache of exactly its cap.
-func TestPlanCacheShardCapAccounting(t *testing.T) {
-	const shards, capacity, docs = 4, 3, 12
-	s := corpusService(t, docs, WithShards(shards), WithPlanCacheSize(capacity))
+// TestPlanCacheCapAccounting pins the plan cache's counters exactly, across
+// many documents: five texts cycled through an LRU of three miss on every
+// lookup, so 60 queries are 60 misses, 57 evictions, no hits, and a cache of
+// exactly its cap.
+func TestPlanCacheCapAccounting(t *testing.T) {
+	const capacity, docs = 3, 12
+	s := corpusService(t, docs, WithPlanCacheSize(capacity))
 	ctx := context.Background()
 	queries := []string{"//item", "//keyword", "//name", "//description", "//region"}
 	for d := 0; d < docs; d++ {
@@ -62,30 +62,11 @@ func TestPlanCacheShardCapAccounting(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCapIsGlobal: WithPlanCacheSize caps the whole service, however
-// many shards the document map has — a cap below the shard count holds
-// exactly.
-func TestPlanCacheCapIsGlobal(t *testing.T) {
-	s := corpusService(t, 6, WithShards(8), WithPlanCacheSize(2))
-	ctx := context.Background()
-	queries := []string{"//item", "//keyword", "//name", "//description", "//region"}
-	for d := 0; d < 6; d++ {
-		for _, q := range queries {
-			if _, _, err := s.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if st := s.Stats(); st.PlanCacheSize != 2 || st.PlanCacheCap != 2 {
-		t.Errorf("cached plans %d under cap %d, want 2 and 2", st.PlanCacheSize, st.PlanCacheCap)
-	}
-}
-
 // TestPlanCacheTinyCapStillBounded covers the smallest cap: one plan is still
 // a cache — a text repeated on another document hits it — and a second text
 // displaces it rather than growing the cache.
 func TestPlanCacheTinyCapStillBounded(t *testing.T) {
-	s := corpusService(t, 3, WithShards(8), WithPlanCacheSize(1))
+	s := corpusService(t, 3, WithPlanCacheSize(1))
 	ctx := context.Background()
 	for d := 0; d < 3; d++ {
 		if _, _, err := s.Query(ctx, fmt.Sprintf("doc%02d", d), core.LangXPath, "//item"); err != nil {
@@ -103,13 +84,13 @@ func TestPlanCacheTinyCapStillBounded(t *testing.T) {
 	}
 }
 
-// TestPlanCacheShardedConcurrent hammers the plan cache from concurrent
-// compilers (cold misses), executors (warm hits), and updaters (document
-// swaps on the sharded document map) — run under -race in CI, it proves the
-// plan cache and the shards never need each other's locks.
-func TestPlanCacheShardedConcurrent(t *testing.T) {
+// TestPlanCacheConcurrent hammers the plan cache from concurrent compilers
+// (cold misses), executors (warm hits), and updaters (document swaps on the
+// corpus map) — run under -race in CI, it proves the plan cache and the
+// corpus map never need each other's locks.
+func TestPlanCacheConcurrent(t *testing.T) {
 	const docs = 8
-	s := corpusService(t, docs, WithShards(4), WithPlanCacheSize(32))
+	s := corpusService(t, docs, WithPlanCacheSize(32))
 	ctx := context.Background()
 	queries := []string{"//item", "//keyword", "//name", "//item//keyword"}
 
@@ -155,27 +136,30 @@ func TestPlanCacheShardedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCorpusNameSnapshotUnderChurn: the sorted name snapshot a fan-out reads
-// persists across requests, and every Add and Remove retires it.  Churners
-// each add and remove a name of their own while updaters rewrite the stable
-// documents and readers fan out: a churner's fan-out right after its Add
-// must answer its document, one right after its Remove must not list it, and
-// every fan-out lists each stable document once, in order, and only names
-// that were ever in the corpus.
-func TestCorpusNameSnapshotUnderChurn(t *testing.T) {
-	s := New(WithWorkers(2), WithShards(4))
+// TestCorpusUnderChurn: the sorted names a fan-out reads follow every Add
+// and Remove.  Churners each add and remove a name of their own while
+// updaters rewrite the stable documents and readers fan out: a churner's
+// fan-out right after its Add must answer its document, one right after its
+// Remove must not list it, and every fan-out lists each stable document
+// once, in order, and only names that were ever in the corpus.
+func TestCorpusUnderChurn(t *testing.T) {
+	s := New(WithWorkers(2))
 	stable := []string{"s0", "s1", "s2"}
 	for _, name := range stable {
 		if err := s.AddXML(name, "<a><b/></a>"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if names := s.Names(); len(names) != 3 {
-		t.Fatalf("Names() = %v", names)
+	if versions := s.Versions(); len(versions) != 3 {
+		t.Fatalf("Versions() = %v", versions)
 	} else {
-		names[0] = "mutated"
-		if s.Names()[0] != "s0" {
-			t.Fatal("Names() hands out the shared snapshot")
+		delete(versions, "s0")
+		versions["mutated"] = 1
+		if v := s.Versions(); len(v) != 3 || v["s0"] != 1 || v["mutated"] != 0 {
+			t.Fatalf("Versions() hands out the corpus's own map: %v", v)
+		}
+		if r := s.QueryCorpus(context.Background(), core.LangXPath, "//b"); len(r) != 3 || r[0].Doc != "s0" {
+			t.Fatalf("a write to Versions()'s map reached the fan-out: %+v", r)
 		}
 	}
 
@@ -270,7 +254,7 @@ func TestCorpusNameSnapshotUnderChurn(t *testing.T) {
 	churn.Wait()
 	close(stop)
 	background.Wait()
-	if names := s.Names(); len(names) != len(stable) {
-		t.Errorf("after the churn Names() = %v, want the stable documents", names)
+	if versions := s.Versions(); len(versions) != len(stable) {
+		t.Errorf("after the churn Versions() = %v, want the stable documents", versions)
 	}
 }

@@ -115,7 +115,7 @@ func TestPutXMLRejectsMalformedCharRef(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("PutXML(&#65abc;) = %v, want a *xmldoc.SyntaxError", err)
 	}
-	if v, err := svc.Version("d"); err != nil || v != 1 {
+	if _, v, err := svc.EngineVersion("d"); err != nil || v != 1 {
 		t.Fatalf("version after a rejected PUT: %d, %v; want 1", v, err)
 	}
 }

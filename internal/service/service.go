@@ -1,8 +1,7 @@
 // Package service is the corpus query layer on top of the single-document
-// core engine: a concurrency-safe pool of named documents, sharded across
-// independent engine maps so corpus mutation and lookup never contend on one
-// lock, with an LRU plan cache so even one-shot Query calls hit compiled
-// plans, and corpus-wide fan-out (QueryCorpus) on a worker pool.
+// core engine: a concurrency-safe map of named documents, with an LRU plan
+// cache so even one-shot Query calls hit compiled plans, and corpus-wide
+// fan-out (QueryCorpus) on a worker pool.
 //
 // The paper's pipeline (conf_pods_Koch06) compiles a tree query once and runs
 // it many times; every compilation it describes is a function of the query
@@ -25,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"runtime"
 	"slices"
 	"sync"
@@ -71,40 +69,30 @@ type docEntry struct {
 	version uint64
 }
 
-// shard is one slice of the engine pool: an independently locked map of
-// document name to versioned entry.  Document names are hashed onto shards,
-// so concurrent operations on documents of different shards never share a
-// lock.  No other lock is ever taken while a shard's mu is held.
-type shard struct {
-	mu      sync.RWMutex
-	entries map[string]*docEntry
-}
-
 // Service owns a corpus of named documents and routes queries to their
 // engines.  Construct with New.
 type Service struct {
-	shards     []*shard
-	seed       maphash.Seed
 	workers    int
 	engineOpts []core.Option
 	clauseCap  int
 
+	// mu guards docs and names; no other lock is taken while it is held.
+	// names is docs' keys in sorted order.  Add and Remove replace it whole
+	// and never write into it, so a reader may keep the slice it read after
+	// unlocking.
+	mu    sync.RWMutex
+	docs  map[string]*docEntry
+	names []string
+
 	// planMu guards plans, the one LRU of compiled plans for the whole
 	// service.  Its critical sections are a map lookup plus a list splice: it
-	// is never held across a compile, and never while a shard lock is held.
+	// is never held across a compile, and never while mu is held.
 	planMu    sync.Mutex
 	plans     *lru.Cache[planKey, *core.Compiled]
 	planHits  atomic.Uint64
 	planMiss  atomic.Uint64
 	planSkips atomic.Uint64
 	queries   atomic.Uint64
-	docsCount atomic.Int64
-
-	// namesGen counts the Add and Remove calls that changed the corpus;
-	// names caches the sorted document names as of one generation, and the
-	// first reader that finds it older than namesGen rebuilds it.
-	namesGen atomic.Uint64
-	names    atomic.Pointer[nameSnapshot]
 
 	updates      atomic.Uint64
 	plansCarried atomic.Uint64
@@ -127,14 +115,6 @@ type Service struct {
 	// (treeqd_update_duration_seconds{phase}), nil unless WithMetrics was
 	// given; one sample per phase per UpdateDoc call.
 	updDur *obsv.HistogramVec
-}
-
-// nameSnapshot is the sorted list of corpus document names as of one
-// generation of Service.namesGen.  It is shared by every reader and never
-// written after publication.
-type nameSnapshot struct {
-	gen   uint64
-	names []string
 }
 
 // Stats is a point-in-time snapshot of the service counters.
@@ -187,7 +167,6 @@ type Stats struct {
 type Option func(*config)
 
 type config struct {
-	shards     int
 	workers    int
 	planCap    int
 	clauseCap  int
@@ -196,11 +175,12 @@ type config struct {
 	metrics    *obsv.Registry
 }
 
-// WithShards sets the number of engine-pool shards (default 8; values < 1 are
-// raised to 1).  More shards reduce lock contention when many goroutines add,
-// remove, and look up documents concurrently.  The plan cache is not sharded.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
+// WithShards does nothing.
+//
+// Deprecated: the corpus is one map.  Kept until the benchmark stops calling
+// it (ROADMAP item 8b).
+func WithShards(int) Option {
+	return func(*config) {}
 }
 
 // WithWorkers sets the worker-pool width of QueryCorpus's fan-out (default
@@ -262,16 +242,12 @@ func WithMetrics(reg *obsv.Registry) Option {
 
 // New creates an empty corpus service.
 func New(opts ...Option) *Service {
-	cfg := config{shards: 8, planCap: 512, patchRatio: DefaultPatchRatio}
+	cfg := config{planCap: 512, patchRatio: DefaultPatchRatio}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shards < 1 {
-		cfg.shards = 1
-	}
 	s := &Service{
-		shards:     make([]*shard, cfg.shards),
-		seed:       maphash.MakeSeed(),
+		docs:       map[string]*docEntry{},
 		workers:    cfg.workers,
 		engineOpts: cfg.engineOpts,
 		clauseCap:  cfg.clauseCap,
@@ -286,14 +262,7 @@ func New(opts ...Option) *Service {
 			"Per-phase document update time (diff, patch, build, swap).",
 			obsv.DurationBuckets, "phase")
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{entries: map[string]*docEntry{}}
-	}
 	return s
-}
-
-func (s *Service) shardFor(doc string) *shard {
-	return s.shards[maphash.String(s.seed, doc)%uint64(len(s.shards))]
 }
 
 // observePhases records one prepare-histogram sample per stage the route
@@ -312,15 +281,14 @@ func (s *Service) observePhases(c *core.Compiled) {
 // UpdateDoc to replace a live document, or Remove first to recycle the name.
 func (s *Service) Add(name string, doc *tree.Tree) error {
 	eng := core.New(doc, s.engineOpts...)
-	sh := s.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[name]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.docs[name]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateDocument, name)
 	}
-	sh.entries[name] = &docEntry{eng: eng, version: 1}
-	s.docsCount.Add(1)
-	s.namesGen.Add(1)
+	s.docs[name] = &docEntry{eng: eng, version: 1}
+	i, _ := slices.BinarySearch(s.names, name)
+	s.names = slices.Concat(s.names[:i], []string{name}, s.names[i:])
 	return nil
 }
 
@@ -336,62 +304,31 @@ func (s *Service) AddXML(name, src string) error {
 // Remove drops the named document, reporting whether it was present.  The
 // plan cache is untouched: no cached plan refers to the document.
 func (s *Service) Remove(name string) bool {
-	sh := s.shardFor(name)
-	sh.mu.Lock()
-	_, ok := sh.entries[name]
-	delete(sh.entries, name)
-	sh.mu.Unlock()
-	if ok {
-		s.docsCount.Add(-1)
-		s.namesGen.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.docs[name]; !ok {
+		return false
 	}
-	return ok
+	delete(s.docs, name)
+	i, _ := slices.BinarySearch(s.names, name)
+	s.names = slices.Concat(s.names[:i], s.names[i+1:])
+	return true
 }
 
 // Len returns the number of documents in the corpus.
-func (s *Service) Len() int { return int(s.docsCount.Load()) }
-
-// Names returns the sorted names of the corpus documents.  The slice is the
-// caller's.
-func (s *Service) Names() []string {
-	return slices.Clone(s.sortedNames())
-}
-
-// sortedNames returns the sorted names of the corpus documents, shared and
-// read-only: the cached snapshot when no Add or Remove has changed the
-// corpus since it was taken, and a fresh one otherwise.  Each Add and Remove
-// bumps namesGen after its shard write, and a snapshot is tagged with the
-// generation read before its shards were scanned, so a snapshot that could
-// have missed a write is never taken as current.
-func (s *Service) sortedNames() []string {
-	gen := s.namesGen.Load()
-	if snap := s.names.Load(); snap != nil && snap.gen == gen {
-		return snap.names
-	}
-	var names []string // nil for an empty corpus, as GET /v1/docs renders it
-	if n := s.docsCount.Load(); n > 0 {
-		names = make([]string, 0, n)
-	}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for name := range sh.entries {
-			names = append(names, name)
-		}
-		sh.mu.RUnlock()
-	}
-	slices.Sort(names)
-	s.names.Store(&nameSnapshot{gen: gen, names: names})
-	return names
+func (s *Service) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.docs)
 }
 
 // entry returns the current versioned entry of the named document.  The entry
 // is immutable; callers may use its engine and version for as long as they
 // like, even across a concurrent Update swap.
 func (s *Service) entry(name string) (*docEntry, error) {
-	sh := s.shardFor(name)
-	sh.mu.RLock()
-	e, ok := sh.entries[name]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	e, ok := s.docs[name]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDocument, name)
 	}
@@ -412,8 +349,9 @@ func (s *Service) Engine(name string) (*core.Engine, error) {
 
 // EngineVersion returns the engine currently serving the named document
 // together with its version, from one consistent corpus read — callers that
-// need the pair must not assemble it from separate Engine and Version calls,
-// which an interleaved Update could tear.
+// need the pair must not assemble it from an Engine call and a Versions
+// lookup, which an interleaved Update could tear.  The version is 1 after
+// Add, bumped by each UpdateDoc, restarted by Remove+Add.
 func (s *Service) EngineVersion(name string) (*core.Engine, uint64, error) {
 	e, err := s.entry(name)
 	if err != nil {
@@ -422,26 +360,15 @@ func (s *Service) EngineVersion(name string) (*core.Engine, uint64, error) {
 	return e.eng, e.version, nil
 }
 
-// Version returns the current version of the named document: 1 after Add,
-// bumped by each UpdateDoc, restarted by Remove+Add.
-func (s *Service) Version(name string) (uint64, error) {
-	e, err := s.entry(name)
-	if err != nil {
-		return 0, err
-	}
-	return e.version, nil
-}
-
 // Versions returns a point-in-time snapshot of every document's current
-// version, keyed by name.
+// version, keyed by name: the corpus's names and its size, from one read.
+// The map is the caller's.
 func (s *Service) Versions() map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for name, e := range sh.entries {
-			out[name] = e.version
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make(map[string]uint64, len(s.docs))
+	for name, e := range s.docs {
+		out[name] = e.version
 	}
 	return out
 }
@@ -562,7 +489,9 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 		}
 		docTimeout = cfg.docTimeout
 	}
-	names := s.sortedNames()
+	s.mu.RLock()
+	names := s.names
+	s.mu.RUnlock()
 	out := make([]DocResult, len(names))
 	if len(names) == 0 {
 		return out
@@ -578,7 +507,7 @@ func (s *Service) QueryCorpus(ctx context.Context, lang, text string, opts ...Co
 		}
 		ent, err := s.entry(names[i])
 		if err != nil {
-			// Removed between the snapshot and now; report it as unknown.
+			// Removed since the names were read; report it as unknown.
 			out[i].Err = err
 			return
 		}
@@ -614,23 +543,18 @@ func execDoc(ctx context.Context, c *core.Compiled, eng *core.Engine, x *core.Ex
 	return &x.Result, &x.Plan, nil
 }
 
-// IndexStats aggregates the index-cache counters of every engine currently
+// indexStats aggregates the index-cache counters of every engine currently
 // serving a corpus document (one Snapshot per live engine, summed).  It also
-// reports, through the second return, how many of those documents are
-// multi-labeled.
-func (s *Service) IndexStats() (index.Stats, int) {
-	var agg index.Stats
-	multi := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			snap := e.eng.Index().Snapshot()
-			if snap.MultiLabeled {
-				multi++
-			}
-			agg = agg.Add(snap)
+// reports how many of those documents are multi-labeled.
+func (s *Service) indexStats() (agg index.Stats, multi int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, e := range s.docs {
+		snap := e.eng.Index().Snapshot()
+		if snap.MultiLabeled {
+			multi++
 		}
-		sh.mu.RUnlock()
+		agg = agg.Add(snap)
 	}
 	return agg, multi
 }
@@ -640,7 +564,7 @@ func (s *Service) Stats() Stats {
 	s.planMu.Lock()
 	size, capacity, evictions := s.plans.Len(), s.plans.Cap(), s.plans.Evictions()
 	s.planMu.Unlock()
-	ixStats, multiDocs := s.IndexStats()
+	ixStats, multiDocs := s.indexStats()
 	return Stats{
 		Index:                  ixStats,
 		MultiLabeledDocs:       multiDocs,

@@ -30,7 +30,7 @@ func TestQueryMatchesDirectEngine(t *testing.T) {
 	s := corpusService(t, 4)
 	ctx := context.Background()
 	const q = "//item[name]/description//keyword"
-	for _, name := range s.Names() {
+	for name := range s.Versions() {
 		res, plan, err := s.Query(ctx, name, core.LangXPath, q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -160,7 +160,7 @@ func TestCachedPlanPinsNoEngine(t *testing.T) {
 }
 
 func TestQueryCorpusFanOut(t *testing.T) {
-	s := corpusService(t, 6, WithShards(3), WithWorkers(4))
+	s := corpusService(t, 6, WithWorkers(4))
 	ctx := context.Background()
 	results := s.QueryCorpus(ctx, core.LangXPath, "//keyword")
 	if len(results) != 6 {
@@ -202,7 +202,7 @@ func TestQueryCorpusFanOut(t *testing.T) {
 // many goroutines at once; run under -race this is the service's concurrency
 // contract test.
 func TestConcurrentCorpusUse(t *testing.T) {
-	s := corpusService(t, 8, WithShards(4), WithWorkers(4), WithPlanCacheSize(16))
+	s := corpusService(t, 8, WithWorkers(4), WithPlanCacheSize(16))
 	ctx := context.Background()
 	queries := []string{"//item", "//keyword", "//item[name]/description//keyword", "//name", "//region//item"}
 

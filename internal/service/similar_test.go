@@ -43,7 +43,7 @@ func TestAggregateRankedMerge(t *testing.T) {
 // the service: per-document k-heaps merged into a corpus-wide top-k, and the
 // plan cache serving the prepared pattern on re-query.
 func TestQueryCorpusSimilar(t *testing.T) {
-	s := New(WithShards(2))
+	s := New()
 	docs := map[string]string{
 		"one":   "r(a(b c) x(y))",
 		"two":   "r(a(b) a(b c d))",
@@ -54,7 +54,7 @@ func TestQueryCorpusSimilar(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	agg := s.QueryCorpusAggregated(context.Background(), core.LangSimilar, "k=2 a(b c)", 3)
+	agg := Aggregate(s.QueryCorpus(context.Background(), core.LangSimilar, "k=2 a(b c)"), 3)
 	if len(agg.Failed) != 0 {
 		t.Fatalf("failures: %v", agg.Failed)
 	}
@@ -78,7 +78,7 @@ func TestQueryCorpusSimilar(t *testing.T) {
 
 	// Second run must be served from the plan cache.
 	before := s.Stats().PlanCacheHits
-	_ = s.QueryCorpusAggregated(context.Background(), core.LangSimilar, "k=2 a(b c)", 3)
+	_ = Aggregate(s.QueryCorpus(context.Background(), core.LangSimilar, "k=2 a(b c)"), 3)
 	if s.Stats().PlanCacheHits <= before {
 		t.Fatal("similarity plans were not cached")
 	}

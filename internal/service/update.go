@@ -20,7 +20,7 @@ const (
 	updPhaseDiff  = iota // treediff.Diff of old vs new document
 	updPhasePatch        // index splice (only on the patch path)
 	updPhaseBuild        // full engine rebuild (only on the rebuild path)
-	updPhaseSwap         // corpus entry swap under the shard lock
+	updPhaseSwap         // corpus entry swap under the corpus lock
 	updPhaseCount
 )
 
@@ -189,15 +189,14 @@ func (s *Service) UpdateDoc(name string, doc *tree.Tree) (UpdateOutcome, error) 
 		out.Kind = "rebuild"
 	}
 
-	sh := s.shardFor(name)
 	var old *core.Engine
 	pt.time(updPhaseSwap, func() {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if cur, ok := sh.entries[name]; ok {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if cur, ok := s.docs[name]; ok {
 			old = cur.eng
 			out.Version = cur.version + 1
-			sh.entries[name] = &docEntry{eng: newEng, version: out.Version}
+			s.docs[name] = &docEntry{eng: newEng, version: out.Version}
 		}
 	})
 	if old == nil {

@@ -32,7 +32,7 @@ func TestUpdateSwapsDocumentAndBumpsVersion(t *testing.T) {
 	if err := s.AddXML("d", keywordXML(2)); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.Version("d"); err != nil || v != 1 {
+	if _, v, err := s.EngineVersion("d"); err != nil || v != 1 {
 		t.Fatalf("version after add = %d, %v; want 1", v, err)
 	}
 	ctx := context.Background()
@@ -184,7 +184,7 @@ func TestUpdateUnknownDocument(t *testing.T) {
 	if _, err := s.UpdateDocXML("ghost", keywordXML(1)); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("update of unknown doc: %v, want ErrUnknownDocument", err)
 	}
-	if _, err := s.Version("ghost"); !errors.Is(err, ErrUnknownDocument) {
+	if _, _, err := s.EngineVersion("ghost"); !errors.Is(err, ErrUnknownDocument) {
 		t.Fatalf("version of unknown doc: %v, want ErrUnknownDocument", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v, _ := s.Version("d"); v != 4 {
+	if _, v, _ := s.EngineVersion("d"); v != 4 {
 		t.Fatalf("version after 3 updates = %d, want 4", v)
 	}
 	if !s.Remove("d") {
@@ -208,7 +208,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 	if err := s.AddXML("d", keywordXML(1)); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s.Version("d"); v != 1 {
+	if _, v, _ := s.EngineVersion("d"); v != 1 {
 		t.Fatalf("version after remove+add = %d, want 1 (per-incarnation)", v)
 	}
 }
@@ -226,7 +226,7 @@ func TestRemoveAddRestartsVersion(t *testing.T) {
 // alternates one label per update (a shape-preserving relabel, so readers
 // also cross label-skip swaps).
 func TestUpdateUnderLoad(t *testing.T) {
-	s := New(WithShards(4))
+	s := New()
 	// Revision v has v+1 keywords, so a //keyword count identifies the
 	// revision and must equal DocResult.Version+1 exactly.
 	revision := func(v int) string { return keywordXML(v + 1) }
@@ -427,7 +427,7 @@ func TestUpdateConcurrentUpdaters(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if v, _ := s.Version("d"); v != workers*rounds+1 {
+	if _, v, _ := s.EngineVersion("d"); v != workers*rounds+1 {
 		t.Errorf("final version = %d, want %d", v, workers*rounds+1)
 	}
 }
