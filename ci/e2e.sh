@@ -153,8 +153,8 @@ assert_json "$resp" "r['docs'] == 3"
 echo "== multi-labeled document: attribute labels ride the indexed fast path"
 # treegen -shape site emits @id/@name attribute labels, so every node with an
 # attribute is multi-labeled; the default routes serve it from label masks
-# (which hold every label of a node) and the preorder-rank view, and build no
-# XASR, side relation or pair relation (all three stay 0 in /v1/statusz).
+# (which hold every label of a node) and the preorder-rank view.  The index
+# keeps no XASR, side relation or pair relation, and /v1/statusz reports none.
 /tmp/treegen -shape site -items 50 > /tmp/e2e-multi.xml
 resp="$(curl -sf -X PUT --data-binary @/tmp/e2e-multi.xml "$BASE/v1/docs/multi.xml")"
 assert_json "$resp" "r['doc'] == 'multi.xml'"
@@ -165,7 +165,7 @@ assert_json "$resp" "r['total'] >= 1"
 resp="$(curl -sf "$BASE/v1/statusz")"
 assert_json "$resp" "r['index']['multi_labeled_docs'] >= 1"
 assert_json "$resp" "r['index']['label_mask_builds'] >= 1"
-assert_json "$resp" "r['index']['xasr_builds'] == 0 and r['index']['label_row_builds'] == 0 and r['index']['pair_builds'] == 0"
+assert_json "$resp" "not {'xasr_builds', 'label_row_builds', 'pair_builds'} & set(r['index'])"
 resp="$(curl -sf -X DELETE "$BASE/v1/docs/multi.xml")"
 assert_json "$resp" "r['docs'] == 3"
 

@@ -196,10 +196,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "timing: prepare=%v execs=%d total-exec=%v avg-exec=%v\n",
 			stats.PrepareTime, stats.Execs, stats.TotalExec, stats.AvgExec())
 		ix := eng.Index().Snapshot()
-		fmt.Fprintf(os.Stderr, "index-cache: multi-labeled=%t xasr-builds=%d pair-builds=%d pair-hits=%d pair-evictions=%d label-list-builds=%d label-list-hits=%d mask-builds=%d mask-hits=%d label-row-builds=%d label-row-hits=%d\n",
-			ix.MultiLabeled, ix.XASRBuilds, ix.PairBuilds, ix.PairHits, ix.PairEvictions,
-			ix.LabelListBuilds, ix.LabelListHits, ix.LabelMaskBuilds, ix.LabelMaskHits,
-			ix.LabelRowBuilds, ix.LabelRowHits)
+		fmt.Fprintf(os.Stderr, "index-cache: multi-labeled=%t label-list-builds=%d label-list-hits=%d mask-builds=%d mask-hits=%d\n",
+			ix.MultiLabeled, ix.LabelListBuilds, ix.LabelListHits, ix.LabelMaskBuilds, ix.LabelMaskHits)
 		if lang == core.LangSimilar {
 			printSimilarStats()
 		}

@@ -16,8 +16,10 @@ import (
 // checks its own graph.
 //
 // Three baseline packages stay linked, and the test allows them:
-//   - labeling and relstore come in through index, which still carries the
-//     XASR, label rows and the pair cache of the relational baselines;
+//   - labeling and relstore come in only through index's three deprecated,
+//     uncached XASR / LabelRows / StructuralPairs shims (kept because the
+//     benchmark's trace probes call them) and obsv's relstore pool
+//     counters; the index caches no relational state;
 //   - hornsat runs on no Auto route.  It is linked because mdatalog keeps
 //     the ground Evaluate ablation (Theorem 3.2 as written) in the package
 //     whose compiled solver treeqd runs, and arccons keeps the Prop. 6.2

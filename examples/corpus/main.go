@@ -17,13 +17,8 @@ import (
 
 func main() {
 	// A corpus of synthetic auction-site documents of growing size, fanned
-	// out on 4 workers; every engine caps its structural-join cache at 64
-	// relations.
-	svc := service.New(
-		service.WithWorkers(4),
-		service.WithPlanCacheSize(128),
-		service.WithEngineOptions(core.WithPairCacheCap(64)),
-	)
+	// out on 4 workers.
+	svc := service.New(service.WithWorkers(4), service.WithPlanCacheSize(128))
 	for i := 1; i <= 6; i++ {
 		doc := workload.SiteDocument(workload.DocSpec{Items: 25 * i, Regions: 4, DescriptionDepth: 2, Seed: int64(i)})
 		if err := svc.Add(fmt.Sprintf("site-%02d", i), doc); err != nil {

@@ -18,9 +18,7 @@ import (
 )
 
 // Yannakakis forces full-reducer evaluation (Theorem 4.1) of every
-// conjunctive query; a cyclic query fails with core.ErrNoStrategy.  It is the
-// one forced route that builds the relational encoding (XASR, label rows and
-// structural-join pairs) in the engine's index.
+// conjunctive query; a cyclic query fails with core.ErrNoStrategy.
 var Yannakakis = core.ForceCQ("yannakakis", "Yannakakis full reducer",
 	func(_ context.Context, q *cq.Query, doc *tree.Tree, idx *index.Index) ([]cq.Answer, error) {
 		return yannakakis.EvaluateIndexed(q, doc, idx)

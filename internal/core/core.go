@@ -224,7 +224,6 @@ type Option func(*engineConfig)
 
 type engineConfig struct {
 	strategy Strategy
-	pairCap  int
 }
 
 // WithStrategy overrides the Auto planner.
@@ -232,12 +231,12 @@ func WithStrategy(s Strategy) Option {
 	return func(c *engineConfig) { c.strategy = s }
 }
 
-// WithPairCacheCap caps the engine's index cache of structural-join pair
-// relations at n entries (LRU eviction; 0 = unbounded, the default).  Useful
-// for long-lived engines over documents with many distinct labels, where the
-// (axis, label, label) key space would otherwise grow the cache without bound.
-func WithPairCacheCap(n int) Option {
-	return func(c *engineConfig) { c.pairCap = n }
+// WithPairCacheCap does nothing: the engine's index caches no pair
+// relations.
+//
+// Deprecated: kept for callers that still pass it.
+func WithPairCacheCap(int) Option {
+	return func(*engineConfig) {}
 }
 
 func newConfig(opts []Option) engineConfig {
@@ -254,14 +253,14 @@ func New(doc *tree.Tree, opts ...Option) *Engine {
 	return &Engine{
 		doc:      doc,
 		strategy: cfg.strategy,
-		idx:      index.New(doc, index.WithPairCap(cfg.pairCap)),
+		idx:      index.New(doc),
 	}
 }
 
 // Patched returns a new engine over newDoc whose index is derived from this
 // engine's by splicing (index.Patch) instead of being rebuilt from scratch:
-// XASR rows outside the edit are shifted, label caches for untouched labels
-// are carried over, and only the labels the diff touched start cold.  The
+// label caches for untouched labels are carried over (shifted past the
+// edit), and only the labels the diff touched start cold.  The
 // receiver keeps serving its own document unchanged — the corpus service
 // swaps the returned engine in atomically, exactly as with a full rebuild.
 func (e *Engine) Patched(newDoc *tree.Tree, spec index.PatchSpec) *Engine {

@@ -19,9 +19,8 @@ import (
 // multi-labeled (attribute-labeled) document for every prepare route: each
 // route's prepared execution must return exactly the unindexed reference
 // evaluator's answers.  Under Auto every route reads label masks (which hold
-// every label of a node) and the views cut from the tree, so the relational
-// encoding — XASR, side relations, pair relations — is never built; the
-// forced Yannakakis baseline still builds it and hits it on repeat.
+// every label of a node) and the views cut from the tree; the forced
+// strategies must agree with them.
 func TestMultiLabelDifferential(t *testing.T) {
 	doc := workload.SiteDocument(workload.DocSpec{Items: 14, Regions: 3, DescriptionDepth: 2, Seed: 61})
 	eng := core.New(doc)
@@ -73,8 +72,7 @@ func TestMultiLabelDifferential(t *testing.T) {
 	})
 
 	t.Run("cq-forced-strategies", func(t *testing.T) {
-		// The same queries must agree under every forced relational strategy;
-		// yannakakis and rewrite consume the pair cache directly.
+		// The same queries must agree under every forced relational strategy.
 		q := "Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k)."
 		want := cq.EvaluateNaive(cq.MustParse(q), doc)
 		for _, s := range []core.Strategy{baseline.Yannakakis, core.ArcConsistency, core.RewriteFirst} {
@@ -89,14 +87,6 @@ func TestMultiLabelDifferential(t *testing.T) {
 			}
 			if !cq.AnswersEqual(res.Answers, want) {
 				t.Errorf("%v: answers diverge on multi-labeled doc", s)
-			}
-			if s == baseline.Yannakakis {
-				if _, _, err := pq.Exec(ctx); err != nil {
-					t.Fatalf("%v: repeat: %v", s, err)
-				}
-				if st := se.Index().Snapshot(); st.XASRBuilds == 0 || st.LabelRowBuilds == 0 || st.PairBuilds == 0 || st.PairHits == 0 {
-					t.Errorf("yannakakis on a multi-labeled doc must build the pair cache and hit it on repeat: %+v", st)
-				}
 			}
 		}
 	})
@@ -180,11 +170,8 @@ func TestMultiLabelDifferential(t *testing.T) {
 		}
 	})
 
-	// Every language has run: the default routes read masks and views only.
+	// Every language has run: the default routes share masks and views.
 	st := eng.Index().Snapshot()
-	if st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairBuilds != 0 {
-		t.Errorf("a default route built the relational encoding: %+v", st)
-	}
 	if st.LabelMaskBuilds == 0 || st.LabelMaskHits == 0 || st.TEDBuilds != 1 {
 		t.Errorf("the default routes should share label masks and one TED view: %+v", st)
 	}

@@ -42,19 +42,13 @@ func (s PatchSpec) unseen() bool { return s.ShapePreserving && len(s.Touched) ==
 //     Delta is 0);
 //   - the TED view, the nodes ordered by subtree size, depends on the shape
 //     alone and is shared by every shape-preserving edit, relabels included;
-//   - everything else — touched labels, and the whole relational encoding
-//     (XASR, label rows, pair relations), which no default route reads — is
-//     dropped and rebuilt lazily on first use, exactly as after a Release.
+//   - the touched labels' artifacts are dropped and rebuilt lazily on first
+//     use, exactly as after a Release.
 //
 // The old index is never mutated: readers still running against it see a
 // fully consistent document.  The result is a brand-new Index over nt with
-// its own pair-relation LRU (inheriting the old cap unless opts override it)
-// and fresh counters.
-func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
-	cfg := config{pairCap: old.PairCap()}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// fresh counters.
+func Patch(old *Index, nt *tree.Tree, spec PatchSpec) *Index {
 	touched := make(map[string]bool, len(spec.Touched))
 	for _, l := range spec.Touched {
 		touched[l] = true
@@ -75,7 +69,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 		return remap[c], remap[c] != tree.NoCode
 	}
 
-	nix := newIndex(nt, patchedMulti(old, nt, spec), cfg)
+	nix := newIndex(nt, patchedMulti(old, nt, spec))
 
 	old.mu.RLock()
 	if spec.ShapePreserving {
@@ -107,8 +101,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 	return nix
 }
 
-// carry returns an untouched label's node list and mask in the patched index;
-// its side relation is left to be rebuilt against the new tree's XASR.
+// carry returns an untouched label's node list and mask in the patched index.
 // Survivor remap: node ids at or past the removed region shift by delta; ids
 // inside the region cannot occur for an untouched label (when delta != 0,
 // Touched covers every region label).  Without a shift both are shared as
@@ -116,7 +109,7 @@ func Patch(old *Index, nt *tree.Tree, spec PatchSpec, opts ...Option) *Index {
 func carry(a labelArtifacts, oldN, newN int, spec PatchSpec) labelArtifacts {
 	delta := spec.Delta()
 	if delta == 0 {
-		return labelArtifacts{nodes: a.nodes, mask: a.mask}
+		return a
 	}
 	end := spec.Start + spec.OldLen
 	var out labelArtifacts
@@ -164,34 +157,18 @@ func patchedMulti(old *Index, nt *tree.Tree, spec PatchSpec) bool {
 	return multiLabeled(nt, 0, nt.Len())
 }
 
-// ReleaseLabels drops every cached artifact keyed by one of the given labels
-// — node lists, masks, side relations, and any structural-join
-// pair relation with a matching or empty ("whole document") side.  Unlike
+// ReleaseLabels drops the node lists and masks of the given labels.  Unlike
 // Release it leaves all other labels' artifacts in place, and the TED view,
-// which sees no label.  It is the
-// targeted-invalidation primitive behind Patch: labels removed by a diff must
-// not leak cached state into the patched index.  Safe for concurrent use.
+// which sees no label.  It is the targeted-invalidation primitive behind
+// Patch: labels removed by a diff must not leak cached state into the
+// patched index.  Safe for concurrent use.
 func (ix *Index) ReleaseLabels(labels ...string) {
-	if len(labels) == 0 {
-		return
-	}
-	drop := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		drop[l] = true
-	}
 	d := ix.t.Dict()
 	ix.mu.Lock()
-	for l := range drop {
+	for _, l := range labels {
 		if c := d.Code(l); c != tree.NoCode {
 			ix.labels[c] = nil
 		}
 	}
 	ix.mu.Unlock()
-	ix.pairMu.Lock()
-	if ix.pairs != nil {
-		ix.pairs.RemoveFunc(func(k pairKey) bool {
-			return k.from == "" || k.to == "" || drop[k.from] || drop[k.to]
-		})
-	}
-	ix.pairMu.Unlock()
 }

@@ -1,32 +1,19 @@
 package index
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/labeling"
 	"repro/internal/tree"
 	"repro/internal/treediff"
 )
 
 // warm touches every artifact family so Patch has something to carry over.
 func warm(ix *Index, labels ...string) {
-	ix.XASR()
 	ix.TED()
 	for _, l := range labels {
 		ix.NodesWithLabel(l)
 		ix.LabelMask(l)
-		ix.LabelRows(l)
-		ix.PostingList(l)
 	}
-	for _, axis := range []tree.Axis{tree.Child, tree.Descendant, tree.Ancestor} {
-		for _, from := range labels {
-			for _, to := range labels {
-				ix.StructuralPairs(axis, from, to)
-			}
-		}
-	}
-	ix.StructuralPairs(tree.Descendant, "", labels[0])
 }
 
 func diffSpec(t *testing.T, oldT, newT *tree.Tree) PatchSpec {
@@ -67,21 +54,10 @@ func TestPatchMatchesFreshBuild(t *testing.T) {
 			if err := old.Validate(); err != nil {
 				t.Fatalf("old index corrupted by patch: %v", err)
 			}
-			// The relational encoding is not carried: the patched index
-			// starts without it and builds it from its own tree on first use.
-			if s := patched.Snapshot(); s.XASRBuilds != 0 || s.LabelRowBuilds != 0 || s.PairEntries != 0 {
-				t.Fatalf("patched index carried relational state: %+v", s)
-			}
-			if patched.XASR().Tree() != newT {
-				t.Fatal("patched index rebuilt its XASR from the old tree")
-			}
-			pairs, _ := patched.StructuralPairs(tree.Descendant, "", "item")
-			want := labeling.BuildXASR(newT).StructuralJoin(tree.Descendant, "", "item")
-			if fmt.Sprint(pairs.Tuples()) != fmt.Sprint(want.Tuples()) {
-				t.Fatalf("rebuilt pairs %v, want %v", pairs.Tuples(), want.Tuples())
-			}
-			if s := patched.Snapshot(); s.XASRBuilds != 1 || s.PairBuilds != 1 {
-				t.Fatalf("relational state not rebuilt lazily: %+v", s)
+			// A patch builds nothing: carried artifacts are shared or
+			// remapped, and the rest is rebuilt lazily on first use.
+			if s := patched.Snapshot(); s.Builds() != 0 {
+				t.Fatalf("patching built artifacts: %+v", s)
 			}
 			// "item" is untouched in every case: its artifacts must have been
 			// carried over, not rebuilt.
@@ -162,10 +138,6 @@ func TestReleaseLabels(t *testing.T) {
 	tr := tree.MustParseSexpr("site(item(name keyword) item(name))")
 	ix := New(tr)
 	warm(ix, "item", "name", "keyword")
-	before := ix.Snapshot()
-	if before.PairEntries == 0 {
-		t.Fatal("warm built no pair relations")
-	}
 
 	ix.ReleaseLabels("keyword")
 	// keyword artifacts rebuild (miss), item artifacts hit.
@@ -180,17 +152,6 @@ func TestReleaseLabels(t *testing.T) {
 	s2 := ix.Snapshot()
 	if s2.LabelListHits == s1.LabelListHits {
 		t.Fatal("unrelated label artifact was dropped by ReleaseLabels")
-	}
-	// Pair relations touching keyword (or the whole-document side) are gone;
-	// (item, name) pairs survive.
-	if _, ok := ix.pairs.Get(pairKey{axis: tree.Child, from: "item", to: "name"}); !ok {
-		t.Fatal("unrelated pair relation dropped")
-	}
-	if _, ok := ix.pairs.Get(pairKey{axis: tree.Child, from: "item", to: "keyword"}); ok {
-		t.Fatal("pair relation over released label survived")
-	}
-	if _, ok := ix.pairs.Get(pairKey{axis: tree.Descendant, from: "", to: "item"}); ok {
-		t.Fatal("whole-document pair relation survived a label release")
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatalf("index invalid after ReleaseLabels: %v", err)
@@ -220,10 +181,10 @@ func TestPatchMaskOnlyWarmLabel(t *testing.T) {
 }
 
 // TestPatchSharesViewOnShapePreservingEdit: a patch that moved no node shares
-// an untouched label's mask — the same vector, whether or not an XASR exists
-// — and a shifting patch remaps it.  Every shape-preserving edit, a relabel
-// as much as a text-only edit, carries the TED view, which depends on the
-// shape alone, with no XASR around.  Validate is green either way.
+// an untouched label's mask — the same vector — and a shifting patch remaps
+// it.  Every shape-preserving edit, a relabel as much as a text-only edit,
+// carries the TED view, which depends on the shape alone.  Validate is green
+// either way.
 func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 	oldT := tree.MustParseSexpr("site(item(name keyword) item(name keyword))")
 	old := New(oldT)
@@ -242,7 +203,7 @@ func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 	if patched.TED() != ted {
 		t.Error("a relabel did not carry the TED view, which sees no label")
 	}
-	if s := patched.Snapshot(); s.XASRBuilds != 0 || s.TEDBuilds != 0 {
+	if s := patched.Snapshot(); s.Builds() != 0 {
 		t.Errorf("a relabel built something: %+v", s)
 	}
 	if err := patched.Validate(); err != nil {
@@ -253,7 +214,7 @@ func TestPatchSharesViewOnShapePreservingEdit(t *testing.T) {
 	if !same(unseen.LabelMask("item"), mask) || unseen.TED() != ted {
 		t.Error("a text-only patch did not share the mask and the TED view")
 	}
-	if s := unseen.Snapshot(); s.XASRBuilds != 0 || s.TEDBuilds != 0 {
+	if s := unseen.Snapshot(); s.Builds() != 0 {
 		t.Errorf("a text-only patch built something: %+v", s)
 	}
 	if err := unseen.Validate(); err != nil {

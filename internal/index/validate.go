@@ -12,9 +12,8 @@ import (
 // masks and the TED view — against the tree it claims to index and returns
 // the first inconsistency found.  It exists for the incremental-update
 // harness: after a Patch, remapped label caches and a carried-over TED view
-// must be indistinguishable from a fresh build.  The relational encoding is
-// never carried (a patched index rebuilds it from its own tree), so it is
-// not checked.  Validate is intended for tests, not hot paths.
+// must be indistinguishable from a fresh build.  Validate is intended for
+// tests, not hot paths.
 func (ix *Index) Validate() error {
 	t := ix.t
 	m := t.Len()

@@ -219,8 +219,8 @@ func (x *XASR) StructuralJoinNestedLoop(axis tree.Axis, fromLabel, toLabel strin
 //
 // The label restrictions select on the XASR's lab column, i.e. on primary
 // labels (Figure 2 stores one label per node).  For label-complete joins over
-// multi-labeled trees, build the sides from tree.HasLabel-based node lists
-// (SubRelation) and join them with StructuralJoinSides; package index does.
+// multi-labeled trees use StructuralPairs, which joins label-complete sides
+// (LabelRows).
 func (x *XASR) StructuralJoin(axis tree.Axis, fromLabel, toLabel string) *relstore.Relation {
 	// The sides are never mutated by StructuralJoinSides, so the shared
 	// (memoized) relations are passed directly: their extracted columns stay
@@ -245,6 +245,31 @@ func (x *XASR) SubRelation(name string, nodes []tree.NodeID) *relstore.Relation 
 		out.InsertRow(rows[n])
 	}
 	return out
+}
+
+// LabelRows returns the label-complete side relation of the label: one
+// XASR-schema row per node carrying the label in any position (unlike the
+// lab column, which records only primary labels), in document order.  An
+// empty label means the whole XASR.  The rows are shared with the XASR and
+// must be treated as read-only.
+func (x *XASR) LabelRows(label string) *relstore.Relation {
+	if label == "" {
+		return x.rel
+	}
+	return x.SubRelation("R_"+label, x.tr.NodesWithLabel(label))
+}
+
+// StructuralPairs returns the (from_pre, to_pre) pair relation of
+// axis(from, to) with the given (possibly empty) label restrictions, or
+// ok=false for axes without a sub-quadratic join.  The sides are
+// label-complete (LabelRows), so the join is sound on multi-labeled trees,
+// attribute-labeled documents included.
+func (x *XASR) StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*relstore.Relation, bool) {
+	switch axis {
+	case tree.Child, tree.Descendant, tree.Ancestor:
+		return x.StructuralJoinSides(axis, x.LabelRows(fromLabel), x.LabelRows(toLabel)), true
+	}
+	return nil, false
 }
 
 // StructuralJoinSides computes the (from_pre, to_pre) pair relation of
@@ -285,7 +310,7 @@ func (x *XASR) StructuralJoinSides(axis tree.Axis, from, to *relstore.Relation) 
 // intervalPairsCols is the columnar fast path of the stack-based structural
 // join: both sides expose dense pre/post columns, and when each side is
 // already in document (ascending pre) order — true for the XASR itself, for
-// its label sub-relations, and for the index's cached label rows — the sweep
+// its label sub-relations, and for LabelRows — the sweep
 // runs directly over the column arrays with an index stack, skipping the
 // per-call side copies and sorts of IntervalJoinMerge entirely.  The emitted
 // relation is columnar: (anchor_pre, point_pre) pairs, swapped when swap is

@@ -170,3 +170,99 @@ func TestRegionLabels(t *testing.T) {
 		}
 	}
 }
+
+func TestStructuralPairsSoundness(t *testing.T) {
+	doc := workload.RandomTree(workload.TreeSpec{Nodes: 300, Seed: 2, Alphabet: []string{"a", "b"}})
+	x := BuildXASR(doc)
+	pairs, ok := x.StructuralPairs(tree.Descendant, "a", "b")
+	if !ok {
+		t.Fatal("Descendant should be served")
+	}
+	want := x.StructuralJoin(tree.Descendant, "a", "b")
+	if pairs.Len() != want.Len() {
+		t.Errorf("label-complete pairs %d rows, primary-label join %d", pairs.Len(), want.Len())
+	}
+	if _, ok := x.StructuralPairs(tree.Following, "a", "b"); ok {
+		t.Errorf("axes without a fast path should be refused")
+	}
+}
+
+// TestStructuralPairsMultiLabel: the label-complete sides find pairs the
+// primary-label XASR join misses on a multi-labeled tree.
+func TestStructuralPairsMultiLabel(t *testing.T) {
+	// Root "a" with a secondary label; one child labeled only "extra"; one
+	// grandchild "b".  Every structural fact below involves a secondary label.
+	b := tree.NewBuilder()
+	r := b.AddRoot("a", "extra")
+	c := b.AddChild(r, "extra")
+	b.AddChild(c, "b", "a")
+	x := BuildXASR(b.MustBuild())
+
+	pairs, ok := x.StructuralPairs(tree.Descendant, "a", "b")
+	if !ok || pairs.Len() != 1 {
+		t.Fatalf("Descendant(a, b) served=%v len=%d, want 1 pair", ok, pairs.Len())
+	}
+	// The node labeled ("b", "a") is a descendant of both "a"-labeled and
+	// "extra"-labeled nodes; a primary-only join would have found none of the
+	// "extra" side and only a's primary row.
+	pairs, ok = x.StructuralPairs(tree.Descendant, "extra", "a")
+	if !ok || pairs.Len() != 2 {
+		t.Fatalf("Descendant(extra, a) served=%v len=%d, want 2 pairs (secondary labels indexed)", ok, pairs.Len())
+	}
+	pairs, ok = x.StructuralPairs(tree.Child, "extra", "b")
+	if !ok || pairs.Len() != 1 {
+		t.Fatalf("Child(extra, b) served=%v len=%d, want 1", ok, pairs.Len())
+	}
+	pairs, ok = x.StructuralPairs(tree.Ancestor, "b", "extra")
+	if !ok || pairs.Len() != 2 {
+		t.Fatalf("Ancestor(b, extra) served=%v len=%d, want 2", ok, pairs.Len())
+	}
+	if _, ok := x.StructuralPairs(tree.Following, "a", "b"); ok {
+		t.Errorf("axes without a fast path should still be refused")
+	}
+	if n := x.LabelRows("extra").Len(); n != 2 {
+		t.Errorf("LabelRows(extra) = %d rows, want 2 (secondary labels included)", n)
+	}
+}
+
+// TestLabelRowsAgainstBruteForce cross-checks every label-restricted pair
+// relation on a multi-labeled site document against a HasLabel nested loop.
+func TestLabelRowsAgainstBruteForce(t *testing.T) {
+	doc := workload.SiteDocument(workload.DocSpec{Items: 12, Regions: 3, DescriptionDepth: 2, Seed: 9})
+	x := BuildXASR(doc)
+	cases := []struct {
+		axis     tree.Axis
+		from, to string
+	}{
+		{tree.Descendant, "item", "keyword"},
+		{tree.Descendant, "@name=africa", "item"},
+		{tree.Child, "region", "item"},
+		{tree.Child, "item", "@id=item0"},
+		{tree.Ancestor, "keyword", "item"},
+		{tree.Descendant, "", "keyword"},
+		{tree.Child, "item", ""},
+	}
+	for _, c := range cases {
+		got, ok := x.StructuralPairs(c.axis, c.from, c.to)
+		if !ok {
+			t.Fatalf("pairs(%v, %q, %q) refused", c.axis, c.from, c.to)
+		}
+		want := 0
+		for _, u := range doc.Nodes() {
+			if c.from != "" && !doc.HasLabel(u, c.from) {
+				continue
+			}
+			for _, v := range doc.Nodes() {
+				if c.to != "" && !doc.HasLabel(v, c.to) {
+					continue
+				}
+				if doc.Holds(c.axis, u, v) {
+					want++
+				}
+			}
+		}
+		if got.Len() != want {
+			t.Errorf("pairs(%v, %q, %q) = %d rows, brute force %d", c.axis, c.from, c.to, got.Len(), want)
+		}
+	}
+}

@@ -1,12 +1,10 @@
-// Package lru provides a small size-capped least-recently-used cache used by
-// the admission/eviction layers of the query pipeline: the per-document index
-// caps its structural-join pair relations with it, and the corpus query
-// service caps its compiled-plan cache with it (and walks the cached plans
-// through Each to count what an update carried across).
+// Package lru provides a small size-capped least-recently-used cache: the
+// corpus query service caps its compiled-plan cache with it (and walks the
+// cached plans through Each to count what an update carried across).
 //
-// A Cache is NOT safe for concurrent use; callers guard it with their own
-// lock (both current users already hold a mutex around every access, so
-// embedding another one here would only double the locking).
+// A Cache is NOT safe for concurrent use; its caller guards it with its own
+// lock (the service already holds a mutex around every access, so embedding
+// another one here would only double the locking).
 package lru
 
 import "container/list"
@@ -69,7 +67,8 @@ func (c *Cache[K, V]) Add(key K, val V) {
 		if oldest == nil {
 			break
 		}
-		c.removeElement(oldest)
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*entry[K, V]).key)
 		c.evictions++
 	}
 }
@@ -84,24 +83,4 @@ func (c *Cache[K, V]) Each(fn func(key K, val V) bool) {
 			return
 		}
 	}
-}
-
-// RemoveFunc drops every entry whose key satisfies pred and returns how many
-// were dropped.  Explicit removals do not count as evictions.
-func (c *Cache[K, V]) RemoveFunc(pred func(K) bool) int {
-	removed := 0
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if pred(el.Value.(*entry[K, V]).key) {
-			c.removeElement(el)
-			removed++
-		}
-		el = next
-	}
-	return removed
-}
-
-func (c *Cache[K, V]) removeElement(el *list.Element) {
-	c.ll.Remove(el)
-	delete(c.items, el.Value.(*entry[K, V]).key)
 }

@@ -61,8 +61,8 @@ func (r *Relation) Column(i int) []int64 {
 
 // IntColumns returns columns i and j as dense slices (see Column), with
 // ok=false when either index is out of range.  It is the accessor the
-// evaluators use to sweep cached pair relations without touching per-row
-// tuple headers.
+// structural joins use to sweep XASR columns without touching per-row tuple
+// headers.
 func (r *Relation) IntColumns(i, j int) ([]int64, []int64, bool) {
 	if i < 0 || j < 0 || i >= len(r.columns) || j >= len(r.columns) {
 		return nil, nil, false

@@ -100,7 +100,7 @@ func (s *Server) registerMetrics() {
 	gauge("treeqd_inflight_requests", "Gated requests currently executing.",
 		func(*scrapeSnapshot) float64 { return float64(s.inflight.Load()) })
 	gauge("treeqd_max_in_flight", "Admission-gate width (0 = unbounded).",
-		func(*scrapeSnapshot) float64 { return float64(s.gateLimit.Load()) })
+		func(*scrapeSnapshot) float64 { return float64(s.gateLimit) })
 	gauge("treeqd_retry_after_seconds", "Current Retry-After hint attached to shed requests.",
 		func(*scrapeSnapshot) float64 { return float64(s.retryAfterSeconds()) })
 	gauge("treeqd_prepared_queries", "Server-registered prepared queries.",
@@ -155,16 +155,6 @@ func (s *Server) registerMetrics() {
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheSize) })
 	gauge("treeqd_plan_cache_cap", "Plan-cache capacity (0 = unbounded).",
 		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheCap) })
-
-	// Index pair cache, aggregated over the live engines.
-	counter("treeqd_pair_cache_hits_total", "Structural-join pair relations served from the index cache.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Index.PairHits) })
-	counter("treeqd_pair_cache_builds_total", "Structural-join pair relations built.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Index.PairBuilds) })
-	counter("treeqd_pair_cache_evictions_total", "Pair relations evicted by the pair-cache cap.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Index.PairEvictions) })
-	gauge("treeqd_pair_cache_entries", "Pair relations currently cached across live engines.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Index.PairEntries) })
 
 	// Process-wide allocation pools, keyed like obsv.PoolCounters.
 	reg.RegisterFunc("treeqd_pool_hits_total", obsv.TypeCounter,

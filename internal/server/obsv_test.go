@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,7 +142,7 @@ func TestMetricsExposition(t *testing.T) {
 	checkCount("treeqd_corpus_docs", "treeqd_corpus_docs", 2)
 	checkCount("treeqd_retry_after_seconds", "treeqd_retry_after_seconds", 1)
 	for _, fam := range []string{"treeqd_pool_hits_total", "treeqd_pool_misses_total",
-		"treeqd_pair_cache_hits_total", "treeqd_uptime_seconds"} {
+		"treeqd_uptime_seconds"} {
 		if fams[fam] == nil {
 			t.Errorf("family %s missing from scrape", fam)
 		}
@@ -263,12 +264,11 @@ func TestMetricsScrapeRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRetryAfterResetOnReconfigure is the regression test for the gate
-// reconfiguration bug: the Retry-After EWMA survives shed cycles clamped to
-// [1, 60] seconds, and SetMaxInFlight resets it so hints measured under the
-// old bound do not leak into the new regime.
-func TestRetryAfterResetOnReconfigure(t *testing.T) {
-	s := New(service.New(), WithMaxInFlight(1))
+// TestRetryAfterClampAndGateWidth: the Retry-After EWMA survives shed cycles
+// clamped to [1, 60] seconds, and the gate width fixed at New admits that
+// many requests and sheds the next.
+func TestRetryAfterClampAndGateWidth(t *testing.T) {
+	s := New(service.New(), WithMaxInFlight(4))
 
 	// Simulated shed cycle: pathologically slow requests drive the EWMA far
 	// past the clamp; the advertised hint must stay within [1, 60].
@@ -284,31 +284,20 @@ func TestRetryAfterResetOnReconfigure(t *testing.T) {
 		t.Fatalf("saturated EWMA: retryAfterSeconds = %d, want the 60s clamp", got)
 	}
 
-	// Reconfiguring the gate resets the EWMA: the next hint is the 1s floor,
-	// not the stale pre-reconfigure average.
-	s.SetMaxInFlight(4)
-	if got := s.retryAfterSeconds(); got != 1 {
-		t.Errorf("after SetMaxInFlight: retryAfterSeconds = %d, want 1 (EWMA reset)", got)
-	}
-	if got := s.gateLimit.Load(); got != 4 {
-		t.Errorf("gateLimit = %d, want 4", got)
-	}
-
-	// The new bound is live: 4 slots acquire, the 5th sheds.
+	// 4 slots acquire, the 5th sheds.
 	for i := 0; i < 4; i++ {
-		if took, ok := s.acquireGate(); !took || !ok {
-			t.Fatalf("acquire %d: took=%t ok=%t, want slot", i, took, ok)
+		if !s.acquireGate() {
+			t.Fatalf("acquire %d shed, want a slot", i)
 		}
 	}
-	if _, ok := s.acquireGate(); ok {
-		t.Error("5th acquire admitted past the reconfigured bound")
+	if s.acquireGate() {
+		t.Error("5th acquire admitted past the bound")
 	}
-	s.gateUsed.Add(-4)
 
-	// Disabling the gate admits everything without taking slots.
-	s.SetMaxInFlight(0)
-	if took, ok := s.acquireGate(); took || !ok {
-		t.Errorf("unbounded gate: took=%t ok=%t, want admission without a slot", took, ok)
+	// An unbounded gate admits without taking slots.
+	u := New(service.New(), WithMaxInFlight(0))
+	if !u.acquireGate() || u.gateUsed.Load() != 0 {
+		t.Errorf("unbounded gate: used=%d, want admission without a slot", u.gateUsed.Load())
 	}
 }
 
@@ -335,6 +324,35 @@ func TestStatuszPoolKeys(t *testing.T) {
 		if _, ok := pools[k]; !ok {
 			t.Errorf("pools missing canonical key %q: %v", k, pools)
 		}
+	}
+}
+
+// TestStatuszIndexKeys pins the index section of /v1/statusz to the caches
+// the index keeps (label lists, masks, the TED view), and checks that
+// /v1/metrics exports no pair-cache family.
+func TestStatuszIndexKeys(t *testing.T) {
+	ts, _ := newTestServer(t, nil)
+	putDoc(t, ts.URL, "doc.xml", multiSiteXML(2))
+	doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
+		"doc": "doc.xml", "lang": core.LangXPath, "query": "//item/name"})
+
+	_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/statusz", nil)
+	ix, ok := body["index"].(map[string]any)
+	if !ok {
+		t.Fatalf("statusz index section: %v", body["index"])
+	}
+	got := make([]string, 0, len(ix))
+	for k := range ix {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{"label_list_builds", "label_list_hits", "label_mask_builds",
+		"label_mask_hits", "multi_labeled_docs", "releases", "ted_builds"}
+	if !slices.Equal(got, want) {
+		t.Errorf("statusz index keys = %v, want %v", got, want)
+	}
+	if out := scrapeText(t, ts.URL); strings.Contains(out, "treeqd_pair_cache_") {
+		t.Error("/v1/metrics exports a treeqd_pair_cache_ family")
 	}
 }
 

@@ -64,13 +64,9 @@ type Server struct {
 	svc *service.Service
 	mux *http.ServeMux
 
-	// The admission gate is a pair of atomics rather than a channel semaphore
-	// so SetMaxInFlight can reconfigure the bound at runtime: gateLimit is the
-	// current width (<= 0 disables the gate), gateUsed the admitted requests
-	// holding a slot.  A request that took a slot always returns it to the
-	// same counter, so shrinking the limit mid-flight just sheds new arrivals
-	// until the excess drains.
-	gateLimit      atomic.Int64
+	// The admission gate: gateLimit is its width, fixed at New (0 disables
+	// the gate), and gateUsed the admitted requests holding a slot.
+	gateLimit      int64
 	gateUsed       atomic.Int64
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
@@ -183,15 +179,13 @@ func New(svc *service.Service, opts ...Option) *Server {
 		maxTimeout:     cfg.maxTimeout,
 		maxBody:        cfg.maxBody,
 		retryAfter:     cfg.retryAfter,
+		gateLimit:      int64(max(cfg.maxInFlight, 0)),
 		prepared:       map[string]*preparedEntry{},
 		started:        time.Now(),
 		reg:            cfg.registry,
 		accessLog:      cfg.accessLog,
 		slowLog:        cfg.slowLog,
 		slowQuery:      cfg.slowQuery,
-	}
-	if cfg.maxInFlight > 0 {
-		s.gateLimit.Store(int64(cfg.maxInFlight))
 	}
 	if s.reg == nil {
 		s.reg = obsv.NewRegistry()
@@ -272,35 +266,19 @@ func (s *Server) finish(x *exchange, r *http.Request, start time.Time) {
 	}
 }
 
-// SetMaxInFlight reconfigures the admission gate at runtime (n <= 0 disables
-// it).  Reconfiguring also resets the Retry-After EWMA: the old average was
-// measured under the old concurrency bound, and carrying it across (say) a
-// shed cycle that preceded a widening would keep advertising stale back-off
-// hints until enough new samples washed it out.
-func (s *Server) SetMaxInFlight(n int) {
-	if n < 0 {
-		n = 0
+// acquireGate claims an admission slot, or reports that the gate is full.
+// An unbounded gate admits every request without counting it.
+func (s *Server) acquireGate() bool {
+	if s.gateLimit <= 0 {
+		return true
 	}
-	s.gateLimit.Store(int64(n))
-	s.avgGatedNanos.Store(0)
-}
-
-// acquireGate claims an admission slot.  tookSlot reports whether a slot was
-// actually taken (false when the gate is unbounded), so the release never
-// decrements a counter it did not increment even if the gate is reconfigured
-// mid-request.
-func (s *Server) acquireGate() (tookSlot, ok bool) {
 	for {
-		limit := s.gateLimit.Load()
-		if limit <= 0 {
-			return false, true
-		}
 		used := s.gateUsed.Load()
-		if used >= limit {
-			return false, false
+		if used >= s.gateLimit {
+			return false
 		}
 		if s.gateUsed.CompareAndSwap(used, used+1) {
-			return true, true
+			return true
 		}
 	}
 }
@@ -312,8 +290,7 @@ func (s *Server) acquireGate() (tookSlot, ok bool) {
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		gateStart := time.Now()
-		tookSlot, ok := s.acquireGate()
-		if !ok {
+		if !s.acquireGate() {
 			s.rejected.Add(1)
 			s.writeError(w, http.StatusTooManyRequests, errors.New("server: saturated, retry later"))
 			return
@@ -322,7 +299,7 @@ func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 		s.inflight.Add(1)
 		start := time.Now()
 		defer func() {
-			if tookSlot {
+			if s.gateLimit > 0 {
 				s.gateUsed.Add(-1)
 			}
 			s.observeGated(time.Since(start))
@@ -856,23 +833,16 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"requests":      s.requests.Load(),
 			"inflight":      s.inflight.Load(),
 			"rejected_429":  s.rejected.Load(),
-			"max_in_flight": s.gateLimit.Load(),
+			"max_in_flight": s.gateLimit,
 			"retry_after_s": s.retryAfterSeconds(),
 			"prepared":      preparedCount,
 		},
 		"index": map[string]any{
 			"multi_labeled_docs": st.MultiLabeledDocs,
-			"xasr_builds":        st.Index.XASRBuilds,
 			"label_list_builds":  st.Index.LabelListBuilds,
 			"label_list_hits":    st.Index.LabelListHits,
 			"label_mask_builds":  st.Index.LabelMaskBuilds,
 			"label_mask_hits":    st.Index.LabelMaskHits,
-			"label_row_builds":   st.Index.LabelRowBuilds,
-			"label_row_hits":     st.Index.LabelRowHits,
-			"pair_builds":        st.Index.PairBuilds,
-			"pair_hits":          st.Index.PairHits,
-			"pair_evictions":     st.Index.PairEvictions,
-			"pair_entries":       st.Index.PairEntries,
 			"ted_builds":         st.Index.TEDBuilds,
 			"releases":           st.Index.Releases,
 		},

@@ -208,9 +208,9 @@ func WithPlanClauseCap(n int) Option {
 	return func(c *config) { c.clauseCap = n }
 }
 
-// WithEngineOptions passes options (strategy, pair-cache cap, ...) to every
-// engine the service creates for an added document, and the strategy to
-// every query it compiles.
+// WithEngineOptions passes engine options (the strategy) to every engine the
+// service creates for an added document, and the strategy to every query it
+// compiles.
 func WithEngineOptions(opts ...core.Option) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, opts...) }
 }

@@ -483,16 +483,15 @@ func multiKeywordXML(n int) string {
 }
 
 // viewOnly reports whether the aggregated index counters show label masks and
-// no relational encoding: what the default routes leave behind.
+// no label list: what the XPath route leaves behind.
 func viewOnly(ix index.Stats) bool {
-	return ix.XASRBuilds == 0 && ix.LabelRowBuilds == 0 && ix.PairBuilds == 0 && ix.LabelMaskBuilds >= 1
+	return ix.LabelMaskBuilds >= 1 && ix.LabelListBuilds == 0
 }
 
 // TestUpdateMultiLabelKeepsPairPathWarm: a multi-labeled corpus document is
 // updated in place; the warm plan runs on the new engine's index and keeps
 // answering label-to-label steps exactly — from label masks, which hold
-// every label of a node, and the preorder-rank view, never from the XASR and
-// the pair relations such steps used to be served from.
+// every label of a node, and the preorder-rank view.
 func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	s := New()
 	if err := s.AddXML("d", multiKeywordXML(2)); err != nil {
@@ -538,12 +537,10 @@ func TestUpdateMultiLabelKeepsPairPathWarm(t *testing.T) {
 	}
 }
 
-// TestUpdateYannakakisCarriesPairs is the converse: the forced Yannakakis
-// baseline still builds the XASR, the label-complete side relations and the
-// pair relations on a multi-labeled document and hits them on repeat.  A
-// patch carries none of them: the patched index starts without a relational
-// encoding and the next query rebuilds it, once, from the new tree.
-func TestUpdateYannakakisCarriesPairs(t *testing.T) {
+// TestUpdateYannakakisAfterPatch: the forced Yannakakis baseline answers a
+// multi-labeled document right before and after a patched update, reading
+// the label lists of the patched index.
+func TestUpdateYannakakisAfterPatch(t *testing.T) {
 	s := New(WithEngineOptions(core.WithStrategy(baseline.Yannakakis)))
 	if err := s.AddXML("d", multiKeywordXML(3)); err != nil {
 		t.Fatal(err)
@@ -558,29 +555,19 @@ func TestUpdateYannakakisCarriesPairs(t *testing.T) {
 		}
 	}
 	query(3)
-	query(3)
-	st := s.Stats().Index
-	if st.XASRBuilds == 0 || st.LabelRowBuilds == 0 || st.PairBuilds == 0 || st.PairHits == 0 {
-		t.Fatalf("yannakakis must build the pair cache and hit it on repeat: %+v", st)
+	if st := s.Stats().Index; st.LabelListBuilds == 0 {
+		t.Fatalf("yannakakis read no label list: %+v", st)
 	}
 
 	// One new leaf under the item: a shifting single-splice edit that touches
-	// neither side of the cached relations.
+	// none of the query's labels, so their lists are carried.
 	edited := strings.Replace(multiKeywordXML(3), "<name>x</name>", "<name>x</name><mailbox/>", 1)
 	o, err := s.UpdateDocXML("d", edited)
 	if err != nil || !o.Patched {
 		t.Fatalf("update: %+v, %v; want a patched index", o, err)
 	}
-	if st := s.Stats().Index; st.XASRBuilds != 0 || st.LabelRowBuilds != 0 || st.PairEntries != 0 {
-		t.Fatalf("patched index should carry no relational state: %+v", st)
-	}
 	query(3)
-	rebuilt := s.Stats().Index
-	if rebuilt.XASRBuilds != 1 || rebuilt.LabelRowBuilds == 0 || rebuilt.PairBuilds == 0 {
-		t.Fatalf("post-patch query should rebuild the relational encoding once: %+v", rebuilt)
-	}
-	query(3)
-	if st := s.Stats().Index; st.XASRBuilds != 1 || st.PairBuilds != rebuilt.PairBuilds || st.PairHits == rebuilt.PairHits {
-		t.Errorf("a repeat should hit the rebuilt relations: %+v -> %+v", rebuilt, st)
+	if st := s.Stats().Index; st.LabelListBuilds != 0 || st.LabelListHits == 0 {
+		t.Errorf("the patched index should serve the carried lists: %+v", st)
 	}
 }

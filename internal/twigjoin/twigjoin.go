@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/arccons"
 	"repro/internal/cq"
-	"repro/internal/relstore"
 	"repro/internal/tree"
 )
 
@@ -157,51 +156,6 @@ type NodeLister interface {
 	NodesWithLabel(label string) []tree.NodeID
 }
 
-// PairIndex optionally extends NodeLister with memoized label-restricted
-// structural-join pair relations (package index implements it).  When the
-// lister passed to MatchPathIndexed also implements PairIndex, two-node paths
-// are answered directly from the cached (from_pre, to_pre) relation instead
-// of running the stack merge.  The index's sides are label-complete, so this
-// is sound on multi-labeled (attribute-labeled) documents.
-type PairIndex interface {
-	NodeLister
-	// StructuralPairs returns the shared (from_pre, to_pre) relation of
-	// axis(from, to) under label-complete label restrictions ("" = any), or
-	// ok=false when the axis has no precomputed join.
-	StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*relstore.Relation, bool)
-}
-
-// pathPairs serves a two-node linear pattern //l0 e l1 from the pair cache:
-// every (u, v) tuple of the axis relation restricted to the two labels is one
-// match.  Returns ok=false when the pattern shape or the lister does not
-// qualify, in which case the caller falls back to the stack algorithm.
-func pathPairs(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, bool) {
-	pix, ok := ix.(PairIndex)
-	if !ok || len(tw.Labels) != 2 || tw.Labels[0] == "*" || tw.Labels[1] == "*" {
-		return nil, false
-	}
-	axis := tree.Child
-	if tw.Edge[1] == DescendantEdge {
-		axis = tree.Descendant
-	}
-	rel, ok := pix.StructuralPairs(axis, tw.Labels[0], tw.Labels[1])
-	if !ok {
-		return nil, false
-	}
-	// Sweep the cached relation's dense pre columns; the backing pairs for
-	// the matches come out of one allocation instead of one per match.
-	fromPre, toPre, _ := rel.IntColumns(0, 1)
-	matches := make([]Match, 0, len(fromPre))
-	backing := make([]tree.NodeID, 2*len(fromPre))
-	for k := range fromPre {
-		m := backing[2*k : 2*k+2 : 2*k+2]
-		m[0], m[1] = tree.NodeID(fromPre[k]-1), tree.NodeID(toPre[k]-1)
-		matches = append(matches, m)
-	}
-	sortMatches(t, matches)
-	return matches, true
-}
-
 // streamsFor returns, per pattern node, the document nodes matching its
 // label, in document (preorder) order -- the sorted "element streams" the
 // holistic algorithms consume.  A non-nil NodeLister serves the streams from
@@ -243,9 +197,6 @@ func MatchPathIndexed(t *tree.Tree, tw *Twig, ix NodeLister) ([]Match, error) {
 	}
 	if tw.Edge[0] == ChildEdge {
 		return nil, errors.New("twigjoin: MatchPath requires the pattern root to use a // edge")
-	}
-	if ms, ok := pathPairs(t, tw, ix); ok {
-		return ms, nil
 	}
 	k := len(tw.Labels)
 	streams := streamsFor(t, tw, ix)

@@ -37,12 +37,12 @@ func TestQueryIndexedMatchesQuery(t *testing.T) {
 	assertViewOnly(t, ix)
 }
 
-// assertViewOnly checks what the evaluator built of the document: label masks
-// (and the preorder-rank view), never the relational encoding.
+// assertViewOnly checks what the evaluator built of the document: label
+// masks, and no label list or TED view.
 func assertViewOnly(t *testing.T, ix *index.Index) {
 	t.Helper()
-	if s := ix.Snapshot(); s.XASRBuilds != 0 || s.LabelRowBuilds != 0 || s.PairBuilds != 0 || s.LabelMaskBuilds == 0 {
-		t.Errorf("XPath must read label masks and the view only, got %+v", s)
+	if s := ix.Snapshot(); s.LabelMaskBuilds == 0 || s.LabelListBuilds != 0 || s.TEDBuilds != 0 {
+		t.Errorf("XPath must read label masks only, got %+v", s)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 	"repro/internal/yannakakis"
 )
 
-// TestEvaluateIndexedMatchesEvaluate checks the index-served materialization
-// (label lists + cached structural joins) against the plain evaluator, on
-// both a single-labeled tree and a multi-labeled document — the shortcut is
-// label-complete, so both hit the pair cache.
+// TestEvaluateIndexedMatchesEvaluate checks the materialization over the
+// index's label lists against the plain evaluator, on both a single-labeled
+// tree and a multi-labeled document.
 func TestEvaluateIndexedMatchesEvaluate(t *testing.T) {
 	queries := []string{
 		"Q(x, y) :- Lab[a](x), Child+(x, y), Lab[b](y).",
@@ -26,8 +25,7 @@ func TestEvaluateIndexedMatchesEvaluate(t *testing.T) {
 	siteQueries := []string{
 		"Q(i, k) :- Lab[item](i), Child+(i, k), Lab[keyword](k).",
 		"Q(i) :- Lab[item](i), Child(i, n), Lab[name](n).",
-		// Attribute labels are secondary labels: only a label-complete index
-		// can serve these from the pair cache.
+		// Attribute labels are secondary labels: the lists must cover them.
 		"Q(i) :- Lab[region](r), Lab[@name=africa](r), Child(r, i), Lab[item](i).",
 		"Q(k) :- Lab[item](i), Lab[@id=item0](i), Child+(i, k), Lab[keyword](k).",
 	}
@@ -46,8 +44,8 @@ func TestEvaluateIndexedMatchesEvaluate(t *testing.T) {
 			t.Errorf("%s: indexed answers diverge", qs)
 		}
 	}
-	if ix.Snapshot().PairBuilds == 0 {
-		t.Errorf("no structural join was served from the index on a single-labeled tree")
+	if ix.Snapshot().LabelListBuilds == 0 {
+		t.Errorf("no label list was served from the index on a single-labeled tree")
 	}
 
 	six := index.New(site)
@@ -65,7 +63,7 @@ func TestEvaluateIndexedMatchesEvaluate(t *testing.T) {
 			t.Errorf("%s: indexed answers diverge on multi-labeled doc", qs)
 		}
 	}
-	if six.Snapshot().PairBuilds == 0 {
-		t.Errorf("multi-labeled document must be served by the label-complete XASR shortcut")
+	if six.Snapshot().LabelListBuilds == 0 {
+		t.Errorf("no label list was served from the index on a multi-labeled document")
 	}
 }

@@ -46,22 +46,13 @@ type Stats struct {
 	JoinsRun         int
 }
 
-// Index supplies shared, pre-computed document artifacts so repeated
-// evaluations over the same tree skip the per-call scans: document-ordered
-// per-label node lists for the unary relations, and memoized structural-join
-// pair relations for the binary atoms (Section 2's labeling-scheme joins
-// serving the Section 4 evaluator).  Implementations must hand out artifacts
-// that are safe for concurrent readers; package index provides one.
+// Index supplies shared document-ordered per-label node lists, so repeated
+// evaluations over the same tree skip the per-call label scans when they
+// materialize atom relations.  Implementations must hand out lists that are
+// safe for concurrent readers; package index provides one.
 type Index interface {
 	// NodesWithLabel returns, in document order, the nodes carrying the label.
 	NodesWithLabel(label string) []tree.NodeID
-	// StructuralPairs returns the (from_pre, to_pre) pair relation of the
-	// axis restricted to the given labels ("" = any), or ok=false when no
-	// precomputed join exists for the axis.  The restriction must be
-	// label-complete: a node carrying the label in any position (not just as
-	// its primary label) belongs to the side; package index guarantees this,
-	// which is what makes the shortcut sound on multi-labeled trees.
-	StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*relstore.Relation, bool)
 }
 
 // Evaluate runs Yannakakis' algorithm and returns the sorted, de-duplicated
@@ -248,36 +239,17 @@ func materialize(q *cq.Query, t *tree.Tree, ix Index) ([]*relstore.Relation, err
 			coveredByBinary[a.From] = true
 			continue
 		}
-		var r *relstore.Relation
-		if pairs, filtered, ok := structuralPairs(t, ix, a, labelsOf); ok {
-			// The precomputed structural join is label-complete (secondary
-			// labels included), restricted to the first label of each endpoint;
-			// endpoints carrying further label atoms are filtered here.  The
-			// cached pair relation is swept through its dense pre columns and
-			// the atom relation built columnar, so the per-pair tuple
-			// allocations of the row route disappear.
-			r = relstore.NewPairs(fmt.Sprintf("atom%d", i), string(a.From), string(a.To))
-			fromPre, toPre, _ := pairs.IntColumns(0, 1)
-			for k := range fromPre {
-				u, v := tree.NodeID(fromPre[k]-1), tree.NodeID(toPre[k]-1)
-				if filtered && (!matches(u, a.From) || !matches(v, a.To)) {
-					continue
-				}
-				r.AppendPair(int64(u), int64(v))
+		r := relstore.NewRelation(fmt.Sprintf("atom%d", i), string(a.From), string(a.To))
+		for _, u := range candidates(a.From) {
+			if !matches(u, a.From) {
+				continue
 			}
-		} else {
-			r = relstore.NewRelation(fmt.Sprintf("atom%d", i), string(a.From), string(a.To))
-			for _, u := range candidates(a.From) {
-				if !matches(u, a.From) {
-					continue
+			t.StepFunc(a.Axis, u, func(v tree.NodeID) bool {
+				if matches(v, a.To) {
+					r.Insert(int64(u), int64(v))
 				}
-				t.StepFunc(a.Axis, u, func(v tree.NodeID) bool {
-					if matches(v, a.To) {
-						r.Insert(int64(u), int64(v))
-					}
-					return true
-				})
-			}
+				return true
+			})
 		}
 		rels = append(rels, r)
 		coveredByBinary[a.From] = true
@@ -301,28 +273,6 @@ func materialize(q *cq.Query, t *tree.Tree, ix Index) ([]*relstore.Relation, err
 		rels = append(rels, r)
 	}
 	return rels, nil
-}
-
-// structuralPairs asks the index for a precomputed pair relation for the
-// atom, restricted to the first label atom of each endpoint.  The index's
-// sides are label-complete, so this is sound on multi-labeled trees; an
-// endpoint carrying several label atoms is served from its first label's
-// relation with filtered=true, telling the caller to apply the remaining
-// labels per pair (the index itself refuses only unsupported axes).
-func structuralPairs(t *tree.Tree, ix Index, a cq.AxisAtom, labelsOf map[cq.Variable][]string) (pairs *relstore.Relation, filtered, ok bool) {
-	if ix == nil {
-		return nil, false, false
-	}
-	fromLabel, toLabel := "", ""
-	if ls := labelsOf[a.From]; len(ls) > 0 {
-		fromLabel = ls[0]
-	}
-	if ls := labelsOf[a.To]; len(ls) > 0 {
-		toLabel = ls[0]
-	}
-	pairs, ok = ix.StructuralPairs(a.Axis, fromLabel, toLabel)
-	filtered = len(labelsOf[a.From]) > 1 || len(labelsOf[a.To]) > 1
-	return pairs, filtered, ok
 }
 
 func headContains(q *cq.Query, v cq.Variable) bool {
