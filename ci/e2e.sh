@@ -223,6 +223,33 @@ print('metrics: %d samples across %d families ok'
 echo "== promlint: structural well-formedness of the exposition"
 ./ci/promlint.sh "$BASE/v1/metrics"
 
+echo "== the surfaces agree: /v1/statusz and /v1/metrics render the same rows"
+# No request between the two reads moves these counters (a statusz or
+# metrics read counts only in server.requests).
+status="$(curl -sf "$BASE/v1/statusz")"
+metrics="$(curl -sf "$BASE/v1/metrics")"
+python3 - "$status" "$metrics" <<'PY'
+import json, sys
+status, text = json.loads(sys.argv[1]), sys.argv[2]
+samples = {}
+for line in text.splitlines():
+    if line and not line.startswith('#'):
+        key, _, val = line.rpartition(' ')
+        samples[key] = float(val)
+bad = 0
+for section, key, family in [('service', 'plan_cache_hits', 'treeqd_plan_cache_hits_total'),
+                             ('service', 'queries', 'treeqd_queries_total'),
+                             ('updates', 'plans_carried', 'treeqd_update_plans_carried_total')]:
+    if status[section][key] != samples.get(family):
+        print('statusz %s.%s = %s but %s = %s' % (section, key, status[section][key], family, samples.get(family)), file=sys.stderr)
+        bad = 1
+for gone in ['treeqd_update_phase_seconds_total', 'pool="relstore_side"']:
+    if gone in text:
+        print('/v1/metrics still exports %s' % gone, file=sys.stderr)
+        bad = 1
+sys.exit(bad)
+PY
+
 echo "== statusz accounting"
 resp="$(curl -sf "$BASE/v1/statusz")"
 assert_json "$resp" "r['service']['docs'] == 3 and r['service']['queries'] >= 7 and r['server']['requests'] >= 10"

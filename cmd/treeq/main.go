@@ -5,15 +5,17 @@
 //
 // Queries run through the engine's prepare/execute pipeline: the query is
 // compiled once and executed -repeat times (default 1), so with -timing the
-// compile-once/run-many speedup and the index-cache statistics are directly
-// observable.
+// compile-once/run-many speedup is directly observable, and the index,
+// similarity and pool sections of the stats table follow under the keys
+// /v1/statusz uses.
 //
 // With -corpus DIR the command switches to corpus mode: every *.xml file in
 // the directory is loaded into the corpus query service and the query fans
 // out to all documents through the service's plan cache, printing one
 // match-count line per document.  -workers sizes the fan-out pool; -repeat
-// repeats the fan-out, so -timing shows the plan cache converting
-// repeated one-shot calls into pure executions.
+// repeats the fan-out, so -timing (every section of the service's stats
+// table) shows the plan cache converting repeated one-shot calls into pure
+// executions.
 //
 // In corpus mode, -update FILE demonstrates the live-update path: after the
 // first fan-out pass the corpus document named after FILE's base name is
@@ -52,7 +54,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/obsv"
 	"repro/internal/service"
 	"repro/internal/tree"
 )
@@ -195,33 +196,14 @@ func main() {
 		stats := pq.Stats()
 		fmt.Fprintf(os.Stderr, "timing: prepare=%v execs=%d total-exec=%v avg-exec=%v\n",
 			stats.PrepareTime, stats.Execs, stats.TotalExec, stats.AvgExec())
-		ix := eng.Index().Snapshot()
-		fmt.Fprintf(os.Stderr, "index-cache: multi-labeled=%t label-list-builds=%d label-list-hits=%d mask-builds=%d mask-hits=%d\n",
-			ix.MultiLabeled, ix.LabelListBuilds, ix.LabelListHits, ix.LabelMaskBuilds, ix.LabelMaskHits)
-		if lang == core.LangSimilar {
-			printSimilarStats()
-		}
-		printPoolStats()
+		printStats(service.EngineSnapshot(eng), "index", "similar", "pools")
 	}
 }
 
-// printSimilarStats reports the similarity route's pruning funnel: candidates
-// considered, candidates eliminated per lower bound, and full TED kernel
-// calls (process-wide, matching /statusz's "similar" section).
-func printSimilarStats() {
-	candidates, sizePruned, histPruned, kernelCalls := core.SimilarCounters()
-	fmt.Fprintf(os.Stderr, "similar: candidates=%d size_pruned=%d hist_pruned=%d ted_kernel_calls=%d\n",
-		candidates, sizePruned, histPruned, kernelCalls)
-}
-
-// printPoolStats reports the process-wide hot-path allocation pools under the
-// same key names the server's /statusz marshals (obsv.PoolCounters is the
-// single source of truth for both surfaces).
-func printPoolStats() {
-	p := obsv.Pools()
-	fmt.Fprintf(os.Stderr, "pools: bitset_pool_hits=%d bitset_pool_misses=%d relstore_side_hits=%d relstore_side_misses=%d ted_dp_hits=%d ted_dp_misses=%d\n",
-		p.BitsetPoolHits, p.BitsetPoolMisses, p.RelstoreSideHits, p.RelstoreSideMisses,
-		p.TedDPHits, p.TedDPMisses)
+// printStats prints the named sections of the stats table read from sn, as
+// /v1/statusz names them: one "section: key=value ..." line each.
+func printStats(sn *service.Snapshot, sections ...string) {
+	_ = service.WriteText(os.Stderr, service.StatRows(nil, nil), sn, sections...)
 }
 
 // corpusRun bundles the corpus-mode knobs.
@@ -290,15 +272,7 @@ func runCorpus(dir, lang, text string, engOpts []core.Option, run corpusRun) {
 		failed += pass()
 	}
 	if run.timing {
-		st := svc.Stats()
-		fmt.Fprintf(os.Stderr, "service: docs=%d queries=%d updates=%d (patched=%d rebuilt=%d) plan-cache hits=%d misses=%d evictions=%d size=%d/%d\n",
-			st.Docs, st.Queries, st.Updates, st.PatchedUpdates, st.RebuildUpdates,
-			st.PlanCacheHits, st.PlanCacheMisses,
-			st.PlanCacheEvictions, st.PlanCacheSize, st.PlanCacheCap)
-		if lang == core.LangSimilar {
-			printSimilarStats()
-		}
-		printPoolStats()
+		printStats(svc.Snapshot(), "service", "index", "updates", "similar", "pools")
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -8,9 +8,11 @@
 // Endpoints (all JSON unless noted):
 //
 //	GET    /v1/healthz          liveness probe
-//	GET    /v1/statusz          service + server counters, per-document versions,
-//	                            similarity-route counters
-//	GET    /v1/metrics          Prometheus text exposition (histograms, gauges)
+//	GET    /v1/statusz          the stats table: service, index, update,
+//	                            similarity, pool and server counters, plus
+//	                            per-document versions
+//	GET    /v1/metrics          Prometheus text exposition: the same table's
+//	                            families beside the latency histograms
 //	GET    /v1/docs             list document names and versions
 //	PUT    /v1/docs/{name}      upsert: add the XML body (201, version 1) or
 //	                            update a live document in place (200, version
@@ -32,13 +34,14 @@
 //
 // Every query request runs under a deadline (request-supplied, clamped to
 // -max-timeout) and the admission gate rejects work beyond -max-inflight with
-// 429, so overload degrades by shedding instead of queueing.
+// 429 and a Retry-After hint derived from the observed request durations, so
+// overload degrades by shedding instead of queueing.
 //
 // Observability: every response carries an X-Request-ID (accepted from the
 // client or generated), JSON access logs go to stderr (-access-log=false to
 // disable), queries slower than -slow-query get one structured warning line
-// with a per-stage breakdown, and -debug-addr serves pprof plus /debug/vars
-// on a separate listener.  Append ?debug=timings to a query request to get
+// with a per-stage breakdown, and -debug-addr serves pprof on a separate
+// listener.  Append ?debug=timings to a query request to get
 // the same per-stage spans echoed in the response.
 //
 // Example:
@@ -84,10 +87,9 @@ func main() {
 		maxInFlight   = flag.Int("max-inflight", server.DefaultMaxInFlight, "admission gate width; excess requests get 429 (0 = unbounded)")
 		timeout       = flag.Duration("timeout", server.DefaultTimeout, "default per-request deadline")
 		maxTimeout    = flag.Duration("max-timeout", server.DefaultMaxTimeout, "clamp on request-supplied deadlines")
-		retryAfter    = flag.Duration("retry-after", 0, "fixed Retry-After hint on 429 responses (0 = derive from observed load)")
 		slowQuery     = flag.Duration("slow-query", 250*time.Millisecond, "log one structured warning per query slower than this (0 = disabled)")
 		accessLog     = flag.Bool("access-log", true, "emit one JSON access-log line per request to stderr")
-		debugAddr     = flag.String("debug-addr", "", "serve pprof and /debug/vars on this separate address (empty = disabled)")
+		debugAddr     = flag.String("debug-addr", "", "serve pprof on this separate address (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -114,7 +116,6 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight),
 		server.WithDefaultTimeout(*timeout),
 		server.WithMaxTimeout(*maxTimeout),
-		server.WithRetryAfter(*retryAfter),
 		server.WithRegistry(reg),
 		server.WithSlowQueryLog(*slowQuery, logger),
 	}
@@ -131,7 +132,7 @@ func main() {
 	if *debugAddr != "" {
 		dbg := &http.Server{
 			Addr:              *debugAddr,
-			Handler:           server.DebugHandler(svc),
+			Handler:           server.DebugHandler(),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {
@@ -139,7 +140,7 @@ func main() {
 				log.Printf("treeqd: debug listener: %v", err)
 			}
 		}()
-		log.Printf("treeqd: pprof and /debug/vars on %s", *debugAddr)
+		log.Printf("treeqd: pprof on %s", *debugAddr)
 	}
 
 	errc := make(chan error, 1)

@@ -18,8 +18,8 @@ import (
 // Three baseline packages stay linked, and the test allows them:
 //   - labeling and relstore come in only through index's three deprecated,
 //     uncached XASR / LabelRows / StructuralPairs shims (kept because the
-//     benchmark's trace probes call them) and obsv's relstore pool
-//     counters; the index caches no relational state;
+//     benchmark's trace probes call them); the index caches no relational
+//     state, and relstore keeps no pool;
 //   - hornsat runs on no Auto route.  It is linked because mdatalog keeps
 //     the ground Evaluate ablation (Theorem 3.2 as written) in the package
 //     whose compiled solver treeqd runs, and arccons keeps the Prop. 6.2

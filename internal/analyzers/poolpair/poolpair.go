@@ -1,9 +1,8 @@
 // Package poolpair checks that every buffer taken from one of the engine's
 // allocation pools is returned on every path.
 //
-// The engine recycles its hot-path scratch through three pools —
-// bitset.Acquire/Release, relstore's acquireSide/releaseSide, and ted's
-// acquire/release DP scratch — and the pairing discipline lives only in
+// The engine recycles its hot-path scratch through two pools —
+// bitset.Acquire/Release and ted's acquire/release DP scratch — and the pairing discipline lives only in
 // comments ("the caller owns the vector until Release").  A missed release
 // on an error branch silently degrades the pool hit rate (the pairs-pointer
 // race in PR 4 was first noticed that way); a double release poisons the pool
@@ -38,7 +37,7 @@ import (
 // Analyzer is the poolpair analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "poolpair",
-	Doc: "check that pooled buffers (bitset, relstore, ted) are released on all paths\n\n" +
+	Doc: "check that pooled buffers (bitset, ted) are released on all paths\n\n" +
 		"Flags acquires whose buffer neither escapes nor is released on every exit path,\n" +
 		"and releases that run twice (directly or via a deferred release).",
 	Run: run,
@@ -55,7 +54,6 @@ type pair struct {
 
 var pairs = []pair{
 	{"repro/internal/bitset", "Acquire", "Release", "bitset.Acquire"},
-	{"repro/internal/relstore", "acquireSide", "releaseSide", "relstore.acquireSide"},
 	{"repro/internal/ted", "acquire", "release", "ted.acquire"},
 }
 

@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -234,40 +233,5 @@ func TestNewRequestIDUnique(t *testing.T) {
 			t.Fatalf("duplicate request id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-// TestPoolFieldNames is the shared assertion table for the pool counter key
-// names: the canonical list below is what /statusz marshals and what treeq
-// -timing prints.  internal/server asserts its /statusz payload against
-// PoolFieldNames too, so a rename must update this one table or fail both.
-func TestPoolFieldNames(t *testing.T) {
-	want := []string{"bitset_pool_hits", "bitset_pool_misses", "relstore_side_hits", "relstore_side_misses",
-		"ted_dp_hits", "ted_dp_misses"}
-	got := PoolFieldNames()
-	if len(got) != len(want) {
-		t.Fatalf("PoolFieldNames() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PoolFieldNames()[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// The JSON marshal of a snapshot uses exactly these keys.
-	data, err := json.Marshal(Pools())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != len(want) {
-		t.Fatalf("Pools() marshals %d keys, want %d: %s", len(m), len(want), data)
-	}
-	for _, k := range want {
-		if _, ok := m[k]; !ok {
-			t.Errorf("Pools() marshal missing key %q: %s", k, data)
-		}
 	}
 }

@@ -1,16 +1,11 @@
 package relstore
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // This file adds the columnar storage layer used by the structural-join hot
 // path: pair relations built column-at-a-time (NewPairs/AppendPair), dense
 // memoized column extraction for any relation (Column/IntColumns), a chunked
-// tuple arena that carves output rows out of large backing slices, and a
-// sync.Pool for the transient side buffers of the merge joins.
+// tuple arena that carves output rows out of large backing slices.
 
 // NewPairs returns an empty 2-column relation with columnar backing: rows are
 // appended with AppendPair into two dense []int64 columns, consumers stream
@@ -105,37 +100,4 @@ func (r *Relation) materializeRows() {
 		rows[k] = row
 	}
 	r.tuples = rows
-}
-
-// Side-buffer pool for the merge joins: IntervalJoinMerge copies both inputs
-// to sort them, and those copies die with the call, so they are recycled.
-// Counters are exported for the -timing/statusz observability surface.
-var (
-	sidePool             sync.Pool // of *[]Tuple
-	sideHits, sideMisses atomic.Int64
-)
-
-// PoolStats reports how often the transient side buffers of the merge joins
-// were served from the pool versus freshly allocated.
-func PoolStats() (hits, misses int64) {
-	return sideHits.Load(), sideMisses.Load()
-}
-
-func acquireSide(n int) []Tuple {
-	if v := sidePool.Get(); v != nil {
-		s := *(v.(*[]Tuple))
-		if cap(s) >= n {
-			sideHits.Add(1)
-			return s[:n]
-		}
-	}
-	sideMisses.Add(1)
-	return make([]Tuple, n)
-}
-
-func releaseSide(s []Tuple) {
-	for i := range s {
-		s[i] = nil // drop row references so pooled buffers don't pin relations
-	}
-	sidePool.Put(&s)
 }

@@ -11,6 +11,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -305,11 +306,9 @@ func (r *Relation) IntervalJoinMerge(name string, loCol, hiCol string, s *Relati
 	phi := s.mustColumn(pointHiCol)
 
 	rt, st := r.Tuples(), s.Tuples()
-	anc := acquireSide(len(rt))
-	copy(anc, rt)
+	anc := slices.Clone(rt)
 	sort.Slice(anc, func(i, j int) bool { return anc[i][lo] < anc[j][lo] })
-	des := acquireSide(len(st))
-	copy(des, st)
+	des := slices.Clone(st)
 	sort.Slice(des, func(i, j int) bool { return des[i][plo] < des[j][plo] })
 
 	out := NewRelation(name, joinedColumns(r, s)...)
@@ -345,8 +344,6 @@ func (r *Relation) IntervalJoinMerge(name string, loCol, hiCol string, s *Relati
 			out.tuples = append(out.tuples, row)
 		}
 	}
-	releaseSide(anc)
-	releaseSide(des)
 	return out
 }
 

@@ -1,18 +1,16 @@
 // Observability plumbing for the HTTP front-end: the Prometheus registry and
 // its metric families, request-ID tracing, JSON access and slow-query logs,
-// and the opt-in debug handler (pprof + /debug/vars).  The metrics core
-// itself lives in internal/obsv; this file wires the server's counters and
-// the service's Stats into it.
+// and the opt-in pprof handler.  The metrics core itself lives in
+// internal/obsv; this file declares the server's rows of the stats table and
+// adds the service's (service.StatRows).
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"net/url"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -27,41 +25,11 @@ import (
 	"repro/internal/service"
 )
 
-// scrapeSnapshot caches the expensive per-scrape state: one service.Stats
-// walk (it visits every live engine), the pool counters, and the
-// prepared-query count.  The registry's OnScrape hook refreshes it once per
-// scrape; the dozens of gauge collectors below read the cached copy instead
-// of re-walking the corpus per family.
-type scrapeSnapshot struct {
-	stats        service.Stats
-	pools        obsv.PoolCounters
-	prepared     int
-	updatePhases map[string]time.Duration
-}
-
-func (s *Server) snapshotForScrape() {
-	s.prepMu.Lock()
-	prepared := len(s.prepared)
-	s.prepMu.Unlock()
-	s.scrape.Store(&scrapeSnapshot{
-		stats:        s.svc.Stats(),
-		pools:        obsv.Pools(),
-		prepared:     prepared,
-		updatePhases: s.svc.UpdatePhaseTotals(),
-	})
-}
-
-func (s *Server) snap() *scrapeSnapshot {
-	if sn := s.scrape.Load(); sn != nil {
-		return sn
-	}
-	return &scrapeSnapshot{}
-}
-
-// registerMetrics registers every server-owned family on the registry.  Live
-// instruments (request counters, latency histograms) are observed on the hot
-// path; everything derived from existing Stats plumbing is collected at
-// scrape time from one cached snapshot.
+// registerMetrics registers every server-owned family on the registry and
+// declares the stats table.  Live instruments (request counters, latency
+// histograms) are observed on the hot path; each row of the stats table that
+// has a family registers it, collected at scrape time from one cached
+// snapshot.
 func (s *Server) registerMetrics() {
 	reg := s.reg
 	s.httpReqs = reg.NewCounterVec("treeqd_http_requests_total",
@@ -77,124 +45,43 @@ func (s *Server) registerMetrics() {
 		s.panics[i] = panics.With(scope)
 	}
 
-	reg.OnScrape(s.snapshotForScrape)
+	// One service.Snapshot per scrape (it visits every live engine): the
+	// scrape-time families read the cached copy instead of re-walking the
+	// corpus per family.
+	reg.OnScrape(func() { s.scrape.Store(s.svc.Snapshot()) })
+	s.rows = service.StatRows(reg, s.scrape.Load)
 
-	gauge := func(name, help string, value func(*scrapeSnapshot) float64) {
-		reg.RegisterFunc(name, obsv.TypeGauge, help, nil, func(emit obsv.Emit) {
-			emit(value(s.snap()))
-		})
+	// The server's rows of the stats table: uptime and the traffic and
+	// admission-gate counters, read live.
+	stat := func(section, key string, value func() int64) {
+		s.rows = append(s.rows, service.Row{Section: section, Key: key,
+			Value: func(*service.Snapshot) int64 { return value() }})
 	}
-	counter := func(name, help string, value func(*scrapeSnapshot) float64) {
-		reg.RegisterFunc(name, obsv.TypeCounter, help, nil, func(emit obsv.Emit) {
-			emit(value(s.snap()))
-		})
+	counter := func(section, key, name, help string, value func() int64) {
+		stat(section, key, value)
+		reg.RegisterFunc(name, obsv.TypeCounter, help, nil, func(emit obsv.Emit) { emit(float64(value())) })
 	}
-
-	// Server traffic and admission gate.
-	gauge("treeqd_uptime_seconds", "Seconds since the server started.",
-		func(*scrapeSnapshot) float64 { return time.Since(s.started).Seconds() })
-	counter("treeqd_requests_total", "HTTP requests received.",
-		func(*scrapeSnapshot) float64 { return float64(s.requests.Load()) })
-	counter("treeqd_rejected_total", "Requests shed by the admission gate with 429.",
-		func(*scrapeSnapshot) float64 { return float64(s.rejected.Load()) })
-	gauge("treeqd_inflight_requests", "Gated requests currently executing.",
-		func(*scrapeSnapshot) float64 { return float64(s.inflight.Load()) })
-	gauge("treeqd_max_in_flight", "Admission-gate width (0 = unbounded).",
-		func(*scrapeSnapshot) float64 { return float64(s.gateLimit) })
-	gauge("treeqd_retry_after_seconds", "Current Retry-After hint attached to shed requests.",
-		func(*scrapeSnapshot) float64 { return float64(s.retryAfterSeconds()) })
-	gauge("treeqd_prepared_queries", "Server-registered prepared queries.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.prepared) })
-
-	// Corpus service.
-	gauge("treeqd_corpus_docs", "Documents in the corpus.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Docs) })
-	gauge("treeqd_multi_labeled_docs", "Corpus documents with multi-labeled nodes.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.MultiLabeledDocs) })
-	counter("treeqd_queries_total", "Single-document query executions routed through the service.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Queries) })
-	counter("treeqd_updates_total", "Completed document update swaps.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.Updates) })
-
-	// Incremental updates: how each swap derived its engine, cached plans
-	// carried across and those the edit could not affect, and cumulative
-	// per-phase update time.  The per-call distribution lives in
-	// treeqd_update_duration_seconds{phase}, registered by
-	// service.WithMetrics.
-	reg.RegisterFunc("treeqd_update_patch_total", obsv.TypeCounter,
-		"Document update swaps by how the new engine was derived (patched = index splice, rebuilt = from scratch).",
-		[]string{"mode"},
-		func(emit obsv.Emit) {
-			sn := s.snap()
-			emit(float64(sn.stats.PatchedUpdates), "patched")
-			emit(float64(sn.stats.RebuildUpdates), "rebuilt")
-		})
-	counter("treeqd_update_plans_carried_total", "Cached plans carried across document updates, summed over updates.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanReprepares) })
-	counter("treeqd_update_plans_skipped_total",
-		"Carried plans whose label set was disjoint from a shape-preserving edit's touched labels: the write could not change their answers.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlansSkippedByLabelSet) })
-	reg.RegisterFunc("treeqd_update_phase_seconds_total", obsv.TypeCounter,
-		"Cumulative wall time per update phase across all document updates.", []string{"phase"},
-		func(emit obsv.Emit) {
-			for phase, d := range s.snap().updatePhases {
-				emit(d.Seconds(), phase)
-			}
-		})
-
-	// Plan cache.
-	counter("treeqd_plan_cache_hits_total", "Plan-cache lookups served warm.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheHits) })
-	counter("treeqd_plan_cache_misses_total", "Plan-cache lookups that paid a cold prepare.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheMisses) })
-	counter("treeqd_plan_cache_evictions_total", "Plans evicted to respect the cache cap.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheEvictions) })
-	counter("treeqd_plan_cache_skips_total", "Plans denied cache admission by the clause cap.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheSkips) })
-	gauge("treeqd_plan_cache_size", "Cached plans.",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheSize) })
-	gauge("treeqd_plan_cache_cap", "Plan-cache capacity (0 = unbounded).",
-		func(sn *scrapeSnapshot) float64 { return float64(sn.stats.PlanCacheCap) })
-
-	// Process-wide allocation pools, keyed like obsv.PoolCounters.
-	reg.RegisterFunc("treeqd_pool_hits_total", obsv.TypeCounter,
-		"Buffer acquisitions served from a pool.", []string{"pool"},
-		func(emit obsv.Emit) {
-			p := s.snap().pools
-			emit(float64(p.BitsetPoolHits), "bitset")
-			emit(float64(p.RelstoreSideHits), "relstore_side")
-			emit(float64(p.TedDPHits), "ted_dp")
-		})
-	reg.RegisterFunc("treeqd_pool_misses_total", obsv.TypeCounter,
-		"Buffer acquisitions that fell through to a fresh allocation.", []string{"pool"},
-		func(emit obsv.Emit) {
-			p := s.snap().pools
-			emit(float64(p.BitsetPoolMisses), "bitset")
-			emit(float64(p.RelstoreSideMisses), "relstore_side")
-			emit(float64(p.TedDPMisses), "ted_dp")
-		})
-
-	// The similarity route's pruning funnel (process-wide core/ted counters):
-	// candidates in, lower-bound eliminations per bound, kernel calls out.
-	reg.RegisterFunc("treeqd_similar_candidates_total", obsv.TypeCounter,
-		"Similarity-search candidate subtrees considered.", nil,
-		func(emit obsv.Emit) {
-			c, _, _, _ := core.SimilarCounters()
-			emit(float64(c))
-		})
-	reg.RegisterFunc("treeqd_similar_pruned_total", obsv.TypeCounter,
-		"Similarity candidates eliminated by a lower bound before the TED kernel.",
-		[]string{"bound"},
-		func(emit obsv.Emit) {
-			_, size, hist, _ := core.SimilarCounters()
-			emit(float64(size), "size")
-			emit(float64(hist), "histogram")
-		})
-	reg.RegisterFunc("treeqd_ted_kernel_calls_total", obsv.TypeCounter,
-		"Full tree-edit-distance kernel invocations.", nil,
-		func(emit obsv.Emit) {
-			_, _, _, k := core.SimilarCounters()
-			emit(float64(k))
+	gauge := func(section, key, name, help string, value func() int64) {
+		stat(section, key, value)
+		reg.RegisterFunc(name, obsv.TypeGauge, help, nil, func(emit obsv.Emit) { emit(float64(value())) })
+	}
+	gauge("", "uptime_s", "treeqd_uptime_seconds", "Seconds since the server started.",
+		func() int64 { return int64(time.Since(s.started).Seconds()) })
+	counter("server", "requests", "treeqd_requests_total", "HTTP requests received.",
+		func() int64 { return int64(s.requests.Load()) })
+	counter("server", "rejected_429", "treeqd_rejected_total", "Requests shed by the admission gate with 429.",
+		func() int64 { return int64(s.rejected.Load()) })
+	gauge("server", "inflight", "treeqd_inflight_requests", "Gated requests currently executing.",
+		s.inflight.Load)
+	gauge("server", "max_in_flight", "treeqd_max_in_flight", "Admission-gate width (0 = unbounded).",
+		func() int64 { return s.gateLimit })
+	gauge("server", "retry_after_s", "treeqd_retry_after_seconds", "Current Retry-After hint attached to shed requests.",
+		s.retryAfterSeconds)
+	gauge("server", "prepared", "treeqd_prepared_queries", "Server-registered prepared queries.",
+		func() int64 {
+			s.prepMu.Lock()
+			defer s.prepMu.Unlock()
+			return int64(len(s.prepared))
 		})
 }
 
@@ -470,30 +357,17 @@ func timingsJSON(tr *obsv.Trace) map[string]any {
 }
 
 // DebugHandler returns the opt-in debug mux treeqd serves on -debug-addr: the
-// pprof profiling endpoints and a /debug/vars JSON dump of the runtime, pool,
-// and plan-cache counters.  It is a separate handler (not mounted on the main
-// server) so profiling never shares a listener with production traffic.
-func DebugHandler(svc *service.Service) http.Handler {
+// pprof profiling endpoints (the goroutine count is
+// /debug/pprof/goroutine?debug=1).  It is a separate handler (not mounted on
+// the main server) so profiling never shares a listener with production
+// traffic.
+func DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		st := svc.Stats()
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]any{
-			"goroutines":      runtime.NumGoroutine(),
-			"gomaxprocs":      runtime.GOMAXPROCS(0),
-			"pools":           obsv.Pools(),
-			"plan_cache_size": st.PlanCacheSize,
-			"plan_cache_cap":  st.PlanCacheCap,
-			"docs":            st.Docs,
-		})
-	})
 	return mux
 }
 

@@ -71,7 +71,6 @@ type Server struct {
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
 	maxBody        int64
-	retryAfter     time.Duration // fixed Retry-After hint; 0 = derive from load
 
 	// avgGatedNanos is an EWMA (alpha 1/8) of completed gated-request
 	// durations; 0 means "no sample yet".  It drives the derived Retry-After
@@ -90,14 +89,15 @@ type Server struct {
 
 	// Observability (see obsv.go): the metrics registry and the live
 	// instruments observed on the hot path, the access and slow-query logs,
-	// and the per-scrape snapshot cache.
+	// the stats table's rows and the per-scrape snapshot cache.
 	reg        *obsv.Registry
 	httpReqs   *obsv.CounterVec
 	queryDur   *obsv.HistogramVec
 	series     metricTables
 	fanoutDocs *obsv.Histogram
 	panics     [len(scopeLabels)]*obsv.Counter
-	scrape     atomic.Pointer[scrapeSnapshot]
+	rows       []service.Row
+	scrape     atomic.Pointer[service.Snapshot]
 	accessLog  *slog.Logger
 	slowLog    *slog.Logger
 	slowQuery  time.Duration
@@ -121,7 +121,6 @@ type serverConfig struct {
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
 	maxBody        int64
-	retryAfter     time.Duration
 	registry       *obsv.Registry
 	accessLog      *slog.Logger
 	slowLog        *slog.Logger
@@ -151,16 +150,6 @@ func WithMaxBodyBytes(n int64) Option {
 	return func(c *serverConfig) { c.maxBody = n }
 }
 
-// WithRetryAfter fixes the Retry-After hint attached to 429 responses
-// (rounded up to whole seconds).  By default (0) the hint is derived from the
-// gate's observed load: one average completed-request duration, the expected
-// time for a saturated gate to free a slot, so clients under sustained
-// overload back off in proportion to how slow the server actually is instead
-// of hammering at a fixed 1s cadence.
-func WithRetryAfter(d time.Duration) Option {
-	return func(c *serverConfig) { c.retryAfter = d }
-}
-
 // New creates a Server over svc.
 func New(svc *service.Service, opts ...Option) *Server {
 	cfg := serverConfig{
@@ -178,7 +167,6 @@ func New(svc *service.Service, opts ...Option) *Server {
 		defaultTimeout: cfg.defaultTimeout,
 		maxTimeout:     cfg.maxTimeout,
 		maxBody:        cfg.maxBody,
-		retryAfter:     cfg.retryAfter,
 		gateLimit:      int64(max(cfg.maxInFlight, 0)),
 		prepared:       map[string]*preparedEntry{},
 		started:        time.Now(),
@@ -330,18 +318,11 @@ func (s *Server) observeGated(d time.Duration) {
 	}
 }
 
-// retryAfterSeconds is the Retry-After hint attached to shed requests: the
-// WithRetryAfter value when configured, otherwise one average observed
-// request duration (the expected slot-turnover time of the saturated gate),
-// clamped to [1, 60] whole seconds.
+// retryAfterSeconds is the Retry-After hint attached to shed requests: one
+// average observed request duration (the expected slot-turnover time of the
+// saturated gate), so clients under sustained overload back off in
+// proportion to how slow the server is, clamped to [1, 60] whole seconds.
 func (s *Server) retryAfterSeconds() int64 {
-	if s.retryAfter > 0 {
-		secs := int64((s.retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		return secs
-	}
 	secs := int64((time.Duration(s.avgGatedNanos.Load()) + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -805,79 +786,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
-// updatePhaseNanos flattens the update-phase totals to integer nanoseconds
-// for the /statusz JSON (time.Duration would marshal as a bare number anyway,
-// but the explicit conversion pins the unit in one place).
-func updatePhaseNanos(totals map[string]time.Duration) map[string]int64 {
-	out := make(map[string]int64, len(totals))
-	for phase, d := range totals {
-		out[phase] = d.Nanoseconds()
-	}
-	return out
-}
-
-// handleStatusz reports the service counters (docs, queries, plan cache),
-// the aggregated index-cache counters of every live engine, the similarity
-// route's candidate/pruning counters, and the server-level traffic counters
-// (requests, inflight, rejected).
+// handleStatusz renders the stats table from one snapshot: the service,
+// index, updates, similar and pools rows (service.StatRows) and the server's
+// own, plus the two values that are not scalar counters, each document's
+// version and the cumulative nanoseconds per update phase.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	st := s.svc.Stats()
-	s.prepMu.Lock()
-	preparedCount := len(s.prepared)
-	s.prepMu.Unlock()
-	candidates, sizePruned, histPruned, kernelCalls := core.SimilarCounters()
-	versions := s.svc.Versions() // one read: docs is its size
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s": int64(time.Since(s.started).Seconds()),
-		"server": map[string]any{
-			"requests":      s.requests.Load(),
-			"inflight":      s.inflight.Load(),
-			"rejected_429":  s.rejected.Load(),
-			"max_in_flight": s.gateLimit,
-			"retry_after_s": s.retryAfterSeconds(),
-			"prepared":      preparedCount,
-		},
-		"index": map[string]any{
-			"multi_labeled_docs": st.MultiLabeledDocs,
-			"label_list_builds":  st.Index.LabelListBuilds,
-			"label_list_hits":    st.Index.LabelListHits,
-			"label_mask_builds":  st.Index.LabelMaskBuilds,
-			"label_mask_hits":    st.Index.LabelMaskHits,
-			"ted_builds":         st.Index.TEDBuilds,
-			"releases":           st.Index.Releases,
-		},
-		// The similarity route: candidates considered, candidates eliminated
-		// per lower bound, and full TED kernel invocations (process-wide).
-		"similar": map[string]any{
-			"candidates":       candidates,
-			"size_pruned":      sizePruned,
-			"hist_pruned":      histPruned,
-			"ted_kernel_calls": kernelCalls,
-		},
-		"service": map[string]any{
-			"docs":                 len(versions),
-			"doc_versions":         versions,
-			"queries":              st.Queries,
-			"updates":              st.Updates,
-			"plan_cache_hits":      st.PlanCacheHits,
-			"plan_cache_misses":    st.PlanCacheMisses,
-			"plan_cache_evictions": st.PlanCacheEvictions,
-			"plan_cache_skips":     st.PlanCacheSkips,
-			"plan_cache_size":      st.PlanCacheSize,
-			"plan_cache_cap":       st.PlanCacheCap,
-		},
-		// Incremental document updates: patch-vs-rebuild split, cached plans
-		// carried across (and how many of them the edit could not affect),
-		// and cumulative per-phase wall time in nanoseconds.
-		"updates": map[string]any{
-			"patched":                    st.PatchedUpdates,
-			"rebuilt":                    st.RebuildUpdates,
-			"plans_carried":              st.PlanReprepares,
-			"plans_skipped_by_label_set": st.PlansSkippedByLabelSet,
-			"phase_totals_ns":            updatePhaseNanos(s.svc.UpdatePhaseTotals()),
-		},
-		// The pool counters marshal through obsv.PoolCounters, the single
-		// source of truth for the key names shared with treeq -timing.
-		"pools": obsv.Pools(),
-	})
+	sn := s.svc.Snapshot()
+	out := service.Object(s.rows, sn)
+	out["service"].(map[string]any)["doc_versions"] = sn.Versions
+	out["updates"].(map[string]any)["phase_totals_ns"] = s.svc.UpdatePhaseTotals()
+	s.writeJSON(w, http.StatusOK, out)
 }

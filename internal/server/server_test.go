@@ -525,8 +525,8 @@ func TestStatusz(t *testing.T) {
 }
 
 // TestRetryAfterDerived: the 429 hint follows the gate's observed request
-// durations instead of a hard-coded 1s — a fixed WithRetryAfter wins, and
-// the EWMA of completed gated requests drives the derived value.
+// durations instead of a hard-coded 1s — the EWMA of completed gated
+// requests drives it, rounded up to whole seconds.
 func TestRetryAfterDerived(t *testing.T) {
 	svc := service.New()
 	s := New(svc, WithMaxInFlight(1))
@@ -556,18 +556,21 @@ func TestRetryAfterDerived(t *testing.T) {
 		t.Errorf("clamp: retryAfterSeconds = %d, want 60", got)
 	}
 
-	// A configured hint is used verbatim (rounded up), EWMA ignored.
-	fixed := New(svc, WithMaxInFlight(1), WithRetryAfter(7*time.Second))
-	fixed.observeGated(10 * time.Minute)
-	if got := fixed.retryAfterSeconds(); got != 7 {
-		t.Errorf("fixed: retryAfterSeconds = %d, want 7", got)
+	// A server whose requests take 6.5s each hints 7s.
+	seeded := New(svc, WithMaxInFlight(1))
+	seeded.observeGated(6500 * time.Millisecond)
+	if got := seeded.retryAfterSeconds(); got != 7 {
+		t.Errorf("seeded: retryAfterSeconds = %d, want 7", got)
 	}
 }
 
 // TestRetryAfterHeader checks the wire behavior: a shed request carries the
-// configured Retry-After value.
+// Retry-After value the gate's observed request durations derive.
 func TestRetryAfterHeader(t *testing.T) {
-	ts, _ := newTestServer(t, nil, WithMaxInFlight(1), WithRetryAfter(5*time.Second))
+	s := New(service.New(), WithMaxInFlight(1))
+	s.observeGated(5 * time.Second)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
 
 	pr, pw := io.Pipe()
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/docs/slow.xml", pr)

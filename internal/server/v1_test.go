@@ -446,7 +446,8 @@ func TestV1DeepQueryTextRejected(t *testing.T) {
 // the body and the header — including timeouts after gate admission, which
 // previously lost the hint (only the 429 shed path set the header).
 func TestRetryAfterInErrorBody(t *testing.T) {
-	s := New(service.New(), WithRetryAfter(5*time.Second))
+	s := New(service.New())
+	s.observeGated(5 * time.Second)
 	for _, status := range []int{http.StatusTooManyRequests, http.StatusGatewayTimeout} {
 		rec := httptest.NewRecorder()
 		rec.Header().Set("X-Request-ID", "test-request-id-1")

@@ -151,9 +151,9 @@ type Stats struct {
 	// disjoint from a shape-preserving edit's touched labels: plans the write
 	// could not have changed the answers of (see UpdateOutcome.PlansSkipped).
 	PlansSkippedByLabelSet uint64
-	// Index aggregates the index-cache counters (XASR/pair builds and hits,
-	// label lists/masks/rows, evictions, releases) across every engine
-	// currently in the corpus.  Engines swapped out by Update or Remove stop
+	// Index aggregates the index-cache counters (label list and mask builds
+	// and hits, TED views, releases) across every engine currently in the
+	// corpus.  Engines swapped out by Update or Remove stop
 	// contributing, so the aggregate tracks the live corpus.
 	Index index.Stats
 	// MultiLabeledDocs counts corpus documents with at least one node
@@ -543,46 +543,8 @@ func execDoc(ctx context.Context, c *core.Compiled, eng *core.Engine, x *core.Ex
 	return &x.Result, &x.Plan, nil
 }
 
-// indexStats aggregates the index-cache counters of every engine currently
-// serving a corpus document (one Snapshot per live engine, summed).  It also
-// reports how many of those documents are multi-labeled.
-func (s *Service) indexStats() (agg index.Stats, multi int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, e := range s.docs {
-		snap := e.eng.Index().Snapshot()
-		if snap.MultiLabeled {
-			multi++
-		}
-		agg = agg.Add(snap)
-	}
-	return agg, multi
-}
-
 // Stats returns the current service counters.
-func (s *Service) Stats() Stats {
-	s.planMu.Lock()
-	size, capacity, evictions := s.plans.Len(), s.plans.Cap(), s.plans.Evictions()
-	s.planMu.Unlock()
-	ixStats, multiDocs := s.indexStats()
-	return Stats{
-		Index:                  ixStats,
-		MultiLabeledDocs:       multiDocs,
-		Docs:                   s.Len(),
-		Queries:                s.queries.Load(),
-		PlanCacheHits:          s.planHits.Load(),
-		PlanCacheMisses:        s.planMiss.Load(),
-		PlanCacheEvictions:     evictions,
-		PlanCacheSkips:         s.planSkips.Load(),
-		PlanCacheSize:          size,
-		PlanCacheCap:           capacity,
-		Updates:                s.updates.Load(),
-		PlanReprepares:         s.plansCarried.Load(),
-		PatchedUpdates:         s.patchedUpdates.Load(),
-		RebuildUpdates:         s.rebuildUpdates.Load(),
-		PlansSkippedByLabelSet: s.planLabelSkips.Load(),
-	}
-}
+func (s *Service) Stats() Stats { return s.Snapshot().Stats }
 
 // runPool runs do(0..n-1) on min(workers, n) goroutines (GOMAXPROCS when
 // workers <= 0) and waits for them: QueryCorpus's fan-out pool.
