@@ -6,7 +6,8 @@
 #
 #   1. gofmt        formatting (the analyzer testdata fixtures included)
 #   2. go vet       the standard toolchain analyzers
-#   3. treeqlint    the project analyzer suite (internal/analyzers) run as
+#   3. treeqlint    the project analyzer suite (internal/analyzers:
+#                   ctxcheckpoint, errcode, poolpair) run as
 #                   `go vet -vettool`, so _test.go files are covered too
 #   4. staticcheck  SA* correctness checks — skipped when the binary is not
 #                   installed (CI installs the pinned version; the repo
@@ -14,9 +15,9 @@
 #   5. govulncheck  known-vulnerability scan — skipped when not installed,
 #                   and warn-only on findings (first landing; tighten to a
 #                   hard gate once triage exists)
-#   6. promlint     runtime exposition lint against a scratch treeqd
-#                   (skipped with LINT_FAST=1; treeqlint's obsvnames pass
-#                   checks the same naming rules statically)
+#   6. promlint     structural lint of a scratch treeqd's exposition
+#                   (skipped with LINT_FAST=1; the naming rules are
+#                   checked by obsv.Registry when each family registers)
 #
 # Usage: ci/lint.sh           full run
 #        LINT_FAST=1 ci/lint.sh   static layers only (no scratch server)

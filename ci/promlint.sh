@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
-# Lints the /v1/metrics exposition for structural and naming problems, with no
-# dependency beyond the repo itself.  Two layers:
-#
-#   1. internal/obsv/expocheck pipes the payload through
-#      obsv.ValidateExposition, which rejects missing # HELP/# TYPE
-#      lines, bad metric/label charsets, duplicate series, and torn
-#      histograms (non-cumulative buckets, +Inf bucket != _count).
-#   2. awk checks the Prometheus naming conventions the parser does not
-#      enforce: every family carries the treeqd_ prefix, counters end in
-#      _total, and every # HELP has actual help text.
+# Lints a live /v1/metrics exposition for structural problems, with no
+# dependency beyond the repo itself: internal/obsv/expocheck pipes the
+# payload through obsv.ValidateExposition, which rejects missing # HELP/# TYPE
+# lines, bad metric/label charsets, duplicate series, and torn histograms
+# (non-cumulative buckets, +Inf bucket != _count).  The naming rules (the
+# treeqd_ prefix, _total exactly on counters, non-empty help, allowlisted
+# labels) are checked where each family registers: obsv.Registry panics on a
+# family that breaks one, so treeqd would not have started.
 #
 # Usage: ci/promlint.sh [metrics-url]
 #   With no argument it starts a scratch treeqd on :18090, loads the example
@@ -35,25 +33,5 @@ fi
 
 echo "promlint: structural validation of $URL"
 curl -sf "$URL" | go run ./internal/obsv/expocheck
-
-echo "promlint: naming conventions"
-curl -sf "$URL" | awk '
-  /^# HELP / {
-    if (NF < 4) { print "promlint: # HELP without help text: " $0; bad = 1 }
-    next
-  }
-  /^# TYPE / {
-    fam = $3; type = $4
-    if (fam !~ /^treeqd_/) { print "promlint: family without treeqd_ prefix: " fam; bad = 1 }
-    if (type == "counter" && fam !~ /_total$/) {
-      print "promlint: counter not suffixed _total: " fam; bad = 1
-    }
-    if (type != "counter" && fam ~ /_total$/) {
-      print "promlint: _total suffix on non-counter: " fam; bad = 1
-    }
-    next
-  }
-  END { exit bad }
-' || { echo "promlint: naming violations found" >&2; exit 1; }
 
 echo "promlint: ok"

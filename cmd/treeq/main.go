@@ -203,7 +203,7 @@ func main() {
 // printStats prints the named sections of the stats table read from sn, as
 // /v1/statusz names them: one "section: key=value ..." line each.
 func printStats(sn *service.Snapshot, sections ...string) {
-	_ = service.WriteText(os.Stderr, service.StatRows(nil, nil), sn, sections...)
+	_ = service.WriteText(os.Stderr, service.StatTable(nil, nil).Rows, sn, sections...)
 }
 
 // corpusRun bundles the corpus-mode knobs.

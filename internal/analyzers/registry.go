@@ -8,7 +8,6 @@ import (
 	"repro/internal/analyzers/analysis"
 	"repro/internal/analyzers/ctxcheckpoint"
 	"repro/internal/analyzers/errcode"
-	"repro/internal/analyzers/obsvnames"
 	"repro/internal/analyzers/poolpair"
 )
 
@@ -17,7 +16,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxcheckpoint.Analyzer,
 		errcode.Analyzer,
-		obsvnames.Analyzer,
 		poolpair.Analyzer,
 	}
 }

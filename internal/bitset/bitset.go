@@ -42,28 +42,11 @@ func (b Bits) And(o Bits) {
 	}
 }
 
-// AndNot removes o's bits from b in place (b &^= o).
-func (b Bits) AndNot(o Bits) {
-	for i, w := range o {
-		b[i] &^= w
-	}
-}
-
 // Or unions o into b in place (b |= o).
 func (b Bits) Or(o Bits) {
 	for i, w := range o {
 		b[i] |= w
 	}
-}
-
-// OrNot unions the complement of o's first n bits into b in place
-// (b |= ^o, restricted to n bits): the word-at-a-time form of
-// "excluded[i] = excluded[i] || !mask[i]".
-func (b Bits) OrNot(o Bits, n int) {
-	for i, w := range o {
-		b[i] |= ^w
-	}
-	b.maskTail(n)
 }
 
 // Not complements the first n bits of b in place, leaving the tail zero.

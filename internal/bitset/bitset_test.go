@@ -47,12 +47,6 @@ func TestTailInvariant(t *testing.T) {
 	if got := b.Count(); got != n {
 		t.Fatalf("double Not count = %d, want %d", got, n)
 	}
-	// OrNot with an empty operand sets exactly the first n bits.
-	c := New(n)
-	c.OrNot(New(n), n)
-	if got := c.Count(); got != n {
-		t.Fatalf("OrNot count = %d, want %d", got, n)
-	}
 	// Exact multiple of 64: no tail word to mask.
 	d := New(128)
 	d.SetAll(128)
@@ -74,8 +68,6 @@ func TestCombinators(t *testing.T) {
 	and.And(b)
 	or := a.Clone()
 	or.Or(b)
-	andNot := a.Clone()
-	andNot.AndNot(b)
 	for i := 0; i < n; i++ {
 		ea, eb := i%2 == 0, i%3 == 0
 		if and.Get(i) != (ea && eb) {
@@ -83,9 +75,6 @@ func TestCombinators(t *testing.T) {
 		}
 		if or.Get(i) != (ea || eb) {
 			t.Fatalf("Or bit %d", i)
-		}
-		if andNot.Get(i) != (ea && !eb) {
-			t.Fatalf("AndNot bit %d", i)
 		}
 	}
 	if !a.Equal(a.Clone()) {

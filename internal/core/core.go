@@ -344,8 +344,8 @@ func (e *Engine) CQ(query string) ([]cq.Answer, *Plan, error) {
 //     when small enough, and fall back to the naive backtracking search
 //     otherwise (the NP-complete general case, Theorem 6.8).
 //
-// It is a thin wrapper over PrepareCQ + Exec; for repeated evaluation of the
-// same query, prepare once and Exec many times.
+// It compiles the parsed query and runs it once; for repeated evaluation of
+// the same query, Prepare once and Exec many times.
 func (e *Engine) EvaluateCQ(q *cq.Query) ([]cq.Answer, *Plan, error) {
 	res, plan, err := e.once(compileParsedCQ(q, e.strategy))
 	if err != nil {

@@ -229,15 +229,6 @@ func (e *Engine) Prepare(lang, text string) (*PreparedQuery, error) {
 	return &PreparedQuery{Compiled: c, eng: e}, nil
 }
 
-// PrepareCQ prepares an already-parsed conjunctive query.
-func (e *Engine) PrepareCQ(q *cq.Query) (*PreparedQuery, error) {
-	c, _, err := compileParsedCQ(q, e.strategy)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedQuery{Compiled: c, eng: e}, nil
-}
-
 // compile is Compile under an explicit strategy.  It also returns the plan
 // as far as it got, so the one-shot wrappers can report the language of a
 // query that failed to compile.  Routes record their stages with Plan.lap;

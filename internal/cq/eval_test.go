@@ -163,10 +163,6 @@ func TestGeneratorsShapes(t *testing.T) {
 	if singlePath.NumAtoms() == 0 {
 		t.Errorf("single-variable path should still have a body atom")
 	}
-	chain := DescendantChain([]string{"a", "b", "c"})
-	if len(chain.Axes) != 2 || len(chain.Labels) != 3 {
-		t.Errorf("DescendantChain shape wrong: %v", chain)
-	}
 	// Determinism.
 	if RandomTwig(GenSpec{Vars: 6, Seed: 9}).String() != RandomTwig(GenSpec{Vars: 6, Seed: 9}).String() {
 		t.Errorf("RandomTwig not deterministic")

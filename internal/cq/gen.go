@@ -114,20 +114,3 @@ func RandomPath(spec GenSpec) *Query {
 	}
 	return q
 }
-
-// DescendantChain builds the Boolean query
-//
-//	Q :- Lab[l0](x0), Child+(x0,x1), Lab[l1](x1), ..., Child+(x_{k-1},x_k), Lab[lk](xk)
-//
-// i.e. the query expressed by the XPath path //l0//l1//...//lk; it is the
-// canonical workload of the holistic twig join and rewriting experiments.
-func DescendantChain(labels []string) *Query {
-	q := &Query{}
-	for i, l := range labels {
-		q.Labels = append(q.Labels, LabelAtom{Var: varName(i), Label: l})
-		if i > 0 {
-			q.Axes = append(q.Axes, AxisAtom{Axis: tree.Descendant, From: varName(i - 1), To: varName(i)})
-		}
-	}
-	return q
-}

@@ -72,13 +72,6 @@ func BuildXASR(t *tree.Tree) *XASR {
 	return &XASR{rel: rel, dict: dict, tr: t, byLabel: map[string]*relstore.Relation{}}
 }
 
-// Cols returns the XASR's parallel columnar arrays (pre, post, parent_pre,
-// lab codes), extracting and memoizing them on first call.  The slices are
-// shared and read-only.
-func (x *XASR) Cols() (pre, post, parentPre, lab []int64) {
-	return x.rel.Column(0), x.rel.Column(1), x.rel.Column(2), x.rel.Column(3)
-}
-
 // Relation returns the underlying relation (columns pre, post, parent_pre,
 // lab).
 func (x *XASR) Relation() *relstore.Relation { return x.rel }
@@ -222,19 +215,19 @@ func (x *XASR) StructuralJoinNestedLoop(axis tree.Axis, fromLabel, toLabel strin
 // multi-labeled trees use StructuralPairs, which joins label-complete sides
 // (LabelRows).
 func (x *XASR) StructuralJoin(axis tree.Axis, fromLabel, toLabel string) *relstore.Relation {
-	// The sides are never mutated by StructuralJoinSides, so the shared
+	// The sides are never mutated by structuralJoinSides, so the shared
 	// (memoized) relations are passed directly: their extracted columns stay
 	// cached across calls instead of being re-extracted from per-call clones.
-	return x.StructuralJoinSides(axis, x.sideShared(fromLabel), x.sideShared(toLabel))
+	return x.structuralJoinSides(axis, x.sideShared(fromLabel), x.sideShared(toLabel))
 }
 
-// SubRelation returns an XASR-schema relation holding the rows of exactly the
+// subRelation returns an XASR-schema relation holding the rows of exactly the
 // given nodes, in the given order.  It is the building block for
 // label-complete structural-join sides: callers select the nodes by any
 // predicate over all labels (not just the primary one in the lab column) and
-// join the resulting sides with StructuralJoinSides.  The rows are shared
+// join the resulting sides with structuralJoinSides.  The rows are shared
 // with the XASR and must be treated as read-only.
-func (x *XASR) SubRelation(name string, nodes []tree.NodeID) *relstore.Relation {
+func (x *XASR) subRelation(name string, nodes []tree.NodeID) *relstore.Relation {
 	out := relstore.NewRelation(name, ColPre, ColPost, ColParentPre, ColLab)
 	if len(nodes) == 0 {
 		return out
@@ -256,7 +249,7 @@ func (x *XASR) LabelRows(label string) *relstore.Relation {
 	if label == "" {
 		return x.rel
 	}
-	return x.SubRelation("R_"+label, x.tr.NodesWithLabel(label))
+	return x.subRelation("R_"+label, x.tr.NodesWithLabel(label))
 }
 
 // StructuralPairs returns the (from_pre, to_pre) pair relation of
@@ -267,18 +260,18 @@ func (x *XASR) LabelRows(label string) *relstore.Relation {
 func (x *XASR) StructuralPairs(axis tree.Axis, fromLabel, toLabel string) (*relstore.Relation, bool) {
 	switch axis {
 	case tree.Child, tree.Descendant, tree.Ancestor:
-		return x.StructuralJoinSides(axis, x.LabelRows(fromLabel), x.LabelRows(toLabel)), true
+		return x.structuralJoinSides(axis, x.LabelRows(fromLabel), x.LabelRows(toLabel)), true
 	}
 	return nil, false
 }
 
-// StructuralJoinSides computes the (from_pre, to_pre) pair relation of
+// structuralJoinSides computes the (from_pre, to_pre) pair relation of
 // axis(u, v) for u ranging over the rows of from and v over the rows of to;
-// both sides must use the XASR schema (SubRelation, NodesWithLabel, or the
+// both sides must use the XASR schema (subRelation, NodesWithLabel, or the
 // full Relation).  The region axes use the sort-merge interval join and Child
 // a hash join, all sub-quadratic; other axes fall back to the nested-loop
 // theta-join.  The sides are never mutated.
-func (x *XASR) StructuralJoinSides(axis tree.Axis, from, to *relstore.Relation) *relstore.Relation {
+func (x *XASR) structuralJoinSides(axis tree.Axis, from, to *relstore.Relation) *relstore.Relation {
 	switch axis {
 	case tree.Descendant:
 		if out, ok := intervalPairsCols(from, to, false); ok {

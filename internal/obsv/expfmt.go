@@ -17,7 +17,7 @@ type ExpoFamily struct {
 	Name string
 	// Type is the declared `# TYPE` ("counter", "gauge", "histogram").
 	Type string
-	// Help is the declared `# HELP` line.
+	// Help is the declared `# HELP` text, escapes undone.
 	Help string
 	// Samples maps the full sample key (metric name + rendered labels) to the
 	// sample value.
@@ -39,7 +39,7 @@ type ExpoFamily struct {
 // race-hammer server test — a torn histogram or a malformed name fails here.
 func ParseExposition(payload string) (map[string]*ExpoFamily, error) {
 	families := map[string]*ExpoFamily{}
-	helpSeen := map[string]bool{}
+	help := map[string]string{} // each family's # HELP text
 	sc := bufio.NewScanner(strings.NewReader(payload))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -56,12 +56,13 @@ func ParseExposition(payload string) (map[string]*ExpoFamily, error) {
 			}
 			switch kind {
 			case "HELP":
-				if helpSeen[name] {
+				if _, dup := help[name]; dup {
 					return nil, fmt.Errorf("line %d: duplicate # HELP for %q", lineNo, name)
 				}
-				helpSeen[name] = true
+				help[name] = helpUnescaper.Replace(rest)
 			case "TYPE":
-				if !helpSeen[name] {
+				h, ok := help[name]
+				if !ok {
 					return nil, fmt.Errorf("line %d: # TYPE %s without preceding # HELP", lineNo, name)
 				}
 				if _, ok := families[name]; ok {
@@ -70,7 +71,7 @@ func ParseExposition(payload string) (map[string]*ExpoFamily, error) {
 				if rest != TypeCounter && rest != TypeGauge && rest != TypeHistogram && rest != "summary" && rest != "untyped" {
 					return nil, fmt.Errorf("line %d: unknown metric type %q", lineNo, rest)
 				}
-				families[name] = &ExpoFamily{Name: name, Type: rest, Samples: map[string]float64{}}
+				families[name] = &ExpoFamily{Name: name, Type: rest, Help: h, Samples: map[string]float64{}}
 			}
 			continue
 		}
@@ -100,6 +101,9 @@ func ParseExposition(payload string) (map[string]*ExpoFamily, error) {
 	}
 	return families, nil
 }
+
+// helpUnescaper undoes escapeHelp.
+var helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
 
 // ValidateExposition reports whether payload is a well-formed text
 // exposition.

@@ -114,18 +114,51 @@ func (r *Registry) OnScrape(fn func()) {
 	r.onScrape = append(r.onScrape, fn)
 }
 
+// labelAllowlist is the closed set of label names a family may carry, each
+// known to take few values: handler, route, lang, outcome and code enumerate
+// small static sets, pool, phase, mode and bound engine internals, and scope
+// where a panic was recovered.  A label whose values come from input (a
+// request ID, a document name) would grow the exposition without bound, so
+// adding one means extending this list, in review.
+var labelAllowlist = map[string]bool{
+	"handler": true, "code": true, "lang": true, "route": true, "outcome": true,
+	"mode": true, "phase": true, "pool": true, "bound": true, "scope": true,
+}
+
+// maxLabels caps the labels of one family; treeqd_query_duration_seconds
+// {lang,route,outcome} is the widest.
+const maxLabels = 3
+
+// register adds f to the registry.  It panics, naming the family and the
+// rule, on a family that breaks the naming rules: a valid name with the
+// treeqd_ prefix, ending in _total exactly when it is a counter, non-empty
+// help, and at most maxLabels labels from labelAllowlist.  Every family
+// registers at server construction, so a bad name stops treeqd at start and
+// fails every test that builds a server.
 func (r *Registry) register(f *family) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	bad := func(rule string) { panic(fmt.Sprintf("obsv: metric family %q: %s", f.name, rule)) }
 	if _, ok := r.byName[f.name]; ok {
-		panic(fmt.Sprintf("obsv: duplicate metric family %q", f.name))
+		bad("duplicate family")
 	}
-	if !validMetricName(f.name) {
-		panic(fmt.Sprintf("obsv: invalid metric name %q", f.name))
+	switch {
+	case !validMetricName(f.name):
+		bad("invalid metric name")
+	case !strings.HasPrefix(f.name, "treeqd_"):
+		bad("lacks the treeqd_ prefix")
+	case f.typ == TypeCounter && !strings.HasSuffix(f.name, "_total"):
+		bad("counter must end in _total")
+	case f.typ != TypeCounter && strings.HasSuffix(f.name, "_total"):
+		bad("_total suffix on a " + f.typ)
+	case f.help == "":
+		bad("empty help text")
+	case len(f.labels) > maxLabels:
+		bad(fmt.Sprintf("%d labels, at most %d", len(f.labels), maxLabels))
 	}
 	for _, l := range f.labels {
-		if !validLabelName(l) {
-			panic(fmt.Sprintf("obsv: invalid label name %q in family %q", l, f.name))
+		if !labelAllowlist[l] {
+			bad(fmt.Sprintf("label %q is not in the allowlist", l))
 		}
 	}
 	r.byName[f.name] = f

@@ -11,7 +11,7 @@ import (
 
 func TestCounterVecExposition(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("test_requests_total", "Requests handled.", "handler", "code")
+	cv := r.NewCounterVec("treeqd_test_requests_total", "Requests handled.", "handler", "code")
 	cv.With("query", "200").Add(3)
 	cv.With("query", "429").Inc()
 	cv.With("docs", "200").Inc()
@@ -22,11 +22,11 @@ func TestCounterVecExposition(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP test_requests_total Requests handled.",
-		"# TYPE test_requests_total counter",
-		`test_requests_total{handler="query",code="200"} 3`,
-		`test_requests_total{handler="query",code="429"} 1`,
-		`test_requests_total{handler="docs",code="200"} 1`,
+		"# HELP treeqd_test_requests_total Requests handled.",
+		"# TYPE treeqd_test_requests_total counter",
+		`treeqd_test_requests_total{handler="query",code="200"} 3`,
+		`treeqd_test_requests_total{handler="query",code="429"} 1`,
+		`treeqd_test_requests_total{handler="docs",code="200"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -37,9 +37,32 @@ func TestCounterVecExposition(t *testing.T) {
 	}
 }
 
+// TestParseExpositionHelp: a parsed family's Help is the text it was
+// registered with, escapes undone.
+func TestParseExpositionHelp(t *testing.T) {
+	r := NewRegistry()
+	const help = `Requests handled, per C:\ drive` + "\nand line."
+	r.NewCounterVec("treeqd_test_requests_total", help)
+	r.RegisterFunc("treeqd_test_gauge", TypeGauge, "A derived gauge.", nil, func(emit Emit) { emit(1) })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := ParseExposition(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fams["treeqd_test_requests_total"].Help; got != help {
+		t.Errorf("Help = %q, want %q", got, help)
+	}
+	if got := fams["treeqd_test_gauge"].Help; got != "A derived gauge." {
+		t.Errorf("Help = %q, want %q", got, "A derived gauge.")
+	}
+}
+
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
-	hv := r.NewHistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route")
+	hv := r.NewHistogramVec("treeqd_test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route")
 	h := hv.With("query")
 	h.Observe(0.005) // le=0.01
 	h.Observe(0.005)
@@ -53,11 +76,11 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`test_latency_seconds_bucket{route="query",le="0.01"} 2`,
-		`test_latency_seconds_bucket{route="query",le="0.1"} 3`,
-		`test_latency_seconds_bucket{route="query",le="1"} 4`,
-		`test_latency_seconds_bucket{route="query",le="+Inf"} 5`,
-		`test_latency_seconds_count{route="query"} 5`,
+		`treeqd_test_latency_seconds_bucket{route="query",le="0.01"} 2`,
+		`treeqd_test_latency_seconds_bucket{route="query",le="0.1"} 3`,
+		`treeqd_test_latency_seconds_bucket{route="query",le="1"} 4`,
+		`treeqd_test_latency_seconds_bucket{route="query",le="+Inf"} 5`,
+		`treeqd_test_latency_seconds_count{route="query"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -67,7 +90,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	sum := fams["test_latency_seconds"].Samples[`test_latency_seconds_sum{route="query"}`]
+	sum := fams["treeqd_test_latency_seconds"].Samples[`treeqd_test_latency_seconds_sum{route="query"}`]
 	if math.Abs(sum-5.56) > 1e-9 {
 		t.Errorf("sum = %v, want 5.56", sum)
 	}
@@ -78,7 +101,7 @@ func TestRegisterFuncAndOnScrape(t *testing.T) {
 	snapshots := 0
 	val := 0.0
 	r.OnScrape(func() { snapshots++; val = 42 })
-	r.RegisterFunc("test_gauge", TypeGauge, "A derived gauge.", []string{"shard"}, func(emit Emit) {
+	r.RegisterFunc("treeqd_test_gauge", TypeGauge, "A derived gauge.", []string{"pool"}, func(emit Emit) {
 		emit(val, "0")
 		emit(val+1, "1")
 	})
@@ -90,7 +113,7 @@ func TestRegisterFuncAndOnScrape(t *testing.T) {
 		t.Errorf("OnScrape ran %d times, want 1", snapshots)
 	}
 	out := b.String()
-	if !strings.Contains(out, `test_gauge{shard="0"} 42`) || !strings.Contains(out, `test_gauge{shard="1"} 43`) {
+	if !strings.Contains(out, `treeqd_test_gauge{pool="0"} 42`) || !strings.Contains(out, `treeqd_test_gauge{pool="1"} 43`) {
 		t.Errorf("gauge func samples missing:\n%s", out)
 	}
 	if err := ValidateExposition(out); err != nil {
@@ -100,21 +123,60 @@ func TestRegisterFuncAndOnScrape(t *testing.T) {
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	cv := r.NewCounterVec("x_total", "x", "l")
+	cv := r.NewCounterVec("treeqd_x_total", "x", "lang")
 	cv.With("a").Inc() // must not panic
-	hv := r.NewHistogramVec("y_seconds", "y", DurationBuckets, "l")
+	hv := r.NewHistogramVec("treeqd_y_seconds", "y", DurationBuckets, "lang")
 	hv.With("a").Observe(1)
-	r.RegisterFunc("z", TypeGauge, "z", nil, nil)
+	r.RegisterFunc("treeqd_z", TypeGauge, "z", nil, nil)
 	r.OnScrape(nil)
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRegisterRefusesBadNames: a family that breaks a naming rule panics at
+// registration, with a message naming the family and the rule.
+func TestRegisterRefusesBadNames(t *testing.T) {
+	cases := []struct {
+		rule     string
+		register func(r *Registry)
+	}{
+		{"treeqd_ prefix", func(r *Registry) { r.NewCounterVec("http_requests_total", "Requests.") }},
+		{"must end in _total", func(r *Registry) { r.NewCounterVec("treeqd_requests", "Requests.") }},
+		{"_total suffix on a gauge", func(r *Registry) {
+			r.RegisterFunc("treeqd_pool_size_total", TypeGauge, "Pool size.", nil, nil)
+		}},
+		{"_total suffix on a histogram", func(r *Registry) {
+			r.NewHistogramVec("treeqd_wait_total", "Wait.", DurationBuckets)
+		}},
+		{"empty help", func(r *Registry) { r.NewHistogramVec("treeqd_wait_seconds", "", DurationBuckets) }},
+		{`label "doc"`, func(r *Registry) { r.NewCounterVec("treeqd_doc_queries_total", "Queries.", "doc") }},
+		{"4 labels", func(r *Registry) {
+			r.NewCounterVec("treeqd_wide_total", "Too wide.", "lang", "route", "outcome", "mode")
+		}},
+		{"invalid metric name", func(r *Registry) { r.NewCounterVec("treeqd-requests-total", "Requests.") }},
+		{"duplicate", func(r *Registry) {
+			r.NewCounterVec("treeqd_requests_total", "Requests.")
+			r.NewCounterVec("treeqd_requests_total", "Requests.")
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.rule, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "obsv: metric family") || !strings.Contains(msg, c.rule) {
+					t.Errorf("panic %q, want one naming the family and %q", msg, c.rule)
+				}
+			}()
+			c.register(NewRegistry())
+		})
+	}
+}
+
 func TestConcurrentObserveAndScrape(t *testing.T) {
 	r := NewRegistry()
-	cv := r.NewCounterVec("c_total", "c", "l")
-	hv := r.NewHistogramVec("h_seconds", "h", DurationBuckets, "l")
+	cv := r.NewCounterVec("treeqd_c_total", "c", "lang")
+	hv := r.NewHistogramVec("treeqd_h_seconds", "h", DurationBuckets, "lang")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -144,7 +206,7 @@ func TestConcurrentObserveAndScrape(t *testing.T) {
 			t.Fatalf("scrape %d: %v", i, err)
 		}
 		// Counters are monotone across scrapes.
-		c := fams["c_total"].Samples[`c_total{l="a"}`]
+		c := fams["treeqd_c_total"].Samples[`treeqd_c_total{lang="a"}`]
 		if c < prevCount {
 			t.Fatalf("counter went backwards: %v -> %v", prevCount, c)
 		}
@@ -225,7 +287,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 func TestNewRequestIDUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		id := NewRequestID()
+		id := string(AppendRequestID(nil))
 		if len(id) != 16 {
 			t.Fatalf("request id %q not 16 hex digits", id)
 		}

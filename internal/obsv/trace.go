@@ -147,12 +147,6 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// NewRequestID returns a fresh 16-hex-digit request ID.
-func NewRequestID() string {
-	var b [16]byte
-	return string(AppendRequestID(b[:0]))
-}
-
 // AppendRequestID appends a fresh 16-hex-digit request ID to dst, so a
 // caller with a fixed buffer gets one without allocating.  The 64 random
 // bits come from math/rand/v2's runtime source (ChaCha8, seeded from the

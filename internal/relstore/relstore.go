@@ -132,22 +132,6 @@ func (r *Relation) Clone(newName string) *Relation {
 	return out
 }
 
-// Rename returns a copy of the relation with columns renamed according to
-// mapping (columns not in the mapping keep their name).
-func (r *Relation) Rename(newName string, mapping map[string]string) *Relation {
-	cols := make([]string, len(r.columns))
-	for i, c := range r.columns {
-		if n, ok := mapping[c]; ok {
-			cols[i] = n
-		} else {
-			cols[i] = c
-		}
-	}
-	out := r.Clone(newName)
-	out.columns = cols
-	return out
-}
-
 // Select returns the tuples satisfying pred.
 func (r *Relation) Select(name string, pred func(Tuple) bool) *Relation {
 	out := NewRelation(name, r.columns...)
@@ -344,25 +328,6 @@ func (r *Relation) IntervalJoinMerge(name string, loCol, hiCol string, s *Relati
 			out.tuples = append(out.tuples, row)
 		}
 	}
-	return out
-}
-
-// SortBy returns a copy of the relation sorted lexicographically by the
-// given columns.
-func (r *Relation) SortBy(columns ...string) *Relation {
-	idx := make([]int, len(columns))
-	for i, c := range columns {
-		idx[i] = r.mustColumn(c)
-	}
-	out := r.Clone(r.name)
-	sort.SliceStable(out.tuples, func(i, j int) bool {
-		for _, k := range idx {
-			if out.tuples[i][k] != out.tuples[j][k] {
-				return out.tuples[i][k] < out.tuples[j][k]
-			}
-		}
-		return false
-	})
 	return out
 }
 

@@ -2,7 +2,7 @@
 // its metric families, request-ID tracing, JSON access and slow-query logs,
 // and the opt-in pprof handler.  The metrics core itself lives in
 // internal/obsv; this file declares the server's rows of the stats table and
-// adds the service's (service.StatRows).
+// adds the service's (service.StatTable).
 package server
 
 import (
@@ -49,40 +49,29 @@ func (s *Server) registerMetrics() {
 	// scrape-time families read the cached copy instead of re-walking the
 	// corpus per family.
 	reg.OnScrape(func() { s.scrape.Store(s.svc.Snapshot()) })
-	s.rows = service.StatRows(reg, s.scrape.Load)
+	t := service.StatTable(reg, s.scrape.Load)
 
 	// The server's rows of the stats table: uptime and the traffic and
-	// admission-gate counters, read live.
-	stat := func(section, key string, value func() int64) {
-		s.rows = append(s.rows, service.Row{Section: section, Key: key,
-			Value: func(*service.Snapshot) int64 { return value() }})
-	}
-	counter := func(section, key, name, help string, value func() int64) {
-		stat(section, key, value)
-		reg.RegisterFunc(name, obsv.TypeCounter, help, nil, func(emit obsv.Emit) { emit(float64(value())) })
-	}
-	gauge := func(section, key, name, help string, value func() int64) {
-		stat(section, key, value)
-		reg.RegisterFunc(name, obsv.TypeGauge, help, nil, func(emit obsv.Emit) { emit(float64(value())) })
-	}
-	gauge("", "uptime_s", "treeqd_uptime_seconds", "Seconds since the server started.",
-		func() int64 { return int64(time.Since(s.started).Seconds()) })
-	counter("server", "requests", "treeqd_requests_total", "HTTP requests received.",
-		func() int64 { return int64(s.requests.Load()) })
-	counter("server", "rejected_429", "treeqd_rejected_total", "Requests shed by the admission gate with 429.",
-		func() int64 { return int64(s.rejected.Load()) })
-	gauge("server", "inflight", "treeqd_inflight_requests", "Gated requests currently executing.",
-		s.inflight.Load)
-	gauge("server", "max_in_flight", "treeqd_max_in_flight", "Admission-gate width (0 = unbounded).",
-		func() int64 { return s.gateLimit })
-	gauge("server", "retry_after_s", "treeqd_retry_after_seconds", "Current Retry-After hint attached to shed requests.",
-		s.retryAfterSeconds)
-	gauge("server", "prepared", "treeqd_prepared_queries", "Server-registered prepared queries.",
-		func() int64 {
+	// admission-gate counters, read live rather than from the snapshot.
+	t.Gauge("", "uptime_s", "treeqd_uptime_seconds", "Seconds since the server started.",
+		func(*service.Snapshot) int64 { return int64(time.Since(s.started).Seconds()) })
+	t.Counter("server", "requests", "treeqd_requests_total", "HTTP requests received.",
+		func(*service.Snapshot) int64 { return int64(s.requests.Load()) })
+	t.Counter("server", "rejected_429", "treeqd_rejected_total", "Requests shed by the admission gate with 429.",
+		func(*service.Snapshot) int64 { return int64(s.rejected.Load()) })
+	t.Gauge("server", "inflight", "treeqd_inflight_requests", "Gated requests currently executing.",
+		func(*service.Snapshot) int64 { return s.inflight.Load() })
+	t.Gauge("server", "max_in_flight", "treeqd_max_in_flight", "Admission-gate width (0 = unbounded).",
+		func(*service.Snapshot) int64 { return s.gateLimit })
+	t.Gauge("server", "retry_after_s", "treeqd_retry_after_seconds", "Current Retry-After hint attached to shed requests.",
+		func(*service.Snapshot) int64 { return s.retryAfterSeconds() })
+	t.Gauge("server", "prepared", "treeqd_prepared_queries", "Server-registered prepared queries.",
+		func(*service.Snapshot) int64 {
 			s.prepMu.Lock()
 			defer s.prepMu.Unlock()
 			return int64(len(s.prepared))
 		})
+	s.rows = t.Rows
 }
 
 // handleMetrics serves the Prometheus text exposition.

@@ -47,7 +47,7 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// Default tuning; all overridable through options.
+// Default tuning; all but the body bound overridable through options.
 const (
 	// DefaultMaxInFlight is the default admission-gate width.
 	DefaultMaxInFlight = 64
@@ -120,7 +120,6 @@ type serverConfig struct {
 	maxInFlight    int
 	defaultTimeout time.Duration
 	maxTimeout     time.Duration
-	maxBody        int64
 	registry       *obsv.Registry
 	accessLog      *slog.Logger
 	slowLog        *slog.Logger
@@ -145,18 +144,12 @@ func WithMaxTimeout(d time.Duration) Option {
 	return func(c *serverConfig) { c.maxTimeout = d }
 }
 
-// WithMaxBodyBytes bounds request bodies; oversized uploads fail with 413.
-func WithMaxBodyBytes(n int64) Option {
-	return func(c *serverConfig) { c.maxBody = n }
-}
-
 // New creates a Server over svc.
 func New(svc *service.Service, opts ...Option) *Server {
 	cfg := serverConfig{
 		maxInFlight:    DefaultMaxInFlight,
 		defaultTimeout: DefaultTimeout,
 		maxTimeout:     DefaultMaxTimeout,
-		maxBody:        DefaultMaxBodyBytes,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -166,7 +159,7 @@ func New(svc *service.Service, opts ...Option) *Server {
 		mux:            http.NewServeMux(),
 		defaultTimeout: cfg.defaultTimeout,
 		maxTimeout:     cfg.maxTimeout,
-		maxBody:        cfg.maxBody,
+		maxBody:        DefaultMaxBodyBytes,
 		gateLimit:      int64(max(cfg.maxInFlight, 0)),
 		prepared:       map[string]*preparedEntry{},
 		started:        time.Now(),
@@ -209,7 +202,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	x := &exchange{ResponseWriter: w}
 	w.Header()["X-Request-Id"] = x.setRequestID(r)
 	x.ctx.Init(r.Context(), x.id[0])
-	if s.maxBody > 0 && r.Body != nil {
+	if r.Body != nil {
 		x.body = limitedBody{rc: r.Body, n: s.maxBody, limit: s.maxBody}
 		r.Body = &x.body
 	}
@@ -505,18 +498,14 @@ const bodyReserve = 1 << 20
 // scans in place: the parsed tree copies its labels and text out and keeps no
 // reference to it.  The buffer is sized up front from Content-Length when the
 // client declared one, up to bodyReserve and never beyond the body limit,
-// which the MaxBytesReader installed by ServeHTTP enforces whatever was
+// which the limitedBody installed by ServeHTTP enforces whatever was
 // declared — so an upload of up to a mebibyte is read straight into its one
 // buffer, neither regrown while it arrives nor copied again on its way to
 // the parser.
 func (s *Server) readBody(r *http.Request) (string, error) {
 	var b []byte
 	if n := r.ContentLength; n > 0 {
-		reserve := int64(bodyReserve)
-		if s.maxBody > 0 {
-			reserve = min(reserve, s.maxBody)
-		}
-		b = make([]byte, 0, min(n, reserve)+1) // +1: the read that sees EOF needs room
+		b = make([]byte, 0, min(n, bodyReserve, s.maxBody)+1) // +1: the read that sees EOF needs room
 	}
 	for {
 		if len(b) == cap(b) {
@@ -787,7 +776,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatusz renders the stats table from one snapshot: the service,
-// index, updates, similar and pools rows (service.StatRows) and the server's
+// index, updates, similar and pools rows (service.StatTable) and the server's
 // own, plus the two values that are not scalar counters, each document's
 // version and the cumulative nanoseconds per update phase.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {

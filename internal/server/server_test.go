@@ -684,7 +684,11 @@ func TestServerConcurrency(t *testing.T) {
 // upload without a declared length is read whole, and the body limit answers
 // 413 whether or not the client declared the oversized length.
 func TestPutDocBody(t *testing.T) {
-	ts, svc := newTestServer(t, nil, WithMaxBodyBytes(256))
+	svc := service.New()
+	srv := New(svc)
+	srv.maxBody = 256
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 
 	if code, body := putDoc(t, ts.URL, "mixed.xml", `<a>x<b/>z</a>`); code != http.StatusCreated {
 		t.Fatalf("mixed content: status %d (%v), want 201", code, body)

@@ -75,17 +75,9 @@ func TestCounterSurface(t *testing.T) {
 	}
 	writeKeyPaths(&b, "", status)
 
-	text := scrapeText(t, ts.URL)
-	fams, err := obsv.ParseExposition(text)
+	fams, err := obsv.ParseExposition(scrapeText(t, ts.URL))
 	if err != nil {
 		t.Fatal(err)
-	}
-	help := map[string]string{}
-	for _, line := range strings.Split(text, "\n") {
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, h, _ := strings.Cut(rest, " ")
-			help[name] = h
-		}
 	}
 	names := make([]string, 0, len(fams))
 	for name := range fams {
@@ -94,7 +86,7 @@ func TestCounterSurface(t *testing.T) {
 	slices.Sort(names)
 	for _, name := range names {
 		f := fams[name]
-		fmt.Fprintf(&b, "metrics %s %s labels=%s help=%q\n", name, f.Type, labelNames(f), help[name])
+		fmt.Fprintf(&b, "metrics %s %s labels=%s help=%q\n", name, f.Type, labelNames(f), f.Help)
 	}
 
 	golden := filepath.Join("testdata", "surface.golden")

@@ -120,59 +120,77 @@ func EngineSnapshot(eng *core.Engine) *Snapshot {
 	return sn
 }
 
-// StatRows declares the service's rows of the stats table: the service,
+// Table is the stats table being declared: its rows, and the registry on
+// which the rows that have a metric family register it, collected from snap()
+// at scrape time.  A nil registry only collects the rows.
+type Table struct {
+	Rows []Row
+	reg  *obsv.Registry
+	snap func() *Snapshot
+}
+
+// Stat declares a row with no metric family.
+func (t *Table) Stat(section, key string, value func(*Snapshot) int64) {
+	t.Rows = append(t.Rows, Row{Section: section, Key: key, Value: value})
+}
+
+// Counter declares a row and its counter family.
+func (t *Table) Counter(section, key, name, help string, value func(*Snapshot) int64) {
+	t.family(section, key, name, obsv.TypeCounter, help, value)
+}
+
+// Gauge declares a row and its gauge family.
+func (t *Table) Gauge(section, key, name, help string, value func(*Snapshot) int64) {
+	t.family(section, key, name, obsv.TypeGauge, help, value)
+}
+
+func (t *Table) family(section, key, name, typ, help string, value func(*Snapshot) int64) {
+	t.Stat(section, key, value)
+	t.reg.RegisterFunc(name, typ, help, nil, func(emit obsv.Emit) { emit(float64(value(t.snap()))) })
+}
+
+// StatTable declares the service's rows of the stats table: the service,
 // index, updates, similar and pools sections of /v1/statusz.  Each row that
 // has a metric family registers it on reg, reading snap() at scrape time; a
-// nil reg only collects the rows.
-func StatRows(reg *obsv.Registry, snap func() *Snapshot) []Row {
-	var rows []Row
-	stat := func(section, key string, value func(*Snapshot) int64) {
-		rows = append(rows, Row{Section: section, Key: key, Value: value})
-	}
-	counter := func(section, key, name, help string, value func(*Snapshot) int64) {
-		stat(section, key, value)
-		reg.RegisterFunc(name, obsv.TypeCounter, help, nil, func(emit obsv.Emit) { emit(float64(value(snap()))) })
-	}
-	gauge := func(section, key, name, help string, value func(*Snapshot) int64) {
-		stat(section, key, value)
-		reg.RegisterFunc(name, obsv.TypeGauge, help, nil, func(emit obsv.Emit) { emit(float64(value(snap()))) })
-	}
-
-	gauge("service", "docs", "treeqd_corpus_docs", "Documents in the corpus.",
+// nil reg only collects the rows.  The caller may declare more rows on the
+// table it returns.
+func StatTable(reg *obsv.Registry, snap func() *Snapshot) *Table {
+	t := &Table{reg: reg, snap: snap}
+	t.Gauge("service", "docs", "treeqd_corpus_docs", "Documents in the corpus.",
 		func(sn *Snapshot) int64 { return int64(sn.Docs) })
-	counter("service", "queries", "treeqd_queries_total", "Single-document query executions routed through the service.",
+	t.Counter("service", "queries", "treeqd_queries_total", "Single-document query executions routed through the service.",
 		func(sn *Snapshot) int64 { return int64(sn.Queries) })
-	counter("service", "updates", "treeqd_updates_total", "Completed document update swaps.",
+	t.Counter("service", "updates", "treeqd_updates_total", "Completed document update swaps.",
 		func(sn *Snapshot) int64 { return int64(sn.Updates) })
-	counter("service", "plan_cache_hits", "treeqd_plan_cache_hits_total", "Plan-cache lookups served warm.",
+	t.Counter("service", "plan_cache_hits", "treeqd_plan_cache_hits_total", "Plan-cache lookups served warm.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheHits) })
-	counter("service", "plan_cache_misses", "treeqd_plan_cache_misses_total", "Plan-cache lookups that paid a cold prepare.",
+	t.Counter("service", "plan_cache_misses", "treeqd_plan_cache_misses_total", "Plan-cache lookups that paid a cold prepare.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheMisses) })
-	counter("service", "plan_cache_evictions", "treeqd_plan_cache_evictions_total", "Plans evicted to respect the cache cap.",
+	t.Counter("service", "plan_cache_evictions", "treeqd_plan_cache_evictions_total", "Plans evicted to respect the cache cap.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheEvictions) })
-	counter("service", "plan_cache_skips", "treeqd_plan_cache_skips_total", "Plans denied cache admission by the clause cap.",
+	t.Counter("service", "plan_cache_skips", "treeqd_plan_cache_skips_total", "Plans denied cache admission by the clause cap.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheSkips) })
-	gauge("service", "plan_cache_size", "treeqd_plan_cache_size", "Cached plans.",
+	t.Gauge("service", "plan_cache_size", "treeqd_plan_cache_size", "Cached plans.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheSize) })
-	gauge("service", "plan_cache_cap", "treeqd_plan_cache_cap", "Plan-cache capacity (0 = unbounded).",
+	t.Gauge("service", "plan_cache_cap", "treeqd_plan_cache_cap", "Plan-cache capacity (0 = unbounded).",
 		func(sn *Snapshot) int64 { return int64(sn.PlanCacheCap) })
 
 	// The index counters, summed over every live engine.
-	gauge("index", "multi_labeled_docs", "treeqd_multi_labeled_docs", "Corpus documents with multi-labeled nodes.",
+	t.Gauge("index", "multi_labeled_docs", "treeqd_multi_labeled_docs", "Corpus documents with multi-labeled nodes.",
 		func(sn *Snapshot) int64 { return int64(sn.MultiLabeledDocs) })
-	stat("index", "label_list_builds", func(sn *Snapshot) int64 { return int64(sn.Index.LabelListBuilds) })
-	stat("index", "label_list_hits", func(sn *Snapshot) int64 { return int64(sn.Index.LabelListHits) })
-	stat("index", "label_mask_builds", func(sn *Snapshot) int64 { return int64(sn.Index.LabelMaskBuilds) })
-	stat("index", "label_mask_hits", func(sn *Snapshot) int64 { return int64(sn.Index.LabelMaskHits) })
-	stat("index", "ted_builds", func(sn *Snapshot) int64 { return int64(sn.Index.TEDBuilds) })
-	stat("index", "releases", func(sn *Snapshot) int64 { return int64(sn.Index.Releases) })
+	t.Stat("index", "label_list_builds", func(sn *Snapshot) int64 { return int64(sn.Index.LabelListBuilds) })
+	t.Stat("index", "label_list_hits", func(sn *Snapshot) int64 { return int64(sn.Index.LabelListHits) })
+	t.Stat("index", "label_mask_builds", func(sn *Snapshot) int64 { return int64(sn.Index.LabelMaskBuilds) })
+	t.Stat("index", "label_mask_hits", func(sn *Snapshot) int64 { return int64(sn.Index.LabelMaskHits) })
+	t.Stat("index", "ted_builds", func(sn *Snapshot) int64 { return int64(sn.Index.TEDBuilds) })
+	t.Stat("index", "releases", func(sn *Snapshot) int64 { return int64(sn.Index.Releases) })
 
 	// Incremental updates: how each swap derived its engine, the cached plans
 	// carried across, and those the edit could not affect.  Per-phase time is
 	// the treeqd_update_duration_seconds{phase} histogram (WithMetrics).
 	// Labelled families register directly, beside their rows.
-	stat("updates", "patched", func(sn *Snapshot) int64 { return int64(sn.PatchedUpdates) })
-	stat("updates", "rebuilt", func(sn *Snapshot) int64 { return int64(sn.RebuildUpdates) })
+	t.Stat("updates", "patched", func(sn *Snapshot) int64 { return int64(sn.PatchedUpdates) })
+	t.Stat("updates", "rebuilt", func(sn *Snapshot) int64 { return int64(sn.RebuildUpdates) })
 	reg.RegisterFunc("treeqd_update_patch_total", obsv.TypeCounter,
 		"Document update swaps by how the new engine was derived (patched = index splice, rebuilt = from scratch).",
 		[]string{"mode"},
@@ -181,18 +199,18 @@ func StatRows(reg *obsv.Registry, snap func() *Snapshot) []Row {
 			emit(float64(sn.PatchedUpdates), "patched")
 			emit(float64(sn.RebuildUpdates), "rebuilt")
 		})
-	counter("updates", "plans_carried", "treeqd_update_plans_carried_total", "Cached plans carried across document updates, summed over updates.",
+	t.Counter("updates", "plans_carried", "treeqd_update_plans_carried_total", "Cached plans carried across document updates, summed over updates.",
 		func(sn *Snapshot) int64 { return int64(sn.PlanReprepares) })
-	counter("updates", "plans_skipped_by_label_set", "treeqd_update_plans_skipped_total",
+	t.Counter("updates", "plans_skipped_by_label_set", "treeqd_update_plans_skipped_total",
 		"Carried plans whose label set was disjoint from a shape-preserving edit's touched labels: the write could not change their answers.",
 		func(sn *Snapshot) int64 { return int64(sn.PlansSkippedByLabelSet) })
 
 	// The similarity route's pruning funnel: candidates in, lower-bound
 	// eliminations per bound, kernel calls out.
-	counter("similar", "candidates", "treeqd_similar_candidates_total", "Similarity-search candidate subtrees considered.",
+	t.Counter("similar", "candidates", "treeqd_similar_candidates_total", "Similarity-search candidate subtrees considered.",
 		func(sn *Snapshot) int64 { return int64(sn.SimilarCandidates) })
-	stat("similar", "size_pruned", func(sn *Snapshot) int64 { return int64(sn.SimilarSizePruned) })
-	stat("similar", "hist_pruned", func(sn *Snapshot) int64 { return int64(sn.SimilarHistPruned) })
+	t.Stat("similar", "size_pruned", func(sn *Snapshot) int64 { return int64(sn.SimilarSizePruned) })
+	t.Stat("similar", "hist_pruned", func(sn *Snapshot) int64 { return int64(sn.SimilarHistPruned) })
 	reg.RegisterFunc("treeqd_similar_pruned_total", obsv.TypeCounter,
 		"Similarity candidates eliminated by a lower bound before the TED kernel.", []string{"bound"},
 		func(emit obsv.Emit) {
@@ -200,14 +218,14 @@ func StatRows(reg *obsv.Registry, snap func() *Snapshot) []Row {
 			emit(float64(sn.SimilarSizePruned), "size")
 			emit(float64(sn.SimilarHistPruned), "histogram")
 		})
-	counter("similar", "ted_kernel_calls", "treeqd_ted_kernel_calls_total", "Full tree-edit-distance kernel invocations.",
+	t.Counter("similar", "ted_kernel_calls", "treeqd_ted_kernel_calls_total", "Full tree-edit-distance kernel invocations.",
 		func(sn *Snapshot) int64 { return int64(sn.SimilarKernelCalls) })
 
 	// The process-wide allocation pools.
-	stat("pools", "bitset_pool_hits", func(sn *Snapshot) int64 { return sn.Pools.BitsetPoolHits })
-	stat("pools", "bitset_pool_misses", func(sn *Snapshot) int64 { return sn.Pools.BitsetPoolMisses })
-	stat("pools", "ted_dp_hits", func(sn *Snapshot) int64 { return sn.Pools.TedDPHits })
-	stat("pools", "ted_dp_misses", func(sn *Snapshot) int64 { return sn.Pools.TedDPMisses })
+	t.Stat("pools", "bitset_pool_hits", func(sn *Snapshot) int64 { return sn.Pools.BitsetPoolHits })
+	t.Stat("pools", "bitset_pool_misses", func(sn *Snapshot) int64 { return sn.Pools.BitsetPoolMisses })
+	t.Stat("pools", "ted_dp_hits", func(sn *Snapshot) int64 { return sn.Pools.TedDPHits })
+	t.Stat("pools", "ted_dp_misses", func(sn *Snapshot) int64 { return sn.Pools.TedDPMisses })
 	reg.RegisterFunc("treeqd_pool_hits_total", obsv.TypeCounter,
 		"Buffer acquisitions served from a pool.", []string{"pool"},
 		func(emit obsv.Emit) {
@@ -222,5 +240,5 @@ func StatRows(reg *obsv.Registry, snap func() *Snapshot) []Row {
 			emit(float64(p.BitsetPoolMisses), "bitset")
 			emit(float64(p.TedDPMisses), "ted_dp")
 		})
-	return rows
+	return t
 }

@@ -53,7 +53,7 @@ func TestStatRowsAgreeWithFamilies(t *testing.T) {
 	}
 	sn := s.Snapshot()
 	reg := obsv.NewRegistry()
-	rows := StatRows(reg, func() *Snapshot { return sn })
+	rows := StatTable(reg, func() *Snapshot { return sn }).Rows
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestStatRowsAgreeWithFamilies(t *testing.T) {
 	if n := status["service"].(map[string]any)["queries"].(int64); n != 4 {
 		t.Errorf("service.queries = %d, want 4 (two fan-outs over two documents)", n)
 	}
-	collected := StatRows(nil, nil)
+	collected := StatTable(nil, nil).Rows
 	if len(collected) != len(rows) {
 		t.Fatalf("nil registry collected %d rows, want %d", len(collected), len(rows))
 	}

@@ -82,15 +82,6 @@ func AllAxes() []Axis {
 	return out
 }
 
-// ForwardAxes returns the forward axes of the paper's Core XPath grammar:
-// Self, Child, Child+, Child*, NextSibling, NextSibling+, NextSibling*, and
-// Following.  A query using only these axes can be evaluated in a single
-// left-to-right pass over the document (Section 5).
-func ForwardAxes() []Axis {
-	return []Axis{Self, Child, Descendant, DescendantOrSelf,
-		NextSiblingAxis, FollowingSibling, FollowingSiblingOrSelf, Following}
-}
-
 // ParseAxis parses an axis name.  Both the paper's notation ("Child+",
 // "NextSibling*") and the XPath-style names ("descendant", "following-sibling")
 // are accepted, case-insensitively for the latter.
@@ -183,19 +174,6 @@ func (a Axis) IsForward() bool {
 func (a Axis) IsReflexive() bool {
 	switch a {
 	case Self, DescendantOrSelf, AncestorOrSelf, FollowingSiblingOrSelf, PrecedingSiblingOrSelf:
-		return true
-	}
-	return false
-}
-
-// IsTransitive reports whether the axis is a transitive (or
-// reflexive-transitive) closure axis.  The PTime-hardness of Core XPath
-// depends on the presence of such axes (Section 7).
-func (a Axis) IsTransitive() bool {
-	switch a {
-	case Descendant, DescendantOrSelf, Ancestor, AncestorOrSelf,
-		FollowingSibling, FollowingSiblingOrSelf, PrecedingSibling, PrecedingSiblingOrSelf,
-		Following, Preceding:
 		return true
 	}
 	return false
@@ -349,27 +327,6 @@ func (t *Tree) StepFunc(a Axis, n NodeID, yield func(NodeID) bool) {
 	default:
 		panic(fmt.Sprintf("tree: Step of unknown axis %d", int(a)))
 	}
-}
-
-// StepCount returns |{y : a(n,y)}| without materializing the node set.
-func (t *Tree) StepCount(a Axis, n NodeID) int {
-	switch a {
-	case Self:
-		return 1
-	case Descendant:
-		return t.SubtreeSize(n) - 1
-	case DescendantOrSelf:
-		return t.SubtreeSize(n)
-	case Ancestor:
-		return t.Depth(n)
-	case AncestorOrSelf:
-		return t.Depth(n) + 1
-	case Following:
-		return t.Len() - 1 - int(t.End(n))
-	}
-	k := 0
-	t.StepFunc(a, n, func(NodeID) bool { k++; return true })
-	return k
 }
 
 // Pairs returns all pairs (x, y) with a(x, y), in lexicographic document

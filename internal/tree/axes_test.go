@@ -124,9 +124,6 @@ func TestStepAgreesWithHolds(t *testing.T) {
 						t.Fatalf("%v: Step(%d) not in document order: %v", a, x, got)
 					}
 				}
-				if sc := tr.StepCount(a, x); sc != want {
-					t.Fatalf("%v: StepCount(%d) = %d, want %d", a, x, sc, want)
-				}
 			}
 		}
 	}
@@ -196,16 +193,14 @@ func TestAxisStringAndParse(t *testing.T) {
 }
 
 func TestForwardAxes(t *testing.T) {
-	for _, a := range ForwardAxes() {
+	for _, a := range []Axis{Self, Child, Descendant, DescendantOrSelf,
+		NextSiblingAxis, FollowingSibling, FollowingSiblingOrSelf, Following} {
 		if !a.IsForward() {
-			t.Errorf("%v listed in ForwardAxes but IsForward is false", a)
+			t.Errorf("%v is a forward axis but IsForward is false", a)
 		}
 	}
 	if Parent.IsForward() || Ancestor.IsForward() || Preceding.IsForward() {
 		t.Errorf("reverse axes must not be forward")
-	}
-	if !Descendant.IsTransitive() || Child.IsTransitive() || Self.IsTransitive() {
-		t.Errorf("IsTransitive wrong")
 	}
 }
 

@@ -276,10 +276,6 @@ func (t *Tree) IsLastSibling(n NodeID) bool {
 	return p == InvalidNode || t.End(n) == t.End(p)
 }
 
-// IsFirstChildOf reports whether FirstChild(u, v) holds: v is the first child
-// of u.
-func (t *Tree) IsFirstChildOf(u, v NodeID) bool { return v == u+1 && t.size[u] > 1 }
-
 // LabelAlphabet returns the sorted set of labels occurring in the tree.
 func (t *Tree) LabelAlphabet() []string {
 	seen := make([]bool, t.dict.Len())

@@ -204,15 +204,6 @@ func TestPredicates(t *testing.T) {
 	if !tr.IsLastSibling(ids["n4"]) || tr.IsLastSibling(ids["n3"]) {
 		t.Errorf("IsLastSibling wrong")
 	}
-	if !tr.IsFirstChildOf(ids["n1"], ids["n2"]) {
-		t.Errorf("FirstChild(n1, n2) should hold")
-	}
-	if tr.IsFirstChildOf(ids["n1"], ids["n3"]) {
-		t.Errorf("FirstChild(n1, n3) should not hold")
-	}
-	if tr.IsFirstChildOf(ids["n2"], InvalidNode) {
-		t.Errorf("FirstChild(n2, invalid) should not hold")
-	}
 }
 
 func TestChildrenAndCounts(t *testing.T) {
@@ -418,8 +409,8 @@ func TestDeepTreeNoStackOverflow(t *testing.T) {
 	if tr.Post(leaf) != 1 {
 		t.Errorf("deep leaf post = %d, want 1", tr.Post(leaf))
 	}
-	if tr.StepCount(Ancestor, leaf) != n-1 {
-		t.Errorf("ancestor count = %d", tr.StepCount(Ancestor, leaf))
+	if tr.Depth(leaf) != n-1 {
+		t.Errorf("deep leaf depth = %d, want %d", tr.Depth(leaf), n-1)
 	}
 }
 

@@ -247,9 +247,3 @@ func SiteDocument(spec DocSpec) *tree.Tree {
 	}
 	return b.MustBuild()
 }
-
-// BinaryLabeledTree generates a random tree whose node labels come from
-// {"0","1"}; used by the automata experiments.
-func BinaryLabeledTree(n int, seed int64) *tree.Tree {
-	return RandomTree(TreeSpec{Nodes: n, Alphabet: []string{"0", "1"}, Seed: seed})
-}

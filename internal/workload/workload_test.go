@@ -137,12 +137,3 @@ func TestSiteDocument(t *testing.T) {
 		t.Errorf("degenerate SiteDocument should still build")
 	}
 }
-
-func TestBinaryLabeledTree(t *testing.T) {
-	tr := BinaryLabeledTree(64, 2)
-	for _, l := range tr.LabelAlphabet() {
-		if l != "0" && l != "1" {
-			t.Errorf("unexpected label %q", l)
-		}
-	}
-}

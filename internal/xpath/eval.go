@@ -220,13 +220,13 @@ func (ev *evaluator) restrictToQuals(set bitset.Bits, quals []Qual) {
 	}
 }
 
-// Fuse undoes the "//" abbreviation: the step pair
+// fuse undoes the "//" abbreviation: the step pair
 // descendant-or-self::*/child::T[q] is the single step descendant::T[q].  It
 // is the one "//" normalization of the package's evaluators and of the
 // streaming matcher: for the image evaluator it saves a child chase over
 // everything a range fill reached, for the streaming matcher a "*" test
 // every node passes.
-func Fuse(d, c Step) (Step, bool) {
+func fuse(d, c Step) (Step, bool) {
 	if d.Axis == tree.DescendantOrSelf && d.Test == "*" && len(d.Quals) == 0 && c.Axis == tree.Child {
 		return Step{Axis: tree.Descendant, Test: c.Test, Quals: c.Quals}, true
 	}
@@ -255,7 +255,7 @@ func (ev *evaluator) exprSet(e Expr, from bitset.Bits) bitset.Bits {
 		for i := 0; i < len(e.Steps); i++ {
 			s := e.Steps[i]
 			if i+1 < len(e.Steps) {
-				if f, ok := Fuse(s, e.Steps[i+1]); ok {
+				if f, ok := fuse(s, e.Steps[i+1]); ok {
 					s, i = f, i+1
 				}
 			}
@@ -351,7 +351,7 @@ func (ev *evaluator) pathNonEmptySet(e Expr) bitset.Bits {
 		for i := len(e.Steps) - 1; i >= 0; i-- {
 			s := e.Steps[i]
 			if i > 0 {
-				if f, ok := Fuse(e.Steps[i-1], s); ok {
+				if f, ok := fuse(e.Steps[i-1], s); ok {
 					s, i = f, i-1
 				}
 			}

@@ -53,7 +53,7 @@ var ErrNotStreamable = errors.New("stream: expression is outside the streamable 
 
 // StreamableSteps checks that e is in the streamable fragment — an absolute,
 // qualifier-free path of child, descendant and descendant-or-self steps — and
-// returns its steps with every "//" fused (see Fuse): //item//keyword is two
+// returns its steps with every "//" fused (see fuse): //item//keyword is two
 // descendant steps, not four.  Qualifiers, unions, reverse and sibling axes
 // and relative paths fail with ErrNotStreamable.
 func StreamableSteps(e Expr) ([]Step, error) {
@@ -65,7 +65,7 @@ func StreamableSteps(e Expr) ([]Step, error) {
 	for i := 0; i < len(path.Steps); i++ {
 		s := path.Steps[i]
 		if i+1 < len(path.Steps) {
-			if f, ok := Fuse(s, path.Steps[i+1]); ok {
+			if f, ok := fuse(s, path.Steps[i+1]); ok {
 				s, i = f, i+1
 			}
 		}
