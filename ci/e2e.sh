@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the treeqd HTTP front-end: start the server,
 # load the example corpus over HTTP, run one query per language, and assert
-# on the JSON responses.  Needs: go, curl, python3 (for JSON assertions).
+# on the JSON responses and on treeqd's access log (its stderr).  Needs: go,
+# curl, python3 (for JSON assertions).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -9,9 +10,10 @@ ADDR="127.0.0.1:18080"
 BASE="http://$ADDR"
 
 go build -o /tmp/treeqd ./cmd/treeqd
-/tmp/treeqd -addr "$ADDR" -max-inflight 16 -load examples/corpus/docs &
+LOG="$(mktemp)"
+/tmp/treeqd -addr "$ADDR" -max-inflight 16 -load examples/corpus/docs 2>"$LOG" &
 TREEQD_PID=$!
-trap 'kill "$TREEQD_PID" 2>/dev/null || true' EXIT
+trap 'status=$?; kill "$TREEQD_PID" 2>/dev/null || true; [ "$status" = 0 ] || tail -n 20 "$LOG" >&2; rm -f "$LOG"' EXIT
 
 for i in $(seq 1 50); do
   if curl -sf "$BASE/v1/healthz" >/dev/null; then break; fi
@@ -258,5 +260,31 @@ echo "== document removal"
 resp="$(curl -sf -X DELETE "$BASE/v1/docs/books.xml")"
 assert_json "$resp" "r['docs'] == 2"
 curl -s -o /dev/null -w '%{http_code}' -X DELETE "$BASE/v1/docs/books.xml" | grep -q 404
+
+echo "== access log: one JSON line per request, keys in a fixed order"
+curl -sf -H 'X-Request-ID: e2e-access' -X POST -d '{"doc":"auctions.xml","lang":"xpath","query":"//keyword"}' "$BASE/v1/query" >/dev/null
+python3 - "$LOG" <<'PY'
+import json, sys
+keys = ['time', 'level', 'msg', 'method', 'path', 'handler', 'status', 'bytes', 'duration_ms', 'request_id']
+lines, tagged = 0, []
+for line in open(sys.argv[1]):
+    if '"msg":"request"' not in line:
+        continue
+    try:
+        pairs = json.loads(line, object_pairs_hook=lambda p: p)
+    except ValueError as e:
+        sys.exit('access-log line does not decode (%s): %r' % (e, line))
+    if [k for k, _ in pairs] != keys:
+        sys.exit('access-log keys %s, want %s' % ([k for k, _ in pairs], keys))
+    r = dict(pairs)
+    lines += 1
+    if r['request_id'] == 'e2e-access':
+        tagged.append(r)
+if lines < 30:
+    sys.exit('only %d access-log lines' % lines)
+if len(tagged) != 1 or tagged[0]['handler'] != 'query' or tagged[0]['status'] != 200:
+    sys.exit('access-log lines for X-Request-ID e2e-access: %s' % tagged)
+print('access log: %d request lines ok' % lines)
+PY
 
 echo "e2e: all assertions passed"

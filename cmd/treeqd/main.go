@@ -70,8 +70,6 @@ import (
 	"syscall"
 	"time"
 
-	"log/slog"
-
 	"repro/internal/obsv"
 	"repro/internal/server"
 	"repro/internal/service"
@@ -96,7 +94,9 @@ func main() {
 	// One registry covers both layers: the service's prepare-stage histogram
 	// and the server's request/query families land in the same /metrics scrape.
 	reg := obsv.NewRegistry()
-	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	// The access and slow-query lines share one JSON log on stderr; the
+	// server appends its access lines itself (server.AccessLog).
+	logger := server.AccessLog(os.Stderr)
 
 	svc := service.New(
 		service.WithWorkers(*workers),

@@ -32,14 +32,14 @@ type Trace struct {
 	id string
 
 	mu    sync.Mutex
-	n     int
+	n     int32 // spans in the inline array; int32 beside docs saves a word
+	docs  int32
 	spans [inlineSpans]Span
 	more  []Span // spans past the inline array
 
 	route string
 	lang  string
 	text  string
-	docs  int
 }
 
 // ID returns the request ID ("" on a nil trace).
@@ -83,7 +83,7 @@ func (t *Trace) SetDocs(n int) {
 		return
 	}
 	t.mu.Lock()
-	t.docs = n
+	t.docs = int32(n)
 	t.mu.Unlock()
 }
 
@@ -111,7 +111,7 @@ func (t *Trace) Docs() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.docs
+	return int(t.docs)
 }
 
 // Spans returns a copy of the recorded stages, in recording order.
@@ -121,7 +121,7 @@ func (t *Trace) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append(append(make([]Span, 0, t.n+len(t.more)), t.spans[:t.n]...), t.more...)
+	return append(append(make([]Span, 0, int(t.n)+len(t.more)), t.spans[:t.n]...), t.more...)
 }
 
 // QueryHash returns the stable query-text hash used by the slow-query log:
@@ -191,8 +191,8 @@ type RequestContext struct {
 	state    atomic.Uint32
 
 	mu         sync.Mutex
+	closed     bool          // done is closed; beside mu, it fills mu's padding
 	done       chan struct{} // made by the first Done
-	closed     bool          // done is closed
 	timer      *time.Timer
 	stopParent func() bool
 

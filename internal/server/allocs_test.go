@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/race"
@@ -46,13 +46,13 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // query, net/http's own share excluded: the request and response writer are
 // reused, so every allocation counted is the server's, the service's or the
 // evaluator's.  The server is configured as treeqd configures it by default,
-// the JSON access log included.
+// the JSON access log from AccessLog included, whose line is appended into a
+// pooled buffer.
 //
-//   - /v1/query: the request's exchange (its context, trace, ID and status
-//     in one object), the MaxBytesReader, the body string, the access-log
-//     record's attributes past slog's inline five, and the exec block and
-//     answer of the warm XPath exec.
-//   - /v1/corpus/query over 4 documents: the same server share, the
+//   - /v1/query (4): the request's exchange (its context, trace, clock
+//     readings, ID, status and body bound in one object), the body string,
+//     and the exec block and answer of the warm XPath exec.
+//   - /v1/corpus/query over 4 documents (14): the same server share, the
 //     fan-out's per-request objects (one exec block for every document
 //     among them) and each document's answer.
 func TestRequestPathAllocs(t *testing.T) {
@@ -65,13 +65,13 @@ func TestRequestPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(svc, WithAccessLog(slog.New(slog.NewJSONHandler(io.Discard, nil))))
+	srv := New(svc, WithAccessLog(AccessLog(io.Discard)))
 	for _, c := range []struct {
 		path, body string
 		allocs     float64
 	}{
-		{"/v1/query", `{"doc":"a.xml","lang":"xpath","query":"//item//keyword","limit":2}`, 8},
-		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 18},
+		{"/v1/query", `{"doc":"a.xml","lang":"xpath","query":"//item//keyword","limit":2}`, 4},
+		{"/v1/corpus/query", `{"lang":"xpath","query":"//item//keyword","limit":2}`, 14},
 	} {
 		body := &replayBody{s: c.body}
 		req := httptest.NewRequest(http.MethodPost, c.path, body)
@@ -97,12 +97,12 @@ func TestRequestPathAllocs(t *testing.T) {
 // TestPutPathAllocs pins what Server.ServeHTTP allocates for a warm PUT of
 // an update_churn document (400 items, one keyword's text toggled from one
 // PUT to the next, the workload's reads warm), configured as treeqd is by
-// default, the JSON access log included.  What it allocates is the new
-// version: its tree (the tree, one block of int32 columns, the text, the
-// scanner), the body it was read from, the diff's script, the patched index
-// and engine and the swap; beside them the request's exchange, the access
-// log and the service's outcome.  The reply is appended into a pooled
-// buffer.
+// default, the JSON access log from AccessLog included.  What it allocates
+// is the new version: its tree (the tree, one block of int32 columns, the
+// text, the scanner), the body it was read from, the diff's script, the
+// patched index and engine and the swap; beside them the request's exchange
+// and the service's outcome.  The reply and the access-log line are
+// appended into pooled buffers.
 func TestPutPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("exact allocation counts: the race detector allocates, and sync.Pool drops items under it")
@@ -124,7 +124,7 @@ func TestPutPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := New(svc, WithAccessLog(slog.New(slog.NewJSONHandler(io.Discard, nil))))
+	srv := New(svc, WithAccessLog(AccessLog(io.Discard)))
 	bodies := [2]*replayBody{{s: revs[0]}, {s: revs[1]}}
 	req := httptest.NewRequest(http.MethodPut, "/v1/docs/doc", nil)
 	w := &discardWriter{h: http.Header{}}
@@ -144,7 +144,15 @@ func TestPutPathAllocs(t *testing.T) {
 	put()
 	got := testing.AllocsPerRun(50, put)
 	t.Logf("PUT of a %d-byte document: %.0f allocs per request", len(src), got)
-	if got > 22 {
-		t.Errorf("a warm PUT allocates %.0f objects, want at most 22", got)
+	if got > 16 {
+		t.Errorf("a warm PUT allocates %.0f objects, want at most 16", got)
+	}
+}
+
+// TestExchangeSize pins the one object every request allocates: the
+// exchange must not grow as per-request state moves into it.
+func TestExchangeSize(t *testing.T) {
+	if n := unsafe.Sizeof(exchange{}); n > 464 {
+		t.Errorf("exchange is %d bytes, want at most 464", n)
 	}
 }

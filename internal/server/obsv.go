@@ -83,13 +83,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // exchange is the state of one request in one allocation: the
 // ResponseWriter wrapper that records the status and byte count for the
 // access log and treeqd_http_requests_total, the request's context (its trace
-// and deadline), its ID and the URL query, parsed on first use.  ServeHTTP
-// hands it to the mux as the ResponseWriter, so a handler recovers it with
-// exchangeOf.
+// and deadline), its clock readings, its ID and the URL query, parsed on
+// first use.  ServeHTTP hands it to the mux as the ResponseWriter, so a
+// handler recovers it with exchangeOf.
 type exchange struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+
+	// The request's clock readings, each one word as the time since the
+	// server started: when ServeHTTP began it, and when the gate admitted it
+	// (0: not admitted, so finish holds no slot to release).
+	began, admitted time.Duration
 
 	ctx   obsv.RequestContext
 	id    [1]string // the request ID, as the X-Request-Id header value
@@ -296,12 +301,11 @@ func outcomeLabel(err error) string {
 	}
 }
 
-// observeQuery finishes the instrumentation of one query-route request: it
-// records the end-to-end latency histogram sample, stamps the query identity
-// onto the trace, and emits at most one slow-query log line — the one place
-// the query text is hashed.
-func (s *Server) observeQuery(tr *obsv.Trace, route, lang, text string, start time.Time, err error) {
-	elapsed := time.Since(start)
+// observeQuery finishes the instrumentation of one query-route request that
+// took elapsed: it records the end-to-end latency histogram sample, stamps
+// the query identity onto the trace, and emits at most one slow-query log
+// line — the one place the query text is hashed.
+func (s *Server) observeQuery(tr *obsv.Trace, route, lang, text string, elapsed time.Duration, err error) {
 	outcome := outcomeLabel(err)
 	s.queryHistogram(lang, route, outcome).ObserveDuration(elapsed)
 	tr.SetQuery(route, lang, text)

@@ -98,7 +98,8 @@ type Server struct {
 	panics     [len(scopeLabels)]*obsv.Counter
 	rows       []service.Row
 	scrape     atomic.Pointer[service.Snapshot]
-	accessLog  *slog.Logger
+	accessLog  *slog.Logger  // any logger but AccessLog's
+	accessOut  *lockedWriter // AccessLog's writer: finish appends the line
 	slowLog    *slog.Logger
 	slowQuery  time.Duration
 }
@@ -168,6 +169,11 @@ func New(svc *service.Service, opts ...Option) *Server {
 		slowLog:        cfg.slowLog,
 		slowQuery:      cfg.slowQuery,
 	}
+	if s.accessLog != nil {
+		if h, ok := s.accessLog.Handler().(*accessHandler); ok {
+			s.accessLog, s.accessOut = nil, h.out
+		}
+	}
 	if s.reg == nil {
 		s.reg = obsv.NewRegistry()
 	}
@@ -197,22 +203,28 @@ func New(svc *service.Service, opts ...Option) *Server {
 // treeqd_http_requests_total counter and the access log.  A handler that
 // panics answers 500 with the internal error envelope, when nothing of its
 // response has been sent yet.
+//
+// The clock is read once per boundary: the reading taken here starts the
+// request and its gate span, the gate's admission reading ends that span and
+// starts the handler's, and finish's one reading ends the request, its time
+// in the gate and its access-log line.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	x := &exchange{ResponseWriter: w}
+	x := &exchange{ResponseWriter: w, began: time.Since(s.started)}
 	w.Header()["X-Request-Id"] = x.setRequestID(r)
 	x.ctx.Init(r.Context(), x.id[0])
 	if r.Body != nil {
 		x.body = limitedBody{rc: r.Body, n: s.maxBody, limit: s.maxBody}
 		r.Body = &x.body
 	}
-	defer s.finish(x, r, time.Now())
+	defer s.finish(x, r)
 	s.mux.ServeHTTP(x, r)
 }
 
-// finish ends the request started at start: it recovers a handler panic,
-// then counts the response and writes its access-log line.
-func (s *Server) finish(x *exchange, r *http.Request, start time.Time) {
+// finish ends the request: it recovers a handler panic, releases the
+// request's gate slot, then counts the response and writes its access-log
+// line.
+func (s *Server) finish(x *exchange, r *http.Request) {
 	p := recover()
 	if p != nil && p != http.ErrAbortHandler {
 		s.panics[panicRequest].Inc()
@@ -223,22 +235,18 @@ func (s *Server) finish(x *exchange, r *http.Request, start time.Time) {
 		}
 	}
 	x.ctx.End()
-	elapsed := time.Since(start)
+	now := time.Now()
+	end := now.Sub(s.started)
+	if x.admitted != 0 {
+		s.leaveGate(end - x.admitted)
+	}
 	if x.status == 0 {
 		x.status = http.StatusOK
 	}
 	handler := handlerLabel(r)
 	s.countRequest(handler, x.status)
-	if s.accessLog != nil {
-		s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request",
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("handler", handler),
-			slog.Int("status", x.status),
-			slog.Int64("bytes", x.bytes),
-			slog.Float64("duration_ms", float64(elapsed)/float64(time.Millisecond)),
-			slog.String("request_id", x.id[0]),
-		)
+	if s.accessLog != nil || s.accessOut != nil {
+		s.logAccess(x, r, handler, now, end-x.began)
 	}
 	if p != nil {
 		// The response is partly sent: abort it, so the client sees a broken
@@ -267,27 +275,36 @@ func (s *Server) acquireGate() bool {
 // gated wraps a handler with the admission gate: acquire a slot or reject
 // with 429 immediately.  Rejecting instead of queueing keeps the tail latency
 // of admitted requests flat under overload and hands flow control to clients
-// (back off and retry) rather than to an unbounded server-side queue.
+// (back off and retry) rather than to an unbounded server-side queue.  The
+// gate span runs from ServeHTTP's start, the route match included, to the
+// admission; finish releases the slot.
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		gateStart := time.Now()
 		if !s.acquireGate() {
 			s.rejected.Add(1)
 			s.writeError(w, http.StatusTooManyRequests, errors.New("server: saturated, retry later"))
 			return
 		}
-		exchangeOf(w).ctx.Trace().Observe("gate", time.Since(gateStart))
+		x := exchangeOf(w)
+		x.admitted = max(time.Since(s.started), 1) // 0 reads as "not admitted"
+		x.ctx.Trace().Observe("gate", x.admitted-x.began)
 		s.inflight.Add(1)
-		start := time.Now()
-		defer func() {
-			if s.gateLimit > 0 {
-				s.gateUsed.Add(-1)
-			}
-			s.observeGated(time.Since(start))
-			s.inflight.Add(-1)
-		}()
 		h(w, r)
 	}
+}
+
+// handlerStart is when the gate admitted the request: the start of a gated
+// handler's own span.
+func (s *Server) handlerStart(x *exchange) time.Time { return s.started.Add(x.admitted) }
+
+// leaveGate releases an admitted request's gate slot after it spent d
+// inside the gate.
+func (s *Server) leaveGate(d time.Duration) {
+	if s.gateLimit > 0 {
+		s.gateUsed.Add(-1)
+	}
+	s.observeGated(d)
+	s.inflight.Add(-1)
 }
 
 // observeGated folds one completed gated request into the duration EWMA that

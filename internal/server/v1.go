@@ -300,7 +300,12 @@ func (w *envWriter) json(v any) {
 // appendString appends s as a JSON string, byte for byte as encoding/json
 // writes it with HTML escaping off: '"', '\\' and control bytes escaped,
 // each invalid UTF-8 byte replaced by \ufffd, U+2028 and U+2029 escaped.
-func appendString(b []byte, s string) []byte {
+func appendString(b []byte, s string) []byte { return appendQuoted(b, s, true) }
+
+// appendQuoted is appendString, and with shortBF false appendLogString:
+// encoding/json writes '\b' and '\f' as \b and \f, log/slog as \u0008 and
+// \u000c.
+func appendQuoted(b []byte, s string, shortBF bool) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
@@ -312,18 +317,18 @@ func appendString(b []byte, s string) []byte {
 				continue
 			}
 			b = append(b, s[start:i-1]...)
-			switch c {
-			case '"', '\\':
+			switch {
+			case c == '"' || c == '\\':
 				b = append(b, '\\', c)
-			case '\b':
+			case c == '\b' && shortBF:
 				b = append(b, '\\', 'b')
-			case '\f':
+			case c == '\f' && shortBF:
 				b = append(b, '\\', 'f')
-			case '\n':
+			case c == '\n':
 				b = append(b, '\\', 'n')
-			case '\r':
+			case c == '\r':
 				b = append(b, '\\', 'r')
-			case '\t':
+			case c == '\t':
 				b = append(b, '\\', 't')
 			default:
 				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
@@ -364,7 +369,7 @@ func (s *Server) writeEnvelope(w http.ResponseWriter, ew *envWriter, env *envelo
 func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	x := exchangeOf(w)
 	tr := x.ctx.Trace()
-	start := time.Now()
+	start := s.handlerStart(x)
 	var req queryRequest
 	if err := req.decode(r); err != nil {
 		s.writeError(w, bodyStatus(err), err)
@@ -372,7 +377,7 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setTimeout(x, req.TimeoutMS)
 	res, plan, version, err := s.svc.QueryVersioned(&x.ctx, req.Doc, req.Lang, req.Query)
-	s.observeQuery(tr, "query", req.Lang, req.Query, start, err)
+	s.observeQuery(tr, "query", req.Lang, req.Query, time.Since(start), err)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
 		return
@@ -394,7 +399,7 @@ func (s *Server) handleQueryV1(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 	x := exchangeOf(w)
 	tr := x.ctx.Trace()
-	start := time.Now()
+	start := s.handlerStart(x)
 	var req corpusQueryRequest
 	if err := req.decode(r); err != nil {
 		s.writeError(w, bodyStatus(err), err)
@@ -407,13 +412,14 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 	}
 	execStart := time.Now()
 	results := s.svc.QueryCorpus(&x.ctx, req.Lang, req.Query, opts...)
-	tr.Observe("exec", time.Since(execStart))
 	aggStart := time.Now()
+	tr.Observe("exec", aggStart.Sub(execStart))
 	agg := service.Aggregate(results, int(req.Limit))
-	tr.Observe("aggregate", time.Since(aggStart))
+	end := time.Now()
+	tr.Observe("aggregate", end.Sub(aggStart))
 	tr.SetDocs(agg.Docs)
 	s.fanoutDocs.Observe(float64(agg.Docs))
-	s.observeQuery(tr, "corpus", req.Lang, req.Query, start, nil)
+	s.observeQuery(tr, "corpus", req.Lang, req.Query, end.Sub(start), nil)
 
 	env := envelope{RequestID: tr.ID(), Docs: agg.Docs, Total: agg.Total, Truncated: agg.Truncated}
 	ew := newEnvWriter()
@@ -439,7 +445,7 @@ func (s *Server) handleCorpusQueryV1(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 	x := exchangeOf(w)
 	tr := x.ctx.Trace()
-	start := time.Now()
+	start := s.handlerStart(x)
 	id := r.PathValue("id")
 	e, ok := s.lookupPrepared(id)
 	if !ok {
@@ -462,10 +468,9 @@ func (s *Server) handleExecPreparedV1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setTimeout(x, int64(timeoutMS))
-	execStart := time.Now()
 	res, plan, err := e.c.Exec(&x.ctx, eng)
-	tr.Observe("exec", time.Since(execStart))
-	s.observeQuery(tr, "prepared", e.c.Language(), e.c.Text(), start, err)
+	tr.Observe("exec", plan.ExecDuration)
+	s.observeQuery(tr, "prepared", e.c.Language(), e.c.Text(), time.Since(start), err)
 	if err != nil {
 		s.writeError(w, errorStatus(err), err)
 		return

@@ -432,9 +432,10 @@ func (s *Service) QueryVersioned(ctx context.Context, doc, lang, text string) (*
 		return nil, nil, ent.version, err
 	}
 	s.queries.Add(1)
-	execStart := time.Now()
+	// The exec span is the one ExecInto measures, so the clock is not read
+	// again around it.
 	res, plan, err := c.Exec(ctx, ent.eng)
-	tr.Observe("exec", time.Since(execStart))
+	tr.Observe("exec", plan.ExecDuration)
 	return res, plan, ent.version, err
 }
 
