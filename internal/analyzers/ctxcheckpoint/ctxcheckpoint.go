@@ -24,9 +24,12 @@
 // In the solver packages (hornsat, cq, arccons, rewrite, mdatalog), every
 // exported function whose name ends in "Ctx" and takes a context.Context
 // must, if it loops at all, contain a cancellation touchpoint — ctx.Err(),
-// ctx.Done(), or a call forwarding a context — at or after its first loop.
-// An entry-only ctx.Err() guard does not count: it proves the solver looked
-// at ctx once, not that cancellation can interrupt the work.
+// ctx.Done(), or a call forwarding a context variable — at or after its first
+// loop.  An entry-only ctx.Err() guard does not count: it proves the solver
+// looked at ctx once, not that cancellation can interrupt the work.  Nor does
+// a call handed a fresh context (context.Background(), context.TODO(), any
+// call that returns a context): the callee polls a context no request can
+// cancel.
 package ctxcheckpoint
 
 import (
@@ -43,8 +46,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "ctxcheckpoint",
 	Doc: "check that loops in exported *Ctx solvers carry ctx.Err() checkpoints\n\n" +
 		"An exported *Ctx function in the solver packages that loops must have a\n" +
-		"ctx.Err()/ctx.Done() checkpoint or forward its context to a callee at or\n" +
-		"after the first loop; a guard before the work does not count.",
+		"ctx.Err()/ctx.Done() checkpoint or forward a context variable to a callee\n" +
+		"at or after the first loop; a guard before the work, or a callee handed\n" +
+		"context.Background(), does not count.",
 	Run: run,
 }
 
@@ -164,7 +168,8 @@ func checkSolver(pass *analysis.Pass, fn *ast.FuncDecl) {
 }
 
 // isCheckpointCall reports a cancellation touchpoint: ctx.Err(), ctx.Done(),
-// or any call forwarding a context argument to a callee.
+// or a call forwarding a context variable to a callee.  A context argument
+// that is itself a call, such as context.Background(), forwards nothing.
 func isCheckpointCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if (sel.Sel.Name == "Err" || sel.Sel.Name == "Done") && isContextType(pass.TypesInfo.Types[sel.X].Type) {
@@ -172,9 +177,25 @@ func isCheckpointCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 		}
 	}
 	for _, arg := range call.Args {
-		if isContextType(pass.TypesInfo.Types[arg].Type) {
+		if isContextVar(pass, arg) {
 			return true
 		}
 	}
 	return false
+}
+
+// isContextVar reports whether e names a variable (or a field) of type
+// context.Context.
+func isContextVar(pass *analysis.Pass, e ast.Expr) bool {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return false
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	return ok && isContextType(v.Type())
 }

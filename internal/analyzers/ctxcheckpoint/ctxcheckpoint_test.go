@@ -9,5 +9,5 @@ import (
 
 func TestCtxCheckpoint(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), ctxcheckpoint.Analyzer,
-		"repro/internal/hornsat", "repro/internal/mdatalog")
+		"repro/internal/hornsat", "repro/internal/mdatalog", "repro/internal/rewrite")
 }

@@ -3,6 +3,8 @@ package arccons
 import (
 	"context"
 	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -125,7 +127,9 @@ func (c *Compiled) Visits() int64 { return c.visits.Load() }
 
 // kernel is the state of one execution.  Everything lives in preorder-rank
 // space, which is NodeID space: a candidate domain is a bitset over NodeIDs
-// and a subtree is the interval [r, End(r)].
+// and a subtree is the interval [r, End(r)].  Kernels come from the kernels
+// pool, so the headers of dom and assign and the row scratch are reused from
+// one execution to the next.
 type kernel struct {
 	c         *Compiled // nil for arcConsistency's fixpoint
 	t         *tree.Tree
@@ -138,6 +142,15 @@ type kernel struct {
 	err       error
 }
 
+// kernels holds released kernels.  It holds pointers, so Put does not box; a
+// kernel whose row scratch grew past maxPooledRows on one large answer is
+// dropped instead of pinned.
+var kernels = sync.Pool{New: func() any { return new(kernel) }}
+
+// maxPooledRows is the largest row scratch, in nodes (4 bytes each), that a
+// released kernel keeps.
+const maxPooledRows = 1 << 16
+
 // EnumerateCtx evaluates the compiled query on t.  It is Yannakakis'
 // algorithm on rank bitsets: the full reducer — one bottom-up and one
 // top-down pass of semi-joins over the query forest — leaves exactly the
@@ -147,7 +160,9 @@ type kernel struct {
 // entry, after every semi-join of the reducer (one pass over a domain), and
 // every enumCheckpointInterval candidate visits of a probing semi-join or of
 // the enumeration.
-// Answers are sorted and duplicate-free.
+// Answers are sorted and duplicate-free.  The scratch an execution needs comes
+// from a pool; the answer is built once, as one exact-size block of nodes and
+// the tuple headers sliced over it (see kernel.answers).
 func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex) ([]cq.Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -159,7 +174,7 @@ func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex
 		return []cq.Answer{{}}, nil
 	}
 	k := newKernel(t, ix, c.labels)
-	k.c, k.assign = c, make([]int, len(c.order))
+	k.c, k.assign = c, slices.Grow(k.assign[:0], len(c.order))[:len(c.order)]
 	defer k.release()
 	if !k.reduce(ctx) {
 		return nil, k.err
@@ -171,17 +186,20 @@ func (c *Compiled) EnumerateCtx(ctx context.Context, t *tree.Tree, ix LabelIndex
 	return k.answers(), k.err
 }
 
-// answers slices the row arena into sorted answers; duplicates are possible,
-// and looked for, only when enumeration bound a variable the head projects
-// away.
+// answers copies the row scratch out once, into a block of exactly its size,
+// and slices that block into sorted answers: two allocations at any answer
+// count.  Duplicates are possible, and looked for, only when enumeration
+// bound a variable the head projects away.
 func (k *kernel) answers() []cq.Answer {
 	if k.err != nil {
 		return nil
 	}
 	w := len(k.c.head)
-	out := make([]cq.Answer, len(k.rows)/w)
+	block := make([]tree.NodeID, len(k.rows))
+	copy(block, k.rows)
+	out := make([]cq.Answer, len(block)/w)
 	for i := range out {
-		out[i] = k.rows[i*w : (i+1)*w : (i+1)*w]
+		out[i] = block[i*w : (i+1)*w : (i+1)*w]
 	}
 	if k.c.dedup {
 		return cq.SortDedupAnswers(out)
@@ -190,28 +208,36 @@ func (k *kernel) answers() []cq.Answer {
 	return out
 }
 
-// newKernel binds a document and fills one domain per variable from its
-// label atoms.  The caller must release the kernel.  A nil ix indexes the
-// tree's labels for this call only.
+// newKernel takes a kernel from the pool, binds a document and fills one
+// domain per variable from its label atoms.  The caller must release the
+// kernel.  A nil ix indexes the tree's labels for this call only.
 func newKernel(t *tree.Tree, ix LabelIndex, labels [][]string) *kernel {
 	if ix == nil {
 		ix = index.New(t)
 	}
-	k := &kernel{t: t, n: t.Len(), dom: make([]bitset.Bits, len(labels))}
+	k := kernels.Get().(*kernel)
+	k.t, k.n = t, t.Len()
+	k.dom = slices.Grow(k.dom[:0], len(labels))[:len(labels)]
 	for v := range k.dom {
 		k.dom[v] = k.domain(t, ix, labels[v])
 	}
 	return k
 }
 
-// release returns the domains to the pool and books the visits with the
-// compiled query, if any.
+// release returns the domains to the bitset pool, books the visits with the
+// compiled query, if any, and returns the kernel, reset, to the kernels pool
+// unless its row scratch is over maxPooledRows.
 func (k *kernel) release() {
 	for _, d := range k.dom {
 		bitset.Release(d)
 	}
 	if k.c != nil {
 		k.c.visits.Add(int64(k.visits))
+	}
+	clear(k.dom)
+	*k = kernel{dom: k.dom[:0], assign: k.assign[:0], rows: k.rows[:0]}
+	if cap(k.rows) <= maxPooledRows {
+		kernels.Put(k)
 	}
 }
 

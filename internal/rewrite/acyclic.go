@@ -374,17 +374,68 @@ func Compile(q *cq.Query) (Union, int, error) {
 }
 
 // EvaluateCtx returns the union of the disjuncts' answer sets on t, sorted
-// and de-duplicated.  The context reaches every kernel run, so cancellation
-// takes effect within one checkpoint interval of the disjunct in progress.
-// ix may be nil.
+// and de-duplicated.  Every disjunct's answers come back sorted and
+// duplicate-free, so the union merges them in one pass and drops the tuples
+// two disjuncts share: no sort, and one new slice of tuple headers (none
+// when at most one disjunct answers).  The context reaches every kernel run,
+// so cancellation takes effect within one checkpoint interval of the
+// disjunct in progress.  ix may be nil.
 func (u Union) EvaluateCtx(ctx context.Context, t *tree.Tree, ix arccons.LabelIndex) ([]cq.Answer, error) {
-	var answers []cq.Answer
+	var buf [8][]cq.Answer // the lists stay on the stack up to 8 answering disjuncts
+	lists, total := buf[:0], 0
 	for _, c := range u {
 		ans, err := c.EnumerateCtx(ctx, t, ix)
 		if err != nil {
 			return nil, err
 		}
-		answers = append(answers, ans...)
+		if len(ans) > 0 {
+			lists, total = append(lists, ans), total+len(ans)
+		}
 	}
-	return cq.SortDedupAnswers(answers), nil
+	switch len(lists) {
+	case 0:
+		return nil, nil
+	case 1:
+		return lists[0], nil
+	}
+	return mergeAnswers(lists, total), nil
+}
+
+// mergeAnswers merges sorted, duplicate-free answer lists (none empty) into
+// one sorted, duplicate-free list of at most total tuples.  h is made, in
+// place, a binary min-heap on each list's first tuple: the least tuple is
+// always on top, so a tuple several lists hold comes off them consecutively
+// and only its first copy is kept.
+func mergeAnswers(h [][]cq.Answer, total int) []cq.Answer {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	out := make([]cq.Answer, 0, total)
+	for len(h) > 0 {
+		if a := h[0][0]; len(out) == 0 || !slices.Equal(out[len(out)-1], a) {
+			out = append(out, a)
+		}
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0], h = h[len(h)-1], h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return out
+}
+
+// siftDown restores the heap order of h below position i.
+func siftDown(h [][]cq.Answer, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && slices.Compare(h[c][0], h[least][0]) < 0 {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
