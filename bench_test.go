@@ -14,16 +14,19 @@ import (
 	"testing"
 
 	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/hornsat"
 	"repro/internal/index"
 	"repro/internal/labeling"
 	"repro/internal/mdatalog"
+	"repro/internal/poolcheck"
 	"repro/internal/rewrite"
 	"repro/internal/server"
 	"repro/internal/service"
 	"repro/internal/stream"
+	"repro/internal/ted"
 	"repro/internal/tree"
 	"repro/internal/treediff"
 	"repro/internal/treewidth"
@@ -33,6 +36,10 @@ import (
 	"repro/internal/xpath"
 	"repro/internal/yannakakis"
 )
+
+func TestMain(m *testing.M) {
+	poolcheck.Main(m, bitset.Outstanding, ted.Outstanding, arccons.Outstanding, mdatalog.Outstanding)
+}
 
 // --- E2: structural joins over the XASR (Figure 2 / Example 2.1) -----------
 

@@ -4,18 +4,15 @@
 #
 # Layers, in order:
 #
-#   1. gofmt        formatting (the analyzer testdata fixtures included)
+#   1. gofmt        formatting
 #   2. go vet       the standard toolchain analyzers
-#   3. treeqlint    the project analyzer suite (internal/analyzers:
-#                   ctxcheckpoint, errcode, poolpair) run as
-#                   `go vet -vettool`, so _test.go files are covered too
-#   4. staticcheck  SA* correctness checks — skipped when the binary is not
+#   3. staticcheck  SA* correctness checks — skipped when the binary is not
 #                   installed (CI installs the pinned version; the repo
 #                   itself takes no module dependency on it)
-#   5. govulncheck  known-vulnerability scan — skipped when not installed,
+#   4. govulncheck  known-vulnerability scan — skipped when not installed,
 #                   and warn-only on findings (first landing; tighten to a
 #                   hard gate once triage exists)
-#   6. promlint     structural lint of a scratch treeqd's exposition
+#   5. promlint     structural lint of a scratch treeqd's exposition
 #                   (skipped with LINT_FAST=1; the naming rules are
 #                   checked by obsv.Registry when each family registers)
 #
@@ -32,11 +29,6 @@ fi
 
 echo "lint: go vet"
 go vet ./...
-
-echo "lint: treeqlint"
-TREEQLINT_BIN="${TREEQLINT_BIN:-$(mktemp -d)/treeqlint}"
-go build -o "$TREEQLINT_BIN" ./cmd/treeqlint
-go vet -vettool="$TREEQLINT_BIN" ./...
 
 if command -v staticcheck >/dev/null 2>&1; then
   echo "lint: staticcheck"

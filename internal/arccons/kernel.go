@@ -147,6 +147,14 @@ type kernel struct {
 // dropped instead of pinned.
 var kernels = sync.Pool{New: func() any { return new(kernel) }}
 
+// kernelsOut counts the kernels taken by newKernel and not yet released.
+var kernelsOut atomic.Int64
+
+// Outstanding returns the kernels taken and not yet released.  The tests of
+// every package that runs the kernel require it to be back at zero when they
+// are done.
+func Outstanding() int64 { return kernelsOut.Load() }
+
 // maxPooledRows is the largest row scratch, in nodes (4 bytes each), that a
 // released kernel keeps.
 const maxPooledRows = 1 << 16
@@ -215,6 +223,7 @@ func newKernel(t *tree.Tree, ix LabelIndex, labels [][]string) *kernel {
 	if ix == nil {
 		ix = index.New(t)
 	}
+	kernelsOut.Add(1)
 	k := kernels.Get().(*kernel)
 	k.t, k.n = t, t.Len()
 	k.dom = slices.Grow(k.dom[:0], len(labels))[:len(labels)]
@@ -228,6 +237,7 @@ func newKernel(t *tree.Tree, ix LabelIndex, labels [][]string) *kernel {
 // compiled query, if any, and returns the kernel, reset, to the kernels pool
 // unless its row scratch is over maxPooledRows.
 func (k *kernel) release() {
+	kernelsOut.Add(-1)
 	for _, d := range k.dom {
 		bitset.Release(d)
 	}

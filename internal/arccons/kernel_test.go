@@ -7,12 +7,16 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/cq"
 	"repro/internal/index"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, Outstanding, bitset.Outstanding) }
 
 // reducedDomains runs only the full reducer and returns its domains as a
 // pre-valuation; ok is false when some domain emptied.

@@ -22,6 +22,17 @@ var pool struct {
 	holders sync.Pool                // empty *Bits
 	hits    atomic.Int64
 	misses  atomic.Int64
+	// released counts the Release calls that took back what an Acquire
+	// handed out: by the same bucket rule, a vector of a bucket's capacity
+	// or one too large for any bucket.
+	released atomic.Int64
+}
+
+// Outstanding returns the vectors acquired and not yet released.  The tests
+// of every package that takes from the pool require it to be back at zero
+// when they are done.
+func Outstanding() int64 {
+	return pool.hits.Load() + pool.misses.Load() - pool.released.Load()
 }
 
 // PoolStats reports how often Acquire was served from the pool (hit) versus
@@ -70,7 +81,11 @@ func Release(b Bits) {
 		return
 	}
 	i := bucketFor(c)
-	if i > maxBucket || 1<<i != c {
+	if i <= maxBucket && 1<<i != c {
+		return // not a vector Acquire hands out
+	}
+	pool.released.Add(1)
+	if i > maxBucket {
 		return
 	}
 	h, _ := pool.holders.Get().(*Bits)

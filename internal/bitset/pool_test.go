@@ -5,8 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/poolcheck"
 	"repro/internal/race"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, Outstanding) }
 
 // onePool pins the test to one P for its duration: sync.Pool keeps the last
 // Put in a per-P slot, so a Get on another P may miss it.

@@ -5,8 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/cq"
+	"repro/internal/mdatalog"
+	"repro/internal/poolcheck"
+	"repro/internal/ted"
 )
+
+// pools are the counts of every pool the package reaches.
+var pools = []func() int64{bitset.Outstanding, ted.Outstanding, arccons.Outstanding, mdatalog.Outstanding}
+
+func TestMain(m *testing.M) { poolcheck.Main(m, pools...) }
 
 const sampleXML = `<site><regions><region><item id="1"><name>n1</name><description><keyword/></description></item>
 <item id="2"><name>n2</name></item></region></regions><people><person/></people></site>`

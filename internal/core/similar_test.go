@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -202,6 +203,7 @@ func FuzzSimilarPrunedVsExhaustive(f *testing.F) {
 		f.Add(text, int64(len(text)))
 	}
 	f.Fuzz(func(t *testing.T, text string, seed int64) {
+		defer poolcheck.Check(t, pools...)
 		if len(text) > 1<<8 {
 			t.Skip("oversized input")
 		}

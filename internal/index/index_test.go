@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/poolcheck"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding) }
 
 func TestLazyBuildAndCounters(t *testing.T) {
 	doc := workload.RandomTree(workload.TreeSpec{Nodes: 200, Seed: 1, Alphabet: []string{"a", "b", "c"}})

@@ -4,10 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/poolcheck"
 	"repro/internal/relstore"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding) }
 
 // figure2 is the running example tree of Figure 2 of the paper.
 func figure2() *tree.Tree { return tree.MustParseSexpr("a(b(a c) a(b d))") }

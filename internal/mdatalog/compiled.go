@@ -506,11 +506,20 @@ type solver struct {
 
 var solverPool = sync.Pool{New: func() any { return &solver{} }}
 
+// solversOut counts the solvers taken by newSolver and not yet released.
+var solversOut atomic.Int64
+
+// Outstanding returns the solvers taken and not yet released.  The tests of
+// every package that solves a compiled program require it to be back at zero
+// when they are done.
+func Outstanding() int64 { return solversOut.Load() }
+
 // newSolver takes a solver from the pool and binds it to c on t.  Label
 // masks come from masks when there is one; every other extensional mask is
 // scanned off the tree into the scratch.  The caller must release it.
 func (c *Compiled) newSolver(t *tree.Tree, masks LabelMasks) *solver {
 	n := t.Len()
+	solversOut.Add(1)
 	s := solverPool.Get().(*solver)
 	s.c, s.t, s.stride = c, t, bitset.WordsFor(n)
 	s.queue = s.queue[:0]
@@ -581,6 +590,7 @@ func (s *solver) release() {
 	s.c.derived.Add(int64(derived))
 	clear(s.vec)
 	s.c, s.t = nil, nil
+	solversOut.Add(-1)
 	solverPool.Put(s)
 }
 

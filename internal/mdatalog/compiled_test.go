@@ -11,10 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/poolcheck"
 	"repro/internal/race"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, Outstanding) }
 
 // relabeled rebuilds the shape of a workload.RandomTree document — whose
 // nodes hang off uniformly random earlier nodes, out of document order —

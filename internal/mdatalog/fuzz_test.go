@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 )
 
@@ -25,6 +26,7 @@ func FuzzCompiledVsGround(f *testing.F) {
 	f.Add("% comment\nP(x) :- Q(x).\nQ(x) :- P(y), FirstChild^-1(y, x).\nQ(x) :- LastSibling(x), FirstSibling(x).", "a")
 	f.Add("P(x) :- Child(x, y), Child(y, x).", handTree)
 	f.Fuzz(func(t *testing.T, text, doc string) {
+		defer poolcheck.Check(t, Outstanding)
 		if len(text) > 1<<12 || len(doc) > 1<<9 {
 			t.Skip("oversized input")
 		}

@@ -4,10 +4,15 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/cq"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding, arccons.Outstanding) }
 
 // TestTable1ClosedForm checks PairSatisfiable against the literal content of
 // Table 1 of the paper.

@@ -48,8 +48,8 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // otherwise.
 func (s *Server) logAccess(x *exchange, r *http.Request, handler string, now time.Time, elapsed time.Duration) {
 	if s.accessOut != nil {
-		ew := envWriters.Get().(*envWriter)
-		ew.buf = appendAccessLine(ew.buf[:0], now, r.Method, r.URL.Path, handler, x.status, x.bytes, elapsed, x.id[0])
+		ew := getEnvWriter()
+		ew.buf = appendAccessLine(ew.buf, now, r.Method, r.URL.Path, handler, x.status, x.bytes, elapsed, x.id[0])
 		_, _ = s.accessOut.Write(ew.buf) // a failed log write fails no request; slog drops it too
 		ew.release()
 		return

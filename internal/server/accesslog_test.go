@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/poolcheck"
 	"repro/internal/service"
 )
 
@@ -110,6 +111,7 @@ func FuzzAccessLine(f *testing.F) {
 	f.Add("", "", int64(-3*time.Hour))
 	zone := time.FixedZone("", 3600+30*60)
 	f.Fuzz(func(t *testing.T, path, id string, ns int64) {
+		defer poolcheck.Check(t, envWritersOutstanding)
 		at, d := time.Unix(0, ns).In(zone), time.Duration(ns)
 		want := slogAccessLine(t, at, "POST", path, "other", 200, ns, d, id)
 		got := appendedAccessLine(t, at, "POST", path, "other", 200, ns, d, id)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cq"
+	"repro/internal/poolcheck"
 	"repro/internal/service"
 	"repro/internal/tree"
 )
@@ -199,6 +200,7 @@ func FuzzEnvelopeEncoding(f *testing.F) {
 	f.Add("x", "y", "r", "", uint64(7), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1|7<<4), uint8(0))
 	f.Add("x", "y", "r", "n", uint64(2), []byte{}, uint8(3|1<<4), uint8(3))
 	f.Fuzz(func(t *testing.T, doc1, doc2, reqID, note string, version uint64, data []byte, flags, limit uint8) {
+		defer poolcheck.Check(t, envWritersOutstanding)
 		kind, arity := int(flags&3), int(flags>>2&3)
 		if kind == 3 {
 			kind = 1 // answers get two of the four kinds: tuples and Boolean

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/poolcheck"
 	"repro/internal/service"
 	"repro/internal/xmldoc"
 )
@@ -134,6 +135,7 @@ func FuzzV1QueryBody(f *testing.F) {
 	}
 	srv := New(svc, WithDefaultTimeout(100*time.Millisecond), WithMaxTimeout(100*time.Millisecond))
 	f.Fuzz(func(t *testing.T, corpus bool, body []byte) {
+		defer poolcheck.Check(t, pools...)
 		path := "/v1/query"
 		if corpus {
 			path = "/v1/corpus/query"
@@ -190,6 +192,7 @@ func FuzzV1PreparedBody(f *testing.F) {
 	}
 	srv := New(svc, WithDefaultTimeout(100*time.Millisecond), WithMaxTimeout(100*time.Millisecond))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		defer poolcheck.Check(t, pools...)
 		var got prepareRequest
 		sameDecode(t, body, &got, got.unmarshal)
 		rec := httptest.NewRecorder()
@@ -248,6 +251,7 @@ func FuzzPutDocBody(f *testing.F) {
 		return rec
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		defer poolcheck.Check(t, pools...)
 		if len(body) > 1<<17 {
 			t.Skip("oversized input")
 		}

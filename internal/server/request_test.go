@@ -53,7 +53,7 @@ func TestRequestDeadlineAndDisconnect(t *testing.T) {
 	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "a.xml", "lang": core.LangCQ, "query": keywordCQ, "timeout_ms": 20,
 	})
-	if code != http.StatusGatewayTimeout || body["code"] != CodeTimeout {
+	if code != http.StatusGatewayTimeout || body["code"] != "timeout" {
 		t.Fatalf("20 ms deadline: status %d body %v, want 504 timeout", code, body)
 	}
 
@@ -87,7 +87,7 @@ func TestHandlerPanicAnswersInternal(t *testing.T) {
 	code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 		"doc": "a.xml", "lang": core.LangCQ, "query": keywordCQ,
 	})
-	if id, _ := body["request_id"].(string); code != http.StatusInternalServerError || body["code"] != CodeInternal || len(id) != 16 {
+	if id, _ := body["request_id"].(string); code != http.StatusInternalServerError || body["code"] != "internal" || len(id) != 16 {
 		t.Fatalf("panicking query: status %d body %v, want 500 internal with a request_id", code, body)
 	}
 	code, body = doJSON(t, http.MethodPost, ts.URL+"/v1/corpus/query", map[string]any{

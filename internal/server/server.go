@@ -574,8 +574,8 @@ func (s *Server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	// {"doc":…,"docs":…,"version":…}: the bytes writeJSON writes for the map
 	// of these three, whose keys encoding/json sorts.
-	ew := envWriters.Get().(*envWriter)
-	ew.buf = append(ew.buf[:0], `{"doc":`...)
+	ew := getEnvWriter()
+	ew.buf = append(ew.buf, `{"doc":`...)
 	ew.buf = appendString(ew.buf, name)
 	ew.buf = append(ew.buf, `,"docs":`...)
 	ew.buf = strconv.AppendInt(ew.buf, int64(s.svc.Len()), 10)

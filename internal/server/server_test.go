@@ -16,9 +16,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/mdatalog"
+	"repro/internal/poolcheck"
 	"repro/internal/service"
+	"repro/internal/ted"
 )
+
+// pools are the counts of every pool the package reaches.
+var pools = []func() int64{bitset.Outstanding, ted.Outstanding, arccons.Outstanding, mdatalog.Outstanding, envWritersOutstanding}
+
+func TestMain(m *testing.M) { poolcheck.Main(m, pools...) }
+
+func envWritersOutstanding() int64 { return envWritersOut.Load() }
 
 // siteXML builds a small deterministic document with n keyword leaves.
 func siteXML(n int) string {

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 
@@ -40,40 +41,36 @@ import (
 // APIVersion is the version tag stamped into every /v1 response envelope.
 const APIVersion = "v1"
 
-// Stable machine-readable error codes carried in the unified error body.
-// Clients should branch on these, not on the human-readable error text.
-const (
-	CodeBadRequest = "bad_request" // malformed body, query text, or document
-	CodeNotFound   = "not_found"   // unknown document or prepared query
-	CodeConflict   = "conflict"    // duplicate document
-	CodeTooLarge   = "too_large"   // request body over the configured bound
-	CodeSaturated  = "saturated"   // shed by the admission gate
-	CodeTimeout    = "timeout"     // request deadline exceeded
-	CodeCanceled   = "canceled"    // client closed the connection
-	CodeInternal   = "internal"    // unexpected server-side failure
-)
+// errorCodes is the error table of docs/API.md ("Error shape"), row for row:
+// an HTTP status and the stable machine-readable code the unified error body
+// carries for it.  Clients branch on the code, not on the error text.  The
+// 400 row also answers every status below 500 that has no row of its own,
+// and the 500 row every other status from 500 up.
+var errorCodes = [...]struct {
+	status int
+	code   string
+}{
+	{http.StatusBadRequest, "bad_request"},
+	{http.StatusNotFound, "not_found"},
+	{http.StatusConflict, "conflict"},
+	{http.StatusRequestEntityTooLarge, "too_large"},
+	{http.StatusTooManyRequests, "saturated"},
+	{499, "canceled"}, // the client closed the connection
+	{http.StatusGatewayTimeout, "timeout"},
+	{http.StatusInternalServerError, "internal"},
+}
 
-// errorCode maps an HTTP status onto the stable error-code enum.
+// errorCode maps an HTTP status onto its code in errorCodes.
 func errorCode(status int) string {
-	switch status {
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusConflict:
-		return CodeConflict
-	case http.StatusRequestEntityTooLarge:
-		return CodeTooLarge
-	case http.StatusTooManyRequests:
-		return CodeSaturated
-	case http.StatusGatewayTimeout:
-		return CodeTimeout
-	case 499:
-		return CodeCanceled
-	default:
-		if status >= 500 {
-			return CodeInternal
+	for _, r := range errorCodes {
+		if r.status == status {
+			return r.code
 		}
-		return CodeBadRequest
 	}
+	if status >= http.StatusInternalServerError {
+		return errorCodes[len(errorCodes)-1].code
+	}
+	return errorCodes[0].code
 }
 
 // envelope is the unified /v1 ranked-result envelope apart from its results
@@ -105,9 +102,21 @@ var envWriters = sync.Pool{New: func() any { return new(envWriter) }}
 
 const maxPooledEnvelope = 1 << 20
 
+// envWritersOut counts the writers taken and not yet released; the package's
+// tests require it to be back at zero when they are done.
+var envWritersOut atomic.Int64
+
+// getEnvWriter takes a writer from the pool with its buffer empty.
+func getEnvWriter() *envWriter {
+	envWritersOut.Add(1)
+	w := envWriters.Get().(*envWriter)
+	w.buf = w.buf[:0]
+	return w
+}
+
 // newEnvWriter takes a writer from the pool with the results array opened.
 func newEnvWriter() *envWriter {
-	w := envWriters.Get().(*envWriter)
+	w := getEnvWriter()
 	w.reset()
 	return w
 }
@@ -118,6 +127,7 @@ func (w *envWriter) reset() {
 }
 
 func (w *envWriter) release() {
+	envWritersOut.Add(-1)
 	if cap(w.buf) <= maxPooledEnvelope {
 		envWriters.Put(w)
 	}

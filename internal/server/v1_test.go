@@ -6,7 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -395,7 +398,7 @@ func TestV1NegativeOrMalformedBoundsRejected(t *testing.T) {
 			}
 			continue
 		}
-		if code != http.StatusBadRequest || body["code"] != CodeBadRequest {
+		if code != http.StatusBadRequest || body["code"] != "bad_request" {
 			t.Errorf("%s %v: status %d code %v, want 400 bad_request", tc.path, tc.req, code, body["code"])
 			continue
 		}
@@ -426,7 +429,7 @@ func TestV1DeepQueryTextRejected(t *testing.T) {
 		code, body := doJSON(t, http.MethodPost, ts.URL+"/v1/query", map[string]any{
 			"doc": "doc.xml", "lang": lang, "query": text,
 		})
-		if code != http.StatusBadRequest || body["code"] != CodeBadRequest {
+		if code != http.StatusBadRequest || body["code"] != "bad_request" {
 			t.Errorf("%s: status %d code %v, want 400 bad_request", lang, code, body["code"])
 		}
 		if msg, _ := body["error"].(string); !strings.Contains(msg, "nested deeper") {
@@ -534,10 +537,47 @@ func TestV1PutTooDeep(t *testing.T) {
 	ts, svc := newTestServer(t, nil)
 	const depth = 1_000_000
 	code, body := putDoc(t, ts.URL, "deep.xml", strings.Repeat("<a>", depth)+strings.Repeat("</a>", depth))
-	if code != http.StatusRequestEntityTooLarge || body["code"] != CodeTooLarge {
+	if code != http.StatusRequestEntityTooLarge || body["code"] != "too_large" {
 		t.Fatalf("PUT of a %d-deep document: status %d, body %v; want 413 too_large", depth, code, body)
 	}
 	if svc.Len() != 0 {
 		t.Errorf("the refused document is in the corpus: %v", svc.Versions())
+	}
+}
+
+// TestErrorCodesMatchAPIDoc holds errorCodes equal, row for row, to the error
+// table of docs/API.md ("Error shape"), and errorCode to that table: a status
+// with a row gets its code, any other the 400 row's below 500 and the 500
+// row's from 500 up.
+func TestErrorCodesMatchAPIDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "### Error shape")
+	section, _, _ = strings.Cut(section, "\n### ")
+	rows := regexp.MustCompile("(?m)^\\| `(\\d+)[^|]*\\| `([a-z_]+)` \\|").FindAllStringSubmatch(section, -1)
+	if len(rows) != len(errorCodes) {
+		t.Fatalf("docs/API.md has %d error rows, errorCodes %d", len(rows), len(errorCodes))
+	}
+	byStatus := map[int]string{}
+	for i, r := range errorCodes {
+		if strconv.Itoa(r.status) != rows[i][1] || r.code != rows[i][2] {
+			t.Errorf("row %d: errorCodes has %d %q, docs/API.md %s %q", i, r.status, r.code, rows[i][1], rows[i][2])
+		}
+		byStatus[r.status] = r.code
+	}
+	for status := 100; status < 600; status++ {
+		want, ok := byStatus[status]
+		switch {
+		case ok:
+		case status < 500:
+			want = byStatus[400]
+		default:
+			want = byStatus[500]
+		}
+		if got := errorCode(status); got != want {
+			t.Errorf("errorCode(%d) = %q, want %q", status, got, want)
+		}
 	}
 }

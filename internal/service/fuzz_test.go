@@ -3,6 +3,7 @@ package service
 import (
 	"testing"
 
+	"repro/internal/poolcheck"
 	"repro/internal/treediff"
 )
 
@@ -29,6 +30,7 @@ func FuzzDiffPatchEquivalence(f *testing.F) {
 	f.Add(`("a"("b""c"="t1"("a"))("c"))`, `("a"("b""c"="t2"("a"))("c"))`)
 	f.Add(`("a"="x"("b"("c"))("c"="y"))`, `("a"="u"("b"("c"))("c"="v"))`)
 	f.Fuzz(func(t *testing.T, oldS, newS string) {
+		defer poolcheck.Check(t, pools...)
 		oldT := sexprOrSkip(t, oldS, treediff.ParseCanonical)
 		newT := sexprOrSkip(t, newS, treediff.ParseCanonical)
 		assertPatchEquivalence(t, oldT, newT)

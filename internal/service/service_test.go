@@ -10,9 +10,19 @@ import (
 	"testing"
 	"weak"
 
+	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/mdatalog"
+	"repro/internal/poolcheck"
+	"repro/internal/ted"
 	"repro/internal/workload"
 )
+
+// pools are the counts of every pool the package reaches.
+var pools = []func() int64{bitset.Outstanding, ted.Outstanding, arccons.Outstanding, mdatalog.Outstanding}
+
+func TestMain(m *testing.M) { poolcheck.Main(m, pools...) }
 
 func corpusService(t *testing.T, docs int, opts ...Option) *Service {
 	t.Helper()

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
@@ -32,6 +34,7 @@ func FuzzStreamVsXPath(f *testing.F) {
 	f.Add("a(b(c a(b)) c+a(b c))", []byte{1, 3<<2 | 0, 2<<2 | 3})
 	f.Add("_(a b+_ c(_(a)))", []byte{3<<2 | 1, 3<<2 | 1, 0<<2 | 3})
 	f.Fuzz(func(t *testing.T, sexpr string, code []byte) {
+		defer poolcheck.Check(t, bitset.Outstanding)
 		if len(sexpr) > 1000 || len(code) == 0 || len(code) > 12 {
 			return
 		}

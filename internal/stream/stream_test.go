@@ -7,11 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/xpath"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding) }
 
 func TestCompileRejections(t *testing.T) {
 	bad := []string{

@@ -18,6 +18,10 @@ var scratch struct {
 	buckets [maxBucket + 1]sync.Pool
 	hits    atomic.Int64
 	misses  atomic.Int64
+	// released counts the release calls that took back what an acquire
+	// handed out: by the same bucket rule, a slice of a bucket's capacity or
+	// one too large for any bucket.
+	released atomic.Int64
 }
 
 func bucketFor(n int) int {
@@ -51,10 +55,21 @@ func acquire(n int) *[]int32 {
 // release returns a slice obtained from acquire to its bucket.
 func release(s *[]int32) {
 	b := bucketFor(cap(*s))
-	if b > maxBucket || 1<<b != cap(*s) {
+	if b <= maxBucket && 1<<b != cap(*s) {
+		return // not a slice acquire hands out
+	}
+	scratch.released.Add(1)
+	if b > maxBucket {
 		return
 	}
 	scratch.buckets[b].Put(s)
+}
+
+// Outstanding returns the DP slices acquired and not yet released.  The tests
+// of every package that runs the kernel require it to be back at zero when
+// they are done.
+func Outstanding() int64 {
+	return scratch.hits.Load() + scratch.misses.Load() - scratch.released.Load()
 }
 
 // PoolStats returns the cumulative hit/miss counters of the DP scratch pool.

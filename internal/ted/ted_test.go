@@ -5,9 +5,12 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, Outstanding) }
 
 // bruteForestDist is the textbook recursive forest edit distance, exponential
 // and obviously correct: forests are slices of root nodes, the rightmost tree

@@ -3,10 +3,15 @@ package twigjoin
 import (
 	"testing"
 
+	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/cq"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding, arccons.Outstanding) }
 
 func paperTree() *tree.Tree { return tree.MustParseSexpr("a(b(a c) a(b d))") }
 

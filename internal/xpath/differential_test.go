@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/index"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 	"repro/internal/xpath"
@@ -110,7 +112,8 @@ func qualDepth(e xpath.Expr) int {
 
 // checkAgainstNaive asserts set-at-a-time = naive on (e, tr), through a
 // shared index — twice, so a shared mask the first run corrupted would show —
-// and through none.
+// and through none, and that the runs released all they took from the
+// bitset pool.
 func checkAgainstNaive(t *testing.T, text string, e xpath.Expr, tr *tree.Tree) {
 	t.Helper()
 	want := xpath.QueryNaive(e, tr)
@@ -124,6 +127,7 @@ func checkAgainstNaive(t *testing.T, text string, e xpath.Expr, tr *tree.Tree) {
 				text, tr, run.name, got, want)
 		}
 	}
+	poolcheck.Check(t, bitset.Outstanding)
 }
 
 // TestImageEvaluatorMatchesNaiveRandom is the XPath slice of the

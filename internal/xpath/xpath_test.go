@@ -5,12 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/arccons"
+	"repro/internal/bitset"
 	"repro/internal/cq"
+	"repro/internal/poolcheck"
 	"repro/internal/tree"
 	"repro/internal/workload"
 	"repro/internal/xmldoc"
 	"repro/internal/yannakakis"
 )
+
+func TestMain(m *testing.M) { poolcheck.Main(m, bitset.Outstanding) }
 
 func paperTree() *tree.Tree { return tree.MustParseSexpr("a(b(a c) a(b d))") }
 
